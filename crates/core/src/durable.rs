@@ -435,7 +435,13 @@ impl DurableState {
         self.wal
             .with_wal(|w| {
                 let len_before = w.len();
+                // A structural frame is a group of one with its own fsync;
+                // observed under the data plane's names so `wal.*` and the
+                // slow-op log account for an evolve's wait too.
+                let begun = std::time::Instant::now();
                 let lsn = w.append_retry(&payload, &retry)?;
+                telemetry.observe_ns("wal.fsync_ns", (begun.elapsed().as_nanos() as u64).max(1));
+                telemetry.observe_ns("wal.group_size", 1);
                 Ok(WalMark { lsn, len_before })
             })
             .map_err(ModelError::Storage)

@@ -589,13 +589,9 @@ impl SharedSystem {
             private.evolve(family, change)
         }?;
 
-        // Pre-warm the fork's extent cache for the classes of the evolved
-        // family's current view, so the first extent/select_where after the
-        // epoch swap doesn't pay a cold rebuild.
-        if let Ok(view) = private.views().current(family) {
-            let classes: Vec<ClassId> = view.classes.iter().copied().collect();
-            private.db().warm_extents(&classes);
-        }
+        // No extent is warmed for the swap: the fork carries the live
+        // system's extent cache, and a new view class derives its first
+        // extent from its source's entry.
 
         // Publish the evolution's versions before the metadata swap:
         // sessions opened after the swap must pin an epoch that already
@@ -1036,6 +1032,15 @@ impl ReadSession {
         drop(sys);
         observe_op(&self.inner.telemetry, "extent", started);
         out
+    }
+
+    /// [`ReadSession::extent`] through `Database::extent_uncached`: the
+    /// reference the extent cache is tested against.
+    #[doc(hidden)]
+    pub fn extent_uncached(&self, view: ViewId, class_local: &str) -> ModelResult<Vec<Oid>> {
+        let class = self.meta.resolve(view, class_local)?;
+        let _epoch = self.epoch_guard();
+        Ok(read_timed(&self.inner).db().extent_uncached(class)?.into_iter().collect())
     }
 
     /// `select from <Class> where <expr>` over a view class.

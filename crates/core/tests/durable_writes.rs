@@ -140,6 +140,25 @@ fn structured_evolve_round_trips_through_the_log() {
 }
 
 #[test]
+fn an_evolve_s_wal_frame_shows_in_the_wal_metrics() {
+    // The structural frame is appended and fsync'd outside the group-commit
+    // path; it must still be observed as one fsync of a group of one.
+    let dir = tmpdir("evolve_wal_metrics");
+    let (shared, _view) = seed(&dir);
+    let before = shared.telemetry().snapshot();
+    shared.evolve_cmd("VS", "add_attribute gpa: float = 0.0 to Student").unwrap();
+    let after = shared.telemetry().snapshot();
+    let (fsync_before, fsync_after) =
+        (&before.histograms["wal.fsync_ns"], &after.histograms["wal.fsync_ns"]);
+    assert_eq!(fsync_after.count, fsync_before.count + 1);
+    assert!(fsync_after.sum > fsync_before.sum, "the wait itself is recorded");
+    let (group_before, group_after) =
+        (&before.histograms["wal.group_size"], &after.histograms["wal.group_size"]);
+    assert_eq!(group_after.count, group_before.count + 1);
+    assert_eq!(group_after.sum, group_before.sum + 1);
+}
+
+#[test]
 fn unrenderable_changes_are_rejected_before_logging() {
     let dir = tmpdir("unrenderable");
     let (shared, _view) = seed(&dir);

@@ -12,7 +12,9 @@
 //!   (`direct` classes per object; membership of a class implies membership
 //!   of all its superclasses);
 //! * virtual-class extents are *derived* from the class's [`Derivation`],
-//!   evaluated recursively and cached per (schema, data) generation.
+//!   evaluated recursively from whatever the sources have cached; entries
+//!   are invalidated by the mutations on their lineage, never by a schema
+//!   change (see [`Database::extent`]).
 //!
 //! MVCC: the store already versions every record; this layer versions the
 //! *membership map* the same way. Each object's direct-class set is a small
@@ -23,7 +25,7 @@
 //! writers install concurrently. [`Database::fork_shared`] clones handles
 //! instead of data, and [`Database::gc`] prunes what no pin can reach.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,7 +33,7 @@ use parking_lot::{Mutex, RwLock};
 
 use tse_storage::{
     current_read_epoch, current_write_stamp, FailpointRegistry, RecordId, SegmentId, SliceStore,
-    StorageError, StoreConfig, StoreStats, TxnToken,
+    StorageError, StoreConfig, StoreStats, TxnToken, WriteStampGuard,
 };
 
 use crate::class::ClassKind;
@@ -114,33 +116,155 @@ impl ObjectEntry {
     }
 }
 
-/// One cached extent, stamped with the generations it was computed at.
-/// Base-class extents depend only on membership; `Select`-derived extents
-/// also read attribute values, so they carry `value_sensitive` and are
-/// additionally invalidated by value writes. This is the finer-grained
-/// invalidation the striped write path needs: a `set` on a Person record
-/// no longer evicts every base-class extent, only predicate-derived ones.
+/// A mutation clock for one kind of state cached extents are derived from
+/// (object membership, attribute values).
+///
+/// `gen` moves when a mutation *begins* and again when it *ends*, so a
+/// reader that finds the same value before and after computing an extent
+/// knows no mutation started or finished in between, and an extent built
+/// while a mutation was half-applied stops being served the moment the rest
+/// of it lands. `stamp` is the newest MVCC write stamp a mutation began
+/// under; it is raised *before* `gen`, so a reader that observes the bump
+/// also observes the stamp.
+#[derive(Debug, Default)]
+struct MutationClock {
+    gen: AtomicU64,
+    stamp: AtomicU64,
+}
+
+impl MutationClock {
+    /// Open a mutation installing under write stamp `stamp`; dropping the
+    /// guard closes it.
+    fn begin(&self, stamp: u64) -> Mutation<'_> {
+        self.stamp.fetch_max(stamp, Ordering::AcqRel);
+        self.gen.fetch_add(1, Ordering::AcqRel);
+        Mutation(self)
+    }
+
+    /// `(gen, stamp)`, read in the order that pairs with [`Self::begin`].
+    fn now(&self) -> (u64, u64) {
+        let gen = self.gen.load(Ordering::Acquire);
+        (gen, self.stamp.load(Ordering::Acquire))
+    }
+}
+
+/// A fork starts at the original's position: the two handles describe the
+/// same contents, so entries cached under one clock are valid under the
+/// other.
+impl Clone for MutationClock {
+    fn clone(&self) -> Self {
+        let (gen, stamp) = self.now();
+        MutationClock { gen: AtomicU64::new(gen), stamp: AtomicU64::new(stamp) }
+    }
+}
+
+/// An open mutation (see [`MutationClock::begin`]).
+struct Mutation<'a>(&'a MutationClock);
+
+impl Drop for Mutation<'_> {
+    fn drop(&mut self) {
+        self.0.gen.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+/// What one extent read resolves against: the reader's epoch and both
+/// mutation clocks as observed before the read touched any data.
+#[derive(Clone, Copy)]
+struct ReadPoint {
+    epoch: Option<u64>,
+    mem_gen: u64,
+    mem_stamp: u64,
+    val_gen: u64,
+    val_stamp: u64,
+}
+
+impl ReadPoint {
+    /// The newest mutation stamp an extent computed now reflects.
+    fn stamp_for(&self, value_sensitive: bool) -> u64 {
+        if value_sensitive {
+            self.mem_stamp.max(self.val_stamp)
+        } else {
+            self.mem_stamp
+        }
+    }
+
+    /// The reader's epoch, if it is pinned before `stamp` and so misses
+    /// that mutation. Unpinned readers see everything installed.
+    fn pinned_before(&self, stamp: u64) -> Option<u64> {
+        self.epoch.filter(|e| *e < stamp)
+    }
+}
+
+/// One cached extent: the generations it was computed at and the MVCC
+/// stamp of the last mutation it reflects. Base-class extents depend only
+/// on membership; `Select`-derived extents also read attribute values, so
+/// they carry `value_sensitive` and are additionally invalidated by value
+/// writes. The generations say whether the entry is still current; the
+/// stamp says which readers are new enough to share it: every reader
+/// pinned at or after it, and every unpinned one.
+#[derive(Clone)]
 struct CachedExtent {
     mem_gen: u64,
     val_gen: u64,
     value_sensitive: bool,
+    stamp: u64,
     extent: Arc<BTreeSet<Oid>>,
 }
 
-/// Extent-cache entries are keyed by `(class, epoch)` where `epoch` is the
-/// reader's pinned epoch or [`LATEST_EPOCH_KEY`] for unpinned reads, so a
-/// pinned session's extents never mix with live ones. Pinned entries are
-/// few and cheap to rebuild; the whole map is cleared when it outgrows
-/// this bound rather than tracking per-epoch eviction.
+impl CachedExtent {
+    fn serves(&self, at: &ReadPoint) -> bool {
+        self.mem_gen == at.mem_gen
+            && (!self.value_sensitive || self.val_gen == at.val_gen)
+            && at.pinned_before(self.stamp).is_none()
+    }
+}
+
+/// Hard bound on current entries (there is at most one per class); the map
+/// is cleared when a schema outgrows it rather than tracking eviction.
 const EXTENT_CACHE_CAP: usize = 1024;
 
-/// Cache-key epoch used for unpinned ("latest") extent reads.
-const LATEST_EPOCH_KEY: u64 = u64::MAX;
+/// Extents kept for readers pinned before the last mutation.
+const OLD_EPOCH_ENTRIES: usize = 8;
 
-#[derive(Default)]
+/// The extent cache: one current entry per class, shared by every reader
+/// that already sees the last mutation the entry reflects, plus a short
+/// FIFO of extents requested at older pinned epochs. What a pinned epoch
+/// sees never changes, so the old-epoch entries need no invalidation;
+/// they only age out.
+///
+/// Nothing here is keyed by schema generation. Classes are append-only and
+/// a class's derivation never changes, so a schema change invalidates no
+/// entry; a new class has none, and its first read derives from its
+/// sources' entries.
+#[derive(Clone, Default)]
 struct ExtentCache {
-    schema_gen: u64,
-    map: HashMap<(ClassId, u64), CachedExtent>,
+    current: HashMap<ClassId, CachedExtent>,
+    old_epochs: VecDeque<(ClassId, u64, Arc<BTreeSet<Oid>>)>,
+}
+
+impl ExtentCache {
+    /// The current entry of `class` (extent, value-sensitive), if it
+    /// serves a reader at `at`.
+    fn current_for(&self, class: ClassId, at: &ReadPoint) -> Option<(Arc<BTreeSet<Oid>>, bool)> {
+        let entry = self.current.get(&class)?;
+        entry.serves(at).then(|| (Arc::clone(&entry.extent), entry.value_sensitive))
+    }
+
+    /// The extent kept for `class` at the reader's own pinned epoch, if any.
+    fn at_old_epoch(&self, class: ClassId, at: &ReadPoint) -> Option<Arc<BTreeSet<Oid>>> {
+        let epoch = at.epoch?;
+        let (_, _, extent) = self.old_epochs.iter().find(|(c, e, _)| *c == class && *e == epoch)?;
+        Some(Arc::clone(extent))
+    }
+}
+
+/// Work done by one [`Database::extent`] call: what it computed (class →
+/// extent, value-sensitive) and the counts for the `extent.*` metrics.
+#[derive(Default)]
+struct Rebuild {
+    memo: HashMap<ClassId, (Arc<BTreeSet<Oid>>, bool)>,
+    hits: u64,
+    built: u64,
 }
 
 /// Aggregate slicing statistics (Table 1 rows for the slicing column).
@@ -185,12 +309,12 @@ pub struct Database {
     /// copy-free.
     objects: Arc<RwLock<BTreeMap<Oid, ObjectEntry>>>,
     next_oid: AtomicU64,
-    /// Bumped on membership mutation (create/delete/add/remove); keys the
-    /// extent cache together with the schema generation.
-    mem_gen: AtomicU64,
-    /// Bumped on attribute-value writes; invalidates only value-sensitive
-    /// (`Select`-derived) extent-cache entries.
-    val_gen: AtomicU64,
+    /// Membership mutations (create/delete/add/remove): every cached
+    /// extent depends on these.
+    membership: MutationClock,
+    /// Attribute-value writes: only value-sensitive (`Select`-derived)
+    /// cached extents depend on these.
+    values: MutationClock,
     /// Segments assigned to classes lazily *after* the schema was last
     /// mutated via `&mut` (data-plane slice creation can't touch the
     /// copy-on-write `Class` records). Resolved by [`Database::segment_of`];
@@ -225,13 +349,14 @@ impl Database {
         let telemetry = tse_telemetry::Telemetry::new();
         let mut store = SliceStore::new(config);
         store.set_telemetry(telemetry.clone());
+        register_extent_metrics(&telemetry);
         Database {
             schema: Schema::new(),
             store,
             objects: Arc::new(RwLock::new(BTreeMap::new())),
             next_oid: AtomicU64::new(1),
-            mem_gen: AtomicU64::new(0),
-            val_gen: AtomicU64::new(0),
+            membership: MutationClock::default(),
+            values: MutationClock::default(),
             late_segments: Arc::new(RwLock::new(BTreeMap::new())),
             extent_cache: Mutex::new(ExtentCache::default()),
             slice_hops: AtomicU64::new(0),
@@ -283,18 +408,6 @@ impl Database {
         self.store.set_failpoints(failpoints);
     }
 
-    /// Record a membership mutation (object created/deleted, class
-    /// added/removed) — invalidates every cached extent.
-    fn touch_membership(&self) {
-        self.mem_gen.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Record an attribute-value write — invalidates only value-sensitive
-    /// (predicate-derived) cached extents.
-    fn touch_values(&self) {
-        self.val_gen.fetch_add(1, Ordering::AcqRel);
-    }
-
     /// A private copy of this database for control-plane work: the schema
     /// clone is shallow (`Arc`-shared classes, copy-on-write), the store
     /// fork carries segments and cumulative counters, and the telemetry
@@ -314,12 +427,10 @@ impl Database {
             store: self.store.fork()?,
             objects: Arc::new(RwLock::new(self.objects.read().clone())),
             next_oid: AtomicU64::new(self.next_oid.load(Ordering::Acquire)),
-            // One generation ahead of the original so extent-cache entries
-            // can never be confused between the two copies.
-            mem_gen: AtomicU64::new(self.mem_gen.load(Ordering::Acquire) + 1),
-            val_gen: AtomicU64::new(self.val_gen.load(Ordering::Acquire) + 1),
+            membership: self.membership.clone(),
+            values: self.values.clone(),
             late_segments: Arc::new(RwLock::new(self.late_segments.read().clone())),
-            extent_cache: Mutex::new(ExtentCache::default()),
+            extent_cache: Mutex::new(self.extent_cache.lock().clone()),
             slice_hops: AtomicU64::new(self.slice_hops.load(Ordering::Relaxed)),
             telemetry: self.telemetry.clone(),
         })
@@ -340,6 +451,14 @@ impl Database {
     /// handles are shared, so concurrent writers through both would
     /// interleave.
     ///
+    /// The fork starts with a copy of the extent cache's entry map (the
+    /// extents themselves are `Arc`-shared) and with the mutation clocks at
+    /// the original's position: both handles read the same objects, so
+    /// every extent cached for one is valid for the other, and a swapped-in
+    /// fork inherits them all. It is a copy and not the same map so that
+    /// what a failed evolution cached for classes it created dies with the
+    /// fork — their ids are handed out again.
+    ///
     /// Fails if a schema-evolution transaction is open.
     pub fn fork_shared(&self) -> ModelResult<Database> {
         Ok(Database {
@@ -347,19 +466,19 @@ impl Database {
             store: self.store.fork_shared()?,
             objects: Arc::clone(&self.objects),
             next_oid: AtomicU64::new(self.next_oid.load(Ordering::Acquire)),
-            mem_gen: AtomicU64::new(self.mem_gen.load(Ordering::Acquire) + 1),
-            val_gen: AtomicU64::new(self.val_gen.load(Ordering::Acquire) + 1),
+            membership: self.membership.clone(),
+            values: self.values.clone(),
             late_segments: Arc::clone(&self.late_segments),
-            extent_cache: Mutex::new(ExtentCache::default()),
+            extent_cache: Mutex::new(self.extent_cache.lock().clone()),
             slice_hops: AtomicU64::new(self.slice_hops.load(Ordering::Relaxed)),
             telemetry: self.telemetry.clone(),
         })
     }
 
-    /// The write stamp for a membership mutation: the ambient batch stamp
-    /// when a `WriteStampGuard` is active (sessions, evolutions), else a
-    /// fresh solo stamp from the store's clock.
-    fn membership_stamp(&self) -> u64 {
+    /// The write stamp for a mutation: the ambient batch stamp when a
+    /// `WriteStampGuard` is active (sessions, evolutions), else a fresh
+    /// solo stamp from the store's clock.
+    fn write_stamp(&self) -> u64 {
         current_write_stamp().unwrap_or_else(|| self.store.clock().solo_stamp())
     }
 
@@ -394,12 +513,10 @@ impl Database {
         // Late-assigned segments created inside the transaction were rolled
         // back with the store; drop any overlay entries pointing at them.
         self.late_segments.write().retain(|_, seg| self.store.segment_name(*seg).is_ok());
-        // The restored schema rewinds the generation counter, so a later
-        // change could reuse a (schema_gen, data_gen) pair the extent cache
-        // already holds entries for; bumping both data generations makes the
-        // stale entries unreachable.
-        self.touch_membership();
-        self.touch_values();
+        // The restored schema hands the rolled-back classes' ids out again
+        // and the undo log may have popped record versions, so nothing
+        // cached during the transaction may outlive it.
+        *self.extent_cache.lock() = ExtentCache::default();
         Ok(())
     }
 
@@ -434,9 +551,12 @@ impl Database {
         }
         let oid = Oid(self.next_oid.fetch_add(1, Ordering::AcqRel));
         let mut entry = ObjectEntry::default();
-        entry.set_direct(self.membership_stamp(), BTreeSet::from([class]));
-        self.objects.write().insert(oid, entry);
-        self.touch_membership();
+        let stamp = self.write_stamp();
+        entry.set_direct(stamp, BTreeSet::from([class]));
+        {
+            let _mutation = self.membership.begin(stamp);
+            self.objects.write().insert(oid, entry);
+        }
 
         // Initialize provided values (a failure — type error or constraint
         // refusal — must not leave a half-created object behind).
@@ -479,7 +599,8 @@ impl Database {
     /// keep resolving the pre-delete object; [`Database::gc`] reclaims the
     /// remains once no pin can reach them.
     pub fn delete_object(&self, oid: Oid) -> ModelResult<()> {
-        let stamp = self.membership_stamp();
+        let stamp = self.write_stamp();
+        let _mutation = self.membership.begin(stamp);
         let slices: Vec<RecordId> = {
             let mut objects = self.objects.write();
             let entry = objects.get_mut(&oid).ok_or(ModelError::UnknownObject(oid))?;
@@ -494,7 +615,6 @@ impl Database {
             // propagate errors anyway.
             self.store.free(rec)?;
         }
-        self.touch_membership();
         Ok(())
     }
 
@@ -504,15 +624,14 @@ impl Database {
         if !self.schema.class(class)?.is_base() {
             return Err(ModelError::NotABaseClass(class));
         }
-        let stamp = self.membership_stamp();
+        let stamp = self.write_stamp();
+        let _mutation = self.membership.begin(stamp);
         let mut objects = self.objects.write();
         let entry = objects.get_mut(&oid).ok_or(ModelError::UnknownObject(oid))?;
         let mut set =
             entry.direct_at(None).cloned().ok_or(ModelError::UnknownObject(oid))?;
         set.insert(class);
         entry.set_direct(stamp, set);
-        drop(objects);
-        self.touch_membership();
         Ok(())
     }
 
@@ -523,7 +642,8 @@ impl Database {
             return Err(ModelError::NotABaseClass(class));
         }
         let doomed = self.schema.descendants(class);
-        let stamp = self.membership_stamp();
+        let stamp = self.write_stamp();
+        let _mutation = self.membership.begin(stamp);
         let mut objects = self.objects.write();
         let entry = objects.get_mut(&oid).ok_or(ModelError::UnknownObject(oid))?;
         let cur = entry.direct_at(None).cloned().ok_or(ModelError::UnknownObject(oid))?;
@@ -533,8 +653,6 @@ impl Database {
             return Err(ModelError::NotAMember { oid, class });
         }
         entry.set_direct(stamp, set);
-        drop(objects);
-        self.touch_membership();
         Ok(())
     }
 
@@ -575,8 +693,11 @@ impl Database {
 
     // ----- membership and extents -------------------------------------------
 
-    /// Is `oid` a member of `class` (base via explicit membership closure,
-    /// virtual via derived extent)?
+    /// Is `oid` a member of `class`? A point check for the one object: base
+    /// classes by explicit membership closure, virtual classes by walking
+    /// the derivation (`Select` evaluates its predicate on the object). It
+    /// never builds an extent, so a write through a view pays for one
+    /// object, not for the view's population.
     pub fn is_member(&self, oid: Oid, class: ClassId) -> ModelResult<bool> {
         let direct = {
             let objects = self.objects.read();
@@ -585,101 +706,97 @@ impl Database {
                 None => return Ok(false),
             }
         };
-        match &self.schema.class(class)?.kind {
-            ClassKind::Base => Ok(direct.iter().any(|d| self.schema.is_sub_of(*d, class))),
-            ClassKind::Virtual(_) => Ok(self.extent(class)?.contains(&oid)),
-        }
+        self.member_via(oid, &direct, class)
     }
 
-    /// The (global) extent of a class.
+    fn member_via(
+        &self,
+        oid: Oid,
+        direct: &BTreeSet<ClassId>,
+        class: ClassId,
+    ) -> ModelResult<bool> {
+        let derivation = match &self.schema.class(class)?.kind {
+            ClassKind::Base => {
+                return Ok(direct.iter().any(|d| self.schema.is_sub_of(*d, class)));
+            }
+            ClassKind::Virtual(derivation) => derivation,
+        };
+        Ok(match derivation {
+            Derivation::Select { src, pred } => {
+                self.member_via(oid, direct, *src)?
+                    && pred.eval(&ObjAttrSource { db: self, oid, via: *src, depth: 0 })?
+            }
+            Derivation::Hide { src, .. } | Derivation::Refine { src, .. } => {
+                self.member_via(oid, direct, *src)?
+            }
+            Derivation::Union { a, b } => {
+                self.member_via(oid, direct, *a)? || self.member_via(oid, direct, *b)?
+            }
+            Derivation::Difference { a, b } => {
+                self.member_via(oid, direct, *a)? && !self.member_via(oid, direct, *b)?
+            }
+            Derivation::Intersect { a, b } => {
+                self.member_via(oid, direct, *a)? && self.member_via(oid, direct, *b)?
+            }
+        })
+    }
+
+    fn read_point(&self) -> ReadPoint {
+        let (mem_gen, mem_stamp) = self.membership.now();
+        let (val_gen, val_stamp) = self.values.now();
+        ReadPoint { epoch: current_read_epoch(), mem_gen, mem_stamp, val_gen, val_stamp }
+    }
+
+    /// The (global) extent of a class, at the calling thread's read epoch.
     ///
-    /// Cached per class under (schema generation, membership generation,
-    /// value generation): membership mutations invalidate everything,
-    /// value writes invalidate only predicate-derived (value-sensitive)
-    /// entries. Concurrent rebuilds are benign — each computes a correct
-    /// extent for the generations it observed; the cache keeps the newest.
+    /// Cached per class. An entry stays current until a membership
+    /// mutation (or, for predicate-derived extents, a value write) begins,
+    /// and is shared by every reader that sees the last mutation it
+    /// reflects; a reader pinned before that mutation computes its own
+    /// extent (kept briefly per epoch). A class with no entry derives from
+    /// whatever its sources have cached, so the first read of a freshly
+    /// evolved view class costs at most a pass over its source's extent,
+    /// never a scan of the object map. Concurrent rebuilds are benign: an
+    /// extent becomes an entry only if no mutation began or ended while it
+    /// was being computed.
     pub fn extent(&self, class: ClassId) -> ModelResult<Arc<BTreeSet<Oid>>> {
         self.schema.class(class)?;
-        let sg = self.schema.generation();
-        let mg = self.mem_gen.load(Ordering::Acquire);
-        let vg = self.val_gen.load(Ordering::Acquire);
-        let ek = current_read_epoch().unwrap_or(LATEST_EPOCH_KEY);
-        if let Some(hit) = self.cached_extent(class, sg, mg, vg, ek) {
+        let at = self.read_point();
+        let hit = {
+            let cache = self.extent_cache.lock();
+            match cache.current_for(class, &at) {
+                Some((extent, _)) => Some(extent),
+                None => cache.at_old_epoch(class, &at),
+            }
+        };
+        if let Some(hit) = hit {
+            self.telemetry.incr("extent.cache_hits", 1);
             return Ok(hit);
         }
-        let mut memo = HashMap::new();
-        let (result, _) = self.extent_rec(class, sg, mg, vg, ek, &mut memo)?;
-        let mut cache = self.extent_cache.lock();
-        if cache.schema_gen != sg {
-            cache.schema_gen = sg;
-            cache.map.clear();
+        let started = std::time::Instant::now();
+        let mut work = Rebuild::default();
+        let (result, _) = self.extent_rec(class, &at, &mut work)?;
+        self.cache_rebuilt(class, &at, work.memo);
+        if work.hits > 0 {
+            self.telemetry.incr("extent.cache_hits", work.hits);
         }
-        if cache.map.len() + memo.len() > EXTENT_CACHE_CAP {
-            cache.map.clear();
-        }
-        for (id, (extent, value_sensitive)) in memo {
-            cache.map.insert(
-                (id, ek),
-                CachedExtent { mem_gen: mg, val_gen: vg, value_sensitive, extent },
-            );
+        if work.built > 0 {
+            self.telemetry.incr("extent.rebuilds", work.built);
+            self.telemetry.observe_ns("extent.rebuild_ns", started.elapsed().as_nanos() as u64);
         }
         Ok(result)
     }
 
-    /// Pre-compute and cache the extents of `classes` (e.g. the capacity
-    /// classes of a view family about to be swapped in), so the first
-    /// `extent`/`select_where` against a fresh fork pays no cold rebuild.
-    /// Unknown classes are skipped — warming is best-effort.
-    pub fn warm_extents(&self, classes: &[ClassId]) {
-        for class in classes {
-            let _ = self.extent(*class);
-        }
-    }
-
-    fn cached_extent(
-        &self,
-        class: ClassId,
-        sg: u64,
-        mg: u64,
-        vg: u64,
-        ek: u64,
-    ) -> Option<Arc<BTreeSet<Oid>>> {
-        let cache = self.extent_cache.lock();
-        if cache.schema_gen != sg {
-            return None;
-        }
-        let e = cache.map.get(&(class, ek))?;
-        if e.mem_gen == mg && (!e.value_sensitive || e.val_gen == vg) {
-            Some(Arc::clone(&e.extent))
-        } else {
-            None
-        }
-    }
-
-    fn extent_rec(
-        &self,
-        class: ClassId,
-        sg: u64,
-        mg: u64,
-        vg: u64,
-        ek: u64,
-        memo: &mut HashMap<ClassId, (Arc<BTreeSet<Oid>>, bool)>,
-    ) -> ModelResult<(Arc<BTreeSet<Oid>>, bool)> {
-        if let Some((e, s)) = memo.get(&class) {
-            return Ok((Arc::clone(e), *s));
-        }
-        let cls = self.schema.class(class)?;
-        let (result, value_sensitive): (BTreeSet<Oid>, bool) = match &cls.kind {
+    /// The extent of `class` computed from the object map and the
+    /// derivations alone, reading and writing no cache: the reference the
+    /// cache is tested against.
+    #[doc(hidden)]
+    pub fn extent_uncached(&self, class: ClassId) -> ModelResult<BTreeSet<Oid>> {
+        let derivation = match &self.schema.class(class)?.kind {
             ClassKind::Base => {
-                // Still-valid cached base extents short-circuit the scan —
-                // a value write does not evict them.
-                if let Some(hit) = self.cached_extent(class, sg, mg, vg, ek) {
-                    memo.insert(class, (Arc::clone(&hit), false));
-                    return Ok((hit, false));
-                }
-                let epoch = (ek != LATEST_EPOCH_KEY).then_some(ek);
+                let epoch = current_read_epoch();
                 let objects = self.objects.read();
-                let out = objects
+                return Ok(objects
                     .iter()
                     .filter(|(_, entry)| {
                         entry
@@ -687,15 +804,109 @@ impl Database {
                             .is_some_and(|s| s.iter().any(|d| self.schema.is_sub_of(*d, class)))
                     })
                     .map(|(oid, _)| *oid)
+                    .collect());
+            }
+            ClassKind::Virtual(derivation) => derivation,
+        };
+        Ok(match derivation {
+            Derivation::Select { src, pred } => {
+                let mut out = BTreeSet::new();
+                for oid in self.extent_uncached(*src)? {
+                    if pred.eval(&ObjAttrSource { db: self, oid, via: *src, depth: 0 })? {
+                        out.insert(oid);
+                    }
+                }
+                out
+            }
+            Derivation::Hide { src, .. } | Derivation::Refine { src, .. } => {
+                self.extent_uncached(*src)?
+            }
+            Derivation::Union { a, b } => &self.extent_uncached(*a)? | &self.extent_uncached(*b)?,
+            Derivation::Difference { a, b } => {
+                &self.extent_uncached(*a)? - &self.extent_uncached(*b)?
+            }
+            Derivation::Intersect { a, b } => {
+                &self.extent_uncached(*a)? & &self.extent_uncached(*b)?
+            }
+        })
+    }
+
+    /// Keep what one `extent(class)` call computed. What a reader new
+    /// enough to see every mutation built while none was in flight becomes
+    /// the classes' current entries; a reader pinned before the last
+    /// mutation keeps only the extent it asked for, under its own epoch.
+    fn cache_rebuilt(
+        &self,
+        class: ClassId,
+        at: &ReadPoint,
+        memo: HashMap<ClassId, (Arc<BTreeSet<Oid>>, bool)>,
+    ) {
+        let now = self.read_point();
+        let mut cache = self.extent_cache.lock();
+        if cache.current.len() + memo.len() > EXTENT_CACHE_CAP {
+            cache.current.clear();
+        }
+        for (id, (extent, value_sensitive)) in memo {
+            let stamp = at.stamp_for(value_sensitive);
+            let quiescent =
+                now.mem_gen == at.mem_gen && (!value_sensitive || now.val_gen == at.val_gen);
+            match at.pinned_before(stamp) {
+                Some(epoch) if id == class => {
+                    if cache.old_epochs.len() == OLD_EPOCH_ENTRIES {
+                        cache.old_epochs.pop_front();
+                    }
+                    cache.old_epochs.push_back((class, epoch, extent));
+                }
+                None if quiescent => {
+                    let entry = CachedExtent {
+                        mem_gen: at.mem_gen,
+                        val_gen: at.val_gen,
+                        value_sensitive,
+                        stamp,
+                        extent,
+                    };
+                    cache.current.insert(id, entry);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn extent_rec(
+        &self,
+        class: ClassId,
+        at: &ReadPoint,
+        work: &mut Rebuild,
+    ) -> ModelResult<(Arc<BTreeSet<Oid>>, bool)> {
+        if let Some((e, s)) = work.memo.get(&class) {
+            return Ok((Arc::clone(e), *s));
+        }
+        if let Some(hit) = self.extent_cache.lock().current_for(class, at) {
+            work.hits += 1;
+            return Ok(hit);
+        }
+        let (extent, value_sensitive) = match &self.schema.class(class)?.kind {
+            ClassKind::Base => {
+                // One descendant set per rebuild, one lookup per object.
+                let below = self.schema.descendants(class);
+                let objects = self.objects.read();
+                let out: BTreeSet<Oid> = objects
+                    .iter()
+                    .filter(|(_, entry)| {
+                        entry
+                            .direct_at(at.epoch)
+                            .is_some_and(|s| s.iter().any(|d| below.contains(d)))
+                    })
+                    .map(|(oid, _)| *oid)
                     .collect();
                 (out, false)
             }
-            ClassKind::Virtual(derivation) => match derivation.clone() {
+            ClassKind::Virtual(derivation) => match derivation {
                 Derivation::Select { src, pred } => {
-                    let (base, _) = self.extent_rec(src, sg, mg, vg, ek, memo)?;
+                    let (base, _) = self.extent_rec(*src, at, work)?;
                     let mut out = BTreeSet::new();
                     for oid in base.iter() {
-                        let src_view = ObjAttrSource { db: self, oid: *oid, via: src, depth: 0 };
+                        let src_view = ObjAttrSource { db: self, oid: *oid, via: *src, depth: 0 };
                         if pred.eval(&src_view)? {
                             out.insert(*oid);
                         }
@@ -703,29 +914,32 @@ impl Database {
                     (out, true)
                 }
                 Derivation::Hide { src, .. } | Derivation::Refine { src, .. } => {
-                    let (e, s) = self.extent_rec(src, sg, mg, vg, ek, memo)?;
-                    (e.as_ref().clone(), s)
+                    // The same objects as the source: share its set.
+                    let (extent, value_sensitive) = self.extent_rec(*src, at, work)?;
+                    work.memo.insert(class, (Arc::clone(&extent), value_sensitive));
+                    return Ok((extent, value_sensitive));
                 }
                 Derivation::Union { a, b } => {
-                    let (ea, sa) = self.extent_rec(a, sg, mg, vg, ek, memo)?;
-                    let (eb, sb) = self.extent_rec(b, sg, mg, vg, ek, memo)?;
-                    (ea.union(&eb).copied().collect(), sa || sb)
+                    let (ea, sa) = self.extent_rec(*a, at, work)?;
+                    let (eb, sb) = self.extent_rec(*b, at, work)?;
+                    (ea.as_ref() | eb.as_ref(), sa || sb)
                 }
                 Derivation::Difference { a, b } => {
-                    let (ea, sa) = self.extent_rec(a, sg, mg, vg, ek, memo)?;
-                    let (eb, sb) = self.extent_rec(b, sg, mg, vg, ek, memo)?;
-                    (ea.difference(&eb).copied().collect(), sa || sb)
+                    let (ea, sa) = self.extent_rec(*a, at, work)?;
+                    let (eb, sb) = self.extent_rec(*b, at, work)?;
+                    (ea.as_ref() - eb.as_ref(), sa || sb)
                 }
                 Derivation::Intersect { a, b } => {
-                    let (ea, sa) = self.extent_rec(a, sg, mg, vg, ek, memo)?;
-                    let (eb, sb) = self.extent_rec(b, sg, mg, vg, ek, memo)?;
-                    (ea.intersection(&eb).copied().collect(), sa || sb)
+                    let (ea, sa) = self.extent_rec(*a, at, work)?;
+                    let (eb, sb) = self.extent_rec(*b, at, work)?;
+                    (ea.as_ref() & eb.as_ref(), sa || sb)
                 }
             },
         };
-        let arc = Arc::new(result);
-        memo.insert(class, (Arc::clone(&arc), value_sensitive));
-        Ok((arc, value_sensitive))
+        work.built += 1;
+        let extent = Arc::new(extent);
+        work.memo.insert(class, (Arc::clone(&extent), value_sensitive));
+        Ok((extent, value_sensitive))
     }
 
     /// Cast an object to a class perspective (validating membership).
@@ -990,6 +1204,11 @@ impl Database {
             .class(home)?
             .layout_index(key)
             .ok_or_else(|| ModelError::Invalid(format!("home {home} lost layout for {key}")))?;
+        // The store stamps the write with the ambient stamp, so the values
+        // clock and the record version agree on when it happened.
+        let stamp = self.write_stamp();
+        let _as_stamp = WriteStampGuard::new(stamp);
+        let _mutation = self.values.begin(stamp);
         // Dynamic restructuring: extend the slice record if the class layout
         // grew after the slice was created.
         while self.store.field_count(rec)? <= idx {
@@ -998,7 +1217,6 @@ impl Database {
             self.store.append_field(rec, fill)?;
         }
         self.store.write_field(rec, idx, value)?;
-        self.touch_values();
         Ok(())
     }
 
@@ -1309,19 +1527,28 @@ impl Database {
         let telemetry = tse_telemetry::Telemetry::new();
         let mut store = store;
         store.set_telemetry(telemetry.clone());
+        register_extent_metrics(&telemetry);
         Database {
             schema,
             store,
             objects: Arc::new(RwLock::new(objects)),
             next_oid: AtomicU64::new(next_oid),
-            mem_gen: AtomicU64::new(1),
-            val_gen: AtomicU64::new(1),
+            membership: MutationClock::default(),
+            values: MutationClock::default(),
             late_segments: Arc::new(RwLock::new(BTreeMap::new())),
             extent_cache: Mutex::new(ExtentCache::default()),
             slice_hops: AtomicU64::new(0),
             telemetry,
         }
     }
+}
+
+/// Register the extent-cache metrics (at zero / empty) so snapshots always
+/// carry them. They are touched on the `extent`/`select_where` path only.
+fn register_extent_metrics(telemetry: &tse_telemetry::Telemetry) {
+    telemetry.incr("extent.cache_hits", 0);
+    telemetry.incr("extent.rebuilds", 0);
+    telemetry.register_histogram("extent.rebuild_ns");
 }
 
 /// Attribute source for method/predicate evaluation against one object.
@@ -1666,6 +1893,120 @@ mod tests {
         assert_eq!(fork.read_attr(o, student, "name").unwrap(), Value::Str("a".into()));
         let o2 = fork.create_object(student, &[]).unwrap();
         assert!(db.object_exists(o2), "shared object map: both handles see new objects");
+    }
+
+    fn rebuilds(db: &Database) -> u64 {
+        db.telemetry().counter("extent.rebuilds")
+    }
+
+    fn cache_hits(db: &Database) -> u64 {
+        db.telemetry().counter("extent.cache_hits")
+    }
+
+    #[test]
+    fn readers_that_see_the_last_mutation_share_one_entry() {
+        let (db, person, student, _) = university();
+        let o = db.create_object(student, &[("name", "ann".into())]).unwrap();
+        let early = db.store().pin_read();
+        let built = db.extent(person).unwrap();
+        assert_eq!(rebuilds(&db), 1);
+        {
+            // Pinned at the last membership mutation: the same entry.
+            let _g = tse_storage::ReadEpochGuard::new(early.epoch());
+            assert!(Arc::ptr_eq(&db.extent(person).unwrap(), &built));
+        }
+        // A value write leaves base extents alone, for every reader.
+        db.write_attr(o, student, "age", Value::Int(30)).unwrap();
+        let late = db.store().pin_read();
+        for pin in [&early, &late] {
+            let _g = tse_storage::ReadEpochGuard::new(pin.epoch());
+            assert!(Arc::ptr_eq(&db.extent(person).unwrap(), &built));
+        }
+        assert_eq!(rebuilds(&db), 1);
+
+        // After a membership mutation both pins are too old for the new
+        // entry: they rebuild once at their epoch and then reuse that.
+        let p = db.create_object(person, &[]).unwrap();
+        assert_eq!(*db.extent(person).unwrap(), BTreeSet::from([o, p]));
+        assert_eq!(rebuilds(&db), 2);
+        let _g = tse_storage::ReadEpochGuard::new(late.epoch());
+        assert_eq!(*db.extent(person).unwrap(), BTreeSet::from([o]));
+        assert_eq!(*db.extent(person).unwrap(), BTreeSet::from([o]));
+        assert_eq!(rebuilds(&db), 3);
+    }
+
+    #[test]
+    fn entry_from_a_half_applied_batch_is_not_served_once_the_batch_lands() {
+        let (db, person, student, _) = university();
+        let clock = Arc::clone(db.store().clock());
+        let ticket = clock.begin_write();
+        let create = || {
+            let _stamp = WriteStampGuard::new(ticket.stamp());
+            db.create_object(student, &[]).unwrap()
+        };
+        let first = create();
+        // An unpinned reader racing the batch sees, and caches, the half
+        // that is installed.
+        assert_eq!(*db.extent(person).unwrap(), BTreeSet::from([first]));
+        // A reader pinned now is older than the batch: not its entry.
+        let before = clock.pin();
+        {
+            let _g = tse_storage::ReadEpochGuard::new(before.epoch());
+            assert!(db.extent(person).unwrap().is_empty());
+        }
+        let second = create();
+        ticket.end();
+        let both = BTreeSet::from([first, second]);
+        assert_eq!(*db.extent(person).unwrap(), both);
+        let after = clock.pin();
+        let _g = tse_storage::ReadEpochGuard::new(after.epoch());
+        assert_eq!(*db.extent(person).unwrap(), both);
+    }
+
+    #[test]
+    fn fork_shared_inherits_every_cached_extent() {
+        let (db, person, student, _) = university();
+        db.create_object(student, &[]).unwrap();
+        let cached = db.extent(person).unwrap();
+        let (built, hits) = (rebuilds(&db), cache_hits(&db));
+
+        let mut fork = db.fork_shared().unwrap();
+        assert!(Arc::ptr_eq(&fork.extent(person).unwrap(), &cached));
+        // A class the fork adds derives its first extent from its source's
+        // entry: the same set, no scan of the object map.
+        let primed = fork
+            .schema_mut()
+            .create_refine_class(
+                "Person'",
+                person,
+                vec![PropertyDef::stored("nick", ValueType::Str, Value::Null)],
+                vec![],
+            )
+            .unwrap();
+        assert!(Arc::ptr_eq(&fork.extent(primed).unwrap(), &cached));
+        assert_eq!(rebuilds(&fork), built);
+        assert_eq!(cache_hits(&fork), hits + 2);
+        // What the fork cached stays with the fork.
+        assert!(!db.extent_cache.lock().current.contains_key(&primed));
+    }
+
+    #[test]
+    fn rollback_leaves_nothing_cached_under_a_reused_class_id() {
+        let (mut db, person, _, _) = university();
+        let kid = db.create_object(person, &[("age", Value::Int(10))]).unwrap();
+        let grown = db.create_object(person, &[("age", Value::Int(40))]).unwrap();
+        let select = |op| Derivation::Select { src: person, pred: Predicate::cmp("age", op, 18) };
+
+        let txn = db.begin_evolution().unwrap();
+        let adult = db.schema_mut().create_virtual_class("Adult", select(CmpOp::Ge)).unwrap();
+        assert_eq!(*db.extent(adult).unwrap(), BTreeSet::from([grown]));
+        db.rollback_evolution(txn).unwrap();
+
+        let txn = db.begin_evolution().unwrap();
+        let minor = db.schema_mut().create_virtual_class("Minor", select(CmpOp::Lt)).unwrap();
+        assert_eq!(minor, adult, "the rolled-back id is handed out again");
+        assert_eq!(*db.extent(minor).unwrap(), BTreeSet::from([kid]));
+        db.commit_evolution(txn).unwrap();
     }
 
     #[test]

@@ -486,7 +486,25 @@ impl Schema {
 
     /// Is `sub` a (transitive or reflexive) subclass of `sup`?
     pub fn is_sub_of(&self, sub: ClassId, sup: ClassId) -> bool {
-        self.ancestors(sub).contains(&sup)
+        if sub == sup {
+            return true;
+        }
+        // Upward search that stops at the first hit; the visited map keeps
+        // diamonds from being walked once per path.
+        let mut seen = vec![false; self.classes.len()];
+        let mut stack = vec![sub];
+        while let Some(c) = stack.pop() {
+            let Ok(cls) = self.class(c) else { continue };
+            for &s in &cls.supers {
+                if s == sup {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[s.0 as usize], true) {
+                    stack.push(s);
+                }
+            }
+        }
+        false
     }
 
     /// Length of the shortest upward is-a path from `from` to `to`

@@ -63,9 +63,10 @@ fn build() -> (Database, Vec<ClassId>, Vec<ClassId>) {
 
 fn check_invariants(db: &Database, bases: &[ClassId], virtuals: &[ClassId]) {
     let all_oids: Vec<_> = db.all_objects().collect();
-    // 1. Extent = membership, for every class.
+    // 1. Extent = membership = the uncached reference, for every class.
     for &c in bases.iter().chain(virtuals) {
         let ext = db.extent(c).unwrap();
+        assert_eq!(ext.as_ref(), &db.extent_uncached(c).unwrap(), "cached extent of {c} is stale");
         for o in &all_oids {
             assert_eq!(
                 ext.contains(o),

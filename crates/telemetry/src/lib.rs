@@ -320,7 +320,12 @@ impl Telemetry {
     /// Add `by` to the named counter (creating it at zero).
     pub fn incr(&self, name: &str, by: u64) {
         let mut st = self.inner.state.lock().unwrap();
-        *st.counters.entry(name.to_string()).or_insert(0) += by;
+        match st.counters.get_mut(name) {
+            Some(count) => *count += by,
+            None => {
+                st.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Set the named counter to an absolute value (gauge semantics).
@@ -350,6 +355,12 @@ impl Telemetry {
                 None => ctx.waits.push((tracked, value)),
             }
         }
+    }
+
+    /// Create the named histogram empty, so snapshots carry it before its
+    /// first observation.
+    pub fn register_histogram(&self, name: &str) {
+        self.inner.state.lock().unwrap().histograms.entry(name.to_string()).or_default();
     }
 
     /// Time a closure into the named histogram; returns its result.

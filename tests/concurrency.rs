@@ -587,3 +587,131 @@ fn session_spanning_evolve_swap_keeps_pre_swap_state_until_drop() {
     assert!(session.get(v, oids[0], "Person", "age").is_err(), "deleted object resurrected");
     assert_eq!(session.get(v, oids[150], "Person", "age").unwrap(), Value::Int(7777));
 }
+
+/// Every class a session can name: `(view version, view-local name)` over
+/// all versions of the family its metadata snapshot knows.
+fn named_classes(session: &tse::core::ReadSession) -> Vec<(tse::view::ViewId, String)> {
+    let meta = session.meta();
+    let mut out = Vec::new();
+    for version in meta.views().versions("VS").unwrap() {
+        let view = meta.view(*version).unwrap();
+        for class in &view.classes {
+            out.push((*version, view.local_name_in(meta.schema(), *class).unwrap()));
+        }
+    }
+    out
+}
+
+fn assert_extents_match_uncached(session: &tse::core::ReadSession, step: usize) {
+    for (view, class) in named_classes(session) {
+        assert_eq!(
+            session.extent(view, &class).unwrap(),
+            session.extent_uncached(view, &class).unwrap(),
+            "step {step}: cached extent of {class} in {view:?} differs at pinned epoch {}",
+            session.pinned_epoch()
+        );
+    }
+}
+
+#[test]
+fn cached_extents_match_an_uncached_computation_at_every_pin() {
+    // Differential test of the extent cache: a seeded interleaving of
+    // creates, deletes, add/remove, value sets, evolves and sessions pinned
+    // at different epochs; after every step every class of every view
+    // version is compared, through every live pin, with a computation that
+    // reads and writes no cache.
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let (sys, oids, _) = build_two_level();
+    let shared = SharedSystem::from_system(sys);
+    let mut rng = StdRng::seed_from_u64(0x0e47_e275);
+    let mut live = oids;
+    let mut pins = std::collections::VecDeque::new();
+    let class_count = |shared: &SharedSystem| shared.session().meta().schema().class_count();
+
+    for step in 0..160 {
+        let writer = shared.writer();
+        let newest = writer.meta().current_view("VS").unwrap().id;
+        let pick = live[rng.gen_range(0..live.len())];
+        // Membership ops may be refused (removing a non-member, setting
+        // through a class the object left); the cache must be right either way.
+        match rng.gen_range(0..12) {
+            0..=2 => {
+                let class = ["Person", "Student"][rng.gen_range(0..2)];
+                let age = Value::Int(rng.gen_range(0..90));
+                live.push(writer.create(newest, class, &[("age", age)]).unwrap());
+            }
+            3 if live.len() > 1 => {
+                let doomed = live.swap_remove(rng.gen_range(0..live.len()));
+                writer.delete_objects(&[doomed]).unwrap();
+            }
+            4 => drop(writer.add_to(newest, &[pick], "Student")),
+            5 => drop(writer.remove_from(newest, &[pick], "Student")),
+            6 | 7 => drop(writer.set(newest, pick, "Person", &[("age", Value::Int(step as i64))])),
+            8 => {
+                let class = ["Person", "Student"][rng.gen_range(0..2)];
+                shared.evolve_cmd("VS", &format!("add_attribute a{step}: int to {class}")).unwrap();
+            }
+            _ => {
+                pins.push_back(shared.session());
+                if pins.len() > 4 {
+                    pins.pop_front();
+                }
+            }
+        }
+        if step % 50 == 25 {
+            // An evolve aborted after its first primitive created classes
+            // (the failpoint fires in the composite's second primitive),
+            // then one that succeeds and is handed the same class ids.
+            let classes = class_count(&shared);
+            let created = shared.telemetry().counter("evolve.classes_created");
+            shared.failpoints().arm("evolve.classify", 2, FailAction::Error);
+            let aborted = shared.evolve_cmd("VS", "insert_class Intern between Person - Student");
+            shared.failpoints().disarm("evolve.classify");
+            assert!(aborted.is_err());
+            assert!(shared.telemetry().counter("evolve.classes_created") > created);
+            assert_eq!(class_count(&shared), classes, "the aborted evolve left classes behind");
+            assert_extents_match_uncached(&shared.session(), step);
+            shared.evolve_cmd("VS", &format!("add_attribute b{step}: int to Student")).unwrap();
+            assert!(class_count(&shared) > classes);
+        }
+        for session in pins.iter().chain([&shared.session()]) {
+            assert_extents_match_uncached(session, step);
+        }
+    }
+}
+
+#[test]
+fn first_extent_read_of_a_primed_class_after_the_swap_scans_nothing() {
+    let (sys, _, v1) = build_two_level();
+    let shared = SharedSystem::from_system(sys);
+    let telemetry = shared.telemetry();
+    assert_eq!(shared.session().extent(v1, "Person").unwrap().len(), 100);
+
+    let v2 = shared.evolve_cmd("VS", "add_attribute nick: str to Person").unwrap().view;
+    let rebuilds = telemetry.counter("extent.rebuilds");
+    let hits = telemetry.counter("extent.cache_hits");
+    assert_eq!(shared.session().extent(v2, "Person").unwrap().len(), 100);
+    assert_eq!(telemetry.counter("extent.rebuilds"), rebuilds, "the swap-in lost Person's extent");
+    assert_eq!(telemetry.counter("extent.cache_hits"), hits + 1, "derived from its source's entry");
+}
+
+#[test]
+fn creates_through_an_evolved_view_rebuild_no_extent() {
+    let (sys, _, _) = build_two_level();
+    let shared = SharedSystem::from_system(sys);
+    for i in 0..8 {
+        shared.evolve_cmd("VS", &format!("add_attribute extra{i}: int to Person")).unwrap();
+    }
+    let writer = shared.writer();
+    let newest = writer.meta().current_view("VS").unwrap().id;
+    let telemetry = shared.telemetry();
+    let rebuilds = telemetry.counter("extent.rebuilds");
+    for i in 0..1000 {
+        let values = [("age", Value::Int(i)), ("extra7", Value::Int(i))];
+        writer.create(newest, "Student", &values).unwrap();
+    }
+    assert_eq!(telemetry.counter("extent.rebuilds"), rebuilds, "a create built an extent");
+    // The counter is live: reading the extent after those creates does rebuild.
+    assert_eq!(shared.session().extent(newest, "Student").unwrap().len(), 1100);
+    assert!(telemetry.counter("extent.rebuilds") > rebuilds);
+}
