@@ -74,7 +74,7 @@ fn intent_type_op(
     let schema = db.schema();
     let cls = schema.class(class)?;
     match cls.kind.clone() {
-        ClassKind::Base => schema.type_keys(class),
+        ClassKind::Base => Ok(schema.resolved_type(class)?.keys().clone()),
         ClassKind::Virtual(derivation) => match derivation {
             Derivation::Select { src, .. } => intent_type_memo(db, src, memo),
             Derivation::Hide { src, hidden } => {

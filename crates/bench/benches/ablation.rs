@@ -6,15 +6,20 @@
 //!   repeated identical vs repeated distinct changes.
 //! * **Buffer pool size** — the locality argument of Table 1 depends on a
 //!   buffer; sweep the pool size and record scan cost.
-//! * **Saturation prover** — classification cost as the number of virtual
-//!   classes grows (the prover is rebuilt per classification; its cost is
-//!   the dominant fixed overhead of a schema change).
+//! * **Saturation prover** — the cost of one more schema change as the
+//!   number of virtual classes earlier changes left behind grows (the prover
+//!   is extended per class, not rebuilt; the change should cost what it
+//!   touches). The per-preload medians land in `BENCH_ablation.json`.
+
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use tse_core::TseSystem;
 use tse_object_model::{PropertyDef, Value, ValueType};
 use tse_storage::{SliceStore, StoreConfig};
+use tse_telemetry::JsonValue;
 
 fn families(n: usize) -> TseSystem {
     let mut tse = TseSystem::new();
@@ -99,29 +104,43 @@ fn bench_buffer_pool(c: &mut Criterion) {
 }
 
 /// Classification overhead vs accumulated schema size: evolve repeatedly in
-/// one family and measure the i-th change (prover rebuild is O(classes²)).
-fn bench_prover_growth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/classification_vs_schema_size");
-    group.sample_size(10);
+/// one family and measure the next change. Timed here rather than through
+/// the criterion driver, which reports no per-benchmark figure back: the
+/// per-preload medians are the paper-facing number (EXPERIMENTS.md,
+/// *Classification vs schema size*) and go to `BENCH_ablation.json`.
+fn bench_prover_growth(_c: &mut Criterion) {
+    const SAMPLES: usize = 15;
+    let mut rows = Vec::new();
     for preload in [0usize, 40, 160] {
-        group.bench_function(BenchmarkId::new("evolve_after_n_changes", preload), |b| {
-            b.iter_batched(
-                || {
-                    let mut tse = families(1);
-                    for i in 0..preload {
-                        tse.evolve_cmd("F0", &format!("add_attribute p{i}: int to Item")).unwrap();
-                    }
-                    tse
-                },
-                |mut tse| {
-                    tse.evolve_cmd("F0", "add_attribute probe: int to Item").unwrap();
-                    tse
-                },
-                BatchSize::LargeInput,
-            )
-        });
+        let mut ns: Vec<u64> = (0..SAMPLES)
+            .map(|_| {
+                let mut tse = families(1);
+                for i in 0..preload {
+                    tse.evolve_cmd("F0", &format!("add_attribute p{i}: int to Item")).unwrap();
+                }
+                let start = Instant::now();
+                black_box(tse.evolve_cmd("F0", "add_attribute probe: int to Item").unwrap());
+                start.elapsed().as_nanos() as u64
+            })
+            .collect();
+        ns.sort_unstable();
+        let median = ns[SAMPLES / 2];
+        println!(
+            "bench ablation/classification_vs_schema_size/evolve_after_n_changes/{preload:<4} {:>12.2?}/iter  (median of {SAMPLES})",
+            Duration::from_nanos(median)
+        );
+        rows.push(JsonValue::obj(vec![
+            ("preload_changes", (preload as u64).into()),
+            ("median_ns", median.into()),
+            ("samples", (SAMPLES as u64).into()),
+        ]));
     }
-    group.finish();
+    let json = JsonValue::obj(vec![
+        ("bench", "ablation".into()),
+        ("classification_vs_schema_size", JsonValue::Arr(rows)),
+    ]);
+    let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
+    println!("classification-vs-schema-size medians written to {path}");
 }
 
 criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_prover_growth);

@@ -8,9 +8,11 @@
 //! resolution agrees with the operator-intent type ("true upwards method
 //! resolution for both base and virtual classes").
 
+use std::sync::Arc;
 
 use tse_algebra::{intent_type, TypeKeys};
 use tse_object_model::{ClassId, Database, ModelError, ModelResult};
+use tse_telemetry::Telemetry;
 
 use crate::subsume::Subsumption;
 
@@ -31,19 +33,42 @@ pub struct Placement {
     pub promoted: Vec<(ClassId, String)>,
 }
 
-fn is_retired(db: &Database, c: ClassId) -> bool {
-    db.schema().is_retired(c)
+/// Create the classifier's histograms empty, so snapshots carry them before
+/// the first classification: `classifier.candidates` (classes provably
+/// related to the new one, i.e. examined as super/sub/duplicate candidates)
+/// and `classifier.prover_advance_ns` (extending the prover over the classes
+/// created since the last classification).
+pub fn register_metrics(telemetry: &Telemetry) {
+    telemetry.register_histogram("classifier.candidates");
+    telemetry.register_histogram("classifier.prover_advance_ns");
 }
 
-/// Classify a virtual class into the global schema. See module docs.
-///
-/// Telemetry: spans as `classifier.classify`, bumps
-/// `classifier.classifications` / `classifier.duplicates_folded` /
-/// `classifier.promotions` in the database's registry.
+/// Classify a virtual class into the global schema, one-shot: the prover is
+/// built for this call and dropped. A caller that classifies more than once
+/// over a growing schema keeps a [`Subsumption`] and calls
+/// [`classify_with`].
 pub fn classify(db: &mut Database, class: ClassId) -> ModelResult<Placement> {
+    classify_with(&mut Subsumption::default(), db, class)
+}
+
+/// Classify a virtual class into the global schema (see the module docs),
+/// advancing `prover` over every class created since it was last used. The
+/// prover must have been advanced over this schema only — see
+/// [`Subsumption`] for when to drop it.
+///
+/// Telemetry: spans as `classifier.classify` (recording `duplicate`,
+/// `supers`, `subs` and `candidates`), bumps `classifier.classifications` /
+/// `classifier.duplicates_folded` / `classifier.promotions` and observes the
+/// [`register_metrics`] histograms in the database's registry.
+pub fn classify_with(
+    prover: &mut Subsumption,
+    db: &mut Database,
+    class: ClassId,
+) -> ModelResult<Placement> {
     let telemetry = db.telemetry().clone();
     let span = telemetry.span("classifier.classify");
-    let result = classify_inner(db, class);
+    let mut candidates = 0;
+    let result = classify_inner(prover, db, class, &telemetry, &mut candidates);
     telemetry.incr("classifier.classifications", 1);
     if let Ok(p) = &result {
         if p.duplicate_of.is_some() {
@@ -52,31 +77,42 @@ pub fn classify(db: &mut Database, class: ClassId) -> ModelResult<Placement> {
         if !p.promoted.is_empty() {
             telemetry.incr("classifier.promotions", p.promoted.len() as u64);
         }
+        telemetry.observe_ns("classifier.candidates", candidates as u64);
         span.record("duplicate", p.duplicate_of.is_some());
         span.record("supers", p.supers.len());
         span.record("subs", p.subs.len());
+        span.record("candidates", candidates);
     }
     result
 }
 
-fn classify_inner(db: &mut Database, class: ClassId) -> ModelResult<Placement> {
+fn classify_inner(
+    prover: &mut Subsumption,
+    db: &mut Database,
+    class: ClassId,
+    telemetry: &Telemetry,
+    candidates: &mut usize,
+) -> ModelResult<Placement> {
     if db.schema().class(class)?.is_base() {
         return Err(ModelError::NotAVirtualClass(class));
     }
     let target_type: TypeKeys = intent_type(db, class)?;
-    let prover = Subsumption::new(db.schema());
+    telemetry.time("classifier.prover_advance_ns", || prover.advance(db.schema()));
 
-    // Candidate supers / subs across all live classes.
-    let mut super_cands: Vec<(ClassId, TypeKeys)> = Vec::new();
-    let mut sub_cands: Vec<(ClassId, TypeKeys)> = Vec::new();
-    for other in db.schema().class_ids().collect::<Vec<_>>() {
-        if other == class || is_retired(db, other) {
+    // Candidate supers / subs: a class the prover relates to `class` in
+    // neither direction can be none of super, sub or duplicate, so only the
+    // new class's row and column are examined, in id order.
+    let mut super_cands: Vec<(ClassId, Arc<TypeKeys>)> = Vec::new();
+    let mut sub_cands: Vec<(ClassId, Arc<TypeKeys>)> = Vec::new();
+    for other in prover.related(class) {
+        if db.schema().is_retired(other) {
             continue;
         }
+        *candidates += 1;
         let other_type = db.schema().type_keys(other)?;
         let ext_below = prover.subsumes(class, other);
         let ext_above = prover.subsumes(other, class);
-        if ext_below && ext_above && other_type == target_type {
+        if ext_below && ext_above && *other_type == target_type {
             // Duplicate: same provable extent, same type.
             db.schema_mut().retire_class(class)?;
             return Ok(Placement {
@@ -88,7 +124,7 @@ fn classify_inner(db: &mut Database, class: ClassId) -> ModelResult<Placement> {
             });
         }
         if ext_below && other_type.is_subset(&target_type) {
-            super_cands.push((other, other_type.clone()));
+            super_cands.push((other, Arc::clone(&other_type)));
         }
         if ext_above && target_type.is_subset(&other_type) {
             sub_cands.push((other, other_type));
@@ -183,9 +219,10 @@ pub fn classify_all(
     db: &mut Database,
     classes: &[ClassId],
 ) -> ModelResult<Vec<Placement>> {
+    let mut prover = Subsumption::default();
     let mut out = Vec::with_capacity(classes.len());
     for c in classes {
-        out.push(classify(db, *c)?);
+        out.push(classify_with(&mut prover, db, *c)?);
     }
     Ok(out)
 }
@@ -195,7 +232,7 @@ pub fn classify_all(
 pub fn check_type_agreement(db: &Database, class: ClassId) -> ModelResult<bool> {
     let resolved = db.schema().type_keys(class)?;
     let intent = intent_type(db, class)?;
-    Ok(resolved == intent)
+    Ok(*resolved == intent)
 }
 
 #[cfg(test)]

@@ -29,8 +29,12 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod batch;
 mod classify;
 mod subsume;
 
-pub use classify::{check_type_agreement, classify, classify_all, Placement};
+pub use classify::{
+    check_type_agreement, classify, classify_all, classify_with, register_metrics, Placement,
+};
 pub use subsume::Subsumption;

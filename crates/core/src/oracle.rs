@@ -72,9 +72,8 @@ impl SimpleSchema {
             let rt = db.schema().resolved_type(class)?;
             let mut inherited_keys = BTreeSet::new();
             for sup in view.supers_in_view(class) {
-                inherited_keys.extend(
-                    db.schema().resolved_type(sup)?.keys().into_iter().map(|(_, k)| k),
-                );
+                inherited_keys
+                    .extend(db.schema().resolved_type(sup)?.keys().iter().map(|(_, k)| *k));
             }
             for (name, rp) in &rt.props {
                 for cand in &rp.candidates {

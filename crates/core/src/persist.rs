@@ -148,7 +148,7 @@ impl TseSystem {
         if bytes.remaining() > 0 {
             return Err(corrupt("trailing bytes after system snapshot"));
         }
-        Ok(TseSystem { db, views, policy })
+        Ok(TseSystem::assemble(db, views, policy))
     }
 
     /// Legacy `TSESYS01` body: unchecksummed length-prefixed sections.
@@ -185,7 +185,7 @@ impl TseSystem {
         if bytes.remaining() > 0 {
             return Err(corrupt("trailing bytes after system snapshot"));
         }
-        Ok(TseSystem { db, views, policy })
+        Ok(TseSystem::assemble(db, views, policy))
     }
 
     /// Save the system to a file, crash-atomically: the bytes land in a

@@ -389,6 +389,13 @@ impl SharedSystem {
         self.inner.system.read().failpoints().clone()
     }
 
+    /// A copy of the live system's subsumption prover (diagnostics and the
+    /// differential tests: it must equal a from-scratch saturation of the
+    /// published schema).
+    pub fn prover(&self) -> tse_classifier::Subsumption {
+        self.read_timed().prover().clone()
+    }
+
     /// Number of write stripes of the live store (bench/topology sizing
     /// aid; replaces the former `with_read` escape hatch — sessions cover
     /// every read API, so no caller needs the raw [`TseSystem`] anymore).

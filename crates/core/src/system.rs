@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use tse_algebra::{define_vc, ClassRef, Query, Stmt, UpdatePolicy};
-use tse_classifier::classify;
+use tse_classifier::{classify_with, Subsumption};
 use tse_object_model::{
     ClassId, Database, EvolutionTxn, ModelError, ModelResult, Oid, PendingProp, Value,
 };
@@ -79,6 +79,14 @@ pub struct TseSystem {
     pub(crate) db: Database,
     pub(crate) views: ViewManager,
     pub(crate) policy: UpdatePolicy,
+    /// The classifier's subsumption prover, kept next to the schema it
+    /// describes so a change pays for the classes it adds, not for every
+    /// class earlier changes left behind. Cloned into a fork, carried
+    /// through the swap-in with it, dropped with a failed one, and emptied
+    /// after a rollback. Never persisted: a loaded or recovered system
+    /// starts with an empty prover that the first classification advances
+    /// over the whole schema.
+    prover: Subsumption,
 }
 
 /// Pre-change state captured by the outermost `evolve` call: the store
@@ -104,7 +112,13 @@ impl TseSystem {
 
     /// A fresh system with explicit storage configuration.
     pub fn with_config(config: StoreConfig) -> Self {
-        TseSystem { db: Database::new(config), views: ViewManager::new(), policy: UpdatePolicy::default() }
+        Self::assemble(Database::new(config), ViewManager::new(), UpdatePolicy::default())
+    }
+
+    /// A system over the given parts, with an empty prover.
+    pub(crate) fn assemble(db: Database, views: ViewManager, policy: UpdatePolicy) -> Self {
+        tse_classifier::register_metrics(db.telemetry());
+        TseSystem { db, views, policy, prover: Subsumption::default() }
     }
 
     /// The shared database.
@@ -126,6 +140,7 @@ impl TseSystem {
             db: self.db.fork()?,
             views: self.views.clone(),
             policy: self.policy.clone(),
+            prover: self.prover.clone(),
         })
     }
 
@@ -142,6 +157,7 @@ impl TseSystem {
             db: self.db.fork_shared()?,
             views: self.views.clone(),
             policy: self.policy.clone(),
+            prover: self.prover.clone(),
         })
     }
 
@@ -159,6 +175,13 @@ impl TseSystem {
     /// changes create union classes).
     pub fn policy(&self) -> &UpdatePolicy {
         &self.policy
+    }
+
+    /// The classifier's subsumption prover, as far as the last
+    /// classification advanced it (it may trail the schema by the classes
+    /// created since).
+    pub fn prover(&self) -> &Subsumption {
+        &self.prover
     }
 
     /// The telemetry domain shared by every layer of this system — storage,
@@ -332,6 +355,12 @@ impl TseSystem {
                         self.views = cp.views;
                         self.policy = cp.policy;
                         self.db.rollback_evolution(cp.txn)?;
+                        // The restored schema hands the rolled-back class
+                        // ids out again: whatever the prover learnt about
+                        // them must not outlive them.
+                        if self.prover.known() > self.db.schema().class_count() {
+                            self.prover = Subsumption::default();
+                        }
                         telemetry.incr("evolve.rollbacks", 1);
                         telemetry.event(
                             "evolve.rollback",
@@ -573,7 +602,7 @@ impl TseSystem {
                 Stmt::DefineVc { name, query } => {
                     let query = substitute(query, &map);
                     let id = define_vc(&mut self.db, name, &query)?;
-                    let placement = classify(&mut self.db, id)?;
+                    let placement = classify_with(&mut self.prover, &mut self.db, id)?;
                     if placement.duplicate_of.is_some() {
                         duplicates += 1;
                     }

@@ -10,7 +10,7 @@ use crate::error::{ModelError, ModelResult};
 use crate::value::Value;
 
 /// Binary operators available in method bodies and predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Numeric addition / string concatenation / list concatenation.
     Add,
@@ -39,7 +39,7 @@ pub enum BinOp {
 }
 
 /// A method body: an expression over `self`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum MethodBody {
     /// Literal constant.
     Const(Value),

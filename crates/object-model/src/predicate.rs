@@ -11,7 +11,7 @@ use crate::method::{compare, eval_body, values_eq, AttrSource, BinOp, MethodBody
 use crate::value::Value;
 
 /// Comparison operators usable in atomic predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -41,7 +41,7 @@ impl CmpOp {
 }
 
 /// A selection predicate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Predicate {
     /// Always true (select-all).
     True,

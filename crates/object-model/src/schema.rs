@@ -27,6 +27,19 @@ use crate::property::{LocalProp, PendingProp, PropertyDef};
 /// Name of the implicit root class (the paper's `OBJECT`/`ROOT`).
 pub const ROOT_CLASS: &str = "Object";
 
+/// Name prefix of the tombstone a retired duplicate class leaves behind.
+/// Reserved: [`Schema::is_retired`] recognises tombstones by it.
+const RETIRED_PREFIX: &str = "__retired_";
+
+fn check_not_reserved(name: &str) -> ModelResult<()> {
+    if name.starts_with(RETIRED_PREFIX) {
+        return Err(ModelError::Invalid(format!(
+            "class name {name:?} uses the reserved prefix {RETIRED_PREFIX:?}"
+        )));
+    }
+    Ok(())
+}
+
 /// One way a name resolves at a class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
@@ -57,17 +70,25 @@ impl ResolvedProp {
 pub struct ResolvedType {
     /// Properties by name.
     pub props: BTreeMap<String, ResolvedProp>,
+    /// The `(name, key)` pairs of `props`, computed once when the type is
+    /// built: the classifier compares these sets for every candidate.
+    keys: Arc<BTreeSet<(String, PropKey)>>,
 }
 
 impl ResolvedType {
+    fn new(props: BTreeMap<String, ResolvedProp>) -> Self {
+        let keys = props
+            .iter()
+            .flat_map(|(name, rp)| rp.candidates.iter().map(move |c| (name.clone(), c.key)))
+            .collect();
+        ResolvedType { props, keys: Arc::new(keys) }
+    }
+
     /// The `(name, key)` pairs of every candidate — the set the classifier
     /// compares for type subsumption. Ambiguous names contribute all their
     /// candidates.
-    pub fn keys(&self) -> BTreeSet<(String, PropKey)> {
-        self.props
-            .iter()
-            .flat_map(|(name, rp)| rp.candidates.iter().map(move |c| (name.clone(), c.key)))
-            .collect()
+    pub fn keys(&self) -> &BTreeSet<(String, PropKey)> {
+        &self.keys
     }
 
     /// Just the property keys, ignoring names (renaming-insensitive view).
@@ -243,7 +264,7 @@ impl Schema {
 
     /// Has the class been retired as a duplicate?
     pub fn is_retired(&self, id: ClassId) -> bool {
-        self.class(id).map(|c| c.name.starts_with("__retired_")).unwrap_or(true)
+        self.class(id).map(|c| c.name.starts_with(RETIRED_PREFIX)).unwrap_or(true)
     }
 
     /// Number of live (non-retired) classes, including the root.
@@ -349,6 +370,7 @@ impl Schema {
         kind: ClassKind,
         supers: &[ClassId],
     ) -> ModelResult<ClassId> {
+        check_not_reserved(name)?;
         if self.by_name.contains_key(name) {
             return Err(ModelError::DuplicateClassName(name.to_string()));
         }
@@ -400,7 +422,7 @@ impl Schema {
         }
         self.class_mut(id)?.locals.clear();
         self.by_name.remove(&name);
-        let tombstone = format!("__retired_{}", id.0);
+        let tombstone = format!("{RETIRED_PREFIX}{}", id.0);
         self.class_mut(id)?.name = tombstone.clone();
         self.by_name.insert(tombstone, id);
         self.touch();
@@ -409,6 +431,7 @@ impl Schema {
 
     /// Rename a class globally (view-local renames live in `tse-view`).
     pub fn rename_class(&mut self, id: ClassId, new_name: &str) -> ModelResult<()> {
+        check_not_reserved(new_name)?;
         if self.by_name.contains_key(new_name) {
             return Err(ModelError::DuplicateClassName(new_name.to_string()));
         }
@@ -724,27 +747,17 @@ impl Schema {
                 }
             }
         }
-        // Seed the recursion memo with everything already resolved under the
-        // current generation — otherwise a sweep over all classes costs
-        // O(V²) resolutions (quadratic re-resolution of shared ancestors).
-        let mut memo: HashMap<ClassId, Arc<ResolvedType>> = {
-            let cache = self.type_cache.lock();
-            if cache.generation == self.generation {
-                cache.map.clone()
-            } else {
-                HashMap::new()
-            }
-        };
-        let result = self.resolve_rec(class, &mut memo)?;
+        // A miss resolves straight into the cache, which doubles as the
+        // recursion memo: shared ancestors are resolved once per generation
+        // and a miss costs what it resolves, not the size of the cache.
+        // (`resolve_rec` looks the class up again, so losing a race to
+        // another resolver between the two locks costs nothing.)
         let mut cache = self.type_cache.lock();
         if cache.generation != self.generation {
             cache.generation = self.generation;
             cache.map.clear();
         }
-        for (id, t) in memo {
-            cache.map.insert(id, t);
-        }
-        Ok(result)
+        self.resolve_rec(class, &mut cache.map)
     }
 
     fn resolve_rec(
@@ -864,19 +877,20 @@ impl Schema {
             );
         }
 
-        let resolved = Arc::new(ResolvedType {
-            props: merged
+        let resolved = Arc::new(ResolvedType::new(
+            merged
                 .into_iter()
                 .map(|(name, candidates)| (name, ResolvedProp { candidates }))
                 .collect(),
-        });
+        ));
         memo.insert(class, Arc::clone(&resolved));
         Ok(resolved)
     }
 
-    /// `(name, key)` view of a class's type (classifier subsumption basis).
-    pub fn type_keys(&self, class: ClassId) -> ModelResult<BTreeSet<(String, PropKey)>> {
-        Ok(self.resolved_type(class)?.keys())
+    /// `(name, key)` view of a class's type (classifier subsumption basis),
+    /// shared with the cached [`ResolvedType`].
+    pub fn type_keys(&self, class: ClassId) -> ModelResult<Arc<BTreeSet<(String, PropKey)>>> {
+        Ok(Arc::clone(&self.resolved_type(class)?.keys))
     }
 
     // ----- snapshot support ---------------------------------------------------
@@ -1191,6 +1205,22 @@ mod tests {
         assert_eq!(s.by_name("Human").unwrap(), person);
         assert!(s.by_name("Person").is_err());
         assert!(s.rename_class(person, "Student").is_err());
+    }
+
+    #[test]
+    fn retired_prefix_is_reserved() {
+        let (mut s, person, _, _) = chain();
+        let live = s.live_class_count();
+        assert!(matches!(
+            s.create_base_class("__retired_x", &[]),
+            Err(ModelError::Invalid(_))
+        ));
+        let d = Derivation::Hide { src: person, hidden: vec![] };
+        assert!(matches!(s.create_virtual_class("__retired_7", d), Err(ModelError::Invalid(_))));
+        assert!(matches!(s.rename_class(person, "__retired_1"), Err(ModelError::Invalid(_))));
+        assert_eq!(s.by_name("Person").unwrap(), person, "a refused rename changes nothing");
+        assert!(!s.is_retired(person));
+        assert_eq!(s.live_class_count(), live);
     }
 
     #[test]

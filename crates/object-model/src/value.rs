@@ -56,6 +56,25 @@ impl Value {
     }
 }
 
+/// Consistent with the derived `PartialEq`: values that compare equal hash
+/// equal. Floats are the one case that needs care — `0.0 == -0.0` with
+/// different bit patterns, so zero is hashed by one of them; `NaN` equals
+/// nothing, so any hash will do for it.
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Value::Null => {}
+            Value::Bool(b) => b.hash(state),
+            Value::Int(i) => i.hash(state),
+            Value::Float(f) => (if *f == 0.0 { 0.0f64 } else { *f }).to_bits().hash(state),
+            Value::Str(s) => s.hash(state),
+            Value::Ref(oid) => oid.hash(state),
+            Value::List(items) => items.hash(state),
+        }
+    }
+}
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)
