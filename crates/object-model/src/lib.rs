@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 
+mod access;
 mod class;
 mod codec;
 mod database;
