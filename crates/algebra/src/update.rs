@@ -323,22 +323,11 @@ pub fn select_objects(
     pred: &tse_object_model::Predicate,
 ) -> ModelResult<Vec<Oid>> {
     let ext = db.extent(class)?;
+    // The names the predicate mentions resolve once for the whole extent.
+    let bound = db.bind_attrs(class);
     let mut out = Vec::new();
     for oid in ext.iter() {
-        let keep = {
-            struct Src<'a> {
-                db: &'a Database,
-                oid: Oid,
-                via: ClassId,
-            }
-            impl tse_object_model::AttrSource for Src<'_> {
-                fn get(&self, name: &str) -> ModelResult<Value> {
-                    self.db.read_attr(self.oid, self.via, name)
-                }
-            }
-            pred.eval(&Src { db, oid: *oid, via: class })?
-        };
-        if keep {
+        if pred.eval(&bound.source(*oid))? {
             out.push(*oid);
         }
     }

@@ -90,6 +90,7 @@
 //! mutation that can take the control plane exclusively runs a checkpoint
 //! automatically (`durable.autocheckpoints` counts them).
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -109,7 +110,7 @@ use tse_view::{ViewId, ViewManager, ViewSchema};
 use crate::change::{parse_change, SchemaChange};
 use crate::durable::{DurableState, DurableSystem};
 use crate::health::{observe_io_error, HealthMachine, SystemHealth};
-use crate::system::{is_crash, note_fault, observe_op, EvolutionReport, TseSystem};
+use crate::system::{is_crash, note_fault, observe_op, ops, EvolutionReport, TseSystem};
 use crate::walcodec::{encode_frame, WalRecord};
 
 /// One epoch's immutable metadata bundle: everything a reader needs to
@@ -121,6 +122,12 @@ pub struct MetaSnapshot {
     schema: Schema,
     views: ViewManager,
     policy: UpdatePolicy,
+    /// View-local class names of this epoch, one table per view, each
+    /// built the first time the view resolves a name. A local name is a
+    /// view's rename or the class's global name, and `Schema::rename_class`
+    /// can change the latter, so the tables belong to the epoch and not to
+    /// the (immutable, epoch-spanning) `ViewSchema`.
+    names: RwLock<HashMap<ViewId, HashMap<String, ClassId>>>,
 }
 
 impl MetaSnapshot {
@@ -132,6 +139,7 @@ impl MetaSnapshot {
             schema: system.db().schema().clone(),
             views: system.views().clone(),
             policy: system.policy().clone(),
+            names: RwLock::new(HashMap::new()),
         }
     }
 
@@ -165,9 +173,38 @@ impl MetaSnapshot {
         self.views.view(id)
     }
 
-    /// Resolve a view-local class name against this epoch's schema.
+    /// Resolve a view-local class name against this epoch's schema: one
+    /// lookup in the view's name table. A name the table does not hold
+    /// (or a table that cannot be built) goes through
+    /// [`ViewSchema::lookup_in`], which owns the error cases.
     pub fn resolve(&self, view: ViewId, class_local: &str) -> ModelResult<ClassId> {
-        self.views.view(view)?.lookup_in(&self.schema, class_local)
+        if let Some(table) = self.names.read().get(&view) {
+            return match table.get(class_local) {
+                Some(class) => Ok(*class),
+                None => self.views.view(view)?.lookup_in(&self.schema, class_local),
+            };
+        }
+        let schema = self.views.view(view)?;
+        if let Ok(table) = self.name_table(schema) {
+            self.names.write().insert(view, table);
+        }
+        schema.lookup_in(&self.schema, class_local)
+    }
+
+    /// Every name `view` resolves, in [`ViewSchema::lookup_in`]'s order of
+    /// precedence: renames first, then the global names of the classes the
+    /// view does not rename; the first holder of a name keeps it.
+    fn name_table(&self, view: &ViewSchema) -> ModelResult<HashMap<String, ClassId>> {
+        let mut table = HashMap::with_capacity(view.classes.len());
+        for (class, local) in &view.renames {
+            table.entry(local.clone()).or_insert(*class);
+        }
+        for class in &view.classes {
+            if !view.renames.contains_key(class) {
+                table.entry(self.schema.class(*class)?.name.clone()).or_insert(*class);
+            }
+        }
+        Ok(table)
     }
 }
 
@@ -841,10 +878,26 @@ impl SharedSystem {
 
 }
 
-fn read_timed(inner: &SharedInner) -> RwLockReadGuard<'_, TseSystem> {
+/// The histogram of waits for the `system` lock in shared mode.
+const READ_WAIT: &str = "lock.read_wait_ns";
+
+/// Take the `system` lock shared; returns the guard and the wait in
+/// nanoseconds. Unless a swap-in holds the lock it is there at the first
+/// try, and that wait is put down as 1 ns without reading a clock.
+fn read_locked(inner: &SharedInner) -> (RwLockReadGuard<'_, TseSystem>, u64) {
+    if let Some(guard) = inner.system.try_read() {
+        return (guard, 1);
+    }
     let started = Instant::now();
     let guard = inner.system.read();
-    inner.telemetry.observe_ns("lock.read_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
+    (guard, (started.elapsed().as_nanos() as u64).max(1))
+}
+
+/// [`read_locked`] for callers that are not a measured operation: the wait
+/// is observed on the spot.
+fn read_timed(inner: &SharedInner) -> RwLockReadGuard<'_, TseSystem> {
+    let (guard, waited) = read_locked(inner);
+    inner.telemetry.observe_ns(READ_WAIT, waited);
     guard
 }
 
@@ -997,6 +1050,14 @@ impl ReadSession {
         self.pin = Some(self.clock.pin());
     }
 
+    /// Close one measured operation: count it, record its latency, and
+    /// observe its wait for the system lock, all in one visit to the
+    /// registry.
+    fn observe(&self, op: &tse_telemetry::OpName, started: Instant, waited: u64) {
+        let dur_ns = started.elapsed().as_nanos() as u64;
+        self.inner.telemetry.observe_op(op, dur_ns, Some((READ_WAIT, waited)));
+    }
+
     /// Guard that routes every store/object-model read inside one session
     /// operation to the pinned epoch.
     fn epoch_guard(&self) -> ReadEpochGuard {
@@ -1021,10 +1082,10 @@ impl ReadSession {
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let _epoch = self.epoch_guard();
-        let sys = read_timed(&self.inner);
+        let (sys, waited) = read_locked(&self.inner);
         let out = sys.db().read_attr(oid, class, attr);
         drop(sys);
-        observe_op(&self.inner.telemetry, "get", started);
+        self.observe(&ops::GET, started, waited);
         out
     }
 
@@ -1034,10 +1095,10 @@ impl ReadSession {
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let _epoch = self.epoch_guard();
-        let sys = read_timed(&self.inner);
+        let (sys, waited) = read_locked(&self.inner);
         let out = Ok(sys.db().extent(class)?.iter().copied().collect());
         drop(sys);
-        observe_op(&self.inner.telemetry, "extent", started);
+        self.observe(&ops::EXTENT, started, waited);
         out
     }
 
@@ -1063,10 +1124,10 @@ impl ReadSession {
         let body = crate::change::parse_expr(expr)?;
         let pred = tse_object_model::Predicate::Expr(body);
         let _epoch = self.epoch_guard();
-        let sys = read_timed(&self.inner);
+        let (sys, waited) = read_locked(&self.inner);
         let out = tse_algebra::select_objects(sys.db(), class, &pred);
         drop(sys);
-        observe_op(&self.inner.telemetry, "select_where", started);
+        self.observe(&ops::SELECT_WHERE, started, waited);
         out
     }
 
@@ -1076,10 +1137,10 @@ impl ReadSession {
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let _epoch = self.epoch_guard();
-        let sys = read_timed(&self.inner);
+        let (sys, waited) = read_locked(&self.inner);
         let out = sys.db().invoke(oid, class, name);
         drop(sys);
-        observe_op(&self.inner.telemetry, "invoke", started);
+        self.observe(&ops::INVOKE, started, waited);
         out
     }
 
@@ -1142,16 +1203,16 @@ impl WriteSession {
         let _t = self.inner.telemetry.enter_trace(self.trace);
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
-        let policy = self.meta.policy.clone();
+        let policy = &self.meta.policy;
         let out = with_data_logged(
             &self.inner,
-            |sys| tse_algebra::create(sys.db(), &policy, class, values),
+            |sys| tse_algebra::create(sys.db(), policy, class, values),
             |oid| WalRecord::Create { class, oid: *oid, values: own_pairs(values) },
         );
         if let Err(e) = &out {
             note_fault(&self.inner.telemetry, e);
         }
-        observe_op(&self.inner.telemetry, "create", started);
+        observe_op(&self.inner.telemetry, &ops::CREATE, started);
         maybe_autocheckpoint(&self.inner);
         out
     }
@@ -1167,10 +1228,10 @@ impl WriteSession {
         let _t = self.inner.telemetry.enter_trace(self.trace);
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
-        let policy = self.meta.policy.clone();
+        let policy = &self.meta.policy;
         let out = with_data_logged(
             &self.inner,
-            |sys| tse_algebra::set(sys.db(), &policy, &[oid], class, assignments),
+            |sys| tse_algebra::set(sys.db(), policy, &[oid], class, assignments),
             |_| WalRecord::Set {
                 class,
                 oids: vec![oid],
@@ -1181,7 +1242,7 @@ impl WriteSession {
         if let Err(e) = &out {
             note_fault(&self.inner.telemetry, e);
         }
-        observe_op(&self.inner.telemetry, "set", started);
+        observe_op(&self.inner.telemetry, &ops::SET, started);
         maybe_autocheckpoint(&self.inner);
         out
     }
@@ -1203,12 +1264,12 @@ impl WriteSession {
         let class = self.meta.resolve(view, class_local)?;
         let body = crate::change::parse_expr(expr)?;
         let pred = tse_object_model::Predicate::Expr(body);
-        let policy = self.meta.policy.clone();
+        let policy = &self.meta.policy;
         let out = with_data_logged(
             &self.inner,
             |sys| -> ModelResult<Vec<Oid>> {
                 let oids = tse_algebra::select_objects(sys.db(), class, &pred)?;
-                tse_algebra::set(sys.db(), &policy, &oids, class, assignments)?;
+                tse_algebra::set(sys.db(), policy, &oids, class, assignments)?;
                 Ok(oids)
             },
             |oids| WalRecord::Set {
@@ -1219,7 +1280,7 @@ impl WriteSession {
             },
         )
         .map(|oids| oids.len());
-        observe_op(&self.inner.telemetry, "update_where", started);
+        observe_op(&self.inner.telemetry, &ops::UPDATE_WHERE, started);
         maybe_autocheckpoint(&self.inner);
         out
     }
@@ -1229,13 +1290,13 @@ impl WriteSession {
         let _t = self.inner.telemetry.enter_trace(self.trace);
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
-        let policy = self.meta.policy.clone();
+        let policy = &self.meta.policy;
         let out = with_data_logged(
             &self.inner,
-            |sys| tse_algebra::add(sys.db(), &policy, oids, class),
+            |sys| tse_algebra::add(sys.db(), policy, oids, class),
             |_| WalRecord::AddTo { class, oids: oids.to_vec() },
         );
-        observe_op(&self.inner.telemetry, "add_to", started);
+        observe_op(&self.inner.telemetry, &ops::ADD_TO, started);
         maybe_autocheckpoint(&self.inner);
         out
     }
@@ -1245,13 +1306,13 @@ impl WriteSession {
         let _t = self.inner.telemetry.enter_trace(self.trace);
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
-        let policy = self.meta.policy.clone();
+        let policy = &self.meta.policy;
         let out = with_data_logged(
             &self.inner,
-            |sys| tse_algebra::remove(sys.db(), &policy, oids, class),
+            |sys| tse_algebra::remove(sys.db(), policy, oids, class),
             |_| WalRecord::RemoveFrom { class, oids: oids.to_vec() },
         );
-        observe_op(&self.inner.telemetry, "remove_from", started);
+        observe_op(&self.inner.telemetry, &ops::REMOVE_FROM, started);
         maybe_autocheckpoint(&self.inner);
         out
     }
@@ -1267,7 +1328,7 @@ impl WriteSession {
             |sys| tse_algebra::delete(sys.db(), oids),
             |_| WalRecord::Delete { oids: oids.to_vec() },
         );
-        observe_op(&self.inner.telemetry, "delete_objects", started);
+        observe_op(&self.inner.telemetry, &ops::DELETE_OBJECTS, started);
         maybe_autocheckpoint(&self.inner);
         out
     }
@@ -1281,3 +1342,49 @@ const _: () = {
     assert_send_sync::<WriteSession>();
     assert_send_sync::<MetaSnapshot>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-view name table answers exactly as `ViewSchema::lookup_in`
+    /// does, belongs to the epoch it was built in, and follows a global
+    /// `rename_class` into the next epoch.
+    #[test]
+    fn the_name_table_follows_rename_class_into_the_next_epoch() {
+        let mut sys = TseSystem::new();
+        let person = sys.define_base_class("Person", &[], vec![]).unwrap();
+        let student = sys.define_base_class("Student", &["Person"], vec![]).unwrap();
+        sys.create_view("VS", &["Person", "Student"]).unwrap();
+        // A view-local rename: the new version shows `Student` as `Pupil`.
+        sys.evolve("VS", &parse_change("rename_class Student to Pupil").unwrap()).unwrap();
+
+        let same_as_lookup = |meta: &MetaSnapshot| {
+            for view in meta.views().versions("VS").unwrap() {
+                let schema = meta.view(*view).unwrap();
+                for name in ["Person", "Student", "Pupil", "Human", "Nobody"] {
+                    let scanned = schema.lookup_in(meta.schema(), name);
+                    // Twice: the first call builds the table, the second hits it.
+                    assert_eq!(meta.resolve(*view, name), scanned, "{name} in {view}");
+                    assert_eq!(meta.resolve(*view, name), scanned, "{name} in {view}");
+                }
+            }
+        };
+        let before = MetaSnapshot::capture(1, &sys);
+        same_as_lookup(&before);
+        let versions = before.views().versions("VS").unwrap().to_vec();
+        let (v1, v2) = (versions[0], versions[1]);
+        assert_eq!(before.resolve(v1, "Student"), Ok(student));
+        assert_eq!(before.resolve(v2, "Pupil"), Ok(student));
+        assert!(before.resolve(v2, "Student").is_err(), "the rename masks the global name");
+
+        sys.db_mut().schema_mut().rename_class(person, "Human").unwrap();
+        let after = MetaSnapshot::capture(2, &sys);
+        same_as_lookup(&after);
+        assert_eq!(after.resolve(v1, "Human"), Ok(person));
+        assert!(after.resolve(v1, "Person").is_err());
+        // The older epoch keeps the names it was published with.
+        assert_eq!(before.resolve(v1, "Person"), Ok(person));
+        assert!(before.resolve(v1, "Human").is_err());
+    }
+}

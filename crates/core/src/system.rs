@@ -649,11 +649,11 @@ impl TseSystem {
     ) -> ModelResult<Oid> {
         let started = std::time::Instant::now();
         let class = self.resolve_in(view, class_local)?;
-        let out = tse_algebra::create(&self.db, &self.policy.clone(), class, values);
+        let out = tse_algebra::create(&self.db, &self.policy, class, values);
         if let Err(e) = &out {
             note_fault(self.db.telemetry(), e);
         }
-        observe_op(self.db.telemetry(), "create", started);
+        observe_op(self.db.telemetry(), &ops::CREATE, started);
         out
     }
 
@@ -668,7 +668,7 @@ impl TseSystem {
         let started = std::time::Instant::now();
         let class = self.resolve_in(view, class_local)?;
         let out = self.db.read_attr(oid, class, attr);
-        observe_op(self.db.telemetry(), "get", started);
+        observe_op(self.db.telemetry(), &ops::GET, started);
         out
     }
 
@@ -682,18 +682,18 @@ impl TseSystem {
     ) -> ModelResult<()> {
         let started = std::time::Instant::now();
         let class = self.resolve_in(view, class_local)?;
-        let out = tse_algebra::set(&self.db, &self.policy.clone(), &[oid], class, assignments);
+        let out = tse_algebra::set(&self.db, &self.policy, &[oid], class, assignments);
         if let Err(e) = &out {
             note_fault(self.db.telemetry(), e);
         }
-        observe_op(self.db.telemetry(), "set", started);
+        observe_op(self.db.telemetry(), &ops::SET, started);
         out
     }
 
     /// Add existing objects to a view class.
     pub fn add_to(&self, view: ViewId, oids: &[Oid], class_local: &str) -> ModelResult<()> {
         let class = self.resolve_in(view, class_local)?;
-        tse_algebra::add(&self.db, &self.policy.clone(), oids, class)
+        tse_algebra::add(&self.db, &self.policy, oids, class)
     }
 
     /// Remove objects from a view class.
@@ -704,7 +704,7 @@ impl TseSystem {
         class_local: &str,
     ) -> ModelResult<()> {
         let class = self.resolve_in(view, class_local)?;
-        tse_algebra::remove(&self.db, &self.policy.clone(), oids, class)
+        tse_algebra::remove(&self.db, &self.policy, oids, class)
     }
 
     /// Destroy objects.
@@ -735,7 +735,7 @@ impl TseSystem {
         let body = crate::change::parse_expr(expr)?;
         let pred = tse_object_model::Predicate::Expr(body);
         let out = tse_algebra::select_objects(&self.db, class, &pred);
-        observe_op(self.db.telemetry(), "select_where", started);
+        observe_op(self.db.telemetry(), &ops::SELECT_WHERE, started);
         out
     }
 
@@ -751,8 +751,8 @@ impl TseSystem {
         let started = std::time::Instant::now();
         let oids = self.select_where(view, class_local, expr)?;
         let class = self.resolve_in(view, class_local)?;
-        tse_algebra::set(&self.db, &self.policy.clone(), &oids, class, assignments)?;
-        observe_op(self.db.telemetry(), "update_where", started);
+        tse_algebra::set(&self.db, &self.policy, &oids, class, assignments)?;
+        observe_op(self.db.telemetry(), &ops::UPDATE_WHERE, started);
         Ok(oids.len())
     }
 
@@ -824,10 +824,31 @@ pub(crate) fn note_fault(telemetry: &tse_telemetry::Telemetry, e: &ModelError) {
     telemetry.event("fault.fired", &[("site", site.as_str().into()), ("kind", kind.into())]);
 }
 
+/// The data-plane operations, with their `op.<name>` / `latency.<name>`
+/// metric names interned (DESIGN.md §8).
+pub(crate) mod ops {
+    use tse_telemetry::{op_name, OpName};
+
+    pub(crate) const CREATE: OpName = op_name!("create");
+    pub(crate) const GET: OpName = op_name!("get");
+    pub(crate) const SET: OpName = op_name!("set");
+    pub(crate) const EXTENT: OpName = op_name!("extent");
+    pub(crate) const SELECT_WHERE: OpName = op_name!("select_where");
+    pub(crate) const UPDATE_WHERE: OpName = op_name!("update_where");
+    pub(crate) const INVOKE: OpName = op_name!("invoke");
+    pub(crate) const ADD_TO: OpName = op_name!("add_to");
+    pub(crate) const REMOVE_FROM: OpName = op_name!("remove_from");
+    pub(crate) const DELETE_OBJECTS: OpName = op_name!("delete_objects");
+}
+
 /// Count a data-plane operation (`op.<name>`) and record its wall-clock
 /// latency into the `latency.<name>` histogram.
-pub(crate) fn observe_op(telemetry: &tse_telemetry::Telemetry, op: &str, started: std::time::Instant) {
-    telemetry.observe_op(op, (started.elapsed().as_nanos() as u64).max(1));
+pub(crate) fn observe_op(
+    telemetry: &tse_telemetry::Telemetry,
+    op: &tse_telemetry::OpName,
+    started: std::time::Instant,
+) {
+    telemetry.observe_op(op, started.elapsed().as_nanos() as u64, None);
 }
 
 /// Replace by-name references that were folded onto other classes.

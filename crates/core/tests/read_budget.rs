@@ -1,0 +1,189 @@
+//! The budget of the read path, so its gain cannot rot silently: what a
+//! `get` and a `select_where` may allocate, and that the slice-hop counter a
+//! read feeds still counts the is-a distance a search of the class DAG finds.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tse_core::{SharedSystem, TseSystem};
+use tse_object_model::{PropKind, PropertyDef, Value, ValueType};
+use tse_workload::university::{build_university, populate_university};
+
+/// The system allocator plus a per-thread count of `alloc`/`realloc` calls
+/// (per thread, so tests running beside this one do not show up in it).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the only addition is a bump of a const-initialised thread-local
+// `Cell`, which neither allocates nor touches allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this wrapper.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: as for `dealloc`, with the caller's layout and size.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations the calling thread makes while `f` runs.
+fn allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const MEMBERS: usize = 64;
+
+/// `Person(name, age) ← Student(gpa)` read through the first view version
+/// and, after two capacity-augmenting evolutions, through the third; plus a
+/// `Seminar` of exactly [`MEMBERS`] people.
+fn evolved() -> (SharedSystem, Vec<tse_object_model::Oid>) {
+    let mut sys = TseSystem::new();
+    sys.define_base_class(
+        "Person",
+        &[],
+        vec![
+            PropertyDef::stored("name", ValueType::Str, Value::Null),
+            PropertyDef::stored("age", ValueType::Int, Value::Int(0)),
+        ],
+    )
+    .unwrap();
+    sys.define_base_class(
+        "Student",
+        &["Person"],
+        vec![PropertyDef::stored("gpa", ValueType::Float, Value::Float(0.0))],
+    )
+    .unwrap();
+    sys.define_base_class("Seminar", &["Person"], vec![]).unwrap();
+    let v1 = sys.create_view("VS", &["Person", "Student", "Seminar"]).unwrap();
+    let mut oids = Vec::new();
+    for i in 0..MEMBERS as i64 {
+        let values = [("name", Value::Str(format!("p{i}"))), ("age", Value::Int(18 + i))];
+        oids.push(sys.create(v1, "Seminar", &values).unwrap());
+        sys.create(v1, "Student", &values).unwrap();
+    }
+    let shared = SharedSystem::from_system(sys);
+    shared.evolve_cmd("VS", "add_attribute email: str to Person").unwrap();
+    shared.evolve_cmd("VS", "add_attribute credits: int = 0 to Student").unwrap();
+    (shared, oids)
+}
+
+#[test]
+fn a_get_allocates_only_the_value_it_returns() {
+    let (shared, oids) = evolved();
+    let session = shared.session();
+    let versions = session.meta().views().versions("VS").unwrap();
+    let (v1, newest) = (versions[0], *versions.last().unwrap());
+    assert_eq!(session.view(v1).unwrap().version, 1);
+    assert_eq!(session.view(newest).unwrap().version, 3);
+    for view in [v1, newest] {
+        // The first read of a (view, class, attribute) compiles its plan,
+        // builds the view's name table and sets this thread's telemetry up.
+        let read = |attr| session.get(view, oids[0], "Seminar", attr).unwrap();
+        assert_eq!(read("age"), Value::Int(18));
+        assert_eq!(read("name"), Value::Str("p0".into()));
+
+        let (_, ints) = allocs(|| {
+            for oid in &oids {
+                assert!(matches!(session.get(view, *oid, "Seminar", "age"), Ok(Value::Int(_))));
+            }
+        });
+        assert_eq!(ints, 0, "a get of an Int attribute through {view} allocates");
+        let (_, strs) = allocs(|| {
+            for oid in &oids {
+                assert!(matches!(session.get(view, *oid, "Seminar", "name"), Ok(Value::Str(_))));
+            }
+        });
+        assert!(
+            strs <= oids.len() as u64,
+            "{strs} allocations for {} gets of a Str attribute through {view}",
+            oids.len()
+        );
+    }
+}
+
+#[test]
+fn a_select_resolves_its_names_once_not_once_per_member() {
+    let (shared, _) = evolved();
+    let session = shared.session();
+    let newest = *session.meta().views().versions("VS").unwrap().last().unwrap();
+    let select = || session.select_where(newest, "Seminar", "age >= 30").unwrap();
+    assert_eq!(select().len(), MEMBERS - 12, "warm-up, and the answer");
+    let (found, n) = allocs(select);
+    assert_eq!(found.len(), MEMBERS - 12);
+    // The parsed expression, the result vector's growth and the bindings:
+    // nothing per member (406 before access plans).
+    assert!(n < 40, "select_where over {MEMBERS} members made {n} allocations");
+}
+
+/// On the Figure-2 university schema every read adds to
+/// `SlicingStats::slice_hops` exactly the is-a distance between the
+/// perspective and the class whose slice holds the value, as a breadth-first
+/// search of the schema (`Schema::up_distance`) measures it.
+#[test]
+fn slice_hops_per_read_are_the_searched_distance() {
+    let (mut tse, _) = build_university().unwrap();
+    let loader = tse.create_view_all("loader").unwrap();
+    let oids = populate_university(&mut tse, loader, 27).unwrap();
+    let db = tse.db();
+    let schema = db.schema();
+    let stored_names = |class| -> Vec<(String, tse_object_model::ClassId)> {
+        let resolved = schema.resolved_type(class).unwrap();
+        resolved
+            .props
+            .keys()
+            .filter_map(|name| {
+                let cand = resolved.get_unique(class, name).ok()?;
+                let (_, def) = schema.def_by_key(cand.key).ok()?;
+                matches!(def.kind, PropKind::Stored { .. }).then(|| (name.clone(), cand.def_class))
+            })
+            .collect()
+    };
+    // Write every attribute once, so each has a home slice (a never-written
+    // attribute reads as its default and hops nowhere).
+    for &oid in &oids {
+        for class in db.direct_classes(oid).unwrap() {
+            for (name, _) in stored_names(class) {
+                let value = db.read_attr(oid, class, &name).unwrap();
+                db.write_attr(oid, class, &name, value).unwrap();
+            }
+        }
+    }
+    db.reset_slice_hops();
+    let (mut reads, mut searched) = (0u64, 0u64);
+    for &oid in &oids {
+        for via in schema.class_ids().filter(|c| db.is_member(oid, *c).unwrap()) {
+            for (name, home) in stored_names(via) {
+                db.read_attr(oid, via, &name).unwrap();
+                reads += 1;
+                searched += schema
+                    .up_distance(via, home)
+                    .or_else(|| schema.up_distance(home, via))
+                    .unwrap_or(1) as u64;
+            }
+        }
+    }
+    assert!(reads > 200 && searched > reads / 2, "{reads} reads, {searched} hops");
+    assert_eq!(db.slicing_stats().slice_hops, searched);
+}

@@ -1,12 +1,24 @@
-//! Attribute access: slice routing.
+//! Attribute access: slice routing through compiled access plans.
 //!
 //! Reading or writing a property through a class perspective means
 //! resolving the name at that class to a property definition, finding the
 //! slice of the object that stores it (its *home* class, bound on first
 //! write), and touching one field of that slice's record. Methods evaluate
 //! their body against the same object instead.
+//!
+//! Everything about that which does not depend on the object — the
+//! definition's key, its default or method body, and for every class able
+//! to store it the field index and the slice-hop distance — is compiled once
+//! per `(class, name)` into an access plan kept with the class's resolved
+//! type (`Schema::access_plan`). A read is then one plan lookup, one look
+//! at the object map and one store read. The only resolution left per
+//! object is the slow path behind a plan miss: a hide or union class that is
+//! not classified into the DAG yet has no type of its own, and delegates to
+//! whichever source the object belongs to.
 
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use tse_storage::{current_read_epoch, StorageError, WriteStampGuard};
 
@@ -14,11 +26,13 @@ use crate::class::ClassKind;
 use crate::database::Database;
 use crate::derivation::Derivation;
 use crate::error::{ModelError, ModelResult};
-use crate::ids::{ClassId, Oid, PropKey};
+use crate::ids::{ClassId, Oid};
 use crate::method::{eval_body, AttrSource};
-use crate::property::PropKind;
-use crate::schema::Candidate;
+use crate::schema::{AccessPlan, Candidate, PlanKind};
 use crate::value::Value;
+
+#[cfg(test)]
+mod reference;
 
 /// Maximum method-evaluation recursion depth (methods calling methods).
 const MAX_METHOD_DEPTH: u32 = 32;
@@ -30,72 +44,69 @@ impl Database {
         Ok(rt.get_unique(class, name)?.clone())
     }
 
-    /// Resolve a property for a specific object, with an upward-operator
-    /// fallback: a hide/union class that has not (yet) been classified into
-    /// the DAG owns no inherited properties, but an *object* accessed through
-    /// it can still delegate resolution to the source class(es) it belongs
-    /// to — the value is identical by object preservation.
-    fn resolve_for_object(&self, oid: Oid, via: ClassId, name: &str) -> ModelResult<Candidate> {
-        match self.resolve(via, name) {
-            Ok(c) => Ok(c),
+    /// The access plan of `name` for a specific object seen through `via`:
+    /// the plan of `(via, name)`, or — when `via` does not know the name —
+    /// the slow path of [`Database::plan_via_sources`].
+    fn plan_for_object(&self, oid: Oid, via: ClassId, name: &str) -> ModelResult<Arc<AccessPlan>> {
+        match self.schema.access_plan(via, name) {
             Err(err @ ModelError::UnknownProperty { .. }) => {
-                if let ClassKind::Virtual(d) = &self.schema.class(via)?.kind {
-                    match d.clone() {
-                        Derivation::Hide { src, hidden } if !hidden.iter().any(|h| h == name) => {
-                            return self.resolve_for_object(oid, src, name);
-                        }
-                        Derivation::Union { a, b } => {
-                            if self.is_member(oid, a)? {
-                                if let Ok(c) = self.resolve_for_object(oid, a, name) {
-                                    return Ok(c);
-                                }
-                            }
-                            if self.is_member(oid, b)? {
-                                return self.resolve_for_object(oid, b, name);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                Err(err)
+                self.plan_via_sources(oid, via, name, err)
             }
-            Err(e) => Err(e),
+            plan => plan,
         }
     }
 
-    /// Read a property (stored attribute or method) through a perspective.
-    pub fn read_attr(&self, oid: Oid, via: ClassId, name: &str) -> ModelResult<Value> {
-        self.read_attr_depth(oid, via, name, 0)
-    }
-
-    fn read_attr_depth(
+    /// Upward-operator fallback: a hide/union class that has not (yet) been
+    /// classified into the DAG owns no inherited properties, but an *object*
+    /// accessed through it can still delegate resolution to the source
+    /// class(es) it belongs to — the value is identical by object
+    /// preservation. Which source answers depends on the object, so nothing
+    /// here is cached; the plan returned is the source's own.
+    fn plan_via_sources(
         &self,
         oid: Oid,
         via: ClassId,
         name: &str,
-        depth: u32,
-    ) -> ModelResult<Value> {
-        if depth > MAX_METHOD_DEPTH {
-            return Err(ModelError::MethodEval(format!("recursion limit at {name:?}")));
-        }
-        let cand = self.resolve_for_object(oid, via, name)?;
-        let (_, def) = self.schema.def_by_key(cand.key)?;
-        match def.kind.clone() {
-            PropKind::Stored { default, .. } => self.read_stored(oid, via, cand.key, default),
-            PropKind::Method { body, .. } => {
-                let src = ObjAttrSource { db: self, oid, via, depth: depth + 1 };
-                eval_body(&body, &src)
+        err: ModelError,
+    ) -> ModelResult<Arc<AccessPlan>> {
+        if let ClassKind::Virtual(d) = &self.schema.class(via)?.kind {
+            match d {
+                Derivation::Hide { src, hidden } if !hidden.iter().any(|h| h == name) => {
+                    return self.plan_for_object(oid, *src, name);
+                }
+                Derivation::Union { a, b } => {
+                    if self.is_member(oid, *a)? {
+                        if let Ok(plan) = self.plan_for_object(oid, *a, name) {
+                            return Ok(plan);
+                        }
+                    }
+                    if self.is_member(oid, *b)? {
+                        return self.plan_for_object(oid, *b, name);
+                    }
+                }
+                _ => {}
             }
         }
+        Err(err)
     }
 
-    fn read_stored(
-        &self,
-        oid: Oid,
-        via: ClassId,
-        key: PropKey,
-        default: Value,
-    ) -> ModelResult<Value> {
+    /// Read a property (stored attribute or method) through a perspective.
+    pub fn read_attr(&self, oid: Oid, via: ClassId, name: &str) -> ModelResult<Value> {
+        let plan = self.plan_for_object(oid, via, name)?;
+        self.bind_attrs(via).eval(oid, &plan, 0)
+    }
+
+    /// Bind property names at `via` for one evaluation pass: every name a
+    /// predicate or method body mentions is resolved to its plan the first
+    /// time it is read and reused for every further object, so filtering an
+    /// extent costs one resolution per name, not one per member.
+    pub fn bind_attrs(&self, via: ClassId) -> AttrBindings<'_> {
+        AttrBindings { db: self, via, bound: RefCell::new(Vec::new()) }
+    }
+
+    /// Read a stored attribute of `oid` as `plan` describes it: find the
+    /// object's home slice for the plan's key and read the one field.
+    fn read_stored(&self, oid: Oid, plan: &AccessPlan, default: &Value) -> ModelResult<Value> {
         let epoch = current_read_epoch();
         let (home, rec) = {
             let objects = self.objects.read();
@@ -104,41 +115,29 @@ impl Database {
                 // Dead at (or created after) the reader's epoch.
                 return Err(ModelError::UnknownObject(oid));
             }
-            let home = match entry.home_of.get(&key) {
+            let home = match entry.home_of.get(&plan.key) {
                 Some(h) => *h,
                 // Never written → default value, no storage materialized.
-                None => return Ok(default),
+                None => return Ok(default.clone()),
             };
             (home, entry.slices.get(&home).copied())
         };
+        let slot = plan.home(home)?;
         // Slice-hop accounting: distance between perspective and home class.
-        let hops = self
-            .schema
-            .up_distance(via, home)
-            .or_else(|| self.schema.up_distance(home, via))
-            .unwrap_or(1) as u64;
-        self.slice_hops.fetch_add(hops, Ordering::Relaxed);
+        self.slice_hops.fetch_add(slot.hops, Ordering::Relaxed);
         let rec = match rec {
             Some(r) => r,
-            None => return Ok(default),
+            None => return Ok(default.clone()),
         };
-        let idx = self
-            .schema
-            .class(home)?
-            .layout_index(key)
-            .ok_or_else(|| ModelError::Invalid(format!("home {home} lost layout for {key}")))?;
-        let len = match self.store.field_count(rec) {
-            Ok(len) => len,
+        match self.store.read_field(rec, slot.index) {
+            Ok(value) => Ok(value),
+            // Slice predates a layout extension: value was never written.
+            Err(StorageError::FieldOutOfBounds { .. }) => Ok(default.clone()),
             // The slice was materialized after this reader's pinned epoch:
             // at that epoch the attribute had never been written.
-            Err(StorageError::UnknownRecord { .. }) if epoch.is_some() => return Ok(default),
-            Err(e) => return Err(e.into()),
-        };
-        if idx >= len {
-            // Slice predates a layout extension: value was never written.
-            return Ok(default);
+            Err(StorageError::UnknownRecord { .. }) if epoch.is_some() => Ok(default.clone()),
+            Err(e) => Err(e.into()),
         }
-        Ok(self.store.read_field(rec, idx)?)
     }
 
     /// Invoke a property with *dynamic dispatch* (late binding): instead of
@@ -150,7 +149,7 @@ impl Database {
     pub fn invoke(&self, oid: Oid, via: ClassId, name: &str) -> ModelResult<Value> {
         // The static resolution must exist (the caller's type must know the
         // name at all).
-        self.resolve_for_object(oid, via, name)?;
+        self.plan_for_object(oid, via, name)?;
         let direct = self
             .objects
             .read()
@@ -197,11 +196,9 @@ impl Database {
         name: &str,
         value: Value,
     ) -> ModelResult<()> {
-        let cand = self.resolve_for_object(oid, via, name)?;
-        let (_, def) = self.schema.def_by_key(cand.key)?;
-        let (vtype, required) = match &def.kind {
-            PropKind::Stored { vtype, required, .. } => (vtype.clone(), *required),
-            PropKind::Method { .. } => return Err(ModelError::NotStored(name.to_string())),
+        let plan = self.plan_for_object(oid, via, name)?;
+        let PlanKind::Stored { vtype, required, .. } = &plan.kind else {
+            return Err(ModelError::NotStored(name.to_string()));
         };
         if !vtype.admits(&value) {
             return Err(ModelError::TypeMismatch {
@@ -210,7 +207,7 @@ impl Database {
                 got: format!("{value:?}"),
             });
         }
-        if required && value == Value::Null {
+        if *required && value == Value::Null {
             return Err(ModelError::TypeMismatch {
                 name: name.to_string(),
                 expected: "non-null (REQUIRED)".into(),
@@ -218,14 +215,14 @@ impl Database {
             });
         }
         if self.schema.constraint_count() == 0 {
-            return self.write_stored(oid, via, cand.key, value);
+            return self.write_stored(oid, via, &plan, value);
         }
         let old = self.read_attr(oid, via, name)?;
-        self.write_stored(oid, via, cand.key, value)?;
+        self.write_stored(oid, via, &plan, value)?;
         if let Err(e) = self.check_constraints(oid) {
             // Refuse the update: restore the previous value (§3.3's
             // "or even to refuse the update").
-            self.write_stored(oid, via, cand.key, old)?;
+            self.write_stored(oid, via, &plan, old)?;
             return Err(e);
         }
         Ok(())
@@ -235,16 +232,12 @@ impl Database {
         &self,
         oid: Oid,
         via: ClassId,
-        key: PropKey,
+        plan: &AccessPlan,
         value: Value,
     ) -> ModelResult<()> {
-        let home = self.bind_home(oid, via, key)?;
+        let home = self.bind_home(oid, via, plan.key)?;
         let rec = self.ensure_slice(oid, home)?;
-        let idx = self
-            .schema
-            .class(home)?
-            .layout_index(key)
-            .ok_or_else(|| ModelError::Invalid(format!("home {home} lost layout for {key}")))?;
+        let idx = plan.home(home)?.index;
         // The store stamps the write with the ambient stamp, so the values
         // clock and the record version agree on when it happened.
         let stamp = self.write_stamp();
@@ -262,16 +255,378 @@ impl Database {
     }
 }
 
+/// Property names bound to their access plans at one class perspective,
+/// for one evaluation pass over any number of objects (see
+/// [`Database::bind_attrs`]). Only names the perspective itself knows are
+/// bound; a name that takes the hide/union fallback is resolved per object.
+pub struct AttrBindings<'a> {
+    db: &'a Database,
+    via: ClassId,
+    bound: RefCell<Vec<(Box<str>, Arc<AccessPlan>)>>,
+}
+
+impl AttrBindings<'_> {
+    /// The attribute source of one object under these bindings.
+    pub fn source(&self, oid: Oid) -> ObjAttrSource<'_> {
+        ObjAttrSource { bindings: self, oid, depth: 0 }
+    }
+
+    fn plan(&self, oid: Oid, name: &str) -> ModelResult<Arc<AccessPlan>> {
+        if let Some((_, plan)) = self.bound.borrow().iter().find(|(n, _)| **n == *name) {
+            return Ok(Arc::clone(plan));
+        }
+        match self.db.schema.access_plan(self.via, name) {
+            Ok(plan) => {
+                self.bound.borrow_mut().push((name.into(), Arc::clone(&plan)));
+                Ok(plan)
+            }
+            Err(err @ ModelError::UnknownProperty { .. }) => {
+                self.db.plan_via_sources(oid, self.via, name, err)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    fn read(&self, oid: Oid, name: &str, depth: u32) -> ModelResult<Value> {
+        if depth > MAX_METHOD_DEPTH {
+            return Err(ModelError::MethodEval(format!("recursion limit at {name:?}")));
+        }
+        let plan = self.plan(oid, name)?;
+        self.eval(oid, &plan, depth)
+    }
+
+    /// Read what `plan` describes for `oid`; a method evaluates its body
+    /// against the same object, one level deeper, under the same bindings.
+    fn eval(&self, oid: Oid, plan: &AccessPlan, depth: u32) -> ModelResult<Value> {
+        match &plan.kind {
+            PlanKind::Stored { default, .. } => self.db.read_stored(oid, plan, default),
+            PlanKind::Method { body } => {
+                eval_body(body, &ObjAttrSource { bindings: self, oid, depth: depth + 1 })
+            }
+        }
+    }
+}
+
 /// Attribute source for method/predicate evaluation against one object.
-pub(crate) struct ObjAttrSource<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) oid: Oid,
-    pub(crate) via: ClassId,
-    pub(crate) depth: u32,
+pub struct ObjAttrSource<'a> {
+    bindings: &'a AttrBindings<'a>,
+    oid: Oid,
+    depth: u32,
 }
 
 impl AttrSource for ObjAttrSource<'_> {
     fn get(&self, name: &str) -> ModelResult<Value> {
-        self.db.read_attr_depth(self.oid, self.via, name, self.depth)
+        self.bindings.read(self.oid, name, self.depth)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+    use tse_storage::ReadEpochGuard;
+
+    use super::reference::Reference;
+    use super::*;
+    use crate::method::{BinOp, MethodBody};
+    use crate::predicate::{CmpOp, Predicate};
+    use crate::property::PropertyDef;
+    use crate::value::ValueType;
+
+    fn attr(name: &str) -> MethodBody {
+        MethodBody::Attr(name.into())
+    }
+
+    fn int(default: i64) -> impl Fn(&str) -> crate::property::PendingProp {
+        move |name| PropertyDef::stored(name, ValueType::Int, Value::Int(default))
+    }
+
+    /// A database under random evolution, with everything a read can name.
+    struct World {
+        db: Database,
+        oids: Vec<Oid>,
+        /// Every property name ever in use, including renamed-away ones
+        /// (they must fail the same way on both paths).
+        names: BTreeSet<String>,
+        /// The reads the last check saw succeed: their plans are cached, so
+        /// the next check repeats them before any read that could miss —
+        /// a miss resolves a type, and resolving a type is what notices a
+        /// moved generation.
+        hot: Vec<(Oid, ClassId, String)>,
+    }
+
+    /// The university diamond with stored attributes of three types, a
+    /// method, and a method calling a method. Objects are created with some
+    /// attributes written and the rest left at their defaults.
+    fn world() -> World {
+        let mut db = Database::default();
+        let s = db.schema_mut();
+        let person = s.create_base_class("Person", &[]).unwrap();
+        let student = s.create_base_class("Student", &[person]).unwrap();
+        let staff = s.create_base_class("Staff", &[person]).unwrap();
+        let ta = s.create_base_class("TA", &[student, staff]).unwrap();
+        let stored = |n: &str, t, d| PropertyDef::stored(n, t, d);
+        s.add_local_prop(person, stored("name", ValueType::Str, Value::Null), None).unwrap();
+        s.add_local_prop(person, int(0)("age"), None).unwrap();
+        s.add_local_prop(student, stored("gpa", ValueType::Float, Value::Float(0.0)), None)
+            .unwrap();
+        s.add_local_prop(staff, int(100)("salary"), None).unwrap();
+        s.add_local_prop(ta, stored("lecture", ValueType::Str, Value::Null), None).unwrap();
+        let adult = MethodBody::bin(BinOp::Ge, attr("age"), MethodBody::Const(Value::Int(18)));
+        s.add_local_prop(person, PropertyDef::method("is_adult", ValueType::Bool, adult), None)
+            .unwrap();
+        let paid = MethodBody::bin(
+            BinOp::And,
+            attr("is_adult"),
+            MethodBody::bin(BinOp::Gt, attr("salary"), MethodBody::Const(Value::Int(0))),
+        );
+        s.add_local_prop(staff, PropertyDef::method("paid_adult", ValueType::Bool, paid), None)
+            .unwrap();
+
+        let mut oids = Vec::new();
+        for (i, class) in [person, student, staff, ta, ta, student].into_iter().enumerate() {
+            let name = Value::Str(format!("o{i}"));
+            let o = match i % 3 {
+                0 => db.create_object(class, &[]).unwrap(),
+                1 => db.create_object(class, &[("name", name)]).unwrap(),
+                _ => db.create_object(class, &[("name", name), ("age", Value::Int(17 + i as i64))])
+                    .unwrap(),
+            };
+            oids.push(o);
+        }
+        let names =
+            ["name", "age", "gpa", "salary", "lecture", "is_adult", "paid_adult", "nope"]
+                .map(String::from)
+                .into();
+        World { db, oids, names, hot: Vec::new() }
+    }
+
+    impl World {
+        fn class(&self, pick: usize) -> ClassId {
+            let ids: Vec<ClassId> = self.db.schema().class_ids().collect();
+            ids[pick % ids.len()]
+        }
+
+        /// A live, named class with a local property; `None` if the pick has none.
+        fn local_of(&self, pick: usize, nth: usize) -> Option<(ClassId, String)> {
+            let class = self.class(pick);
+            let locals = self.db.schema().class(class).ok()?.locals();
+            Some((class, locals.get(nth % locals.len().max(1))?.def.name.clone()))
+        }
+
+        /// One random mutation of the schema or the population. Every kind
+        /// of schema mutation moves `generation`; none may leave a plan
+        /// behind that still answers.
+        fn step(&mut self, tag: usize, op: usize, a: usize, b: usize) {
+            let (ca, cb) = (self.class(a), self.class(b));
+            match op % 10 {
+                // Unclassified hide: its type is empty, reads take the slow path.
+                0 => {
+                    let hidden = self.local_of(a, b).map(|(_, n)| vec![n]).unwrap_or_default();
+                    let d = Derivation::Hide { src: ca, hidden };
+                    let _ = self.db.schema_mut().create_virtual_class(&format!("H{tag}"), d);
+                }
+                // Unclassified union: the answering source depends on the object.
+                1 => {
+                    let d = Derivation::Union { a: ca, b: cb };
+                    let _ = self.db.schema_mut().create_virtual_class(&format!("U{tag}"), d);
+                }
+                2 => {
+                    let pred = Predicate::cmp("age", CmpOp::Ge, (a % 30) as i64);
+                    let d = Derivation::Select { src: ca, pred };
+                    let _ = self.db.schema_mut().create_virtual_class(&format!("S{tag}"), d);
+                }
+                // What an evolve does: a refine class with a new stored
+                // attribute, wired below its source, written for some members.
+                3 => {
+                    let name = format!("x{tag}");
+                    let made = self.db.schema_mut().create_refine_class(
+                        &format!("R{tag}"),
+                        ca,
+                        vec![int(tag as i64)(&name)],
+                        vec![],
+                    );
+                    if let Ok(refined) = made {
+                        let _ = self.db.schema_mut().add_edge(ca, refined);
+                        for (i, o) in self.oids.clone().into_iter().enumerate() {
+                            if i % 2 == b % 2 {
+                                let _ = self.db.write_attr(o, refined, &name, Value::Int(7));
+                            }
+                        }
+                        self.names.insert(name);
+                    }
+                }
+                // Layout extension: slices written before it are one field short.
+                4 => {
+                    let name = format!("y{tag}");
+                    if self.db.schema().class(ca).is_ok_and(|c| c.is_base())
+                        && self.db.schema_mut().add_local_prop(ca, int(-1)(&name), None).is_ok()
+                    {
+                        let o = self.oids[b % self.oids.len()];
+                        let _ = self.db.write_attr(o, ca, &name, Value::Int(tag as i64));
+                        self.names.insert(name);
+                    }
+                }
+                5 => {
+                    if let Some((class, old)) = self.local_of(a, b) {
+                        let new = format!("r{tag}");
+                        if self.db.schema_mut().rename_local_prop(class, &old, &new).is_ok() {
+                            self.names.insert(new);
+                        }
+                    }
+                }
+                6 => {
+                    let _ = self.db.schema_mut().rename_class(ca, &format!("K{tag}"));
+                }
+                // Promotion as hide/union classification does it: the
+                // definition moves up, the storage capability stays.
+                7 => {
+                    if let Some((class, name)) = self.local_of(a, b) {
+                        let s = self.db.schema_mut();
+                        let up = s.create_base_class(&format!("Up{tag}"), &[]).unwrap();
+                        if s.add_edge(up, class).is_ok() {
+                            let _ = s.promote_prop(class, &name, up);
+                        }
+                    }
+                }
+                8 => {
+                    let o = self.oids[a % self.oids.len()];
+                    let name = self.names.iter().nth(b % self.names.len()).unwrap().clone();
+                    for class in self.db.schema().class_ids().collect::<Vec<_>>() {
+                        let value = Value::Int(tag as i64 + 40);
+                        if self.db.write_attr(o, class, &name, value).is_ok() {
+                            break;
+                        }
+                    }
+                }
+                _ => {
+                    if a % 2 == 1 {
+                        if let Ok(o) = self.db.create_object(ca, &[]) {
+                            self.oids.push(o);
+                        }
+                    } else {
+                        let _ = self.db.delete_object(self.oids[b % self.oids.len()]);
+                    }
+                }
+            }
+        }
+
+        /// Planned and unplanned reads of every `(object, class, name)`
+        /// agree — on the value, on the error, and (where the perspective
+        /// itself knows the name) on the slice hops counted. Every planned
+        /// read comes before the first unplanned one: the reference resolves
+        /// types, which would refresh a cache the planned path had wrongly
+        /// left stale.
+        fn check(&mut self) -> Result<(), TestCaseError> {
+            let hops = |db: &Database| db.slice_hops.load(Ordering::Relaxed);
+            let mut triples = std::mem::take(&mut self.hot);
+            for class in self.db.schema().class_ids() {
+                for name in &self.names {
+                    triples.extend(self.oids.iter().map(|oid| (*oid, class, name.clone())));
+                }
+            }
+            let mut reads = Vec::new();
+            for (oid, class, name) in triples {
+                let before = hops(&self.db);
+                let planned = self.db.read_attr(oid, class, &name);
+                if planned.is_ok() {
+                    self.hot.push((oid, class, name.clone()));
+                }
+                reads.push((oid, class, name, planned, hops(&self.db) - before));
+            }
+            let reference = Reference::new(&self.db);
+            for (oid, class, name, planned, planned_hops) in reads {
+                let before = reference.slice_hops.load(Ordering::Relaxed);
+                let unplanned = reference.read_attr(oid, class, &name);
+                prop_assert_eq!(
+                    &planned, &unplanned,
+                    "read of {} through {} of {}", name, class, oid
+                );
+                if self.db.resolve(class, &name).is_ok() {
+                    prop_assert_eq!(
+                        planned_hops,
+                        reference.slice_hops.load(Ordering::Relaxed) - before,
+                        "hops of {} through {} of {}", name, class, oid
+                    );
+                }
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+        /// After every step of a random define / evolve / extend / rename /
+        /// promote / write sequence, the planned read path answers exactly
+        /// as the from-scratch reference does: for stored attributes and
+        /// methods, written and never-written attributes, slices older than
+        /// a layout extension, unclassified hide and union classes, names
+        /// that no longer resolve — at the latest epoch and for a reader
+        /// pinned before any of the sequence's slices existed.
+        #[test]
+        fn planned_reads_match_the_unplanned_reference(
+            ops in proptest::collection::vec((0usize..10, 0usize..64, 0usize..64), 1..12),
+        ) {
+            let mut w = world();
+            let early = w.db.store().pin_read();
+            w.check()?;
+            for (tag, (op, a, b)) in ops.into_iter().enumerate() {
+                w.step(tag, op, a, b);
+                w.check()?;
+                let _pinned = ReadEpochGuard::new(early.epoch());
+                w.check()?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_generation_bump_drops_every_plan() {
+        let mut db = Database::default();
+        let c = db.schema_mut().create_base_class("C", &[]).unwrap();
+        db.schema_mut().add_local_prop(c, int(1)("x"), None).unwrap();
+        let o = db.create_object(c, &[]).unwrap();
+        assert_eq!(db.read_attr(o, c, "x").unwrap(), Value::Int(1));
+        let first = db.schema().access_plan(c, "x").unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &db.schema().access_plan(c, "x").unwrap()),
+            "a second lookup is served from the cache"
+        );
+
+        // The name moves to another definition with another default: the
+        // old plan's key and default must not be served again.
+        db.schema_mut().rename_local_prop(c, "x", "was_x").unwrap();
+        db.schema_mut().add_local_prop(c, int(2)("x"), None).unwrap();
+        let second = db.schema().access_plan(c, "x").unwrap();
+        assert_ne!(first.key, second.key);
+        assert_eq!(db.read_attr(o, c, "x").unwrap(), Value::Int(2));
+        assert_eq!(db.read_attr(o, c, "was_x").unwrap(), Value::Int(1));
+
+        // A mutation that leaves this class's type alone drops them too:
+        // the rule is the resolved type's, one generation for the schema.
+        db.schema_mut().create_base_class("Elsewhere", &[]).unwrap();
+        assert!(!Arc::ptr_eq(&second, &db.schema().access_plan(c, "x").unwrap()));
+
+        // Misses are not cached: a name that starts to resolve is found.
+        assert!(matches!(db.read_attr(o, c, "z"), Err(ModelError::UnknownProperty { .. })));
+        db.schema_mut().add_local_prop(c, int(3)("z"), None).unwrap();
+        assert_eq!(db.read_attr(o, c, "z").unwrap(), Value::Int(3));
+    }
+
+    #[test]
+    fn a_predicate_pass_binds_each_name_once() {
+        let w = world();
+        let person = w.db.schema().by_name("Person").unwrap();
+        let bound = w.db.bind_attrs(person);
+        let pred = Predicate::cmp("age", CmpOp::Ge, 18).and(Predicate::IsSet("name".into()));
+        for &oid in &w.oids {
+            let through_bindings = pred.eval(&bound.source(oid)).unwrap();
+            let one_by_one = pred.eval(&w.db.bind_attrs(person).source(oid)).unwrap();
+            assert_eq!(through_bindings, one_by_one);
+        }
+        let bound = bound.bound.borrow();
+        let names: Vec<&str> = bound.iter().map(|(n, _)| &**n).collect();
+        assert_eq!(names, ["age", "name"], "two names, bound once each for six objects");
     }
 }

@@ -36,7 +36,6 @@ use tse_storage::{
     StoreConfig, StoreStats, TxnToken,
 };
 
-use crate::access::ObjAttrSource;
 use crate::class::ClassKind;
 use crate::derivation::Derivation;
 use crate::error::{ModelError, ModelResult};
@@ -721,7 +720,7 @@ impl Database {
         Ok(match derivation {
             Derivation::Select { src, pred } => {
                 self.member_via(oid, direct, *src)?
-                    && pred.eval(&ObjAttrSource { db: self, oid, via: *src, depth: 0 })?
+                    && pred.eval(&self.bind_attrs(*src).source(oid))?
             }
             Derivation::Hide { src, .. } | Derivation::Refine { src, .. } => {
                 self.member_via(oid, direct, *src)?
@@ -809,7 +808,7 @@ impl Database {
             Derivation::Select { src, pred } => {
                 let mut out = BTreeSet::new();
                 for oid in self.extent_uncached(*src)? {
-                    if pred.eval(&ObjAttrSource { db: self, oid, via: *src, depth: 0 })? {
+                    if pred.eval(&self.bind_attrs(*src).source(oid))? {
                         out.insert(oid);
                     }
                 }
@@ -901,10 +900,10 @@ impl Database {
             ClassKind::Virtual(derivation) => match derivation {
                 Derivation::Select { src, pred } => {
                     let (base, _) = self.extent_rec(*src, at, work)?;
+                    let bound = self.bind_attrs(*src);
                     let mut out = BTreeSet::new();
                     for oid in base.iter() {
-                        let src_view = ObjAttrSource { db: self, oid: *oid, via: *src, depth: 0 };
-                        if pred.eval(&src_view)? {
+                        if pred.eval(&bound.source(*oid))? {
                             out.insert(*oid);
                         }
                     }
@@ -966,8 +965,7 @@ impl Database {
                 continue;
             }
             let pred = self.schema.class(c)?.constraint().cloned().expect("filtered");
-            let src = ObjAttrSource { db: self, oid, via: c, depth: 0 };
-            if !pred.eval(&src)? {
+            if !pred.eval(&self.bind_attrs(c).source(oid))? {
                 return Err(ModelError::Invalid(format!(
                     "class constraint of {} refused the update on {oid}: {}",
                     self.schema.class(c)?.name,

@@ -29,6 +29,7 @@ mod schema;
 pub mod snapshot;
 mod value;
 
+pub use access::{AttrBindings, ObjAttrSource};
 pub use class::{Class, ClassKind};
 pub use codec::{get_pending_prop, put_pending_prop};
 pub use database::{Database, EvolutionTxn, ObjRef, SlicingStats};

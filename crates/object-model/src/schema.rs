@@ -22,7 +22,9 @@ use crate::class::{Class, ClassKind};
 use crate::derivation::Derivation;
 use crate::error::{ModelError, ModelResult};
 use crate::ids::{ClassId, PropKey};
-use crate::property::{LocalProp, PendingProp, PropertyDef};
+use crate::method::MethodBody;
+use crate::property::{LocalProp, PendingProp, PropKind, PropertyDef};
+use crate::value::{Value, ValueType};
 
 /// Name of the implicit root class (the paper's `OBJECT`/`ROOT`).
 pub const ROOT_CLASS: &str = "Object";
@@ -127,10 +129,65 @@ impl ResolvedType {
     }
 }
 
+/// How one property name is accessed through one class: the name resolved
+/// ahead of time to a definition, what reading or writing it needs from that
+/// definition, and where its value can live. Compiled on the first access of
+/// `(class, name)` and kept with the class's resolved type, so it is valid
+/// exactly as long as that is (see [`Schema::access_plan`]).
+#[derive(Debug)]
+pub(crate) struct AccessPlan {
+    /// Identity of the definition the name resolves to.
+    pub(crate) key: PropKey,
+    pub(crate) kind: PlanKind,
+    /// Every class with storage capability for `key`. An object's value
+    /// lives in the slice of exactly one of them (its home, bound on first
+    /// write); which one is a per-object fact, so the plan lists them all.
+    homes: Vec<HomeSlot>,
+}
+
+/// What the definition behind a plan is.
+#[derive(Debug)]
+pub(crate) enum PlanKind {
+    /// A stored attribute: the value read when nothing was ever written,
+    /// and what a write is checked against.
+    Stored { default: Value, vtype: ValueType, required: bool },
+    /// A method: the body every evaluation shares.
+    Method { body: MethodBody },
+}
+
+/// One possible home of a plan's property.
+#[derive(Debug)]
+pub(crate) struct HomeSlot {
+    class: ClassId,
+    /// Field index of the property in the home's slice records.
+    pub(crate) index: usize,
+    /// Slice hops from the plan's class to the home: the is-a distance
+    /// upward, else downward, else 1 for unrelated classes.
+    pub(crate) hops: u64,
+}
+
+impl AccessPlan {
+    /// The slot of `home`, the class an object's value for this property
+    /// is bound to. Homes are only ever bound to classes that can store the
+    /// key, and layouts only grow, so a miss is a broken invariant.
+    pub(crate) fn home(&self, home: ClassId) -> ModelResult<&HomeSlot> {
+        self.homes.iter().find(|slot| slot.class == home).ok_or_else(|| {
+            ModelError::Invalid(format!("home {home} lost layout for {}", self.key))
+        })
+    }
+}
+
+/// One class's entry in the resolution cache: its resolved type and the
+/// access plans compiled against it so far.
+struct CachedType {
+    resolved: Arc<ResolvedType>,
+    plans: HashMap<Box<str>, Arc<AccessPlan>>,
+}
+
 #[derive(Default)]
 struct TypeCache {
     generation: u64,
-    map: HashMap<ClassId, Arc<ResolvedType>>,
+    map: HashMap<ClassId, CachedType>,
 }
 
 /// The global schema.
@@ -743,7 +800,7 @@ impl Schema {
             let cache = self.type_cache.lock();
             if cache.generation == self.generation {
                 if let Some(t) = cache.map.get(&class) {
-                    return Ok(Arc::clone(t));
+                    return Ok(Arc::clone(&t.resolved));
                 }
             }
         }
@@ -760,13 +817,64 @@ impl Schema {
         self.resolve_rec(class, &mut cache.map)
     }
 
+    /// The access plan of `name` at `class`: one lookup in the resolution
+    /// cache. A plan lives in its class's cache entry, so the rule that
+    /// drops a resolved type — any schema mutation moves `generation` —
+    /// drops the plans compiled against it, and nothing else has to know
+    /// they exist. A miss resolves the name the long way (with the errors
+    /// of [`ResolvedType::get_unique`], which are not cached) and compiles
+    /// the plan; classification and `evolve` never do.
+    pub(crate) fn access_plan(&self, class: ClassId, name: &str) -> ModelResult<Arc<AccessPlan>> {
+        {
+            let cache = self.type_cache.lock();
+            if cache.generation == self.generation {
+                if let Some(plan) = cache.map.get(&class).and_then(|t| t.plans.get(name)) {
+                    return Ok(Arc::clone(plan));
+                }
+            }
+        }
+        let resolved = self.resolved_type(class)?;
+        let key = resolved.get_unique(class, name)?.key;
+        let plan = Arc::new(self.compile_plan(class, key)?);
+        // `&self` pins the generation: the entry `resolved_type` just filled
+        // is still the current one.
+        if let Some(entry) = self.type_cache.lock().map.get_mut(&class) {
+            entry.plans.insert(name.into(), Arc::clone(&plan));
+        }
+        Ok(plan)
+    }
+
+    fn compile_plan(&self, class: ClassId, key: PropKey) -> ModelResult<AccessPlan> {
+        let (_, def) = self.def_by_key(key)?;
+        let (vtype, default, required) = match &def.kind {
+            PropKind::Stored { vtype, default, required } => (vtype, default, *required),
+            PropKind::Method { body, .. } => {
+                let kind = PlanKind::Method { body: body.clone() };
+                return Ok(AccessPlan { key, kind, homes: Vec::new() });
+            }
+        };
+        let mut homes = Vec::new();
+        for home in &self.classes {
+            if let Some(index) = home.layout_index(key) {
+                let hops = self
+                    .up_distance(class, home.id)
+                    .or_else(|| self.up_distance(home.id, class))
+                    .unwrap_or(1) as u64;
+                homes.push(HomeSlot { class: home.id, index, hops });
+            }
+        }
+        let kind =
+            PlanKind::Stored { default: default.clone(), vtype: vtype.clone(), required };
+        Ok(AccessPlan { key, kind, homes })
+    }
+
     fn resolve_rec(
         &self,
         class: ClassId,
-        memo: &mut HashMap<ClassId, Arc<ResolvedType>>,
+        memo: &mut HashMap<ClassId, CachedType>,
     ) -> ModelResult<Arc<ResolvedType>> {
         if let Some(t) = memo.get(&class) {
-            return Ok(Arc::clone(t));
+            return Ok(Arc::clone(&t.resolved));
         }
         let cls = self.class(class)?;
         let mut merged: BTreeMap<String, Vec<Candidate>> = BTreeMap::new();
@@ -883,7 +991,7 @@ impl Schema {
                 .map(|(name, candidates)| (name, ResolvedProp { candidates }))
                 .collect(),
         ));
-        memo.insert(class, Arc::clone(&resolved));
+        memo.insert(class, CachedType { resolved: Arc::clone(&resolved), plans: HashMap::new() });
         Ok(resolved)
     }
 

@@ -51,9 +51,11 @@ pub use json::JsonValue;
 pub use registry::MetricsSnapshot;
 pub use span::{JournalRecord, SpanGuard};
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -75,6 +77,41 @@ const TRACKED_WAITS: &[&str] = &[
     "wal.commit_wait_ns",
 ];
 
+/// A data-plane operation name with its metric names spelled out once, so
+/// counting an operation formats and allocates nothing: `op.<name>` (the
+/// counter) and `latency.<name>` (the histogram). Build one per operation
+/// with [`op_name!`] and keep it in a `const`.
+#[derive(Debug, Clone, Copy)]
+pub struct OpName {
+    name: &'static str,
+    counter: &'static str,
+    latency: &'static str,
+}
+
+impl OpName {
+    #[doc(hidden)]
+    pub const fn from_parts(
+        name: &'static str,
+        counter: &'static str,
+        latency: &'static str,
+    ) -> Self {
+        OpName { name, counter, latency }
+    }
+
+    /// The bare operation name (`get`, `create`, …).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+/// The [`OpName`] of a literal operation name: `op_name!("get")`.
+#[macro_export]
+macro_rules! op_name {
+    ($name:literal) => {
+        $crate::OpName::from_parts($name, concat!("op.", $name), concat!("latency.", $name))
+    };
+}
+
 /// One trace scope entered on a thread (innermost last on the stack).
 pub(crate) struct TraceScope {
     pub(crate) trace: u64,
@@ -83,22 +120,81 @@ pub(crate) struct TraceScope {
     pub(crate) follows_span: Option<u64>,
 }
 
-/// Per-thread span/trace context, registered with the shared domain the
-/// first time a thread opens a span, enters a trace, or emits an event.
+/// What one thread keeps for one domain without sharing it: the trace
+/// scopes it has entered and the waits of its current operation. Both are
+/// only ever touched by the thread itself, so they live in a thread-local
+/// and entering a trace or accumulating a wait takes no lock.
+struct LocalCtx {
+    domain: u64,
+    /// Dead once the domain is dropped: the context is then garbage.
+    owner: std::sync::Weak<Inner>,
+    traces: Vec<TraceScope>,
+    /// Tracked waits accumulated since the last [`Telemetry::observe_op`]
+    /// on this thread (name → summed ns).
+    waits: Vec<(&'static str, u64)>,
+}
+
+impl LocalCtx {
+    /// Nothing entered, nothing accumulated, or nobody left to report to.
+    fn is_idle(&self) -> bool {
+        (self.traces.is_empty() && self.waits.is_empty()) || self.owner.strong_count() == 0
+    }
+
+    fn add_wait(&mut self, name: &'static str, ns: u64) {
+        match self.waits.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, sum)) => *sum += ns,
+            None => self.waits.push((name, ns)),
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's contexts, one per domain it is active in. An idle
+    /// context is kept (with its capacity) until the thread turns to a
+    /// domain it has no context for, so steady traffic on one domain
+    /// allocates nothing and domains that come and go leave nothing behind.
+    static LOCAL: RefCell<Vec<LocalCtx>> = const { RefCell::new(Vec::new()) };
+}
+
+static NEXT_DOMAIN: AtomicU64 = AtomicU64::new(1);
+
+/// Run `f` on the calling thread's context for `domain`, creating it (and
+/// dropping other domains' idle contexts) on first touch. `None` only while
+/// the thread is being torn down.
+fn with_local<R>(domain: &Arc<Inner>, f: impl FnOnce(&mut LocalCtx) -> R) -> Option<R> {
+    LOCAL
+        .try_with(|local| {
+            let mut local = local.borrow_mut();
+            let at = match local.iter().position(|c| c.domain == domain.id) {
+                Some(at) => at,
+                None => {
+                    local.retain(|c| !c.is_idle());
+                    local.push(LocalCtx {
+                        domain: domain.id,
+                        owner: Arc::downgrade(domain),
+                        traces: Vec::new(),
+                        waits: Vec::new(),
+                    });
+                    local.len() - 1
+                }
+            };
+            f(&mut local[at])
+        })
+        .ok()
+}
+
+/// One thread's open spans in the shared domain. Span guards may be closed
+/// from any thread, so — unlike trace scopes — the stacks are shared state.
 pub(crate) struct ThreadCtx {
     /// Dense per-domain thread index (1-based), stamped on journal records
     /// as `tid`.
     pub(crate) tid: u64,
     pub(crate) stack: Vec<span::OpenSpan>,
-    pub(crate) traces: Vec<TraceScope>,
-    /// Tracked waits accumulated since the last [`Telemetry::observe_op`]
-    /// on this thread (name → summed ns).
-    pub(crate) waits: Vec<(&'static str, u64)>,
 }
 
 pub(crate) struct State {
-    pub(crate) counters: std::collections::BTreeMap<String, u64>,
-    pub(crate) histograms: std::collections::BTreeMap<String, Histogram>,
+    pub(crate) counters: HashMap<String, u64>,
+    pub(crate) histograms: HashMap<String, Histogram>,
     pub(crate) threads: HashMap<ThreadId, ThreadCtx>,
     /// Dense 1-based thread numbering, assigned on first touch and **kept
     /// for the domain's lifetime** even when the heavy [`ThreadCtx`] is
@@ -115,31 +211,52 @@ pub(crate) struct State {
 }
 
 impl State {
-    /// The calling thread's context, creating (and numbering) it on first
-    /// touch.
-    pub(crate) fn ctx(&mut self) -> &mut ThreadCtx {
-        let key = std::thread::current().id();
+    /// The calling thread's dense id, numbering it on first touch.
+    pub(crate) fn tid(&mut self) -> u64 {
         let next_tid = &mut self.next_tid;
-        let tid = *self.tids.entry(key).or_insert_with(|| {
+        *self.tids.entry(std::thread::current().id()).or_insert_with(|| {
             let tid = *next_tid;
             *next_tid += 1;
             tid
-        });
-        self.threads.entry(key).or_insert_with(|| ThreadCtx {
-            tid,
-            stack: Vec::new(),
-            traces: Vec::new(),
-            waits: Vec::new(),
         })
     }
 
-    /// Drop a thread context that holds nothing, so thread churn cannot
+    /// The calling thread's span stack, creating it on first touch.
+    pub(crate) fn ctx(&mut self) -> &mut ThreadCtx {
+        let tid = self.tid();
+        self.threads
+            .entry(std::thread::current().id())
+            .or_insert_with(|| ThreadCtx { tid, stack: Vec::new() })
+    }
+
+    /// The calling thread's innermost open span, if any.
+    pub(crate) fn innermost_span(&self) -> Option<&span::OpenSpan> {
+        self.threads.get(&std::thread::current().id()).and_then(|ctx| ctx.stack.last())
+    }
+
+    /// Drop a thread's span stack once it is empty, so thread churn cannot
     /// grow the map without bound.
     pub(crate) fn gc_ctx(&mut self, key: ThreadId) {
-        if let Some(ctx) = self.threads.get(&key) {
-            if ctx.stack.is_empty() && ctx.traces.is_empty() && ctx.waits.is_empty() {
-                self.threads.remove(&key);
+        if self.threads.get(&key).is_some_and(|ctx| ctx.stack.is_empty()) {
+            self.threads.remove(&key);
+        }
+    }
+
+    /// Add `by` to a counter without allocating when it exists.
+    pub(crate) fn bump(&mut self, name: &str, by: u64) {
+        match self.counters.get_mut(name) {
+            Some(count) => *count += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
             }
+        }
+    }
+
+    /// Record into a histogram without allocating when it exists.
+    pub(crate) fn record(&mut self, name: &str, value: u64) {
+        match self.histograms.get_mut(name) {
+            Some(hist) => hist.record(value),
+            None => self.histograms.entry(name.to_string()).or_default().record(value),
         }
     }
 
@@ -168,7 +285,7 @@ impl State {
                 *self.counters.entry("journal.sink_detached".into()).or_insert(0) += 1;
                 self.sink = None;
                 self.sink_records = 0;
-                let tid = self.ctx().tid;
+                let tid = self.tid();
                 let at_ns = match &rec {
                     JournalRecord::Event { at_ns, .. } => *at_ns,
                     JournalRecord::Span { start_ns, dur_ns, .. } => start_ns + dur_ns,
@@ -200,6 +317,8 @@ impl State {
 }
 
 pub(crate) struct Inner {
+    /// Process-unique id: keys this domain's thread-local contexts.
+    pub(crate) id: u64,
     pub(crate) epoch: Instant,
     pub(crate) state: Mutex<State>,
 }
@@ -231,7 +350,7 @@ pub struct TraceHandoff {
 /// [`Telemetry::handoff`] / [`Telemetry::adopt`].
 #[must_use = "a trace scope ends as soon as the guard drops"]
 pub struct TraceGuard {
-    telemetry: Telemetry,
+    domain: u64,
     owner: ThreadId,
     trace: u64,
 }
@@ -250,13 +369,16 @@ impl Drop for TraceGuard {
             std::thread::current().id(),
             "TraceGuard dropped on a different thread than it was entered on"
         );
-        let mut st = self.telemetry.inner.state.lock().unwrap();
-        if let Some(ctx) = st.threads.get_mut(&self.owner) {
-            if let Some(pos) = ctx.traces.iter().rposition(|s| s.trace == self.trace) {
-                ctx.traces.remove(pos);
+        // The guard holds no handle on the domain: if its context is gone
+        // (thread teardown, domain dropped and pruned) there is nothing to pop.
+        let _ = LOCAL.try_with(|local| {
+            let mut local = local.borrow_mut();
+            if let Some(ctx) = local.iter_mut().find(|c| c.domain == self.domain) {
+                if let Some(pos) = ctx.traces.iter().rposition(|s| s.trace == self.trace) {
+                    ctx.traces.remove(pos);
+                }
             }
-        }
-        st.gc_ctx(self.owner);
+        });
     }
 }
 
@@ -291,6 +413,7 @@ impl Telemetry {
     pub fn with_capacity(capacity: usize) -> Self {
         Telemetry {
             inner: Arc::new(Inner {
+                id: NEXT_DOMAIN.fetch_add(1, Ordering::Relaxed),
                 epoch: Instant::now(),
                 state: Mutex::new(State {
                     counters: Default::default(),
@@ -319,13 +442,7 @@ impl Telemetry {
 
     /// Add `by` to the named counter (creating it at zero).
     pub fn incr(&self, name: &str, by: u64) {
-        let mut st = self.inner.state.lock().unwrap();
-        match st.counters.get_mut(name) {
-            Some(count) => *count += by,
-            None => {
-                st.counters.insert(name.to_string(), by);
-            }
-        }
+        self.inner.state.lock().unwrap().bump(name, by);
     }
 
     /// Set the named counter to an absolute value (gauge semantics).
@@ -346,14 +463,9 @@ impl Telemetry {
     /// `wal.commit_wait_ns`) additionally accumulate into the calling
     /// thread's operation context for slow-op attribution.
     pub fn observe_ns(&self, name: &str, value: u64) {
-        let mut st = self.inner.state.lock().unwrap();
-        st.histograms.entry(name.to_string()).or_default().record(value);
+        self.inner.state.lock().unwrap().record(name, value);
         if let Some(tracked) = TRACKED_WAITS.iter().find(|w| **w == name) {
-            let ctx = st.ctx();
-            match ctx.waits.iter_mut().find(|(n, _)| n == tracked) {
-                Some((_, sum)) => *sum += value,
-                None => ctx.waits.push((tracked, value)),
-            }
+            with_local(&self.inner, |ctx| ctx.add_wait(tracked, value));
         }
     }
 
@@ -386,25 +498,44 @@ impl Telemetry {
     /// duration, and every tracked wait the calling thread accumulated
     /// since its previous measured operation (stripe/lock waits, WAL fsync
     /// and group-commit waits). The wait accumulators reset either way.
-    pub fn observe_op(&self, op: &str, dur_ns: u64) {
+    ///
+    /// `waited` is a tracked wait the caller measured itself during the
+    /// operation (`(histogram name, ns)`, e.g. its `lock.read_wait_ns`): it
+    /// is observed exactly as [`Telemetry::observe_ns`] would, but under
+    /// the lock this call takes anyway, so a fast operation costs one
+    /// acquisition of the registry, not two.
+    pub fn observe_op(&self, op: &OpName, dur_ns: u64, waited: Option<(&'static str, u64)>) {
         let dur_ns = dur_ns.max(1);
-        let at_ns = self.now_ns();
         let mut st = self.inner.state.lock().unwrap();
-        *st.counters.entry(format!("op.{op}")).or_insert(0) += 1;
-        st.histograms.entry(format!("latency.{op}")).or_default().record(dur_ns);
+        st.bump(op.counter, 1);
+        st.record(op.latency, dur_ns);
+        if let Some((name, ns)) = waited {
+            st.record(name, ns);
+        }
         let threshold = st.slow_op_threshold_ns;
-        let waits = std::mem::take(&mut st.ctx().waits);
-        if threshold > 0 && dur_ns >= threshold {
-            *st.counters.entry("slow_op.count".into()).or_insert(0) += 1;
+        let slow = threshold > 0 && dur_ns >= threshold;
+        // The thread's accumulated waits end with the operation; a slow one
+        // takes them along.
+        let waits = with_local(&self.inner, |ctx| {
+            if let Some((name, ns)) = waited {
+                ctx.add_wait(name, ns);
+            }
+            let waits = if slow { ctx.waits.clone() } else { Vec::new() };
+            ctx.waits.clear();
+            waits
+        });
+        if slow {
+            st.bump("slow_op.count", 1);
             let mut fields: Vec<(String, JsonValue)> = vec![
-                ("op".into(), op.into()),
+                ("op".into(), op.name.into()),
                 ("dur_ns".into(), dur_ns.into()),
                 ("threshold_ns".into(), threshold.into()),
             ];
-            for (name, sum) in waits {
+            for (name, sum) in waits.unwrap_or_default() {
                 fields.push((name.to_string(), sum.into()));
             }
-            let (tid, trace, parent) = stamp(&mut st);
+            let at_ns = self.now_ns();
+            let (tid, trace, parent) = self.stamp(&mut st);
             let rec = JournalRecord::Event { name: "slow_op".into(), at_ns, parent, trace, tid, fields };
             st.push_record(rec);
         }
@@ -421,7 +552,7 @@ impl Telemetry {
         let mut st = self.inner.state.lock().unwrap();
         let trace = st.next_trace_id;
         st.next_trace_id += 1;
-        let tid = st.ctx().tid;
+        let tid = st.tid();
         let rec = JournalRecord::Event {
             name: "trace.begin".into(),
             at_ns,
@@ -435,12 +566,22 @@ impl Telemetry {
     }
 
     /// Enter an existing trace on the current thread; spans and events
-    /// opened while the guard lives are stamped with it.
+    /// opened while the guard lives are stamped with it. The scope is the
+    /// thread's own, so entering and leaving it takes no lock.
     pub fn enter_trace(&self, trace: u64) -> TraceGuard {
-        let mut st = self.inner.state.lock().unwrap();
-        st.ctx().traces.push(TraceScope { trace, follows_span: None });
-        drop(st);
-        TraceGuard { telemetry: self.clone(), owner: std::thread::current().id(), trace }
+        self.push_scope(TraceScope { trace, follows_span: None })
+    }
+
+    fn push_scope(&self, scope: TraceScope) -> TraceGuard {
+        let trace = scope.trace;
+        with_local(&self.inner, |ctx| ctx.traces.push(scope));
+        TraceGuard { domain: self.inner.id, owner: std::thread::current().id(), trace }
+    }
+
+    /// The calling thread's innermost trace scope: `(trace, follows_span)`.
+    pub(crate) fn scope(&self) -> Option<(u64, Option<u64>)> {
+        with_local(&self.inner, |ctx| ctx.traces.last().map(|s| (s.trace, s.follows_span)))
+            .flatten()
     }
 
     /// Enter the trace already active on this thread, or mint a new one
@@ -462,14 +603,12 @@ impl Telemetry {
     /// enclosing trace when there is one.
     pub fn new_trace(&self, kind: &str) -> TraceGuard {
         let at_ns = self.now_ns();
+        let prev = self.current_trace();
         let mut st = self.inner.state.lock().unwrap();
         let trace = st.next_trace_id;
         st.next_trace_id += 1;
-        let ctx = st.ctx();
-        let prev = ctx.traces.last().map(|s| s.trace);
-        let follows_span = ctx.stack.last().map(|s| s.id);
-        let tid = ctx.tid;
-        ctx.traces.push(TraceScope { trace, follows_span });
+        let follows_span = st.innermost_span().map(|s| s.id);
+        let tid = st.tid();
         let mut fields: Vec<(String, JsonValue)> = vec![("kind".into(), kind.into())];
         if let Some(p) = prev {
             fields.push(("follows_from_trace".into(), p.into()));
@@ -484,22 +623,19 @@ impl Telemetry {
         };
         st.push_record(rec);
         drop(st);
-        TraceGuard { telemetry: self.clone(), owner: std::thread::current().id(), trace }
+        self.push_scope(TraceScope { trace, follows_span })
     }
 
     /// The trace active on the calling thread, if any.
     pub fn current_trace(&self) -> Option<u64> {
-        let mut st = self.inner.state.lock().unwrap();
-        st.ctx().traces.last().map(|s| s.trace)
+        self.scope().map(|(trace, _)| trace)
     }
 
     /// Capture the calling thread's trace context for handoff to another
     /// thread. `None` when no trace is active.
     pub fn handoff(&self) -> Option<TraceHandoff> {
-        let mut st = self.inner.state.lock().unwrap();
-        let ctx = st.ctx();
-        let trace = ctx.traces.last().map(|s| s.trace)?;
-        let span = ctx.stack.last().map(|s| s.id);
+        let trace = self.current_trace()?;
+        let span = self.inner.state.lock().unwrap().innermost_span().map(|s| s.id);
         Some(TraceHandoff { trace, span })
     }
 
@@ -508,20 +644,27 @@ impl Telemetry {
     /// `follows_from` link back to the captured span — explicit cross-
     /// thread causality instead of a corrupted global stack.
     pub fn adopt(&self, h: TraceHandoff) -> TraceGuard {
-        let mut st = self.inner.state.lock().unwrap();
-        st.ctx().traces.push(TraceScope { trace: h.trace, follows_span: h.span });
-        drop(st);
-        TraceGuard { telemetry: self.clone(), owner: std::thread::current().id(), trace: h.trace }
+        self.push_scope(TraceScope { trace: h.trace, follows_span: h.span })
     }
 
     // ----- events ------------------------------------------------------------
+
+    /// Current thread's journal stamp: `(tid, active trace, innermost open
+    /// span)`. Falls back to the innermost open span's trace when no trace
+    /// scope is entered (a span guard held across a scope exit keeps
+    /// attributing).
+    fn stamp(&self, st: &mut State) -> (u64, Option<u64>, Option<u64>) {
+        let innermost = st.innermost_span().map(|s| (s.id, s.trace));
+        let trace = self.current_trace().or_else(|| innermost.and_then(|(_, trace)| trace));
+        (st.tid(), trace, innermost.map(|(id, _)| id))
+    }
 
     /// Append a free-form event record to the journal, stamped with the
     /// calling thread's id and active trace.
     pub fn event(&self, name: &str, fields: &[(&str, JsonValue)]) {
         let at_ns = self.now_ns();
         let mut st = self.inner.state.lock().unwrap();
-        let (tid, trace, parent) = stamp(&mut st);
+        let (tid, trace, parent) = self.stamp(&mut st);
         let rec = JournalRecord::Event {
             name: name.to_string(),
             at_ns,
@@ -600,7 +743,7 @@ impl Telemetry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let st = self.inner.state.lock().unwrap();
         MetricsSnapshot {
-            counters: st.counters.clone(),
+            counters: st.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             histograms: st.histograms.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect(),
         }
     }
@@ -640,15 +783,6 @@ impl Telemetry {
         st.histograms.clear();
         st.journal.clear();
     }
-}
-
-/// Current thread's journal stamp: `(tid, active trace, innermost open span)`.
-/// Falls back to the innermost open span's trace when no trace scope is
-/// entered (a span guard held across a scope exit keeps attributing).
-pub(crate) fn stamp(st: &mut State) -> (u64, Option<u64>, Option<u64>) {
-    let ctx = st.ctx();
-    let trace = ctx.traces.last().map(|s| s.trace).or_else(|| ctx.stack.last().and_then(|s| s.trace));
-    (ctx.tid, trace, ctx.stack.last().map(|s| s.id))
 }
 
 #[cfg(test)]
@@ -841,12 +975,15 @@ mod tests {
         let t = Telemetry::new();
         t.set_slow_op_threshold_ns(1000);
         t.observe_ns("lock.stripe_wait_ns", 77);
-        t.observe_op("fast", 999);
+        t.observe_op(&op_name!("fast"), 999, None);
         assert_eq!(t.counter("slow_op.count"), 0, "below threshold: no event");
         t.observe_ns("lock.stripe_wait_ns", 500);
         t.observe_ns("lock.stripe_wait_ns", 11);
-        t.observe_op("slow", 5000);
+        // A wait the caller measured itself rides the same call: observed
+        // into its histogram and attributed like any other tracked wait.
+        t.observe_op(&op_name!("slow"), 5000, Some(("lock.read_wait_ns", 9)));
         assert_eq!(t.counter("slow_op.count"), 1);
+        assert_eq!(t.snapshot().histograms["lock.read_wait_ns"].sum, 9);
         let journal = t.journal();
         let slow = journal.iter().find(|r| r.name() == "slow_op").expect("slow_op event");
         match slow {
@@ -858,6 +995,9 @@ mod tests {
                 assert!(fields
                     .iter()
                     .any(|(k, v)| k == "lock.stripe_wait_ns" && *v == JsonValue::U64(511)));
+                assert!(fields
+                    .iter()
+                    .any(|(k, v)| k == "lock.read_wait_ns" && *v == JsonValue::U64(9)));
             }
             other => panic!("expected event, got {other:?}"),
         }

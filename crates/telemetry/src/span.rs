@@ -13,7 +13,7 @@
 //! adopted trace ([`Telemetry::adopt`]) with no same-thread parent carries a
 //! `follows_from` link to the span captured at handoff.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::json::JsonValue;
 use crate::Telemetry;
@@ -32,7 +32,6 @@ pub(crate) struct OpenSpan {
     pub(crate) follows_from: Option<u64>,
     pub(crate) name: String,
     pub(crate) start_ns: u64,
-    pub(crate) started: Instant,
     pub(crate) fields: Vec<(String, JsonValue)>,
 }
 
@@ -191,22 +190,22 @@ impl Telemetry {
     /// scope*; otherwise the span is a root and — under an adopted trace —
     /// carries a `follows_from` link to the handed-off span.
     pub fn span_with(&self, name: &str, fields: &[(&str, JsonValue)]) -> SpanGuard {
-        let start_ns = self.now_ns();
         let owner = std::thread::current().id();
+        let scope = self.scope();
+        let scope_trace = scope.map(|(trace, _)| trace);
         let mut st = self.inner.state.lock().unwrap();
+        // A span runs from after this lock to before the one that closes
+        // it, both on the domain's one clock: a child's interval lies inside
+        // its parent's however long either waited for the registry.
+        let start_ns = self.now_ns();
         let id = st.next_span_id;
         st.next_span_id += 1;
         let ctx = st.ctx();
-        let scope_trace = ctx.traces.last().map(|s| s.trace);
         let (parent, trace, follows_from) = match ctx.stack.last() {
             // Same-trace nesting (both None counts: untraced spans nest
             // under untraced spans, exactly the old behaviour per thread).
             Some(top) if top.trace == scope_trace => (Some(top.id), scope_trace, None),
-            _ => (
-                None,
-                scope_trace,
-                ctx.traces.last().and_then(|s| s.follows_span),
-            ),
+            _ => (None, scope_trace, scope.and_then(|(_, follows_span)| follows_span)),
         };
         ctx.stack.push(OpenSpan {
             id,
@@ -215,7 +214,6 @@ impl Telemetry {
             follows_from,
             name: name.to_string(),
             start_ns,
-            started: Instant::now(),
             fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
         });
         drop(st);
@@ -244,6 +242,7 @@ impl SpanGuard {
             return 0;
         }
         self.closed = true;
+        let end_ns = self.telemetry.now_ns();
         let mut st = self.telemetry.inner.state.lock().unwrap();
         // Pop this span — and any still-open children above it on the SAME
         // thread's stack (a child guard outliving its parent). Children are
@@ -267,15 +266,14 @@ impl SpanGuard {
         st.gc_ctx(self.owner);
         let mut dur_of_self = 0;
         for (frame, depth, tid) in frames {
-            let dur_ns = nonzero_ns(frame.started.elapsed());
+            let dur_ns = end_ns.saturating_sub(frame.start_ns).max(1);
             if frame.id == self.id {
                 dur_of_self = dur_ns;
             } else {
-                *st.counters.entry("span.leaked".into()).or_insert(0) += 1;
+                st.bump("span.leaked", 1);
             }
-            let hist_name = format!("span.{}", frame.name);
-            st.histograms.entry(hist_name).or_default().record(dur_ns);
-            *st.counters.entry(format!("span.{}.count", frame.name)).or_insert(0) += 1;
+            st.record(&format!("span.{}", frame.name), dur_ns);
+            st.bump(&format!("span.{}.count", frame.name), 1);
             st.push_record(JournalRecord::Span {
                 id: frame.id,
                 parent: frame.parent,

@@ -278,4 +278,83 @@ proptest! {
             }
         }
     }
+
+    /// Access plans through real evolutions: after every step of a random
+    /// evolve / rename / promote sequence, every `(member, class, attr)`
+    /// read through the live database — whose plan cache has been warm
+    /// since the first step — answers exactly as the same read through a
+    /// fresh fork of it, which starts cold and resolves from scratch.
+    /// (The verbatim pre-plan reader is `#[cfg(test)]` in `tse-object-model`
+    /// and is compared there, over object-model-level sequences.)
+    #[test]
+    fn planned_reads_stay_fresh_across_random_evolutions(
+        seed in 0u64..1000,
+        ops in proptest::collection::vec((0usize..10, 0usize..16, 0usize..16), 1..5),
+    ) {
+        let r = random_schema(&RandomSchemaParams {
+            classes: 6,
+            objects: 8,
+            seed,
+            ..Default::default()
+        }).unwrap();
+        let mut tse = r.tse;
+        // Reads that succeeded at the last step: their plans are cached, so
+        // they are repeated before any read that could miss (a miss
+        // resolves a type, which is what notices a moved generation).
+        let mut hot = Vec::new();
+        for (tag, (op, a, b)) in ops.into_iter().enumerate() {
+            let classes: Vec<_> = tse.db().schema().class_ids().collect();
+            let class = classes[a % classes.len()];
+            let locals = tse.db().schema().class(class).unwrap().locals();
+            let local = locals.get(b % locals.len().max(1)).map(|lp| lp.def.name.clone());
+            match (op, local) {
+                // Below the translator: the schema mutations an evolve is
+                // built from, applied to the global schema directly.
+                (7, Some(name)) => {
+                    let schema = tse.db_mut().schema_mut();
+                    let _ = schema.rename_local_prop(class, &name, &format!("rn_{tag}"));
+                }
+                (8, _) => {
+                    let _ = tse.db_mut().schema_mut().rename_class(class, &format!("RC_{tag}"));
+                }
+                (9, Some(name)) => {
+                    let schema = tse.db_mut().schema_mut();
+                    let up = schema.create_base_class(&format!("UP_{tag}"), &[]).unwrap();
+                    if schema.add_edge(up, class).is_ok() {
+                        let _ = schema.promote_prop(class, &name, up);
+                    }
+                }
+                _ => {
+                    if let Some(change) = derive_change(&tse, "R", op, a, b, tag) {
+                        let _ = tse.evolve("R", &change);
+                    }
+                }
+            }
+            let db = tse.db();
+            let cold = db.fork_shared().unwrap();
+            // Names come from the fork's schema: resolving types on the
+            // live one would refresh the very cache under test.
+            let mut names = std::collections::BTreeSet::new();
+            for class in cold.schema().class_ids() {
+                names.extend(cold.schema().resolved_type(class).unwrap().props.keys().cloned());
+            }
+            let mut triples = std::mem::take(&mut hot);
+            for oid in db.all_objects() {
+                for class in db.schema().class_ids() {
+                    triples.extend(names.iter().map(|name| (oid, class, name.clone())));
+                }
+            }
+            for (oid, class, name) in triples {
+                let warm = db.read_attr(oid, class, &name);
+                prop_assert_eq!(
+                    &warm,
+                    &cold.read_attr(oid, class, &name),
+                    "{} of {} through {}", name, oid, class
+                );
+                if warm.is_ok() {
+                    hot.push((oid, class, name));
+                }
+            }
+        }
+    }
 }
