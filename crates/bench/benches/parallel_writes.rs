@@ -20,10 +20,9 @@
 //!   one external mutex, reproducing the pre-stripe `with_write` world
 //!   where every data write held the system lock exclusively.
 //!
-//! Two MVCC arms ride along: **versioned reads** (4 pinned sessions
+//! One MVCC arm rides along: **versioned reads** (4 pinned sessions
 //! sweeping a record set while 4 writers churn the same class — neither
-//! side blocks the other) and **fork cost** (physical-copy `fork` vs the
-//! copy-free `fork_shared` version-pin the evolution path now uses).
+//! side blocks the other).
 //!
 //! Emits `BENCH_parallel_writes.json` at the workspace root. The JSON
 //! records `cpu_cores`: on a single-core host every configuration
@@ -296,44 +295,6 @@ fn versioned_read_arm(cfg: &Config) -> JsonValue {
     ])
 }
 
-/// Fork cost: the evolution control plane used to quiesce every stripe and
-/// physically copy each segment before evolving the copy; it now clones a
-/// handle onto the same versioned store. Measure both on the same
-/// populated system and report the delta the MVCC rebuild bought.
-fn fork_cost_arm(quick: bool) -> JsonValue {
-    let mut sys = TseSystem::new();
-    sys.define_base_class(
-        "Bulk",
-        &[],
-        vec![PropertyDef::stored("payload", ValueType::Int, Value::Int(0))],
-    )
-    .unwrap();
-    let v = sys.create_view("BULK", &["Bulk"]).unwrap();
-    let records: usize = if quick { 2_000 } else { 20_000 };
-    for i in 0..records {
-        sys.create(v, "Bulk", &[("payload", Value::Int(i as i64))]).unwrap();
-    }
-    let t0 = Instant::now();
-    let copy = sys.fork().expect("physical fork");
-    let physical_ns = (t0.elapsed().as_nanos() as u64).max(1);
-    drop(copy);
-    let t0 = Instant::now();
-    let pin = sys.fork_shared().expect("shared fork");
-    let shared_ns = (t0.elapsed().as_nanos() as u64).max(1);
-    drop(pin);
-    let speedup = physical_ns as f64 / shared_ns as f64;
-    println!(
-        "fork cost over {records} records: physical copy {physical_ns} ns, \
-         version-pin {shared_ns} ns ({speedup:.0}x)"
-    );
-    JsonValue::obj(vec![
-        ("records", records.into()),
-        ("physical_copy_fork_ns", physical_ns.into()),
-        ("version_pin_fork_ns", shared_ns.into()),
-        ("physical_over_pin", speedup.into()),
-    ])
-}
-
 fn run_json(tput: f64, elapsed_ns: u64, ops: usize, threads: usize) -> JsonValue {
     JsonValue::obj(vec![
         ("threads", threads.into()),
@@ -411,17 +372,14 @@ fn main() {
     let _ = std::fs::remove_dir_all(&disk_dir);
     println!("group commit on disk: {} batches, max batch size {}", group.0, group.1);
 
-    // Versioned-read and fork-cost arms: pinned MVCC readers alongside
-    // writer churn, and the physical-copy vs version-pin fork delta.
+    // Versioned-read arm: pinned MVCC readers alongside writer churn.
     let versioned = versioned_read_arm(&cfg);
-    let fork = fork_cost_arm(quick);
 
     // Stripe telemetry evidence, from a dedicated run kept alive for
     // inspection: the contended path populates `stripe.conflicts` when
     // try-lock fails and times the blocking acquisitions into
-    // `lock.stripe_wait_ns`. (Evolve no longer quiesces the stripes —
-    // its fork is a copy-free version-pin — so contention is the only
-    // remaining source of stripe waits.)
+    // `lock.stripe_wait_ns`. (An evolve's fork copies nothing and takes
+    // no stripe, so contention is the only source of stripe waits.)
     let (shared, view) = build();
     let _ = timed_run(&shared, view, 4, cfg.ops_per_thread.min(800), |_| 0, None);
     shared.evolve_cmd("SHARDS", "add_attribute extra: int to Shard0").unwrap();
@@ -456,7 +414,6 @@ fn main() {
         ),
         ("stripe_evidence", evidence),
         ("versioned_read_4r_4w", versioned),
-        ("fork", fork),
     ]);
     let path = write_bench_json("parallel_writes", &json).expect("write BENCH_parallel_writes.json");
     println!("wrote {path}");

@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 use tse_object_model::{ModelError, Oid, PendingProp, Value};
-use tse_storage::{RetryPolicy, StorageError, StoreConfig};
+use tse_storage::{StorageError, StoreConfig};
 use tse_view::ViewId;
 
 use crate::health::SystemHealth;
@@ -605,97 +605,42 @@ impl TseWriter for LocalWriter {
 // Builder-style open
 // ---------------------------------------------------------------------------
 
-/// Builder for opening a TSE system without the [`StoreConfig`] field soup:
+/// Opens a durable system on a directory:
 ///
 /// ```
 /// use tse_core::TseSystem;
 /// let dir = std::env::temp_dir().join(format!("tse_builder_doc_{}", std::process::id()));
-/// let sys = TseSystem::builder(&dir).write_stripes(4).open().unwrap();
+/// let sys = TseSystem::builder(&dir).open().unwrap();
 /// assert_eq!(sys.epoch(), 1);
 /// # let _ = std::fs::remove_dir_all(&dir);
 /// ```
 ///
-/// Without a directory ([`SharedSystem::builder`]) the system is in-memory.
-/// Unset knobs keep their [`StoreConfig::default`] values; persisted layout
-/// parameters of an existing directory win over the builder (same rule as
-/// the old constructors).
+/// [`SystemBuilder::store_config`] replaces the default [`StoreConfig`];
+/// the persisted layout parameters of an existing directory win over it.
+/// In-memory systems come from [`SharedSystem::new`] and
+/// [`SharedSystem::from_system`].
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
-    dir: Option<PathBuf>,
+    dir: PathBuf,
     config: StoreConfig,
 }
 
 impl SystemBuilder {
-    pub(crate) fn new(dir: Option<PathBuf>) -> SystemBuilder {
-        SystemBuilder { dir, config: StoreConfig::default() }
-    }
-
-    /// Back the system with (or recover it from) `dir`.
-    pub fn dir(mut self, dir: impl Into<PathBuf>) -> SystemBuilder {
-        self.dir = Some(dir.into());
-        self
-    }
-
-    /// Simulated page size in bytes.
-    pub fn page_size(mut self, bytes: usize) -> SystemBuilder {
-        self.config.page_size = bytes;
-        self
-    }
-
-    /// Buffer-pool capacity in pages, per stripe.
-    pub fn buffer_pages(mut self, pages: usize) -> SystemBuilder {
-        self.config.buffer_pages = pages;
-        self
-    }
-
-    /// Number of data-plane lock stripes (clamped to ≥ 1).
-    pub fn write_stripes(mut self, stripes: usize) -> SystemBuilder {
-        self.config.write_stripes = stripes;
-        self
-    }
-
-    /// WAL size past which the system auto-checkpoints (0 = never).
-    pub fn wal_autocheckpoint_bytes(mut self, bytes: u64) -> SystemBuilder {
-        self.config.wal_autocheckpoint_bytes = bytes;
-        self
-    }
-
-    /// Bounded retry/backoff policy for transient durable-path faults.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> SystemBuilder {
-        self.config.retry = policy;
-        self
-    }
-
-    /// Replace the whole [`StoreConfig`] at once — migration escape hatch
-    /// for callers that already assemble one.
+    /// The runtime store knobs (stripe count, auto-checkpoint threshold,
+    /// retry policy) and the layout parameters of a fresh directory.
     pub fn store_config(mut self, config: StoreConfig) -> SystemBuilder {
         self.config = config;
         self
     }
 
-    /// The assembled [`StoreConfig`] (escape hatch for callers that still
-    /// need the raw struct).
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
-    /// Open the system: durable recovery when a directory is set, fresh
-    /// in-memory otherwise.
+    /// Open the system: recover the directory, or start it if it is empty
+    /// ([`SharedSystem::open`] with this builder's [`StoreConfig`]).
     pub fn open(self) -> TseResult<SharedSystem> {
-        match self.dir {
-            Some(dir) => Ok(SharedSystem::open_impl(&dir, self.config)?),
-            None => Ok(SharedSystem::from_system(TseSystem::with_config(self.config))),
-        }
+        Ok(SharedSystem::open_impl(&self.dir, self.config)?)
     }
 }
 
 impl SharedSystem {
-    /// Start building an in-memory system; add [`SystemBuilder::dir`] for
-    /// durability.
-    pub fn builder() -> SystemBuilder {
-        SystemBuilder::new(None)
-    }
-
     /// Open an in-process client for `user` on this system (binding it to
     /// the user's view family). The trait-level entry point is
     /// [`TseClient::open`]; this is the ergonomic spelling.
@@ -705,12 +650,10 @@ impl SharedSystem {
 }
 
 impl TseSystem {
-    /// Start building a durable system rooted at `dir` (the builder-style
-    /// replacement for the `open_with_config(dir, StoreConfig { .. })`
-    /// field soup). `open()` returns the concurrent [`SharedSystem`]; use
-    /// [`SharedSystem::builder`] for in-memory systems.
+    /// Start opening a durable system rooted at `dir`. `open()` returns the
+    /// concurrent [`SharedSystem`].
     pub fn builder(dir: &Path) -> SystemBuilder {
-        SystemBuilder::new(Some(dir.to_path_buf()))
+        SystemBuilder { dir: dir.to_path_buf(), config: StoreConfig::default() }
     }
 }
 
@@ -804,14 +747,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_opens_in_memory_and_durable() {
-        let sys = SharedSystem::builder().write_stripes(2).open().unwrap();
-        assert_eq!(sys.store_stripes(), 2);
-
+    fn builder_opens_a_directory_with_its_store_config() {
         let dir =
             std::env::temp_dir().join(format!("tse_api_builder_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let durable = TseSystem::builder(&dir).write_stripes(3).open().unwrap();
+        let config = StoreConfig { write_stripes: 3, ..StoreConfig::default() };
+        let durable = TseSystem::builder(&dir).store_config(config).open().unwrap();
+        assert_eq!(durable.store_stripes(), 3);
         durable
             .define_base_class(
                 "Doc",

@@ -109,8 +109,8 @@ impl SchemaChange {
     /// Render this change back into its textual command form — the inverse
     /// of [`parse_change`]: `parse_change(&c.render()?)? == c` whenever
     /// rendering succeeds. The WAL uses this to serialize structural
-    /// changes that arrive as structured values (via `SharedSystem::evolve`
-    /// or `DurableSystem::apply_change`) rather than as command text.
+    /// changes that arrive as structured values (via `SharedSystem::evolve`)
+    /// rather than as command text.
     ///
     /// Errs on shapes the command grammar cannot spell: identifiers with
     /// whitespace or grammar metacharacters, strings mixing both quote

@@ -1,63 +1,66 @@
-//! Crash-safe persistence: a [`TseSystem`] backed by a directory holding
-//! checksummed snapshot generations, a `MANIFEST` pointer, and a
-//! write-ahead log of **typed redo records** for every mutation.
+//! Crash-safe persistence: the on-disk half of a [`crate::SharedSystem`]
+//! opened on a directory — checksummed snapshot generations, a `MANIFEST`
+//! pointer, and a write-ahead log of **typed redo records** for every
+//! mutation.
 //!
 //! The durability protocol is write-ahead logical redo:
 //!
-//! 1. Structural changes ([`DurableSystem::evolve_cmd`] /
-//!    [`DurableSystem::apply_change`], and both evolve entry points of
-//!    [`crate::SharedSystem`]) append a [`WalRecord::Evolve`] frame and
-//!    fsync it **before** applying the change in memory.
+//! 1. Structural changes (class definitions, view creations, constraints,
+//!    and both evolve entry points of [`crate::SharedSystem`]) append their
+//!    frame and fsync it **before** applying the change in memory.
 //! 2. Data-plane writes through [`crate::WriteSession`] append effect
 //!    frames (`Create` with the assigned oid, `Set`, `UpdateWhere` with the
 //!    resolved oid set, …) after applying, and are acknowledged only once
 //!    the frame's group-commit batch is on disk.
 //! 3. A change that fails cleanly is rolled back by the transactional
 //!    evolve and its WAL frame is truncated away — it never replays.
-//! 4. A crash mid-apply leaves the frame in the log; [`TseSystem::open`]
-//!    redoes it against the last snapshot (logical redo).
-//! 5. [`DurableSystem::checkpoint`] appends a [`WalRecord::Checkpoint`]
-//!    marker, writes a new snapshot generation crash-atomically, repoints
-//!    the manifest, and empties the WAL. When the WAL outgrows
-//!    `StoreConfig::wal_autocheckpoint_bytes`, the shared control plane
-//!    runs the same routine automatically.
+//! 4. A crash mid-apply leaves the frame in the log; the next
+//!    [`crate::SharedSystem::open`] redoes it against the last snapshot
+//!    (logical redo).
+//! 5. [`crate::SharedSystem::checkpoint`] appends a
+//!    [`WalRecord::Checkpoint`] marker, writes a new snapshot generation
+//!    crash-atomically, repoints the manifest, and empties the WAL. When
+//!    the WAL outgrows `StoreConfig::wal_autocheckpoint_bytes`, the control
+//!    plane runs the same routine automatically.
 //!
 //! Recovery reads the manifest for the newest generation, falls back to
-//! older generations when a snapshot fails its CRC, replays the WAL tail
-//! (typed frames and legacy v1 text frames alike), and truncates any torn
-//! final frame. Every outcome is surfaced through the `recovery.*`
+//! older generations when a snapshot fails its CRC, replays the WAL tail,
+//! and truncates any torn final frame. A frame that does not decode, or
+//! whose change no longer applies, is counted in `recovery.skipped` and
+//! left behind. Every outcome is surfaced through the `recovery.*`
 //! telemetry counters and a `recovery.complete` journal event.
 
-use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::{Buf, Bytes};
-use tse_object_model::{ClassId, ModelError, ModelResult, PendingProp, Value};
+use tse_object_model::{ModelError, ModelResult, Value};
 use tse_storage::durable::{self, GroupWal, Wal, WalFrame};
 use tse_storage::{
-    scrub_dir, with_retries, FailpointRegistry, RetryPolicy, ScrubReport, StoreConfig,
+    scrub_dir, with_retries, FailpointRegistry, RetryPolicy, ScrubReport, StorageError,
+    StoreConfig,
 };
-use tse_view::ViewId;
+use tse_telemetry::Telemetry;
 
-use crate::change::SchemaChange;
 use crate::health::{observe_io_error, HealthMachine, SystemHealth};
-use crate::system::{is_crash, note_fault, EvolutionReport, TseSystem};
+use crate::system::{note_fault, TseSystem};
 use crate::walcodec::{decode_frame, encode_frame, ViewMode, WalRecord};
 
-fn io(ctx: &str, e: std::io::Error) -> ModelError {
-    ModelError::Storage(tse_storage::StorageError::Io(format!("{ctx}: {e}")))
+fn corrupt(msg: &str) -> ModelError {
+    StorageError::Corrupt(msg.to_string()).into()
 }
 
-fn corrupt(msg: &str) -> ModelError {
-    ModelError::Storage(tse_storage::StorageError::Corrupt(msg.to_string()))
+/// An injected fault on the durable path: count it in `fault.*`.
+fn noted(telemetry: &Telemetry, e: StorageError) -> ModelError {
+    let e = e.into();
+    note_fault(telemetry, &e);
+    e
 }
 
 /// The on-disk half of a durable system: directory, group-commit WAL,
-/// snapshot generation bookkeeping, and the shared failpoint registry.
-/// Factored out of [`DurableSystem`] so the concurrent
-/// [`crate::SharedSystem`] control plane can thread the same write-ahead
-/// protocol around its fork–evolve–swap pipeline (and hand clones of the
+/// snapshot generation bookkeeping, and the shared failpoint registry. The
+/// [`crate::SharedSystem`] control plane threads the write-ahead protocol
+/// around its fork–evolve–swap pipeline with it (and hands clones of the
 /// [`GroupWal`] to its data plane).
 pub(crate) struct DurableState {
     dir: PathBuf,
@@ -84,60 +87,6 @@ pub(crate) struct DurableState {
 pub(crate) struct WalMark {
     lsn: u64,
     len_before: u64,
-}
-
-/// A [`TseSystem`] bound to an on-disk directory, surviving crashes at any
-/// point of a schema change. Derefs to the inner system, so every read
-/// works unchanged; schema changes go through
-/// [`DurableSystem::evolve_cmd`] / [`DurableSystem::apply_change`] to be
-/// write-ahead logged.
-pub struct DurableSystem {
-    system: TseSystem,
-    state: DurableState,
-    deref_noted: bool,
-}
-
-impl Deref for DurableSystem {
-    type Target = TseSystem;
-    fn deref(&self) -> &TseSystem {
-        &self.system
-    }
-}
-
-/// Mutable access to the inner system **bypasses the WAL**: mutations made
-/// through it are not redo-logged and survive only until the next crash
-/// (or forever after the next [`DurableSystem::checkpoint`]). It exists
-/// for test scaffolding and base-schema construction that is immediately
-/// checkpointed; every bypass is counted in the `durable.deref_mut`
-/// telemetry counter and the first one per system is journaled. Use
-/// [`DurableSystem::apply_change`] / [`DurableSystem::evolve_cmd`] for
-/// logged schema changes, or [`crate::SharedSystem`] for logged data
-/// writes.
-#[doc(hidden)]
-impl DerefMut for DurableSystem {
-    fn deref_mut(&mut self) -> &mut TseSystem {
-        let telemetry = self.system.telemetry().clone();
-        telemetry.incr("durable.deref_mut", 1);
-        if !self.deref_noted {
-            self.deref_noted = true;
-            telemetry.event(
-                "durable.deref_mut",
-                &[(
-                    "hint",
-                    "unlogged mutable access; this state is lost on crash unless checkpointed"
-                        .into(),
-                )],
-            );
-        }
-        &mut self.system
-    }
-}
-
-impl TseSystem {
-    /// Open (or create) a durable system in `dir`. See [`DurableSystem`].
-    pub fn open(dir: &Path) -> ModelResult<DurableSystem> {
-        DurableSystem::open(dir)
-    }
 }
 
 /// Redo one decoded WAL record against the recovering system. `Create`
@@ -186,6 +135,9 @@ fn replay_record(system: &mut TseSystem, record: WalRecord) -> ModelResult<bool>
                 ViewMode::All => system.create_view_all(&family)?,
             };
         }
+        WalRecord::SetConstraint { view, class_local, expr } => {
+            system.set_constraint(view, &class_local, expr.as_deref())?;
+        }
     }
     Ok(true)
 }
@@ -203,22 +155,23 @@ fn max_oid(record: &WalRecord) -> u64 {
         WalRecord::Evolve { .. }
         | WalRecord::Checkpoint
         | WalRecord::DefineClass { .. }
-        | WalRecord::CreateView { .. } => 0,
+        | WalRecord::CreateView { .. }
+        | WalRecord::SetConstraint { .. } => 0,
     }
 }
 
 impl DurableState {
     /// Open (or create) a durable directory: recover the newest valid
     /// snapshot, replay the WAL tail, truncate any torn frame. Returns the
-    /// recovered system alongside the on-disk state; `fresh` is true when
-    /// no snapshot existed yet (the caller should seed generation 1).
-    /// Runtime store knobs (stripe count, auto-checkpoint threshold) come
-    /// from `config`; persisted layout parameters win over it.
-    pub(crate) fn open(
-        dir: &Path,
-        config: StoreConfig,
-    ) -> ModelResult<(TseSystem, DurableState, bool)> {
-        std::fs::create_dir_all(dir).map_err(|e| io("create system dir", e))?;
+    /// recovered system alongside the on-disk state. A fresh directory gets
+    /// no seed snapshot: class definitions and view creations are WAL
+    /// frames, so a crash before the first checkpoint recovers by full
+    /// replay from an empty system. Runtime store knobs (stripe count,
+    /// auto-checkpoint threshold) come from `config`; persisted layout
+    /// parameters win over it.
+    pub(crate) fn open(dir: &Path, config: StoreConfig) -> ModelResult<(TseSystem, DurableState)> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| StorageError::Io(format!("create system dir: {e}")))?;
         let failpoints = FailpointRegistry::new();
 
         // Candidate generations, best first: the manifest's if it is
@@ -227,7 +180,7 @@ impl DurableState {
         // fatal — the scan order recovers the same snapshot.
         let hint = durable::read_manifest(dir).unwrap_or(None);
         let mut candidates: Vec<u64> = hint.into_iter().collect();
-        for g in durable::list_snapshot_generations(dir).map_err(ModelError::Storage)? {
+        for g in durable::list_snapshot_generations(dir)? {
             if !candidates.contains(&g) {
                 candidates.push(g);
             }
@@ -235,12 +188,12 @@ impl DurableState {
 
         let mut snapshots_skipped = 0u64;
         let mut recovered: Option<(u64, u64, TseSystem)> = None;
+        let load = |g: u64| -> ModelResult<(u64, TseSystem)> {
+            let (lsn, payload) = durable::read_snapshot_file(dir, g)?;
+            Ok((lsn, TseSystem::decode_with_config(Bytes::from(payload), config)?))
+        };
         for g in candidates {
-            match durable::read_snapshot_file(dir, g)
-                .map_err(ModelError::Storage)
-                .and_then(|(lsn, payload)| {
-                    Ok((lsn, TseSystem::decode_with_config(Bytes::from(payload), config)?))
-                }) {
+            match load(g) {
                 Ok((lsn, system)) => {
                     recovered = Some((g, lsn, system));
                     break;
@@ -253,12 +206,12 @@ impl DurableState {
         // generation is corrupt but the log still starts at LSN 1 (it has
         // never been emptied by a checkpoint), the complete history lives in
         // the log and the system can be rebuilt by full replay alone.
-        let (mut wal, wal_recovery) =
-            Wal::open(dir, failpoints.clone()).map_err(ModelError::Storage)?;
+        let (mut wal, wal_recovery) = Wal::open(dir, failpoints.clone())?;
 
         let mut full_replay = false;
-        let (generation, snap_lsn, mut system, fresh) = match recovered {
-            Some((g, lsn, s)) => (g, lsn, s, false),
+        let fresh = recovered.is_none() && snapshots_skipped == 0;
+        let (generation, snap_lsn, mut system) = match recovered {
+            Some((g, lsn, s)) => (g, lsn, s),
             None if snapshots_skipped > 0 => {
                 if !wal_recovery.frames.first().map(|f| f.lsn == 1).unwrap_or(false) {
                     return Err(corrupt("every snapshot generation is corrupt"));
@@ -266,15 +219,11 @@ impl DurableState {
                 // Keep the corrupt generations' numbers reserved so the next
                 // checkpoint writes a *new* file instead of clobbering
                 // evidence the scrubber may still want to quarantine.
-                let g = durable::list_snapshot_generations(dir)
-                    .map_err(ModelError::Storage)?
-                    .into_iter()
-                    .max()
-                    .unwrap_or(0);
+                let g = durable::list_snapshot_generations(dir)?.into_iter().max().unwrap_or(0);
                 full_replay = true;
-                (g, 0, TseSystem::with_config(config), false)
+                (g, 0, TseSystem::with_config(config))
             }
-            None => (0, 0, TseSystem::with_config(config), true),
+            None => (0, 0, TseSystem::with_config(config)),
         };
         system.db_mut().set_failpoints(failpoints.clone());
         let telemetry = system.telemetry().clone();
@@ -346,11 +295,7 @@ impl DurableState {
             retry: config.retry,
             health: Arc::new(HealthMachine::new()),
         };
-        Ok((system, state, fresh))
-    }
-
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
+        Ok((system, state))
     }
 
     pub(crate) fn generation(&self) -> u64 {
@@ -359,10 +304,6 @@ impl DurableState {
 
     pub(crate) fn wal_len(&self) -> u64 {
         self.wal.len()
-    }
-
-    pub(crate) fn failpoints(&self) -> &FailpointRegistry {
-        &self.failpoints
     }
 
     /// The health state machine (shared — clones observe one machine).
@@ -375,12 +316,12 @@ impl DurableState {
         self.retry
     }
 
-    /// Classify a durable-path error and advance the health machine (see
+    /// A durable-path write that failed with its retries spent: count the
+    /// injected fault and advance the health machine (see
     /// `crate::health::observe_io_error` for the rules).
-    pub(crate) fn observe_error(&self, telemetry: &tse_telemetry::Telemetry, e: &ModelError) {
-        if let ModelError::Storage(se) = e {
-            observe_io_error(&self.health, self.wal.is_poisoned(), telemetry, se);
-        }
+    fn surfaced(&self, telemetry: &Telemetry, e: StorageError) -> ModelError {
+        observe_io_error(&self.health, self.wal.is_poisoned(), telemetry, &e);
+        noted(telemetry, e)
     }
 
     /// A clone of the group-commit WAL handle, for the shared data plane
@@ -399,35 +340,21 @@ impl DurableState {
         self.autocheckpoint_bytes > 0 && self.wal.len() >= self.autocheckpoint_bytes
     }
 
-    /// Append a structural change to the WAL and fsync it **before** the
-    /// change is applied anywhere. Returns the frame's mark for
-    /// [`DurableState::log_commit`] / [`DurableState::log_abort`].
+    /// Append a structural record (evolve, class definition, view creation,
+    /// constraint) to the WAL and fsync it **before** the change is applied
+    /// anywhere. Returns the frame's mark for [`DurableState::log_commit`]
+    /// / [`DurableState::log_abort`]. Transient append/fsync faults are
+    /// retried with backoff *before* the frame is acknowledged; an error
+    /// that still surfaces here has exhausted its retry budget and
+    /// advances the health machine.
     ///
-    /// Callers must hold whatever exclusion quiesces concurrent data
-    /// appends (the swap latch in the shared system, `&mut self` in
-    /// [`DurableSystem`]): a later [`DurableState::log_abort`] truncates
-    /// the log back to `len_before`, which must not clip acked data frames
-    /// appended in between.
-    pub(crate) fn log_begin(
-        &mut self,
-        telemetry: &tse_telemetry::Telemetry,
-        family: &str,
-        command: &str,
-    ) -> ModelResult<WalMark> {
-        self.log_structural(
-            telemetry,
-            &WalRecord::Evolve { family: family.to_string(), command: command.to_string() },
-        )
-    }
-
-    /// Append any structural record (evolve, class definition, view
-    /// creation) to the WAL and fsync it before it is applied anywhere.
-    /// Transient append/fsync faults are retried with backoff *before*
-    /// the frame is acknowledged; an error that still surfaces here has
-    /// exhausted its retry budget and advances the health machine.
+    /// Callers must hold the exclusion that quiesces concurrent data
+    /// appends (the swap latch): a later [`DurableState::log_abort`]
+    /// truncates the log back to `len_before`, which must not clip acked
+    /// data frames appended in between.
     pub(crate) fn log_structural(
         &mut self,
-        telemetry: &tse_telemetry::Telemetry,
+        telemetry: &Telemetry,
         record: &WalRecord,
     ) -> ModelResult<WalMark> {
         let payload = encode_frame(record);
@@ -444,11 +371,7 @@ impl DurableState {
                 telemetry.observe_ns("wal.group_size", 1);
                 Ok(WalMark { lsn, len_before })
             })
-            .map_err(ModelError::Storage)
-            .inspect_err(|e| {
-                note_fault(telemetry, e);
-                self.observe_error(telemetry, e);
-            })
+            .map_err(|e| self.surfaced(telemetry, e))
     }
 
     /// The change applied in memory: the frame's LSN becomes the high-water
@@ -462,7 +385,7 @@ impl DurableState {
     /// abort — the frame's fate is decided by redo at recovery, exactly as
     /// after a real mid-apply crash.
     pub(crate) fn log_abort(&mut self, mark: WalMark) -> ModelResult<()> {
-        self.wal.with_wal(|w| w.truncate_to(mark.len_before)).map_err(ModelError::Storage)
+        Ok(self.wal.with_wal(|w| w.truncate_to(mark.len_before))?)
     }
 
     /// Write a new snapshot generation crash-atomically, repoint the
@@ -478,21 +401,14 @@ impl DurableState {
     /// `durable.manifest_write`.
     pub(crate) fn checkpoint(&mut self, system: &TseSystem) -> ModelResult<u64> {
         let telemetry = system.telemetry().clone();
-        self.failpoints
-            .check("snapshot.encode")
-            .map_err(ModelError::Storage)
-            .inspect_err(|e| note_fault(&telemetry, e))?;
+        self.failpoints.check("snapshot.encode").map_err(|e| noted(&telemetry, e))?;
         let span = telemetry.span("durable.checkpoint");
         let marker = encode_frame(&WalRecord::Checkpoint);
         let retry = self.retry;
         let head = self
             .wal
             .with_wal(|w| w.append_retry(&marker, &retry))
-            .map_err(ModelError::Storage)
-            .inspect_err(|e| {
-                note_fault(&telemetry, e);
-                self.observe_error(&telemetry, e);
-            })?;
+            .map_err(|e| self.surfaced(&telemetry, e))?;
         self.last_lsn = self.last_lsn.max(head);
         let payload = system.encode();
         let generation = self.generation + 1;
@@ -510,24 +426,16 @@ impl DurableState {
                 )
             },
         )
-        .map_err(ModelError::Storage)
-        .inspect_err(|e| {
-            note_fault(&telemetry, e);
-            self.observe_error(&telemetry, e);
-        })?;
+        .map_err(|e| self.surfaced(&telemetry, e))?;
         with_retries(
             &self.retry,
             &self.failpoints,
             |_, _, _| telemetry.incr("fault.retries", 1),
             || durable::write_manifest(&self.dir, generation, &self.failpoints),
         )
-        .map_err(ModelError::Storage)
-        .inspect_err(|e| {
-            note_fault(&telemetry, e);
-            self.observe_error(&telemetry, e);
-        })?;
+        .map_err(|e| self.surfaced(&telemetry, e))?;
         self.generation = generation;
-        self.wal.with_wal(|w| w.reset()).map_err(ModelError::Storage)?;
+        self.wal.with_wal(|w| w.reset())?;
         span.record("generation", generation);
         span.record("bytes", payload.remaining());
         span.finish();
@@ -546,9 +454,8 @@ impl DurableState {
     /// contents of a corrupt store are unknowable, so healing in place
     /// could silently ack lost writes — restart and recover from disk.
     ///
-    /// Callers must quiesce writers (control mutex + swap latch in the
-    /// shared system, `&mut self` in [`DurableSystem`]). Failpoint site:
-    /// `durable.wal_rotate`.
+    /// Callers must quiesce writers (control mutex + swap latch).
+    /// Failpoint site: `durable.wal_rotate`.
     pub(crate) fn try_heal(&mut self, system: &TseSystem) -> ModelResult<SystemHealth> {
         let telemetry = system.telemetry().clone();
         match self.health.current() {
@@ -561,10 +468,7 @@ impl DurableState {
             SystemHealth::Degraded { .. } => {}
         }
         let span = telemetry.span("durable.heal");
-        self.failpoints
-            .check("durable.wal_rotate")
-            .map_err(ModelError::Storage)
-            .inspect_err(|e| note_fault(&telemetry, e))?;
+        self.failpoints.check("durable.wal_rotate").map_err(|e| noted(&telemetry, e))?;
         // Rotation must come before the emergency checkpoint: a poisoned
         // handle refuses the checkpoint's marker append.
         let dir = self.dir.clone();
@@ -577,8 +481,7 @@ impl DurableState {
                 *w = fresh;
                 Ok(())
             })
-            .map_err(ModelError::Storage)
-            .inspect_err(|e| note_fault(&telemetry, e))?;
+            .map_err(|e| noted(&telemetry, e))?;
         self.checkpoint(system)?;
         // Probe: the healed log must complete one durable append before we
         // declare victory (the frame is truncated away immediately).
@@ -589,8 +492,7 @@ impl DurableState {
                 w.append(&marker)?;
                 w.truncate_to(len)
             })
-            .map_err(ModelError::Storage)
-            .inspect_err(|e| note_fault(&telemetry, e))?;
+            .map_err(|e| noted(&telemetry, e))?;
         self.health.healed(&telemetry);
         telemetry.incr("durable.heals", 1);
         span.finish();
@@ -600,208 +502,7 @@ impl DurableState {
     /// Run one integrity scrub pass over the directory: re-verify every
     /// snapshot generation's CRC (quarantining corrupt ones), cross-check
     /// the MANIFEST, and scan the WAL up to its committed length.
-    pub(crate) fn scrub(&self, telemetry: &tse_telemetry::Telemetry) -> ModelResult<ScrubReport> {
-        scrub_dir(&self.dir, &self.failpoints, &self.retry, telemetry, Some(self.wal.len()))
-            .map_err(ModelError::Storage)
-    }
-}
-
-impl DurableSystem {
-    /// Open (or create) a durable system in `dir`: recover the newest valid
-    /// snapshot, replay the WAL tail, truncate any torn frame.
-    pub fn open(dir: &Path) -> ModelResult<DurableSystem> {
-        Self::open_with_config(dir, StoreConfig::default())
-    }
-
-    /// Like [`DurableSystem::open`] with explicit runtime store knobs
-    /// (stripe count, `wal_autocheckpoint_bytes`); persisted layout
-    /// parameters win over `config`.
-    pub fn open_with_config(dir: &Path, config: StoreConfig) -> ModelResult<DurableSystem> {
-        // No seed checkpoint for a fresh directory: class definitions and
-        // view creations are WAL frames now, so a crash before the first
-        // checkpoint recovers by full replay from an empty system.
-        let (system, state, _fresh) = DurableState::open(dir, config)?;
-        Ok(DurableSystem { system, state, deref_noted: false })
-    }
-
-    /// The directory this system persists into.
-    pub fn dir(&self) -> &Path {
-        self.state.dir()
-    }
-
-    /// Newest snapshot generation on disk.
-    pub fn generation(&self) -> u64 {
-        self.state.generation()
-    }
-
-    /// Current WAL size in bytes (0 right after a checkpoint).
-    pub fn wal_len(&self) -> u64 {
-        self.state.wal_len()
-    }
-
-    /// The shared fault-injection registry (same instance the store and
-    /// evolve pipeline consult).
-    pub fn failpoints(&self) -> &FailpointRegistry {
-        self.state.failpoints()
-    }
-
-    /// Current service health: `Healthy`, `Degraded` (read-only), or
-    /// `Poisoned` (fail-stop).
-    pub fn health(&self) -> SystemHealth {
-        self.state.health().current()
-    }
-
-    /// Attempt to restore a `Degraded` system to `Healthy` without a
-    /// restart: rotate the WAL, run an emergency checkpoint, and verify the
-    /// fresh log completes a durable round-trip append. No-op when already
-    /// healthy; refused (with `ModelError::Invalid`) when poisoned.
-    pub fn try_heal(&mut self) -> ModelResult<SystemHealth> {
-        self.state.try_heal(&self.system)
-    }
-
-    /// Run one integrity scrub pass: re-verify every snapshot generation's
-    /// CRC (renaming corrupt ones to `*.quarantine` so recovery never
-    /// trusts them again), cross-check the MANIFEST, and scan the WAL up to
-    /// its committed length. Findings land in the `scrub.*` telemetry
-    /// counters and journal events.
-    pub fn scrub_now(&self) -> ModelResult<ScrubReport> {
-        self.state.scrub(self.system.telemetry())
-    }
-
-    /// Define a new base class durably. The definition is write-ahead
-    /// logged as a `DefineClass` frame before it is applied, so a fresh
-    /// directory is recoverable from its WAL alone — no seed checkpoint
-    /// required. Shadows [`TseSystem::define_base_class`] (still reachable,
-    /// unlogged, through the `DerefMut` escape hatch).
-    pub fn define_base_class(
-        &mut self,
-        name: &str,
-        supers: &[&str],
-        props: Vec<PendingProp>,
-    ) -> ModelResult<ClassId> {
-        let telemetry = self.system.telemetry().clone();
-        let record = WalRecord::DefineClass {
-            name: name.to_string(),
-            supers: supers.iter().map(|s| s.to_string()).collect(),
-            props: props.clone(),
-        };
-        let mark = self.state.log_structural(&telemetry, &record)?;
-        match self.system.define_base_class(name, supers, props) {
-            Ok(id) => {
-                self.state.log_commit(mark);
-                Ok(id)
-            }
-            Err(e) if is_crash(&e) => Err(e),
-            Err(e) => {
-                self.state.log_abort(mark)?;
-                Err(e)
-            }
-        }
-    }
-
-    /// WAL-logged counterpart of [`TseSystem::create_view`].
-    pub fn create_view(&mut self, family: &str, classes: &[&str]) -> ModelResult<ViewId> {
-        self.create_view_logged(family, classes, ViewMode::Plain)
-    }
-
-    /// WAL-logged counterpart of [`TseSystem::create_view_closed`].
-    pub fn create_view_closed(&mut self, family: &str, classes: &[&str]) -> ModelResult<ViewId> {
-        self.create_view_logged(family, classes, ViewMode::Closed)
-    }
-
-    /// WAL-logged counterpart of [`TseSystem::create_view_all`].
-    pub fn create_view_all(&mut self, family: &str) -> ModelResult<ViewId> {
-        self.create_view_logged(family, &[], ViewMode::All)
-    }
-
-    fn create_view_logged(
-        &mut self,
-        family: &str,
-        classes: &[&str],
-        mode: ViewMode,
-    ) -> ModelResult<ViewId> {
-        let telemetry = self.system.telemetry().clone();
-        let record = WalRecord::CreateView {
-            family: family.to_string(),
-            classes: classes.iter().map(|s| s.to_string()).collect(),
-            mode,
-        };
-        let mark = self.state.log_structural(&telemetry, &record)?;
-        let applied = match mode {
-            ViewMode::Plain => self.system.create_view(family, classes),
-            ViewMode::Closed => self.system.create_view_closed(family, classes),
-            ViewMode::All => self.system.create_view_all(family),
-        };
-        match applied {
-            Ok(id) => {
-                self.state.log_commit(mark);
-                Ok(id)
-            }
-            Err(e) if is_crash(&e) => Err(e),
-            Err(e) => {
-                self.state.log_abort(mark)?;
-                Err(e)
-            }
-        }
-    }
-
-    /// Apply a textual schema change durably: the command is appended to
-    /// the WAL and fsync'd **before** it runs, so a crash mid-change redoes
-    /// it on the next [`TseSystem::open`]. A change that fails cleanly is
-    /// rolled back by the transactional evolve and its frame is removed.
-    pub fn evolve_cmd(&mut self, family: &str, command: &str) -> ModelResult<EvolutionReport> {
-        let change = crate::change::parse_change(command)?;
-        self.evolve_logged(family, &change, command)
-    }
-
-    /// Apply a structured [`SchemaChange`] durably — the logged counterpart
-    /// of the `DerefMut` escape hatch. The change is rendered back to
-    /// command text ([`SchemaChange::render`], guaranteed to re-parse to an
-    /// equal change), write-ahead logged, and then applied; a change whose
-    /// names cannot be rendered is rejected *before* anything is logged or
-    /// applied.
-    pub fn apply_change(
-        &mut self,
-        family: &str,
-        change: &SchemaChange,
-    ) -> ModelResult<EvolutionReport> {
-        let command = change.render()?;
-        self.evolve_logged(family, change, &command)
-    }
-
-    fn evolve_logged(
-        &mut self,
-        family: &str,
-        change: &SchemaChange,
-        command: &str,
-    ) -> ModelResult<EvolutionReport> {
-        let telemetry = self.system.telemetry().clone();
-        let mark = self.state.log_begin(&telemetry, family, command)?;
-        match self.system.evolve(family, change) {
-            Ok(report) => {
-                self.state.log_commit(mark);
-                Ok(report)
-            }
-            Err(e) if is_crash(&e) => Err(e),
-            Err(e) => {
-                self.state.log_abort(mark)?;
-                Err(e)
-            }
-        }
-    }
-
-    /// Write a new snapshot generation crash-atomically, repoint the
-    /// manifest, and empty the WAL. Returns the new generation number.
-    /// Failpoint sites: `snapshot.encode`, `durable.snapshot_write`,
-    /// `durable.manifest_write`.
-    pub fn checkpoint(&mut self) -> ModelResult<u64> {
-        self.state.checkpoint(&self.system)
-    }
-
-    /// Split this durable system into its recovered in-memory system and
-    /// on-disk state — the handoff [`crate::SharedSystem::open`] uses to
-    /// thread the WAL protocol through its control plane.
-    pub(crate) fn into_parts(self) -> (TseSystem, DurableState) {
-        (self.system, self.state)
+    pub(crate) fn scrub(&self, telemetry: &Telemetry) -> ModelResult<ScrubReport> {
+        Ok(scrub_dir(&self.dir, &self.failpoints, &self.retry, telemetry, Some(self.wal.len()))?)
     }
 }

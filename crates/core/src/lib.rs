@@ -8,7 +8,7 @@
 //! written against it) keeps working, and all versions share the same
 //! persistent objects.
 //!
-//! Entry point: [`TseSystem`]. Build a base schema, give each user a view
+//! [`TseSystem`] is the in-memory core. Build a base schema, give each user a view
 //! ([`TseSystem::create_view`]), then evolve with [`TseSystem::evolve`] /
 //! [`TseSystem::evolve_cmd`]:
 //!
@@ -32,6 +32,12 @@
 //! tse.set(v2, oid, "Student", &[("register", Value::Bool(true))]).unwrap();
 //! assert_eq!(tse.get(v2, oid, "Student", "register").unwrap(), Value::Bool(true));
 //! ```
+//!
+//! [`SharedSystem`] is the one handle around that core: in memory
+//! ([`SharedSystem::new`], [`SharedSystem::from_system`]) or on a directory
+//! ([`SharedSystem::open`]), shareable across threads, with every mutation
+//! of a directory-backed system write-ahead logged. [`TseClient`] is the
+//! public face, implemented over a `SharedSystem` and over the wire.
 
 #![warn(missing_docs)]
 
@@ -52,7 +58,6 @@ pub use api::{
     TseClient, TseCode, TseError, TseReader, TseResult, TseWriter,
 };
 pub use change::{parse_change, parse_expr, render_expr, SchemaChange};
-pub use durable::DurableSystem;
 pub use health::{DegradedReason, SystemHealth};
 pub use shared::{MetaSnapshot, ReadSession, ScrubberHandle, SharedSystem, WriteSession};
 pub use system::{EvolutionReport, PhaseTimings, TseSystem};

@@ -4,22 +4,21 @@
 //!
 //! Format `TSESYS02`: each section (database blob, view blob, policy) is
 //! followed by a CRC32 covering its length framing and content, so any
-//! single-bit corruption anywhere in the file is detected as
-//! [`tse_storage::StorageError::Corrupt`] rather than silently misread.
-//! `TSESYS01` files (no checksums) are still read for compatibility.
-//! [`TseSystem::save`] writes crash-atomically (temp file + fsync + rename).
+//! single-bit corruption anywhere in the blob — and any other magic — is
+//! detected as [`tse_storage::StorageError::Corrupt`] rather than silently
+//! misread. The blob is the payload of a checkpoint's snapshot generation
+//! (`crate::durable`); it has no other on-disk home.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use tse_algebra::{UnionRoute, UpdatePolicy};
 use tse_object_model::{ClassId, ModelError, ModelResult};
-use tse_storage::{durable, Crc32};
+use tse_storage::Crc32;
 use tse_view::{decode_manager, encode_manager};
 
 use crate::system::TseSystem;
 
-const MAGIC_V1: &[u8; 8] = b"TSESYS01";
-const MAGIC_V2: &[u8; 8] = b"TSESYS02";
+const MAGIC: &[u8; 8] = b"TSESYS02";
 
 fn corrupt(msg: &str) -> ModelError {
     ModelError::Storage(tse_storage::StorageError::Corrupt(msg.to_string()))
@@ -76,7 +75,7 @@ impl TseSystem {
     /// Serialize the whole system (format `TSESYS02`).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V2);
+        buf.put_slice(MAGIC);
         put_section(&mut buf, &tse_object_model::encode_database(&self.db));
         put_section(&mut buf, &encode_manager(&self.views));
         // Policy: union routes (the value-closure and intersect defaults are
@@ -93,9 +92,9 @@ impl TseSystem {
         buf.freeze()
     }
 
-    /// Restore a system from [`TseSystem::encode`] output (or a legacy
-    /// `TSESYS01` file). Corruption anywhere — flipped bit, truncation,
-    /// trailing garbage — is an error, never a misread system.
+    /// Restore a system from [`TseSystem::encode`] output. Corruption
+    /// anywhere — flipped bit, truncation, trailing garbage — is an error,
+    /// never a misread system.
     pub fn decode(bytes: Bytes) -> ModelResult<TseSystem> {
         Self::decode_with_config(bytes, tse_storage::StoreConfig::default())
     }
@@ -107,15 +106,12 @@ impl TseSystem {
         mut bytes: Bytes,
         runtime: tse_storage::StoreConfig,
     ) -> ModelResult<TseSystem> {
-        if bytes.remaining() < MAGIC_V2.len() {
+        if bytes.remaining() < MAGIC.len() {
             return Err(corrupt("system snapshot too short"));
         }
         let mut magic = [0u8; 8];
         bytes.copy_to_slice(&mut magic);
-        if &magic == MAGIC_V1 {
-            return Self::decode_v1(bytes, runtime);
-        }
-        if &magic != MAGIC_V2 {
+        if &magic != MAGIC {
             return Err(corrupt("bad system snapshot magic"));
         }
         let db = tse_object_model::decode_database_with(
@@ -150,63 +146,6 @@ impl TseSystem {
         }
         Ok(TseSystem::assemble(db, views, policy))
     }
-
-    /// Legacy `TSESYS01` body: unchecksummed length-prefixed sections.
-    fn decode_v1(mut bytes: Bytes, runtime: tse_storage::StoreConfig) -> ModelResult<TseSystem> {
-        if bytes.remaining() < 8 {
-            return Err(corrupt("truncated database length"));
-        }
-        let db_len = bytes.get_u64() as usize;
-        if bytes.remaining() < db_len {
-            return Err(corrupt("truncated database blob"));
-        }
-        let db = tse_object_model::decode_database_with(bytes.copy_to_bytes(db_len), runtime)?;
-        if bytes.remaining() < 8 {
-            return Err(corrupt("truncated views length"));
-        }
-        let views_len = bytes.get_u64() as usize;
-        if bytes.remaining() < views_len {
-            return Err(corrupt("truncated views blob"));
-        }
-        let views = decode_manager(bytes.copy_to_bytes(views_len))?;
-        if bytes.remaining() < 4 {
-            return Err(corrupt("truncated policy"));
-        }
-        let n = bytes.get_u32() as usize;
-        let mut policy = UpdatePolicy::default();
-        for _ in 0..n {
-            if bytes.remaining() < 5 {
-                return Err(corrupt("truncated union route"));
-            }
-            let class = ClassId(bytes.get_u32());
-            let route = route_from(bytes.get_u8())?;
-            policy.union_routes.insert(class, route);
-        }
-        if bytes.remaining() > 0 {
-            return Err(corrupt("trailing bytes after system snapshot"));
-        }
-        Ok(TseSystem::assemble(db, views, policy))
-    }
-
-    /// Save the system to a file, crash-atomically: the bytes land in a
-    /// temp file which is fsync'd and renamed over the target, so a crash
-    /// mid-save leaves the previous file intact.
-    pub fn save(&self, path: &std::path::Path) -> ModelResult<()> {
-        durable::write_atomic(
-            path,
-            self.encode().as_ref(),
-            self.db.failpoints(),
-            "durable.sys_save",
-        )?;
-        Ok(())
-    }
-
-    /// Load a system from a file.
-    pub fn load(path: &std::path::Path) -> ModelResult<TseSystem> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ModelError::Invalid(format!("system snapshot read failed: {e}")))?;
-        TseSystem::decode(Bytes::from(bytes))
-    }
 }
 
 #[cfg(test)]
@@ -234,24 +173,6 @@ mod tests {
         // union routes.
         tse.define_base_class("Staff", &["Person"], vec![]).unwrap();
         (tse, o, v1, v2)
-    }
-
-    /// The retired `TSESYS01` writer, kept to prove read compatibility.
-    fn encode_v1(tse: &TseSystem) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V1);
-        let db_bytes = tse_object_model::encode_database(&tse.db);
-        buf.put_u64(db_bytes.len() as u64);
-        buf.put_slice(&db_bytes);
-        let views_bytes = encode_manager(&tse.views);
-        buf.put_u64(views_bytes.len() as u64);
-        buf.put_slice(views_bytes.as_ref());
-        buf.put_u32(tse.policy.union_routes.len() as u32);
-        for (class, route) in &tse.policy.union_routes {
-            buf.put_u32(class.0);
-            buf.put_u8(route_tag(*route));
-        }
-        buf.freeze()
     }
 
     #[test]
@@ -286,28 +207,26 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_still_load() {
-        let (tse, o, v1, v2) = build();
-        let restored = TseSystem::decode(encode_v1(&tse)).unwrap();
-        assert_eq!(
-            restored.get(v2, o, "Student", "register").unwrap(),
-            Value::Bool(true)
+    fn an_unchecksummed_version_one_blob_is_refused() {
+        // `TSESYS01` was the same sections without their CRCs.
+        let (tse, ..) = build();
+        let mut old = BytesMut::new();
+        old.put_slice(b"TSESYS01");
+        for blob in [tse_object_model::encode_database(&tse.db), encode_manager(&tse.views)] {
+            old.put_u64(blob.len() as u64);
+            old.put_slice(blob.as_ref());
+        }
+        old.put_u32(0);
+        let refused = TseSystem::decode(old.freeze()).err().expect("refused");
+        assert!(
+            matches!(refused, ModelError::Storage(tse_storage::StorageError::Corrupt(_))),
+            "{refused}"
         );
-        assert_eq!(restored.get(v1, o, "Student", "name").unwrap(), Value::Str("ann".into()));
-        assert_eq!(restored.policy().union_routes, tse.policy().union_routes);
     }
 
     #[test]
-    fn file_roundtrip_and_corruption() {
+    fn truncation_and_trailing_bytes_are_rejected() {
         let (tse, ..) = build();
-        let dir = std::env::temp_dir().join(format!("tse_sys_snap_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sys.tse");
-        tse.save(&path).unwrap();
-        let restored = TseSystem::load(&path).unwrap();
-        assert_eq!(restored.views().view_count(), tse.views().view_count());
-        std::fs::remove_dir_all(&dir).ok();
-
         // Every strict prefix must be rejected, never panic or misread.
         let good = tse.encode();
         for cut in 0..good.len() {

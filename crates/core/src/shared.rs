@@ -26,7 +26,7 @@
 //!   `mem::swap` (measured by `evolve.exclusive_ns`). A `swap latch`
 //!   (writer-quiescing RwLock) is held in write mode from fork to swap, so
 //!   an in-flight data write can never fall between the fork and the
-//!   swapped-in successor — `fork()` sees all of a write batch or none.
+//!   swapped-in successor — the fork sees all of a write batch or none.
 //!
 //! Epoch lifecycle: epoch *n*'s snapshot is immutable once published;
 //! sessions opened at epoch *n* keep resolving against it even after *n+1*
@@ -36,9 +36,9 @@
 //! drops the private fork and publishes nothing: readers never observe a
 //! torn epoch.
 //!
-//! **MVCC — repeatable reads.** Metadata pinning alone left record reads
-//! at read-committed: a session saw whatever the store held at each `get`.
-//! Now every [`ReadSession`] additionally holds a [`ReadPin`] on the
+//! **MVCC — repeatable reads.** Metadata pinning alone would leave record
+//! reads at read-committed: a session would see whatever the store held at
+//! each `get`. Every [`ReadSession`] therefore also holds a [`ReadPin`] on the
 //! store's [`EpochClock`]: all of its `get`/`extent`/`select_where`/
 //! `invoke` calls resolve record versions and object membership at the
 //! pinned epoch, for the session's whole lifetime — true snapshot
@@ -46,8 +46,8 @@
 //! run under a `WriteTicket`, so a session opened mid-batch observes none
 //! of it and one opened after observes all of it; writers never block on
 //! readers, they just stamp new versions. The evolve path forks with
-//! [`TseSystem::fork_shared`] — a handful of `Arc` clones instead of a
-//! physical store copy — and superseded versions are reclaimed by
+//! [`TseSystem::fork_shared`] — a handful of `Arc` clones, whatever the
+//! data volume — and superseded versions are reclaimed by
 //! [`SharedSystem::gc_now`] (or opportunistically when sessions drop) once
 //! the oldest pin advances past them (`mvcc.*` telemetry).
 //!
@@ -73,9 +73,10 @@
 //!
 //! Durability threads through **both** planes: [`SharedSystem::open`]
 //! recovers from a snapshot + WAL directory, after which every mutation is
-//! redo-logged as a typed frame ([`crate::walcodec`]). Structural changes
-//! ([`SharedSystem::evolve`] and [`SharedSystem::evolve_cmd`] alike) append
-//! their frame **before** forking — while holding the swap latch exclusive,
+//! redo-logged as a typed frame ([`crate::walcodec`]) — no entry point
+//! bypasses the log. Structural changes (class definitions, view creations,
+//! constraints, [`SharedSystem::evolve`] and [`SharedSystem::evolve_cmd`])
+//! append their frame **before** they apply — while holding the swap latch exclusive,
 //! so a clean-failure truncation can never clip a concurrent data frame —
 //! commit it after the swap publishes the new epoch, and truncate it when
 //! the change fails cleanly. Data writes through a [`WriteSession`] apply
@@ -96,7 +97,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tse_algebra::UpdatePolicy;
 use tse_object_model::{ClassId, ModelError, ModelResult, Oid, Schema, Value};
 use tse_storage::durable::GroupWal;
@@ -108,7 +109,7 @@ use tse_telemetry::Telemetry;
 use tse_view::{ViewId, ViewManager, ViewSchema};
 
 use crate::change::{parse_change, SchemaChange};
-use crate::durable::{DurableState, DurableSystem};
+use crate::durable::DurableState;
 use crate::health::{observe_io_error, HealthMachine, SystemHealth};
 use crate::system::{is_crash, note_fault, observe_op, ops, EvolutionReport, TseSystem};
 use crate::walcodec::{encode_frame, WalRecord};
@@ -315,44 +316,26 @@ impl SharedSystem {
         Self::from_system(TseSystem::new())
     }
 
-    /// A fresh in-memory shared system with explicit storage configuration.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use the builder: `SharedSystem::builder().write_stripes(n)...open()`"
-    )]
-    pub fn with_config(config: StoreConfig) -> Self {
-        Self::from_system(TseSystem::with_config(config))
-    }
-
     /// Wrap an existing single-threaded system (e.g. one built with the
     /// plain [`TseSystem`] API) for concurrent sharing. Publishes epoch 1.
     pub fn from_system(system: TseSystem) -> Self {
         Self::assemble(system, None)
     }
 
-    /// Open (or create) a durable shared system in `dir`: recovery is
-    /// exactly [`DurableSystem::open`] (newest valid snapshot + WAL redo),
-    /// after which the control plane owns the WAL and **every** mutation —
-    /// structural changes through either evolve entry point, and data
-    /// writes through [`WriteSession`]s — is write-ahead logged as a typed
-    /// redo frame.
+    /// Open (or create) a durable shared system in `dir`: recover the
+    /// newest valid snapshot, redo the WAL tail, truncate any torn frame.
+    /// From then on the control plane owns the WAL and **every** mutation —
+    /// class definitions, view creations, constraints, schema changes
+    /// through either evolve entry point, and data writes through
+    /// [`WriteSession`]s — is write-ahead logged as a typed redo frame.
+    /// `TseSystem::builder(dir).open()` is the same call with a
+    /// non-default [`StoreConfig`].
     pub fn open(dir: &Path) -> ModelResult<SharedSystem> {
         Self::open_impl(dir, StoreConfig::default())
     }
 
-    /// Like [`SharedSystem::open`] with explicit runtime store knobs
-    /// (stripe count, `wal_autocheckpoint_bytes`); persisted layout
-    /// parameters win over `config`.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use the builder: `TseSystem::builder(dir).write_stripes(n)...open()`"
-    )]
-    pub fn open_with_config(dir: &Path, config: StoreConfig) -> ModelResult<SharedSystem> {
-        Self::open_impl(dir, config)
-    }
-
     pub(crate) fn open_impl(dir: &Path, config: StoreConfig) -> ModelResult<SharedSystem> {
-        let (system, state) = DurableSystem::open_with_config(dir, config)?.into_parts();
+        let (system, state) = DurableState::open(dir, config)?;
         Ok(Self::assemble(system, Some(state)))
     }
 
@@ -434,8 +417,7 @@ impl SharedSystem {
     }
 
     /// Number of write stripes of the live store (bench/topology sizing
-    /// aid; replaces the former `with_read` escape hatch — sessions cover
-    /// every read API, so no caller needs the raw [`TseSystem`] anymore).
+    /// aid).
     pub fn store_stripes(&self) -> usize {
         self.read_timed().db().store().stripe_count()
     }
@@ -483,21 +465,14 @@ impl SharedSystem {
         read_timed(&self.inner)
     }
 
-    /// Serialize a metadata-affecting write and republish the epoch
-    /// snapshot while still holding the exclusive lock.
-    fn with_write_publish<R>(
-        &self,
-        f: impl FnOnce(&mut TseSystem) -> ModelResult<R>,
-    ) -> ModelResult<R> {
-        let _ctl = self.lock_control();
+    /// Take the `system` lock exclusively, observing the wait.
+    fn write_timed(&self) -> RwLockWriteGuard<'_, TseSystem> {
         let started = Instant::now();
-        let mut sys = self.inner.system.write();
+        let guard = self.inner.system.write();
         self.inner
             .telemetry
             .observe_ns("lock.write_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
-        let out = f(&mut sys)?;
-        self.publish_meta_locked(&sys);
-        Ok(out)
+        guard
     }
 
     /// Publish the next epoch's snapshot. Caller must hold the `system`
@@ -526,19 +501,7 @@ impl SharedSystem {
     /// every entry point. A change whose names cannot be rendered is
     /// rejected before anything is logged or applied.
     pub fn evolve(&self, family: &str, change: &SchemaChange) -> ModelResult<EvolutionReport> {
-        let _trace = self.inner.telemetry.ensure_trace("evolve");
-        let mut ctl = self.lock_control();
-        let out = if ctl.durable.is_some() {
-            let command = change.render()?;
-            self.evolve_logged(&mut ctl, family, change, &command)
-        } else {
-            self.evolve_forked(family, change)
-        };
-        drop(ctl);
-        if out.is_ok() {
-            maybe_autocheckpoint(&self.inner);
-        }
-        out
+        self.evolve_as(family, change, || change.render())
     }
 
     /// Parse and apply a textual schema-change command. On a durable
@@ -548,63 +511,57 @@ impl SharedSystem {
     /// the log never replays an epoch that was not published (simulated
     /// crashes keep the frame, to be decided by redo at the next open).
     pub fn evolve_cmd(&self, family: &str, command: &str) -> ModelResult<EvolutionReport> {
-        let _trace = self.inner.telemetry.ensure_trace("evolve");
         let change = parse_change(command)?;
-        let mut ctl = self.lock_control();
-        let out = if ctl.durable.is_some() {
-            self.evolve_logged(&mut ctl, family, &change, command)
-        } else {
-            self.evolve_forked(family, &change)
-        };
-        drop(ctl);
+        self.evolve_as(family, &change, || Ok(command.to_string()))
+    }
+
+    /// Evolve under the write-ahead protocol; `command` is the text the
+    /// WAL frame carries, asked for on durable systems only.
+    fn evolve_as(
+        &self,
+        family: &str,
+        change: &SchemaChange,
+        command: impl FnOnce() -> ModelResult<String>,
+    ) -> ModelResult<EvolutionReport> {
+        let _trace = self.inner.telemetry.ensure_trace("evolve");
+        let out = self.logged(
+            || Ok(WalRecord::Evolve { family: family.to_string(), command: command()? }),
+            || self.evolve_under_latch(family, change),
+        );
         if out.is_ok() {
             maybe_autocheckpoint(&self.inner);
         }
         out
     }
 
-    /// The write-ahead-logged evolve path. Caller holds the control mutex
-    /// and has verified `ctl.durable` is present.
-    ///
-    /// The swap latch is taken exclusively **before** the frame is logged:
-    /// a cleanly failed change truncates the log back to its pre-append
-    /// length, and with writers quiesced first no concurrent data frame can
-    /// land in between and be clipped by that truncation.
-    fn evolve_logged(
+    /// The write-ahead protocol of every structural change, once: under the
+    /// control mutex, with writers quiesced by the swap latch, append the
+    /// change's frame and fsync it **before** `apply` runs; commit the frame
+    /// when `apply` succeeds, truncate it away when `apply` fails cleanly,
+    /// and leave it to redo at the next open when `apply` crashed. The
+    /// latch is taken before the frame is logged so that the truncation can
+    /// never clip a concurrent data frame. In-memory systems just `apply`.
+    fn logged<R>(
         &self,
-        ctl: &mut ControlState,
-        family: &str,
-        change: &SchemaChange,
-        command: &str,
-    ) -> ModelResult<EvolutionReport> {
+        record: impl FnOnce() -> ModelResult<WalRecord>,
+        apply: impl FnOnce() -> ModelResult<R>,
+    ) -> ModelResult<R> {
         check_writable(&self.inner)?;
+        let mut ctl = self.lock_control();
         let _latch = self.inner.latch.write();
-        let mark = ctl
-            .durable
-            .as_mut()
-            .expect("caller checked durable")
-            .log_begin(&self.inner.telemetry, family, command)?;
-        match self.evolve_under_latch(family, change) {
-            Ok(report) => {
-                ctl.durable.as_mut().expect("durable unchanged").log_commit(mark);
-                Ok(report)
-            }
-            Err(e) if is_crash(&e) => Err(e),
-            Err(e) => {
-                ctl.durable.as_mut().expect("durable unchanged").log_abort(mark)?;
-                Err(e)
-            }
+        let Some(durable) = ctl.durable.as_mut() else { return apply() };
+        let mark = durable.log_structural(&self.inner.telemetry, &record()?)?;
+        let out = apply();
+        match &out {
+            Ok(_) => durable.log_commit(mark),
+            Err(e) if is_crash(e) => {}
+            Err(_) => durable.log_abort(mark)?,
         }
-    }
-
-    /// Fork, evolve the fork, swap it in. Caller holds the control mutex.
-    fn evolve_forked(&self, family: &str, change: &SchemaChange) -> ModelResult<EvolutionReport> {
-        let _latch = self.inner.latch.write();
-        self.evolve_under_latch(family, change)
+        out
     }
 
     /// The fork–evolve–swap body. Caller holds the control mutex and the
-    /// swap latch exclusively.
+    /// swap latch exclusively ([`SharedSystem::logged`]).
     fn evolve_under_latch(
         &self,
         family: &str,
@@ -618,7 +575,7 @@ impl SharedSystem {
         //
         // The fork is **copy-free**: it shares the store contents and
         // object map with the live system (MVCC version chains keep
-        // pinned readers on their epoch), so fork cost no longer scales
+        // pinned readers on their epoch), so its cost does not scale
         // with data volume. Everything the evolution installs is stamped
         // under one write ticket: no reader can pin an epoch that sees a
         // half-applied evolution, and a failed run's versions are popped
@@ -649,11 +606,7 @@ impl SharedSystem {
         // section, then swap the system pointer and publish the epoch.
         let epoch = self.inner.epoch.load(Ordering::Relaxed) + 1;
         let next_meta = Arc::new(MetaSnapshot::capture(epoch, &private));
-        let started = Instant::now();
-        let mut sys = self.inner.system.write();
-        self.inner
-            .telemetry
-            .observe_ns("lock.write_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
+        let mut sys = self.write_timed();
         let exclusive = Instant::now();
         std::mem::swap(&mut *sys, &mut private);
         let old_meta = std::mem::replace(&mut *self.inner.meta.write(), next_meta);
@@ -768,49 +721,23 @@ impl SharedSystem {
 
     // ----- control plane: base schema + views -------------------------------
 
-    /// Log a structural record (class definition, view creation), apply the
-    /// change under the exclusive system lock, and publish the new epoch.
-    /// The WAL frame is appended — with writers quiesced via the swap
-    /// latch, so a clean-failure truncation can never clip a concurrent
-    /// data frame — **before** the change applies, committed once the epoch
-    /// publishes, and truncated away when the change fails cleanly.
-    /// In-memory systems skip the logging and just apply + publish.
+    /// Log a structural record (class definition, view creation,
+    /// constraint), apply the change under the exclusive system lock, and
+    /// publish the new epoch.
     fn structural_logged<R>(
         &self,
         record: WalRecord,
         f: impl FnOnce(&mut TseSystem) -> ModelResult<R>,
     ) -> ModelResult<R> {
-        check_writable(&self.inner)?;
-        let mut ctl = self.lock_control();
-        let _latch = self.inner.latch.write();
-        let mark = match ctl.durable.as_mut() {
-            Some(d) => Some(d.log_structural(&self.inner.telemetry, &record)?),
-            None => None,
-        };
-        let started = Instant::now();
-        let mut sys = self.inner.system.write();
-        self.inner
-            .telemetry
-            .observe_ns("lock.write_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
-        match f(&mut sys) {
-            Ok(out) => {
+        self.logged(
+            || Ok(record),
+            || {
+                let mut sys = self.write_timed();
+                let out = f(&mut sys)?;
                 self.publish_meta_locked(&sys);
-                drop(sys);
-                if let (Some(d), Some(mark)) = (ctl.durable.as_mut(), mark) {
-                    d.log_commit(mark);
-                }
                 Ok(out)
-            }
-            Err(e) => {
-                drop(sys);
-                if let (Some(d), Some(mark)) = (ctl.durable.as_mut(), mark) {
-                    if !is_crash(&e) {
-                        d.log_abort(mark)?;
-                    }
-                }
-                Err(e)
-            }
-        }
+            },
+        )
     }
 
     /// Define a base class (global-schema setup). Publishes a new epoch;
@@ -866,16 +793,21 @@ impl SharedSystem {
     }
 
     /// Attach or clear a class constraint through a view. Publishes a new
-    /// epoch (constraints live in the schema readers resolve against).
+    /// epoch (constraints live in the schema readers resolve against);
+    /// WAL-logged on durable systems.
     pub fn set_constraint(
         &self,
         view: ViewId,
         class_local: &str,
         expr: Option<&str>,
     ) -> ModelResult<()> {
-        self.with_write_publish(|sys| sys.set_constraint(view, class_local, expr))
+        let record = WalRecord::SetConstraint {
+            view,
+            class_local: class_local.to_string(),
+            expr: expr.map(str::to_string),
+        };
+        self.structural_logged(record, |sys| sys.set_constraint(view, class_local, expr))
     }
-
 }
 
 /// The histogram of waits for the `system` lock in shared mode.

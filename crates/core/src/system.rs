@@ -126,24 +126,6 @@ impl TseSystem {
         &self.db
     }
 
-    /// An independent copy of this system for **fork–evolve–swap**: the
-    /// shared system runs a schema change against the fork while readers
-    /// keep using `self`, then swaps the evolved fork in under a short
-    /// exclusive section. Schema metadata (`Arc<Class>`), view schemas
-    /// (`Arc<ViewSchema>`), record segments, and object headers are shared
-    /// or cheaply cloned; the telemetry domain and failpoint registry are
-    /// the *same* handles, so spans from the fork land in the same journal
-    /// and armed failpoints fire inside it. Fails if an evolution
-    /// transaction is open (the undo log cannot be split).
-    pub fn fork(&self) -> ModelResult<TseSystem> {
-        Ok(TseSystem {
-            db: self.db.fork()?,
-            views: self.views.clone(),
-            policy: self.policy.clone(),
-            prover: self.prover.clone(),
-        })
-    }
-
     /// A **copy-free** fork for fork–evolve–swap: the returned system
     /// shares the store contents and object map with `self` (see
     /// [`Database::fork_shared`]) — only schema/view/policy metadata is
@@ -472,23 +454,6 @@ impl TseSystem {
             }
             primitive => self.evolve_primitive(family, primitive),
         }
-    }
-
-    /// Alias of [`TseSystem::evolve`], kept for API compatibility.
-    ///
-    /// Historically this was the only all-or-nothing entry point and paid
-    /// for it with a full encode/decode snapshot of the system per call.
-    /// Plain `evolve` is now transactional (undo-log rollback plus cheap
-    /// control-plane clones, no record data copied), so the two are
-    /// identical.
-    #[deprecated(note = "plain `evolve` has been all-or-nothing since the \
-                         transactional rework; call it directly")]
-    pub fn evolve_atomic(
-        &mut self,
-        family: &str,
-        change: &SchemaChange,
-    ) -> ModelResult<EvolutionReport> {
-        self.evolve(family, change)
     }
 
     /// Parse and apply a textual schema-change command.

@@ -7,19 +7,9 @@
 //! u8 version (0xA2) | u8 kind | u32 body_len | u32 crc32(kind ‖ body_len ‖ body) | body
 //! ```
 //!
-//! The version byte is `0xA2` rather than a small integer on purpose: no
-//! single-bit flip of `0xA2` yields `0x00`, and `0x00` is exactly what the
-//! first byte of a legacy v1 text frame looks like (the high byte of its
-//! `u32` family-length prefix). A flipped version byte therefore lands in
-//! the v1 parser with an impossible multi-gigabyte family length and is
-//! rejected — every single-bit corruption of a typed frame is detected,
-//! either by that route or by the CRC, which covers everything after the
-//! version byte.
-//!
-//! v1 read-compat: [`decode_frame`] still accepts the PR-2 text frames
-//! (`u32 family_len | family | command`), decoding them as
-//! [`WalRecord::Evolve`] — a log written before this format upgrade
-//! replays unchanged. New frames are always written typed.
+//! A payload whose first byte is anything but `0xA2` is refused as corrupt,
+//! and the CRC covers everything after that byte, so every single-bit
+//! corruption of a frame is detected.
 //!
 //! Data frames log **effects, not requests**: `Create` carries the oid the
 //! original call assigned (recovery forces the allocator to reissue it),
@@ -34,6 +24,7 @@ use tse_object_model::{
     Value,
 };
 use tse_storage::{Crc32, Payload, StorageError};
+use tse_view::ViewId;
 
 /// Version byte of the typed frame format.
 pub const FRAME_VERSION: u8 = 0xA2;
@@ -71,6 +62,8 @@ pub enum FrameKind {
     DefineClass = 9,
     /// `create_view` / `create_view_closed` / `create_view_all`.
     CreateView = 10,
+    /// `set_constraint` — attach or clear a class constraint.
+    SetConstraint = 11,
 }
 
 impl FrameKind {
@@ -86,6 +79,7 @@ impl FrameKind {
             8 => FrameKind::Checkpoint,
             9 => FrameKind::DefineClass,
             10 => FrameKind::CreateView,
+            11 => FrameKind::SetConstraint,
             other => return Err(corrupt(format!("unknown wal frame kind {other}"))),
         })
     }
@@ -163,6 +157,16 @@ pub enum WalRecord {
         /// Which `create_view*` entry point was used.
         mode: ViewMode,
     },
+    /// Re-run `set_constraint(view, class_local, expr)`.
+    SetConstraint {
+        /// The view version the class name is local to.
+        view: ViewId,
+        /// View-local class name (resolved at replay time, like the
+        /// original call resolved it).
+        class_local: String,
+        /// The constraint's expression text; `None` clears the constraint.
+        expr: Option<String>,
+    },
 }
 
 /// Which view-creation entry point a [`WalRecord::CreateView`] frame logs.
@@ -209,6 +213,7 @@ impl WalRecord {
             WalRecord::Checkpoint => FrameKind::Checkpoint,
             WalRecord::DefineClass { .. } => FrameKind::DefineClass,
             WalRecord::CreateView { .. } => FrameKind::CreateView,
+            WalRecord::SetConstraint { .. } => FrameKind::SetConstraint,
         }
     }
 }
@@ -279,6 +284,17 @@ pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
             put_strs(&mut body, classes);
             body.put_u8(mode.to_u8());
         }
+        WalRecord::SetConstraint { view, class_local, expr } => {
+            body.put_u32(view.0);
+            put_str(&mut body, class_local);
+            match expr {
+                Some(expr) => {
+                    body.put_u8(1);
+                    put_str(&mut body, expr);
+                }
+                None => body.put_u8(0),
+            }
+        }
     }
     let kind = record.kind() as u8;
     let len = body.len() as u32;
@@ -344,19 +360,22 @@ fn get_strs(buf: &mut Bytes) -> ModelResult<Vec<String>> {
     Ok(out)
 }
 
-fn get_class(buf: &mut Bytes) -> ModelResult<ClassId> {
+fn get_id(buf: &mut Bytes) -> ModelResult<u32> {
     if buf.remaining() < 4 {
-        return Err(corrupt("wal frame: truncated class id"));
+        return Err(corrupt("wal frame: truncated id"));
     }
-    Ok(ClassId(buf.get_u32()))
+    Ok(buf.get_u32())
 }
 
-/// Decode one WAL frame payload — a typed frame, or a legacy v1 text frame
-/// (accepted read-only, as [`WalRecord::Evolve`]). Every framing, length,
-/// or CRC violation is an error; a frame never decodes "partially".
+fn get_class(buf: &mut Bytes) -> ModelResult<ClassId> {
+    get_id(buf).map(ClassId)
+}
+
+/// Decode one WAL frame payload. Every version, framing, length, or CRC
+/// violation is an error; a frame never decodes "partially".
 pub fn decode_frame(payload: &[u8]) -> ModelResult<WalRecord> {
     if payload.first() != Some(&FRAME_VERSION) {
-        return decode_v1_frame(payload);
+        return Err(corrupt("wal frame: unknown version byte"));
     }
     if payload.len() < 10 {
         return Err(corrupt("wal frame: truncated typed header"));
@@ -431,28 +450,25 @@ pub fn decode_frame(payload: &[u8]) -> ModelResult<WalRecord> {
                 ViewMode::from_u8(buf.get_u8())?
             },
         },
+        FrameKind::SetConstraint => WalRecord::SetConstraint {
+            view: ViewId(get_id(&mut buf)?),
+            class_local: get_str(&mut buf)?,
+            expr: {
+                if buf.remaining() < 1 {
+                    return Err(corrupt("wal frame: truncated constraint flag"));
+                }
+                match buf.get_u8() {
+                    0 => None,
+                    1 => Some(get_str(&mut buf)?),
+                    other => return Err(corrupt(format!("unknown constraint flag {other}"))),
+                }
+            },
+        },
     };
     if buf.remaining() > 0 {
         return Err(corrupt("wal frame: trailing bytes in body"));
     }
     Ok(record)
-}
-
-/// Legacy v1 text frame: `u32 family_len | family | command`.
-fn decode_v1_frame(payload: &[u8]) -> ModelResult<WalRecord> {
-    if payload.len() < 4 {
-        return Err(corrupt("wal frame too short"));
-    }
-    let family_len = u32::from_be_bytes(payload[..4].try_into().unwrap()) as usize;
-    let rest = &payload[4..];
-    if rest.len() < family_len {
-        return Err(corrupt("wal frame family truncated"));
-    }
-    let family = std::str::from_utf8(&rest[..family_len])
-        .map_err(|_| corrupt("wal frame family not utf-8"))?;
-    let command = std::str::from_utf8(&rest[family_len..])
-        .map_err(|_| corrupt("wal frame command not utf-8"))?;
-    Ok(WalRecord::Evolve { family: family.to_string(), command: command.to_string() })
 }
 
 #[cfg(test)]
@@ -511,6 +527,12 @@ mod tests {
                 mode: ViewMode::Closed,
             },
             WalRecord::CreateView { family: "VA".into(), classes: vec![], mode: ViewMode::All },
+            WalRecord::SetConstraint {
+                view: ViewId(4),
+                class_local: "Student".into(),
+                expr: Some("age >= 18".into()),
+            },
+            WalRecord::SetConstraint { view: ViewId(1), class_local: "Person".into(), expr: None },
         ]
     }
 
@@ -525,21 +547,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_text_frames_still_decode() {
-        // The PR-2 format: u32 family_len | family | command.
-        let family = b"COURSES";
-        let command = b"delete_attribute units from Course";
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(family.len() as u32).to_be_bytes());
-        payload.extend_from_slice(family);
-        payload.extend_from_slice(command);
-        assert_eq!(
-            decode_frame(&payload).unwrap(),
-            WalRecord::Evolve {
-                family: "COURSES".into(),
-                command: "delete_attribute units from Course".into(),
+    fn every_other_version_byte_is_refused() {
+        // Among them `00 00 00 07 COURSES delete_attribute …`, the
+        // length-prefixed text frame of the first WAL format.
+        let mut text = 7u32.to_be_bytes().to_vec();
+        text.extend_from_slice(b"COURSESdelete_attribute units from Course");
+        let typed = encode_frame(&WalRecord::Checkpoint);
+        for first in (0..=u8::MAX).filter(|b| *b != FRAME_VERSION) {
+            for mut payload in [text.clone(), typed.clone()] {
+                payload[0] = first;
+                let refused = decode_frame(&payload).unwrap_err();
+                assert!(
+                    matches!(refused, ModelError::Storage(StorageError::Corrupt(_))),
+                    "first byte {first:#04x}: {refused}"
+                );
             }
-        );
+        }
     }
 
     #[test]
@@ -580,8 +603,5 @@ mod tests {
         let mut frame = encode_frame(&WalRecord::Checkpoint);
         frame[5] = 0xFF; // body_len low byte
         assert!(decode_frame(&frame).is_err());
-        // A v1 frame with an absurd family length.
-        let v1 = [0x00, 0xFF, 0xFF, 0xFF, b'x'];
-        assert!(decode_frame(&v1).is_err());
     }
 }

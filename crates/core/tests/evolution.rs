@@ -511,10 +511,7 @@ fn rename_class_is_view_local() {
 }
 
 #[test]
-// Covers the deprecated `evolve_atomic` alias on purpose: it must stay
-// behaviourally identical to `evolve` until it is removed.
-#[allow(deprecated)]
-fn evolve_atomic_rolls_back_everything_on_failure() {
+fn a_failing_macro_rolls_back_everything() {
     let mut tse = university();
     tse.create_view("VS", &["Person", "Student", "TA"]).unwrap();
     let classes_before = tse.db().schema().class_count();
@@ -522,21 +519,17 @@ fn evolve_atomic_rolls_back_everything_on_failure() {
 
     // insert_class is a macro: its first primitive (add_class) succeeds and
     // its second (add_edge TA under the new class… sup/sub reversed to force
-    // a cycle error) fails — atomic evolution must leave no trace.
+    // a cycle error) fails — the whole macro rolls back, including the
+    // intermediate version its first primitive registered.
     let bad = SchemaChange::InsertClass {
         name: "Mid".into(),
         sup: "TA".into(),
         sub: "Person".into(), // Person is an ancestor of TA → add_edge rejects
     };
-    assert!(tse.evolve_atomic("VS", &bad).is_err());
-    assert_eq!(tse.db().schema().class_count(), classes_before, "no leftover classes");
-    assert_eq!(tse.views().versions("VS").unwrap().len(), versions_before, "no leftover versions");
-    // Plain evolve is now equally transactional: the whole macro rolls back,
-    // including the intermediate version its first primitive registered.
     assert!(tse.evolve("VS", &bad).is_err());
     assert_eq!(tse.db().schema().class_count(), classes_before, "no leftover classes");
     assert_eq!(tse.views().versions("VS").unwrap().len(), versions_before, "no leftover versions");
-    assert!(tse.telemetry().counter("evolve.rollbacks") >= 2);
+    assert!(tse.telemetry().counter("evolve.rollbacks") >= 1);
     // The rolled-back system still evolves normally afterwards.
     tse.evolve_cmd("VS", "add_class Ok connected_to Person").unwrap();
 }

@@ -404,34 +404,6 @@ impl Database {
         self.store.set_failpoints(failpoints);
     }
 
-    /// A private copy of this database for control-plane work: the schema
-    /// clone is shallow (`Arc`-shared classes, copy-on-write), the store
-    /// fork carries segments and cumulative counters, and the telemetry
-    /// domain and failpoint registry are the **same shared handles** — a
-    /// schema change running against the fork records into the same journal
-    /// and honours the same armed failpoints as the original.
-    ///
-    /// The caller must quiesce data-plane writers for the duration of the
-    /// call (the `SharedSystem` swap latch does) so the object map and the
-    /// store fork describe the same instant.
-    ///
-    /// Fails if a schema-evolution transaction is open (the store refuses
-    /// to fork mid-transaction).
-    pub fn fork(&self) -> ModelResult<Database> {
-        Ok(Database {
-            schema: self.schema.clone(),
-            store: self.store.fork()?,
-            objects: Arc::new(RwLock::new(self.objects.read().clone())),
-            next_oid: AtomicU64::new(self.next_oid.load(Ordering::Acquire)),
-            membership: self.membership.clone(),
-            values: self.values.clone(),
-            late_segments: Arc::new(RwLock::new(self.late_segments.read().clone())),
-            extent_cache: Mutex::new(self.extent_cache.lock().clone()),
-            slice_hops: AtomicU64::new(self.slice_hops.load(Ordering::Relaxed)),
-            telemetry: self.telemetry.clone(),
-        })
-    }
-
     /// A **copy-free** fork: a second handle onto the *same* store
     /// contents, object map, and late-segment overlay, sharing the
     /// original's epoch clock. The schema is still cloned (shallow,
@@ -440,9 +412,8 @@ impl Database {
     /// membership mutations are MVCC versions — undo-logged for rollback,
     /// invisible to pinned readers until published.
     ///
-    /// Cost is a handful of `Arc` clones regardless of data volume, which
-    /// is what retires the physical store copy for capacity-preserving
-    /// evolutions. The caller must quiesce data-plane writers (the
+    /// Cost is a handful of `Arc` clones regardless of data volume. The
+    /// caller must quiesce data-plane writers (the
     /// `SharedSystem` swap latch does) for the fork's lifetime — the
     /// handles are shared, so concurrent writers through both would
     /// interleave.

@@ -3,7 +3,7 @@
 //!
 //! This module owns the *byte and file* level of crash safety; the policy
 //! level (what goes in the WAL, how recovery replays it) lives in
-//! `tse-core`'s durable system. On-disk layout of a system directory:
+//! `tse-core`'s durable module. On-disk layout of a system directory:
 //!
 //! ```text
 //! <dir>/MANIFEST        "TSEMANI1" | u64 generation | u32 crc(generation)
@@ -62,7 +62,7 @@ pub(crate) fn sync_dir(dir: &Path) -> StorageResult<()> {
 /// failpoint `site` can turn this into a clean error, a no-op crash, or a
 /// torn write (first `keep_bytes` bytes land in the temp file, which is
 /// never renamed — exactly what a mid-write power cut leaves).
-pub fn write_atomic(
+fn write_atomic(
     path: &Path,
     bytes: &[u8],
     fp: &FailpointRegistry,

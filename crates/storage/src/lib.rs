@@ -39,7 +39,7 @@
 //! The store is internally synchronised: segments are partitioned across
 //! `StoreConfig::write_stripes` lock stripes (keyed by `SegmentId % N`, each
 //! stripe with its own buffer pool), so record operations on different class
-//! segments run concurrently from `&self`. Cross-stripe operations — fork,
+//! segments run concurrently from `&self`. Cross-stripe operations —
 //! totals, snapshot encoding — acquire stripes in canonical index order,
 //! keeping them deadlock-free against single-stripe writers. Stripe
 //! contention is observable as `stripe.conflicts` / `lock.stripe_wait_ns`

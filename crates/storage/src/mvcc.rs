@@ -96,7 +96,7 @@ impl Drop for WriteStampGuard {
 }
 
 /// The shared monotone stamp source for one store family (a store plus
-/// every shared or physical fork of it).
+/// every shared fork of it).
 #[derive(Debug)]
 pub struct EpochClock {
     /// Next stamp to hand out. Stamps start at 1; stamp 0 is reserved for

@@ -2,7 +2,7 @@
 //!
 //! Persists an entire store to bytes and restores it. The format is a
 //! hand-rolled length-prefixed encoding (the workspace deliberately carries
-//! no serde format crate). Version 2 adds a CRC32 per section so torn and
+//! no serde format crate). Every section carries a CRC32 so torn and
 //! bit-rotted blobs are *rejected* instead of mis-decoded:
 //!
 //! ```text
@@ -16,9 +16,8 @@
 //!   u32 crc32(section bytes)
 //! ```
 //!
-//! Version-1 blobs (`TSESNAP1`, no CRCs) are still decoded for
-//! read-compatibility with snapshots taken before the durability layer
-//! existed; both decoders reject trailing garbage after the last section.
+//! A blob with any other magic, and trailing garbage after the last
+//! section, are refused as [`StorageError::Corrupt`].
 //!
 //! Record slot **indices are preserved**, so every `RecordId` taken before a
 //! snapshot remains valid after a restore — the property the object model
@@ -32,14 +31,13 @@ use crate::payload::{get_str, put_str, Payload};
 use crate::segment::Segment;
 use crate::store::{SliceStore, StoreConfig};
 
-const MAGIC_V1: &[u8; 8] = b"TSESNAP1";
-const MAGIC_V2: &[u8; 8] = b"TSESNAP2";
+const MAGIC: &[u8; 8] = b"TSESNAP2";
 
-/// Serialize the whole store (always the current version-2 format).
+/// Serialize the whole store.
 pub fn encode_store<P: Payload>(store: &SliceStore<P>) -> Bytes {
     store.with_segment_slots(|segments| {
         let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V2);
+        buf.put_slice(MAGIC);
         buf.put_u32(store.config().page_size as u32);
         buf.put_u32(store.config().buffer_pages as u32);
         buf.put_u32(segments.len() as u32);
@@ -91,8 +89,7 @@ fn encode_segment<P: Payload>(buf: &mut BytesMut, seg: Option<&Segment<P>>) {
     }
 }
 
-/// Restore a store from bytes produced by [`encode_store`] — the current
-/// CRC-checked format or a legacy version-1 blob. Runtime knobs
+/// Restore a store from bytes produced by [`encode_store`]. Runtime knobs
 /// (`write_stripes`, `wal_autocheckpoint_bytes`) take the process default;
 /// see [`decode_store_with`] to supply them.
 pub fn decode_store<P: Payload>(bytes: Bytes) -> StorageResult<SliceStore<P>> {
@@ -103,20 +100,15 @@ pub fn decode_store<P: Payload>(bytes: Bytes) -> StorageResult<SliceStore<P>> {
 /// (they shape the persisted layout) and every runtime knob — stripe
 /// count, auto-checkpoint threshold — from `runtime`.
 pub fn decode_store_with<P: Payload>(
-    bytes: Bytes,
+    all: Bytes,
     runtime: StoreConfig,
 ) -> StorageResult<SliceStore<P>> {
-    if bytes.remaining() < 8 {
+    if all.remaining() < 8 {
         return Err(StorageError::Corrupt("snapshot too short".into()));
     }
-    match &bytes[..8] {
-        m if m == MAGIC_V2 => decode_store_v2(bytes, runtime),
-        m if m == MAGIC_V1 => decode_store_v1(bytes, runtime),
-        _ => Err(StorageError::Corrupt("bad magic".into())),
+    if &all[..8] != MAGIC {
+        return Err(StorageError::Corrupt("bad magic".into()));
     }
-}
-
-fn decode_store_v2<P: Payload>(all: Bytes, runtime: StoreConfig) -> StorageResult<SliceStore<P>> {
     if all.remaining() < 8 + 12 + 4 {
         return Err(StorageError::Corrupt("truncated header".into()));
     }
@@ -150,31 +142,7 @@ fn decode_store_v2<P: Payload>(all: Bytes, runtime: StoreConfig) -> StorageResul
     Ok(SliceStore::rebuild(config, segments))
 }
 
-fn decode_store_v1<P: Payload>(
-    mut bytes: Bytes,
-    runtime: StoreConfig,
-) -> StorageResult<SliceStore<P>> {
-    bytes.advance(8);
-    if bytes.remaining() < 12 {
-        return Err(StorageError::Corrupt("truncated header".into()));
-    }
-    let page_size = bytes.get_u32() as usize;
-    let buffer_pages = bytes.get_u32() as usize;
-    let config = StoreConfig { page_size, buffer_pages, ..runtime };
-    let n_segments = bytes.get_u32() as usize;
-    let mut segments: Vec<Option<Segment<P>>> =
-        Vec::with_capacity(n_segments.min(bytes.remaining()));
-    for _ in 0..n_segments {
-        segments.push(decode_segment(&mut bytes, page_size)?);
-    }
-    if bytes.remaining() > 0 {
-        return Err(StorageError::Corrupt("trailing bytes after snapshot".into()));
-    }
-    Ok(SliceStore::rebuild(config, segments))
-}
-
-/// Decode one segment slot (shared by both format versions; v2 checks the
-/// section CRC around this).
+/// Decode one segment slot (the caller checks the section CRC around this).
 fn decode_segment<P: Payload>(
     bytes: &mut Bytes,
     page_size: usize,
@@ -222,21 +190,6 @@ mod tests {
     use crate::payload::SimplePayload as SP;
     use crate::store::RecordId;
 
-    /// The legacy version-1 encoder, kept only to prove read-compatibility.
-    fn encode_store_v1(store: &SliceStore<SP>) -> Bytes {
-        store.with_segment_slots(|segments| {
-            let mut buf = BytesMut::new();
-            buf.put_slice(MAGIC_V1);
-            buf.put_u32(store.config().page_size as u32);
-            buf.put_u32(store.config().buffer_pages as u32);
-            buf.put_u32(segments.len() as u32);
-            for seg in segments {
-                encode_segment(&mut buf, *seg);
-            }
-            buf.freeze()
-        })
-    }
-
     fn populated() -> (SliceStore<SP>, RecordId, RecordId, RecordId) {
         let st = SliceStore::<SP>::new(StoreConfig {
             page_size: 256,
@@ -267,14 +220,15 @@ mod tests {
     }
 
     #[test]
-    fn version1_blobs_still_decode() {
-        let (st, r1, r2, r3) = populated();
-        let legacy = encode_store_v1(&st);
-        assert_eq!(&legacy[..8], MAGIC_V1);
-        let restored: SliceStore<SP> = decode_store(legacy).unwrap();
-        assert_eq!(restored.read(r1).unwrap(), vec![SP::Str("ann".into()), SP::Int(31)]);
-        assert_eq!(restored.read(r3).unwrap(), vec![SP::Str("jeep".into())]);
-        assert!(restored.read(r2).is_err());
+    fn an_unchecksummed_version_one_blob_is_refused() {
+        // `TSESNAP1` was the same layout without the CRCs: strip them and
+        // swap the magic, and the blob must be refused, not decoded.
+        let st = SliceStore::<SP>::default();
+        let mut old = encode_store(&st).to_vec();
+        old[..8].copy_from_slice(b"TSESNAP1");
+        old.truncate(20);
+        let refused = decode_store::<SP>(Bytes::from(old)).unwrap_err();
+        assert!(matches!(refused, StorageError::Corrupt(_)), "{refused}");
     }
 
     #[test]

@@ -4,17 +4,15 @@
 //! Segments (one per class in the object model) are partitioned across
 //! `StoreConfig::write_stripes` lock stripes keyed by `SegmentId % N`, so
 //! record operations on different class segments proceed concurrently from
-//! `&self`. Cross-stripe operations (physical fork, totals, snapshot
-//! encoding, GC) acquire stripes in canonical (index) order, which keeps
-//! them deadlock-free against any set of single-stripe writers.
+//! `&self`. Cross-stripe operations (totals, snapshot encoding, GC)
+//! acquire stripes in canonical (index) order, which keeps them
+//! deadlock-free against any set of single-stripe writers.
 //!
 //! Every mutation installs a new record version stamped by the shared
 //! [`EpochClock`]; reads resolve against the calling thread's pinned epoch
 //! (see [`crate::mvcc`]) or the latest version when unpinned. The store's
 //! contents live behind an `Arc` so [`SliceStore::fork_shared`] is a
-//! handle clone — the control plane's copy-free fork — while the legacy
-//! physical [`SliceStore::fork`] (deep copy, all stripes quiesced)
-//! remains for single-owner embedded use and as a benchmark baseline.
+//! handle clone: the control plane's fork copies nothing.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,18 +100,6 @@ struct AtomicStats {
 }
 
 impl AtomicStats {
-    fn from_snapshot(s: StoreStats) -> Self {
-        AtomicStats {
-            record_reads: AtomicU64::new(s.record_reads),
-            record_writes: AtomicU64::new(s.record_writes),
-            page_hits: AtomicU64::new(s.page_hits),
-            page_misses: AtomicU64::new(s.page_misses),
-            records_allocated: AtomicU64::new(s.records_allocated),
-            records_freed: AtomicU64::new(s.records_freed),
-            record_moves: AtomicU64::new(s.record_moves),
-        }
-    }
-
     fn snapshot(&self) -> StoreStats {
         StoreStats {
             record_reads: self.record_reads.load(Ordering::Relaxed),
@@ -190,8 +176,7 @@ struct StoreInner<P: Payload> {
     /// the mutex entirely when no transaction is open.
     txn: Mutex<TxnState>,
     txn_active: AtomicBool,
-    /// The stamp source shared by every handle (and every physical fork)
-    /// of this store family.
+    /// The stamp source shared by every handle of this store family.
     clock: Arc<EpochClock>,
     /// Superseded version entries awaiting GC, maintained incrementally by
     /// the mutation paths and recomputed authoritatively by `gc`.
@@ -566,55 +551,8 @@ impl<P: Payload> SliceStore<P> {
         })
     }
 
-    /// A private **physical copy** of this store: same segments and
-    /// records, cumulative counters carried over, cold buffer pools, no
-    /// open transaction, the **same** (shared) failpoint registry,
-    /// telemetry domain, and — so stamps stay monotone across copies —
-    /// the same epoch clock.
-    ///
-    /// The fork quiesces all stripes — write locks acquired in canonical
-    /// (index) order — so the copy is a consistent point-in-time image
-    /// even while data-plane writers are running; the quiesce latency is
-    /// observed as `lock.stripe_wait_ns`. The shared control plane no
-    /// longer uses this path for evolution (see
-    /// [`SliceStore::fork_shared`]); it remains for single-owner embedded
-    /// systems and as the benchmark baseline for the fork-cost delta.
-    /// Forking while a transaction is open would silently drop the fork's
-    /// undo history, so it is rejected.
-    pub fn fork(&self) -> StorageResult<Self> {
-        if self.inner.txn_active.load(Ordering::Acquire) {
-            return Err(StorageError::TxnState("fork inside a transaction"));
-        }
-        let begun = Instant::now();
-        let guards: Vec<_> = self.inner.stripes.iter().map(|s| s.segments.write()).collect();
-        self.telemetry
-            .observe_ns("lock.stripe_wait_ns", (begun.elapsed().as_nanos() as u64).max(1));
-        let stripes: Vec<Stripe<P>> = guards
-            .iter()
-            .map(|g| Stripe {
-                segments: RwLock::new((**g).clone()),
-                buffer: Mutex::new(BufferPool::new(self.inner.config.buffer_pages)),
-            })
-            .collect();
-        drop(guards);
-        Ok(SliceStore {
-            inner: Arc::new(StoreInner {
-                config: self.inner.config,
-                stripes,
-                next_segment: AtomicU32::new(self.inner.next_segment.load(Ordering::Acquire)),
-                stats: AtomicStats::from_snapshot(self.inner.stats.snapshot()),
-                txn: Mutex::new(TxnState::default()),
-                txn_active: AtomicBool::new(false),
-                clock: Arc::clone(&self.inner.clock),
-                superseded: AtomicU64::new(self.inner.superseded.load(Ordering::Relaxed)),
-            }),
-            failpoints: self.failpoints.clone(),
-            telemetry: self.telemetry.clone(),
-        })
-    }
-
     /// Whether two handles share the same store contents (true for
-    /// [`SliceStore::fork_shared`] pairs, false for physical forks).
+    /// [`SliceStore::fork_shared`] pairs).
     pub fn shares_contents_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
@@ -1024,43 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_quiesces_concurrent_writers_to_a_consistent_image() {
-        let st = std::sync::Arc::new(store());
-        let seg_a = st.create_segment("a");
-        let seg_b = st.create_segment("b");
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|scope| {
-            for seg in [seg_a, seg_b] {
-                let st = std::sync::Arc::clone(&st);
-                let stop = std::sync::Arc::clone(&stop);
-                scope.spawn(move || {
-                    let mut i = 0i64;
-                    while !stop.load(Ordering::Relaxed) {
-                        st.insert(seg, vec![SP::Int(i)]).unwrap();
-                        i += 1;
-                    }
-                });
-            }
-            for _ in 0..20 {
-                let fork = st.fork().unwrap();
-                // Each forked segment is a coherent point-in-time copy:
-                // every slot below len is live with a well-formed record.
-                for seg in [seg_a, seg_b] {
-                    let n = fork.segment_len(seg).unwrap();
-                    let mut seen = 0;
-                    fork.scan(seg, |_, fields| {
-                        assert_eq!(fields.len(), 1);
-                        seen += 1;
-                    })
-                    .unwrap();
-                    assert_eq!(seen, n);
-                }
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-    }
-
-    #[test]
     fn pinned_epoch_reads_are_repeatable() {
         let st = store();
         let seg = st.create_segment("s");
@@ -1118,8 +1019,7 @@ mod tests {
         assert!(st.shares_contents_with(&fork));
         fork.write_field(rec, 0, SP::Int(2)).unwrap();
         assert_eq!(st.read_field(rec, 0).unwrap(), SP::Int(2), "mutation visible via original");
-        let physical = st.fork().unwrap();
-        assert!(!st.shares_contents_with(&physical));
+        assert!(!st.shares_contents_with(&store()));
     }
 
     #[test]

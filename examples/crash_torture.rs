@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use tse_core::{DegradedReason, SharedSystem, SystemHealth};
+use tse_core::{DegradedReason, SharedSystem, SystemHealth, TseSystem};
 use tse_object_model::{ModelError, Oid, PropertyDef, Value, ValueType};
 use tse_storage::{FailAction, StoreConfig};
 use tse_view::ViewId;
@@ -195,7 +195,7 @@ fn seed_schema(shared: &SharedSystem) {
 }
 
 fn reopen(dir: &Path, config: StoreConfig, seed: u64, iteration: u64) -> SharedSystem {
-    SharedSystem::builder().dir(dir).store_config(config).open().unwrap_or_else(|e| {
+    TseSystem::builder(dir).store_config(config).open().unwrap_or_else(|e| {
         eprintln!("seed={seed:#x} iteration={iteration}: recovery failed: {e}");
         std::process::exit(1);
     })
@@ -333,7 +333,7 @@ fn run_kill(seed: u64, iterations: u64) {
 
     // Seed a durable baseline on disk.
     {
-        let shared = SharedSystem::builder().dir(&dir).store_config(config).open().expect("fresh open");
+        let shared = TseSystem::builder(&dir).store_config(config).open().expect("fresh open");
         seed_schema(&shared);
         shared.checkpoint().unwrap();
     }
@@ -488,7 +488,7 @@ fn run_chaos(seed: u64, iterations: u64) {
     let config = StoreConfig::default();
     let dir = scratch_dir("chaos");
 
-    let mut shared = SharedSystem::builder().dir(&dir).store_config(config).open().expect("fresh open");
+    let mut shared = TseSystem::builder(&dir).store_config(config).open().expect("fresh open");
     seed_schema(&shared);
     shared.checkpoint().unwrap();
     // Backoff sleeps accumulate on the virtual clock: the schedule is
@@ -687,7 +687,7 @@ fn run_poison(seed: u64) {
     let config = StoreConfig::default();
     let dir = scratch_dir("poison");
 
-    let shared = SharedSystem::builder().dir(&dir).store_config(config).open().expect("fresh open");
+    let shared = TseSystem::builder(&dir).store_config(config).open().expect("fresh open");
     seed_schema(&shared);
     shared.checkpoint().unwrap();
 

@@ -255,6 +255,43 @@ fn a_reopened_system_classifies_like_one_that_never_closed() {
     let _ = std::fs::remove_dir_all(dir_b);
 }
 
+/// What a recovery left: class names in id order, the family's view
+/// versions, how far the prover got, and every fact it holds.
+fn recovered(sys: &SharedSystem) -> (Vec<String>, Vec<tse::view::ViewId>, usize, Vec<bool>) {
+    let session = sys.session();
+    let schema = session.meta().schema();
+    let prover = sys.prover();
+    assert_equals_from_scratch(&prover, schema, "recovered");
+    let ids: Vec<_> = schema.class_ids().collect();
+    (
+        ids.iter().map(|c| schema.class(*c).unwrap().name.clone()).collect(),
+        session.meta().views().versions(FAMILY).unwrap().to_vec(),
+        prover.known(),
+        ids.iter().flat_map(|a| ids.iter().map(|b| prover.subsumes(*a, *b))).collect(),
+    )
+}
+
+#[test]
+fn both_ways_to_open_a_directory_recover_the_same_system() {
+    let dir = tmpdir("two_opens");
+    let shared = durable(&dir);
+    shared.evolve_cmd(FAMILY, "add_attribute email: str to Person").unwrap();
+    // One change comes back from the snapshot, two from WAL redo.
+    shared.checkpoint().unwrap();
+    shared.evolve_cmd(FAMILY, "delete_attribute salary from Staff").unwrap();
+    shared.evolve_cmd(FAMILY, "add_class Tutor connected_to Student").unwrap();
+    drop(shared);
+
+    let handle = SharedSystem::open(&dir).unwrap();
+    let through_the_handle = recovered(&handle);
+    drop(handle);
+    let built = TseSystem::builder(&dir).open().unwrap();
+    assert_eq!(recovered(&built), through_the_handle);
+    assert_eq!(through_the_handle.1.len(), 4);
+    drop(built);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn everything_the_prover_claims_holds_on_the_data() {
     let mut tse = university();
