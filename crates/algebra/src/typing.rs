@@ -15,6 +15,7 @@
 //! hierarchy-resolved type agrees with it (a tested invariant).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use tse_object_model::{
     ClassId, ClassKind, Database, Derivation, ModelError, ModelResult, PropKey,
@@ -27,96 +28,76 @@ pub type TypeKeys = BTreeSet<(String, PropKey)>;
 /// resolution; for virtual classes the operator rule over the sources'
 /// intent types (usable *before* the class has been classified into the
 /// DAG).
-pub fn intent_type(db: &Database, class: ClassId) -> ModelResult<TypeKeys> {
-    // Derivations form a DAG with heavy sharing (replayed chains, unions);
-    // memoize per call or the recursion tree explodes exponentially.
-    let mut memo = std::collections::HashMap::new();
-    intent_type_memo(db, class, &mut memo)
+///
+/// Memoised per class in the schema's fact cache
+/// ([`tse_object_model::Schema::intent_type_with`]): derivations form a DAG
+/// with heavy sharing (replayed chains, unions), and a family's hundredth
+/// change reads its source's intent instead of re-deriving the chain down
+/// to the base classes.
+pub fn intent_type(db: &Database, class: ClassId) -> ModelResult<Arc<TypeKeys>> {
+    db.schema().intent_type_with(class, || derive_intent(db, class))
 }
 
-fn intent_type_memo(
-    db: &Database,
-    class: ClassId,
-    memo: &mut std::collections::HashMap<ClassId, TypeKeys>,
-) -> ModelResult<TypeKeys> {
-    if let Some(t) = memo.get(&class) {
-        return Ok(t.clone());
-    }
-    let t = intent_type_inner(db, class, memo)?;
-    memo.insert(class, t.clone());
-    Ok(t)
-}
-
-fn intent_type_inner(
-    db: &Database,
-    class: ClassId,
-    memo: &mut std::collections::HashMap<ClassId, TypeKeys>,
-) -> ModelResult<TypeKeys> {
+/// The operator rule, one level: the sources' intent types come from
+/// [`intent_type`].
+fn derive_intent(db: &Database, class: ClassId) -> ModelResult<Arc<TypeKeys>> {
     let schema = db.schema();
     let cls = schema.class(class)?;
-    // Classifier-attached by-reference inclusions are part of the type for
-    // every operator.
-    let extra: Vec<(String, tse_object_model::PropKey)> = cls
-        .extra_refs()
-        .iter()
-        .filter_map(|(_, k)| schema.def_by_key(*k).ok().map(|(_, d)| (d.name.clone(), *k)))
-        .collect();
-    let mut base = intent_type_op(db, class, memo)?;
-    base.extend(extra);
-    Ok(base)
-}
-
-fn intent_type_op(
-    db: &Database,
-    class: ClassId,
-    memo: &mut std::collections::HashMap<ClassId, TypeKeys>,
-) -> ModelResult<TypeKeys> {
-    let schema = db.schema();
-    let cls = schema.class(class)?;
-    match cls.kind.clone() {
-        ClassKind::Base => Ok(schema.resolved_type(class)?.keys().clone()),
+    let by_operator = match &cls.kind {
+        ClassKind::Base => schema.type_keys(class)?,
         ClassKind::Virtual(derivation) => match derivation {
-            Derivation::Select { src, .. } => intent_type_memo(db, src, memo),
+            Derivation::Select { src, .. } | Derivation::Difference { a: src, .. } => {
+                intent_type(db, *src)?
+            }
             Derivation::Hide { src, hidden } => {
-                let mut t = intent_type_memo(db, src, memo)?;
+                let mut t = TypeKeys::clone(&*intent_type(db, *src)?);
                 t.retain(|(name, _)| !hidden.contains(name));
-                Ok(t)
+                Arc::new(t)
             }
             Derivation::Refine { src, new_props, inherited } => {
-                let mut t = intent_type_memo(db, src, memo)?;
+                let mut t = TypeKeys::clone(&*intent_type(db, *src)?);
                 for key in new_props {
                     // New props are locals of this very class — unless a
                     // later classification promoted the definition upward
                     // (the key is stable, so look it up globally then).
-                    let name = match cls.local_by_key(key) {
+                    let name = match cls.local_by_key(*key) {
                         Some(lp) => lp.def.name.clone(),
-                        None => schema.def_by_key(key)?.1.name.clone(),
+                        None => schema.def_by_key(*key)?.1.name.clone(),
                     };
-                    t.insert((name, key));
+                    t.insert((name, *key));
                 }
                 for (_, key) in inherited {
-                    let (_, def) = schema.def_by_key(key)?;
-                    t.insert((def.name.clone(), key));
+                    let (_, def) = schema.def_by_key(*key)?;
+                    t.insert((def.name.clone(), *key));
                 }
                 // Plus any locals added after creation (promotion targets).
                 for lp in cls.locals() {
                     t.insert((lp.def.name.clone(), lp.def.key));
                 }
-                Ok(t)
+                Arc::new(t)
             }
             Derivation::Union { a, b } => {
-                let ta = intent_type_memo(db, a, memo)?;
-                let tb = intent_type_memo(db, b, memo)?;
-                Ok(ta.intersection(&tb).cloned().collect())
+                let (ta, tb) = (intent_type(db, *a)?, intent_type(db, *b)?);
+                Arc::new(ta.intersection(&tb).cloned().collect())
             }
-            Derivation::Difference { a, .. } => intent_type_memo(db, a, memo),
             Derivation::Intersect { a, b } => {
-                let ta = intent_type_memo(db, a, memo)?;
-                let tb = intent_type_memo(db, b, memo)?;
-                Ok(ta.union(&tb).cloned().collect())
+                let (ta, tb) = (intent_type(db, *a)?, intent_type(db, *b)?);
+                Arc::new(ta.union(&tb).cloned().collect())
             }
         },
+    };
+    // Classifier-attached by-reference inclusions are part of the type for
+    // every operator.
+    if cls.extra_refs().is_empty() {
+        return Ok(by_operator);
     }
+    let mut t = TypeKeys::clone(&by_operator);
+    t.extend(
+        cls.extra_refs()
+            .iter()
+            .filter_map(|(_, k)| schema.def_by_key(*k).ok().map(|(_, d)| (d.name.clone(), *k))),
+    );
+    Ok(Arc::new(t))
 }
 
 /// Definition-time validation for `select`: every referenced attribute must
@@ -241,6 +222,47 @@ mod tests {
             .create_virtual_class("I", Derivation::Intersect { a: r, b: person })
             .unwrap();
         assert_eq!(intent_type(&db, i).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn a_memoised_intent_follows_its_sources() {
+        let (mut db, person) = db_with_person();
+        let other = db.schema_mut().create_base_class("Other", &[]).unwrap();
+        let email = PropertyDef::stored("email", ValueType::Str, Value::Null);
+        let hide = Derivation::Hide { src: person, hidden: vec!["age".into()] };
+        let h = db.schema_mut().create_virtual_class("H", hide).unwrap();
+        let u = db
+            .schema_mut()
+            .create_virtual_class("U", Derivation::Union { a: person, b: h })
+            .unwrap();
+        // A chain: the select's intent is the hide's, one level down.
+        let pred = tse_object_model::Predicate::IsSet("name".into());
+        let s = db
+            .schema_mut()
+            .create_virtual_class("S", Derivation::Select { src: h, pred })
+            .unwrap();
+        let names = |db: &Database, class| -> Vec<String> {
+            intent_type(db, class).unwrap().iter().map(|(n, _)| n.clone()).collect()
+        };
+        for class in [h, u, s] {
+            assert_eq!(names(&db, class), ["name"]);
+        }
+        let memoised = intent_type(&db, s).unwrap();
+        assert!(Arc::ptr_eq(&memoised, &intent_type(&db, s).unwrap()));
+        assert!(Arc::ptr_eq(&memoised, &intent_type(&db, h).unwrap()), "shared with the source");
+
+        // A change elsewhere keeps the memo; a change to the source reaches
+        // every class derived from it, upward operators included.
+        db.schema_mut().add_local_prop(other, email.clone(), None).unwrap();
+        assert!(Arc::ptr_eq(&memoised, &intent_type(&db, s).unwrap()));
+        db.schema_mut().add_local_prop(person, email, None).unwrap();
+        for class in [h, u, s] {
+            assert_eq!(names(&db, class), ["email", "name"]);
+        }
+        db.schema_mut().rename_local_prop(person, "name", "called").unwrap();
+        for class in [h, u, s] {
+            assert_eq!(names(&db, class), ["called", "email"]);
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn classify_inner(
     if db.schema().class(class)?.is_base() {
         return Err(ModelError::NotAVirtualClass(class));
     }
-    let target_type: TypeKeys = intent_type(db, class)?;
+    let target_type: Arc<TypeKeys> = intent_type(db, class)?;
     telemetry.time("classifier.prover_advance_ns", || prover.advance(db.schema()));
 
     // Candidate supers / subs: a class the prover relates to `class` in
@@ -112,7 +112,7 @@ fn classify_inner(
         let other_type = db.schema().type_keys(other)?;
         let ext_below = prover.subsumes(class, other);
         let ext_above = prover.subsumes(other, class);
-        if ext_below && ext_above && *other_type == target_type {
+        if ext_below && ext_above && other_type == target_type {
             // Duplicate: same provable extent, same type.
             db.schema_mut().retire_class(class)?;
             return Ok(Placement {
@@ -232,7 +232,7 @@ pub fn classify_all(
 pub fn check_type_agreement(db: &Database, class: ClassId) -> ModelResult<bool> {
     let resolved = db.schema().type_keys(class)?;
     let intent = intent_type(db, class)?;
-    Ok(*resolved == intent)
+    Ok(resolved == intent)
 }
 
 #[cfg(test)]

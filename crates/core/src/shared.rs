@@ -133,8 +133,9 @@ pub struct MetaSnapshot {
 
 impl MetaSnapshot {
     fn capture(epoch: u64, system: &TseSystem) -> Self {
-        // Cheap by construction: classes are `Arc<Class>`, view schemas are
-        // `Arc<ViewSchema>`, so both clones copy pointer vectors, not bodies.
+        // Cheap by construction: a schema clone is a handful of `Arc` copies
+        // (its fact cache rides along, so the snapshot is warm for its first
+        // reader) and view schemas are `Arc<ViewSchema>`.
         MetaSnapshot {
             epoch,
             schema: system.db().schema().clone(),
@@ -590,9 +591,10 @@ impl SharedSystem {
             private.evolve(family, change)
         }?;
 
-        // No extent is warmed for the swap: the fork carries the live
-        // system's extent cache, and a new view class derives its first
-        // extent from its source's entry.
+        // Nothing is warmed for the swap: the fork carries the live
+        // system's extent cache and its schema's fact cache, a new view
+        // class derives its first extent from its source's entry, and the
+        // classifier resolved the new classes' types on the way in.
 
         // Publish the evolution's versions before the metadata swap:
         // sessions opened after the swap must pin an epoch that already

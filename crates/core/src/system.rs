@@ -275,7 +275,7 @@ impl TseSystem {
     ///
     /// Every call runs under an `evolve` telemetry span (composite macros
     /// nest one `evolve` span per expanded primitive), bumps the `evolve.*`
-    /// counters, and republishes the store's `store.*` gauges, so the
+    /// counters, and republishes the `store.*` and `schema.*` gauges, so the
     /// journal records the full expansion tree of each change.
     ///
     /// Each top-level call is **all-or-nothing**: the outermost frame opens

@@ -31,6 +31,11 @@ pub struct Class {
     pub(crate) supers: Vec<ClassId>,
     /// Direct subclasses.
     pub(crate) subs: Vec<ClassId>,
+    /// The virtual classes whose derivation names this class as a source,
+    /// in creation order: the reverse of [`Derivation::sources`]. Like
+    /// `subs` it is an index, not persisted, and it only grows — a retired
+    /// class stays listed. `Schema::invalidate` walks it.
+    pub(crate) derived: Vec<ClassId>,
     /// Stored-attribute capability: keys this class can provide slice
     /// storage for, in record field order. Grows append-only (dynamic
     /// restructuring adds fields at the end).
@@ -59,6 +64,7 @@ impl Class {
             locals: Vec::new(),
             supers: Vec::new(),
             subs: Vec::new(),
+            derived: Vec::new(),
             stored_layout: Vec::new(),
             extra_refs: Vec::new(),
             segment: None,
@@ -77,6 +83,14 @@ impl Class {
             ClassKind::Base => None,
             ClassKind::Virtual(d) => Some(d),
         }
+    }
+
+    /// The distinct source classes of the derivation; none for a base
+    /// class. Each lists this class in its `derived`.
+    pub(crate) fn sources(&self) -> Vec<ClassId> {
+        let mut sources = self.derivation().map(Derivation::sources).unwrap_or_default();
+        sources.dedup();
+        sources
     }
 
     /// Locally defined properties.

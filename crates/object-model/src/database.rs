@@ -228,10 +228,9 @@ const OLD_EPOCH_ENTRIES: usize = 8;
 /// sees never changes, so the old-epoch entries need no invalidation;
 /// they only age out.
 ///
-/// Nothing here is keyed by schema generation. Classes are append-only and
-/// a class's derivation never changes, so a schema change invalidates no
-/// entry; a new class has none, and its first read derives from its
-/// sources' entries.
+/// No schema change invalidates an entry: classes are append-only and a
+/// class's derivation never changes; a new class has none, and its first
+/// read derives from its sources' entries.
 #[derive(Clone, Default)]
 struct ExtentCache {
     current: HashMap<ClassId, CachedExtent>,
@@ -367,9 +366,14 @@ impl Database {
     }
 
     /// Publish the store's cumulative access counters into the telemetry
-    /// registry under `store.*` (page touches, hit ratio, …).
+    /// registry under `store.*` (page touches, hit ratio, …), and next to
+    /// them what the schema's fact cache did: `schema.types_resolved`
+    /// (class types resolved, i.e. cache misses) and
+    /// `schema.types_invalidated` (entries dropped by schema mutations).
     pub fn publish_store_stats(&self) {
         self.store.stats().publish(&self.telemetry, "store");
+        self.telemetry.set_gauge("schema.types_resolved", self.schema.types_resolved());
+        self.telemetry.set_gauge("schema.types_invalidated", self.schema.types_invalidated());
     }
 
     /// Read access to the global schema.
@@ -406,8 +410,9 @@ impl Database {
 
     /// A **copy-free** fork: a second handle onto the *same* store
     /// contents, object map, and late-segment overlay, sharing the
-    /// original's epoch clock. The schema is still cloned (shallow,
-    /// copy-on-write classes): an evolution mutates the fork's schema
+    /// original's epoch clock. The schema is still cloned (pointer copies,
+    /// copy-on-write, its fact cache riding along — the fork knows every
+    /// class the original knew): an evolution mutates the fork's schema
     /// privately and the swap-in publishes it, while its store and
     /// membership mutations are MVCC versions — undo-logged for rollback,
     /// invisible to pinned readers until published.
@@ -525,10 +530,12 @@ impl Database {
             self.objects.write().insert(oid, entry);
         }
 
-        // Initialize provided values (a failure — type error or constraint
-        // refusal — must not leave a half-created object behind).
+        // Initialize provided values (a failure must not leave a
+        // half-created object behind). The class constraints are checked
+        // once below, on the complete object: checked after each value they
+        // would judge the defaults of the values still to come.
         for (name, value) in values {
-            if let Err(e) = self.write_attr(oid, class, name, value.clone()) {
+            if let Err(e) = self.write_initial(oid, class, name, value.clone()) {
                 self.delete_object(oid)?;
                 return Err(e);
             }

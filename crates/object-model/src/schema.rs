@@ -12,6 +12,13 @@
 //! * exception: a definition that was *promoted* out of class `C` into a
 //!   superclass wins conflicts when resolving at `C` (§6.2.3's
 //!   multiple-inheritance priority rule).
+//!
+//! What resolution works out is kept per class in the *fact cache* (resolved
+//! type, intent type, access plans). A schema change adds classes beside the
+//! old ones and leaves the rest untouched, and so does the cache: an entry
+//! dies when its class, or a class its facts are built from, is mutated
+//! (`Schema::invalidate`) and at no other time, and it rides through every
+//! `Schema::clone`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -132,8 +139,8 @@ impl ResolvedType {
 /// How one property name is accessed through one class: the name resolved
 /// ahead of time to a definition, what reading or writing it needs from that
 /// definition, and where its value can live. Compiled on the first access of
-/// `(class, name)` and kept with the class's resolved type, so it is valid
-/// exactly as long as that is (see [`Schema::access_plan`]).
+/// `(class, name)` and kept in the class's fact-cache entry (see
+/// [`Schema::access_plan`] for when it dies).
 #[derive(Debug)]
 pub(crate) struct AccessPlan {
     /// Identity of the definition the name resolves to.
@@ -177,70 +184,103 @@ impl AccessPlan {
     }
 }
 
-/// One class's entry in the resolution cache: its resolved type and the
-/// access plans compiled against it so far.
-struct CachedType {
-    resolved: Arc<ResolvedType>,
+/// What the schema remembers about one class between mutations: its
+/// resolved type, its intent type (the operator rule of `tse-algebra`,
+/// memoised through [`Schema::intent_type_with`]) and the access plans
+/// compiled so far. See [`Schema::invalidate`] for when an entry dies.
+#[derive(Clone, Default)]
+struct ClassFacts {
+    resolved: Option<Arc<ResolvedType>>,
+    intent: Option<Arc<BTreeSet<(String, PropKey)>>>,
     plans: HashMap<Box<str>, Arc<AccessPlan>>,
 }
 
-#[derive(Default)]
-struct TypeCache {
-    generation: u64,
-    map: HashMap<ClassId, CachedType>,
+impl ClassFacts {
+    fn is_empty(&self) -> bool {
+        self.resolved.is_none() && self.intent.is_none() && self.plans.is_empty()
+    }
+}
+
+/// The fact cache: one [`ClassFacts`] per class id (shorter than the class
+/// list until a fill reaches the newer classes). The spine is shared with
+/// every clone of the schema until one side fills or drops an entry.
+#[derive(Clone, Default)]
+struct FactCache {
+    entries: Arc<Vec<ClassFacts>>,
+    /// Does any entry hold a plan? Lets the wholesale plan drop of an edge
+    /// or layout mutation cost nothing while none was compiled — the state
+    /// an evolve runs in.
+    plans_live: bool,
+    /// Class types resolved (cache misses, counted per class resolved).
+    resolved: u64,
+    /// Non-empty entries dropped by [`Schema::invalidate`].
+    invalidated: u64,
+}
+
+impl FactCache {
+    fn entry(&self, class: ClassId) -> Option<&ClassFacts> {
+        self.entries.get(class.0 as usize)
+    }
+
+    /// The entry of `class` (which must exist in the schema), for filling.
+    fn entry_mut(&mut self, class: ClassId) -> &mut ClassFacts {
+        let entries = Arc::make_mut(&mut self.entries);
+        let idx = class.0 as usize;
+        if entries.len() <= idx {
+            entries.resize_with(idx + 1, ClassFacts::default);
+        }
+        &mut entries[idx]
+    }
 }
 
 /// The global schema.
 ///
-/// Classes are held behind `Arc` so cloning the schema — the checkpoint
-/// primitive of transactional evolution *and* the epoch-snapshot primitive
-/// of the shared-system control plane — is a shallow copy-on-write: the
-/// clone shares every class until one side mutates it through
-/// `Schema::class_mut` (which is when `Arc::make_mut` pays for the copy,
-/// one class at a time).
+/// Everything that grows with the schema sits behind an `Arc` — the class
+/// list (and each class in it), the name index, the definition homes, the
+/// fact cache's spine — so cloning the schema, the checkpoint primitive of
+/// transactional evolution *and* the epoch-snapshot primitive of the
+/// shared-system control plane, is a handful of pointer copies. The clone
+/// shares all of it until one side mutates: the first mutation pays for one
+/// copy of the spine it touches (`Arc::make_mut`), and a class is copied
+/// when `Schema::class_mut` first reaches it.
 pub struct Schema {
-    classes: Vec<Arc<Class>>,
-    by_name: HashMap<String, ClassId>,
+    classes: Arc<Vec<Arc<Class>>>,
+    by_name: Arc<HashMap<String, ClassId>>,
     root: ClassId,
     next_prop_key: u64,
     /// Current holder of each property definition (moves on promotion).
-    prop_home: HashMap<PropKey, ClassId>,
-    /// Bumped on every mutation; invalidates resolution caches here and the
-    /// extent caches in the database layer.
-    generation: u64,
+    prop_home: Arc<HashMap<PropKey, ClassId>>,
     /// Number of classes carrying a constraint (fast path: the database
     /// skips constraint checking entirely when zero).
     constraint_count: usize,
-    type_cache: Mutex<TypeCache>,
+    facts: Mutex<FactCache>,
 }
 
 impl std::fmt::Debug for Schema {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Schema")
-            .field("classes", &self.classes.len())
-            .field("generation", &self.generation)
-            .finish()
+        f.debug_struct("Schema").field("classes", &self.classes.len()).finish()
     }
 }
 
 /// Cloning a schema is the checkpoint primitive of transactional evolution
 /// (the TSEM clones the schema before a change and swaps the clone back in
 /// on rollback) and the snapshot primitive of epoch publication (the shared
-/// system clones it into each `MetaSnapshot`). Classes are `Arc`-shared, so
-/// the clone is shallow — O(classes) pointer copies, no property data — and
-/// copy-on-write afterwards. The resolution cache is not carried over (it
-/// re-fills lazily).
+/// system clones it into each `MetaSnapshot`): pointer copies, whatever the
+/// size of the schema. The fact cache rides along — its entries are
+/// `Arc`s and every mutator keeps it consistent with the schema it sits in
+/// (`Schema::invalidate`) — so a fork starts warm, a rollback restores a
+/// schema whose cache never saw the rolled-back classes, and a published
+/// snapshot is warm for its first reader.
 impl Clone for Schema {
     fn clone(&self) -> Self {
         Schema {
-            classes: self.classes.clone(),
-            by_name: self.by_name.clone(),
+            classes: Arc::clone(&self.classes),
+            by_name: Arc::clone(&self.by_name),
             root: self.root,
             next_prop_key: self.next_prop_key,
-            prop_home: self.prop_home.clone(),
-            generation: self.generation,
+            prop_home: Arc::clone(&self.prop_home),
             constraint_count: self.constraint_count,
-            type_cache: Mutex::new(TypeCache::default()),
+            facts: Mutex::new(self.facts.lock().clone()),
         }
     }
 }
@@ -254,34 +294,21 @@ impl Default for Schema {
 impl Schema {
     /// A fresh schema containing only the root class.
     pub fn new() -> Self {
-        let mut schema = Schema {
-            classes: Vec::new(),
-            by_name: HashMap::new(),
+        let root = Class::new(ClassId(0), ROOT_CLASS.to_string(), ClassKind::Base);
+        Schema {
+            classes: Arc::new(vec![Arc::new(root)]),
+            by_name: Arc::new(HashMap::from([(ROOT_CLASS.to_string(), ClassId(0))])),
             root: ClassId(0),
             next_prop_key: 0,
-            prop_home: HashMap::new(),
-            generation: 0,
+            prop_home: Arc::default(),
             constraint_count: 0,
-            type_cache: Mutex::new(TypeCache::default()),
-        };
-        let root = Class::new(ClassId(0), ROOT_CLASS.to_string(), ClassKind::Base);
-        schema.by_name.insert(ROOT_CLASS.to_string(), ClassId(0));
-        schema.classes.push(Arc::new(root));
-        schema
+            facts: Mutex::default(),
+        }
     }
 
     /// The root class (`Object`).
     pub fn root(&self) -> ClassId {
         self.root
-    }
-
-    /// Monotonic mutation counter (cache invalidation for dependants).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn touch(&mut self) {
-        self.generation += 1;
     }
 
     // ----- class access ----------------------------------------------------
@@ -295,7 +322,7 @@ impl Schema {
     /// (an epoch's `MetaSnapshot` or a transactional checkpoint), the first
     /// mutation clones it; snapshots keep the pre-mutation version.
     pub(crate) fn class_mut(&mut self, id: ClassId) -> ModelResult<&mut Class> {
-        self.classes
+        Arc::make_mut(&mut self.classes)
             .get_mut(id.0 as usize)
             .map(Arc::make_mut)
             .ok_or(ModelError::UnknownClass(id))
@@ -417,7 +444,8 @@ impl Schema {
                 self.add_stored_capability(id, key)?;
             }
         }
-        self.touch();
+        // The derivation patched above is part of the class's intent type.
+        self.invalidate(&[id]);
         Ok(id)
     }
 
@@ -435,18 +463,25 @@ impl Schema {
             self.class(*s)?;
         }
         let id = ClassId(self.classes.len() as u32);
-        self.classes.push(Arc::new(Class::new(id, name.to_string(), kind)));
-        self.by_name.insert(name.to_string(), id);
         let effective: Vec<ClassId> =
-            if supers.is_empty() && matches!(self.classes[id.0 as usize].kind, ClassKind::Base) && id != self.root {
+            if supers.is_empty() && matches!(kind, ClassKind::Base) && id != self.root {
                 vec![self.root]
             } else {
                 supers.to_vec()
             };
+        // A new id has no cache entry — classes are never removed, and a
+        // rollback restores the cache with the schema — so creation itself
+        // invalidates nothing.
+        let class = Class::new(id, name.to_string(), kind);
+        let sources = class.sources();
+        Arc::make_mut(&mut self.classes).push(Arc::new(class));
+        Arc::make_mut(&mut self.by_name).insert(name.to_string(), id);
+        for src in sources {
+            self.class_mut(src)?.derived.push(id);
+        }
         for s in effective {
             self.add_edge(s, id)?;
         }
-        self.touch();
         Ok(id)
     }
 
@@ -474,15 +509,18 @@ impl Schema {
         }
         let keys: Vec<PropKey> =
             self.class(id)?.locals.iter().map(|lp| lp.def.key).collect();
+        let mut changed = vec![id];
         for key in keys {
-            self.prop_home.remove(&key);
+            Arc::make_mut(&mut self.prop_home).remove(&key);
+            changed.extend(self.classes_referring_to(key));
         }
         self.class_mut(id)?.locals.clear();
-        self.by_name.remove(&name);
+        let by_name = Arc::make_mut(&mut self.by_name);
+        by_name.remove(&name);
         let tombstone = format!("{RETIRED_PREFIX}{}", id.0);
-        self.class_mut(id)?.name = tombstone.clone();
-        self.by_name.insert(tombstone, id);
-        self.touch();
+        by_name.insert(tombstone.clone(), id);
+        self.class_mut(id)?.name = tombstone;
+        self.invalidate(&changed);
         Ok(())
     }
 
@@ -493,10 +531,10 @@ impl Schema {
             return Err(ModelError::DuplicateClassName(new_name.to_string()));
         }
         let old = self.class(id)?.name.clone();
-        self.by_name.remove(&old);
-        self.by_name.insert(new_name.to_string(), id);
+        let by_name = Arc::make_mut(&mut self.by_name);
+        by_name.remove(&old);
+        by_name.insert(new_name.to_string(), id);
         self.class_mut(id)?.name = new_name.to_string();
-        self.touch();
         Ok(())
     }
 
@@ -520,7 +558,8 @@ impl Schema {
         }
         self.class_mut(sub)?.supers.push(sup);
         self.class_mut(sup)?.subs.push(sub);
-        self.touch();
+        self.invalidate(&[sub]);
+        self.drop_plans();
         Ok(())
     }
 
@@ -532,7 +571,8 @@ impl Schema {
         }
         self.class_mut(sub)?.supers.retain(|s| *s != sup);
         self.class_mut(sup)?.subs.retain(|s| *s != sub);
-        self.touch();
+        self.invalidate(&[sub]);
+        self.drop_plans();
         Ok(())
     }
 
@@ -645,8 +685,11 @@ impl Schema {
         if is_stored {
             cls.stored_layout.push(key);
         }
-        self.prop_home.insert(key, class);
-        self.touch();
+        Arc::make_mut(&mut self.prop_home).insert(key, class);
+        self.invalidate(&[class]);
+        if is_stored {
+            self.drop_plans();
+        }
         Ok(key)
     }
 
@@ -663,7 +706,8 @@ impl Schema {
             return Ok(());
         }
         cls.stored_layout.push(key);
-        self.touch();
+        // No type changes; every plan of `key` gains a home.
+        self.drop_plans();
         Ok(())
     }
 
@@ -683,7 +727,6 @@ impl Schema {
             _ => {}
         }
         self.class_mut(class)?.constraint = constraint;
-        self.touch();
         Ok(())
     }
 
@@ -703,7 +746,7 @@ impl Schema {
             return Ok(());
         }
         cls.extra_refs.push((holder, key));
-        self.touch();
+        self.invalidate(&[class]);
         Ok(())
     }
 
@@ -718,8 +761,8 @@ impl Schema {
             .position(|p| p.def.name == name)
             .ok_or_else(|| ModelError::UnknownProperty { class, name: name.to_string() })?;
         let lp = cls.locals.remove(idx);
-        self.prop_home.remove(&lp.def.key);
-        self.touch();
+        Arc::make_mut(&mut self.prop_home).remove(&lp.def.key);
+        self.invalidate_definition(&[class], lp.def.key);
         Ok(lp)
     }
 
@@ -749,8 +792,8 @@ impl Schema {
             return Err(ModelError::PropertyExists { class: to, name: name.to_string() });
         }
         to_cls.locals.push(lp);
-        self.prop_home.insert(key, to);
-        self.touch();
+        Arc::make_mut(&mut self.prop_home).insert(key, to);
+        self.invalidate_definition(&[from, to], key);
         Ok(key)
     }
 
@@ -772,7 +815,8 @@ impl Schema {
             .find(|p| p.def.name == old)
             .ok_or_else(|| ModelError::UnknownProperty { class, name: old.to_string() })?;
         lp.def.name = new.to_string();
-        self.touch();
+        let key = lp.def.key;
+        self.invalidate_definition(&[class], key);
         Ok(())
     }
 
@@ -791,56 +835,154 @@ impl Schema {
         Ok((holder, def))
     }
 
-    // ----- type resolution -------------------------------------------------
+    // ----- the fact cache ---------------------------------------------------
+    //
+    // One rule: an entry of class C dies when C, or a class C's facts are
+    // built from, is mutated. C's facts are built from its is-a ancestors
+    // (inheritance), its derivation sources (the operator rule of the
+    // resolved and the intent type) and the holders of the definitions it
+    // includes by reference. The mutator pushes the invalidation — it holds
+    // `&mut self`, so no lock is taken and no reader can be looking — and a
+    // hit therefore validates nothing: one lock, one lookup.
 
-    /// The resolved type of a class (cached per schema generation).
-    pub fn resolved_type(&self, class: ClassId) -> ModelResult<Arc<ResolvedType>> {
-        self.class(class)?;
-        {
-            let cache = self.type_cache.lock();
-            if cache.generation == self.generation {
-                if let Some(t) = cache.map.get(&class) {
-                    return Ok(Arc::clone(&t.resolved));
-                }
+    /// Drop the cache entries of `changed` and of every class whose facts
+    /// are built from theirs: the closure of `changed` under the is-a
+    /// edges downward and the derivation edges from source to derived
+    /// class. Every mutator of a class's locals, supers, by-reference
+    /// inclusions or derivation calls this with the class; a class's name,
+    /// constraint, segment and `subs` list are no fact.
+    fn invalidate(&mut self, changed: &[ClassId]) {
+        let Schema { classes, facts, .. } = self;
+        let cache = facts.get_mut();
+        let mut seen = vec![false; classes.len()];
+        let mut stack = changed.to_vec();
+        while let Some(class) = stack.pop() {
+            let idx = class.0 as usize;
+            if std::mem::replace(&mut seen[idx], true) {
+                continue;
             }
+            if cache.entry(class).is_some_and(|facts| !facts.is_empty()) {
+                *cache.entry_mut(class) = ClassFacts::default();
+                cache.invalidated += 1;
+            }
+            let cls = &classes[idx];
+            stack.extend(cls.subs.iter().chain(&cls.derived));
         }
-        // A miss resolves straight into the cache, which doubles as the
-        // recursion memo: shared ancestors are resolved once per generation
-        // and a miss costs what it resolves, not the size of the cache.
-        // (`resolve_rec` looks the class up again, so losing a race to
-        // another resolver between the two locks costs nothing.)
-        let mut cache = self.type_cache.lock();
-        if cache.generation != self.generation {
-            cache.generation = self.generation;
-            cache.map.clear();
-        }
-        self.resolve_rec(class, &mut cache.map)
     }
 
-    /// The access plan of `name` at `class`: one lookup in the resolution
-    /// cache. A plan lives in its class's cache entry, so the rule that
-    /// drops a resolved type — any schema mutation moves `generation` —
-    /// drops the plans compiled against it, and nothing else has to know
-    /// they exist. A miss resolves the name the long way (with the errors
-    /// of [`ResolvedType::get_unique`], which are not cached) and compiles
-    /// the plan; classification and `evolve` never do.
-    pub(crate) fn access_plan(&self, class: ClassId, name: &str) -> ModelResult<Arc<AccessPlan>> {
-        {
-            let cache = self.type_cache.lock();
-            if cache.generation == self.generation {
-                if let Some(plan) = cache.map.get(&class).and_then(|t| t.plans.get(name)) {
-                    return Ok(Arc::clone(plan));
-                }
+    /// [`Schema::invalidate`] for a mutation that moved, renamed or removed
+    /// the definition `key`: the classes including it by reference are built
+    /// from it too, wherever they sit in the DAG.
+    fn invalidate_definition(&mut self, changed: &[ClassId], key: PropKey) {
+        let mut changed = changed.to_vec();
+        changed.extend(self.classes_referring_to(key));
+        self.invalidate(&changed);
+    }
+
+    /// The classes that name `key` without holding it: a refine class's
+    /// inherited (or promoted-away new) properties and the classifier's
+    /// extra references.
+    fn classes_referring_to(&self, key: PropKey) -> Vec<ClassId> {
+        let refers = |cls: &Class| {
+            cls.extra_refs.iter().any(|(_, k)| *k == key)
+                || matches!(
+                    &cls.kind,
+                    ClassKind::Virtual(Derivation::Refine { new_props, inherited, .. })
+                        if new_props.contains(&key) || inherited.iter().any(|(_, k)| *k == key)
+                )
+        };
+        self.classes.iter().filter(|cls| refers(cls)).map(|cls| cls.id).collect()
+    }
+
+    /// Drop every access plan. A plan lists every class able to store its
+    /// key and the is-a distance to each, so beyond its own class's facts it
+    /// depends on *other* classes' layouts and on the shape of the DAG: any
+    /// edge or layout mutation drops them all. An evolve compiles none, so
+    /// nothing it needs is lost.
+    fn drop_plans(&mut self) {
+        let cache = self.facts.get_mut();
+        if std::mem::take(&mut cache.plans_live) {
+            for facts in Arc::make_mut(&mut cache.entries) {
+                facts.plans.clear();
             }
+        }
+    }
+
+    /// Class types resolved so far by this schema and the schemas it was
+    /// cloned from (every miss of the fact cache, counted per class).
+    pub fn types_resolved(&self) -> u64 {
+        self.facts.lock().resolved
+    }
+
+    /// Cache entries dropped so far by mutations of this schema and of the
+    /// schemas it was cloned from.
+    pub fn types_invalidated(&self) -> u64 {
+        self.facts.lock().invalidated
+    }
+
+    // ----- type resolution -------------------------------------------------
+
+    /// The resolved type of a class, from the fact cache.
+    pub fn resolved_type(&self, class: ClassId) -> ModelResult<Arc<ResolvedType>> {
+        self.class(class)?;
+        let mut cache = self.facts.lock();
+        if let Some(resolved) = cache.entry(class).and_then(|facts| facts.resolved.as_ref()) {
+            return Ok(Arc::clone(resolved));
+        }
+        // A miss resolves straight into the cache, which doubles as the
+        // recursion memo: shared ancestors are resolved once and a miss
+        // costs what it resolves, not the size of the cache.
+        let FactCache { entries, resolved, .. } = &mut *cache;
+        let entries = Arc::make_mut(entries);
+        if entries.len() < self.classes.len() {
+            entries.resize_with(self.classes.len(), ClassFacts::default);
+        }
+        self.resolve_rec(class, entries, resolved)
+    }
+
+    /// The intent type of `class` — what the operator that derived it says
+    /// its type is, see `tse_algebra::intent_type`, which owns the rule and
+    /// passes it as `derive` — memoised in the class's cache entry. `derive`
+    /// must read nothing but the class itself, the definitions it names and
+    /// the intent types of its derivation sources (through this method):
+    /// that is what the invalidation (`Schema::invalidate`) follows.
+    pub fn intent_type_with(
+        &self,
+        class: ClassId,
+        derive: impl FnOnce() -> ModelResult<Arc<BTreeSet<(String, PropKey)>>>,
+    ) -> ModelResult<Arc<BTreeSet<(String, PropKey)>>> {
+        self.class(class)?;
+        if let Some(intent) = self.facts.lock().entry(class).and_then(|f| f.intent.as_ref()) {
+            return Ok(Arc::clone(intent));
+        }
+        // Not under the lock: `derive` comes back for the sources.
+        let mut intent = derive()?;
+        let mut cache = self.facts.lock();
+        let facts = cache.entry_mut(class);
+        // Once a class is classified its two types agree: keep one set.
+        if let Some(resolved) = facts.resolved.as_ref().filter(|r| r.keys == intent) {
+            intent = Arc::clone(&resolved.keys);
+        }
+        facts.intent = Some(Arc::clone(&intent));
+        Ok(intent)
+    }
+
+    /// The access plan of `name` at `class`: one lookup in the class's cache
+    /// entry. A plan dies with its entry (the name may resolve differently)
+    /// and with any edge or layout mutation (`Schema::drop_plans`). A miss
+    /// resolves the name the long way (with the errors of
+    /// [`ResolvedType::get_unique`], which are not cached) and compiles the
+    /// plan; classification and `evolve` never do.
+    pub(crate) fn access_plan(&self, class: ClassId, name: &str) -> ModelResult<Arc<AccessPlan>> {
+        if let Some(plan) = self.facts.lock().entry(class).and_then(|f| f.plans.get(name)) {
+            return Ok(Arc::clone(plan));
         }
         let resolved = self.resolved_type(class)?;
         let key = resolved.get_unique(class, name)?.key;
         let plan = Arc::new(self.compile_plan(class, key)?);
-        // `&self` pins the generation: the entry `resolved_type` just filled
-        // is still the current one.
-        if let Some(entry) = self.type_cache.lock().map.get_mut(&class) {
-            entry.plans.insert(name.into(), Arc::clone(&plan));
-        }
+        let mut cache = self.facts.lock();
+        cache.entry_mut(class).plans.insert(name.into(), Arc::clone(&plan));
+        cache.plans_live = true;
         Ok(plan)
     }
 
@@ -854,7 +996,7 @@ impl Schema {
             }
         };
         let mut homes = Vec::new();
-        for home in &self.classes {
+        for home in self.classes.iter() {
             if let Some(index) = home.layout_index(key) {
                 let hops = self
                     .up_distance(class, home.id)
@@ -871,19 +1013,24 @@ impl Schema {
     fn resolve_rec(
         &self,
         class: ClassId,
-        memo: &mut HashMap<ClassId, CachedType>,
+        memo: &mut [ClassFacts],
+        resolutions: &mut u64,
     ) -> ModelResult<Arc<ResolvedType>> {
-        if let Some(t) = memo.get(&class) {
-            return Ok(Arc::clone(&t.resolved));
+        if let Some(resolved) = &memo[class.0 as usize].resolved {
+            return Ok(Arc::clone(resolved));
         }
         let cls = self.class(class)?;
         let mut merged: BTreeMap<String, Vec<Candidate>> = BTreeMap::new();
+        // Almost every name has one candidate, and a resolved type now lives
+        // until its class's lineage changes: start the vectors at one slot
+        // (a `push` would start them at four).
+        let one_candidate = || Vec::with_capacity(1);
 
         // 1. Inherit from all direct superclasses, deduplicating by key.
         for sup in cls.supers.clone() {
-            let sup_type = self.resolve_rec(sup, memo)?;
+            let sup_type = self.resolve_rec(sup, memo, resolutions)?;
             for (name, rp) in &sup_type.props {
-                let entry = merged.entry(name.clone()).or_default();
+                let entry = merged.entry(name.clone()).or_insert_with(one_candidate);
                 for cand in &rp.candidates {
                     if !entry.iter().any(|c| c.key == cand.key) {
                         entry.push(cand.clone());
@@ -905,17 +1052,17 @@ impl Schema {
             let mut source_types: Vec<Arc<ResolvedType>> = Vec::new();
             match derivation {
                 Derivation::Select { src, .. } => {
-                    source_types.push(self.resolve_rec(*src, memo)?);
+                    source_types.push(self.resolve_rec(*src, memo, resolutions)?);
                 }
                 Derivation::Refine { src, .. } => {
-                    source_types.push(self.resolve_rec(*src, memo)?);
+                    source_types.push(self.resolve_rec(*src, memo, resolutions)?);
                 }
                 Derivation::Difference { a, .. } => {
-                    source_types.push(self.resolve_rec(*a, memo)?);
+                    source_types.push(self.resolve_rec(*a, memo, resolutions)?);
                 }
                 Derivation::Intersect { a, b } => {
-                    source_types.push(self.resolve_rec(*a, memo)?);
-                    source_types.push(self.resolve_rec(*b, memo)?);
+                    source_types.push(self.resolve_rec(*a, memo, resolutions)?);
+                    source_types.push(self.resolve_rec(*b, memo, resolutions)?);
                 }
                 Derivation::Hide { hidden, .. } => {
                     hidden_names = Some(hidden.clone());
@@ -924,7 +1071,7 @@ impl Schema {
             }
             for st in source_types {
                 for (name, rp) in &st.props {
-                    let entry = merged.entry(name.clone()).or_default();
+                    let entry = merged.entry(name.clone()).or_insert_with(one_candidate);
                     for cand in &rp.candidates {
                         if !entry.iter().any(|c| c.key == cand.key) {
                             entry.push(cand.clone());
@@ -966,7 +1113,7 @@ impl Schema {
         ref_keys.extend(cls.extra_refs.iter().map(|(_, k)| *k));
         for key in ref_keys {
             if let Ok((holder, def)) = self.def_by_key(key) {
-                let entry = merged.entry(def.name.clone()).or_default();
+                let entry = merged.entry(def.name.clone()).or_insert_with(one_candidate);
                 if !entry.iter().any(|c| c.key == key) {
                     entry.push(Candidate { def_class: holder, key, promoted_from: None });
                 }
@@ -991,7 +1138,8 @@ impl Schema {
                 .map(|(name, candidates)| (name, ResolvedProp { candidates }))
                 .collect(),
         ));
-        memo.insert(class, CachedType { resolved: Arc::clone(&resolved), plans: HashMap::new() });
+        memo[class.0 as usize].resolved = Some(Arc::clone(&resolved));
+        *resolutions += 1;
         Ok(resolved)
     }
 
@@ -1007,7 +1155,7 @@ impl Schema {
         use crate::codec::{put_derivation, put_local_prop, put_str};
         use bytes::BufMut;
         buf.put_u32(self.classes.len() as u32);
-        for cls in &self.classes {
+        for cls in self.classes.iter() {
             put_str(buf, &cls.name);
             match &cls.kind {
                 ClassKind::Base => buf.put_u8(0),
@@ -1116,15 +1264,21 @@ impl Schema {
         for (cls, sub_list) in classes.iter_mut().zip(subs) {
             cls.subs = sub_list;
         }
+        // And the derived lists from the derivations, in creation order.
+        for idx in 0..classes.len() {
+            for src in classes[idx].sources() {
+                let source = classes.get_mut(src.0 as usize).ok_or(ModelError::UnknownClass(src))?;
+                source.derived.push(ClassId(idx as u32));
+            }
+        }
         Ok(Schema {
-            classes: classes.into_iter().map(Arc::new).collect(),
-            by_name,
+            classes: Arc::new(classes.into_iter().map(Arc::new).collect()),
+            by_name: Arc::new(by_name),
             root: ClassId(0),
             next_prop_key,
-            prop_home,
-            generation: 1,
+            prop_home: Arc::new(prop_home),
             constraint_count,
-            type_cache: Mutex::new(TypeCache::default()),
+            facts: Mutex::default(),
         })
     }
 }
@@ -1345,13 +1499,126 @@ mod tests {
         assert!(t.get_unique(c, "x_from_a").is_ok());
     }
 
+    /// Every class's resolved type and (memoised through a stand-in rule)
+    /// intent type, to be compared by pointer after a mutation: a surviving
+    /// entry hands the same `Arc` out again, a dropped one is rebuilt.
+    type Facts = (Arc<ResolvedType>, Arc<BTreeSet<(String, PropKey)>>);
+    fn facts(s: &Schema) -> BTreeMap<ClassId, Facts> {
+        s.class_ids()
+            .map(|c| {
+                let intent = s.intent_type_with(c, || Ok(Arc::new(BTreeSet::new()))).unwrap();
+                (c, (s.resolved_type(c).unwrap(), intent))
+            })
+            .collect()
+    }
+
+    /// The classes whose resolved type or intent type was rebuilt between
+    /// `before` and now.
+    fn died(s: &Schema, before: &BTreeMap<ClassId, Facts>) -> BTreeSet<ClassId> {
+        let after = facts(s);
+        before
+            .iter()
+            .filter(|(c, (resolved, intent))| {
+                !Arc::ptr_eq(resolved, &after[c].0) || !Arc::ptr_eq(intent, &after[c].1)
+            })
+            .map(|(c, _)| *c)
+            .collect()
+    }
+
     #[test]
-    fn type_cache_invalidates_on_mutation() {
-        let (mut s, _, student, _) = chain();
-        let before = s.resolved_type(student).unwrap().len();
+    fn facts_die_along_the_lineage_that_changed_and_nowhere_else() {
+        let (mut s, person, student, ta) = chain();
+        let gpa = s.class(student).unwrap().local("gpa").unwrap().def.key;
+        let staff = s.create_base_class("Staff", &[person]).unwrap();
+        // An unrelated family.
+        let car = s.create_base_class("Car", &[]).unwrap();
+        let jeep = s.create_base_class("Jeep", &[car]).unwrap();
+        let lab = s.create_base_class("Lab", &[]).unwrap();
+        // One class per operator over Student, unclassified: only the
+        // derivation ties them to it.
+        let pred = crate::predicate::Predicate::cmp("gpa", crate::predicate::CmpOp::Ge, 3);
+        let derive = |s: &mut Schema, name: &str, d| s.create_virtual_class(name, d).unwrap();
+        let select = derive(&mut s, "Sel", Derivation::Select { src: student, pred });
+        let refine = s.create_refine_class("Ref", student, vec![stored("x")], vec![]).unwrap();
+        let differ = derive(&mut s, "Dif", Derivation::Difference { a: student, b: staff });
+        let inter = derive(&mut s, "Int", Derivation::Intersect { a: staff, b: student });
+        let hide = derive(&mut s, "Hid", Derivation::Hide { src: student, hidden: vec![] });
+        let union = derive(&mut s, "Uni", Derivation::Union { a: staff, b: student });
+        // A class of the other family including Student's `gpa` by reference.
+        let includer = s.create_refine_class("Inc", lab, vec![], vec![(student, gpa)]).unwrap();
+        let lineage = BTreeSet::from([student, ta, select, refine, differ, inter, hide, union]);
+
+        // A new local property: the class, its descendants and everything
+        // derived from it — for the intent type, hide and union too.
+        let before = facts(&s);
+        let invalidated = s.types_invalidated();
         s.add_local_prop(student, stored("year"), None).unwrap();
-        let after = s.resolved_type(student).unwrap().len();
-        assert_eq!(after, before + 1);
+        assert_eq!(s.types_invalidated() - invalidated, lineage.len() as u64);
+        assert_eq!(died(&s, &before), lineage);
+        for c in [student, ta, select, refine, differ, inter] {
+            assert!(s.resolved_type(c).unwrap().contains_name("year"), "{c}");
+        }
+
+        // A new edge: the lower end's lineage, and the other family's facts
+        // survive it as they survived the property.
+        let before = facts(&s);
+        let resolved = s.types_resolved();
+        s.add_edge(car, lab).unwrap();
+        assert_eq!(died(&s, &before), BTreeSet::from([lab, includer]));
+        assert_eq!(s.types_resolved() - resolved, 2);
+        let before = facts(&s);
+        s.add_edge(staff, ta).unwrap();
+        assert_eq!(died(&s, &before), BTreeSet::from([ta]));
+        assert!(Arc::ptr_eq(&before[&jeep].0, &s.resolved_type(jeep).unwrap()));
+
+        // A definition that moves, is renamed or goes takes its includers
+        // by reference along, wherever they sit.
+        let mut with_includer = lineage.clone();
+        with_includer.insert(includer);
+        let before = facts(&s);
+        s.rename_local_prop(student, "gpa", "grade").unwrap();
+        assert_eq!(died(&s, &before), with_includer);
+        assert!(s.resolved_type(includer).unwrap().contains_name("grade"));
+        let before = facts(&s);
+        let up = s.create_base_class("Up", &[]).unwrap();
+        s.add_edge(up, student).unwrap();
+        s.promote_prop(student, "grade", up).unwrap();
+        assert!(died(&s, &before).is_superset(&with_includer));
+        assert_eq!(s.resolved_type(includer).unwrap().props["grade"].candidates[0].def_class, up);
+        let before = facts(&s);
+        s.remove_local_prop(up, "grade").unwrap();
+        assert!(died(&s, &before).is_superset(&with_includer));
+        assert!(!s.resolved_type(includer).unwrap().contains_name("grade"));
+
+        // What is no fact drops nothing.
+        let before = facts(&s);
+        s.rename_class(student, "Pupil").unwrap();
+        s.set_class_constraint(student, None).unwrap();
+        assert!(died(&s, &before).is_empty());
+    }
+
+    #[test]
+    fn a_clone_carries_the_facts_and_each_side_drops_its_own() {
+        let (mut s, person, student, ta) = chain();
+        let warm = facts(&s);
+        let mut fork = s.clone();
+        let resolved = fork.types_resolved();
+        assert!(died(&fork, &warm).is_empty(), "the clone starts warm");
+        assert_eq!(fork.types_resolved(), resolved, "and resolves nothing again");
+
+        fork.add_local_prop(student, stored("year"), None).unwrap();
+        assert_eq!(died(&fork, &warm), BTreeSet::from([student, ta]));
+        assert!(died(&s, &warm).is_empty(), "the original never saw the change");
+        assert_eq!(s.resolved_type(ta).unwrap().len(), 3);
+        assert_eq!(fork.resolved_type(ta).unwrap().len(), 4);
+
+        // The checkpoint idiom: swapping the clone back in restores a cache
+        // that never saw what the other side created.
+        let v = fork.create_refine_class("V", ta, vec![stored("extra")], vec![]).unwrap();
+        assert_eq!(fork.resolved_type(v).unwrap().len(), 5);
+        let reissued = s.create_base_class("W", &[person]).unwrap();
+        assert_eq!(reissued, v, "the same id, handed out again");
+        assert_eq!(s.resolved_type(reissued).unwrap().len(), 1);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 
 use tse_object_model::{
-    ClassId, ClassKind, CmpOp, Database, Derivation, Predicate, PropertyDef, Value, ValueType,
+    ClassId, ClassKind, CmpOp, Database, Derivation, Oid, Predicate, PropertyDef, Value,
+    ValueType,
 };
 
 #[derive(Debug, Clone)]
@@ -326,4 +327,35 @@ fn class_constraints_refuse_updates() {
     // Clearing the constraint re-permits the update.
     db.schema_mut().set_class_constraint(acct, None).unwrap();
     db.write_attr(o, acct, "balance", Value::Int(-1)).unwrap();
+}
+
+/// A class constraint judges a new object once all its initial values are
+/// in, not the defaults of the values still to come: `age >= 18` with a
+/// default of 0 must admit `[name, age = 30]` in either order.
+#[test]
+fn class_constraints_judge_a_complete_new_object() {
+    let mut db = Database::default();
+    let adult = db.schema_mut().create_base_class("Adult", &[]).unwrap();
+    let s = db.schema_mut();
+    s.add_local_prop(adult, PropertyDef::stored("name", ValueType::Str, Value::Null), None).unwrap();
+    s.add_local_prop(adult, PropertyDef::stored("age", ValueType::Int, Value::Int(0)), None).unwrap();
+    s.set_class_constraint(adult, Some(Predicate::cmp("age", CmpOp::Ge, 18))).unwrap();
+
+    let (name, age) = (("name", Value::Str("ann".into())), ("age", Value::Int(30)));
+    let age_first = db.create_object(adult, &[age.clone(), name.clone()]).unwrap();
+    let name_first = db.create_object(adult, &[name.clone(), age]).unwrap();
+    for o in [age_first, name_first] {
+        assert_eq!(db.read_attr(o, adult, "age").unwrap(), Value::Int(30));
+        assert_eq!(db.read_attr(o, adult, "name").unwrap(), Value::Str("ann".into()));
+    }
+
+    // A violating create fails — by an explicit value or by the default —
+    // and leaves no half-created object.
+    let before = db.object_count();
+    let next = Oid(name_first.0 + 1);
+    let refused = db.create_object(adult, &[name.clone(), ("age", Value::Int(17))]);
+    assert!(refused.unwrap_err().to_string().contains("class constraint of Adult"));
+    assert!(!db.object_exists(next));
+    assert!(db.create_object(adult, &[name]).is_err());
+    assert_eq!(db.object_count(), before);
 }

@@ -221,38 +221,91 @@ impl ViewSchema {
 
 /// The view-schema generation algorithm \[21\]: compute the generalization
 /// edges for a class selection as the transitive reduction of global
-/// reachability restricted to the selection.
+/// reachability restricted to the selection. `(sup, sub)` is an edge when
+/// `sub` is below `sup` and no third selected class sits strictly between
+/// them; edges come out ordered by `sup`, then `sub`.
+///
+/// One upward walk of the global DAG per selected class fills two bit
+/// matrices over the selection — who is above whom, and its transpose —
+/// and every "is `x` below `y`" of the reduction is then a bit test.
 pub fn generate_edges(
     db: &Database,
     classes: &BTreeSet<ClassId>,
 ) -> ModelResult<Vec<(ClassId, ClassId)>> {
-    for c in classes {
-        db.schema().class(*c)?;
+    let schema = db.schema();
+    let selected: Vec<ClassId> = classes.iter().copied().collect();
+    const UNSELECTED: usize = usize::MAX;
+    let mut position = vec![UNSELECTED; schema.class_count()];
+    for (i, c) in selected.iter().enumerate() {
+        schema.class(*c)?;
+        position[c.0 as usize] = i;
     }
-    let class_vec: Vec<ClassId> = classes.iter().copied().collect();
+    let n = selected.len();
+    // `above[i]`: the selected classes `selected[i]` is below or equal to.
+    // `below[j]`: the selected classes below or equal to `selected[j]`.
+    let mut above = BitMatrix::new(n);
+    let mut below = BitMatrix::new(n);
+    let mut visited_by = vec![UNSELECTED; schema.class_count()];
+    let mut stack = Vec::new();
+    for (i, start) in selected.iter().enumerate() {
+        stack.push(*start);
+        while let Some(c) = stack.pop() {
+            if std::mem::replace(&mut visited_by[c.0 as usize], i) == i {
+                continue;
+            }
+            let j = position[c.0 as usize];
+            if j != UNSELECTED {
+                above.set(i, j);
+                below.set(j, i);
+            }
+            stack.extend_from_slice(schema.class(c)?.direct_supers());
+        }
+    }
     let mut edges = Vec::new();
-    for &sup in &class_vec {
-        for &sub in &class_vec {
-            if sup == sub || !db.schema().is_sub_of(sub, sup) {
+    for sup in 0..n {
+        for sub in 0..n {
+            if sup == sub || !above.get(sub, sup) {
                 continue;
             }
             // Transitive reduction: skip if an intermediate selected class
-            // sits strictly between.
-            let between = class_vec.iter().any(|&mid| {
-                mid != sup
-                    && mid != sub
-                    && db.schema().is_sub_of(mid, sup)
-                    && db.schema().is_sub_of(sub, mid)
-                    // Guard against extent-equal classes collapsing the
-                    // reduction entirely (e.g. hide classes ≡ source).
-                    && !(db.schema().is_sub_of(sup, mid) || db.schema().is_sub_of(mid, sub))
+            // sits strictly between — below `sup` and above `sub`, and
+            // (guarding against classes equivalent to either end collapsing
+            // the reduction) neither above `sup` nor below `sub`, which
+            // also rules out the two ends themselves.
+            let between = (0..above.words).any(|w| {
+                above.row(sub)[w] & below.row(sup)[w] & !above.row(sup)[w] & !below.row(sub)[w] != 0
             });
             if !between {
-                edges.push((sup, sub));
+                edges.push((selected[sup], selected[sub]));
             }
         }
     }
     Ok(edges)
+}
+
+/// A square bit matrix, one row of `words` machine words per index.
+struct BitMatrix {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitMatrix {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        BitMatrix { words, bits: vec![0; n * words] }
+    }
+
+    fn set(&mut self, row: usize, col: usize) {
+        self.bits[row * self.words + col / 64] |= 1 << (col % 64);
+    }
+
+    fn get(&self, row: usize, col: usize) -> bool {
+        self.bits[row * self.words + col / 64] & (1 << (col % 64)) != 0
+    }
+
+    fn row(&self, row: usize) -> &[u64] {
+        &self.bits[row * self.words..(row + 1) * self.words]
+    }
 }
 
 /// Build a complete view schema from a class selection (used by the manager;
@@ -316,6 +369,57 @@ mod tests {
         assert!(edges.contains(&(person, student)));
         assert!(edges.contains(&(student, ta)));
         assert!(!edges.contains(&(person, ta)), "transitive edge reduced");
+    }
+
+    /// The definition, written out: every ordered pair of the selection,
+    /// every third class, one `Schema::is_sub_of` per question.
+    fn edges_by_definition(db: &Database, classes: &BTreeSet<ClassId>) -> Vec<(ClassId, ClassId)> {
+        let below = |a: ClassId, b: ClassId| db.schema().is_sub_of(a, b);
+        let mut edges = Vec::new();
+        for &sup in classes {
+            for &sub in classes {
+                if sup == sub || !below(sub, sup) {
+                    continue;
+                }
+                let between = classes.iter().any(|&mid| {
+                    mid != sup
+                        && mid != sub
+                        && below(mid, sup)
+                        && below(sub, mid)
+                        && !(below(sup, mid) || below(mid, sub))
+                });
+                if !between {
+                    edges.push((sup, sub));
+                }
+            }
+        }
+        edges
+    }
+
+    use proptest::collection::vec;
+
+    proptest::proptest! {
+        /// On random DAGs and random selections — more than one machine
+        /// word of classes, diamonds, paths through unselected classes —
+        /// the generated edges equal the definition's, in content and order.
+        #[test]
+        fn generated_edges_equal_the_definition(
+            supers in vec(vec(0usize..150, 0..4), 1..150),
+            picks in vec(0usize..150, 0..100),
+        ) {
+            let mut db = Database::default();
+            let mut ids = vec![db.schema().root()];
+            for (i, sups) in supers.iter().enumerate() {
+                // Supers among the classes created so far: acyclic by construction.
+                let sups: Vec<ClassId> = sups.iter().map(|s| ids[s % ids.len()]).collect();
+                ids.push(db.schema_mut().create_base_class(&format!("C{i}"), &sups).unwrap());
+            }
+            let classes: BTreeSet<ClassId> = picks.iter().map(|p| ids[p % ids.len()]).collect();
+            proptest::prop_assert_eq!(
+                generate_edges(&db, &classes).unwrap(),
+                edges_by_definition(&db, &classes)
+            );
+        }
     }
 
     #[test]

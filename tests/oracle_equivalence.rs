@@ -7,6 +7,8 @@
 //! Fixed scenarios cover each operator on the university schema; the
 //! property tests sweep randomized schemas and change sequences.
 
+mod support;
+
 use proptest::prelude::*;
 
 use tse::core::oracle::SimpleSchema;
@@ -279,13 +281,15 @@ proptest! {
         }
     }
 
-    /// Access plans through real evolutions: after every step of a random
-    /// evolve / rename / promote sequence, every `(member, class, attr)`
-    /// read through the live database — whose plan cache has been warm
-    /// since the first step — answers exactly as the same read through a
-    /// fresh fork of it, which starts cold and resolves from scratch.
-    /// (The verbatim pre-plan reader is `#[cfg(test)]` in `tse-object-model`
-    /// and is compared there, over object-model-level sequences.)
+    /// Class facts through real evolutions: after every step of a random
+    /// evolve / rename / promote sequence, every class's resolved and intent
+    /// type and every `(member, class, attr)` read through the live
+    /// database — whose fact cache has been warm since the first step —
+    /// answer exactly as a cold twin of it (an encode/decode round trip: a
+    /// fork would carry the cache along), which works everything out from
+    /// scratch. (The verbatim pre-plan reader is `#[cfg(test)]` in
+    /// `tse-object-model` and is compared there, over object-model-level
+    /// sequences.)
     #[test]
     fn planned_reads_stay_fresh_across_random_evolutions(
         seed in 0u64..1000,
@@ -299,8 +303,8 @@ proptest! {
         }).unwrap();
         let mut tse = r.tse;
         // Reads that succeeded at the last step: their plans are cached, so
-        // they are repeated before any read that could miss (a miss
-        // resolves a type, which is what notices a moved generation).
+        // they are repeated even when their name has since been renamed
+        // away and no type lists it any more.
         let mut hot = Vec::new();
         for (tag, (op, a, b)) in ops.into_iter().enumerate() {
             let classes: Vec<_> = tse.db().schema().class_ids().collect();
@@ -331,9 +335,7 @@ proptest! {
                 }
             }
             let db = tse.db();
-            let cold = db.fork_shared().unwrap();
-            // Names come from the fork's schema: resolving types on the
-            // live one would refresh the very cache under test.
+            let cold = support::assert_facts_equal_a_cold_schema(db, &format!("step {tag}"));
             let mut names = std::collections::BTreeSet::new();
             for class in cold.schema().class_ids() {
                 names.extend(cold.schema().resolved_type(class).unwrap().props.keys().cloned());

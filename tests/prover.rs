@@ -3,10 +3,13 @@
 //! saturation — the batch fixpoint it replaced, kept as a test oracle in
 //! `crates/classifier/src/batch.rs` — along the frozen Sjøberg trace of the
 //! repo benchmark, across aborted evolves that hand class ids out again,
-//! across a reopen, and against the data.
+//! across a reopen, and against the data. The schema's fact cache lives the
+//! same life, so the abort tests hold it against a cold schema at the same
+//! points (the rest of its contract is in `tests/class_facts.rs`).
 
 #[path = "../crates/classifier/src/batch.rs"]
 mod batch;
+mod support;
 
 use std::path::PathBuf;
 
@@ -145,6 +148,8 @@ fn assert_same_outcome(got: &[EvolutionReport], schema: &Schema) {
         assert_eq!(got.name, want.name);
         assert_eq!(got.direct_supers(), want.direct_supers(), "supers of {}", want.name);
         assert_eq!(got.direct_subs(), want.direct_subs(), "subs of {}", want.name);
+        // No fact of a rolled-back class answers for the one that got its id.
+        assert_eq!(schema.resolved_type(id), twin.db().schema().resolved_type(id), "{}", want.name);
     }
 }
 
@@ -159,6 +164,9 @@ fn an_aborted_evolve_leaves_nothing_in_the_prover_of_an_in_memory_system() {
             // After a rollback the prover knows no class the schema lacks.
             assert!(tse.prover().known() <= tse.db().schema().class_count());
             assert_equals_from_scratch(tse.prover(), tse.db().schema(), command);
+            // Nor does the fact cache: the rollback restored the one that
+            // never saw the rolled-back classes.
+            support::assert_facts_equal_a_cold_schema(tse.db(), command);
             out
         },
         &failpoints,

@@ -1,0 +1,27 @@
+//! Shared by the integration tests that hold the schema's fact cache
+//! against a schema that has none.
+
+use tse::algebra::intent_type;
+use tse::object_model::{decode_database, encode_database, Database};
+
+/// Every class's resolved type and intent type, as `db`'s schema has them
+/// cached (or resolves them now), equal those of a cold twin: the same
+/// database through an encode/decode round trip, its schema's fact cache
+/// empty, so that every fact it hands out is worked out from scratch.
+/// Returns the twin.
+pub fn assert_facts_equal_a_cold_schema(db: &Database, context: &str) -> Database {
+    let cold = decode_database(encode_database(db)).unwrap();
+    for class in db.schema().class_ids() {
+        assert_eq!(
+            db.schema().resolved_type(class),
+            cold.schema().resolved_type(class),
+            "{context}: resolved type of {class} (cached vs from scratch)"
+        );
+        assert_eq!(
+            intent_type(db, class),
+            intent_type(&cold, class),
+            "{context}: intent type of {class} (cached vs from scratch)"
+        );
+    }
+    cold
+}

@@ -117,6 +117,9 @@ fn data_plane_counters_and_latency_histograms_recorded() {
         });
         assert!(h.count >= 1 && h.min >= 1, "latency.{op} empty or zero");
     }
-    // Store gauges are published on every evolve.
+    // Store gauges are published on every evolve, and the fact cache's
+    // two counters with them.
     assert!(snap.counters.contains_key("store.hit_ratio_bp"));
+    assert!(snap.counter("schema.types_resolved") >= 1);
+    assert!(snap.counters.contains_key("schema.types_invalidated"));
 }

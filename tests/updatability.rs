@@ -129,7 +129,7 @@ proptest! {
         for &class in &classes {
             let resolved = db.schema().type_keys(class).unwrap();
             let intent = tse::algebra::intent_type(&db, class).unwrap();
-            prop_assert_eq!(*resolved, intent, "type agreement at {}", class);
+            prop_assert_eq!(resolved, intent, "type agreement at {}", class);
         }
     }
 }
