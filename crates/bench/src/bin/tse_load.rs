@@ -1,44 +1,33 @@
-//! `tse-load` — drive a `tse-server` with a multi-connection client
-//! workload and report wire-level latency, including the tail *during* a
-//! live schema evolution.
+//! `tse-load` — drive a self-hosted `tse-server` through a seeded
+//! `tse-netfault` proxy while the schema evolves, then audit every acked
+//! write for exactly-once application.
 //!
 //! ```text
 //! cargo run --release -p tse-bench --bin tse-load -- \
-//!     [--connect HOST:PORT] [--requests N] [--evolves N] [--seed N] \
-//!     [--chaos] [--chaos-seed N] [--journal PATH] [--shutdown]
+//!     [--requests N] [--evolves N] [--seed N] [--journal PATH]
 //! ```
 //!
-//! - `--connect`: measure an already-running server; without it the binary
-//!   self-hosts an in-memory server on an ephemeral port (same code path,
-//!   loopback wire included).
-//! - `--requests`: requests per connection per arm (default 400).
-//! - `--evolves`: schema changes replayed during the evolve arm (default 12).
-//! - `--seed`: trace-generation seed (default 9).
-//! - `--chaos`: add a chaos arm that drives the workload through a
-//!   `tse-netfault` proxy (seeded severs, black holes, delays, byte-level
-//!   fragmentation) while the admin keeps evolving over a direct
-//!   connection, then audits every acked write for exactly-once
-//!   application. Self-host only (incompatible with `--connect`).
-//! - `--chaos-seed`: fault-schedule seed for the chaos arm (default: `--seed`).
+//! - `--requests`: requests per connection (default 400).
+//! - `--evolves`: schema changes replayed while the load runs (default 12).
+//! - `--seed`: seeds both the schema-change trace and the proxy's fault
+//!   schedule (default 9).
 //! - `--journal`: stream the shared telemetry journal (server *and*
 //!   client counters — `client.{reconnects,retries,dedup_hits}`,
 //!   `server.{idle_reaped,dedup_window,dedup_hits}`) to this JSONL file,
 //!   ending with a metrics snapshot so `tse-inspect --check` can gate it.
-//!   Self-host only.
-//! - `--shutdown`: send the wire `Shutdown` request at the end so a CI
-//!   wrapper can start the daemon, point tse-load at it, and have both
-//!   exit cleanly.
 //!
-//! The workload is the Sjøberg-shaped schema-change trace from
-//! `tse-workload`, rendered to command text and replayed through an admin
-//! client's `evolve` while load connections keep reading and writing
-//! through their own bound views — the paper's transparency claim, put on
-//! a latency budget. Emits `BENCH_server.json`.
+//! Four connections read and write through the proxy (severs, black holes,
+//! delays, byte-level fragmentation) while an admin, over a direct
+//! connection, replays the Sjøberg-shaped schema-change trace from
+//! `tse-workload`; afterwards a direct reader compares the store with the
+//! acked-write oracle. What the served path costs is the repo benchmark's
+//! `served_mixed` workload; this binary only checks what that workload
+//! cannot — no lost and no doubled write on a hostile network across live
+//! evolutions. Emits `BENCH_server.json`.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use tse_bench::write_bench_json;
@@ -51,27 +40,14 @@ use tse_telemetry::{JsonValue, Telemetry};
 use tse_workload::trace::{generate_and_apply_trace, TraceMix};
 
 struct Args {
-    connect: Option<String>,
     requests: usize,
     evolves: usize,
     seed: u64,
-    chaos: bool,
-    chaos_seed: Option<u64>,
     journal: Option<PathBuf>,
-    shutdown: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        connect: None,
-        requests: 400,
-        evolves: 12,
-        seed: 9,
-        chaos: false,
-        chaos_seed: None,
-        journal: None,
-        shutdown: false,
-    };
+    let mut args = Args { requests: 400, evolves: 12, seed: 9, journal: None };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -81,38 +57,27 @@ fn parse_args() -> Result<Args, String> {
             v.parse::<u64>().map_err(|_| format!("{name} must be a number"))
         };
         match flag.as_str() {
-            "--connect" => args.connect = Some(value("--connect")?),
             "--requests" => args.requests = num("--requests", value("--requests")?)? as usize,
             "--evolves" => args.evolves = num("--evolves", value("--evolves")?)? as usize,
             "--seed" => args.seed = num("--seed", value("--seed")?)?,
-            "--chaos" => args.chaos = true,
-            "--chaos-seed" => {
-                args.chaos_seed = Some(num("--chaos-seed", value("--chaos-seed")?)?)
-            }
             "--journal" => args.journal = Some(PathBuf::from(value("--journal")?)),
-            "--shutdown" => args.shutdown = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: tse-load [--connect HOST:PORT] [--requests N] [--evolves N] \
-                     [--seed N] [--chaos] [--chaos-seed N] [--journal PATH] [--shutdown]"
+                    "usage: tse-load [--requests N] [--evolves N] [--seed N] [--journal PATH]"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if args.connect.is_some() && (args.chaos || args.journal.is_some()) {
-        return Err(
-            "--chaos and --journal need the self-hosted server (omit --connect)".to_string()
-        );
-    }
     Ok(args)
 }
 
-/// The schema every arm runs against, spelled once: used to seed the
-/// server (remotely) and the scratch trace-generation system (locally).
 const FAMILY: &str = "VS";
+const CONNECTIONS: usize = 4;
 
+/// `Person`'s properties, spelled once: the server is seeded with them over
+/// the wire and the scratch system the trace is generated on locally.
 fn person_props() -> Vec<PendingProp> {
     vec![
         PropertyDef::stored("name", ValueType::Str, Value::Null),
@@ -120,12 +85,8 @@ fn person_props() -> Vec<PendingProp> {
     ]
 }
 
-/// Seed `Person` + view family through the wire. Tolerates an
-/// already-seeded server (`--connect` to a warm daemon).
+/// Seed `Person`, the view family and 100 objects through the wire.
 fn seed_remote(admin: &RemoteClient) {
-    if admin.versions().expect("versions") > 0 {
-        return;
-    }
     admin.define_class("Person", &[], person_props()).expect("define Person");
     admin.create_view(&["Person"]).expect("create view");
     let w = admin.writer().expect("writer");
@@ -135,7 +96,7 @@ fn seed_remote(admin: &RemoteClient) {
     }
 }
 
-/// Render the evolve-arm command list: generate the trace against a
+/// Render the schema changes to replay: generate the trace against a
 /// scratch in-memory system seeded with the identical schema, so every
 /// command is valid when replayed in order against the server's family.
 fn evolve_commands(n: usize, seed: u64) -> Vec<String> {
@@ -147,111 +108,11 @@ fn evolve_commands(n: usize, seed: u64) -> Vec<String> {
     trace.changes.iter().map(|c| c.render().expect("renderable change")).collect()
 }
 
-/// One connection's request loop: a pinned reader and writer issuing a
-/// fixed read-heavy mix, pushing per-request wire latencies (ns).
-fn run_connection(addr: &str, user: &str, requests: usize) -> Vec<u64> {
-    let mut client = RemoteClient::open(addr.to_string(), user).expect("connect");
-    client.bind(FAMILY).expect("bind");
-    let mut reader = client.session().expect("session");
-    let writer = client.writer().expect("writer");
-    let extent = reader.extent("Person").expect("extent");
-    assert!(!extent.is_empty(), "server not seeded");
-    let mut latencies = Vec::with_capacity(requests);
-    for i in 0..requests {
-        let oid = extent[i % extent.len()];
-        let start = Instant::now();
-        // 8-step mix: 5 point reads, extent, predicate scan, one write.
-        match i % 8 {
-            7 => {
-                writer
-                    .create(
-                        "Person",
-                        &[("name", format!("{user}-{i}").into()), ("age", Value::Int(41))],
-                    )
-                    .map(|_| ())
-                    .expect("create");
-            }
-            6 => {
-                reader.select_where("Person", "age >= 60").map(|_| ()).expect("select");
-            }
-            5 => {
-                reader.extent("Person").map(|_| ()).expect("extent");
-            }
-            _ => {
-                reader.get(oid, "Person", "name").map(|_| ()).expect("get");
-            }
-        }
-        latencies.push(start.elapsed().as_nanos() as u64);
-        if i % 64 == 63 {
-            reader.refresh().expect("refresh");
-        }
-    }
-    latencies
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-struct ArmResult {
-    connections: usize,
-    requests: usize,
-    elapsed_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    max_ns: u64,
-    ops_per_sec: f64,
-}
-
-impl ArmResult {
-    fn json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("connections", JsonValue::U64(self.connections as u64)),
-            ("requests", JsonValue::U64(self.requests as u64)),
-            ("elapsed_ns", JsonValue::U64(self.elapsed_ns)),
-            ("p50_ns", JsonValue::U64(self.p50_ns)),
-            ("p99_ns", JsonValue::U64(self.p99_ns)),
-            ("max_ns", JsonValue::U64(self.max_ns)),
-            ("ops_per_sec", JsonValue::F64(self.ops_per_sec)),
-        ])
-    }
-}
-
-/// Run `connections` concurrent request loops and fold their latencies.
-fn run_arm(addr: &str, label: &str, connections: usize, requests: usize) -> ArmResult {
-    let started = Instant::now();
-    let mut all: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                let user = format!("{label}{c}");
-                scope.spawn(move || run_connection(addr, &user, requests))
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("connection thread")).collect()
-    });
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-    all.sort_unstable();
-    let total = all.len();
-    ArmResult {
-        connections,
-        requests: total,
-        elapsed_ns,
-        p50_ns: percentile(&all, 0.50),
-        p99_ns: percentile(&all, 0.99),
-        max_ns: all.last().copied().unwrap_or(0),
-        ops_per_sec: total as f64 / (elapsed_ns as f64 / 1e9),
-    }
-}
-
-/// One chaos connection: a read-heavy mix with every fourth op a create,
-/// driven through the fault proxy with a generous retry budget and a
-/// short read timeout (so black holes cost half a second, not ten).
-/// Returns the names of every *acked* create — the oracle the post-run
-/// audit replays against the real store.
+/// One connection: a read-heavy mix with every fourth op a create, driven
+/// through the fault proxy with a generous retry budget and a short read
+/// timeout (so black holes cost half a second, not ten). Returns the names
+/// of every *acked* create — the oracle the post-run audit replays against
+/// the real store.
 fn chaos_connection(
     proxy_addr: &str,
     index: usize,
@@ -309,47 +170,26 @@ fn chaos_connection(
     acked
 }
 
-/// The chaos arm: the workload runs through a seeded `tse-netfault` proxy
+/// The run: the workload goes through a seeded `tse-netfault` proxy
 /// (severs, black holes, delays, fragmentation) while the admin keeps
 /// evolving the family over a *direct* connection. Afterwards a direct
 /// reader audits the store against the acked-write oracle: every acked
 /// name present exactly once, and no chaos-minted name duplicated.
-fn run_chaos_arm(
+fn run_chaos(
     sys: &SharedSystem,
     direct_addr: &str,
     admin: &RemoteClient,
     args: &Args,
 ) -> JsonValue {
-    let seed = args.chaos_seed.unwrap_or(args.seed);
-    let proxy = NetFault::start(direct_addr.to_string(), ChaosConfig::seeded(seed))
+    let proxy = NetFault::start(direct_addr.to_string(), ChaosConfig::seeded(args.seed))
         .expect("start netfault proxy");
     let proxy_addr = proxy.addr().to_string();
-    let connections = 4usize;
-
-    // Continue the evolution trace where the during-evolve arm left off:
-    // rebuild the scratch up to the server's current schema, then render
-    // the next changes from there so each replays validly in order.
-    let chaos_evolves = 4usize;
-    let mut scratch = TseSystem::new();
-    scratch.define_base_class("Person", &[], person_props()).expect("scratch class");
-    scratch.create_view(FAMILY, &["Person"]).expect("scratch view");
-    generate_and_apply_trace(&mut scratch, FAMILY, args.evolves, &TraceMix::default(), args.seed)
-        .expect("replay prior trace");
-    let trace = generate_and_apply_trace(
-        &mut scratch,
-        FAMILY,
-        chaos_evolves,
-        &TraceMix::default(),
-        seed ^ 0x5eed,
-    )
-    .expect("chaos trace");
-    let commands: Vec<String> =
-        trace.changes.iter().map(|c| c.render().expect("renderable change")).collect();
+    let commands = evolve_commands(args.evolves, args.seed);
 
     let failed_ops = AtomicU64::new(0);
     let started = Instant::now();
     let (acked, evolves_applied) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
+        let handles: Vec<_> = (0..CONNECTIONS)
             .map(|c| {
                 let proxy_addr = proxy_addr.clone();
                 let telemetry = sys.telemetry();
@@ -374,7 +214,8 @@ fn run_chaos_arm(
     });
     let elapsed_ns = started.elapsed().as_nanos() as u64;
     let stats = proxy.stop();
-    assert_eq!(evolves_applied, commands.len() as u64, "every chaos-arm change must apply");
+    assert_eq!(evolves_applied, commands.len() as u64, "every generated change must apply");
+    assert_eq!(admin.versions().expect("versions"), 1 + commands.len() as u32);
 
     // The audit reads through a clean direct connection at the latest
     // view version. Seeded attributes are never dropped by the generated
@@ -404,8 +245,8 @@ fn run_chaos_arm(
     assert!(duplicated.is_empty(), "writes applied more than once: {duplicated:?}");
 
     println!(
-        "chaos   conns={connections}  acked={}  failed={}  proxied={}  severed={}  \
-         black_holed={}  exactly-once verified",
+        "chaos   conns={CONNECTIONS}  acked={}  failed={}  evolves={evolves_applied}  \
+         proxied={}  severed={}  black_holed={}  exactly-once verified",
         acked.len(),
         failed_ops.load(Ordering::Relaxed),
         stats.connections,
@@ -414,8 +255,8 @@ fn run_chaos_arm(
     );
 
     JsonValue::obj(vec![
-        ("seed", JsonValue::U64(seed)),
-        ("connections", JsonValue::U64(connections as u64)),
+        ("seed", JsonValue::U64(args.seed)),
+        ("connections", JsonValue::U64(CONNECTIONS as u64)),
         ("elapsed_ns", JsonValue::U64(elapsed_ns)),
         ("acked_writes", JsonValue::U64(acked.len() as u64)),
         ("failed_ops", JsonValue::U64(failed_ops.load(Ordering::Relaxed))),
@@ -443,108 +284,25 @@ fn main() {
         }
     };
 
-    // Self-host unless pointed at a running daemon — identical wire path.
-    let mut hosted: Option<TseServer> = None;
-    let mut hosted_sys: Option<SharedSystem> = None;
-    let addr = match &args.connect {
-        Some(addr) => addr.clone(),
-        None => {
-            let sys = SharedSystem::new();
-            if let Some(journal) = &args.journal {
-                if let Err(e) = sys.telemetry().attach_sink(journal) {
-                    eprintln!("tse-load: journal sink {} failed: {e}", journal.display());
-                    std::process::exit(1);
-                }
-            }
-            let server = TseServer::start(sys.clone(), "127.0.0.1:0", ServerConfig::default())
-                .expect("self-hosted server");
-            let addr = server.addr().to_string();
-            hosted = Some(server);
-            hosted_sys = Some(sys);
-            addr
+    let sys = SharedSystem::new();
+    if let Some(journal) = &args.journal {
+        if let Err(e) = sys.telemetry().attach_sink(journal) {
+            eprintln!("tse-load: journal sink {} failed: {e}", journal.display());
+            std::process::exit(1);
         }
-    };
+    }
+    let mut server = TseServer::start(sys.clone(), "127.0.0.1:0", ServerConfig::default())
+        .expect("self-hosted server");
+    let addr = server.addr().to_string();
 
     let admin = RemoteClient::open(addr.clone(), FAMILY).expect("admin connect");
     seed_remote(&admin);
-
-    // Steady-state arms across connection counts.
-    let mut arms = Vec::new();
-    for connections in [1usize, 4] {
-        let arm = run_arm(&addr, "steady", connections, args.requests);
-        println!(
-            "steady  conns={connections}  p50={}us  p99={}us  {:.0} ops/s",
-            arm.p50_ns / 1_000,
-            arm.p99_ns / 1_000,
-            arm.ops_per_sec
-        );
-        arms.push(arm.json());
-    }
-
-    // During-evolve arm: the same 4-connection workload while an admin
-    // replays a rendered schema-change trace. Load connections stay bound
-    // to their pre-evolution versions — no request may fail or tear.
-    let commands = evolve_commands(args.evolves, args.seed);
-    let applied = Arc::new(AtomicU64::new(0));
-    let evolve_elapsed_ns = Arc::new(AtomicU64::new(0));
-    let during = std::thread::scope(|scope| {
-        let admin = &admin;
-        let commands = &commands;
-        let applied = Arc::clone(&applied);
-        let evolve_elapsed_ns = Arc::clone(&evolve_elapsed_ns);
-        scope.spawn(move || {
-            let started = Instant::now();
-            for cmd in commands {
-                admin.evolve(cmd).expect("evolve during load");
-                applied.fetch_add(1, Ordering::Relaxed);
-            }
-            evolve_elapsed_ns.store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        });
-        run_arm(&addr, "evolving", 4, args.requests)
-    });
-    println!(
-        "evolve  conns=4  p50={}us  p99={}us  {:.0} ops/s  ({} changes applied)",
-        during.p50_ns / 1_000,
-        during.p99_ns / 1_000,
-        during.ops_per_sec,
-        applied.load(Ordering::Relaxed)
-    );
-    assert_eq!(
-        applied.load(Ordering::Relaxed),
-        commands.len() as u64,
-        "every generated change must apply"
-    );
-    assert_eq!(admin.versions().expect("versions"), 1 + commands.len() as u32);
-
-    // Chaos arm: same workload through the fault proxy, exactly-once audit.
-    let chaos = if args.chaos {
-        let sys = hosted_sys.as_ref().expect("--chaos is self-host only");
-        run_chaos_arm(sys, &addr, &admin, &args)
-    } else {
-        JsonValue::Null
-    };
+    let chaos = run_chaos(&sys, &addr, &admin, &args);
 
     let report = JsonValue::obj(vec![
         ("bench", JsonValue::Str("server_load".to_string())),
         ("transport", JsonValue::Str("tcp_loopback".to_string())),
-        (
-            "self_hosted",
-            JsonValue::Bool(hosted.is_some()),
-        ),
         ("requests_per_connection", JsonValue::U64(args.requests as u64)),
-        ("arms", JsonValue::Arr(arms)),
-        (
-            "during_evolve",
-            JsonValue::obj(vec![
-                ("workload", during.json()),
-                ("evolves_applied", JsonValue::U64(applied.load(Ordering::Relaxed))),
-                (
-                    "evolve_elapsed_ns",
-                    JsonValue::U64(evolve_elapsed_ns.load(Ordering::Relaxed)),
-                ),
-                ("trace_seed", JsonValue::U64(args.seed)),
-            ]),
-        ),
         ("chaos", chaos),
     ]);
     match write_bench_json("server", &report) {
@@ -555,16 +313,9 @@ fn main() {
         }
     }
 
-    if args.shutdown {
-        admin.shutdown_server().expect("shutdown request");
-    }
     drop(admin);
-    if let Some(mut server) = hosted {
-        server.drain();
-    }
+    server.drain();
     // Embed the final metrics snapshot (client and server counters) so an
     // attached journal passes the `tse-inspect --check` forensics gate.
-    if let Some(sys) = hosted_sys {
-        sys.telemetry().journal_metrics_snapshot();
-    }
+    sys.telemetry().journal_metrics_snapshot();
 }

@@ -89,10 +89,12 @@ pub(crate) struct WalMark {
     len_before: u64,
 }
 
-/// Redo one decoded WAL record against the recovering system. `Create`
-/// frames force the allocator to reissue the originally assigned oid, so
-/// replay reproduces the acked state bit-for-bit.
-fn replay_record(system: &mut TseSystem, record: WalRecord) -> ModelResult<bool> {
+/// Apply one WAL record to `system`: how recovery redoes every frame, and
+/// how [`crate::SharedSystem`] applies a structural change live (one routine,
+/// so a live call and its replay cannot differ). `Create` frames force the
+/// allocator to reissue the originally assigned oid, so replay reproduces
+/// the acked state bit-for-bit. `Ok(false)` is a checkpoint marker.
+pub(crate) fn apply_record(system: &mut TseSystem, record: WalRecord) -> ModelResult<bool> {
     fn own(pairs: &[(String, Value)]) -> Vec<(&str, Value)> {
         pairs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect()
     }
@@ -243,7 +245,7 @@ impl DurableState {
             }
             match decode_frame(&payload).and_then(|record| {
                 highest_oid = highest_oid.max(max_oid(&record));
-                replay_record(&mut system, record)
+                apply_record(&mut system, record)
             }) {
                 Ok(true) => replayed += 1,
                 Ok(false) => {} // checkpoint marker: forensic only

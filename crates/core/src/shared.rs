@@ -105,14 +105,14 @@ use tse_storage::{
     EpochClock, FailpointRegistry, ReadEpochGuard, ReadPin, ScrubReport, StoreConfig,
     WriteStampGuard,
 };
-use tse_telemetry::Telemetry;
+use tse_telemetry::{OpName, Telemetry};
 use tse_view::{ViewId, ViewManager, ViewSchema};
 
 use crate::change::{parse_change, SchemaChange};
-use crate::durable::DurableState;
+use crate::durable::{apply_record, DurableState};
 use crate::health::{observe_io_error, HealthMachine, SystemHealth};
 use crate::system::{is_crash, note_fault, observe_op, ops, EvolutionReport, TseSystem};
-use crate::walcodec::{encode_frame, WalRecord};
+use crate::walcodec::{encode_frame, ViewMode, WalRecord};
 
 /// One epoch's immutable metadata bundle: everything a reader needs to
 /// resolve view-local names without touching the live system. Published
@@ -724,20 +724,24 @@ impl SharedSystem {
     // ----- control plane: base schema + views -------------------------------
 
     /// Log a structural record (class definition, view creation,
-    /// constraint), apply the change under the exclusive system lock, and
-    /// publish the new epoch.
+    /// constraint), apply it under the exclusive system lock through
+    /// [`apply_record`] — the routine recovery replays it with, so what a
+    /// live call does and what a reopen redoes cannot drift — and publish
+    /// the new epoch. `read` takes the caller's answer (the id the record
+    /// created) from the changed system under the same lock.
     fn structural_logged<R>(
         &self,
         record: WalRecord,
-        f: impl FnOnce(&mut TseSystem) -> ModelResult<R>,
+        read: impl FnOnce(&TseSystem) -> R,
     ) -> ModelResult<R> {
+        let frame = record.clone();
         self.logged(
-            || Ok(record),
+            move || Ok(frame),
             || {
                 let mut sys = self.write_timed();
-                let out = f(&mut sys)?;
+                apply_record(&mut sys, record)?;
                 self.publish_meta_locked(&sys);
-                Ok(out)
+                Ok(read(&sys))
             },
         )
     }
@@ -755,43 +759,44 @@ impl SharedSystem {
         let record = WalRecord::DefineClass {
             name: name.to_string(),
             supers: supers.iter().map(|s| s.to_string()).collect(),
-            props: props.clone(),
+            props,
         };
-        self.structural_logged(record, |sys| sys.define_base_class(name, supers, props))
+        self.structural_logged(record, |sys| sys.db().schema().by_name(name))?
+    }
+
+    /// Log and apply a `CreateView` record; the new version is the family's
+    /// current one.
+    fn create_view_as(
+        &self,
+        family: &str,
+        class_names: &[&str],
+        mode: ViewMode,
+    ) -> ModelResult<ViewId> {
+        let record = WalRecord::CreateView {
+            family: family.to_string(),
+            classes: class_names.iter().map(|s| s.to_string()).collect(),
+            mode,
+        };
+        self.structural_logged(record, |sys| sys.views().current(family).map(|v| v.id))?
     }
 
     /// Create a view over the named global classes. Publishes a new epoch;
     /// WAL-logged on durable systems (see
     /// [`SharedSystem::define_base_class`]).
     pub fn create_view(&self, family: &str, class_names: &[&str]) -> ModelResult<ViewId> {
-        let record = WalRecord::CreateView {
-            family: family.to_string(),
-            classes: class_names.iter().map(|s| s.to_string()).collect(),
-            mode: crate::walcodec::ViewMode::Plain,
-        };
-        self.structural_logged(record, |sys| sys.create_view(family, class_names))
+        self.create_view_as(family, class_names, ViewMode::Plain)
     }
 
     /// Create a type-closed view (see [`TseSystem::create_view_closed`]).
     /// Publishes a new epoch; WAL-logged on durable systems.
     pub fn create_view_closed(&self, family: &str, class_names: &[&str]) -> ModelResult<ViewId> {
-        let record = WalRecord::CreateView {
-            family: family.to_string(),
-            classes: class_names.iter().map(|s| s.to_string()).collect(),
-            mode: crate::walcodec::ViewMode::Closed,
-        };
-        self.structural_logged(record, |sys| sys.create_view_closed(family, class_names))
+        self.create_view_as(family, class_names, ViewMode::Closed)
     }
 
     /// Create a whole-schema view (see [`TseSystem::create_view_all`]).
     /// Publishes a new epoch; WAL-logged on durable systems.
     pub fn create_view_all(&self, family: &str) -> ModelResult<ViewId> {
-        let record = WalRecord::CreateView {
-            family: family.to_string(),
-            classes: Vec::new(),
-            mode: crate::walcodec::ViewMode::All,
-        };
-        self.structural_logged(record, |sys| sys.create_view_all(family))
+        self.create_view_as(family, &[], ViewMode::All)
     }
 
     /// Attach or clear a class constraint through a view. Publishes a new
@@ -808,7 +813,7 @@ impl SharedSystem {
             class_local: class_local.to_string(),
             expr: expr.map(str::to_string),
         };
-        self.structural_logged(record, |sys| sys.set_constraint(view, class_local, expr))
+        self.structural_logged(record, |_| ())
     }
 }
 
@@ -833,58 +838,6 @@ fn read_timed(inner: &SharedInner) -> RwLockReadGuard<'_, TseSystem> {
     let (guard, waited) = read_locked(inner);
     inner.telemetry.observe_ns(READ_WAIT, waited);
     guard
-}
-
-/// Run one data-plane mutation: swap latch shared (so fork–evolve–swap can
-/// quiesce writers), system lock shared (the store's per-segment stripes
-/// provide the fine-grained exclusion). No epoch is published — data writes
-/// touch records, not the metadata readers resolve against.
-///
-/// On a durable system the mutation's effect frame (built by `record` from
-/// the operation's result) is appended through the group-commit WAL and the
-/// call returns only once the frame's batch is fsync'd. The append happens
-/// **while still holding the latch shared**: a checkpoint (latch exclusive)
-/// can therefore never land between apply and append, so a snapshot either
-/// contains the op or the op's frame survives in the WAL — never neither.
-/// Apply-then-log means a crash between the two loses the *unacked* op,
-/// which is exactly the contract: every acked write survives, no acked
-/// write is lost.
-fn with_data_logged<R>(
-    inner: &SharedInner,
-    op: impl FnOnce(&TseSystem) -> ModelResult<R>,
-    record: impl FnOnce(&R) -> WalRecord,
-) -> ModelResult<R> {
-    // Degraded backpressure comes first: while read-only, the mutation must
-    // not even apply in memory (it could never be made durable).
-    check_writable(inner)?;
-    let started = Instant::now();
-    let _latch = inner.latch.read();
-    let sys = inner.system.read();
-    inner.telemetry.observe_ns("lock.write_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
-    // One MVCC write ticket per operation: every version the op installs
-    // carries the ticket's stamp, and the stable frontier stays below it
-    // until this function returns — a ReadSession opened mid-operation
-    // pins an epoch that sees all of the batch or none of it. The ticket
-    // outlives the WAL append, so a batch becomes visible only once acked.
-    let ticket = sys.db().store().clock().begin_write();
-    let out = {
-        let _stamp = WriteStampGuard::new(ticket.stamp());
-        op(&sys)
-    }?;
-    if let Some(wal) = &inner.wal {
-        wal.append(&encode_frame(&record(&out)))
-            .map_err(ModelError::Storage)
-            .inspect_err(|e| {
-                note_fault(&inner.telemetry, e);
-                // Retries (bounded, pre-ack) already happened inside the
-                // group-commit WAL; an error surfacing here is final and
-                // advances the health machine.
-                if let (Some(health), ModelError::Storage(se)) = (&inner.health, e) {
-                    observe_io_error(health, wal.is_poisoned(), &inner.telemetry, se);
-                }
-            })?;
-    }
-    Ok(out)
 }
 
 /// Handle to a background integrity-scrubber thread started by
@@ -987,7 +940,7 @@ impl ReadSession {
     /// Close one measured operation: count it, record its latency, and
     /// observe its wait for the system lock, all in one visit to the
     /// registry.
-    fn observe(&self, op: &tse_telemetry::OpName, started: Instant, waited: u64) {
+    fn observe(&self, op: &OpName, started: Instant, waited: u64) {
         let dur_ns = started.elapsed().as_nanos() as u64;
         self.inner.telemetry.observe_op(op, dur_ns, Some((READ_WAIT, waited)));
     }
@@ -1125,6 +1078,76 @@ impl WriteSession {
         self.meta = self.inner.meta.read().clone();
     }
 
+    /// Run one data-plane mutation as the measured operation `name`: swap
+    /// latch shared (so fork–evolve–swap can quiesce writers), system lock
+    /// shared (the store's per-segment stripes provide the fine-grained
+    /// exclusion). No epoch is published — data writes touch records, not
+    /// the metadata readers resolve against.
+    ///
+    /// On a durable system the mutation's effect frame (built by `record`
+    /// from the operation's result) is appended through the group-commit WAL
+    /// and the call returns only once the frame's batch is fsync'd. The
+    /// append happens **while still holding the latch shared**: a checkpoint
+    /// (latch exclusive) can therefore never land between apply and append,
+    /// so a snapshot either contains the op or the op's frame survives in
+    /// the WAL — never neither. Apply-then-log means a crash between the two
+    /// loses the *unacked* op, which is exactly the contract: every acked
+    /// write survives, no acked write is lost.
+    ///
+    /// A failpoint that fired under `op` or under the append is counted in
+    /// `fault.*` here, for every operation alike.
+    fn with_data_logged<R>(
+        &self,
+        name: &OpName,
+        op: impl FnOnce(&TseSystem) -> ModelResult<R>,
+        record: impl FnOnce(&R) -> WalRecord,
+    ) -> ModelResult<R> {
+        let inner = &*self.inner;
+        let _t = inner.telemetry.enter_trace(self.trace);
+        let started = Instant::now();
+        let out = (|| {
+            // Degraded backpressure comes first: while read-only, the
+            // mutation must not even apply in memory (it could never be
+            // made durable).
+            check_writable(inner)?;
+            let _latch = inner.latch.read();
+            let sys = inner.system.read();
+            inner
+                .telemetry
+                .observe_ns("lock.write_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
+            // One MVCC write ticket per operation: every version the op
+            // installs carries the ticket's stamp, and the stable frontier
+            // stays below it until this closure returns — a ReadSession
+            // opened mid-operation pins an epoch that sees all of the batch
+            // or none of it. The ticket outlives the WAL append, so a batch
+            // becomes visible only once acked.
+            let ticket = sys.db().store().clock().begin_write();
+            let out = {
+                let _stamp = WriteStampGuard::new(ticket.stamp());
+                op(&sys)
+            }?;
+            if let Some(wal) = &inner.wal {
+                wal.append(&encode_frame(&record(&out))).map_err(ModelError::Storage).inspect_err(
+                    |e| {
+                        // Retries (bounded, pre-ack) already happened inside
+                        // the group-commit WAL; an error surfacing here is
+                        // final and advances the health machine.
+                        if let (Some(health), ModelError::Storage(se)) = (&inner.health, e) {
+                            observe_io_error(health, wal.is_poisoned(), &inner.telemetry, se);
+                        }
+                    },
+                )?;
+            }
+            Ok(out)
+        })();
+        if let Err(e) = &out {
+            note_fault(&inner.telemetry, e);
+        }
+        observe_op(&inner.telemetry, name, started);
+        maybe_autocheckpoint(inner);
+        out
+    }
+
     /// Create an object through a view class. On a durable system the
     /// effect is redo-logged with the *assigned* oid, so recovery reissues
     /// exactly it.
@@ -1134,21 +1157,13 @@ impl WriteSession {
         class_local: &str,
         values: &[(&str, Value)],
     ) -> ModelResult<Oid> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let policy = &self.meta.policy;
-        let out = with_data_logged(
-            &self.inner,
+        self.with_data_logged(
+            &ops::CREATE,
             |sys| tse_algebra::create(sys.db(), policy, class, values),
             |oid| WalRecord::Create { class, oid: *oid, values: own_pairs(values) },
-        );
-        if let Err(e) = &out {
-            note_fault(&self.inner.telemetry, e);
-        }
-        observe_op(&self.inner.telemetry, &ops::CREATE, started);
-        maybe_autocheckpoint(&self.inner);
-        out
+        )
     }
 
     /// Set attributes through a view class.
@@ -1159,12 +1174,10 @@ impl WriteSession {
         class_local: &str,
         assignments: &[(&str, Value)],
     ) -> ModelResult<()> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let policy = &self.meta.policy;
-        let out = with_data_logged(
-            &self.inner,
+        self.with_data_logged(
+            &ops::SET,
             |sys| tse_algebra::set(sys.db(), policy, &[oid], class, assignments),
             |_| WalRecord::Set {
                 class,
@@ -1172,13 +1185,7 @@ impl WriteSession {
                 assignments: own_pairs(assignments),
                 from_update_where: false,
             },
-        );
-        if let Err(e) = &out {
-            note_fault(&self.inner.telemetry, e);
-        }
-        observe_op(&self.inner.telemetry, &ops::SET, started);
-        maybe_autocheckpoint(&self.inner);
-        out
+        )
     }
 
     /// `( select from <Class> where <expr> ) set [assignments]` — the
@@ -1193,14 +1200,12 @@ impl WriteSession {
         expr: &str,
         assignments: &[(&str, Value)],
     ) -> ModelResult<usize> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let body = crate::change::parse_expr(expr)?;
         let pred = tse_object_model::Predicate::Expr(body);
         let policy = &self.meta.policy;
-        let out = with_data_logged(
-            &self.inner,
+        self.with_data_logged(
+            &ops::UPDATE_WHERE,
             |sys| -> ModelResult<Vec<Oid>> {
                 let oids = tse_algebra::select_objects(sys.db(), class, &pred)?;
                 tse_algebra::set(sys.db(), policy, &oids, class, assignments)?;
@@ -1213,58 +1218,40 @@ impl WriteSession {
                 from_update_where: true,
             },
         )
-        .map(|oids| oids.len());
-        observe_op(&self.inner.telemetry, &ops::UPDATE_WHERE, started);
-        maybe_autocheckpoint(&self.inner);
-        out
+        .map(|oids| oids.len())
     }
 
     /// Add existing objects to a view class.
     pub fn add_to(&self, view: ViewId, oids: &[Oid], class_local: &str) -> ModelResult<()> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let policy = &self.meta.policy;
-        let out = with_data_logged(
-            &self.inner,
+        self.with_data_logged(
+            &ops::ADD_TO,
             |sys| tse_algebra::add(sys.db(), policy, oids, class),
             |_| WalRecord::AddTo { class, oids: oids.to_vec() },
-        );
-        observe_op(&self.inner.telemetry, &ops::ADD_TO, started);
-        maybe_autocheckpoint(&self.inner);
-        out
+        )
     }
 
     /// Remove objects from a view class.
     pub fn remove_from(&self, view: ViewId, oids: &[Oid], class_local: &str) -> ModelResult<()> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let policy = &self.meta.policy;
-        let out = with_data_logged(
-            &self.inner,
+        self.with_data_logged(
+            &ops::REMOVE_FROM,
             |sys| tse_algebra::remove(sys.db(), policy, oids, class),
             |_| WalRecord::RemoveFrom { class, oids: oids.to_vec() },
-        );
-        observe_op(&self.inner.telemetry, &ops::REMOVE_FROM, started);
-        maybe_autocheckpoint(&self.inner);
-        out
+        )
     }
 
     /// Destroy objects. Slices may span several class segments; the store
     /// frees them stripe by stripe (each acquisition is per-segment), so a
     /// cross-segment delete cannot deadlock against a same-stripe writer.
     pub fn delete_objects(&self, oids: &[Oid]) -> ModelResult<()> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
-        let out = with_data_logged(
-            &self.inner,
+        self.with_data_logged(
+            &ops::DELETE_OBJECTS,
             |sys| tse_algebra::delete(sys.db(), oids),
             |_| WalRecord::Delete { oids: oids.to_vec() },
-        );
-        observe_op(&self.inner.telemetry, &ops::DELETE_OBJECTS, started);
-        maybe_autocheckpoint(&self.inner);
-        out
+        )
     }
 }
 
@@ -1286,12 +1273,12 @@ mod tests {
     /// `rename_class` into the next epoch.
     #[test]
     fn the_name_table_follows_rename_class_into_the_next_epoch() {
-        let mut sys = TseSystem::new();
-        let person = sys.define_base_class("Person", &[], vec![]).unwrap();
-        let student = sys.define_base_class("Student", &["Person"], vec![]).unwrap();
-        sys.create_view("VS", &["Person", "Student"]).unwrap();
+        let mut tse = TseSystem::new();
+        let person = tse.define_base_class("Person", &[], vec![]).unwrap();
+        let student = tse.define_base_class("Student", &["Person"], vec![]).unwrap();
+        tse.create_view("VS", &["Person", "Student"]).unwrap();
         // A view-local rename: the new version shows `Student` as `Pupil`.
-        sys.evolve("VS", &parse_change("rename_class Student to Pupil").unwrap()).unwrap();
+        tse.evolve("VS", &parse_change("rename_class Student to Pupil").unwrap()).unwrap();
 
         let same_as_lookup = |meta: &MetaSnapshot| {
             for view in meta.views().versions("VS").unwrap() {
@@ -1304,7 +1291,7 @@ mod tests {
                 }
             }
         };
-        let before = MetaSnapshot::capture(1, &sys);
+        let before = MetaSnapshot::capture(1, &tse);
         same_as_lookup(&before);
         let versions = before.views().versions("VS").unwrap().to_vec();
         let (v1, v2) = (versions[0], versions[1]);
@@ -1312,8 +1299,8 @@ mod tests {
         assert_eq!(before.resolve(v2, "Pupil"), Ok(student));
         assert!(before.resolve(v2, "Student").is_err(), "the rename masks the global name");
 
-        sys.db_mut().schema_mut().rename_class(person, "Human").unwrap();
-        let after = MetaSnapshot::capture(2, &sys);
+        tse.db_mut().schema_mut().rename_class(person, "Human").unwrap();
+        let after = MetaSnapshot::capture(2, &tse);
         same_as_lookup(&after);
         assert_eq!(after.resolve(v1, "Human"), Ok(person));
         assert!(after.resolve(v1, "Person").is_err());

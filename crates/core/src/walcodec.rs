@@ -20,10 +20,11 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tse_object_model::{
-    get_pending_prop, put_pending_prop, ClassId, ModelError, ModelResult, Oid, PendingProp,
-    Value,
+    get_oids, get_pairs, get_pending_prop, put_oids, put_pairs, put_pending_prop, ClassId,
+    ModelError, ModelResult, Oid, PendingProp, Value,
 };
-use tse_storage::{Crc32, Payload, StorageError};
+use tse_storage::payload::{get_str, get_strs, get_u32, get_u64, get_u8, put_str, put_strs};
+use tse_storage::{Crc32, StorageError};
 use tse_view::ViewId;
 
 /// Version byte of the typed frame format.
@@ -218,33 +219,6 @@ impl WalRecord {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_oids(buf: &mut BytesMut, oids: &[Oid]) {
-    buf.put_u32(oids.len() as u32);
-    for oid in oids {
-        buf.put_u64(oid.0);
-    }
-}
-
-fn put_pairs(buf: &mut BytesMut, pairs: &[(String, Value)]) {
-    buf.put_u32(pairs.len() as u32);
-    for (name, value) in pairs {
-        put_str(buf, name);
-        value.encode(buf);
-    }
-}
-
-fn put_strs(buf: &mut BytesMut, strs: &[String]) {
-    buf.put_u32(strs.len() as u32);
-    for s in strs {
-        put_str(buf, s);
-    }
-}
-
 /// Encode `record` into a complete typed frame (version byte through body).
 pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
     let mut body = BytesMut::new();
@@ -311,66 +285,6 @@ pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
     frame
 }
 
-fn get_str(buf: &mut Bytes) -> ModelResult<String> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("wal frame: truncated string length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(corrupt("wal frame: truncated string"));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("wal frame: string not utf-8"))
-}
-
-fn get_oids(buf: &mut Bytes) -> ModelResult<Vec<Oid>> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("wal frame: truncated oid count"));
-    }
-    let n = buf.get_u32() as usize;
-    if buf.remaining() < n * 8 {
-        return Err(corrupt("wal frame: truncated oid list"));
-    }
-    Ok((0..n).map(|_| Oid(buf.get_u64())).collect())
-}
-
-fn get_pairs(buf: &mut Bytes) -> ModelResult<Vec<(String, Value)>> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("wal frame: truncated pair count"));
-    }
-    let n = buf.get_u32() as usize;
-    let mut pairs = Vec::with_capacity(n.min(buf.remaining()));
-    for _ in 0..n {
-        let name = get_str(buf)?;
-        let value = Value::decode(buf).map_err(ModelError::Storage)?;
-        pairs.push((name, value));
-    }
-    Ok(pairs)
-}
-
-fn get_strs(buf: &mut Bytes) -> ModelResult<Vec<String>> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("wal frame: truncated string count"));
-    }
-    let n = buf.get_u32() as usize;
-    let mut out = Vec::with_capacity(n.min(buf.remaining()));
-    for _ in 0..n {
-        out.push(get_str(buf)?);
-    }
-    Ok(out)
-}
-
-fn get_id(buf: &mut Bytes) -> ModelResult<u32> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("wal frame: truncated id"));
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_class(buf: &mut Bytes) -> ModelResult<ClassId> {
-    get_id(buf).map(ClassId)
-}
-
 /// Decode one WAL frame payload. Every version, framing, length, or CRC
 /// violation is an error; a frame never decodes "partially".
 pub fn decode_frame(payload: &[u8]) -> ModelResult<WalRecord> {
@@ -404,64 +318,46 @@ pub fn decode_frame(payload: &[u8]) -> ModelResult<WalRecord> {
             WalRecord::Evolve { family: get_str(&mut buf)?, command: get_str(&mut buf)? }
         }
         FrameKind::Create => WalRecord::Create {
-            class: get_class(&mut buf)?,
-            oid: {
-                if buf.remaining() < 8 {
-                    return Err(corrupt("wal frame: truncated oid"));
-                }
-                Oid(buf.get_u64())
-            },
+            class: ClassId(get_u32(&mut buf)?),
+            oid: Oid(get_u64(&mut buf)?),
             values: get_pairs(&mut buf)?,
         },
         FrameKind::Set | FrameKind::UpdateWhere => WalRecord::Set {
-            class: get_class(&mut buf)?,
+            class: ClassId(get_u32(&mut buf)?),
             oids: get_oids(&mut buf)?,
             assignments: get_pairs(&mut buf)?,
             from_update_where: kind == FrameKind::UpdateWhere,
         },
         FrameKind::AddTo => {
-            WalRecord::AddTo { class: get_class(&mut buf)?, oids: get_oids(&mut buf)? }
+            WalRecord::AddTo { class: ClassId(get_u32(&mut buf)?), oids: get_oids(&mut buf)? }
         }
         FrameKind::RemoveFrom => {
-            WalRecord::RemoveFrom { class: get_class(&mut buf)?, oids: get_oids(&mut buf)? }
+            WalRecord::RemoveFrom { class: ClassId(get_u32(&mut buf)?), oids: get_oids(&mut buf)? }
         }
         FrameKind::Delete => WalRecord::Delete { oids: get_oids(&mut buf)? },
         FrameKind::Checkpoint => WalRecord::Checkpoint,
         FrameKind::DefineClass => {
             let name = get_str(&mut buf)?;
             let supers = get_strs(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(corrupt("wal frame: truncated prop count"));
-            }
-            let n = buf.get_u32() as usize;
+            let n = get_u32(&mut buf)? as usize;
             let mut props = Vec::with_capacity(n.min(buf.remaining()));
             for _ in 0..n {
-                props.push(get_pending_prop(&mut buf).map_err(ModelError::Storage)?);
+                props.push(get_pending_prop(&mut buf)?);
             }
             WalRecord::DefineClass { name, supers, props }
         }
         FrameKind::CreateView => WalRecord::CreateView {
             family: get_str(&mut buf)?,
             classes: get_strs(&mut buf)?,
-            mode: {
-                if buf.remaining() < 1 {
-                    return Err(corrupt("wal frame: truncated view mode"));
-                }
-                ViewMode::from_u8(buf.get_u8())?
-            },
+            mode: ViewMode::from_u8(get_u8(&mut buf)?)?,
         },
         FrameKind::SetConstraint => WalRecord::SetConstraint {
-            view: ViewId(get_id(&mut buf)?),
+            view: ViewId(get_u32(&mut buf)?),
             class_local: get_str(&mut buf)?,
-            expr: {
-                if buf.remaining() < 1 {
-                    return Err(corrupt("wal frame: truncated constraint flag"));
-                }
-                match buf.get_u8() {
-                    0 => None,
-                    1 => Some(get_str(&mut buf)?),
-                    other => return Err(corrupt(format!("unknown constraint flag {other}"))),
-                }
+            expr: match get_u8(&mut buf)? {
+                0 => None,
+                1 => Some(get_str(&mut buf)?),
+                other => return Err(corrupt(format!("unknown constraint flag {other}"))),
             },
         },
     };

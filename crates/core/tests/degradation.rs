@@ -9,7 +9,7 @@ use std::time::Duration;
 use tse_core::{DegradedReason, SharedSystem, SystemHealth};
 use tse_object_model::{ModelError, Oid, PropertyDef, Value, ValueType};
 use tse_storage::durable::snapshot_path;
-use tse_storage::FailAction;
+use tse_storage::{FailAction, StorageError};
 use tse_view::ViewId;
 
 /// A unique, empty scratch directory per test.
@@ -333,4 +333,30 @@ fn full_replay_rebuilds_when_every_snapshot_is_corrupt() {
     assert_eq!(shared.checkpoint().unwrap(), 2);
     let report = shared.scrub_now().unwrap();
     assert_eq!(report.quarantined, vec![1]);
+}
+
+#[test]
+fn an_injected_fault_is_counted_whichever_write_op_it_fires_under() {
+    // The first write of an attribute an evolve added materialises the
+    // object's slice of the new class — a `storage.insert` under an op that
+    // is neither `create` nor `set`.
+    let dir = tmpdir("fault_counted");
+    let (shared, _v1, oid) = seed(&dir);
+    let v2 = shared.evolve_cmd("VS", "add_attribute rank: int = 0 to Person").unwrap().view;
+    let writer = shared.writer();
+
+    shared.failpoints().arm("storage.insert", 1, FailAction::Error);
+    let err =
+        writer.update_where(v2, "Person", "name == \"ann\"", &[("rank", Value::Int(7))]).unwrap_err();
+    assert!(matches!(err, ModelError::Storage(StorageError::Injected(_))), "{err}");
+    assert_eq!(shared.telemetry().counter("fault.injected"), 1, "the forensics gate must see it");
+    assert_eq!(shared.health(), SystemHealth::Healthy, "an op's own fault is not a log fault");
+
+    // One shot: the same op goes through afterwards.
+    assert_eq!(
+        writer.update_where(v2, "Person", "name == \"ann\"", &[("rank", Value::Int(7))]).unwrap(),
+        1
+    );
+    assert_eq!(shared.session().get(v2, oid, "Person", "rank").unwrap(), Value::Int(7));
+    assert_eq!(shared.telemetry().counter("fault.injected"), 1);
 }

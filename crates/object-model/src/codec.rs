@@ -4,10 +4,11 @@
 //! the storage crate's `Payload` conventions.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+pub(crate) use tse_storage::payload::{get_str, get_u32, get_u64, get_u8, put_str};
 use tse_storage::{Payload, StorageError, StorageResult};
 
 use crate::derivation::Derivation;
-use crate::ids::{ClassId, PropKey};
+use crate::ids::{ClassId, Oid, PropKey};
 use crate::method::{BinOp, MethodBody};
 use crate::predicate::{CmpOp, Predicate};
 use crate::property::{LocalProp, PropKind, PropertyDef};
@@ -17,42 +18,47 @@ fn corrupt(msg: &str) -> StorageError {
     StorageError::Corrupt(msg.to_string())
 }
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+// ----- Oid lists and assignments ----------------------------------------------
+//
+// The shapes a WAL frame and a wire frame share (the string and integer
+// primitives are `tse_storage::payload`'s).
+
+/// Encode an oid list: a u32 count, then each oid as a u64.
+pub fn put_oids(buf: &mut BytesMut, oids: &[Oid]) {
+    buf.put_u32(oids.len() as u32);
+    for oid in oids {
+        buf.put_u64(oid.0);
+    }
 }
 
-pub(crate) fn get_str(buf: &mut Bytes) -> StorageResult<String> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("truncated string length"));
+/// Decode a list written by [`put_oids`]; the count is checked against the
+/// bytes left before anything is allocated.
+pub fn get_oids(buf: &mut Bytes) -> StorageResult<Vec<Oid>> {
+    let n = get_u32(buf)? as usize;
+    if buf.remaining() < n * 8 {
+        return Err(corrupt("truncated oid list"));
     }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(corrupt("truncated string body"));
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| corrupt("non-utf8 string"))
+    Ok((0..n).map(|_| Oid(buf.get_u64())).collect())
 }
 
-pub(crate) fn get_u8(buf: &mut Bytes) -> StorageResult<u8> {
-    if buf.remaining() < 1 {
-        return Err(corrupt("truncated u8"));
+/// Encode `(attribute, value)` assignments: a u32 count, then each name
+/// through `put_str` and each value through its [`Payload`] encoding.
+pub fn put_pairs(buf: &mut BytesMut, pairs: &[(String, Value)]) {
+    buf.put_u32(pairs.len() as u32);
+    for (name, value) in pairs {
+        put_str(buf, name);
+        value.encode(buf);
     }
-    Ok(buf.get_u8())
 }
 
-pub(crate) fn get_u32(buf: &mut Bytes) -> StorageResult<u32> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("truncated u32"));
+/// Decode assignments written by [`put_pairs`].
+pub fn get_pairs(buf: &mut Bytes) -> StorageResult<Vec<(String, Value)>> {
+    let n = get_u32(buf)? as usize;
+    let mut pairs = Vec::with_capacity(n.min(buf.remaining()));
+    for _ in 0..n {
+        pairs.push((get_str(buf)?, Value::decode(buf)?));
     }
-    Ok(buf.get_u32())
-}
-
-pub(crate) fn get_u64(buf: &mut Bytes) -> StorageResult<u64> {
-    if buf.remaining() < 8 {
-        return Err(corrupt("truncated u64"));
-    }
-    Ok(buf.get_u64())
+    Ok(pairs)
 }
 
 // ----- ValueType -------------------------------------------------------------

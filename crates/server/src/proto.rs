@@ -27,8 +27,12 @@ use std::io::{self, Read, Write};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tse_core::{TseCode, TseError, TseResult};
-use tse_object_model::{get_pending_prop, put_pending_prop, Oid, PendingProp, Value};
-use tse_storage::{Crc32, Payload};
+use tse_object_model::{
+    get_oids, get_pairs, get_pending_prop, put_oids, put_pairs, put_pending_prop, Oid,
+    PendingProp, Value,
+};
+use tse_storage::payload::{get_str, get_strs, get_u32, get_u64, get_u8, put_str, put_strs};
+use tse_storage::{Crc32, Payload, StorageError, StorageResult};
 
 /// Version byte of the wire frame format.
 pub const WIRE_VERSION: u8 = 0xB4;
@@ -374,105 +378,6 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------------
-// Body primitives (same shapes as walcodec)
-// ---------------------------------------------------------------------------
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_strs(buf: &mut BytesMut, strs: &[String]) {
-    buf.put_u32(strs.len() as u32);
-    for s in strs {
-        put_str(buf, s);
-    }
-}
-
-fn put_oids(buf: &mut BytesMut, oids: &[Oid]) {
-    buf.put_u32(oids.len() as u32);
-    for oid in oids {
-        buf.put_u64(oid.0);
-    }
-}
-
-fn put_pairs(buf: &mut BytesMut, pairs: &[(String, Value)]) {
-    buf.put_u32(pairs.len() as u32);
-    for (name, value) in pairs {
-        put_str(buf, name);
-        value.encode(buf);
-    }
-}
-
-fn get_str(buf: &mut Bytes) -> TseResult<String> {
-    if buf.remaining() < 4 {
-        return Err(protocol("frame: truncated string length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(protocol("frame: truncated string"));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| protocol("frame: string not utf-8"))
-}
-
-fn get_strs(buf: &mut Bytes) -> TseResult<Vec<String>> {
-    if buf.remaining() < 4 {
-        return Err(protocol("frame: truncated string count"));
-    }
-    let n = buf.get_u32() as usize;
-    let mut out = Vec::with_capacity(n.min(buf.remaining()));
-    for _ in 0..n {
-        out.push(get_str(buf)?);
-    }
-    Ok(out)
-}
-
-fn get_oids(buf: &mut Bytes) -> TseResult<Vec<Oid>> {
-    if buf.remaining() < 4 {
-        return Err(protocol("frame: truncated oid count"));
-    }
-    let n = buf.get_u32() as usize;
-    if buf.remaining() < n * 8 {
-        return Err(protocol("frame: truncated oid list"));
-    }
-    Ok((0..n).map(|_| Oid(buf.get_u64())).collect())
-}
-
-fn get_pairs(buf: &mut Bytes) -> TseResult<Vec<(String, Value)>> {
-    if buf.remaining() < 4 {
-        return Err(protocol("frame: truncated pair count"));
-    }
-    let n = buf.get_u32() as usize;
-    let mut pairs = Vec::with_capacity(n.min(buf.remaining()));
-    for _ in 0..n {
-        let name = get_str(buf)?;
-        let value = Value::decode(buf)
-            .map_err(|e| protocol(format!("frame: bad value payload: {e}")))?;
-        pairs.push((name, value));
-    }
-    Ok(pairs)
-}
-
-fn get_u64(buf: &mut Bytes, what: &str) -> TseResult<u64> {
-    if buf.remaining() < 8 {
-        return Err(protocol(format!("frame: truncated {what}")));
-    }
-    Ok(buf.get_u64())
-}
-
-fn get_u32(buf: &mut Bytes, what: &str) -> TseResult<u32> {
-    if buf.remaining() < 4 {
-        return Err(protocol(format!("frame: truncated {what}")));
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_oid(buf: &mut Bytes) -> TseResult<Oid> {
-    Ok(Oid(get_u64(buf, "oid")?))
-}
-
-// ---------------------------------------------------------------------------
 // Request codec
 // ---------------------------------------------------------------------------
 
@@ -590,81 +495,78 @@ impl Request {
         }
     }
 
-    fn decode_body(kind: u8, buf: &mut Bytes) -> TseResult<Request> {
+    fn decode_body(kind: u8, buf: &mut Bytes) -> StorageResult<Request> {
         Ok(match kind {
             1 => Request::Hello { user: get_str(buf)? },
             2 => Request::Bind { family: get_str(buf)? },
             3 => Request::OpenReader,
-            4 => Request::CloseReader { sid: get_u64(buf, "sid")? },
-            5 => Request::RefreshReader { sid: get_u64(buf, "sid")? },
+            4 => Request::CloseReader { sid: get_u64(buf)? },
+            5 => Request::RefreshReader { sid: get_u64(buf)? },
             6 => Request::Get {
-                sid: get_u64(buf, "sid")?,
-                oid: get_oid(buf)?,
+                sid: get_u64(buf)?,
+                oid: Oid(get_u64(buf)?),
                 class: get_str(buf)?,
                 attr: get_str(buf)?,
             },
-            7 => Request::Extent { sid: get_u64(buf, "sid")?, class: get_str(buf)? },
+            7 => Request::Extent { sid: get_u64(buf)?, class: get_str(buf)? },
             8 => Request::SelectWhere {
-                sid: get_u64(buf, "sid")?,
+                sid: get_u64(buf)?,
                 class: get_str(buf)?,
                 expr: get_str(buf)?,
             },
             9 => Request::Invoke {
-                sid: get_u64(buf, "sid")?,
-                oid: get_oid(buf)?,
+                sid: get_u64(buf)?,
+                oid: Oid(get_u64(buf)?),
                 class: get_str(buf)?,
                 name: get_str(buf)?,
             },
             10 => Request::OpenWriter,
-            11 => Request::CloseWriter { wid: get_u64(buf, "wid")? },
-            12 => Request::RefreshWriter { wid: get_u64(buf, "wid")? },
+            11 => Request::CloseWriter { wid: get_u64(buf)? },
+            12 => Request::RefreshWriter { wid: get_u64(buf)? },
             13 => Request::Create {
-                wid: get_u64(buf, "wid")?,
-                idem: get_u64(buf, "idem")?,
+                wid: get_u64(buf)?,
+                idem: get_u64(buf)?,
                 class: get_str(buf)?,
                 values: get_pairs(buf)?,
             },
             14 => Request::SetAttrs {
-                wid: get_u64(buf, "wid")?,
-                idem: get_u64(buf, "idem")?,
-                oid: get_oid(buf)?,
+                wid: get_u64(buf)?,
+                idem: get_u64(buf)?,
+                oid: Oid(get_u64(buf)?),
                 class: get_str(buf)?,
                 assignments: get_pairs(buf)?,
             },
             15 => Request::UpdateWhere {
-                wid: get_u64(buf, "wid")?,
-                idem: get_u64(buf, "idem")?,
+                wid: get_u64(buf)?,
+                idem: get_u64(buf)?,
                 class: get_str(buf)?,
                 expr: get_str(buf)?,
                 assignments: get_pairs(buf)?,
             },
             16 => Request::AddTo {
-                wid: get_u64(buf, "wid")?,
-                idem: get_u64(buf, "idem")?,
+                wid: get_u64(buf)?,
+                idem: get_u64(buf)?,
                 class: get_str(buf)?,
                 oids: get_oids(buf)?,
             },
             17 => Request::RemoveFrom {
-                wid: get_u64(buf, "wid")?,
-                idem: get_u64(buf, "idem")?,
+                wid: get_u64(buf)?,
+                idem: get_u64(buf)?,
                 class: get_str(buf)?,
                 oids: get_oids(buf)?,
             },
             18 => Request::Delete {
-                wid: get_u64(buf, "wid")?,
-                idem: get_u64(buf, "idem")?,
+                wid: get_u64(buf)?,
+                idem: get_u64(buf)?,
                 oids: get_oids(buf)?,
             },
             19 => {
                 let name = get_str(buf)?;
                 let supers = get_strs(buf)?;
-                let n = get_u32(buf, "prop count")? as usize;
+                let n = get_u32(buf)? as usize;
                 let mut props = Vec::with_capacity(n.min(buf.remaining()));
                 for _ in 0..n {
-                    props.push(
-                        get_pending_prop(buf)
-                            .map_err(|e| protocol(format!("frame: bad property: {e}")))?,
-                    );
+                    props.push(get_pending_prop(buf)?);
                 }
                 Request::DefineClass { name, supers, props }
             }
@@ -676,7 +578,7 @@ impl Request {
             25 => Request::Ping,
             26 => Request::Shutdown,
             27 => Request::Bye,
-            other => return Err(protocol(format!("unknown request kind {other}"))),
+            other => return Err(StorageError::Corrupt(format!("unknown request kind {other}"))),
         })
     }
 }
@@ -750,60 +652,52 @@ impl Response {
         }
     }
 
-    fn decode_body(kind: u8, buf: &mut Bytes) -> TseResult<Response> {
+    fn decode_body(kind: u8, buf: &mut Bytes) -> StorageResult<Response> {
         Ok(match kind {
             64 => Response::Welcome {
-                version: get_u32(buf, "version")?,
-                nonce: get_u64(buf, "nonce")?,
+                version: get_u32(buf)?,
+                nonce: get_u64(buf)?,
             },
-            65 => Response::Bound { version: get_u32(buf, "version")? },
+            65 => Response::Bound { version: get_u32(buf)? },
             66 => Response::ReaderOpened {
-                sid: get_u64(buf, "sid")?,
-                version: get_u32(buf, "version")?,
+                sid: get_u64(buf)?,
+                version: get_u32(buf)?,
             },
-            67 => Response::WriterOpened { wid: get_u64(buf, "wid")? },
+            67 => Response::WriterOpened { wid: get_u64(buf)? },
             68 => Response::Closed,
             69 => Response::Refreshed,
-            70 => Response::Val(
-                Value::decode(buf)
-                    .map_err(|e| protocol(format!("frame: bad value payload: {e}")))?,
-            ),
-            71 => Response::OidIs(get_oid(buf)?),
+            70 => Response::Val(Value::decode(buf)?),
+            71 => Response::OidIs(Oid(get_u64(buf)?)),
             72 => Response::Oids(get_oids(buf)?),
-            73 => Response::Count(get_u64(buf, "count")?),
+            73 => Response::Count(get_u64(buf)?),
             74 => Response::Unit,
-            75 => Response::ViewVersion(get_u32(buf, "version")?),
+            75 => Response::ViewVersion(get_u32(buf)?),
             76 => Response::Evolved {
-                version: get_u32(buf, "version")?,
-                classes_touched: get_u64(buf, "classes_touched")?,
-                duplicates_folded: get_u64(buf, "duplicates_folded")?,
+                version: get_u32(buf)?,
+                classes_touched: get_u64(buf)?,
+                duplicates_folded: get_u64(buf)?,
                 script: get_str(buf)?,
             },
             77 => Response::Described(get_str(buf)?),
             78 => Response::HealthIs {
-                status: {
-                    if buf.remaining() < 1 {
-                        return Err(protocol("frame: truncated health status"));
-                    }
-                    buf.get_u8()
-                },
+                status: get_u8(buf)?,
                 reason: get_str(buf)?,
-                retry_after_ms: get_u64(buf, "retry_after_ms")?,
+                retry_after_ms: get_u64(buf)?,
             },
             79 => Response::Pong,
-            80 => Response::Retry { retry_after_ms: get_u64(buf, "retry_after_ms")? },
+            80 => Response::Retry { retry_after_ms: get_u64(buf)? },
             81 => Response::Err {
                 code: {
                     if buf.remaining() < 2 {
-                        return Err(protocol("frame: truncated error code"));
+                        return Err(StorageError::Corrupt("truncated error code".into()));
                     }
                     buf.get_u16()
                 },
-                retry_after_ms: get_u64(buf, "retry_after_ms")?,
+                retry_after_ms: get_u64(buf)?,
                 message: get_str(buf)?,
             },
             82 => Response::Bye,
-            other => return Err(protocol(format!("unknown response kind {other}"))),
+            other => return Err(StorageError::Corrupt(format!("unknown response kind {other}"))),
         })
     }
 }
@@ -873,27 +767,29 @@ fn check_frame(frame: &[u8]) -> TseResult<(u8, Bytes)> {
     Ok((kind, Bytes::from(body.to_vec())))
 }
 
-fn check_trailing(buf: &Bytes) -> TseResult<()> {
+/// Decode a checked frame's body and require that it was consumed whole.
+/// The one place a body codec's [`StorageError`] becomes
+/// [`TseCode::Protocol`].
+fn decode_body<T>(
+    frame: &[u8],
+    decode: impl FnOnce(u8, &mut Bytes) -> StorageResult<T>,
+) -> TseResult<T> {
+    let (kind, mut buf) = check_frame(frame)?;
+    let msg = decode(kind, &mut buf).map_err(|e| protocol(format!("frame: {e}")))?;
     if buf.remaining() > 0 {
         return Err(protocol("frame: trailing bytes in body"));
     }
-    Ok(())
+    Ok(msg)
 }
 
 /// Decode one complete request frame.
 pub fn decode_request(frame: &[u8]) -> TseResult<Request> {
-    let (kind, mut buf) = check_frame(frame)?;
-    let req = Request::decode_body(kind, &mut buf)?;
-    check_trailing(&buf)?;
-    Ok(req)
+    decode_body(frame, Request::decode_body)
 }
 
 /// Decode one complete response frame.
 pub fn decode_response(frame: &[u8]) -> TseResult<Response> {
-    let (kind, mut buf) = check_frame(frame)?;
-    let resp = Response::decode_body(kind, &mut buf)?;
-    check_trailing(&buf)?;
-    Ok(resp)
+    decode_body(frame, Response::decode_body)
 }
 
 /// Outcome of [`read_frame_idle`]: a frame, a clean EOF, or an idle tick.

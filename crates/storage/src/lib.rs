@@ -55,7 +55,7 @@ mod failpoint;
 pub mod fault;
 pub mod mvcc;
 mod page;
-mod payload;
+pub mod payload;
 mod segment;
 pub mod scrub;
 mod snapshot;

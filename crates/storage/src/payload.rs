@@ -4,6 +4,12 @@
 //! to know about the object model's `Value` enum (which lives one crate up).
 //! A payload must report its approximate byte footprint (used for page
 //! placement accounting) and must be binary-encodable for snapshots.
+//!
+//! The module also holds the workspace's one set of checked length-prefixed
+//! byte primitives ([`put_str`] / [`get_str`], [`put_strs`] / [`get_strs`],
+//! [`get_u8`] / [`get_u32`] / [`get_u64`]): every snapshot, WAL-frame and
+//! wire-frame codec above this crate reads and writes through them, and a
+//! short or malformed buffer is always [`StorageError::Corrupt`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -55,17 +61,13 @@ impl Payload for SimplePayload {
             }
             SimplePayload::Str(s) => {
                 buf.put_u8(2);
-                buf.put_u32(s.len() as u32);
-                buf.put_slice(s.as_bytes());
+                put_str(buf, s);
             }
         }
     }
 
     fn decode(buf: &mut Bytes) -> StorageResult<Self> {
-        if buf.remaining() < 1 {
-            return Err(StorageError::Corrupt("truncated payload tag".into()));
-        }
-        match buf.get_u8() {
+        match get_u8(buf)? {
             0 => Ok(SimplePayload::Null),
             1 => {
                 if buf.remaining() < 8 {
@@ -73,42 +75,73 @@ impl Payload for SimplePayload {
                 }
                 Ok(SimplePayload::Int(buf.get_i64()))
             }
-            2 => {
-                if buf.remaining() < 4 {
-                    return Err(StorageError::Corrupt("truncated string length".into()));
-                }
-                let len = buf.get_u32() as usize;
-                if buf.remaining() < len {
-                    return Err(StorageError::Corrupt("truncated string payload".into()));
-                }
-                let raw = buf.copy_to_bytes(len);
-                let s = String::from_utf8(raw.to_vec())
-                    .map_err(|_| StorageError::Corrupt("non-utf8 string payload".into()))?;
-                Ok(SimplePayload::Str(s))
-            }
+            2 => Ok(SimplePayload::Str(get_str(buf)?)),
             t => Err(StorageError::Corrupt(format!("unknown payload tag {t}"))),
         }
     }
 }
 
-/// Encode a UTF-8 string with a u32 length prefix (shared helper for
-/// snapshot encoders in this and dependent crates).
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
+fn corrupt(msg: &str) -> StorageError {
+    StorageError::Corrupt(msg.to_string())
+}
+
+/// Encode a UTF-8 string with a u32 length prefix.
+pub fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
 /// Decode a string written by [`put_str`].
-pub(crate) fn get_str(buf: &mut Bytes) -> StorageResult<String> {
-    if buf.remaining() < 4 {
-        return Err(StorageError::Corrupt("truncated string length".into()));
-    }
-    let len = buf.get_u32() as usize;
+pub fn get_str(buf: &mut Bytes) -> StorageResult<String> {
+    let len = get_u32(buf)? as usize;
     if buf.remaining() < len {
-        return Err(StorageError::Corrupt("truncated string body".into()));
+        return Err(corrupt("truncated string body"));
     }
     let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| StorageError::Corrupt("non-utf8 string".into()))
+    String::from_utf8(raw.to_vec()).map_err(|_| corrupt("non-utf8 string"))
+}
+
+/// Encode a list of strings: a u32 count, then each through [`put_str`].
+pub fn put_strs(buf: &mut BytesMut, strs: &[String]) {
+    buf.put_u32(strs.len() as u32);
+    for s in strs {
+        put_str(buf, s);
+    }
+}
+
+/// Decode a list written by [`put_strs`]. The count is not trusted for the
+/// allocation: a hostile prefix cannot reserve more than the buffer holds.
+pub fn get_strs(buf: &mut Bytes) -> StorageResult<Vec<String>> {
+    let n = get_u32(buf)? as usize;
+    let mut out = Vec::with_capacity(n.min(buf.remaining()));
+    for _ in 0..n {
+        out.push(get_str(buf)?);
+    }
+    Ok(out)
+}
+
+/// Read one byte, or fail on an empty buffer.
+pub fn get_u8(buf: &mut Bytes) -> StorageResult<u8> {
+    if buf.remaining() < 1 {
+        return Err(corrupt("truncated u8"));
+    }
+    Ok(buf.get_u8())
+}
+
+/// Read a big-endian u32, or fail on a short buffer.
+pub fn get_u32(buf: &mut Bytes) -> StorageResult<u32> {
+    if buf.remaining() < 4 {
+        return Err(corrupt("truncated u32"));
+    }
+    Ok(buf.get_u32())
+}
+
+/// Read a big-endian u64, or fail on a short buffer.
+pub fn get_u64(buf: &mut Bytes) -> StorageResult<u64> {
+    if buf.remaining() < 8 {
+        return Err(corrupt("truncated u64"));
+    }
+    Ok(buf.get_u64())
 }
 
 #[cfg(test)]

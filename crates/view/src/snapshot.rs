@@ -5,36 +5,13 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use tse_object_model::{ClassId, ModelError, ModelResult};
+use tse_storage::payload::{get_str, get_u32, put_str};
 
 use crate::manager::ViewManager;
 use crate::schema::{ViewId, ViewSchema};
 
 fn corrupt(msg: &str) -> ModelError {
     ModelError::Storage(tse_storage::StorageError::Corrupt(msg.to_string()))
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> ModelResult<String> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("truncated string length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(corrupt("truncated string body"));
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| corrupt("non-utf8 string"))
-}
-
-fn get_u32(buf: &mut Bytes) -> ModelResult<u32> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("truncated u32"));
-    }
-    Ok(buf.get_u32())
 }
 
 /// Encode one view schema.
