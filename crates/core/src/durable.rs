@@ -3,11 +3,18 @@
 //! pointer, and a write-ahead log of **typed redo records** for every
 //! mutation.
 //!
+//! Every frame — structural, data, the checkpoint marker and the heal
+//! probe — is appended through one [`LogHandle`]: the group-commit WAL
+//! retries transient faults, and an error that survives its retries drives
+//! the health machine and the `fault.*` counters in one place.
+//!
 //! The durability protocol is write-ahead logical redo:
 //!
 //! 1. Structural changes (class definitions, view creations, constraints,
 //!    and both evolve entry points of [`crate::SharedSystem`]) append their
-//!    frame and fsync it **before** applying the change in memory.
+//!    frame and wait for its fsync **before** applying the change in
+//!    memory. They hold the swap latch exclusive, so their group of one
+//!    has no data frame to share its fsync with.
 //! 2. Data-plane writes through [`crate::WriteSession`] append effect
 //!    frames (`Create` with the assigned oid, `Set`, `UpdateWhere` with the
 //!    resolved oid set, …) after applying, and are acknowledged only once
@@ -57,29 +64,86 @@ fn noted(telemetry: &Telemetry, e: StorageError) -> ModelError {
     e
 }
 
-/// The on-disk half of a durable system: directory, group-commit WAL,
+/// The one way a [`WalRecord`] reaches the log, shared by the control plane
+/// ([`DurableState`]) and the data plane ([`crate::WriteSession`]): the
+/// group-commit WAL, the health machine its faults drive, and the knobs the
+/// store config derives for both. Clones share the log and the machine.
+#[derive(Clone)]
+pub(crate) struct LogHandle {
+    wal: GroupWal,
+    health: Arc<HealthMachine>,
+    /// Pre-ack retry policy: the WAL's appends retry inside [`GroupWal`],
+    /// snapshot and manifest writes in [`DurableState::checkpoint`].
+    retry: RetryPolicy,
+    /// WAL size that triggers an automatic checkpoint (0 = disabled).
+    autocheckpoint_bytes: u64,
+}
+
+impl LogHandle {
+    /// Append `record` and return its LSN once its group-commit batch is
+    /// on disk. Transient faults are retried (and counted in
+    /// `fault.retries`) inside [`GroupWal`]; an error that still comes back
+    /// has spent its retries and is surfaced here, once, whichever plane
+    /// appended.
+    pub(crate) fn append(&self, telemetry: &Telemetry, record: &WalRecord) -> ModelResult<u64> {
+        self.wal.append(&encode_frame(record)).map_err(|e| self.surfaced(telemetry, e))
+    }
+
+    /// A durable-path write that failed with its retries spent: advance the
+    /// health machine (see `crate::health::observe_io_error` for the rules)
+    /// and count an injected fault in `fault.*`.
+    fn surfaced(&self, telemetry: &Telemetry, e: StorageError) -> ModelError {
+        observe_io_error(&self.health, self.wal.is_poisoned(), telemetry, &e);
+        noted(telemetry, e)
+    }
+
+    /// Current service health.
+    pub(crate) fn health(&self) -> SystemHealth {
+        self.health.current()
+    }
+
+    /// Refuse writes while degraded: reads keep serving from the published
+    /// snapshot, writers get typed backpressure instead of a permanent
+    /// failure. A *poisoned* system falls through — the WAL's own fail-stop
+    /// error is the better diagnostic and must keep surfacing verbatim.
+    pub(crate) fn check_writable(&self, telemetry: &Telemetry) -> ModelResult<()> {
+        if let SystemHealth::Degraded { reason } = self.health.current() {
+            telemetry.incr("health.rejected_writes", 1);
+            return Err(ModelError::Unavailable {
+                reason: reason.name().to_string(),
+                retry_after_ms: self.retry_after_ms(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The client backoff hint carried in `Unavailable`: the retry policy's
+    /// backoff ceiling, at least 1 ms.
+    pub(crate) fn retry_after_ms(&self) -> u64 {
+        (self.retry.max_backoff_ns / 1_000_000).max(1)
+    }
+
+    /// True once the WAL has outgrown the auto-checkpoint threshold.
+    pub(crate) fn autocheckpoint_due(&self) -> bool {
+        self.autocheckpoint_bytes > 0 && self.wal.len() >= self.autocheckpoint_bytes
+    }
+}
+
+/// The on-disk half of a durable system: directory, the [`LogHandle`],
 /// snapshot generation bookkeeping, and the shared failpoint registry. The
 /// [`crate::SharedSystem`] control plane threads the write-ahead protocol
-/// around its fork–evolve–swap pipeline with it (and hands clones of the
-/// [`GroupWal`] to its data plane).
+/// around its fork–evolve–swap pipeline with it (and hands a clone of the
+/// [`LogHandle`] to its data plane).
 pub(crate) struct DurableState {
     dir: PathBuf,
-    wal: GroupWal,
+    log: LogHandle,
     /// Newest snapshot generation on disk (0 = none yet).
     generation: u64,
     /// Highest WAL LSN whose change is applied in memory — the LSN the
     /// next snapshot covers. Data frames are folded in at checkpoint time
     /// (writers are quiesced, so the log head covers them all).
     last_lsn: u64,
-    /// WAL size that triggers an automatic checkpoint (0 = disabled).
-    autocheckpoint_bytes: u64,
     failpoints: FailpointRegistry,
-    /// Pre-ack retry policy for transient snapshot/manifest writes (the
-    /// WAL's own appends retry inside [`GroupWal`] with the same policy).
-    retry: RetryPolicy,
-    /// Health state machine, shared with the control/data planes (an
-    /// `Arc` so [`crate::SharedSystem`] clones observe one machine).
-    health: Arc<HealthMachine>,
 }
 
 /// Position of an in-flight WAL frame: its LSN plus the log length from
@@ -267,7 +331,6 @@ impl DurableState {
         system.db().ensure_next_oid(highest_oid + 1);
 
         telemetry.incr("recovery.replayed", replayed);
-        telemetry.incr("recovery.replayed_frames", replayed);
         telemetry.incr("recovery.skipped", skipped);
         telemetry.incr("recovery.torn_bytes", wal_recovery.torn_bytes);
         telemetry.incr("recovery.snapshots_skipped", snapshots_skipped);
@@ -289,13 +352,15 @@ impl DurableState {
 
         let state = DurableState {
             dir: dir.to_path_buf(),
-            wal: GroupWal::new(wal, failpoints.clone(), telemetry, config.retry),
+            log: LogHandle {
+                wal: GroupWal::new(wal, telemetry, config.retry),
+                health: Arc::new(HealthMachine::new()),
+                retry: config.retry,
+                autocheckpoint_bytes: config.wal_autocheckpoint_bytes,
+            },
             generation,
             last_lsn,
-            autocheckpoint_bytes: config.wal_autocheckpoint_bytes,
             failpoints,
-            retry: config.retry,
-            health: Arc::new(HealthMachine::new()),
         };
         Ok((system, state))
     }
@@ -305,75 +370,31 @@ impl DurableState {
     }
 
     pub(crate) fn wal_len(&self) -> u64 {
-        self.wal.len()
+        self.log.wal.len()
     }
 
-    /// The health state machine (shared — clones observe one machine).
-    pub(crate) fn health(&self) -> &Arc<HealthMachine> {
-        &self.health
-    }
-
-    /// Pre-ack retry policy for transient durable-path faults.
-    pub(crate) fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// A durable-path write that failed with its retries spent: count the
-    /// injected fault and advance the health machine (see
-    /// `crate::health::observe_io_error` for the rules).
-    fn surfaced(&self, telemetry: &Telemetry, e: StorageError) -> ModelError {
-        observe_io_error(&self.health, self.wal.is_poisoned(), telemetry, &e);
-        noted(telemetry, e)
-    }
-
-    /// A clone of the group-commit WAL handle, for the shared data plane
-    /// (logged writes append through it without taking the control mutex).
-    pub(crate) fn group_wal(&self) -> GroupWal {
-        self.wal.clone()
-    }
-
-    /// WAL size that should trigger an automatic checkpoint (0 = never).
-    pub(crate) fn autocheckpoint_bytes(&self) -> u64 {
-        self.autocheckpoint_bytes
-    }
-
-    /// True once the WAL has outgrown the auto-checkpoint threshold.
-    pub(crate) fn autocheckpoint_due(&self) -> bool {
-        self.autocheckpoint_bytes > 0 && self.wal.len() >= self.autocheckpoint_bytes
+    /// The handle every frame is appended through.
+    pub(crate) fn log(&self) -> &LogHandle {
+        &self.log
     }
 
     /// Append a structural record (evolve, class definition, view creation,
-    /// constraint) to the WAL and fsync it **before** the change is applied
-    /// anywhere. Returns the frame's mark for [`DurableState::log_commit`]
-    /// / [`DurableState::log_abort`]. Transient append/fsync faults are
-    /// retried with backoff *before* the frame is acknowledged; an error
-    /// that still surfaces here has exhausted its retry budget and
-    /// advances the health machine.
+    /// constraint) through the [`LogHandle`] — durable **before** the change
+    /// is applied anywhere. Returns the frame's mark for
+    /// [`DurableState::log_commit`] / [`DurableState::log_abort`].
     ///
     /// Callers must hold the exclusion that quiesces concurrent data
-    /// appends (the swap latch): a later [`DurableState::log_abort`]
-    /// truncates the log back to `len_before`, which must not clip acked
-    /// data frames appended in between.
+    /// appends (the swap latch): the log length read just before the
+    /// append is where a later [`DurableState::log_abort`] truncates, which
+    /// must not clip acked data frames appended in between.
     pub(crate) fn log_structural(
-        &mut self,
+        &self,
         telemetry: &Telemetry,
         record: &WalRecord,
     ) -> ModelResult<WalMark> {
-        let payload = encode_frame(record);
-        let retry = self.retry;
-        self.wal
-            .with_wal(|w| {
-                let len_before = w.len();
-                // A structural frame is a group of one with its own fsync;
-                // observed under the data plane's names so `wal.*` and the
-                // slow-op log account for an evolve's wait too.
-                let begun = std::time::Instant::now();
-                let lsn = w.append_retry(&payload, &retry)?;
-                telemetry.observe_ns("wal.fsync_ns", (begun.elapsed().as_nanos() as u64).max(1));
-                telemetry.observe_ns("wal.group_size", 1);
-                Ok(WalMark { lsn, len_before })
-            })
-            .map_err(|e| self.surfaced(telemetry, e))
+        let len_before = self.log.wal.len();
+        let lsn = self.log.append(telemetry, record)?;
+        Ok(WalMark { lsn, len_before })
     }
 
     /// The change applied in memory: the frame's LSN becomes the high-water
@@ -386,8 +407,8 @@ impl DurableState {
     /// its frame away so it never replays. A simulated crash must *not*
     /// abort — the frame's fate is decided by redo at recovery, exactly as
     /// after a real mid-apply crash.
-    pub(crate) fn log_abort(&mut self, mark: WalMark) -> ModelResult<()> {
-        Ok(self.wal.with_wal(|w| w.truncate_to(mark.len_before))?)
+    pub(crate) fn log_abort(&self, mark: WalMark) -> ModelResult<()> {
+        Ok(self.log.wal.truncate_to(mark.len_before)?)
     }
 
     /// Write a new snapshot generation crash-atomically, repoint the
@@ -405,17 +426,12 @@ impl DurableState {
         let telemetry = system.telemetry().clone();
         self.failpoints.check("snapshot.encode").map_err(|e| noted(&telemetry, e))?;
         let span = telemetry.span("durable.checkpoint");
-        let marker = encode_frame(&WalRecord::Checkpoint);
-        let retry = self.retry;
-        let head = self
-            .wal
-            .with_wal(|w| w.append_retry(&marker, &retry))
-            .map_err(|e| self.surfaced(&telemetry, e))?;
+        let head = self.log.append(&telemetry, &WalRecord::Checkpoint)?;
         self.last_lsn = self.last_lsn.max(head);
         let payload = system.encode();
         let generation = self.generation + 1;
         with_retries(
-            &self.retry,
+            &self.log.retry,
             &self.failpoints,
             |_, _, _| telemetry.incr("fault.retries", 1),
             || {
@@ -428,16 +444,16 @@ impl DurableState {
                 )
             },
         )
-        .map_err(|e| self.surfaced(&telemetry, e))?;
+        .map_err(|e| self.log.surfaced(&telemetry, e))?;
         with_retries(
-            &self.retry,
+            &self.log.retry,
             &self.failpoints,
             |_, _, _| telemetry.incr("fault.retries", 1),
             || durable::write_manifest(&self.dir, generation, &self.failpoints),
         )
-        .map_err(|e| self.surfaced(&telemetry, e))?;
+        .map_err(|e| self.log.surfaced(&telemetry, e))?;
         self.generation = generation;
-        self.wal.with_wal(|w| w.reset())?;
+        self.log.wal.truncate_to(0)?;
         span.record("generation", generation);
         span.record("bytes", payload.remaining());
         span.finish();
@@ -460,7 +476,7 @@ impl DurableState {
     /// Failpoint site: `durable.wal_rotate`.
     pub(crate) fn try_heal(&mut self, system: &TseSystem) -> ModelResult<SystemHealth> {
         let telemetry = system.telemetry().clone();
-        match self.health.current() {
+        match self.log.health() {
             SystemHealth::Healthy => return Ok(SystemHealth::Healthy),
             SystemHealth::Poisoned => {
                 return Err(ModelError::Invalid(
@@ -473,38 +489,24 @@ impl DurableState {
         self.failpoints.check("durable.wal_rotate").map_err(|e| noted(&telemetry, e))?;
         // Rotation must come before the emergency checkpoint: a poisoned
         // handle refuses the checkpoint's marker append.
-        let dir = self.dir.clone();
-        let fp = self.failpoints.clone();
-        self.wal
-            .with_wal(move |w| {
-                let min = w.next_lsn();
-                let (mut fresh, _) = Wal::open(&dir, fp)?;
-                fresh.ensure_next_lsn(min);
-                *w = fresh;
-                Ok(())
-            })
-            .map_err(|e| noted(&telemetry, e))?;
+        self.log.wal.reopen()?;
         self.checkpoint(system)?;
         // Probe: the healed log must complete one durable append before we
         // declare victory (the frame is truncated away immediately).
-        let marker = encode_frame(&WalRecord::Checkpoint);
-        self.wal
-            .with_wal(|w| {
-                let len = w.len();
-                w.append(&marker)?;
-                w.truncate_to(len)
-            })
-            .map_err(|e| noted(&telemetry, e))?;
-        self.health.healed(&telemetry);
+        let len = self.log.wal.len();
+        self.log.append(&telemetry, &WalRecord::Checkpoint)?;
+        self.log.wal.truncate_to(len)?;
+        self.log.health.healed(&telemetry);
         telemetry.incr("durable.heals", 1);
         span.finish();
-        Ok(self.health.current())
+        Ok(self.log.health())
     }
 
     /// Run one integrity scrub pass over the directory: re-verify every
     /// snapshot generation's CRC (quarantining corrupt ones), cross-check
     /// the MANIFEST, and scan the WAL up to its committed length.
     pub(crate) fn scrub(&self, telemetry: &Telemetry) -> ModelResult<ScrubReport> {
-        Ok(scrub_dir(&self.dir, &self.failpoints, &self.retry, telemetry, Some(self.wal.len()))?)
+        let wal_len = Some(self.log.wal.len());
+        Ok(scrub_dir(&self.dir, &self.failpoints, &self.log.retry, telemetry, wal_len)?)
     }
 }

@@ -74,7 +74,8 @@
 //! Durability threads through **both** planes: [`SharedSystem::open`]
 //! recovers from a snapshot + WAL directory, after which every mutation is
 //! redo-logged as a typed frame ([`crate::walcodec`]) — no entry point
-//! bypasses the log. Structural changes (class definitions, view creations,
+//! bypasses the log, and every frame of either plane goes through one
+//! group-commit append. Structural changes (class definitions, view creations,
 //! constraints, [`SharedSystem::evolve`] and [`SharedSystem::evolve_cmd`])
 //! append their frame **before** they apply — while holding the swap latch exclusive,
 //! so a clean-failure truncation can never clip a concurrent data frame —
@@ -100,7 +101,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tse_algebra::UpdatePolicy;
 use tse_object_model::{ClassId, ModelError, ModelResult, Oid, Schema, Value};
-use tse_storage::durable::GroupWal;
 use tse_storage::{
     EpochClock, FailpointRegistry, ReadEpochGuard, ReadPin, ScrubReport, StoreConfig,
     WriteStampGuard,
@@ -109,10 +109,10 @@ use tse_telemetry::{OpName, Telemetry};
 use tse_view::{ViewId, ViewManager, ViewSchema};
 
 use crate::change::{parse_change, SchemaChange};
-use crate::durable::{apply_record, DurableState};
-use crate::health::{observe_io_error, HealthMachine, SystemHealth};
+use crate::durable::{apply_record, DurableState, LogHandle};
+use crate::health::SystemHealth;
 use crate::system::{is_crash, note_fault, observe_op, ops, EvolutionReport, TseSystem};
-use crate::walcodec::{encode_frame, ViewMode, WalRecord};
+use crate::walcodec::{ViewMode, WalRecord};
 
 /// One epoch's immutable metadata bundle: everything a reader needs to
 /// resolve view-local names without touching the live system. Published
@@ -228,37 +228,16 @@ struct SharedInner {
     meta: RwLock<Arc<MetaSnapshot>>,
     epoch: AtomicU64,
     telemetry: Telemetry,
-    /// Group-commit WAL handle for the data plane (a clone of the one
-    /// inside `control.durable`, reachable without the control mutex).
-    /// `None` on in-memory systems.
-    wal: Option<GroupWal>,
-    /// WAL size that triggers an automatic checkpoint (0 = never).
-    autocheckpoint_bytes: u64,
-    /// Health state machine shared with `control.durable` (reachable
-    /// without the control mutex, so the data plane's per-write health
-    /// check never serializes). `None` on in-memory systems — they have no
-    /// durable path to fault.
-    health: Option<Arc<HealthMachine>>,
-    /// Client backoff hint carried in `ModelError::Unavailable`, derived
-    /// from the store's retry policy.
-    retry_after_ms: u64,
+    /// The handle `control.durable` appends through, reachable without the
+    /// control mutex: the data plane appends its frames, checks health
+    /// before every write and asks whether a checkpoint is due through it.
+    /// `None` on in-memory systems — they have no durable path to fault.
+    log: Option<LogHandle>,
 }
 
-/// Refuse writes while degraded: reads keep serving from the published
-/// snapshot, writers get typed backpressure instead of a permanent failure.
-/// A *poisoned* system falls through — the WAL's own fail-stop error is the
-/// better diagnostic and must keep surfacing verbatim.
+/// Refuse writes while degraded (see [`LogHandle::check_writable`]).
 fn check_writable(inner: &SharedInner) -> ModelResult<()> {
-    if let Some(health) = &inner.health {
-        if let SystemHealth::Degraded { reason } = health.current() {
-            inner.telemetry.incr("health.rejected_writes", 1);
-            return Err(ModelError::Unavailable {
-                reason: reason.name().to_string(),
-                retry_after_ms: inner.retry_after_ms,
-            });
-        }
-    }
-    Ok(())
+    inner.log.as_ref().map_or(Ok(()), |log| log.check_writable(&inner.telemetry))
 }
 
 /// A concurrently shareable TSE system: clone handles freely and use them
@@ -344,14 +323,7 @@ impl SharedSystem {
         let telemetry = system.telemetry().clone();
         let meta = Arc::new(MetaSnapshot::capture(1, &system));
         telemetry.set_gauge("epoch", 1);
-        let wal = durable.as_ref().map(|d| d.group_wal());
-        let autocheckpoint_bytes =
-            durable.as_ref().map(|d| d.autocheckpoint_bytes()).unwrap_or(0);
-        let health = durable.as_ref().map(|d| d.health().clone());
-        let retry_after_ms = durable
-            .as_ref()
-            .map(|d| (d.retry().max_backoff_ns / 1_000_000).max(1))
-            .unwrap_or(1);
+        let log = durable.as_ref().map(|d| d.log().clone());
         SharedSystem {
             inner: Arc::new(SharedInner {
                 control: Mutex::new(ControlState { durable }),
@@ -360,10 +332,7 @@ impl SharedSystem {
                 meta: RwLock::new(meta),
                 epoch: AtomicU64::new(1),
                 telemetry,
-                wal,
-                autocheckpoint_bytes,
-                health,
-                retry_after_ms,
+                log,
             }),
         }
     }
@@ -435,7 +404,7 @@ impl SharedSystem {
     /// `Unavailable` backpressure, derived from the store's retry policy.
     /// Zero on in-memory systems (no durable path to degrade).
     pub fn backoff_hint_ms(&self) -> u64 {
-        self.inner.retry_after_ms
+        self.inner.log.as_ref().map_or(0, LogHandle::retry_after_ms)
     }
 
     /// Run one MVCC garbage-collection pass now: reclaim record versions,
@@ -646,7 +615,7 @@ impl SharedSystem {
     /// `Poisoned` (fail-stop). In-memory systems are always healthy — they
     /// have no durable path to fault.
     pub fn health(&self) -> SystemHealth {
-        self.inner.health.as_ref().map(|h| h.current()).unwrap_or(SystemHealth::Healthy)
+        self.inner.log.as_ref().map_or(SystemHealth::Healthy, LogHandle::health)
     }
 
     /// Attempt to restore a `Degraded` system to `Healthy` without a
@@ -875,14 +844,8 @@ impl Drop for ScrubberHandle {
 /// free — a busy control mutex means an evolve or checkpoint is already in
 /// flight, so skipping is always safe (the next write re-checks).
 fn maybe_autocheckpoint(inner: &SharedInner) {
-    if inner.autocheckpoint_bytes == 0 {
-        return;
-    }
-    let due = match &inner.wal {
-        Some(wal) => wal.len() >= inner.autocheckpoint_bytes,
-        None => false,
-    };
-    if !due {
+    let Some(log) = &inner.log else { return };
+    if !log.autocheckpoint_due() {
         return;
     }
     let Some(mut ctl) = inner.control.try_lock() else { return };
@@ -891,13 +854,14 @@ fn maybe_autocheckpoint(inner: &SharedInner) {
     // the mutation that tripped the threshold via `follows_from`.
     let _trace = inner.telemetry.new_trace("autocheckpoint");
     let _latch = inner.latch.write();
-    if !durable.autocheckpoint_due() {
+    if !log.autocheckpoint_due() {
         return; // someone checkpointed while we waited for the latch
     }
     let sys = read_timed(inner);
-    match durable.checkpoint(&sys) {
-        Ok(_) => inner.telemetry.incr("durable.autocheckpoints", 1),
-        Err(e) => note_fault(&inner.telemetry, &e),
+    // A failure was already counted where it surfaced, inside the
+    // checkpoint; the next mutation tries again.
+    if durable.checkpoint(&sys).is_ok() {
+        inner.telemetry.incr("durable.autocheckpoints", 1);
     }
 }
 
@@ -1094,8 +1058,9 @@ impl WriteSession {
     /// loses the *unacked* op, which is exactly the contract: every acked
     /// write survives, no acked write is lost.
     ///
-    /// A failpoint that fired under `op` or under the append is counted in
-    /// `fault.*` here, for every operation alike.
+    /// A failpoint that fired under `op` is counted in `fault.*` here, for
+    /// every operation alike; one that fired under the append is counted by
+    /// [`LogHandle::append`], like any frame's.
     fn with_data_logged<R>(
         &self,
         name: &OpName,
@@ -1125,24 +1090,13 @@ impl WriteSession {
             let out = {
                 let _stamp = WriteStampGuard::new(ticket.stamp());
                 op(&sys)
-            }?;
-            if let Some(wal) = &inner.wal {
-                wal.append(&encode_frame(&record(&out))).map_err(ModelError::Storage).inspect_err(
-                    |e| {
-                        // Retries (bounded, pre-ack) already happened inside
-                        // the group-commit WAL; an error surfacing here is
-                        // final and advances the health machine.
-                        if let (Some(health), ModelError::Storage(se)) = (&inner.health, e) {
-                            observe_io_error(health, wal.is_poisoned(), &inner.telemetry, se);
-                        }
-                    },
-                )?;
+            }
+            .inspect_err(|e| note_fault(&inner.telemetry, e))?;
+            if let Some(log) = &inner.log {
+                log.append(&inner.telemetry, &record(&out))?;
             }
             Ok(out)
         })();
-        if let Err(e) = &out {
-            note_fault(&inner.telemetry, e);
-        }
         observe_op(&inner.telemetry, name, started);
         maybe_autocheckpoint(inner);
         out

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use tse_core::{DegradedReason, SharedSystem, SystemHealth};
-use tse_object_model::{ModelError, Oid, PropertyDef, Value, ValueType};
+use tse_object_model::{ModelError, ModelResult, Oid, PropertyDef, Value, ValueType};
 use tse_storage::durable::snapshot_path;
 use tse_storage::{FailAction, StorageError};
 use tse_view::ViewId;
@@ -53,34 +53,77 @@ fn snapshot_files(dir: &Path) -> Vec<String> {
         .collect()
 }
 
+/// The write a fault schedule is aimed at: a data write, or an evolve,
+/// whose frame is structural.
+#[derive(Clone, Copy, Debug)]
+enum Input {
+    Create,
+    Evolve,
+}
+
+impl Input {
+    /// Perform the write; `name` tells it apart from the input's other
+    /// writes (an object's name, or the attribute the evolve adds).
+    fn write(self, shared: &SharedSystem, v1: ViewId, name: &str) -> ModelResult<()> {
+        match self {
+            Input::Create => {
+                shared.writer().create(v1, "Person", &[("name", name.into())]).map(drop)
+            }
+            Input::Evolve => shared
+                .evolve_cmd("VS", &format!("add_attribute {name}: int = 0 to Person"))
+                .map(drop),
+        }
+    }
+
+    /// Did the write named `name` survive? `oid` is the seeded object.
+    fn survived(self, shared: &SharedSystem, v1: ViewId, oid: Oid, name: &str) -> bool {
+        let session = shared.session();
+        match self {
+            Input::Create => session.extent(v1, "Person").unwrap().iter().any(|o| {
+                session.get(v1, *o, "Person", "name") == Ok(Value::Str(name.into()))
+            }),
+            Input::Evolve => {
+                let current = session.current_view("VS").unwrap().id;
+                session.get(current, oid, "Person", name) == Ok(Value::Int(0))
+            }
+        }
+    }
+}
+
 #[test]
 fn transient_faults_ride_out_within_the_retry_budget() {
-    let dir = tmpdir("transient");
-    let (shared, v1, _oid) = seed(&dir);
-    let fp = shared.failpoints();
-    fp.set_virtual_clock(true);
+    for input in [Input::Create, Input::Evolve] {
+        let dir = tmpdir("transient");
+        let (shared, v1, oid) = seed(&dir);
+        let fp = shared.failpoints();
+        fp.set_virtual_clock(true);
+        let retries = || shared.telemetry().counter("fault.retries");
 
-    // Two consecutive fsync stalls, then success: the write is acked on the
-    // first try as far as the caller can tell, and health never moves.
-    fp.arm("durable.wal_fsync", 1, FailAction::TransientError { succeed_after: 2 });
-    let bob = shared.writer().create(v1, "Person", &[("name", "bob".into())]).unwrap();
-    assert!(shared.telemetry().counter("fault.retries") >= 2);
-    assert_eq!(shared.health(), SystemHealth::Healthy);
-    fp.disarm("durable.wal_fsync");
+        // Two consecutive fsync stalls, then success: the write is acked on
+        // the first try as far as the caller can tell, and health never
+        // moves.
+        let before = retries();
+        fp.arm("durable.wal_fsync", 1, FailAction::TransientError { succeed_after: 2 });
+        input.write(&shared, v1, "age").unwrap();
+        assert_eq!(retries() - before, 2, "{input:?}");
+        assert_eq!(shared.health(), SystemHealth::Healthy);
+        fp.disarm("durable.wal_fsync");
 
-    // Same story for a transient append failure.
-    fp.arm("durable.wal_append", 1, FailAction::TransientError { succeed_after: 1 });
-    let cyd = shared.writer().create(v1, "Person", &[("name", "cyd".into())]).unwrap();
-    assert!(shared.telemetry().counter("fault.retries") >= 3);
-    assert_eq!(shared.health(), SystemHealth::Healthy);
-    fp.disarm("durable.wal_append");
-    drop(shared);
+        // Same story for a transient append failure.
+        let before = retries();
+        fp.arm("durable.wal_append", 1, FailAction::TransientError { succeed_after: 1 });
+        input.write(&shared, v1, "rank").unwrap();
+        assert_eq!(retries() - before, 1, "{input:?}");
+        assert_eq!(shared.health(), SystemHealth::Healthy);
+        fp.disarm("durable.wal_append");
+        drop(shared);
 
-    // Both rode-out writes were really acked: they survive a reopen.
-    let shared = SharedSystem::open(&dir).unwrap();
-    let session = shared.session();
-    assert_eq!(session.get(v1, bob, "Person", "name").unwrap(), Value::Str("bob".into()));
-    assert_eq!(session.get(v1, cyd, "Person", "name").unwrap(), Value::Str("cyd".into()));
+        // Both rode-out writes were really acked: they survive a reopen.
+        let shared = SharedSystem::open(&dir).unwrap();
+        for name in ["age", "rank"] {
+            assert!(input.survived(&shared, v1, oid, name), "{input:?} {name}");
+        }
+    }
 }
 
 #[test]
@@ -160,38 +203,40 @@ fn disk_full_degrades_to_read_only_and_heals() {
 
 #[test]
 fn exhausted_retries_degrade_and_heal() {
-    let dir = tmpdir("exhausted");
-    let (shared, v1, _oid) = seed(&dir);
-    let fp = shared.failpoints();
-    fp.set_virtual_clock(true);
+    for input in [Input::Create, Input::Evolve] {
+        let dir = tmpdir("exhausted");
+        let (shared, v1, oid) = seed(&dir);
+        let fp = shared.failpoints();
+        fp.set_virtual_clock(true);
 
-    // A stall that outlasts the whole retry budget: the write fails, the
-    // group-commit log fail-stops (the fsync verdict is unknowable), and
-    // health degrades with `retries_exhausted` as the root cause.
-    fp.arm("durable.wal_fsync", 1, FailAction::TransientError { succeed_after: 100 });
-    let err = shared.writer().create(v1, "Person", &[("name", "hal".into())]).unwrap_err();
-    assert!(err.to_string().contains("transient"), "{err}");
-    assert!(shared.telemetry().counter("fault.retries") >= 4, "budget spent before failing");
-    assert!(shared.telemetry().counter("wal.poisoned") >= 1);
-    assert_eq!(
-        shared.health(),
-        SystemHealth::Degraded { reason: DegradedReason::RetriesExhausted }
-    );
-    assert!(matches!(
-        shared.writer().create(v1, "Person", &[("name", "ivy".into())]).unwrap_err(),
-        ModelError::Unavailable { .. }
-    ));
+        // A stall that outlasts the whole retry budget: the write fails, the
+        // group-commit log fail-stops (the fsync verdict is unknowable), and
+        // health degrades with `retries_exhausted` as the root cause.
+        fp.arm("durable.wal_fsync", 1, FailAction::TransientError { succeed_after: 100 });
+        let err = input.write(&shared, v1, "hal").unwrap_err();
+        assert!(err.to_string().contains("transient"), "{input:?}: {err}");
+        let telemetry = shared.telemetry();
+        assert!(telemetry.counter("fault.retries") >= 4, "{input:?}: budget spent before failing");
+        assert_eq!(telemetry.counter("wal.poisoned"), 1, "{input:?}");
+        assert_eq!(
+            shared.health(),
+            SystemHealth::Degraded { reason: DegradedReason::RetriesExhausted }
+        );
+        assert!(matches!(
+            input.write(&shared, v1, "ivy").unwrap_err(),
+            ModelError::Unavailable { .. }
+        ));
 
-    // Healing replaces the poisoned log with a freshly opened one, so the
-    // same process resumes writing without a restart.
-    fp.disarm("durable.wal_fsync");
-    assert_eq!(shared.try_heal().unwrap(), SystemHealth::Healthy);
-    let jan = shared.writer().create(v1, "Person", &[("name", "jan".into())]).unwrap();
-    drop(shared);
+        // Healing replaces the poisoned log with a freshly opened one, so the
+        // same process resumes writing without a restart.
+        fp.disarm("durable.wal_fsync");
+        assert_eq!(shared.try_heal().unwrap(), SystemHealth::Healthy);
+        input.write(&shared, v1, "jan").unwrap();
+        drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
-    let session = shared.session();
-    assert_eq!(session.get(v1, jan, "Person", "name").unwrap(), Value::Str("jan".into()));
+        let shared = SharedSystem::open(&dir).unwrap();
+        assert!(input.survived(&shared, v1, oid, "jan"), "{input:?}");
+    }
 }
 
 #[test]
@@ -339,24 +384,31 @@ fn full_replay_rebuilds_when_every_snapshot_is_corrupt() {
 fn an_injected_fault_is_counted_whichever_write_op_it_fires_under() {
     // The first write of an attribute an evolve added materialises the
     // object's slice of the new class — a `storage.insert` under an op that
-    // is neither `create` nor `set`.
-    let dir = tmpdir("fault_counted");
-    let (shared, _v1, oid) = seed(&dir);
-    let v2 = shared.evolve_cmd("VS", "add_attribute rank: int = 0 to Person").unwrap().view;
-    let writer = shared.writer();
+    // is neither `create` nor `set`. The same op's WAL append is the other
+    // place a fault can fire, and must be counted once too.
+    for site in ["storage.insert", "durable.wal_append"] {
+        let dir = tmpdir("fault_counted");
+        let (shared, _v1, oid) = seed(&dir);
+        let v2 = shared.evolve_cmd("VS", "add_attribute rank: int = 0 to Person").unwrap().view;
+        let writer = shared.writer();
 
-    shared.failpoints().arm("storage.insert", 1, FailAction::Error);
-    let err =
-        writer.update_where(v2, "Person", "name == \"ann\"", &[("rank", Value::Int(7))]).unwrap_err();
-    assert!(matches!(err, ModelError::Storage(StorageError::Injected(_))), "{err}");
-    assert_eq!(shared.telemetry().counter("fault.injected"), 1, "the forensics gate must see it");
-    assert_eq!(shared.health(), SystemHealth::Healthy, "an op's own fault is not a log fault");
+        shared.failpoints().arm(site, 1, FailAction::Error);
+        let err = writer
+            .update_where(v2, "Person", "name == \"ann\"", &[("rank", Value::Int(7))])
+            .unwrap_err();
+        assert!(matches!(err, ModelError::Storage(StorageError::Injected(_))), "{site}: {err}");
+        let telemetry = shared.telemetry();
+        assert_eq!(telemetry.counter("fault.injected"), 1, "{site}: the forensics gate sees it");
+        assert_eq!(shared.health(), SystemHealth::Healthy, "{site}: clean, not a log fault");
 
-    // One shot: the same op goes through afterwards.
-    assert_eq!(
-        writer.update_where(v2, "Person", "name == \"ann\"", &[("rank", Value::Int(7))]).unwrap(),
-        1
-    );
-    assert_eq!(shared.session().get(v2, oid, "Person", "rank").unwrap(), Value::Int(7));
-    assert_eq!(shared.telemetry().counter("fault.injected"), 1);
+        // One shot: the same op goes through afterwards.
+        assert_eq!(
+            writer
+                .update_where(v2, "Person", "name == \"ann\"", &[("rank", Value::Int(7))])
+                .unwrap(),
+            1
+        );
+        assert_eq!(shared.session().get(v2, oid, "Person", "rank").unwrap(), Value::Int(7));
+        assert_eq!(telemetry.counter("fault.injected"), 1, "{site}");
+    }
 }

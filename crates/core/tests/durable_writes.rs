@@ -6,8 +6,9 @@ use std::path::{Path, PathBuf};
 
 use tse_core::{SchemaChange, SharedSystem, TseSystem};
 use tse_object_model::{ModelError, PropertyDef, Value, ValueType};
-use tse_storage::durable::Wal;
-use tse_storage::{FailAction, FailpointRegistry, StoreConfig};
+use tse_storage::durable::{GroupWal, Wal};
+use tse_storage::{FailAction, FailpointRegistry, RetryPolicy, StoreConfig};
+use tse_telemetry::Telemetry;
 use tse_view::ViewId;
 
 /// A unique, empty scratch directory per test.
@@ -67,7 +68,7 @@ fn acked_data_writes_replay_after_crash() {
 
     let shared = SharedSystem::open(&dir).unwrap();
     let telemetry = shared.telemetry();
-    assert_eq!(telemetry.counter("recovery.replayed_frames"), 6);
+    assert_eq!(telemetry.counter("recovery.replayed"), 6);
     let s = shared.session();
     // Replay reissued the original oids bit-for-bit.
     assert_eq!(s.get(view, a, "Student", "name").unwrap(), Value::Str("ann".into()));
@@ -103,7 +104,7 @@ fn structured_evolve_is_logged_and_replays_after_simulated_crash() {
     drop(shared);
 
     let shared = SharedSystem::open(&dir).unwrap();
-    assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 1);
+    assert_eq!(shared.telemetry().counter("recovery.replayed"), 1);
     let mut s = shared.session();
     let versions = s.meta().views().versions("VS").unwrap().to_vec();
     assert_eq!(versions.len(), 2, "the structured change replayed");
@@ -142,8 +143,8 @@ fn structured_evolve_round_trips_through_the_log() {
 
 #[test]
 fn an_evolve_s_wal_frame_shows_in_the_wal_metrics() {
-    // The structural frame is appended and fsync'd outside the group-commit
-    // path; it must still be observed as one fsync of a group of one.
+    // The structural frame goes through the group-commit log like a data
+    // frame; under the exclusive swap latch it is a group of one.
     let dir = tmpdir("evolve_wal_metrics");
     let (shared, _view) = seed(&dir);
     let before = shared.telemetry().snapshot();
@@ -207,32 +208,40 @@ fn fsync_failure_poisons_the_data_plane_fail_stop() {
 
 #[test]
 fn wal_crossing_threshold_triggers_an_automatic_checkpoint() {
-    let dir = tmpdir("autockpt");
-    let config = StoreConfig { wal_autocheckpoint_bytes: 512, ..StoreConfig::default() };
-    let (shared, view) = seed_with(&dir, config);
-    let gen_before = shared.generation().unwrap();
-    let w = shared.writer();
-    let mut oids = Vec::new();
-    for i in 0..64 {
-        oids.push(
-            w.create(view, "Student", &[("name", format!("s{i}").as_str().into())]).unwrap(),
+    // Once as is, once with the first auto-checkpoint's snapshot write
+    // failing: that fault is counted once, and a later one succeeds.
+    for fault in [None, Some(FailAction::Error)] {
+        let dir = tmpdir("autockpt");
+        let config = StoreConfig { wal_autocheckpoint_bytes: 512, ..StoreConfig::default() };
+        let (shared, view) = seed_with(&dir, config);
+        if let Some(action) = fault {
+            shared.failpoints().arm("durable.snapshot_write", 1, action);
+        }
+        let gen_before = shared.generation().unwrap();
+        let w = shared.writer();
+        for i in 0..64 {
+            w.create(view, "Student", &[("name", format!("s{i}").as_str().into())]).unwrap();
+        }
+        assert!(
+            shared.telemetry().counter("durable.autocheckpoints") >= 1,
+            "64 creates × ~50-byte frames must cross the 512-byte threshold"
         );
-    }
-    assert!(
-        shared.telemetry().counter("durable.autocheckpoints") >= 1,
-        "64 creates × ~50-byte frames must cross the 512-byte threshold"
-    );
-    assert!(shared.generation().unwrap() > gen_before);
-    assert!(
-        shared.wal_len().unwrap() < 512,
-        "the log was reset by the last auto-checkpoint"
-    );
+        assert!(shared.generation().unwrap() > gen_before);
+        assert!(
+            shared.wal_len().unwrap() < 512,
+            "the log was reset by the last auto-checkpoint"
+        );
+        let injected = u64::from(fault.is_some());
+        assert_eq!(shared.telemetry().counter("fault.injected"), injected, "{fault:?}");
+        let fired = shared.telemetry().journal_lines().matches("fault.fired").count();
+        assert_eq!(fired as u64, injected, "{fault:?}");
 
-    // Crash + reopen: snapshots and the WAL tail together hold all 64.
-    drop(w);
-    drop(shared);
-    let shared = SharedSystem::open(&dir).unwrap();
-    assert_eq!(shared.session().extent(view, "Student").unwrap().len(), 64);
+        // Crash + reopen: snapshots and the WAL tail together hold all 64.
+        drop(w);
+        drop(shared);
+        let shared = SharedSystem::open(&dir).unwrap();
+        assert_eq!(shared.session().extent(view, "Student").unwrap().len(), 64);
+    }
 }
 
 #[test]
@@ -279,7 +288,7 @@ fn checkpoint_markers_survive_a_crashed_checkpoint_and_are_skipped() {
 
     let shared = SharedSystem::open(&dir).unwrap();
     // The marker is forensic only: replay skips it, redoes the create.
-    assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 1);
+    assert_eq!(shared.telemetry().counter("recovery.replayed"), 1);
     assert_eq!(shared.telemetry().counter("recovery.skipped"), 0);
     assert_eq!(
         shared.session().get(view, oid, "Student", "name").unwrap(),
@@ -297,7 +306,7 @@ fn evolve_cmd_and_data_writes_interleave_durably() {
     drop(shared);
 
     let shared = SharedSystem::open(&dir).unwrap();
-    assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 3);
+    assert_eq!(shared.telemetry().counter("recovery.replayed"), 3);
     let s = shared.session();
     assert_eq!(s.get(v2, a, "Student", "register").unwrap(), Value::Bool(true));
     assert_eq!(s.meta().views().versions("VS").unwrap().len(), 2);
@@ -322,7 +331,7 @@ fn a_constraint_is_logged_and_survives_reopen_without_a_checkpoint() {
     drop(shared);
 
     let shared = SharedSystem::open(&dir).unwrap();
-    assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 1);
+    assert_eq!(shared.telemetry().counter("recovery.replayed"), 1);
     assert!(student_is_constrained(&shared, view));
     assert!(shared.writer().create(view, "Student", &minor).is_err(), "still enforced");
     let adult = [("age", Value::Int(30)), ("name", "ann".into())];
@@ -350,7 +359,7 @@ fn a_constraint_that_crashes_in_the_wal_append_is_wholly_absent_after_reopen() {
         drop(shared);
 
         let shared = SharedSystem::open(&dir).unwrap();
-        assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 0);
+        assert_eq!(shared.telemetry().counter("recovery.replayed"), 0);
         assert_eq!(shared.telemetry().counter("recovery.skipped"), 0);
         assert!(!student_is_constrained(&shared, view));
         let minor = [("age", Value::Int(12)), ("name", "kid".into())];
@@ -387,12 +396,11 @@ fn a_frame_with_another_version_byte_is_skipped_not_replayed() {
     // well-formed UTF-8 naming a change that would apply.
     let mut text = 2u32.to_be_bytes().to_vec();
     text.extend_from_slice(b"VSadd_attribute age: int = 0 to Person");
-    let (mut wal, _) = Wal::open(&dir, FailpointRegistry::new()).unwrap();
-    wal.append(&text).unwrap();
-    drop(wal);
+    let (wal, _) = Wal::open(&dir, FailpointRegistry::new()).unwrap();
+    GroupWal::new(wal, Telemetry::new(), RetryPolicy::none()).append(&text).unwrap();
 
     let shared = SharedSystem::open(&dir).unwrap();
-    assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 2);
+    assert_eq!(shared.telemetry().counter("recovery.replayed"), 2);
     assert_eq!(shared.telemetry().counter("recovery.skipped"), 1);
     assert_eq!(shared.session().meta().views().versions("VS").unwrap().len(), 1);
 }

@@ -15,20 +15,24 @@
 //! * snapshot and manifest files are written via **temp file + fsync +
 //!   atomic rename + directory fsync** — a crash leaves either the old or
 //!   the new file, never a torn one;
-//! * every WAL frame is **fsync'd before the logged change is applied**;
+//! * every WAL frame reaches the file through [`GroupWal::append`], which
+//!   returns only once the frame's group-commit batch is fsync'd;
 //! * a torn final WAL frame (crash mid-append) is detected by its length or
-//!   CRC and truncated on open — everything before it remains valid;
+//!   CRC and truncated on open — everything before it remains valid. One
+//!   parser, [`walk_frames`], reads the frame format, for recovery and the
+//!   scrubber alike;
 //! * snapshot payloads are validated by CRC at read time, so a corrupt
 //!   generation is *detected* and the caller can fall back to an older one.
 //!
 //! All write paths consult the [`FailpointRegistry`] (sites
-//! `durable.snapshot_write`, `durable.manifest_write`, `durable.wal_append`)
-//! so crash tests can kill the system at any byte offset of any write.
+//! `durable.snapshot_write`, `durable.manifest_write`, `durable.wal_append`,
+//! `durable.wal_fsync`) so crash tests can kill the system at any byte
+//! offset of any write.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use tse_telemetry::Telemetry;
@@ -36,7 +40,7 @@ use tse_telemetry::Telemetry;
 use crate::crc::{crc32, Crc32};
 use crate::error::{StorageError, StorageResult};
 use crate::failpoint::{FailAction, FailpointRegistry};
-use crate::fault::{IoFaultKind, RetryPolicy};
+use crate::fault::{with_retries, RetryPolicy};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"TSEMANI1";
 const SNAPSHOT_MAGIC: &[u8; 8] = b"TSEDURS1";
@@ -215,6 +219,9 @@ pub fn read_snapshot_file(dir: &Path, generation: u64) -> StorageResult<(u64, Ve
 
 // ----- write-ahead log ------------------------------------------------------
 
+/// Bytes before a frame's payload: `u32 len | u32 crc | u64 lsn`.
+const FRAME_HEADER: usize = 16;
+
 /// One recovered WAL frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalFrame {
@@ -224,25 +231,67 @@ pub struct WalFrame {
     pub payload: Vec<u8>,
 }
 
-/// Result of opening a WAL: the valid frames plus how many torn tail bytes
-/// were truncated (0 on a clean log).
-#[derive(Debug)]
-pub struct WalRecovery {
-    /// Every frame with a valid length and CRC, in log order.
-    pub frames: Vec<WalFrame>,
-    /// Bytes discarded from the tail (a frame a crash left incomplete).
-    pub torn_bytes: u64,
+/// Where a [`walk_frames`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkEnd {
+    /// At the end of the bytes: every byte belongs to a valid frame.
+    Clean,
+    /// At a frame too short for its header or for the payload its header
+    /// announces — a crash interrupted an append, or one is in flight.
+    Torn,
+    /// At a complete frame whose CRC fails: rot, not a tear.
+    Corrupt,
 }
 
-/// Append-only, CRC32-framed write-ahead log.
+/// What a walk over a log's bytes found.
+#[derive(Debug)]
+pub struct FrameWalk {
+    /// Every frame with a valid length and CRC, in log order.
+    pub frames: Vec<WalFrame>,
+    /// Length of the valid prefix: where recovery truncates the log.
+    pub valid_len: u64,
+    /// Bytes after the valid prefix (0 on a clean log).
+    pub torn_bytes: u64,
+    /// Why the walk stopped.
+    pub end: WalkEnd,
+}
+
+/// Walk the frames of a log image from its start and stop at the first one
+/// that is incomplete or fails its CRC — everything from there on is
+/// suspect. The one parser of the frame format: recovery ([`Wal::open`])
+/// and the scrubber both read the log through it.
+pub fn walk_frames(bytes: &[u8]) -> FrameWalk {
+    let mut frames = Vec::new();
+    let mut offset = 0usize;
+    let end = loop {
+        let rest = &bytes[offset..];
+        if rest.is_empty() {
+            break WalkEnd::Clean;
+        }
+        let Some(header) = rest.get(..FRAME_HEADER) else { break WalkEnd::Torn };
+        let payload_len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
+        let crc = u32::from_be_bytes(header[4..8].try_into().unwrap());
+        // lsn ‖ payload, the bytes the CRC covers.
+        let Some(body) = rest.get(8..FRAME_HEADER + payload_len) else { break WalkEnd::Torn };
+        if crc32(body) != crc {
+            break WalkEnd::Corrupt;
+        }
+        let lsn = u64::from_be_bytes(body[..8].try_into().unwrap());
+        frames.push(WalFrame { lsn, payload: body[8..].to_vec() });
+        offset += FRAME_HEADER + payload_len;
+    };
+    FrameWalk { frames, valid_len: offset as u64, torn_bytes: (bytes.len() - offset) as u64, end }
+}
+
+/// The append-only, CRC32-framed write-ahead log file.
 ///
 /// Frame layout: `u32 payload_len | u32 crc(lsn ‖ payload) | u64 lsn |
-/// payload`. Appends are fsync'd before returning, so a frame the caller
-/// has seen acknowledged survives any later crash.
+/// payload`. Recovery opens it and hands it to [`GroupWal`], the only way
+/// a frame reaches the file.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
+    dir: PathBuf,
     len: u64,
     next_lsn: u64,
     poisoned: bool,
@@ -250,135 +299,61 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (or create) the log at `<dir>/wal.log`, validating every frame.
-    /// A torn or corrupt tail is truncated; everything before it is
-    /// returned. Frames are *not* interpreted here.
-    pub fn open(dir: &Path, failpoints: FailpointRegistry) -> StorageResult<(Wal, WalRecovery)> {
-        let path = dir.join(WAL_FILE);
+    /// Open (or create) the log at `<dir>/wal.log` and walk its frames. A
+    /// torn or corrupt tail is truncated at the walk's valid length;
+    /// everything before it is returned. Frames are *not* interpreted here.
+    pub fn open(dir: &Path, failpoints: FailpointRegistry) -> StorageResult<(Wal, FrameWalk)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&path)
+            .open(dir.join(WAL_FILE))
             .map_err(|e| io_err("open wal", e))?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes).map_err(|e| io_err("read wal", e))?;
-
-        let mut frames = Vec::new();
-        let mut offset = 0usize;
-        let mut next_lsn = 1u64;
-        loop {
-            let rest = &bytes[offset..];
-            if rest.is_empty() {
-                break;
-            }
-            if rest.len() < 16 {
-                break; // torn header
-            }
-            let payload_len = u32::from_be_bytes(rest[..4].try_into().unwrap()) as usize;
-            let crc = u32::from_be_bytes(rest[4..8].try_into().unwrap());
-            if rest.len() < 16 + payload_len {
-                break; // torn payload
-            }
-            let body = &rest[8..16 + payload_len]; // lsn ‖ payload
-            if crc32(body) != crc {
-                break; // corrupt frame: everything from here on is suspect
-            }
-            let lsn = u64::from_be_bytes(body[..8].try_into().unwrap());
-            frames.push(WalFrame { lsn, payload: body[8..].to_vec() });
-            next_lsn = lsn + 1;
-            offset += 16 + payload_len;
-        }
-        let torn_bytes = (bytes.len() - offset) as u64;
-        if torn_bytes > 0 {
-            file.set_len(offset as u64).map_err(|e| io_err("truncate torn wal", e))?;
-            file.sync_all().map_err(|e| io_err("fsync wal", e))?;
-        }
-        file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek wal", e))?;
-        let wal = Wal { file, path, len: offset as u64, next_lsn, poisoned: false, failpoints };
-        Ok((wal, WalRecovery { frames, torn_bytes }))
-    }
-
-    /// Current log size in bytes (offset the next frame lands at).
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when the log holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The LSN the next appended frame will carry.
-    pub fn next_lsn(&self) -> u64 {
-        self.next_lsn
-    }
-
-    /// Append one frame and fsync it. Returns the frame's LSN. Equivalent
-    /// to [`Wal::append_nosync`] followed by [`Wal::sync`].
-    pub fn append(&mut self, payload: &[u8]) -> StorageResult<u64> {
-        let lsn = self.append_nosync(payload)?;
-        self.sync()?;
-        Ok(lsn)
-    }
-
-    /// [`Wal::append`] with bounded retry of *transient* faults, before the
-    /// frame is acknowledged. The append is retried while nothing has
-    /// reached the file; a transient fsync stall is retried on the same
-    /// descriptor. If the sync retries are exhausted the log is poisoned —
-    /// an appended-but-unsynced frame has unknowable durability, the same
-    /// fail-stop rule as a real failed fsync.
-    pub fn append_retry(&mut self, payload: &[u8], policy: &RetryPolicy) -> StorageResult<u64> {
-        let fp = self.failpoints.clone();
-        let mut attempt = 0u32;
-        let lsn = loop {
-            match self.append_nosync(payload) {
-                Ok(l) => break l,
-                Err(e)
-                    if IoFaultKind::of(&e) == IoFaultKind::Transient
-                        && attempt < policy.max_retries =>
-                {
-                    fp.backoff_sleep(policy.backoff_ns(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
+        let walk = walk_frames(&bytes);
+        let next_lsn = walk.frames.last().map_or(1, |f| f.lsn + 1);
+        let mut wal = Wal {
+            file,
+            dir: dir.to_path_buf(),
+            len: bytes.len() as u64,
+            next_lsn,
+            poisoned: false,
+            failpoints,
         };
-        let mut attempt = 0u32;
-        loop {
-            match self.sync() {
-                Ok(()) => return Ok(lsn),
-                Err(e)
-                    if IoFaultKind::of(&e) == IoFaultKind::Transient
-                        && attempt < policy.max_retries =>
-                {
-                    fp.backoff_sleep(policy.backoff_ns(attempt));
-                    attempt += 1;
-                }
-                Err(e) => {
-                    self.poisoned = true;
-                    return Err(e);
-                }
-            }
+        if walk.torn_bytes > 0 {
+            wal.truncate_to(walk.valid_len)?;
+        }
+        Ok((wal, walk))
+    }
+
+    /// Raise the next LSN to at least `min`. `open` derives its counter
+    /// from the surviving frames, so after a checkpoint emptied the log
+    /// the counter would restart at 1 — below the snapshot's covered LSN,
+    /// making later frames look already-applied. Recovery calls this with
+    /// `snapshot_lsn + 1` to keep LSNs monotonic across checkpoints.
+    pub fn ensure_next_lsn(&mut self, min: u64) {
+        if self.next_lsn < min {
+            self.next_lsn = min;
         }
     }
 
-    /// Append one frame **without** fsyncing it. The frame is durable only
-    /// after a subsequent [`Wal::sync`] succeeds — group commit uses this
-    /// to batch many frames under one fsync. Returns the frame's LSN.
+    /// Write one frame **without** fsyncing it; the frame is durable only
+    /// once [`GroupWal`]'s leader has fsynced its batch. Returns the
+    /// frame's LSN.
     ///
     /// Failpoint site `durable.wal_append` supports torn writes: only the
     /// first `keep_bytes` bytes of the frame reach the file before the
     /// simulated crash, which `open` must then detect and truncate. Crash
     /// and torn-write injections also poison the log, so other threads of a
     /// "dead" process cannot keep appending past the tear.
-    pub fn append_nosync(&mut self, payload: &[u8]) -> StorageResult<u64> {
+    fn write_frame(&mut self, payload: &[u8]) -> StorageResult<u64> {
         if self.poisoned {
             return Err(poisoned_err());
         }
         let lsn = self.next_lsn;
-        let mut frame = Vec::with_capacity(16 + payload.len());
+        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         let mut h = Crc32::new();
         h.update(&lsn.to_be_bytes());
@@ -425,98 +400,12 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Fsync all appended frames. A failure **poisons** the log: after a
-    /// failed fsync the kernel may have discarded the dirty pages, so
-    /// retrying could silently ack frames that never reach disk — the only
-    /// safe response is fail-stop (every later append or sync returns
-    /// [`StorageError::Poisoned`]; recovery re-opens from disk). Failpoint
-    /// site: `durable.wal_fsync`.
-    pub fn sync(&mut self) -> StorageResult<()> {
-        if self.poisoned {
-            return Err(poisoned_err());
-        }
-        match self.failpoints.hit("durable.wal_fsync") {
-            Some(FailAction::Error) => {
-                self.poisoned = true;
-                return Err(StorageError::Injected("durable.wal_fsync".into()));
-            }
-            Some(FailAction::Crash) | Some(FailAction::TornWrite { .. }) => {
-                self.poisoned = true;
-                return Err(StorageError::SimulatedCrash("durable.wal_fsync".into()));
-            }
-            // An injected transient fsync failure simulates a stall where
-            // the fsync never ran — no pages were dropped, so the log is
-            // not poisoned and the *pre-ack* retry loop may try again.
-            // (A real fsync failure below still poisons: after the kernel
-            // reports an fsync error the dirty pages may be gone.)
-            Some(a @ FailAction::TransientError { .. }) => {
-                return Err(a.to_error("durable.wal_fsync"));
-            }
-            // Disk-full at fsync: the batch's durability is unknowable,
-            // exactly like a failed fsync — fail-stop until healed.
-            Some(a @ FailAction::DiskFull) => {
-                self.poisoned = true;
-                return Err(a.to_error("durable.wal_fsync"));
-            }
-            None => {}
-        }
-        if let Err(e) = self.file.sync_data() {
-            self.poisoned = true;
-            return Err(io_err("wal fsync", e));
-        }
-        Ok(())
-    }
-
-    /// True once a failed fsync (or torn append) has switched the log to
-    /// fail-stop mode.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Switch the log to fail-stop mode explicitly. [`GroupWal`] calls this
-    /// when its out-of-lock fsync on a cloned handle fails.
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
-    /// A second handle to the log file, for fsyncing outside the owner's
-    /// lock (the kernel flushes per file, not per descriptor).
-    pub fn try_clone_file(&self) -> StorageResult<File> {
-        self.file.try_clone().map_err(|e| io_err("clone wal handle", e))
-    }
-
-    /// Truncate the log back to `offset` (undo of an appended frame whose
-    /// logged change failed cleanly and was rolled back — the frame must
-    /// not replay on recovery).
-    pub fn truncate_to(&mut self, offset: u64) -> StorageResult<()> {
+    fn truncate_to(&mut self, offset: u64) -> StorageResult<()> {
         self.file.set_len(offset).map_err(|e| io_err("truncate wal", e))?;
         self.file.sync_all().map_err(|e| io_err("fsync wal", e))?;
         self.file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek wal", e))?;
         self.len = offset;
         Ok(())
-    }
-
-    /// Drop every frame (after a checkpoint has made them redundant).
-    /// The LSN counter keeps counting — LSNs are never reused.
-    pub fn reset(&mut self) -> StorageResult<()> {
-        self.truncate_to(0)?;
-        Ok(())
-    }
-
-    /// Raise the next LSN to at least `min`. `open` derives its counter
-    /// from the surviving frames, so after a checkpoint emptied the log
-    /// the counter would restart at 1 — below the snapshot's covered LSN,
-    /// making later frames look already-applied. Recovery calls this with
-    /// `snapshot_lsn + 1` to keep LSNs monotonic across checkpoints.
-    pub fn ensure_next_lsn(&mut self, min: u64) {
-        if self.next_lsn < min {
-            self.next_lsn = min;
-        }
-    }
-
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -545,7 +434,9 @@ struct GroupInner {
     policy: RetryPolicy,
 }
 
-/// Group-commit wrapper around [`Wal`], shared by concurrent appenders.
+/// Group-commit wrapper around [`Wal`], shared by concurrent appenders —
+/// and the only way a frame reaches the log, for data and structural
+/// frames alike.
 ///
 /// [`GroupWal::append`] writes the frame under a short mutex hold, then one
 /// appender becomes the *flush leader*: it clones the file handle, releases
@@ -554,8 +445,11 @@ struct GroupInner {
 /// happening outside the lock is what makes batches form: with the lock
 /// held, appends and fsyncs would interleave 1:1.
 ///
-/// Per-flush telemetry: `wal.group_size` (frames per fsync, the batching
-/// evidence) and `wal.fsync_ns`. A failed fsync poisons the underlying log
+/// Transient append and fsync faults are retried through
+/// [`with_retries`] before anyone is acknowledged, each retry counted in
+/// `fault.retries`. Per-flush telemetry: `wal.group_size` (frames per
+/// fsync, the batching evidence) and `wal.fsync_ns`; per append,
+/// `wal.commit_wait_ns`. A failed fsync poisons the underlying log
 /// (`wal.poisoned` counter) and wakes every waiter with
 /// [`StorageError::Poisoned`].
 #[derive(Clone)]
@@ -564,16 +458,12 @@ pub struct GroupWal {
 }
 
 impl GroupWal {
-    /// Wrap `wal` for group commit. `failpoints` guards the leader's fsync
-    /// (site `durable.wal_fsync`); flush telemetry lands in `telemetry`;
-    /// transient append/fsync faults are retried per `policy` *before* any
-    /// caller's append is acknowledged.
-    pub fn new(
-        wal: Wal,
-        failpoints: FailpointRegistry,
-        telemetry: Telemetry,
-        policy: RetryPolicy,
-    ) -> GroupWal {
+    /// Wrap `wal` for group commit. The log's failpoint registry guards the
+    /// leader's fsync (site `durable.wal_fsync`); flush telemetry and
+    /// retries land in `telemetry`; transient append/fsync faults are
+    /// retried per `policy` *before* any caller's append is acknowledged.
+    pub fn new(wal: Wal, telemetry: Telemetry, policy: RetryPolicy) -> GroupWal {
+        let failpoints = wal.failpoints.clone();
         GroupWal {
             inner: Arc::new(GroupInner {
                 state: Mutex::new(GroupState {
@@ -598,26 +488,11 @@ impl GroupWal {
         let mut st = inner.state.lock().unwrap();
         // Transient append faults are retried under the mutex — nothing has
         // reached the file, and the retry must observe the same log tail.
-        // Backoff goes through the failpoint clock, so tests are instant.
-        let mut attempt = 0u32;
-        let lsn = loop {
-            match st.wal.append_nosync(payload) {
-                Ok(l) => break l,
-                Err(e)
-                    if IoFaultKind::of(&e) == IoFaultKind::Transient
-                        && attempt < inner.policy.max_retries =>
-                {
-                    inner.telemetry.incr("fault.retries", 1);
-                    inner.failpoints.backoff_sleep(inner.policy.backoff_ns(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        };
+        let lsn = self.retrying(|| st.wal.write_frame(payload))?;
         st.append_seq += 1;
         let my_seq = st.append_seq;
         while st.flushed_seq < my_seq {
-            if st.wal.is_poisoned() {
+            if st.wal.poisoned {
                 return Err(poisoned_err());
             }
             if st.syncing {
@@ -630,9 +505,12 @@ impl GroupWal {
             st.syncing = true;
             let target = st.append_seq;
             let batch = target - st.flushed_seq;
-            let file = st.wal.try_clone_file();
+            let file = st.wal.file.try_clone().map_err(|e| io_err("clone wal handle", e));
             drop(st);
-            let result = file.and_then(|f| self.fsync_outside_lock(&f));
+            // Transient fsync stalls are retried here, outside the lock,
+            // before any waiter of this batch is acknowledged; what still
+            // fails poisons the log.
+            let result = file.and_then(|f| self.retrying(|| self.fsync_once(&f)));
             st = inner.state.lock().unwrap();
             st.syncing = false;
             match result {
@@ -644,7 +522,7 @@ impl GroupWal {
                     inner.flushed.notify_all();
                 }
                 Err(e) => {
-                    st.wal.poison();
+                    st.wal.poisoned = true;
                     inner.telemetry.incr("wal.poisoned", 1);
                     inner.flushed.notify_all();
                     return Err(e);
@@ -661,26 +539,16 @@ impl GroupWal {
         Ok(lsn)
     }
 
-    fn fsync_outside_lock(&self, file: &File) -> StorageResult<()> {
-        // Transient fsync stalls are retried here, outside the lock, before
-        // any waiter of this batch is acknowledged. Non-transient failures
-        // (and exhausted retries) propagate to the leader, which poisons
-        // the log.
-        let mut attempt = 0u32;
-        loop {
-            match self.fsync_once(file) {
-                Ok(()) => return Ok(()),
-                Err(e)
-                    if IoFaultKind::of(&e) == IoFaultKind::Transient
-                        && attempt < self.inner.policy.max_retries =>
-                {
-                    self.inner.telemetry.incr("fault.retries", 1);
-                    self.inner.failpoints.backoff_sleep(self.inner.policy.backoff_ns(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// [`with_retries`] under this log's policy and failpoint clock, every
+    /// retry counted in `fault.retries`.
+    fn retrying<T>(&self, f: impl FnMut() -> StorageResult<T>) -> StorageResult<T> {
+        let inner = &*self.inner;
+        with_retries(
+            &inner.policy,
+            &inner.failpoints,
+            |_, _, _| inner.telemetry.incr("fault.retries", 1),
+            f,
+        )
     }
 
     fn fsync_once(&self, file: &File) -> StorageResult<()> {
@@ -691,6 +559,9 @@ impl GroupWal {
             Some(FailAction::Crash) | Some(FailAction::TornWrite { .. }) => {
                 return Err(StorageError::SimulatedCrash("durable.wal_fsync".into()));
             }
+            // An injected transient failure is a stall where the fsync
+            // never ran: retrying may succeed. Disk-full at fsync leaves the
+            // batch's durability unknowable, like any failed fsync.
             Some(a @ FailAction::TransientError { .. }) | Some(a @ FailAction::DiskFull) => {
                 return Err(a.to_error("durable.wal_fsync"));
             }
@@ -702,20 +573,38 @@ impl GroupWal {
         Ok(())
     }
 
-    /// Run `f` on the underlying log with no flush in flight. Exclusive
-    /// sections (evolve, checkpoint) use this for append/truncate/reset
-    /// sequences that must not interleave with a leader's fsync.
-    pub fn with_wal<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> R {
+    /// The log, once no flush is in flight.
+    fn quiesced(&self) -> MutexGuard<'_, GroupState> {
         let mut st = self.inner.state.lock().unwrap();
         while st.syncing {
             st = self.inner.flushed.wait(st).unwrap();
         }
-        f(&mut st.wal)
+        st
     }
 
-    /// Current log size in bytes.
+    /// Truncate the log back to `offset`: to [`GroupWal::len`] as read
+    /// before an append whose logged change failed cleanly (the frame must
+    /// not replay), or to 0 once a checkpoint made every frame redundant.
+    /// LSNs keep counting — they are never reused. Callers quiesce other
+    /// appenders, so nothing acked lies past `offset`.
+    pub fn truncate_to(&self, offset: u64) -> StorageResult<()> {
+        self.quiesced().wal.truncate_to(offset)
+    }
+
+    /// Replace the log handle with one freshly opened from disk, keeping the
+    /// LSN floor. This clears a fail-stopped handle; every durable frame is
+    /// re-read, so nothing acked is lost.
+    pub fn reopen(&self) -> StorageResult<()> {
+        let mut st = self.quiesced();
+        let (mut fresh, _) = Wal::open(&st.wal.dir, self.inner.failpoints.clone())?;
+        fresh.ensure_next_lsn(st.wal.next_lsn);
+        st.wal = fresh;
+        Ok(())
+    }
+
+    /// Current log size in bytes (offset the next frame lands at).
     pub fn len(&self) -> u64 {
-        self.inner.state.lock().unwrap().wal.len()
+        self.inner.state.lock().unwrap().wal.len
     }
 
     /// True when the log holds no frames.
@@ -723,15 +612,17 @@ impl GroupWal {
         self.len() == 0
     }
 
-    /// True once the underlying log is in fail-stop mode.
+    /// True once the underlying log is in fail-stop mode (a failed fsync or
+    /// a torn append).
     pub fn is_poisoned(&self) -> bool {
-        self.inner.state.lock().unwrap().wal.is_poisoned()
+        self.inner.state.lock().unwrap().wal.poisoned
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scrub::scrub_dir;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -741,17 +632,28 @@ mod tests {
         dir
     }
 
+    /// A group-commit handle on `<dir>/wal.log` that never retries.
+    fn group(dir: &Path, fp: &FailpointRegistry) -> GroupWal {
+        let (wal, _) = Wal::open(dir, fp.clone()).unwrap();
+        GroupWal::new(wal, Telemetry::new(), RetryPolicy::none())
+    }
+
+    /// What recovery finds in `<dir>/wal.log`.
+    fn recovered(dir: &Path, fp: &FailpointRegistry) -> FrameWalk {
+        Wal::open(dir, fp.clone()).unwrap().1
+    }
+
     #[test]
     fn wal_roundtrip_and_lsn_continuity() {
         let dir = tmpdir("wal_rt");
         let fp = FailpointRegistry::new();
-        let (mut wal, rec) = Wal::open(&dir, fp.clone()).unwrap();
-        assert!(rec.frames.is_empty());
+        assert!(recovered(&dir, &fp).frames.is_empty());
+        let wal = group(&dir, &fp);
         assert_eq!(wal.append(b"alpha").unwrap(), 1);
         assert_eq!(wal.append(b"beta").unwrap(), 2);
         drop(wal);
-        let (mut wal, rec) = Wal::open(&dir, fp).unwrap();
-        assert_eq!(rec.torn_bytes, 0);
+        let rec = recovered(&dir, &fp);
+        assert_eq!((rec.torn_bytes, rec.end), (0, WalkEnd::Clean));
         assert_eq!(
             rec.frames,
             vec![
@@ -759,7 +661,7 @@ mod tests {
                 WalFrame { lsn: 2, payload: b"beta".to_vec() },
             ]
         );
-        assert_eq!(wal.append(b"gamma").unwrap(), 3);
+        assert_eq!(group(&dir, &fp).append(b"gamma").unwrap(), 3);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -767,7 +669,7 @@ mod tests {
     fn torn_wal_append_is_truncated_on_open() {
         let dir = tmpdir("wal_torn");
         let fp = FailpointRegistry::new();
-        let (mut wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let mut wal = group(&dir, &fp);
         wal.append(b"keep me").unwrap();
         // Tear the next frame at every offset inside it.
         for keep in 0..(16 + 9) {
@@ -775,32 +677,71 @@ mod tests {
             let err = wal.append(b"lost data").unwrap_err();
             assert!(matches!(err, StorageError::SimulatedCrash(_)));
             drop(wal);
-            let (w, rec) = Wal::open(&dir, fp.clone()).unwrap();
-            wal = w;
+            let rec = recovered(&dir, &fp);
             assert_eq!(rec.frames.len(), 1, "torn frame (keep={keep}) must vanish");
             assert_eq!(rec.frames[0].payload, b"keep me");
             assert_eq!(rec.torn_bytes, keep as u64, "exactly the torn bytes discarded");
+            wal = group(&dir, &fp);
         }
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn wal_bit_flips_cut_the_log_at_the_corruption() {
+        // Every truncation and every single-bit flip of a 4-frame log, read
+        // by both readers of the frame format. Recovery keeps exactly the
+        // frames before the damage; the scrubber counts the same frames and
+        // calls the log corrupt only when the damaged frame is complete; and
+        // once recovery has truncated, a scrub is clean.
         let dir = tmpdir("wal_flip");
         let fp = FailpointRegistry::new();
-        let (mut wal, _) = Wal::open(&dir, fp.clone()).unwrap();
-        wal.append(b"first").unwrap();
-        wal.append(b"second").unwrap();
+        let payloads: [&[u8]; 4] = [b"first", b"second", b"", b"fourth frame"];
+        let wal = group(&dir, &fp);
+        for p in payloads {
+            wal.append(p).unwrap();
+        }
         drop(wal);
         let good = fs::read(dir.join(WAL_FILE)).unwrap();
-        let first_frame = 16 + 5;
+        // Frame k spans `starts[k]..starts[k + 1]`.
+        let mut starts = vec![0usize];
+        for p in payloads {
+            starts.push(starts.last().unwrap() + FRAME_HEADER + p.len());
+        }
+        assert_eq!(starts[4], good.len());
+
+        let scrub = || scrub_dir(&dir, &fp, &RetryPolicy::none(), &Telemetry::new(), None).unwrap();
+        let check = |bad: &[u8], frames: usize, end: WalkEnd, what: &str| {
+            fs::write(dir.join(WAL_FILE), bad).unwrap();
+            let report = scrub();
+            let rec = recovered(&dir, &fp);
+            assert_eq!(rec.frames.len(), frames, "{what}: frames recovered");
+            assert_eq!(rec.end, end, "{what}: where the walk stopped");
+            assert_eq!(rec.valid_len, starts[frames] as u64, "{what}: cut");
+            assert_eq!(report.wal_frames, frames as u64, "{what}: frames scrubbed");
+            assert_eq!(report.wal_corrupt, end == WalkEnd::Corrupt, "{what}: corrupt");
+            let after = scrub();
+            assert!(after.clean() && after.wal_torn_bytes == 0, "{what}: scrub after recovery");
+            assert_eq!(after.wal_frames, frames as u64, "{what}: frames after recovery");
+        };
+
+        for len in 0..=good.len() {
+            let frames = starts[1..].iter().filter(|&&e| e <= len).count();
+            let end = if starts.contains(&len) { WalkEnd::Clean } else { WalkEnd::Torn };
+            check(&good[..len], frames, end, &format!("truncated to {len}"));
+        }
         for byte in 0..good.len() {
-            let mut bad = good.clone();
-            bad[byte] ^= 0x40;
-            fs::write(dir.join(WAL_FILE), &bad).unwrap();
-            let (_, rec) = Wal::open(&dir, fp.clone()).unwrap();
-            let expect = if byte < first_frame { 0 } else { 1 };
-            assert_eq!(rec.frames.len(), expect, "flip at byte {byte}");
+            let k = starts.iter().rposition(|&s| s <= byte).unwrap();
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[byte] ^= 1 << bit;
+                // The damaged frame is complete when the length its (possibly
+                // flipped) header announces fits in the bytes that remain.
+                let announced =
+                    u32::from_be_bytes(bad[starts[k]..starts[k] + 4].try_into().unwrap()) as usize;
+                let complete = starts[k] + FRAME_HEADER + announced <= bad.len();
+                let end = if complete { WalkEnd::Corrupt } else { WalkEnd::Torn };
+                check(&bad, k, end, &format!("bit {bit} of byte {byte} flipped"));
+            }
         }
         fs::remove_dir_all(&dir).ok();
     }
@@ -809,13 +750,13 @@ mod tests {
     fn truncate_to_removes_the_last_frame() {
         let dir = tmpdir("wal_trunc");
         let fp = FailpointRegistry::new();
-        let (mut wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let wal = group(&dir, &fp);
         wal.append(b"keep").unwrap();
         let before = wal.len();
         wal.append(b"drop").unwrap();
         wal.truncate_to(before).unwrap();
         drop(wal);
-        let (_, rec) = Wal::open(&dir, fp).unwrap();
+        let rec = recovered(&dir, &fp);
         assert_eq!(rec.frames.len(), 1);
         assert_eq!(rec.frames[0].payload, b"keep");
         fs::remove_dir_all(&dir).ok();
@@ -825,21 +766,23 @@ mod tests {
     fn fsync_failure_poisons_the_log() {
         let dir = tmpdir("wal_poison");
         let fp = FailpointRegistry::new();
-        let (mut wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let telemetry = Telemetry::new();
+        let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let wal = GroupWal::new(wal, telemetry.clone(), RetryPolicy::none());
         wal.append(b"good").unwrap();
         fp.arm("durable.wal_fsync", 1, FailAction::Error);
-        let err = wal.append(b"doomed").unwrap_err();
-        assert!(matches!(err, StorageError::Injected(_)));
+        assert!(matches!(wal.append(b"doomed").unwrap_err(), StorageError::Injected(_)));
         assert!(wal.is_poisoned());
-        // Fail-stop: every further append/sync refuses without touching
-        // the file. Poisoning promises "no further acks", not that the
-        // doomed frame is absent (its bytes may sit in the page cache).
+        assert_eq!(telemetry.snapshot().counter("wal.poisoned"), 1);
+        // Fail-stop: every further append refuses without touching the
+        // file. Poisoning promises "no further acks", not that the doomed
+        // frame is absent (its bytes may sit in the page cache).
         assert!(matches!(wal.append(b"after").unwrap_err(), StorageError::Poisoned(_)));
-        assert!(matches!(wal.sync().unwrap_err(), StorageError::Poisoned(_)));
-        drop(wal);
-        let (wal, rec) = Wal::open(&dir, fp).unwrap();
+        // Reopening from disk drops the poisoned handle.
+        wal.reopen().unwrap();
         assert!(!wal.is_poisoned());
-        assert!(rec.frames.iter().any(|f| f.payload == b"good"));
+        drop(wal);
+        assert!(recovered(&dir, &fp).frames.iter().any(|f| f.payload == b"good"));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -849,7 +792,7 @@ mod tests {
         let fp = FailpointRegistry::new();
         let telemetry = Telemetry::new();
         let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
-        let group = GroupWal::new(wal, fp.clone(), telemetry.clone(), RetryPolicy::default());
+        let group = GroupWal::new(wal, telemetry.clone(), RetryPolicy::default());
         let (threads, per) = (8usize, 25usize);
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -861,29 +804,13 @@ mod tests {
                 });
             }
         });
-        assert_eq!(group.with_wal(|w| w.next_lsn()), (threads * per) as u64 + 1);
         drop(group);
-        let (_, rec) = Wal::open(&dir, fp).unwrap();
+        let rec = recovered(&dir, &fp);
         assert_eq!(rec.frames.len(), threads * per, "every acked append is on disk");
+        assert!(rec.frames.iter().map(|f| f.lsn).eq(1..=(threads * per) as u64));
         let snap = telemetry.snapshot();
         let sizes = snap.histograms.get("wal.group_size").expect("group_size recorded");
         assert!(sizes.count >= 1);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn group_fsync_failure_poisons_and_fails_stop() {
-        let dir = tmpdir("wal_group_poison");
-        let fp = FailpointRegistry::new();
-        let telemetry = Telemetry::new();
-        let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
-        let group = GroupWal::new(wal, fp.clone(), telemetry.clone(), RetryPolicy::none());
-        group.append(b"fine").unwrap();
-        fp.arm("durable.wal_fsync", 1, FailAction::Error);
-        assert!(matches!(group.append(b"doomed").unwrap_err(), StorageError::Injected(_)));
-        assert!(group.is_poisoned());
-        assert!(matches!(group.append(b"later").unwrap_err(), StorageError::Poisoned(_)));
-        assert_eq!(telemetry.snapshot().counter("wal.poisoned"), 1);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -895,7 +822,7 @@ mod tests {
         let telemetry = Telemetry::new();
         let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
         let policy = RetryPolicy { max_retries: 4, base_backoff_ns: 1000, max_backoff_ns: 8000 };
-        let group = GroupWal::new(wal, fp.clone(), telemetry.clone(), policy);
+        let group = GroupWal::new(wal, telemetry.clone(), policy);
         // Three consecutive fsync stalls, then the device recovers: the
         // append must succeed with no poisoning and no lost ack.
         fp.arm("durable.wal_fsync", 1, FailAction::TransientError { succeed_after: 3 });
@@ -904,8 +831,7 @@ mod tests {
         assert_eq!(telemetry.snapshot().counter("fault.retries"), 3);
         assert_eq!(fp.virtual_slept_ns(), 1000 + 2000 + 4000, "exponential backoff schedule");
         drop(group);
-        let (_, rec) = Wal::open(&dir, fp).unwrap();
-        assert_eq!(rec.frames.len(), 1, "the acked frame is durable");
+        assert_eq!(recovered(&dir, &fp).frames.len(), 1, "the acked frame is durable");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -917,7 +843,7 @@ mod tests {
         let telemetry = Telemetry::new();
         let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
         let policy = RetryPolicy { max_retries: 2, base_backoff_ns: 1, max_backoff_ns: 8 };
-        let group = GroupWal::new(wal, fp.clone(), telemetry.clone(), policy);
+        let group = GroupWal::new(wal, telemetry.clone(), policy);
         // The stall outlasts the retry budget: the append fails with a
         // transient error and the log is poisoned (the frame is appended
         // but of unknowable durability — fail-stop, never ack).
@@ -925,6 +851,7 @@ mod tests {
         assert!(matches!(group.append(b"doomed").unwrap_err(), StorageError::Transient(_)));
         assert!(group.is_poisoned());
         assert_eq!(telemetry.snapshot().counter("wal.poisoned"), 1);
+        assert_eq!(telemetry.snapshot().counter("fault.retries"), 2);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -932,9 +859,8 @@ mod tests {
     fn disk_full_append_leaves_log_usable_after_disarm() {
         let dir = tmpdir("wal_disk_full");
         let fp = FailpointRegistry::new();
-        let telemetry = Telemetry::new();
         let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
-        let group = GroupWal::new(wal, fp.clone(), telemetry, RetryPolicy::default());
+        let group = GroupWal::new(wal, Telemetry::new(), RetryPolicy::default());
         group.append(b"before").unwrap();
         fp.arm("durable.wal_append", 1, FailAction::DiskFull);
         // Disk-full is sticky and not retried: every append fails cleanly
@@ -945,22 +871,25 @@ mod tests {
         fp.disarm("durable.wal_append");
         group.append(b"after").unwrap();
         drop(group);
-        let (_, rec) = Wal::open(&dir, fp).unwrap();
+        let rec = recovered(&dir, &fp);
         let payloads: Vec<&[u8]> = rec.frames.iter().map(|f| f.payload.as_slice()).collect();
         assert_eq!(payloads, vec![b"before".as_slice(), b"after".as_slice()]);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn append_retry_rides_out_transient_append_faults() {
-        let dir = tmpdir("wal_append_retry");
+    fn group_append_rides_out_transient_append_faults() {
+        let dir = tmpdir("wal_group_append_transient");
         let fp = FailpointRegistry::new();
         fp.set_virtual_clock(true);
-        let (mut wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let telemetry = Telemetry::new();
+        let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
         let policy = RetryPolicy { max_retries: 3, base_backoff_ns: 1, max_backoff_ns: 8 };
+        let group = GroupWal::new(wal, telemetry.clone(), policy);
         fp.arm("durable.wal_append", 1, FailAction::TransientError { succeed_after: 2 });
-        assert_eq!(wal.append_retry(b"ok", &policy).unwrap(), 1);
-        assert!(!wal.is_poisoned());
+        assert_eq!(group.append(b"ok").unwrap(), 1);
+        assert!(!group.is_poisoned());
+        assert_eq!(telemetry.snapshot().counter("fault.retries"), 2);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,10 +16,12 @@
 //! reported but **not** quarantined (an I/O stall is not evidence of
 //! corruption).
 //!
-//! The WAL walk distinguishes a *torn tail* — trailing bytes too short to
-//! frame, normal when a crash interrupted an append or when a live system is
-//! appending concurrently — from *interior corruption*: a full-length frame
-//! whose CRC fails. Callers scanning a live directory should bound the walk
+//! The WAL walk is recovery's own, [`crate::durable::walk_frames`]. It
+//! distinguishes a *torn tail* — trailing bytes too short to frame, normal
+//! when a crash interrupted an append or when a live system is appending
+//! concurrently — from *interior corruption*: a full-length frame whose CRC
+//! fails. The scrubber reports; recovery truncates at the same point.
+//! Callers scanning a live directory should bound the walk
 //! with `wal_valid_len` (the log length under its lock) so in-flight appends
 //! past that point are never misread.
 //!
@@ -32,10 +34,9 @@ use std::path::Path;
 
 use tse_telemetry::Telemetry;
 
-use crate::crc::crc32;
 use crate::durable::{
     list_snapshot_generations, read_manifest, read_snapshot_file, snapshot_path, sync_dir,
-    WAL_FILE,
+    walk_frames, FrameWalk, WalkEnd, WAL_FILE,
 };
 use crate::error::{StorageError, StorageResult};
 use crate::failpoint::FailpointRegistry;
@@ -131,7 +132,9 @@ pub fn scrub_dir(
         );
     }
 
-    let (wal_frames, wal_torn_bytes, wal_corrupt) = scrub_wal(dir, wal_valid_len)?;
+    let wal = scrub_wal(dir, wal_valid_len)?;
+    let wal_frames = wal.frames.len() as u64;
+    let wal_corrupt = wal.end == WalkEnd::Corrupt;
     if wal_corrupt {
         telemetry.event("scrub.wal_corrupt", &[("valid_frames", wal_frames.into())]);
     }
@@ -142,7 +145,7 @@ pub fn scrub_dir(
         manifest_generation,
         manifest_ok,
         wal_frames,
-        wal_torn_bytes,
+        wal_torn_bytes: wal.torn_bytes,
         wal_corrupt,
     };
     telemetry.event(
@@ -201,44 +204,21 @@ fn scrub_generation(
     }
 }
 
-/// Walk WAL frames read-only; returns (valid frames, torn tail bytes,
-/// interior corruption seen).
-fn scrub_wal(dir: &Path, valid_len: Option<u64>) -> StorageResult<(u64, u64, bool)> {
+/// Walk the WAL read-only, up to `valid_len` when given.
+fn scrub_wal(dir: &Path, valid_len: Option<u64>) -> StorageResult<FrameWalk> {
     let bytes = match fs::read(dir.join(WAL_FILE)) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0, false)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(StorageError::Io(format!("scrub wal read: {e}"))),
     };
     let bound = valid_len.map(|n| (n as usize).min(bytes.len())).unwrap_or(bytes.len());
-    let bytes = &bytes[..bound];
-    let mut frames = 0u64;
-    let mut offset = 0usize;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.is_empty() {
-            return Ok((frames, 0, false));
-        }
-        if rest.len() < 16 {
-            return Ok((frames, (bytes.len() - offset) as u64, false));
-        }
-        let payload_len = u32::from_be_bytes(rest[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_be_bytes(rest[4..8].try_into().unwrap());
-        if rest.len() < 16 + payload_len {
-            return Ok((frames, (bytes.len() - offset) as u64, false));
-        }
-        // The full frame is present: a CRC mismatch here is rot, not a tear.
-        if crc32(&rest[8..16 + payload_len]) != crc {
-            return Ok((frames, (bytes.len() - offset) as u64, true));
-        }
-        frames += 1;
-        offset += 16 + payload_len;
-    }
+    Ok(walk_frames(&bytes[..bound]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::{write_manifest, write_snapshot_file, Wal};
+    use crate::durable::{write_manifest, write_snapshot_file, GroupWal, Wal};
     use crate::failpoint::FailAction;
     use std::path::PathBuf;
 
@@ -265,9 +245,8 @@ mod tests {
         write_snapshot_file(&dir, 1, 5, b"one", &fp).unwrap();
         write_snapshot_file(&dir, 2, 9, b"two", &fp).unwrap();
         write_manifest(&dir, 2, &fp).unwrap();
-        let (mut wal, _) = Wal::open(&dir, fp.clone()).unwrap();
-        wal.append(b"frame").unwrap();
-        drop(wal);
+        let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        GroupWal::new(wal, t.clone(), RetryPolicy::none()).append(b"frame").unwrap();
         let report = scrub_dir(&dir, &fp, &RetryPolicy::none(), &t, None).unwrap();
         assert!(report.clean());
         assert_eq!(report.generations.len(), 2);
@@ -338,7 +317,8 @@ mod tests {
         let dir = tmpdir("wal_rot");
         let fp = FailpointRegistry::new();
         let t = Telemetry::new();
-        let (mut wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let wal = GroupWal::new(wal, t.clone(), RetryPolicy::none());
         wal.append(b"first").unwrap();
         wal.append(b"second").unwrap();
         drop(wal);

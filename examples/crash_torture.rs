@@ -10,7 +10,8 @@
 //!   finishes), the system is dropped without a clean shutdown and
 //!   reopened from disk.
 //! - `chaos`: injects *recoverable* fault schedules — transient stalls
-//!   inside the retry budget (which must ride out invisibly), and
+//!   inside the retry budget under a create or an evolve (which must ride
+//!   out invisibly, counted in `fault.retries`), and
 //!   exhausted-transient / disk-full faults (which must degrade the
 //!   system to read-only with typed `Unavailable` backpressure, then heal
 //!   via `try_heal()` and resume) — with zero acknowledged-write loss,
@@ -133,6 +134,20 @@ fn apply(
         }
     }
     Ok(())
+}
+
+/// A create of the next unused tag.
+fn fresh_create(next_tag: &mut i64) -> Op {
+    let tag = *next_tag;
+    *next_tag += 1;
+    Op::Create { name: format!("s{tag}"), tag }
+}
+
+/// An evolve adding the next unused attribute name, with a random default.
+fn fresh_add_attr(rng: &mut Rng, next_attr: &mut u64) -> Op {
+    let attr = format!("a{next_attr}");
+    *next_attr += 1;
+    Op::AddAttr { attr, default: rng.below(100) as i64 }
 }
 
 fn current_view(shared: &SharedSystem) -> ViewId {
@@ -380,11 +395,7 @@ fn run_kill(seed: u64, iterations: u64) {
         for _ in 0..(2 + rng.below(6)) {
             let tags: Vec<i64> = live_oids.keys().copied().collect();
             let op = match rng.below(8) {
-                0..=2 => {
-                    let tag = next_tag;
-                    next_tag += 1;
-                    Op::Create { name: format!("s{tag}"), tag }
-                }
+                0..=2 => fresh_create(&mut next_tag),
                 3 | 4 if !tags.is_empty() => {
                     let tag = tags[rng.below(tags.len() as u64) as usize];
                     // Never touch `age` — it is the tag objects are
@@ -405,11 +416,7 @@ fn run_kill(seed: u64, iterations: u64) {
                 5 if !tags.is_empty() => {
                     Op::Delete { tag: tags[rng.below(tags.len() as u64) as usize] }
                 }
-                6 => {
-                    let attr = format!("a{next_attr}");
-                    next_attr += 1;
-                    Op::AddAttr { attr, default: rng.below(100) as i64 }
-                }
+                6 => fresh_add_attr(&mut rng, &mut next_attr),
                 7 => Op::Checkpoint,
                 _ => continue,
             };
@@ -515,9 +522,7 @@ fn run_chaos(seed: u64, iterations: u64) {
                 let tag = tags[rng.below(tags.len() as u64) as usize];
                 Op::Set { tag, attr: "name".into(), value: Value::Str(format!("n{iteration}")) }
             } else {
-                let attr = format!("a{next_attr}");
-                next_attr += 1;
-                Op::AddAttr { attr, default: rng.below(100) as i64 }
+                fresh_add_attr(&mut rng, &mut next_attr)
             };
             if let Err(e) = apply(&shared, &mut live_oids, &op) {
                 fail(&shared, seed, iteration, &format!("calm op failed: {e}"));
@@ -531,17 +536,23 @@ fn run_chaos(seed: u64, iterations: u64) {
         let retries_before = shared.telemetry().counter("fault.retries");
         match rng.below(3) {
             0 => {
-                // Transient stall inside the retry budget: the caller never
-                // sees it and health never moves.
+                // Transient stall inside the retry budget, under a data
+                // write or an evolve (whose frame is structural): the caller
+                // never sees it, health never moves, and the retries count.
                 let site =
                     if rng.below(2) == 0 { "durable.wal_fsync" } else { "durable.wal_append" };
                 let succeed_after = 1 + rng.below(3);
                 shared.failpoints().arm(site, 1, FailAction::TransientError { succeed_after });
-                let tag = next_tag;
-                next_tag += 1;
-                let op = Op::Create { name: format!("s{tag}"), tag };
+                let op = if rng.below(2) == 0 {
+                    fresh_create(&mut next_tag)
+                } else {
+                    fresh_add_attr(&mut rng, &mut next_attr)
+                };
                 if let Err(e) = apply(&shared, &mut live_oids, &op) {
-                    fail(&shared, seed, iteration, &format!("ride-out write failed: {e}"));
+                    fail(&shared, seed, iteration, &format!("ride-out {op:?} failed: {e}"));
+                }
+                if let Op::AddAttr { attr, .. } = &op {
+                    live_attrs.push(attr.clone());
                 }
                 acked.push(op);
                 if shared.health() != SystemHealth::Healthy {
@@ -551,6 +562,10 @@ fn run_chaos(seed: u64, iterations: u64) {
                     fail(&shared, seed, iteration, "transient schedule spent no retries");
                 }
                 shared.failpoints().disarm(site);
+                // The rode-out op is acknowledged: the live state must now
+                // equal the oracle's replay of the history that ends in it.
+                let (oids, attrs) = (&mut live_oids, &mut live_attrs);
+                reconcile(&shared, &mut acked, oids, attrs, None, seed, iteration);
                 rideouts += 1;
             }
             kind => {
@@ -565,9 +580,7 @@ fn run_chaos(seed: u64, iterations: u64) {
                     (FailAction::DiskFull, DegradedReason::DiskFull)
                 };
                 shared.failpoints().arm("durable.wal_append", 1, action);
-                let tag = next_tag;
-                next_tag += 1;
-                let op = Op::Create { name: format!("s{tag}"), tag };
+                let op = fresh_create(&mut next_tag);
                 let err = match apply(&shared, &mut live_oids, &op) {
                     Err(e) => e,
                     Ok(()) => fail(&shared, seed, iteration, "armed fault did not fire"),
