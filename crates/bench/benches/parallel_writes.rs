@@ -19,7 +19,8 @@
 //!
 //! What a logged write costs and how group commit batches are the repo
 //! benchmark's (`core.durable_over_unlogged`, `storage.wal_group_size_mean`);
-//! pinned readers beside writer churn are `examples/mvcc_race.rs`.
+//! pinned readers beside writer churn are
+//! `tests/concurrency.rs::pinned_readers_keep_their_snapshot_under_churn_and_an_evolve`.
 //!
 //! Emits `BENCH_parallel_writes.json` at the workspace root. The JSON
 //! records `cpu_cores`: on a single-core host every configuration

@@ -213,20 +213,6 @@ fn classify_inner(
     Ok(Placement { class, duplicate_of: None, supers, subs, promoted })
 }
 
-/// Classify several classes in creation order, returning the placement of
-/// each and the mapping from requested to effective class ids.
-pub fn classify_all(
-    db: &mut Database,
-    classes: &[ClassId],
-) -> ModelResult<Vec<Placement>> {
-    let mut prover = Subsumption::default();
-    let mut out = Vec::with_capacity(classes.len());
-    for c in classes {
-        out.push(classify_with(&mut prover, db, *c)?);
-    }
-    Ok(out)
-}
-
 /// Debug/test helper: check that a classified class's hierarchy-resolved
 /// type agrees with its operator-intent type.
 pub fn check_type_agreement(db: &Database, class: ClassId) -> ModelResult<bool> {

@@ -35,6 +35,6 @@ mod classify;
 mod subsume;
 
 pub use classify::{
-    check_type_agreement, classify, classify_all, classify_with, register_metrics, Placement,
+    check_type_agreement, classify, classify_with, register_metrics, Placement,
 };
 pub use subsume::Subsumption;

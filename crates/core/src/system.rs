@@ -714,11 +714,14 @@ impl TseSystem {
         assignments: &[(&str, Value)],
     ) -> ModelResult<usize> {
         let started = std::time::Instant::now();
-        let oids = self.select_where(view, class_local, expr)?;
         let class = self.resolve_in(view, class_local)?;
-        tse_algebra::set(&self.db, &self.policy, &oids, class, assignments)?;
+        let pred = tse_object_model::Predicate::Expr(crate::change::parse_expr(expr)?);
+        let out = tse_algebra::select_objects(&self.db, class, &pred).and_then(|oids| {
+            tse_algebra::set(&self.db, &self.policy, &oids, class, assignments)?;
+            Ok(oids.len())
+        });
         observe_op(self.db.telemetry(), &ops::UPDATE_WHERE, started);
-        Ok(oids.len())
+        out
     }
 
     /// Invoke a property with dynamic dispatch (late binding) through a view

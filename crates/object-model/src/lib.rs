@@ -40,7 +40,5 @@ pub use method::{eval_body, AttrSource, BinOp, MethodBody};
 pub use predicate::{CmpOp, Predicate};
 pub use property::{LocalProp, PendingProp, PropKind, PropertyDef};
 pub use schema::{Candidate, ResolvedProp, ResolvedType, Schema, ROOT_CLASS};
-pub use snapshot::{
-    decode_database, decode_database_with, encode_database, load_database, save_database,
-};
+pub use snapshot::{decode_database, decode_database_with, encode_database};
 pub use value::{Value, ValueType};

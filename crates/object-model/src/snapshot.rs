@@ -61,20 +61,6 @@ pub fn decode_database_with(mut bytes: Bytes, runtime: StoreConfig) -> ModelResu
     Ok(Database::from_parts(schema, store, objects, next_oid))
 }
 
-/// Write a snapshot to a file.
-pub fn save_database(db: &Database, path: &std::path::Path) -> ModelResult<()> {
-    let bytes = encode_database(db);
-    std::fs::write(path, &bytes)
-        .map_err(|e| ModelError::Invalid(format!("snapshot write failed: {e}")))
-}
-
-/// Load a snapshot from a file.
-pub fn load_database(path: &std::path::Path) -> ModelResult<Database> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| ModelError::Invalid(format!("snapshot read failed: {e}")))?;
-    decode_database(Bytes::from(bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,15 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let db = build();
-        let dir = std::env::temp_dir().join("tse_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.tse");
-        save_database(&db, &path).unwrap();
-        let restored = load_database(&path).unwrap();
+    fn blob_roundtrip_keeps_every_object() {
+        let restored = decode_database(encode_database(&build())).unwrap();
         assert_eq!(restored.object_count(), 2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,23 +1,27 @@
 //! End-to-end service-layer tests: multi-user tenancy over the wire,
 //! pinned reads across a live evolution, graceful drain with in-flight
-//! requests, admission control, and error-code parity between the
-//! in-process and remote transports.
+//! requests, admission control, error-code parity between the in-process
+//! and remote transports, and exactly-once writes across network faults
+//! and live evolutions (audited by the `tse-workload` history checker).
 
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use tse_core::{
     SharedSystem, TseClient, TseCode, TseReader, TseSystem, TseWriter,
 };
 use tse_netfault::{ChaosConfig, NetFault};
-use tse_object_model::{PropertyDef, Value, ValueType};
+use tse_object_model::{PendingProp, PropertyDef, Value, ValueType};
 use tse_server::proto::{
     decode_response, encode_request, read_frame, write_frame, Request, Response,
 };
 use tse_server::{ClientConfig, RemoteClient, ServerConfig, TseServer};
 use tse_storage::{FailAction, RetryPolicy};
+use tse_telemetry::Telemetry;
+use tse_workload::history::{seeded, History, Op, Outcome};
+use tse_workload::trace::{generate_and_apply_trace, TraceMix};
 
 /// A unique, empty scratch directory per test.
 fn tmpdir(name: &str) -> PathBuf {
@@ -31,19 +35,31 @@ fn start(sys: SharedSystem, config: ServerConfig) -> TseServer {
     TseServer::start(sys, "127.0.0.1:0", config).unwrap()
 }
 
-/// Define the Person schema and the admin's "VS" view through the wire.
-fn seed_remote(admin: &RemoteClient) {
-    admin
-        .define_class(
-            "Person",
-            &[],
-            vec![
-                PropertyDef::stored("name", ValueType::Str, Value::Null),
-                PropertyDef::stored("age", ValueType::Int, Value::Int(0)),
-            ],
-        )
-        .unwrap();
+/// `Person`'s properties, spelled once for the server, the history's model
+/// and the scratch system a schema-change trace is generated on. `tag`
+/// names an object in a [`History`].
+fn person_props() -> Vec<PendingProp> {
+    vec![
+        PropertyDef::stored("name", ValueType::Str, Value::Null),
+        PropertyDef::stored("age", ValueType::Int, Value::Int(0)),
+        PropertyDef::stored("tag", ValueType::Int, Value::Int(-1)),
+    ]
+}
+
+/// Define the Person schema and the client's "VS" view.
+fn seed_schema<C: TseClient>(admin: &C) {
+    admin.define_class("Person", &[], person_props()).unwrap();
     assert_eq!(admin.create_view(&["Person"]).unwrap(), 1);
+}
+
+/// A history of tagged `Person` writes in family "VS".
+fn person_history() -> History {
+    History::new("VS", "Person", "tag", |sys| seed_schema(&sys.client("VS")))
+}
+
+/// The create of a tagged `Person`.
+fn person(tag: i64, name: String, age: i64) -> Op {
+    Op::Create { tag, values: vec![("name".into(), name.into()), ("age".into(), Value::Int(age))] }
 }
 
 #[test]
@@ -53,7 +69,7 @@ fn users_are_tenants_bound_to_their_view_families() {
 
     // "VS" is both a user identity and the view family it owns.
     let admin = RemoteClient::open(addr.clone(), "VS").unwrap();
-    seed_remote(&admin);
+    seed_schema(&admin);
     let w = admin.writer().unwrap();
     let ann = w.create("Person", &[("name", "ann".into()), ("age", Value::Int(30))]).unwrap();
 
@@ -87,7 +103,7 @@ fn pinned_reader_survives_evolution_until_it_completes() {
     let mut server = start(SharedSystem::new(), ServerConfig::default());
     let addr = server.addr().to_string();
     let admin = RemoteClient::open(addr.clone(), "VS").unwrap();
-    seed_remote(&admin);
+    seed_schema(&admin);
     let w = admin.writer().unwrap();
     for i in 0..5 {
         w.create("Person", &[("name", format!("p{i}").into()), ("age", Value::Int(i))])
@@ -124,7 +140,7 @@ fn drain_finishes_in_flight_requests_and_refuses_new_connections() {
     let mut server = start(SharedSystem::new(), ServerConfig::default());
     let addr = server.addr().to_string();
     let admin = RemoteClient::open(addr.clone(), "VS").unwrap();
-    seed_remote(&admin);
+    seed_schema(&admin);
     let w = admin.writer().unwrap();
     for i in 0..50 {
         w.create("Person", &[("name", format!("p{i}").into())]).unwrap();
@@ -217,7 +233,7 @@ fn client_rides_out_repeated_severs_with_exactly_once_writes() {
     let mut server = start(SharedSystem::new(), ServerConfig::default());
     let addr = server.addr().to_string();
     let admin = RemoteClient::open(addr.clone(), "VS").unwrap();
-    seed_remote(&admin);
+    seed_schema(&admin);
 
     // Every proxied connection is severed shortly after it starts talking,
     // so the client must redial, re-Hello, re-bind, and re-open its
@@ -248,8 +264,11 @@ fn client_rides_out_repeated_severs_with_exactly_once_writes() {
     hammer.bind("VS").unwrap();
     let writer = hammer.writer().unwrap();
     let mut reader = hammer.session().unwrap();
+    let mut history = person_history();
     for i in 0..15 {
-        writer.create("Person", &[("name", format!("h{i}").into())]).unwrap();
+        let op = person(i as i64, format!("h{i}"), 0);
+        op.write(&writer, &reader, "Person", "tag").unwrap();
+        history.record(op, reader.view_version(), Outcome::Acked);
         // Interleave reads so handle re-establishment is exercised on
         // both the reader and the writer slot. A refresh advances the
         // pinned data epoch, so every acked create so far must be
@@ -262,38 +281,141 @@ fn client_rides_out_repeated_severs_with_exactly_once_writes() {
     assert!(stats.severed > 0, "the proxy never severed: test proved nothing");
     assert!(telemetry.counter("client.reconnects") > 0, "no reconnect happened");
 
-    // Audit through a clean direct connection: 15 objects, each exactly once.
-    let names: Vec<String> = {
-        let audit = admin.session().unwrap();
-        audit
-            .extent("Person")
-            .unwrap()
-            .iter()
-            .map(|&oid| match audit.get(oid, "Person", "name").unwrap() {
-                Value::Str(s) => s,
-                other => panic!("non-string name {other:?}"),
-            })
-            .collect()
-    };
-    assert_eq!(names.len(), 15, "acked-write loss or duplication: {names:?}");
-    for i in 0..15 {
-        let expected = format!("h{i}");
-        assert_eq!(
-            names.iter().filter(|n| **n == expected).count(),
-            1,
-            "{expected} must appear exactly once in {names:?}"
-        );
-    }
+    // Audit through a clean direct connection.
+    history.check(&admin).unwrap();
 
     drop(admin);
     server.drain();
+}
+
+/// Requests per chaos connection, schema changes replayed meanwhile, and
+/// the first chaos tag (connection `c` owns `CHAOS_TAGS * (c + 1) ..`).
+const REQUESTS: usize = 200;
+const EVOLVES: usize = 8;
+const CHAOS_TAGS: i64 = 1_000_000;
+
+#[test]
+fn chaos_load_across_live_evolves_applies_every_acked_write_exactly_once() {
+    seeded(
+        "-p tse-server --test server -- chaos_load_across_live_evolves",
+        &[9],
+        run_chaos_load,
+    );
+}
+
+/// Four connections read and write through a seeded `tse-netfault` proxy
+/// (severs, black holes, delays, byte-level fragmentation) while an admin,
+/// over a direct connection, replays a Sjøberg-shaped schema-change trace
+/// from `tse-workload`. Afterwards the history checker audits the store
+/// through a clean direct connection: no acked write lost, none applied
+/// twice. The shared journal must pass the gate, which also fails on a
+/// dedup-window overflow.
+fn run_chaos_load(seed: u64) {
+    let sys = SharedSystem::new();
+    let mut server = start(sys.clone(), ServerConfig::default());
+    let addr = server.addr().to_string();
+    let admin = RemoteClient::open(addr.clone(), "VS").unwrap();
+    seed_schema(&admin);
+    let mut history = person_history();
+    for tag in 0..100i64 {
+        history.issue(&admin, person(tag, format!("p{tag}"), tag % 90)).expect("seed object");
+    }
+
+    // The changes to replay, generated against a scratch system with the
+    // identical schema so every command is valid in order.
+    let commands: Vec<String> = {
+        let mut scratch = TseSystem::new();
+        scratch.define_base_class("Person", &[], person_props()).unwrap();
+        scratch.create_view("VS", &["Person"]).unwrap();
+        let trace =
+            generate_and_apply_trace(&mut scratch, "VS", EVOLVES, &TraceMix::default(), seed)
+                .unwrap();
+        trace.changes.iter().map(|c| c.render().unwrap()).collect()
+    };
+
+    let proxy = NetFault::start(addr.clone(), ChaosConfig::seeded(seed)).unwrap();
+    let proxy_addr = proxy.addr().to_string();
+    // The evolver holds the history across each evolve, so a write issued
+    // through a version is always recorded after the evolve that made it.
+    let history = Mutex::new(history);
+    std::thread::scope(|scope| {
+        for c in 0..4 {
+            let (proxy_addr, history) = (&proxy_addr, &history);
+            let telemetry = sys.telemetry();
+            scope.spawn(move || chaos_connection(proxy_addr, c, telemetry, history));
+        }
+        for command in &commands {
+            let evolve = Op::Evolve { command: command.clone() };
+            history.lock().unwrap().issue(&admin, evolve).expect("evolve during chaos");
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        }
+    });
+    let stats = proxy.stop();
+    assert_eq!(admin.versions().unwrap(), 1 + commands.len() as u32, "every change applies");
+    assert!(stats.severed > 0, "the schedule never severed anything: the run proved nothing");
+    assert!(sys.telemetry().counter("client.reconnects") > 0, "no client reconnected");
+
+    let mut verifier = RemoteClient::open(addr, "chaos-verify").unwrap();
+    verifier.bind("VS").unwrap();
+    let history = history.into_inner().unwrap().check(&verifier).unwrap();
+    let acked = history.entries().iter().filter(|e| e.op.tag() >= Some(CHAOS_TAGS)).count();
+    assert!(acked > 0, "no write was ever acked under chaos");
+
+    drop((verifier, admin));
+    server.drain();
+    let telemetry = sys.telemetry();
+    telemetry.journal_metrics_snapshot();
+    let report = tse_inspect::Journal::parse(&telemetry.journal_lines()).unwrap().check();
+    assert!(report.problems.is_empty(), "the chaos journal fails the gate: {:?}", report.problems);
+}
+
+/// One connection: a read-heavy mix with every fourth op a create, driven
+/// through the fault proxy with a generous retry budget and a short read
+/// timeout (so black holes cost half a second, not ten). Every create is
+/// recorded: acked, or unknown when the call failed.
+fn chaos_connection(proxy: &str, index: usize, telemetry: Telemetry, history: &Mutex<History>) {
+    let config = ClientConfig {
+        // A connection may draw several hostile fault plans in a row
+        // before a clean one; severs are cheap, so retry hard.
+        retry: RetryPolicy {
+            max_retries: 16,
+            base_backoff_ns: 2_000_000,
+            max_backoff_ns: 50_000_000,
+        },
+        read_timeout_ms: 500,
+        connect_timeout_ms: 1_000,
+        telemetry: Some(telemetry),
+        ..ClientConfig::default()
+    };
+    let user = format!("chaos{index}");
+    let mut client = RemoteClient::open_with(proxy.to_string(), &user, config).unwrap();
+    client.bind("VS").unwrap();
+    let mut reader = client.session().unwrap();
+    let writer = client.writer().unwrap();
+    for i in 0..REQUESTS {
+        if i % 4 == 3 {
+            let op = person(CHAOS_TAGS * (index as i64 + 1) + i as i64, format!("{user}-{i}"), 41);
+            let acked = op.write(&writer, &reader, "Person", "tag").is_ok();
+            let outcome = if acked { Outcome::Acked } else { Outcome::Unknown };
+            // After a reconnect both handles re-pin to the family's current
+            // version; the reader's is the one the client can see.
+            history.lock().unwrap().record(op, reader.view_version(), outcome);
+        } else if i % 8 == 1 {
+            let _ = reader.extent("Person");
+        } else {
+            let _ = reader.select_where("Person", "age >= 60");
+        }
+        if i % 64 == 63 {
+            let _ = reader.refresh();
+        }
+    }
 }
 
 #[test]
 fn duplicate_idempotency_ids_replay_the_cached_response() {
     let mut server = start(SharedSystem::new(), ServerConfig::default());
     let admin = RemoteClient::open(server.addr().to_string(), "VS").unwrap();
-    seed_remote(&admin);
+    seed_schema(&admin);
 
     // Raw wire session as the same user: Hello hands out the nonce
     // idempotency ids must be minted from.
@@ -395,7 +517,7 @@ fn degraded_writes_surface_the_same_code_locally_and_remotely() {
     let addr = server.addr().to_string();
 
     let admin = RemoteClient::open(addr, "VS").unwrap();
-    seed_remote(&admin);
+    seed_schema(&admin);
     let remote_writer = admin.writer().unwrap();
     remote_writer.create("Person", &[("name", "pre".into())]).unwrap();
 

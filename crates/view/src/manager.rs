@@ -143,15 +143,6 @@ impl ViewManager {
             .ok_or_else(|| ModelError::Invalid(format!("unknown view {id}")))
     }
 
-    /// Fetch any registered version as a shared pointer — lets epoch
-    /// snapshots and read sessions hold a view beyond the manager borrow.
-    pub fn view_arc(&self, id: ViewId) -> ModelResult<Arc<ViewSchema>> {
-        self.views
-            .get(id.0 as usize)
-            .cloned()
-            .ok_or_else(|| ModelError::Invalid(format!("unknown view {id}")))
-    }
-
     /// The current (latest) version of a family.
     pub fn current(&self, family: &str) -> ModelResult<&ViewSchema> {
         let versions = self

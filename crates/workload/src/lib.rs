@@ -3,10 +3,13 @@
 //! Builders for the paper's example schemas (the Figure 2 university
 //! database, the Figure 5 car schema), synthetic shapes for the benchmark
 //! sweeps (chains, fans, mixins), seeded random schemas, and schema-evolution
-//! traces shaped after the field studies the paper cites (Sjøberg; Marche).
+//! traces shaped after the field studies the paper cites (Sjøberg; Marche),
+//! and the one checker of what a history of acked writes must leave behind
+//! ([`history`]).
 
 #![warn(missing_docs)]
 
+pub mod history;
 pub mod random;
 pub mod shapes;
 pub mod trace;

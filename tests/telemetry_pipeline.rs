@@ -15,6 +15,7 @@ fn run_workload() -> TseSystem {
         .unwrap();
     let o = tse.create(report.view, "Student", &[("register", Value::Bool(true))]).unwrap();
     assert_eq!(tse.get(report.view, o, "Student", "register").unwrap(), Value::Bool(true));
+    assert_eq!(tse.select_where(report.view, "Student", "register == true").unwrap(), vec![o]);
     tse.update_where(report.view, "Student", "register == true", &[("register", Value::Bool(false))])
         .unwrap();
     tse
@@ -122,4 +123,18 @@ fn data_plane_counters_and_latency_histograms_recorded() {
     assert!(snap.counters.contains_key("store.hit_ratio_bp"));
     assert!(snap.counter("schema.types_resolved") >= 1);
     assert!(snap.counters.contains_key("schema.types_invalidated"));
+}
+
+#[test]
+fn a_bare_system_update_where_counts_itself_once_and_no_select() {
+    let (mut tse, _) = build_university().unwrap();
+    let v = tse.create_view("VS1", &["Person", "Student"]).unwrap();
+    tse.create(v, "Person", &[("age", Value::Int(20))]).unwrap();
+    let count = |tse: &TseSystem, op: &str| tse.telemetry().snapshot().counter(op);
+    let before = (count(&tse, "op.update_where"), count(&tse, "op.select_where"));
+    tse.update_where(v, "Person", "age >= 0", &[("age", Value::Int(30))]).unwrap();
+    // A failing set is still one update_where.
+    tse.update_where(v, "Person", "age >= 0", &[("age", Value::Str("old".into()))]).unwrap_err();
+    let after = (count(&tse, "op.update_where"), count(&tse, "op.select_where"));
+    assert_eq!(after, (before.0 + 2, before.1), "(update_where, select_where) counts");
 }
