@@ -1,0 +1,101 @@
+//! The in-memory layout of objects and records is not a format: a snapshot
+//! of a seeded, populated and evolved database and the WAL of a fixed op
+//! script must encode to the same bytes whatever the engine holds in
+//! memory. The digests were recorded before the object table, the flat
+//! object entries and the inline version chains replaced the maps and
+//! vectors they were taken from; a change to either format must update
+//! them on purpose.
+
+use std::path::PathBuf;
+
+use tse_core::SharedSystem;
+use tse_object_model::{encode_database, PropertyDef, Value, ValueType};
+use tse_storage::durable::{snapshot_path, WAL_FILE};
+use tse_workload::university::{build_university, populate_university};
+
+/// FNV-1a, 64-bit: a stable digest with no dependency.
+fn digest(bytes: &[u8]) -> String {
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}/{}", bytes.len())
+}
+
+/// The university of Figure 2, 600 people, two capacity-augmenting
+/// evolves, and writes, reclassifications and deletes through old and new
+/// versions.
+fn populated_snapshot() -> Vec<u8> {
+    let (mut tse, _) = build_university().unwrap();
+    let v1 = tse.create_view_all("U").unwrap();
+    let oids = populate_university(&mut tse, v1, 600).unwrap();
+    for (i, oid) in oids.iter().enumerate().step_by(7) {
+        tse.set(v1, *oid, "Person", &[("age", Value::Int(i as i64))]).unwrap();
+    }
+    tse.evolve_cmd("U", "add_attribute email: str to Person").unwrap();
+    tse.evolve_cmd("U", "add_attribute credits: int = 3 to Student").unwrap();
+    let newest = *tse.views().versions("U").unwrap().last().unwrap();
+    for (i, oid) in oids.iter().enumerate().step_by(5) {
+        tse.set(newest, *oid, "Person", &[("email", Value::Str(format!("e{i}")))]).unwrap();
+    }
+    tse.update_where(newest, "Student", "age < 30", &[("credits", Value::Int(9))]).unwrap();
+    tse.create(newest, "Grad", &[("name", "new".into()), ("credits", Value::Int(1))]).unwrap();
+    tse.add_to(v1, &oids[..20], "Staff").unwrap();
+    tse.remove_from(v1, &oids[28..29], "Student").unwrap();
+    tse.delete_objects(&oids[40..60]).unwrap();
+    encode_database(tse.db()).to_vec()
+}
+
+/// A fresh durable directory holding a two-class schema, then the WAL of
+/// creates, sets, an update, an evolve, reclassification and deletes.
+fn scripted_wal() -> (Vec<u8>, Vec<u8>) {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("tse_byte_identity_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let shared = SharedSystem::open(&dir).unwrap();
+    shared
+        .define_base_class(
+            "Person",
+            &[],
+            vec![
+                PropertyDef::stored("name", ValueType::Str, Value::Null),
+                PropertyDef::stored("age", ValueType::Int, Value::Int(0)),
+            ],
+        )
+        .unwrap();
+    shared.define_base_class("Student", &["Person"], vec![]).unwrap();
+    let view = shared.create_view("VS", &["Person", "Student"]).unwrap();
+    shared.checkpoint().unwrap();
+    let w = shared.writer();
+    let mut oids = Vec::new();
+    for i in 0..40i64 {
+        let class = if i % 3 == 0 { "Person" } else { "Student" };
+        let values = [("name", Value::Str(format!("n{i}"))), ("age", Value::Int(15 + i))];
+        oids.push(w.create(view, class, &values).unwrap());
+    }
+    w.set(view, oids[1], "Student", &[("age", Value::Int(99))]).unwrap();
+    w.update_where(view, "Person", "age < 20", &[("age", Value::Int(20))]).unwrap();
+    shared.evolve_cmd("VS", "add_attribute tag: int = 7 to Person").unwrap();
+    let mut w = shared.writer();
+    w.refresh();
+    let v2 = *w.meta().views().versions("VS").unwrap().last().unwrap();
+    w.set(v2, oids[2], "Person", &[("tag", Value::Int(1))]).unwrap();
+    w.create(v2, "Student", &[("name", "late".into()), ("tag", Value::Int(2))]).unwrap();
+    w.add_to(view, &oids[..3], "Student").unwrap();
+    w.delete_objects(&oids[30..]).unwrap();
+    let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    shared.checkpoint().unwrap();
+    let generation = shared.generation().unwrap();
+    let snapshot = std::fs::read(snapshot_path(&dir, generation)).unwrap();
+    drop((w, shared));
+    let _ = std::fs::remove_dir_all(&dir);
+    (wal, snapshot)
+}
+
+#[test]
+fn snapshot_and_wal_bytes_match_the_recorded_digests() {
+    let (wal, checkpoint) = scripted_wal();
+    assert_eq!(digest(&populated_snapshot()), "57ccb34b15a08767/57180", "snapshot encoding");
+    assert_eq!(digest(&wal), "f545072483f6e472/3475", "wal.log");
+    assert_eq!(digest(&checkpoint), "9179101ae000274b/3240", "checkpoint generation");
+}

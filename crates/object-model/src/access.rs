@@ -24,7 +24,7 @@ use std::sync::Arc;
 use tse_storage::{current_read_epoch, StorageError, WriteStampGuard};
 
 use crate::class::ClassKind;
-use crate::database::Database;
+use crate::database::{Database, Unpublished};
 use crate::derivation::Derivation;
 use crate::error::{ModelError, ModelResult};
 use crate::ids::{ClassId, Oid};
@@ -48,10 +48,16 @@ impl Database {
     /// The access plan of `name` for a specific object seen through `via`:
     /// the plan of `(via, name)`, or — when `via` does not know the name —
     /// the slow path of [`Database::plan_via_sources`].
-    fn plan_for_object(&self, oid: Oid, via: ClassId, name: &str) -> ModelResult<Arc<AccessPlan>> {
+    fn plan_for_object(
+        &self,
+        oid: Oid,
+        via: ClassId,
+        name: &str,
+        object: Option<Unpublished<'_>>,
+    ) -> ModelResult<Arc<AccessPlan>> {
         match self.schema.access_plan(via, name) {
             Err(err @ ModelError::UnknownProperty { .. }) => {
-                self.plan_via_sources(oid, via, name, err)
+                self.plan_via_sources(oid, via, name, err, object)
             }
             plan => plan,
         }
@@ -69,20 +75,21 @@ impl Database {
         via: ClassId,
         name: &str,
         err: ModelError,
+        object: Option<Unpublished<'_>>,
     ) -> ModelResult<Arc<AccessPlan>> {
         if let ClassKind::Virtual(d) = &self.schema.class(via)?.kind {
             match d {
                 Derivation::Hide { src, hidden } if !hidden.iter().any(|h| h == name) => {
-                    return self.plan_for_object(oid, *src, name);
+                    return self.plan_for_object(oid, *src, name, object);
                 }
                 Derivation::Union { a, b } => {
-                    if self.is_member(oid, *a)? {
-                        if let Ok(plan) = self.plan_for_object(oid, *a, name) {
+                    if self.member(oid, *a, object)? {
+                        if let Ok(plan) = self.plan_for_object(oid, *a, name, object) {
                             return Ok(plan);
                         }
                     }
-                    if self.is_member(oid, *b)? {
-                        return self.plan_for_object(oid, *b, name);
+                    if self.member(oid, *b, object)? {
+                        return self.plan_for_object(oid, *b, name, object);
                     }
                 }
                 _ => {}
@@ -93,7 +100,7 @@ impl Database {
 
     /// Read a property (stored attribute or method) through a perspective.
     pub fn read_attr(&self, oid: Oid, via: ClassId, name: &str) -> ModelResult<Value> {
-        let plan = self.plan_for_object(oid, via, name)?;
+        let plan = self.plan_for_object(oid, via, name, None)?;
         self.bind_attrs(via).eval(oid, &plan, 0)
     }
 
@@ -102,7 +109,17 @@ impl Database {
     /// time it is read and reused for every further object, so filtering an
     /// extent costs one resolution per name, not one per member.
     pub fn bind_attrs(&self, via: ClassId) -> AttrBindings<'_> {
-        AttrBindings { db: self, via, bound: RefCell::new(Vec::new()) }
+        self.bind_object(via, None)
+    }
+
+    /// [`Database::bind_attrs`], reading an `Unpublished` object's initial
+    /// values instead of the store when there is one.
+    pub(crate) fn bind_object<'a>(
+        &'a self,
+        via: ClassId,
+        object: Option<Unpublished<'a>>,
+    ) -> AttrBindings<'a> {
+        AttrBindings { db: self, via, object, bound: RefCell::new(Vec::new()) }
     }
 
     /// Read a stored attribute of `oid` as `plan` describes it: find the
@@ -111,17 +128,16 @@ impl Database {
         let epoch = current_read_epoch();
         let (home, rec) = {
             let objects = self.objects.read();
-            let entry = objects.get(&oid).ok_or(ModelError::UnknownObject(oid))?;
+            let entry = objects.get(oid).ok_or(ModelError::UnknownObject(oid))?;
             if entry.direct_at(epoch).is_none() {
                 // Dead at (or created after) the reader's epoch.
                 return Err(ModelError::UnknownObject(oid));
             }
-            let home = match entry.home_of.get(&plan.key) {
-                Some(h) => *h,
+            let Some(home) = entry.home(plan.key) else {
                 // Never written → default value, no storage materialized.
-                None => return Ok(default.clone()),
+                return Ok(default.clone());
             };
-            (home, entry.slices.get(&home).copied())
+            (home, entry.slice(home))
         };
         let slot = plan.home(home)?;
         // Slice-hop accounting: distance between perspective and home class.
@@ -150,17 +166,17 @@ impl Database {
     pub fn invoke(&self, oid: Oid, via: ClassId, name: &str) -> ModelResult<Value> {
         // The static resolution must exist (the caller's type must know the
         // name at all).
-        self.plan_for_object(oid, via, name)?;
+        self.plan_for_object(oid, via, name, None)?;
         let direct = self
             .objects
             .read()
-            .get(&oid)
+            .get(oid)
             .and_then(|e| e.direct_at(current_read_epoch()))
             .cloned()
             .ok_or(ModelError::UnknownObject(oid))?;
         // Gather the candidates seen from each direct class.
         let mut winners: Vec<(ClassId, Candidate)> = Vec::new();
-        for d in direct {
+        for &d in direct.as_slice() {
             if let Ok(c) = self.resolve(d, name) {
                 if !winners.iter().any(|(_, w)| w.key == c.key) {
                     winners.push((d, c));
@@ -212,31 +228,16 @@ impl Database {
         Ok(())
     }
 
-    /// Write one of a new object's initial values: checked against the
-    /// attribute's definition like any write, but not against the class
-    /// constraints — those judge the object once all its initial values are
-    /// in (`Database::create_object`), not the defaults in between.
-    pub(crate) fn write_initial(
-        &self,
-        oid: Oid,
-        via: ClassId,
-        name: &str,
-        value: Value,
-    ) -> ModelResult<()> {
-        let plan = self.plan_for_write(oid, via, name, &value)?;
-        self.write_stored(oid, via, &plan, value)
-    }
-
     /// The plan of a stored attribute about to be written, once `value` is
     /// known to fit its definition.
-    fn plan_for_write(
+    pub(crate) fn plan_for_write(
         &self,
         oid: Oid,
         via: ClassId,
         name: &str,
         value: &Value,
     ) -> ModelResult<Arc<AccessPlan>> {
-        let plan = self.plan_for_object(oid, via, name)?;
+        let plan = self.plan_for_object(oid, via, name, None)?;
         let PlanKind::Stored { vtype, required, .. } = &plan.kind else {
             return Err(ModelError::NotStored(name.to_string()));
         };
@@ -291,6 +292,8 @@ impl Database {
 pub struct AttrBindings<'a> {
     db: &'a Database,
     via: ClassId,
+    /// The new object being checked, whose values are not in the store yet.
+    object: Option<Unpublished<'a>>,
     bound: RefCell<Vec<(Box<str>, Arc<AccessPlan>)>>,
 }
 
@@ -310,7 +313,7 @@ impl AttrBindings<'_> {
                 Ok(plan)
             }
             Err(err @ ModelError::UnknownProperty { .. }) => {
-                self.db.plan_via_sources(oid, self.via, name, err)
+                self.db.plan_via_sources(oid, self.via, name, err, self.object)
             }
             Err(e) => Err(e),
         }
@@ -328,7 +331,10 @@ impl AttrBindings<'_> {
     /// against the same object, one level deeper, under the same bindings.
     fn eval(&self, oid: Oid, plan: &AccessPlan, depth: u32) -> ModelResult<Value> {
         match &plan.kind {
-            PlanKind::Stored { default, .. } => self.db.read_stored(oid, plan, default),
+            PlanKind::Stored { default, .. } => match self.object {
+                Some(object) => Ok(object.value(plan.key).unwrap_or(default).clone()),
+                None => self.db.read_stored(oid, plan, default),
+            },
             PlanKind::Method { body } => {
                 eval_body(body, &ObjAttrSource { bindings: self, oid, depth: depth + 1 })
             }

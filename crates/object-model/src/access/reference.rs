@@ -95,17 +95,16 @@ impl<'a> Reference<'a> {
         let epoch = current_read_epoch();
         let (home, rec) = {
             let objects = db.objects.read();
-            let entry = objects.get(&oid).ok_or(ModelError::UnknownObject(oid))?;
+            let entry = objects.get(oid).ok_or(ModelError::UnknownObject(oid))?;
             if entry.direct_at(epoch).is_none() {
                 // Dead at (or created after) the reader's epoch.
                 return Err(ModelError::UnknownObject(oid));
             }
-            let home = match entry.home_of.get(&key) {
-                Some(h) => *h,
+            let Some(home) = entry.home(key) else {
                 // Never written → default value, no storage materialized.
-                None => return Ok(default),
+                return Ok(default);
             };
-            (home, entry.slices.get(&home).copied())
+            (home, entry.slice(home))
         };
         // Slice-hop accounting: distance between perspective and home class.
         let hops = db

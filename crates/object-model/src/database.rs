@@ -33,7 +33,7 @@ use parking_lot::{Mutex, RwLock};
 
 use tse_storage::{
     current_read_epoch, current_write_stamp, FailpointRegistry, RecordId, SegmentId, SliceStore,
-    StoreConfig, StoreStats, TxnToken,
+    StoreConfig, StoreStats, TxnToken, VersionChain, WriteStampGuard,
 };
 
 use crate::class::ClassKind;
@@ -55,60 +55,245 @@ pub struct ObjRef {
     pub class: ClassId,
 }
 
-#[derive(Debug, Clone, Default)]
+/// A new object as [`Database::create_object`] checks it, before it joins
+/// the object map: its base class and its initial stored values by key.
+/// Every stored attribute without an initial value reads as its default.
+#[derive(Clone, Copy)]
+pub(crate) struct Unpublished<'a> {
+    pub(crate) class: ClassId,
+    pub(crate) values: &'a [(PropKey, Value)],
+}
+
+impl Unpublished<'_> {
+    pub(crate) fn value(&self, key: PropKey) -> Option<&Value> {
+        self.values.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+}
+
+/// An object's most specific base classes: a small sorted set, almost
+/// always of exactly one class, which is then held inline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Classes {
+    One(ClassId),
+    /// Sorted and free of duplicates; never exactly one class.
+    Many(Box<[ClassId]>),
+}
+
+impl Classes {
+    pub(crate) fn as_slice(&self) -> &[ClassId] {
+        match self {
+            Classes::One(class) => std::slice::from_ref(class),
+            Classes::Many(classes) => classes,
+        }
+    }
+
+    /// The set with `class` added.
+    fn with(&self, class: ClassId) -> Classes {
+        self.as_slice().iter().copied().chain([class]).collect()
+    }
+}
+
+impl FromIterator<ClassId> for Classes {
+    fn from_iter<I: IntoIterator<Item = ClassId>>(iter: I) -> Self {
+        let mut classes: Vec<ClassId> = iter.into_iter().collect();
+        classes.sort_unstable();
+        classes.dedup();
+        match classes[..] {
+            [one] => Classes::One(one),
+            _ => Classes::Many(classes.into_boxed_slice()),
+        }
+    }
+}
+
+/// One conceptual object: its membership, its slices and where each of its
+/// stored attributes lives. Kept flat: an object written once and never
+/// reclassified holds no heap block but its two small maps.
+#[derive(Debug, Clone)]
 pub(crate) struct ObjectEntry {
-    /// Versioned membership: `(write stamp, most-specific base classes)`
-    /// oldest first. A reader resolves the newest entry at or below its
-    /// epoch — the same visibility rule the store applies to record
-    /// version chains. Stamp 0 is the bootstrap stamp (restored objects),
-    /// visible at every epoch.
-    pub(crate) directs: Vec<(u64, BTreeSet<ClassId>)>,
+    /// Versioned membership: the most specific base classes, stamped by the
+    /// store's epoch clock. A reader resolves the newest version at or
+    /// below its epoch — the rule the store applies to record chains, with
+    /// the same chain type. Stamp 0 is the bootstrap stamp (restored
+    /// objects), visible at every epoch.
+    pub(crate) directs: VersionChain<Classes>,
     /// Deletion stamp, if the object has been destroyed. The entry (and
     /// its tombstoned slice records) linger until [`Database::gc`] proves
     /// no pinned reader can still observe the object.
     pub(crate) dead: Option<u64>,
-    /// Implementation objects: class → slice record. Not versioned:
-    /// bindings only grow (delete tombstones the records, not the map),
-    /// and a record invisible at a reader's epoch resolves to the
-    /// attribute default, which is exactly what the pre-binding state
+    /// Implementation objects: `(class, slice record)`, sorted by class.
+    /// Not versioned: bindings only grow (delete tombstones the records,
+    /// not the map), and a record invisible at a reader's epoch resolves to
+    /// the attribute default, which is exactly what the pre-binding state
     /// read as.
-    pub(crate) slices: BTreeMap<ClassId, RecordId>,
-    /// Where each stored attribute of this object lives (bound on first
-    /// write; models the conceptual↔implementation pointers).
-    pub(crate) home_of: HashMap<PropKey, ClassId>,
+    pub(crate) slices: Vec<(ClassId, RecordId)>,
+    /// Where each stored attribute of this object lives, `(key, home
+    /// class)` sorted by key (bound on first write; models the
+    /// conceptual↔implementation pointers).
+    pub(crate) home_of: Vec<(PropKey, ClassId)>,
 }
 
 impl ObjectEntry {
+    fn new(stamp: u64, classes: Classes) -> Self {
+        ObjectEntry {
+            directs: VersionChain::new(stamp, classes),
+            dead: None,
+            slices: Vec::new(),
+            home_of: Vec::new(),
+        }
+    }
+
     /// Membership visible at `epoch` (`None` = latest). `None` for an
     /// object dead at the epoch or created after it.
-    pub(crate) fn direct_at(&self, epoch: Option<u64>) -> Option<&BTreeSet<ClassId>> {
-        match epoch {
-            None => {
-                if self.dead.is_some() {
-                    return None;
-                }
-                self.directs.last().map(|(_, s)| s)
-            }
-            Some(e) => {
-                if self.dead.is_some_and(|d| d <= e) {
-                    return None;
-                }
-                self.directs.iter().rev().find(|(stamp, _)| *stamp <= e).map(|(_, s)| s)
+    pub(crate) fn direct_at(&self, epoch: Option<u64>) -> Option<&Classes> {
+        match (epoch, self.dead) {
+            (None, Some(_)) => None,
+            (Some(e), Some(dead)) if dead <= e => None,
+            _ => self.directs.at(epoch),
+        }
+    }
+
+    /// The slice record of `class`, if materialized.
+    pub(crate) fn slice(&self, class: ClassId) -> Option<RecordId> {
+        small_get(&self.slices, class)
+    }
+
+    /// The class whose slice stores `key`, if bound.
+    pub(crate) fn home(&self, key: PropKey) -> Option<ClassId> {
+        small_get(&self.home_of, key)
+    }
+}
+
+/// The value of `key` in a small map kept as a key-sorted `Vec` of pairs
+/// (a handful of entries: a scan beats hashing).
+fn small_get<K: Eq + Copy, V: Copy>(map: &[(K, V)], key: K) -> Option<V> {
+    map.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+}
+
+/// The value bound to `key`, binding `value` first if there is none. The
+/// map stays sorted by key and keeps no spare capacity.
+fn small_bind<K: Ord + Copy, V: Copy>(map: &mut Vec<(K, V)>, key: K, value: V) -> V {
+    match map.binary_search_by_key(&key, |(k, _)| *k) {
+        Ok(i) => map[i].1,
+        Err(i) => {
+            map.reserve_exact(1);
+            map.insert(i, (key, value));
+            value
+        }
+    }
+}
+
+/// Oid slots per chunk of the object table: one occupancy bit each.
+const TABLE_CHUNK: usize = u64::BITS as usize;
+
+/// The entries of [`TABLE_CHUNK`] consecutive oids: an occupancy word and
+/// the entries of the occupied slots, in slot order. An entry's index is
+/// the number of occupied slots below it.
+#[derive(Debug, Default)]
+struct Chunk {
+    occupied: u64,
+    entries: Vec<ObjectEntry>,
+}
+
+impl Chunk {
+    /// The index in `entries` of slot `at`, if it is occupied.
+    fn index(&self, at: usize) -> Option<usize> {
+        let below = self.occupied & ((1 << at) - 1);
+        ((self.occupied >> at) & 1 == 1).then_some(below.count_ones() as usize)
+    }
+
+    /// The occupied slots, ascending.
+    fn slots(&self) -> impl Iterator<Item = usize> {
+        let mut word = self.occupied;
+        std::iter::from_fn(move || {
+            let at = (word != 0).then(|| word.trailing_zeros() as usize)?;
+            word &= word - 1;
+            Some(at)
+        })
+    }
+}
+
+/// The object map: entries indexed by oid, in chunks of [`TABLE_CHUNK`]
+/// oids that hold only their occupied slots. A lookup is an index and a
+/// popcount. Memory follows the live entries, plus one small chunk header
+/// per [`TABLE_CHUNK`] oids ever handed out, so a table GC has thinned out
+/// costs about what a tree of its survivors would. A vacant slot is an oid
+/// that was never created (a gap a restored snapshot left) or that GC
+/// reclaimed — an oid is never handed out twice.
+#[derive(Debug, Default)]
+pub(crate) struct ObjectTable {
+    chunks: Vec<Chunk>,
+}
+
+impl ObjectTable {
+    fn position(oid: Oid) -> (usize, usize) {
+        let index = oid.0 as usize;
+        (index / TABLE_CHUNK, index % TABLE_CHUNK)
+    }
+
+    pub(crate) fn get(&self, oid: Oid) -> Option<&ObjectEntry> {
+        let (chunk, at) = Self::position(oid);
+        let chunk = self.chunks.get(chunk)?;
+        Some(&chunk.entries[chunk.index(at)?])
+    }
+
+    pub(crate) fn get_mut(&mut self, oid: Oid) -> Option<&mut ObjectEntry> {
+        let (chunk, at) = Self::position(oid);
+        let chunk = self.chunks.get_mut(chunk)?;
+        let index = chunk.index(at)?;
+        Some(&mut chunk.entries[index])
+    }
+
+    /// Occupy `oid`'s slot, which must be vacant.
+    fn insert(&mut self, oid: Oid, entry: ObjectEntry) {
+        let (chunk, at) = Self::position(oid);
+        if self.chunks.len() <= chunk {
+            self.chunks.resize_with(chunk + 1, Chunk::default);
+        }
+        let chunk = &mut self.chunks[chunk];
+        debug_assert!(chunk.index(at).is_none(), "oid {oid} created twice");
+        chunk.occupied |= 1 << at;
+        let index = chunk.index(at).expect("just occupied");
+        chunk.entries.insert(index, entry);
+    }
+
+    /// Every entry with its oid, in ascending oid order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Oid, &ObjectEntry)> {
+        self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            let oids = chunk.slots().map(move |at| Oid((c * TABLE_CHUNK + at) as u64));
+            oids.zip(&chunk.entries)
+        })
+    }
+
+    /// Keep the entries `keep` says to, vacating the others' slots and
+    /// giving back the room they took.
+    fn retain(&mut self, mut keep: impl FnMut(&mut ObjectEntry) -> bool) {
+        for chunk in &mut self.chunks {
+            let mut slots = chunk.slots();
+            let mut kept = 0u64;
+            chunk.entries.retain_mut(|entry| {
+                let at = slots.next().expect("one entry per occupied slot");
+                let stays = keep(entry);
+                kept |= u64::from(stays) << at;
+                stays
+            });
+            if kept != chunk.occupied {
+                chunk.occupied = kept;
+                chunk.entries.shrink_to_fit();
             }
         }
     }
 
-    /// Push a membership version at `stamp`. Stamps arrive nearly sorted;
-    /// a straggler (solo stamp taken before a racing later one landed) is
-    /// spliced into place so the chain stays ordered.
-    fn set_direct(&mut self, stamp: u64, set: BTreeSet<ClassId>) {
-        match self.directs.last() {
-            Some((last, _)) if *last > stamp => {
-                let at = self.directs.partition_point(|(s, _)| *s <= stamp);
-                self.directs.insert(at, (stamp, set));
-            }
-            _ => self.directs.push((stamp, set)),
-        }
+    /// Entries held, dead ones awaiting GC included.
+    fn len(&self) -> usize {
+        self.chunks.iter().map(|chunk| chunk.entries.len()).sum()
+    }
+
+    /// Bytes the table holds: the chunk headers and the entries' room.
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.chunks.capacity() * size_of::<Chunk>()
+            + self.chunks.iter().map(|c| c.entries.capacity()).sum::<usize>()
+                * size_of::<ObjectEntry>()
     }
 }
 
@@ -262,6 +447,27 @@ struct Rebuild {
     built: u64,
 }
 
+/// Bytes the objects of a database hold in memory, by owner (see
+/// [`Database::resident_bytes`]). Each counts what its containers have
+/// reserved, not only what they use.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResidentBytes {
+    /// The object table: one inline entry per object (membership head,
+    /// deletion stamp and the two maps' headers) and its chunk headers.
+    pub object_table: usize,
+    /// Spilled membership versions and the class sets of objects in more
+    /// than one base class.
+    pub membership: usize,
+    /// The per-object `(class, slice record)` maps.
+    pub slices: usize,
+    /// The per-object `(attribute, home class)` maps.
+    pub home_of: usize,
+    /// The store's slot tables and spilled record versions.
+    pub record_chains: usize,
+    /// The field vectors of every record version.
+    pub fields: usize,
+}
+
 /// Aggregate slicing statistics (Table 1 rows for the slicing column).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlicingStats {
@@ -302,7 +508,7 @@ pub struct Database {
     /// Shared with every [`Database::fork_shared`] handle — the map itself
     /// is MVCC (versioned entries), so sharing it is what makes the fork
     /// copy-free.
-    pub(crate) objects: Arc<RwLock<BTreeMap<Oid, ObjectEntry>>>,
+    pub(crate) objects: Arc<RwLock<ObjectTable>>,
     next_oid: AtomicU64,
     /// Membership mutations (create/delete/add/remove): every cached
     /// extent depends on these.
@@ -348,7 +554,7 @@ impl Database {
         Database {
             schema: Schema::new(),
             store,
-            objects: Arc::new(RwLock::new(BTreeMap::new())),
+            objects: Arc::new(RwLock::new(ObjectTable::default())),
             next_oid: AtomicU64::new(1),
             membership: MutationClock::default(),
             values: MutationClock::default(),
@@ -512,6 +718,13 @@ impl Database {
     /// Create an object as a member of a *base* class, with initial
     /// attribute values by name. Unspecified stored attributes take their
     /// defaults; REQUIRED attributes must end up non-null.
+    ///
+    /// The object is checked — homes of its values, required attributes,
+    /// class constraints — on its complete initial values *before* it joins
+    /// the object map, and each slice record is inserted holding its
+    /// initial values as one version, under the same write stamp as the
+    /// membership. No writer can see, match or modify a half-created
+    /// object, and a refused create publishes nothing.
     pub fn create_object(&self, class: ClassId, values: &[(&str, Value)]) -> ModelResult<Oid> {
         if !self.schema.class(class)?.is_base() {
             return Err(ModelError::NotABaseClass(class));
@@ -522,37 +735,31 @@ impl Database {
             rt.get_unique(class, name)?;
         }
         let oid = Oid(self.next_oid.fetch_add(1, Ordering::AcqRel));
-        let mut entry = ObjectEntry::default();
-        let stamp = self.write_stamp();
-        entry.set_direct(stamp, BTreeSet::from([class]));
-        {
-            let _mutation = self.membership.begin(stamp);
-            self.objects.write().insert(oid, entry);
-        }
-
-        // Initialize provided values (a failure must not leave a
-        // half-created object behind). The class constraints are checked
-        // once below, on the complete object: checked after each value they
-        // would judge the defaults of the values still to come.
+        // The initial values by key, each checked against its definition; a
+        // name given twice keeps its last value.
+        let mut initial: Vec<(PropKey, Value)> = Vec::with_capacity(values.len());
         for (name, value) in values {
-            if let Err(e) = self.write_initial(oid, class, name, value.clone()) {
-                self.delete_object(oid)?;
-                return Err(e);
+            let key = self.plan_for_write(oid, class, name, value)?.key;
+            match initial.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, old)) => *old = value.clone(),
+                None => initial.push((key, value.clone())),
             }
         }
-        // Required-attribute check (after defaults/explicit values).
-        let prop_names: Vec<String> = rt.props.keys().cloned().collect();
-        for name in prop_names {
-            let cand = match rt.get_unique(class, &name) {
-                Ok(c) => c.clone(),
-                Err(_) => continue, // ambiguous names can't be enforced
+        let object = Unpublished { class, values: &initial };
+        let mut home_of = Vec::with_capacity(initial.len());
+        for (key, _) in &initial {
+            home_of.push((*key, self.choose_home(oid, class, *key, Some(object))?));
+        }
+        // Required-attribute check (explicit values, else defaults).
+        for name in rt.props.keys() {
+            let Ok(cand) = rt.get_unique(class, name) else {
+                continue; // ambiguous names can't be enforced
             };
             let (_, def) = self.schema.def_by_key(cand.key)?;
-            if let PropKind::Stored { required: true, .. } = &def.kind {
-                if self.read_attr(oid, class, &name)? == Value::Null {
-                    self.delete_object(oid)?;
+            if let PropKind::Stored { required: true, default, .. } = &def.kind {
+                if *object.value(cand.key).unwrap_or(default) == Value::Null {
                     return Err(ModelError::TypeMismatch {
-                        name,
+                        name: name.clone(),
                         expected: "non-null (REQUIRED)".into(),
                         got: "null".into(),
                     });
@@ -560,11 +767,57 @@ impl Database {
             }
         }
         // Class constraints ("the class predicate is checked", §3.3).
-        if let Err(e) = self.check_constraints(oid) {
-            self.delete_object(oid)?;
-            return Err(e);
-        }
+        self.check_constraints_of(oid, Some(object))?;
+
+        let stamp = self.write_stamp();
+        let slices = self.insert_slices(object, &home_of, stamp)?;
+        home_of.sort_unstable_by_key(|(key, _)| *key);
+        let entry = ObjectEntry { slices, home_of, ..ObjectEntry::new(stamp, Classes::One(class)) };
+        let _mutation = self.membership.begin(stamp);
+        self.objects.write().insert(oid, entry);
         Ok(oid)
+    }
+
+    /// Insert the slice records of a new object, stamped `stamp`: one per
+    /// home class, in the order the values first name it, each holding its
+    /// initial values (defaults elsewhere). Returns `(class, record)`
+    /// sorted by class. On a failure the records already inserted are
+    /// freed.
+    fn insert_slices(
+        &self,
+        object: Unpublished<'_>,
+        home_of: &[(PropKey, ClassId)],
+        stamp: u64,
+    ) -> ModelResult<Vec<(ClassId, RecordId)>> {
+        let _as_stamp = WriteStampGuard::new(stamp);
+        let mut slices: Vec<(ClassId, RecordId)> = Vec::new();
+        let insert = |home: ClassId| -> ModelResult<RecordId> {
+            let seg = self.segment_for(home)?;
+            let fields = self.schema.class(home)?.stored_layout().iter().map(|key| {
+                match object.value(*key) {
+                    Some(value) if small_get(home_of, *key) == Some(home) => value.clone(),
+                    _ => self.default_for(*key),
+                }
+            });
+            Ok(self.store.insert(seg, fields.collect())?)
+        };
+        for &(_, home) in home_of {
+            if small_get(&slices, home).is_some() {
+                continue;
+            }
+            match insert(home) {
+                Ok(rec) => slices.push((home, rec)),
+                Err(e) => {
+                    for (_, rec) in slices {
+                        let _ = self.store.free(rec);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        slices.sort_unstable_by_key(|(class, _)| *class);
+        slices.shrink_to_fit();
+        Ok(slices)
     }
 
     /// Destroy an object entirely ("removed from all the classes which they
@@ -577,12 +830,12 @@ impl Database {
         let _mutation = self.membership.begin(stamp);
         let slices: Vec<RecordId> = {
             let mut objects = self.objects.write();
-            let entry = objects.get_mut(&oid).ok_or(ModelError::UnknownObject(oid))?;
+            let entry = objects.get_mut(oid).ok_or(ModelError::UnknownObject(oid))?;
             if entry.dead.is_some() {
                 return Err(ModelError::UnknownObject(oid));
             }
             entry.dead = Some(stamp);
-            entry.slices.values().copied().collect()
+            entry.slices.iter().map(|(_, rec)| *rec).collect()
         };
         for rec in slices {
             // A dangling record would be a leak, not a correctness issue;
@@ -601,11 +854,9 @@ impl Database {
         let stamp = self.write_stamp();
         let _mutation = self.membership.begin(stamp);
         let mut objects = self.objects.write();
-        let entry = objects.get_mut(&oid).ok_or(ModelError::UnknownObject(oid))?;
-        let mut set =
-            entry.direct_at(None).cloned().ok_or(ModelError::UnknownObject(oid))?;
-        set.insert(class);
-        entry.set_direct(stamp, set);
+        let entry = objects.get_mut(oid).ok_or(ModelError::UnknownObject(oid))?;
+        let set = entry.direct_at(None).ok_or(ModelError::UnknownObject(oid))?.with(class);
+        entry.directs.push(stamp, set);
         Ok(())
     }
 
@@ -619,21 +870,20 @@ impl Database {
         let stamp = self.write_stamp();
         let _mutation = self.membership.begin(stamp);
         let mut objects = self.objects.write();
-        let entry = objects.get_mut(&oid).ok_or(ModelError::UnknownObject(oid))?;
-        let cur = entry.direct_at(None).cloned().ok_or(ModelError::UnknownObject(oid))?;
-        let set: BTreeSet<ClassId> =
-            cur.iter().copied().filter(|c| !doomed.contains(c)).collect();
-        if set.len() == cur.len() {
+        let entry = objects.get_mut(oid).ok_or(ModelError::UnknownObject(oid))?;
+        let cur = entry.direct_at(None).ok_or(ModelError::UnknownObject(oid))?.as_slice();
+        let set: Classes = cur.iter().copied().filter(|c| !doomed.contains(c)).collect();
+        if set.as_slice().len() == cur.len() {
             return Err(ModelError::NotAMember { oid, class });
         }
-        entry.set_direct(stamp, set);
+        entry.directs.push(stamp, set);
         Ok(())
     }
 
     /// Does the object exist at the calling thread's read epoch?
     pub fn object_exists(&self, oid: Oid) -> bool {
         let epoch = current_read_epoch();
-        self.objects.read().get(&oid).is_some_and(|e| e.direct_at(epoch).is_some())
+        self.objects.read().get(oid).is_some_and(|e| e.direct_at(epoch).is_some())
     }
 
     /// The object's explicit (base-class) memberships.
@@ -641,9 +891,9 @@ impl Database {
         let epoch = current_read_epoch();
         self.objects
             .read()
-            .get(&oid)
+            .get(oid)
             .and_then(|e| e.direct_at(epoch))
-            .cloned()
+            .map(|classes| classes.as_slice().iter().copied().collect())
             .ok_or(ModelError::UnknownObject(oid))
     }
 
@@ -654,7 +904,7 @@ impl Database {
             .read()
             .iter()
             .filter(|(_, e)| e.direct_at(epoch).is_some())
-            .map(|(oid, _)| *oid)
+            .map(|(oid, _)| oid)
             .collect::<Vec<_>>()
             .into_iter()
     }
@@ -662,7 +912,7 @@ impl Database {
     /// Number of objects live at the calling thread's read epoch.
     pub fn object_count(&self) -> usize {
         let epoch = current_read_epoch();
-        self.objects.read().values().filter(|e| e.direct_at(epoch).is_some()).count()
+        self.objects.read().iter().filter(|(_, e)| e.direct_at(epoch).is_some()).count()
     }
 
     // ----- membership and extents -------------------------------------------
@@ -675,19 +925,34 @@ impl Database {
     pub fn is_member(&self, oid: Oid, class: ClassId) -> ModelResult<bool> {
         let direct = {
             let objects = self.objects.read();
-            match objects.get(&oid).and_then(|e| e.direct_at(current_read_epoch())) {
+            match objects.get(oid).and_then(|e| e.direct_at(current_read_epoch())) {
                 Some(s) => s.clone(),
                 None => return Ok(false),
             }
         };
-        self.member_via(oid, &direct, class)
+        self.member_via(oid, direct.as_slice(), class, None)
+    }
+
+    /// [`Database::is_member`], or for an `Unpublished` object the same
+    /// check on its class and initial values.
+    pub(crate) fn member(
+        &self,
+        oid: Oid,
+        class: ClassId,
+        object: Option<Unpublished<'_>>,
+    ) -> ModelResult<bool> {
+        match object {
+            Some(o) => self.member_via(oid, &[o.class], class, object),
+            None => self.is_member(oid, class),
+        }
     }
 
     fn member_via(
         &self,
         oid: Oid,
-        direct: &BTreeSet<ClassId>,
+        direct: &[ClassId],
         class: ClassId,
+        object: Option<Unpublished<'_>>,
     ) -> ModelResult<bool> {
         let derivation = match &self.schema.class(class)?.kind {
             ClassKind::Base => {
@@ -697,20 +962,23 @@ impl Database {
         };
         Ok(match derivation {
             Derivation::Select { src, pred } => {
-                self.member_via(oid, direct, *src)?
-                    && pred.eval(&self.bind_attrs(*src).source(oid))?
+                self.member_via(oid, direct, *src, object)?
+                    && pred.eval(&self.bind_object(*src, object).source(oid))?
             }
             Derivation::Hide { src, .. } | Derivation::Refine { src, .. } => {
-                self.member_via(oid, direct, *src)?
+                self.member_via(oid, direct, *src, object)?
             }
             Derivation::Union { a, b } => {
-                self.member_via(oid, direct, *a)? || self.member_via(oid, direct, *b)?
+                self.member_via(oid, direct, *a, object)?
+                    || self.member_via(oid, direct, *b, object)?
             }
             Derivation::Difference { a, b } => {
-                self.member_via(oid, direct, *a)? && !self.member_via(oid, direct, *b)?
+                self.member_via(oid, direct, *a, object)?
+                    && !self.member_via(oid, direct, *b, object)?
             }
             Derivation::Intersect { a, b } => {
-                self.member_via(oid, direct, *a)? && self.member_via(oid, direct, *b)?
+                self.member_via(oid, direct, *a, object)?
+                    && self.member_via(oid, direct, *b, object)?
             }
         })
     }
@@ -773,11 +1041,11 @@ impl Database {
                 return Ok(objects
                     .iter()
                     .filter(|(_, entry)| {
-                        entry
-                            .direct_at(epoch)
-                            .is_some_and(|s| s.iter().any(|d| self.schema.is_sub_of(*d, class)))
+                        entry.direct_at(epoch).is_some_and(|s| {
+                            s.as_slice().iter().any(|d| self.schema.is_sub_of(*d, class))
+                        })
                     })
-                    .map(|(oid, _)| *oid)
+                    .map(|(oid, _)| oid)
                     .collect());
             }
             ClassKind::Virtual(derivation) => derivation,
@@ -869,9 +1137,9 @@ impl Database {
                     .filter(|(_, entry)| {
                         entry
                             .direct_at(at.epoch)
-                            .is_some_and(|s| s.iter().any(|d| below.contains(d)))
+                            .is_some_and(|s| s.as_slice().iter().any(|d| below.contains(d)))
                     })
-                    .map(|(oid, _)| *oid)
+                    .map(|(oid, _)| oid)
                     .collect();
                 (out, false)
             }
@@ -928,6 +1196,12 @@ impl Database {
     /// Check every class constraint that applies to `oid` (constraints of
     /// base classes the object belongs to).
     pub(crate) fn check_constraints(&self, oid: Oid) -> ModelResult<()> {
+        self.check_constraints_of(oid, None)
+    }
+
+    /// [`Database::check_constraints`], on an `Unpublished` object's initial
+    /// values when there is one.
+    fn check_constraints_of(&self, oid: Oid, object: Option<Unpublished<'_>>) -> ModelResult<()> {
         if self.schema.constraint_count() == 0 {
             return Ok(());
         }
@@ -939,11 +1213,11 @@ impl Database {
             })
             .collect();
         for c in constrained {
-            if !self.is_member(oid, c)? {
+            if !self.member(oid, c, object)? {
                 continue;
             }
             let pred = self.schema.class(c)?.constraint().cloned().expect("filtered");
-            if !pred.eval(&self.bind_attrs(c).source(oid))? {
+            if !pred.eval(&self.bind_object(c, object).source(oid))? {
                 return Err(ModelError::Invalid(format!(
                     "class constraint of {} refused the update on {oid}: {}",
                     self.schema.class(c)?.name,
@@ -964,23 +1238,33 @@ impl Database {
         }
     }
 
-    /// Decide (and remember) which class's slice stores `key` for `oid`.
-    ///
-    /// Preference order: an already-bound home; then the most specific class
-    /// with storage capability for `key` that the object is a member of.
+    /// Decide (and remember) which class's slice stores `key` for `oid`:
+    /// an already-bound home, else [`Database::choose_home`]'s.
     pub(crate) fn bind_home(&self, oid: Oid, via: ClassId, key: PropKey) -> ModelResult<ClassId> {
-        if let Some(h) = self
-            .objects
-            .read()
-            .get(&oid)
-            .ok_or(ModelError::UnknownObject(oid))?
-            .home_of
-            .get(&key)
-        {
-            return Ok(*h);
+        let bound = self.objects.read().get(oid).ok_or(ModelError::UnknownObject(oid))?.home(key);
+        if let Some(home) = bound {
+            return Ok(home);
         }
+        let chosen = self.choose_home(oid, via, key, None)?;
+        // Publish the binding; if a concurrent writer bound this key first,
+        // its choice wins so both writers target the same slice.
+        let mut objects = self.objects.write();
+        let entry = objects.get_mut(oid).ok_or(ModelError::UnknownObject(oid))?;
+        Ok(small_bind(&mut entry.home_of, key, chosen))
+    }
+
+    /// The class whose slice should store `key` for `oid` (or for an
+    /// `Unpublished` object): the most specific class with storage
+    /// capability for `key` that the object is a member of.
+    fn choose_home(
+        &self,
+        oid: Oid,
+        via: ClassId,
+        key: PropKey,
+        object: Option<Unpublished<'_>>,
+    ) -> ModelResult<ClassId> {
         // Capability classes: stored_layout contains the key.
-        let mut capable: Vec<ClassId> = self
+        let capable: Vec<ClassId> = self
             .schema
             .class_ids()
             .filter(|c| {
@@ -992,8 +1276,8 @@ impl Database {
             .collect();
         // Keep only those the object belongs to.
         let mut member_capable = Vec::new();
-        for c in capable.drain(..) {
-            if self.is_member(oid, c)? {
+        for c in capable {
+            if self.member(oid, c, object)? {
                 member_capable.push(c);
             }
         }
@@ -1003,19 +1287,14 @@ impl Database {
             )));
         }
         // Most specific: no other member-capable class strictly below it.
-        let chosen = *member_capable
+        Ok(*member_capable
             .iter()
             .find(|c| {
                 !member_capable
                     .iter()
                     .any(|other| *other != **c && self.schema.is_sub_of(*other, **c))
             })
-            .unwrap_or(&member_capable[0]);
-        // Publish the binding; if a concurrent writer bound this key first,
-        // its choice wins so both writers target the same slice.
-        let mut objects = self.objects.write();
-        let entry = objects.get_mut(&oid).ok_or(ModelError::UnknownObject(oid))?;
-        Ok(*entry.home_of.entry(key).or_insert(chosen))
+            .unwrap_or(&member_capable[0]))
     }
 
     /// The storage segment assigned to `class`, if any: the one baked into
@@ -1054,15 +1333,9 @@ impl Database {
     /// Materialize (or fetch) the slice of `oid` for `class`, creating the
     /// class's segment on first use.
     pub(crate) fn ensure_slice(&self, oid: Oid, class: ClassId) -> ModelResult<RecordId> {
-        if let Some(rec) = self
-            .objects
-            .read()
-            .get(&oid)
-            .ok_or(ModelError::UnknownObject(oid))?
-            .slices
-            .get(&class)
-        {
-            return Ok(*rec);
+        let bound = self.objects.read().get(oid).ok_or(ModelError::UnknownObject(oid))?.slice(class);
+        if let Some(rec) = bound {
+            return Ok(rec);
         }
         let seg = self.segment_for(class)?;
         let layout: Vec<PropKey> = self.schema.class(class)?.stored_layout().to_vec();
@@ -1073,8 +1346,8 @@ impl Database {
         let rec = self.store.insert(seg, fields)?;
         let winner = {
             let mut objects = self.objects.write();
-            match objects.get_mut(&oid) {
-                Some(entry) => *entry.slices.entry(class).or_insert(rec),
+            match objects.get_mut(oid) {
+                Some(entry) => small_bind(&mut entry.slices, class, rec),
                 None => {
                     drop(objects);
                     let _ = self.store.free(rec);
@@ -1092,7 +1365,7 @@ impl Database {
     pub fn slice_count(&self, oid: Oid) -> ModelResult<usize> {
         let epoch = current_read_epoch();
         let objects = self.objects.read();
-        let entry = objects.get(&oid).ok_or(ModelError::UnknownObject(oid))?;
+        let entry = objects.get(oid).ok_or(ModelError::UnknownObject(oid))?;
         if entry.direct_at(epoch).is_none() {
             return Err(ModelError::UnknownObject(oid));
         }
@@ -1110,7 +1383,7 @@ impl Database {
             slice_hops: self.slice_hops.load(Ordering::Relaxed),
             ..Default::default()
         };
-        for entry in self.objects.read().values() {
+        for (_, entry) in self.objects.read().iter() {
             if entry.dead.is_some() {
                 continue; // awaiting GC; not part of the live population
             }
@@ -1121,6 +1394,28 @@ impl Database {
             stats.managerial_bytes += (1 + n_impl) * OID_BYTES + n_impl * 2 * PTR_BYTES;
         }
         stats
+    }
+
+    /// What the objects hold in memory, by owner. A diagnostic: it walks
+    /// the object table and every record.
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        use std::mem::size_of;
+        let objects = self.objects.read();
+        let mut bytes =
+            ResidentBytes { object_table: objects.resident_bytes(), ..ResidentBytes::default() };
+        for (_, entry) in objects.iter() {
+            bytes.membership += entry.directs.spill_capacity() * size_of::<(u64, Classes)>();
+            for (_, classes) in entry.directs.iter() {
+                if let Classes::Many(many) = classes {
+                    bytes.membership += many.len() * size_of::<ClassId>();
+                }
+            }
+            bytes.slices += entry.slices.capacity() * size_of::<(ClassId, RecordId)>();
+            bytes.home_of += entry.home_of.capacity() * size_of::<(PropKey, ClassId)>();
+        }
+        drop(objects);
+        (bytes.record_chains, bytes.fields) = self.store.resident_bytes();
+        bytes
     }
 
     /// Reset the slice-hop counter.
@@ -1142,19 +1437,12 @@ impl Database {
     pub fn gc(&self, watermark: u64) -> u64 {
         let mut reclaimed = self.store.gc(watermark);
         let mut objects = self.objects.write();
-        objects.retain(|_, entry| {
-            if let Some(d) = entry.dead {
-                if d <= watermark {
-                    reclaimed += 1;
-                    return false;
-                }
+        objects.retain(|entry| {
+            if entry.dead.is_some_and(|d| d <= watermark) {
+                reclaimed += 1;
+                return false;
             }
-            if let Some(keep) = entry.directs.iter().rposition(|(s, _)| *s <= watermark) {
-                if keep > 0 {
-                    entry.directs.drain(..keep);
-                    reclaimed += keep as u64;
-                }
-            }
+            reclaimed += entry.directs.gc(watermark) as u64;
             true
         });
         reclaimed
@@ -1187,13 +1475,12 @@ impl Database {
         // Snapshots persist only the latest state: dead entries (and
         // superseded membership versions) are MVCC garbage a restored
         // database has no pins into.
-        let live: Vec<(&Oid, &ObjectEntry)> =
+        let live: Vec<(Oid, &ObjectEntry)> =
             objects.iter().filter(|(_, e)| e.dead.is_none()).collect();
         buf.put_u32(live.len() as u32);
         for (oid, entry) in live {
             buf.put_u64(oid.0);
-            let empty = BTreeSet::new();
-            let direct = entry.direct_at(None).unwrap_or(&empty);
+            let direct = entry.direct_at(None).map_or(&[][..], Classes::as_slice);
             buf.put_u32(direct.len() as u32);
             for c in direct {
                 buf.put_u32(c.0);
@@ -1205,10 +1492,7 @@ impl Database {
                 buf.put_u32(rec.slot);
             }
             buf.put_u32(entry.home_of.len() as u32);
-            let mut homes: Vec<(PropKey, ClassId)> =
-                entry.home_of.iter().map(|(k, c)| (*k, *c)).collect();
-            homes.sort();
-            for (key, class) in homes {
+            for &(key, class) in &entry.home_of {
                 buf.put_u64(key.0);
                 buf.put_u32(class.0);
             }
@@ -1216,46 +1500,56 @@ impl Database {
         buf.put_u64(self.next_oid.load(Ordering::Acquire));
     }
 
-    pub(crate) fn decode_objects_from(
-        buf: &mut bytes::Bytes,
-    ) -> ModelResult<(BTreeMap<Oid, ObjectEntry>, u64)> {
+    pub(crate) fn decode_objects_from(buf: &mut bytes::Bytes) -> ModelResult<(ObjectTable, u64)> {
         use crate::codec::{get_u32, get_u64};
         let n = get_u32(buf)? as usize;
-        let mut objects = BTreeMap::new();
+        let mut entries = Vec::new();
         for _ in 0..n {
             let oid = Oid(get_u64(buf)?);
-            let mut entry = ObjectEntry::default();
             let n_direct = get_u32(buf)? as usize;
-            let mut direct = BTreeSet::new();
-            for _ in 0..n_direct {
-                direct.insert(ClassId(get_u32(buf)?));
-            }
+            let direct = (0..n_direct)
+                .map(|_| Ok(ClassId(get_u32(buf)?)))
+                .collect::<ModelResult<Classes>>()?;
             // Bootstrap stamp 0: restored membership is visible at every
             // epoch, mirroring how the store stamps restored records.
-            entry.set_direct(0, direct);
+            let mut entry = ObjectEntry::new(0, direct);
             let n_slices = get_u32(buf)? as usize;
             for _ in 0..n_slices {
                 let class = ClassId(get_u32(buf)?);
                 let segment = tse_storage::SegmentId(get_u32(buf)?);
                 let slot = get_u32(buf)?;
-                entry.slices.insert(class, RecordId { segment, slot });
+                small_bind(&mut entry.slices, class, RecordId { segment, slot });
             }
             let n_homes = get_u32(buf)? as usize;
             for _ in 0..n_homes {
                 let key = PropKey(get_u64(buf)?);
                 let class = ClassId(get_u32(buf)?);
-                entry.home_of.insert(key, class);
+                small_bind(&mut entry.home_of, key, class);
             }
-            objects.insert(oid, entry);
+            entries.push((oid, entry));
         }
         let next_oid = get_u64(buf)?;
+        // The table is sized by the largest oid, so a corrupt oid must not
+        // reach it: encoding writes ascending oids the counter handed out.
+        let mut previous = None;
+        for (oid, _) in &entries {
+            if previous >= Some(*oid) || oid.0 >= next_oid {
+                let msg = format!("object {oid} out of order or at/after next oid {next_oid}");
+                return Err(ModelError::Storage(tse_storage::StorageError::Corrupt(msg)));
+            }
+            previous = Some(*oid);
+        }
+        let mut objects = ObjectTable::default();
+        for (oid, entry) in entries {
+            objects.insert(oid, entry);
+        }
         Ok((objects, next_oid))
     }
 
     pub(crate) fn from_parts(
         schema: Schema,
         store: SliceStore<Value>,
-        objects: BTreeMap<Oid, ObjectEntry>,
+        objects: ObjectTable,
         next_oid: u64,
     ) -> Database {
         let telemetry = tse_telemetry::Telemetry::new();
@@ -1593,17 +1887,36 @@ mod tests {
     }
 
     #[test]
+    fn the_object_table_keeps_oid_order_across_gaps_and_gives_room_back() {
+        let class_of = |e: &ObjectEntry| e.directs.current().as_slice()[0].0 as u64;
+        let mut table = ObjectTable::default();
+        for oid in [130u64, 3, 64, 5, 63] {
+            table.insert(Oid(oid), ObjectEntry::new(1, Classes::One(ClassId(oid as u32))));
+        }
+        let held: Vec<(u64, u64)> = table.iter().map(|(oid, e)| (oid.0, class_of(e))).collect();
+        assert_eq!(held, [(3, 3), (5, 5), (63, 63), (64, 64), (130, 130)]);
+        assert_eq!(table.get(Oid(63)).map(class_of), Some(63));
+        assert!(table.get(Oid(4)).is_none() && table.get(Oid(1 << 40)).is_none());
+        table.retain(|e| class_of(e) % 2 == 1);
+        let held: Vec<u64> = table.iter().map(|(oid, _)| oid.0).collect();
+        assert_eq!(held, [3, 5, 63]);
+        assert_eq!(table.len(), 3);
+        let room: Vec<usize> = table.chunks.iter().map(|c| c.entries.capacity()).collect();
+        assert_eq!(room[1..], [0, 0], "emptied chunks hold no room");
+    }
+
+    #[test]
     fn gc_reclaims_dead_entries_once_unpinned() {
         let (db, _, student, _) = university();
         let o = db.create_object(student, &[("name", "x".into())]).unwrap();
         let pin = db.store().pin_read();
         db.delete_object(o).unwrap();
         db.gc(db.store().clock().gc_watermark());
-        assert!(db.objects.read().contains_key(&o), "pin holds the dead entry");
+        assert!(db.objects.read().get(o).is_some(), "pin holds the dead entry");
         drop(pin);
         let freed = db.gc(db.store().clock().gc_watermark());
         assert!(freed > 0, "tombstones and the entry are reclaimable now");
-        assert!(!db.objects.read().contains_key(&o));
+        assert!(db.objects.read().get(o).is_none());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! membership closure, extent consistency for every operator, and
 //! attribute-write round-trips through arbitrary perspectives.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use tse_object_model::{
@@ -358,4 +360,265 @@ fn class_constraints_judge_a_complete_new_object() {
     assert!(!db.object_exists(next));
     assert!(db.create_object(adult, &[name]).is_err());
     assert_eq!(db.object_count(), before);
+}
+
+/// One object of the reference model: its membership, its deletion stamp
+/// and its `score` slice, each a plain stamp-sorted `Vec` of versions.
+#[derive(Debug, Default)]
+struct RefObject {
+    directs: Vec<(u64, BTreeSet<ClassId>)>,
+    dead: Option<u64>,
+    /// `None` until the slice is materialized; `None` fields = tombstone.
+    score: Option<Vec<(u64, Option<i64>)>>,
+}
+
+/// Install a version keeping a chain stamp-sorted: a straggler goes below
+/// every newer stamp, an equal stamp after the existing one.
+fn splice<T>(chain: &mut Vec<(u64, T)>, stamp: u64, value: T) {
+    let at = chain.partition_point(|(s, _)| *s <= stamp);
+    chain.insert(at, (stamp, value));
+}
+
+/// Install a write of `value` the way the store does. In stamp order it
+/// goes on top. A late write is spliced onto the version visible at its
+/// stamp (or the first one, for a record created after it) and carried up
+/// through the newer versions until one of them rewrote the value or is a
+/// tombstone. Writing the newest value again changes nothing.
+fn write(chain: &mut Vec<(u64, Option<i64>)>, stamp: u64, value: i64) {
+    let (newest, current) = *chain.last().unwrap();
+    if stamp >= newest {
+        chain.push((stamp, Some(value)));
+        return;
+    }
+    let at = chain.partition_point(|(s, _)| *s <= stamp);
+    let before = chain[..at].last().and_then(|(_, v)| *v);
+    if current == Some(value) {
+        let spliced = before.or(chain[at].1);
+        chain.insert(at, (stamp, spliced));
+        return;
+    }
+    let stops = |k: usize| match (k.checked_sub(1).and_then(|j| chain[j].1), chain[k].1) {
+        (_, None) => true,
+        (Some(prev), Some(v)) => prev != v,
+        (None, Some(_)) => false,
+    };
+    let stop = (at..chain.len()).find(|k| stops(*k)).unwrap_or(chain.len());
+    for (_, version) in &mut chain[at..stop] {
+        *version = Some(value);
+    }
+    chain.insert(at, (stamp, Some(value)));
+}
+
+fn visible<T>(chain: &[(u64, T)], epoch: Option<u64>) -> Option<&T> {
+    match epoch {
+        None => chain.last().map(|(_, v)| v),
+        Some(e) => chain.iter().rev().find(|(s, _)| *s <= e).map(|(_, v)| v),
+    }
+}
+
+/// Drop what no reader at `watermark` or later reaches; the count dropped.
+fn prune<T>(chain: &mut Vec<(u64, T)>, watermark: u64) -> u64 {
+    let keep = chain.iter().rposition(|(s, _)| *s <= watermark).unwrap_or(0);
+    chain.drain(..keep);
+    keep as u64
+}
+
+impl RefObject {
+    fn classes_at(&self, epoch: Option<u64>) -> Option<&BTreeSet<ClassId>> {
+        match (epoch, self.dead) {
+            (None, Some(_)) => None,
+            (Some(e), Some(d)) if d <= e => None,
+            _ => visible(&self.directs, epoch),
+        }
+    }
+
+    fn score_at(&self, epoch: Option<u64>) -> i64 {
+        self.score.as_deref().and_then(|c| visible(c, epoch)).copied().flatten().unwrap_or(0)
+    }
+}
+
+#[derive(Debug, Clone)]
+enum ChainOp {
+    /// Class pick, initial score (if any), stamp lag.
+    Create(usize, Option<i64>, u64),
+    Add(usize, usize, u64),
+    Remove(usize, usize, u64),
+    Write(usize, i64, u64),
+    Delete(usize, u64),
+    /// Watermark lag behind the clock.
+    Gc(u64),
+}
+
+fn chain_op() -> impl Strategy<Value = ChainOp> {
+    let lag = || 0u64..3;
+    prop_oneof![
+        (0usize..4, -5i64..25, lag())
+            .prop_map(|(c, v, l)| ChainOp::Create(c, (v < 20).then_some(v), l)),
+        (0usize..16, 0usize..4, lag()).prop_map(|(o, c, l)| ChainOp::Add(o, c, l)),
+        (0usize..16, 0usize..4, lag()).prop_map(|(o, c, l)| ChainOp::Remove(o, c, l)),
+        (0usize..16, -5i64..20, lag()).prop_map(|(o, v, l)| ChainOp::Write(o, v, l)),
+        (0usize..16, -5i64..20, lag()).prop_map(|(o, v, l)| ChainOp::Write(o, v, l)),
+        (0usize..16, lag()).prop_map(|(o, l)| ChainOp::Delete(o, l)),
+        (0u64..4).prop_map(ChainOp::Gc),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+    /// The object model's version chains — membership, deletion and the
+    /// slice records under them — answer like plain stamp-sorted `Vec`s of
+    /// versions under random creates, reclassifications, writes and deletes
+    /// stamped out of order, and GCs: membership, existence and values at
+    /// every epoch a reader may still hold, the store's version backlog, and
+    /// what each GC reclaims.
+    #[test]
+    fn version_chains_match_the_vec_reference_at_every_epoch(
+        ops in proptest::collection::vec(chain_op(), 1..40),
+    ) {
+        use tse_storage::{ReadEpochGuard, WriteStampGuard};
+        let (db, bases, _) = build();
+        let top = bases[0];
+        let mut model: Vec<(Oid, RefObject)> = Vec::new();
+        // Slice records whose entry GC reclaimed while they still held a
+        // live version (a write landed above a straggler delete's tombstone).
+        let mut orphans: Vec<Vec<(u64, Option<i64>)>> = Vec::new();
+        let (mut clock, mut floor) = (10u64, 0u64);
+        for op in ops {
+            clock += 1;
+            let stamp_for = |lag: u64| clock.saturating_sub(lag).max(floor + 1);
+            match op {
+                ChainOp::Create(c, score, lag) => {
+                    let (class, stamp) = (bases[c % bases.len()], stamp_for(lag));
+                    let _at = WriteStampGuard::new(stamp);
+                    let values: Vec<(&str, Value)> =
+                        score.iter().map(|v| ("score", Value::Int(*v))).collect();
+                    let oid = db.create_object(class, &values).unwrap();
+                    let object = RefObject {
+                        directs: vec![(stamp, BTreeSet::from([class]))],
+                        score: score.map(|v| vec![(stamp, Some(v))]),
+                        ..RefObject::default()
+                    };
+                    model.push((oid, object));
+                }
+                ChainOp::Add(o, c, lag) | ChainOp::Remove(o, c, lag) if !model.is_empty() => {
+                    let at = o % model.len();
+                    let (oid, object) = (model[at].0, &mut model[at].1);
+                    let (class, stamp) = (bases[c % bases.len()], stamp_for(lag));
+                    let _at = WriteStampGuard::new(stamp);
+                    let adding = matches!(op, ChainOp::Add(..));
+                    let ours = if adding { db.add_to_class(oid, class) } else { db.remove_from_class(oid, class) };
+                    let expected = object.classes_at(None).cloned().and_then(|mut set| {
+                        if adding {
+                            set.insert(class);
+                        } else {
+                            let doomed = db.schema().descendants(class);
+                            let before = set.len();
+                            set.retain(|c| !doomed.contains(c));
+                            if set.len() == before {
+                                return None;
+                            }
+                        }
+                        Some(set)
+                    });
+                    prop_assert_eq!(ours.is_ok(), expected.is_some(), "{:?} on {}", op, oid);
+                    if let Some(set) = expected {
+                        splice(&mut object.directs, stamp, set);
+                    }
+                }
+                ChainOp::Write(o, v, lag) if !model.is_empty() => {
+                    let at = o % model.len();
+                    let (oid, object) = (model[at].0, &mut model[at].1);
+                    let stamp = stamp_for(lag);
+                    let _at = WriteStampGuard::new(stamp);
+                    let ours = db.write_attr(oid, top, "score", Value::Int(v));
+                    // A bound slice takes the write while its newest version
+                    // is live (a straggler delete's tombstone can sit below
+                    // it); an unbound one needs a class to bind to.
+                    let lands = match &object.score {
+                        Some(chain) => matches!(chain.last(), Some((_, Some(_)))),
+                        None => object.classes_at(None).is_some_and(|set| !set.is_empty()),
+                    };
+                    prop_assert_eq!(ours.is_ok(), lands, "write to {}", oid);
+                    if lands {
+                        let chain = object.score.get_or_insert_with(|| vec![(stamp, Some(0))]);
+                        write(chain, stamp, v);
+                    }
+                }
+                ChainOp::Delete(o, lag) if !model.is_empty() => {
+                    let at = o % model.len();
+                    let (oid, object) = (model[at].0, &mut model[at].1);
+                    let stamp = stamp_for(lag);
+                    let _at = WriteStampGuard::new(stamp);
+                    let alive = object.classes_at(None).is_some();
+                    prop_assert_eq!(db.delete_object(oid).is_ok(), alive);
+                    if alive {
+                        object.dead = Some(stamp);
+                        if let Some(chain) = &mut object.score {
+                            splice(chain, stamp, None);
+                        }
+                    }
+                }
+                ChainOp::Gc(lag) => {
+                    let watermark = clock.saturating_sub(lag).max(floor);
+                    floor = watermark;
+                    let mut expected = 0;
+                    let mut prune_record = |record: &mut Option<Vec<(u64, Option<i64>)>>| {
+                        if let Some(chain) = record {
+                            expected += prune(chain, watermark);
+                            if matches!(chain[..], [(s, None)] if s <= watermark) {
+                                *record = None;
+                                expected += 1;
+                            }
+                        }
+                    };
+                    for (_, object) in &mut model {
+                        prune_record(&mut object.score);
+                    }
+                    orphans = std::mem::take(&mut orphans)
+                        .into_iter()
+                        .filter_map(|chain| {
+                            let mut record = Some(chain);
+                            prune_record(&mut record);
+                            record
+                        })
+                        .collect();
+                    model.retain_mut(|(_, object)| {
+                        if object.dead.is_some_and(|d| d <= watermark) {
+                            expected += 1;
+                            orphans.extend(object.score.take());
+                            return false;
+                        }
+                        expected += prune(&mut object.directs, watermark);
+                        true
+                    });
+                    prop_assert_eq!(db.gc(watermark), expected, "reclaimed at {}", watermark);
+                }
+                _ => {}
+            }
+            let backlog: u64 = model
+                .iter()
+                .filter_map(|(_, o)| o.score.as_ref())
+                .chain(&orphans)
+                .map(|c| c.len() as u64 - u64::from(c.last().is_some_and(|(_, v)| v.is_some())))
+                .sum();
+            prop_assert_eq!(db.store().version_backlog(), backlog, "version backlog");
+            for epoch in [None].into_iter().chain((floor..=clock + 1).map(Some)) {
+                let _pin = epoch.map(ReadEpochGuard::new);
+                for (oid, object) in &model {
+                    let classes = object.classes_at(epoch);
+                    prop_assert_eq!(db.object_exists(*oid), classes.is_some(), "{} at {:?}", oid, epoch);
+                    let ours = db.direct_classes(*oid).ok();
+                    prop_assert_eq!(ours.as_ref(), classes, "{} at {:?}", oid, epoch);
+                    if classes.is_some() {
+                        prop_assert_eq!(
+                            db.read_attr(*oid, top, "score").unwrap(),
+                            Value::Int(object.score_at(epoch)),
+                            "score of {} at {:?}", oid, epoch
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

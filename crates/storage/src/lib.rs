@@ -72,6 +72,7 @@ pub use mvcc::{
     WriteStampGuard, WriteTicket,
 };
 pub use scrub::{scrub_dir, GenerationStatus, ScrubReport};
+pub use segment::VersionChain;
 pub use payload::{Payload, SimplePayload};
 pub use snapshot::{decode_store, decode_store_with, encode_store};
 pub use stats::StoreStats;

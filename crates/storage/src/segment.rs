@@ -4,14 +4,16 @@
 //! that class's segment, which is what makes same-class slices cluster on the
 //! same pages (the locality property Table 1 of the paper relies on).
 //!
-//! Each slot holds a small **version chain** ordered by write stamp. A
-//! mutation never overwrites the current fields in place — it pushes a new
-//! [`Version`] stamped by the mutating batch; a delete pushes a *tombstone*
-//! (a version with no fields). Readers resolve a slot against an epoch:
-//! the newest version whose stamp is ≤ the epoch. Page accounting tracks
-//! only the **current** (latest) version — superseded versions are pure
-//! history awaiting [`Segment::gc`], which prunes everything unreachable
-//! from the GC watermark and only then recycles fully-dead slots.
+//! Each slot holds a [`VersionChain`] ordered by write stamp. A mutation
+//! never overwrites the current fields in place — it pushes a new version
+//! stamped by the mutating batch (a *late* one, stamped below the newest
+//! version, also carries its change into the newer versions; see
+//! [`Segment::modify`]); a delete pushes a *tombstone* (a version with no
+//! fields). Readers resolve a slot against an epoch: the newest
+//! version whose stamp is ≤ the epoch. Page accounting tracks only the
+//! **current** (latest) version — superseded versions are pure history
+//! awaiting [`Segment::gc`], which prunes everything unreachable from the GC
+//! watermark and only then recycles fully-dead slots.
 
 use crate::page::PageSet;
 use crate::payload::Payload;
@@ -20,64 +22,205 @@ use crate::payload::Payload;
 /// (slot pointer + length + oid back-pointer, as a real slotted page would).
 pub(crate) const RECORD_OVERHEAD: usize = 16;
 
-/// One entry in a slot's version chain. `fields: None` is a tombstone: the
-/// record is deleted at and after `stamp`.
+/// A stamp-sorted version chain: the newest version inline, older ones
+/// spilled into a vector that is allocated only once a second version
+/// exists and freed again when [`VersionChain::gc`] or
+/// [`VersionChain::pop`] bring the chain back to one version. A value that
+/// was written once costs exactly one version.
+///
+/// The visibility rule is the one every MVCC reader in the system applies:
+/// at epoch `e` the newest version stamped ≤ `e` is visible. The store's
+/// record slots and the object model's membership use this one type.
 #[derive(Debug, Clone)]
-pub(crate) struct Version<P> {
-    pub stamp: u64,
-    pub fields: Option<Vec<P>>,
+pub struct VersionChain<T> {
+    head_stamp: u64,
+    head: T,
+    /// Superseded versions, oldest first, every stamp ≤ `head_stamp`.
+    older: Vec<(u64, T)>,
 }
 
-/// A record slot: its version chain (oldest first, stamp-sorted) plus page
-/// accounting for the current version only.
-#[derive(Debug, Clone)]
-pub(crate) struct Record<P> {
-    pub versions: Vec<Version<P>>,
-    pub page: u32,
-    pub bytes: usize,
-}
-
-impl<P> Record<P> {
-    /// The latest version's fields; `None` when the record is currently a
-    /// tombstone.
-    pub fn current(&self) -> Option<&Vec<P>> {
-        self.versions.last().and_then(|v| v.fields.as_ref())
+impl<T> VersionChain<T> {
+    /// A chain holding one version.
+    pub fn new(stamp: u64, value: T) -> Self {
+        VersionChain { head_stamp: stamp, head: value, older: Vec::new() }
     }
 
-    /// The fields visible at `epoch`: the newest version stamped ≤ `epoch`.
-    /// `None` if the record did not exist yet or was deleted at that epoch.
-    pub fn visible_at(&self, epoch: u64) -> Option<&Vec<P>> {
-        self.versions
-            .iter()
-            .rev()
-            .find(|v| v.stamp <= epoch)
-            .and_then(|v| v.fields.as_ref())
+    /// The newest version.
+    pub fn current(&self) -> &T {
+        &self.head
+    }
+
+    /// The newest version's stamp.
+    pub fn current_stamp(&self) -> u64 {
+        self.head_stamp
+    }
+
+    /// The version visible at `epoch`: the newest one stamped ≤ `epoch`.
+    /// `None` if every version is newer than the epoch.
+    pub fn visible_at(&self, epoch: u64) -> Option<&T> {
+        if self.head_stamp <= epoch {
+            return Some(&self.head);
+        }
+        self.older.iter().rev().find(|(stamp, _)| *stamp <= epoch).map(|(_, v)| v)
     }
 
     /// Resolve against an optional pinned epoch (`None` = latest).
-    pub fn fields_at(&self, epoch: Option<u64>) -> Option<&Vec<P>> {
+    pub fn at(&self, epoch: Option<u64>) -> Option<&T> {
         match epoch {
             Some(e) => self.visible_at(e),
-            None => self.current(),
+            None => Some(&self.head),
         }
     }
 
-    /// Superseded (non-current) version entries in this chain.
+    /// Superseded (non-current) versions in the chain.
     pub fn history_len(&self) -> usize {
-        self.versions.len().saturating_sub(1)
+        self.older.len()
     }
 
-    /// Insert a version keeping the chain stamp-sorted. Concurrent tickets
+    /// Superseded versions the spill has room for: 0 while the chain is
+    /// inline (no spill allocated).
+    pub fn spill_capacity(&self) -> usize {
+        self.older.capacity()
+    }
+
+    /// Every version with its stamp, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.older.iter().map(|(stamp, v)| (*stamp, v)).chain([(self.head_stamp, &self.head)])
+    }
+
+    /// Install a version keeping the chain stamp-sorted. Concurrent tickets
     /// can finish out of stamp order, so a late-arriving lower stamp is
-    /// spliced into place; equal stamps append after (latest-of-equals
-    /// wins on the reverse-scan in [`Record::visible_at`]).
-    fn push_version(&mut self, version: Version<P>) {
-        match self.versions.last() {
-            Some(last) if last.stamp > version.stamp => {
-                let pos = self.versions.partition_point(|v| v.stamp <= version.stamp);
-                self.versions.insert(pos, version);
+    /// spliced into place below the newest; an equal stamp goes after
+    /// (latest-of-equals wins at every epoch).
+    pub fn push(&mut self, stamp: u64, value: T) {
+        if self.older.capacity() == 0 {
+            // Most chains never hold more than two versions between GCs.
+            self.older.reserve_exact(1);
+        }
+        if stamp >= self.head_stamp {
+            let old = std::mem::replace(&mut self.head, value);
+            self.older.push((std::mem::replace(&mut self.head_stamp, stamp), old));
+        } else {
+            let at = self.older.partition_point(|(s, _)| *s <= stamp);
+            self.older.insert(at, (stamp, value));
+        }
+    }
+
+    /// Drop the newest version, making the next newest current, and return
+    /// it. `None` when the chain holds one version: a chain is never empty,
+    /// so the caller discards it whole.
+    pub fn pop(&mut self) -> Option<T> {
+        let (stamp, value) = self.older.pop()?;
+        if self.older.is_empty() {
+            self.older = Vec::new();
+        }
+        self.head_stamp = stamp;
+        Some(std::mem::replace(&mut self.head, value))
+    }
+
+    /// Drop every version older than the one visible at `watermark` — no
+    /// reader at the watermark or later can reach them — and free the spill
+    /// once the chain is back to one version. Returns the number dropped.
+    pub fn gc(&mut self, watermark: u64) -> usize {
+        let keep_from = if self.head_stamp <= watermark {
+            self.older.len()
+        } else {
+            self.older.iter().rposition(|(stamp, _)| *stamp <= watermark).unwrap_or(0)
+        };
+        if keep_from > 0 {
+            self.older.drain(..keep_from);
+            if self.older.is_empty() {
+                self.older = Vec::new();
             }
-            _ => self.versions.push(version),
+        }
+        keep_from
+    }
+}
+
+/// A record slot: its version chain (`None` fields = tombstone: the record
+/// is deleted at and after that stamp) plus page accounting for the
+/// current version only.
+#[derive(Debug, Clone)]
+pub(crate) struct Record<P> {
+    pub chain: VersionChain<Option<Vec<P>>>,
+    pub page: u32,
+    pub bytes: u32,
+}
+
+impl<P> Record<P> {
+    fn new(stamp: u64, fields: Vec<P>, page: u32, bytes: usize) -> Self {
+        Record { chain: VersionChain::new(stamp, Some(fields)), page, bytes: bytes as u32 }
+    }
+
+    /// The latest version's fields; `None` when the record is currently a
+    /// tombstone.
+    pub fn current(&self) -> Option<&Vec<P>> {
+        self.chain.current().as_ref()
+    }
+
+    /// Resolve against an optional pinned epoch (`None` = latest): the
+    /// fields of the newest version stamped ≤ the epoch. `None` if the
+    /// record did not exist yet or was deleted at that epoch.
+    pub fn fields_at(&self, epoch: Option<u64>) -> Option<&Vec<P>> {
+        self.chain.at(epoch).and_then(Option::as_ref)
+    }
+}
+
+impl<P: Payload> Record<P> {
+    /// Install a late write: `written` is the current (live) fields as a
+    /// write stamped `stamp`, older than the newest version, edited them.
+    /// Its change — the fields that differ from the current ones — is
+    /// applied to the version visible at `stamp` (or, for a record created
+    /// after `stamp`, to its first version), which is spliced in at
+    /// `stamp`, and carried into every newer version, oldest first, until a
+    /// newer version changed that field itself: the newer stamp wins a
+    /// field both wrote, and a field only the late write changed is never
+    /// lost. Writing a field to the value the newest version already holds
+    /// changes nothing.
+    fn install_late(&mut self, stamp: u64, written: Vec<P>) {
+        let chain = &mut self.chain;
+        let current = chain.head.as_ref().expect("a write lands on a live record");
+        let mut change: Vec<(usize, P)> = written
+            .into_iter()
+            .enumerate()
+            .filter(|(i, v)| current.get(*i) != Some(v))
+            .collect();
+        let at = chain.older.partition_point(|(s, _)| *s <= stamp);
+        let mut before = at.checked_sub(1).and_then(|i| chain.older[i].1.clone());
+        let first_newer = chain.older.get(at).map_or(&chain.head, |(_, v)| v);
+        let mut spliced = before.clone().or_else(|| first_newer.clone()).unwrap_or_default();
+        apply_change(&mut spliced, &change);
+        let newer = chain.older[at..].iter_mut().map(|(_, v)| v).chain([&mut chain.head]);
+        for version in newer {
+            let original = version.clone();
+            match (version.as_mut(), &before) {
+                (Some(fields), Some(prev)) => {
+                    change.retain(|(i, _)| fields.get(*i) == prev.get(*i));
+                }
+                (Some(_), None) => {}
+                (None, _) => change.clear(),
+            }
+            if let Some(fields) = version {
+                apply_change(fields, &change);
+            }
+            before = original;
+        }
+        if chain.older.capacity() == 0 {
+            chain.older.reserve_exact(1);
+        }
+        chain.older.insert(at, (stamp, Some(spliced)));
+    }
+}
+
+/// Set each `(index, value)` of `change` in `fields`, appending an index one
+/// past the end; an index further out is skipped (the version predates the
+/// fields between).
+fn apply_change<P: Clone>(fields: &mut Vec<P>, change: &[(usize, P)]) {
+    for (i, value) in change {
+        if *i < fields.len() {
+            fields[*i] = value.clone();
+        } else if *i == fields.len() {
+            fields.push(value.clone());
         }
     }
 }
@@ -121,8 +264,7 @@ impl<P: Payload> Segment<P> {
     pub fn insert(&mut self, fields: Vec<P>, page_size: usize, stamp: u64) -> (u32, u32) {
         let bytes = record_bytes(&fields);
         let page = self.pages.place(bytes, page_size);
-        let record =
-            Record { versions: vec![Version { stamp, fields: Some(fields) }], page, bytes };
+        let record = Record::new(stamp, fields, page, bytes);
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(record);
@@ -149,8 +291,7 @@ impl<P: Payload> Segment<P> {
         }
         debug_assert!(self.slots[slot as usize].is_none(), "restore over live record");
         self.free.retain(|s| *s != slot);
-        self.slots[slot as usize] =
-            Some(Record { versions: vec![Version { stamp: 0, fields: Some(fields) }], page, bytes });
+        self.slots[slot as usize] = Some(Record::new(0, fields, page, bytes));
     }
 
     /// Raw access to a slot's record (version chain included).
@@ -168,6 +309,10 @@ impl<P: Payload> Segment<P> {
     /// result is pushed onto the chain (page accounting follows the new
     /// current size — shrink in place, grow in place, or relocate).
     ///
+    /// A write whose stamp is older than the newest version (concurrent
+    /// tickets finish out of stamp order) is a *late write*: see
+    /// `Record::install_late` for where its change lands.
+    ///
     /// Returns `None` when the slot is unknown or currently deleted;
     /// `Some(Err(e))` passes through `f`'s error with **no version pushed**.
     /// On success the payload is `(f's result, page, moved)`.
@@ -184,10 +329,14 @@ impl<P: Payload> Segment<P> {
             Ok(r) => r,
             Err(e) => return Some(Err(e)),
         };
-        let new_bytes = record_bytes(&fields);
-        let old_bytes = record.bytes;
+        if stamp >= record.chain.current_stamp() {
+            record.chain.push(stamp, Some(fields));
+        } else {
+            record.install_late(stamp, fields);
+        }
+        let new_bytes = record.current().map_or(0, |f| record_bytes(f));
+        let old_bytes = record.bytes as usize;
         let old_page = record.page;
-        record.push_version(Version { stamp, fields: Some(fields) });
         let (page, moved) = if new_bytes == old_bytes {
             (old_page, false)
         } else if new_bytes < old_bytes {
@@ -203,7 +352,7 @@ impl<P: Payload> Segment<P> {
         };
         let record = self.slots[slot as usize].as_mut().unwrap();
         record.page = page;
-        record.bytes = new_bytes;
+        record.bytes = new_bytes as u32;
         Some(Ok((out, page, moved)))
     }
 
@@ -214,9 +363,9 @@ impl<P: Payload> Segment<P> {
     pub fn free(&mut self, slot: u32, stamp: u64) -> Option<Vec<P>> {
         let record = self.slots.get_mut(slot as usize)?.as_mut()?;
         let fields = record.current()?.clone();
-        record.push_version(Version { stamp, fields: None });
+        record.chain.push(stamp, None);
         let page = record.page;
-        let bytes = record.bytes;
+        let bytes = record.bytes as usize;
         record.page = 0;
         record.bytes = 0;
         self.pages.release(page, bytes);
@@ -231,36 +380,32 @@ impl<P: Payload> Segment<P> {
             debug_assert!(false, "pop_version on empty slot");
             return PopOutcome::Missing;
         };
-        let popped = record.versions.pop().expect("record with empty version chain");
-        let was_live = popped.fields.is_some();
+        let was_live = record.current().is_some();
         if was_live {
             // The popped version owned the page charge.
-            let (page, bytes) = (record.page, record.bytes);
-            self.pages.release(page, bytes);
+            self.pages.release(record.page, record.bytes as usize);
         }
-        match record.versions.last() {
-            None => {
-                self.slots[slot as usize] = None;
-                self.free.push(slot);
-                PopOutcome::Removed
-            }
-            Some(now) => {
-                if let Some(fields) = now.fields.as_ref() {
-                    let bytes = record_bytes(fields);
-                    let page = self.pages.place(bytes, page_size);
-                    let record = self.slots[slot as usize].as_mut().unwrap();
-                    record.page = page;
-                    record.bytes = bytes;
-                    if was_live { PopOutcome::Reverted } else { PopOutcome::Undeleted }
-                } else {
-                    // Current is (still) a tombstone; nothing to re-charge.
-                    let record = self.slots[slot as usize].as_mut().unwrap();
-                    record.page = 0;
-                    record.bytes = 0;
-                    PopOutcome::Reverted
-                }
-            }
+        if record.chain.pop().is_none() {
+            self.slots[slot as usize] = None;
+            self.free.push(slot);
+            return PopOutcome::Removed;
         }
+        let (page, bytes) = match record.current() {
+            Some(fields) => {
+                let bytes = record_bytes(fields);
+                (self.pages.place(bytes, page_size), bytes)
+            }
+            // Current is (still) a tombstone; nothing to re-charge.
+            None => (0, 0),
+        };
+        let record = self.slots[slot as usize].as_mut().unwrap();
+        let outcome = match (was_live, record.current().is_some()) {
+            (false, true) => PopOutcome::Undeleted,
+            _ => PopOutcome::Reverted,
+        };
+        record.page = page;
+        record.bytes = bytes as u32;
+        outcome
     }
 
     /// Prune version history unreachable from `watermark`: for every slot,
@@ -271,20 +416,12 @@ impl<P: Payload> Segment<P> {
         let mut reclaimed = 0u64;
         for i in 0..self.slots.len() {
             let Some(record) = self.slots[i].as_mut() else { continue };
-            // Index of the version visible at the watermark (newest with
-            // stamp ≤ watermark); everything before it is unreachable.
-            let visible = record.versions.iter().rposition(|v| v.stamp <= watermark);
-            if let Some(keep_from) = visible {
-                if keep_from > 0 {
-                    record.versions.drain(..keep_from);
-                    reclaimed += keep_from as u64;
-                }
-            }
+            reclaimed += record.chain.gc(watermark) as u64;
             // A slot whose entire surviving chain is a single tombstone
             // visible at the watermark is dead to every possible reader.
-            if record.versions.len() == 1
-                && record.versions[0].fields.is_none()
-                && record.versions[0].stamp <= watermark
+            if record.chain.history_len() == 0
+                && record.current().is_none()
+                && record.chain.current_stamp() <= watermark
             {
                 reclaimed += 1;
                 self.slots[i] = None;
@@ -300,7 +437,7 @@ impl<P: Payload> Segment<P> {
             .iter()
             .flatten()
             .map(|r| {
-                let hist = r.history_len() as u64;
+                let hist = r.chain.history_len() as u64;
                 // A slot currently tombstoned carries the tombstone itself
                 // as reclaimable backlog too.
                 if r.current().is_none() { hist + 1 } else { hist }
@@ -331,6 +468,25 @@ impl<P: Payload> Segment<P> {
     /// Number of records live at the latest epoch.
     pub fn len(&self) -> usize {
         self.slots.iter().flatten().filter(|r| r.current().is_some()).count()
+    }
+
+    /// Bytes the segment's records hold in memory, as `(chains, fields)`:
+    /// the slot table (each record's inline head, page charge and spill
+    /// pointer) plus every spilled older version, and the field vectors of
+    /// all versions. What a payload owns beyond its inline `P` is not
+    /// counted.
+    pub fn resident_bytes(&self) -> (usize, usize) {
+        let mut chains = self.slots.capacity() * std::mem::size_of::<Option<Record<P>>>()
+            + self.free.capacity() * std::mem::size_of::<u32>();
+        let mut fields = 0;
+        for record in self.slots.iter().flatten() {
+            chains += record.chain.spill_capacity()
+                * std::mem::size_of::<(u64, Option<Vec<P>>)>();
+            for (_, version) in record.chain.iter() {
+                fields += version.as_ref().map_or(0, |f| f.capacity() * std::mem::size_of::<P>());
+            }
+        }
+        (chains, fields)
     }
 
     /// Highest slot index ever used (for snapshot encoding).
@@ -468,7 +624,7 @@ mod tests {
         let (a, _) = seg.insert(vec![SP::Int(1)], PS, 1);
         let r = seg.modify(a, 2, PS, |_| Err::<(), &str>("nope")).unwrap();
         assert!(r.is_err());
-        assert_eq!(seg.record(a).unwrap().versions.len(), 1);
+        assert_eq!(seg.record(a).unwrap().chain.history_len(), 0);
         assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(1));
     }
 
@@ -520,5 +676,322 @@ mod tests {
         );
         seg.free(a, 3);
         assert_eq!(seg.pages.bytes_used(), 0);
+    }
+
+    #[test]
+    fn a_late_write_reaches_newer_versions_unless_they_rewrote_its_field() {
+        let mut seg: Segment<SP> = Segment::new("s".into());
+        let (a, _) = seg.insert(vec![SP::Int(0), SP::Int(0)], PS, 1);
+        set_field(&mut seg, a, 5, 1, SP::Int(50));
+        // Stamp 3 lands after stamp 5: its field reaches the newest version,
+        // and the newer write is not visible at 3.
+        set_field(&mut seg, a, 3, 0, SP::Int(30));
+        assert_eq!(seg.fields_at(a, None).unwrap(), &vec![SP::Int(30), SP::Int(50)]);
+        assert_eq!(seg.fields_at(a, Some(3)).unwrap(), &vec![SP::Int(30), SP::Int(0)]);
+        assert_eq!(seg.fields_at(a, Some(2)).unwrap(), &vec![SP::Int(0), SP::Int(0)]);
+        // A field both wrote keeps the newer stamp's value.
+        set_field(&mut seg, a, 4, 1, SP::Int(40));
+        assert_eq!(seg.fields_at(a, Some(4)).unwrap(), &vec![SP::Int(30), SP::Int(40)]);
+        assert_eq!(seg.fields_at(a, None).unwrap(), &vec![SP::Int(30), SP::Int(50)]);
+    }
+
+    /// The version chain as it was before the inline head: every version
+    /// in one stamp-sorted `Vec`, oldest first, with its own page set. The
+    /// oracle [`chains_match_the_vec_reference`] runs [`Segment`] against.
+    mod reference {
+        use super::*;
+
+        #[derive(Debug, Default)]
+        pub struct RefRecord {
+            pub versions: Vec<(u64, Option<Vec<SP>>)>,
+            pub page: u32,
+            pub bytes: usize,
+        }
+
+        impl RefRecord {
+            fn current(&self) -> Option<&Vec<SP>> {
+                self.versions.last().and_then(|(_, f)| f.as_ref())
+            }
+
+            pub fn fields_at(&self, epoch: Option<u64>) -> Option<&Vec<SP>> {
+                match epoch {
+                    None => self.current(),
+                    Some(e) => {
+                        self.versions.iter().rev().find(|(s, _)| *s <= e).and_then(|(_, f)| f.as_ref())
+                    }
+                }
+            }
+
+            fn push(&mut self, stamp: u64, fields: Option<Vec<SP>>) {
+                let at = match self.versions.last() {
+                    Some((last, _)) if *last > stamp => {
+                        self.versions.partition_point(|(s, _)| *s <= stamp)
+                    }
+                    _ => self.versions.len(),
+                };
+                self.versions.insert(at, (stamp, fields));
+            }
+        }
+
+        fn put(fields: &mut Vec<SP>, i: usize, value: &SP) {
+            match i.cmp(&fields.len()) {
+                std::cmp::Ordering::Less => fields[i] = value.clone(),
+                std::cmp::Ordering::Equal => fields.push(value.clone()),
+                std::cmp::Ordering::Greater => {}
+            }
+        }
+
+        #[derive(Debug, Default)]
+        pub struct RefSegment {
+            pub slots: Vec<Option<RefRecord>>,
+            free: Vec<u32>,
+            pub pages: PageSet,
+        }
+
+        impl RefSegment {
+            pub fn insert(&mut self, fields: Vec<SP>, stamp: u64) -> (u32, u32) {
+                let bytes = record_bytes(&fields);
+                let page = self.pages.place(bytes, PS);
+                let record = RefRecord { versions: vec![(stamp, Some(fields))], page, bytes };
+                match self.free.pop() {
+                    Some(slot) => {
+                        self.slots[slot as usize] = Some(record);
+                        (slot, page)
+                    }
+                    None => {
+                        self.slots.push(Some(record));
+                        ((self.slots.len() - 1) as u32, page)
+                    }
+                }
+            }
+
+            pub fn modify(&mut self, slot: u32, stamp: u64, f: impl FnOnce(&mut Vec<SP>)) -> Option<(u32, bool)> {
+                let record = self.slots.get_mut(slot as usize)?.as_mut()?;
+                let current = record.current()?.clone();
+                let mut fields = current.clone();
+                f(&mut fields);
+                let newest = record.versions.last().unwrap().0;
+                if stamp >= newest {
+                    record.push(stamp, Some(fields));
+                } else {
+                    // A late write: splice it onto the version visible at its
+                    // stamp, then walk each field it changed up the newer
+                    // versions until one of them rewrote that field.
+                    let at = record.versions.partition_point(|(s, _)| *s <= stamp);
+                    let base = record.versions[..at].last().and_then(|(_, f)| f.clone());
+                    let mut spliced = base.unwrap_or_else(|| record.versions[at].1.clone().unwrap());
+                    let versions = &mut record.versions;
+                    for (i, value) in fields.iter().enumerate().filter(|(i, v)| current.get(*i) != Some(v)) {
+                        put(&mut spliced, i, value);
+                        // Version `k` stops the walk if it is a tombstone or
+                        // differs at `i` from a live predecessor.
+                        let stops = |k: usize| {
+                            match (k.checked_sub(1).and_then(|j| versions[j].1.as_ref()), &versions[k].1) {
+                                (_, None) => true,
+                                (Some(prev), Some(f)) => prev.get(i) != f.get(i),
+                                (None, Some(_)) => false,
+                            }
+                        };
+                        let stop = (at..versions.len()).find(|k| stops(*k)).unwrap_or(versions.len());
+                        for (_, version) in &mut versions[at..stop] {
+                            put(version.as_mut().unwrap(), i, value);
+                        }
+                    }
+                    versions.insert(at, (stamp, Some(spliced)));
+                }
+                let new = record.current().map_or(0, |f| record_bytes(f));
+                let (old, old_page) = (record.bytes, record.page);
+                let (page, moved) = if new <= old {
+                    self.pages.shrink(old_page, old - new);
+                    (old_page, false)
+                } else if self.pages.try_grow(old_page, new - old, PS) {
+                    (old_page, false)
+                } else {
+                    self.pages.release(old_page, old);
+                    (self.pages.place(new, PS), true)
+                };
+                let record = self.slots[slot as usize].as_mut().unwrap();
+                (record.page, record.bytes) = (page, new);
+                Some((page, moved))
+            }
+
+            pub fn free(&mut self, slot: u32, stamp: u64) -> Option<Vec<SP>> {
+                let record = self.slots.get_mut(slot as usize)?.as_mut()?;
+                let fields = record.current()?.clone();
+                record.push(stamp, None);
+                self.pages.release(record.page, record.bytes);
+                (record.page, record.bytes) = (0, 0);
+                Some(fields)
+            }
+
+            pub fn pop_version(&mut self, slot: u32) -> PopOutcome {
+                let record = self.slots[slot as usize].as_mut().unwrap();
+                let (_, popped) = record.versions.pop().unwrap();
+                if popped.is_some() {
+                    self.pages.release(record.page, record.bytes);
+                }
+                let Some((_, now)) = record.versions.last() else {
+                    self.slots[slot as usize] = None;
+                    self.free.push(slot);
+                    return PopOutcome::Removed;
+                };
+                let (page, bytes) = match now {
+                    Some(fields) => {
+                        let bytes = record_bytes(fields);
+                        (self.pages.place(bytes, PS), bytes)
+                    }
+                    None => (0, 0),
+                };
+                let outcome = match (popped.is_some(), now.is_some()) {
+                    (false, true) => PopOutcome::Undeleted,
+                    _ => PopOutcome::Reverted,
+                };
+                let record = self.slots[slot as usize].as_mut().unwrap();
+                (record.page, record.bytes) = (page, bytes);
+                outcome
+            }
+
+            pub fn gc(&mut self, watermark: u64) -> u64 {
+                let mut reclaimed = 0;
+                for i in 0..self.slots.len() {
+                    let Some(record) = self.slots[i].as_mut() else { continue };
+                    if let Some(keep) = record.versions.iter().rposition(|(s, _)| *s <= watermark) {
+                        record.versions.drain(..keep);
+                        reclaimed += keep as u64;
+                    }
+                    if let [(stamp, None)] = record.versions[..] {
+                        if stamp <= watermark {
+                            reclaimed += 1;
+                            self.slots[i] = None;
+                            self.free.push(i as u32);
+                        }
+                    }
+                }
+                reclaimed
+            }
+
+            pub fn version_backlog(&self) -> u64 {
+                let superseded = |r: &RefRecord| r.versions.len() - usize::from(r.current().is_some());
+                self.slots.iter().flatten().map(|r| superseded(r) as u64).sum()
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum ChainOp {
+        Insert(u8),
+        /// Slot pick, how far behind the clock the stamp is (0 = in order),
+        /// which of the two fields, and its new value: a string of that
+        /// length grows the record.
+        Modify(usize, u64, usize, u8),
+        Free(usize, u64),
+        Pop(usize),
+        /// How far behind the clock the watermark is.
+        Gc(u64),
+    }
+
+    fn chain_op() -> impl Strategy<Value = ChainOp> {
+        let modify = || {
+            (any::<usize>(), 0u64..4, 0usize..2, 0u8..=255)
+                .prop_map(|(s, b, i, v)| ChainOp::Modify(s, b, i, v))
+        };
+        prop_oneof![
+            (0u8..=255).prop_map(ChainOp::Insert),
+            modify(),
+            modify(),
+            (any::<usize>(), 0u64..3).prop_map(|(s, b)| ChainOp::Free(s, b)),
+            any::<usize>().prop_map(ChainOp::Pop),
+            (0u64..6).prop_map(ChainOp::Gc),
+        ]
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+        /// Random interleavings of insert, modify (stragglers included),
+        /// free, pop and GC leave the inline-head chain answering exactly as
+        /// the plain `Vec` of versions: the fields at every epoch and at the
+        /// latest, the version backlog, each record's page charge and the
+        /// page set — through inline → spilled → inline transitions.
+        #[test]
+        fn chains_match_the_vec_reference(ops in proptest::collection::vec(chain_op(), 1..60)) {
+            let mut seg: Segment<SP> = Segment::new("s".into());
+            let mut model = reference::RefSegment::default();
+            let mut clock = 1u64;
+            let occupied = |model: &reference::RefSegment, pick: usize| {
+                let slots: Vec<u32> = (0..model.slots.len() as u32)
+                    .filter(|s| model.slots[*s as usize].is_some())
+                    .collect();
+                (!slots.is_empty()).then(|| slots[pick % slots.len()])
+            };
+            for op in ops {
+                clock += 1;
+                match op {
+                    ChainOp::Insert(v) => {
+                        let fields = vec![SP::Int(v as i64), SP::Int(0)];
+                        prop_assert_eq!(seg.insert(fields.clone(), PS, clock), model.insert(fields, clock));
+                    }
+                    ChainOp::Modify(pick, behind, i, v) => {
+                        let Some(slot) = occupied(&model, pick) else { continue };
+                        let stamp = clock.saturating_sub(behind);
+                        let field = if v % 3 == 0 { SP::Str("x".repeat(v as usize / 2)) } else { SP::Int(v as i64) };
+                        let ours = seg.modify(slot, stamp, PS, |f| {
+                            f[i] = field.clone();
+                            Ok::<(), ()>(())
+                        });
+                        let theirs = model.modify(slot, stamp, |f| f[i] = field.clone());
+                        prop_assert_eq!(ours.map(|r| r.map(|(_, page, moved)| (page, moved)).unwrap()), theirs);
+                    }
+                    ChainOp::Free(pick, behind) => {
+                        let Some(slot) = occupied(&model, pick) else { continue };
+                        let stamp = clock.saturating_sub(behind);
+                        prop_assert_eq!(seg.free(slot, stamp), model.free(slot, stamp));
+                    }
+                    ChainOp::Pop(pick) => {
+                        let Some(slot) = occupied(&model, pick) else { continue };
+                        prop_assert_eq!(seg.pop_version(slot, PS), model.pop_version(slot));
+                    }
+                    ChainOp::Gc(behind) => {
+                        let watermark = clock.saturating_sub(behind);
+                        prop_assert_eq!(seg.gc(watermark), model.gc(watermark));
+                    }
+                }
+                prop_assert_eq!(seg.version_backlog(), model.version_backlog());
+                prop_assert_eq!(format!("{:?}", seg.pages), format!("{:?}", model.pages));
+                prop_assert_eq!(seg.slot_capacity(), model.slots.len());
+                for (slot, theirs) in model.slots.iter().enumerate() {
+                    let ours = seg.record(slot as u32);
+                    prop_assert_eq!(ours.is_some(), theirs.is_some(), "slot {} occupancy", slot);
+                    let (Some(ours), Some(theirs)) = (ours, theirs) else { continue };
+                    prop_assert_eq!((ours.page, ours.bytes as usize), (theirs.page, theirs.bytes));
+                    prop_assert_eq!(ours.chain.history_len() + 1, theirs.versions.len());
+                    prop_assert_eq!(ours.fields_at(None), theirs.fields_at(None));
+                    for epoch in 0..=clock + 1 {
+                        prop_assert_eq!(
+                            ours.fields_at(Some(epoch)), theirs.fields_at(Some(epoch)),
+                            "slot {} at epoch {}", slot, epoch
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_version_holds_no_spill_and_gc_gives_the_spill_back() {
+        let mut seg: Segment<SP> = Segment::new("s".into());
+        let (a, _) = seg.insert(vec![SP::Int(1)], PS, 1);
+        assert_eq!(seg.record(a).unwrap().chain.spill_capacity(), 0);
+        set_field(&mut seg, a, 2, 0, SP::Int(2));
+        set_field(&mut seg, a, 3, 0, SP::Int(3));
+        assert!(seg.record(a).unwrap().chain.spill_capacity() >= 2);
+        seg.gc(3);
+        assert_eq!(seg.record(a).unwrap().chain.spill_capacity(), 0, "back to inline");
+        set_field(&mut seg, a, 4, 0, SP::Int(4));
+        assert_eq!(seg.pop_version(a, PS), PopOutcome::Reverted);
+        assert_eq!(seg.record(a).unwrap().chain.spill_capacity(), 0, "a pop frees it too");
+        assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(3));
     }
 }

@@ -589,6 +589,20 @@ impl<P: Payload> SliceStore<P> {
         self.inner.superseded.load(Ordering::Relaxed)
     }
 
+    /// Bytes the records of every segment hold in memory, as `(chains,
+    /// fields)` (see `Segment::resident_bytes`). A diagnostic: it walks
+    /// every record.
+    pub fn resident_bytes(&self) -> (usize, usize) {
+        let mut total = (0, 0);
+        for stripe in &self.inner.stripes {
+            for segment in stripe.segments.read().values() {
+                let (chains, fields) = segment.resident_bytes();
+                total = (total.0 + chains, total.1 + fields);
+            }
+        }
+        total
+    }
+
     /// Count superseded version entries by scanning every segment.
     pub fn version_backlog(&self) -> u64 {
         self.inner
