@@ -5,7 +5,9 @@
 //!   grow the global schema. Measured as schema growth + evolve latency for
 //!   repeated identical vs repeated distinct changes.
 //! * **Buffer pool size** — the locality argument of Table 1 depends on a
-//!   buffer; sweep the pool size and record scan cost.
+//!   buffer; sweep the pool size and record scan cost. A page touch must
+//!   cost the same however large the pool is: the medians of a hot read loop
+//!   on a full pool of 8, 256 and 4 096 pages land in `BENCH_ablation.json`.
 //! * **Saturation prover** — the cost of one more schema change as the
 //!   number of virtual classes earlier changes left behind grows (the prover
 //!   is extended per class, not rebuilt; the change should cost what it
@@ -103,12 +105,61 @@ fn bench_buffer_pool(c: &mut Criterion) {
     group.finish();
 }
 
+/// Reads of a hot set of records on a full pool, timed per pool size: every
+/// read touches its page, so the per-read median follows the cost of one
+/// touch. The hot records sit on distinct pages at the MRU end — the far end
+/// of a scan from the LRU side. Timed here rather than through the criterion
+/// driver, like the prover rows below.
+fn buffer_pool_touch_rows() -> Vec<JsonValue> {
+    const SAMPLES: usize = 15;
+    const READS: usize = 20_000;
+    const HOT: usize = 8;
+    let mut rows = Vec::new();
+    for pool in [8usize, 256, 4_096] {
+        // 64-byte pages hold two one-`Int` records each.
+        let config =
+            StoreConfig { page_size: 64, buffer_pages: pool, write_stripes: 1, ..StoreConfig::default() };
+        let store: SliceStore<Value> = SliceStore::new(config);
+        let seg = store.create_segment("items");
+        let records: Vec<_> =
+            (0..4 * pool as i64).map(|i| store.insert(seg, vec![Value::Int(i)]).unwrap()).collect();
+        let hot: Vec<_> = records.iter().rev().step_by(2).take(HOT).copied().collect();
+        store.scan(seg, |_, _| {}).unwrap();
+        for rec in &hot {
+            store.read_field(*rec, 0).unwrap();
+        }
+        let before = store.stats();
+        let mut ns: Vec<u64> = (0..SAMPLES)
+            .map(|_| {
+                let start = Instant::now();
+                for i in 0..READS {
+                    black_box(store.read_field(hot[i % HOT], 0).unwrap());
+                }
+                start.elapsed().as_nanos() as u64 / READS as u64
+            })
+            .collect();
+        let window = store.stats().delta_since(&before);
+        assert_eq!(window.page_misses, 0, "the hot set stays resident in a pool of {pool}");
+        ns.sort_unstable();
+        let median = ns[SAMPLES / 2];
+        println!(
+            "bench ablation/buffer_pool_touch/hot_read_full_pool/{pool:<5} {median:>6} ns/read  (median of {SAMPLES})"
+        );
+        rows.push(JsonValue::obj(vec![
+            ("pool_pages", (pool as u64).into()),
+            ("median_ns", median.into()),
+            ("samples", (SAMPLES as u64).into()),
+        ]));
+    }
+    rows
+}
+
 /// Classification overhead vs accumulated schema size: evolve repeatedly in
 /// one family and measure the next change. Timed here rather than through
 /// the criterion driver, which reports no per-benchmark figure back: the
 /// per-preload medians are the paper-facing number (EXPERIMENTS.md,
-/// *Classification vs schema size*) and go to `BENCH_ablation.json`.
-fn bench_prover_growth(_c: &mut Criterion) {
+/// *Classification vs schema size*).
+fn prover_growth_rows() -> Vec<JsonValue> {
     const SAMPLES: usize = 15;
     let mut rows = Vec::new();
     for preload in [0usize, 40, 160] {
@@ -135,13 +186,19 @@ fn bench_prover_growth(_c: &mut Criterion) {
             ("samples", (SAMPLES as u64).into()),
         ]));
     }
-    let json = JsonValue::obj(vec![
-        ("bench", "ablation".into()),
-        ("classification_vs_schema_size", JsonValue::Arr(rows)),
-    ]);
-    let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
-    println!("classification-vs-schema-size medians written to {path}");
+    rows
 }
 
-criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_prover_growth);
+/// The self-timed medians, as `BENCH_ablation.json`.
+fn bench_timed_medians(_c: &mut Criterion) {
+    let json = JsonValue::obj(vec![
+        ("bench", "ablation".into()),
+        ("buffer_pool_touch", JsonValue::Arr(buffer_pool_touch_rows())),
+        ("classification_vs_schema_size", JsonValue::Arr(prover_growth_rows())),
+    ]);
+    let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
+    println!("buffer-pool-touch and classification-vs-schema-size medians written to {path}");
+}
+
+criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_timed_medians);
 criterion_main!(benches);

@@ -1,5 +1,6 @@
 //! The budget of the read path, so its gain cannot rot silently: what a
-//! `get` and a `select_where` may allocate, and that the slice-hop counter a
+//! `get` and a `select_where` may allocate — on a buffer pool with room to
+//! spare and on a full one that evicts — and that the slice-hop counter a
 //! read feeds still counts the is-a distance a search of the class DAG finds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -7,6 +8,7 @@ use std::cell::Cell;
 
 use tse_core::{SharedSystem, TseSystem};
 use tse_object_model::{PropKind, PropertyDef, Value, ValueType};
+use tse_storage::StoreConfig;
 use tse_workload::university::{build_university, populate_university};
 
 /// The system allocator plus a per-thread count of `alloc`/`realloc` calls
@@ -58,8 +60,8 @@ const MEMBERS: usize = 64;
 /// `Person(name, age) ← Student(gpa)` read through the first view version
 /// and, after two capacity-augmenting evolutions, through the third; plus a
 /// `Seminar` of exactly [`MEMBERS`] people.
-fn evolved() -> (SharedSystem, Vec<tse_object_model::Oid>) {
-    let mut sys = TseSystem::new();
+fn evolved(config: StoreConfig) -> (SharedSystem, Vec<tse_object_model::Oid>) {
+    let mut sys = TseSystem::with_config(config);
     sys.define_base_class(
         "Person",
         &[],
@@ -91,7 +93,7 @@ fn evolved() -> (SharedSystem, Vec<tse_object_model::Oid>) {
 
 #[test]
 fn a_get_allocates_only_the_value_it_returns() {
-    let (shared, oids) = evolved();
+    let (shared, oids) = evolved(StoreConfig::default());
     let session = shared.session();
     let versions = session.meta().views().versions("VS").unwrap();
     let (v1, newest) = (versions[0], *versions.last().unwrap());
@@ -123,9 +125,45 @@ fn a_get_allocates_only_the_value_it_returns() {
     }
 }
 
+/// Pages of 64 bytes hold one slice record each and the pool holds 4 of
+/// them, so a pass over the members evicts on every get while rereading one
+/// member hits: neither may allocate (no index growth or rehash on a read).
+#[test]
+fn a_get_allocates_nothing_on_a_full_evicting_pool() {
+    let config = StoreConfig { page_size: 64, buffer_pages: 4, ..StoreConfig::default() };
+    let (shared, oids) = evolved(config);
+    let session = shared.session();
+    let newest = *session.meta().views().versions("VS").unwrap().last().unwrap();
+    let age = |oid| session.get(newest, oid, "Seminar", "age");
+    for oid in &oids {
+        assert!(matches!(age(*oid), Ok(Value::Int(_))), "warm-up fills the pool");
+    }
+
+    let before = session.stats();
+    let (_, evicting) = allocs(|| {
+        for oid in &oids {
+            assert!(matches!(age(*oid), Ok(Value::Int(_))));
+        }
+    });
+    let missed = session.stats().delta_since(&before);
+    assert_eq!(missed.page_misses, oids.len() as u64, "every get of the pass evicts: {missed:?}");
+    assert_eq!(evicting, 0, "a get that evicts a page allocates");
+
+    age(oids[0]).unwrap();
+    let before = session.stats();
+    let (_, hitting) = allocs(|| {
+        for _ in &oids {
+            assert!(matches!(age(oids[0]), Ok(Value::Int(_))));
+        }
+    });
+    let hit = session.stats().delta_since(&before);
+    assert_eq!(hit.page_hits, oids.len() as u64, "rereading one member hits: {hit:?}");
+    assert_eq!(hitting, 0, "a get that hits a full pool allocates");
+}
+
 #[test]
 fn a_select_resolves_its_names_once_not_once_per_member() {
-    let (shared, _) = evolved();
+    let (shared, _) = evolved(StoreConfig::default());
     let session = shared.session();
     let newest = *session.meta().views().versions("VS").unwrap().last().unwrap();
     let select = || session.select_where(newest, "Seminar", "age >= 30").unwrap();

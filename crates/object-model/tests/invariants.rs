@@ -380,23 +380,16 @@ fn splice<T>(chain: &mut Vec<(u64, T)>, stamp: u64, value: T) {
 }
 
 /// Install a write of `value` the way the store does. In stamp order it
-/// goes on top. A late write is spliced onto the version visible at its
-/// stamp (or the first one, for a record created after it) and carried up
+/// goes on top. A late write is spliced in at its stamp and carried up
 /// through the newer versions until one of them rewrote the value or is a
-/// tombstone. Writing the newest value again changes nothing.
+/// tombstone — even when the newest version already holds `value`.
 fn write(chain: &mut Vec<(u64, Option<i64>)>, stamp: u64, value: i64) {
-    let (newest, current) = *chain.last().unwrap();
+    let (newest, _) = *chain.last().unwrap();
     if stamp >= newest {
         chain.push((stamp, Some(value)));
         return;
     }
     let at = chain.partition_point(|(s, _)| *s <= stamp);
-    let before = chain[..at].last().and_then(|(_, v)| *v);
-    if current == Some(value) {
-        let spliced = before.or(chain[at].1);
-        chain.insert(at, (stamp, spliced));
-        return;
-    }
     let stops = |k: usize| match (k.checked_sub(1).and_then(|j| chain[j].1), chain[k].1) {
         (_, None) => true,
         (Some(prev), Some(v)) => prev != v,

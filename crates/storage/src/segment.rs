@@ -167,43 +167,32 @@ impl<P> Record<P> {
 }
 
 impl<P: Payload> Record<P> {
-    /// Install a late write: `written` is the current (live) fields as a
-    /// write stamped `stamp`, older than the newest version, edited them.
-    /// Its change — the fields that differ from the current ones — is
-    /// applied to the version visible at `stamp` (or, for a record created
-    /// after `stamp`, to its first version), which is spliced in at
-    /// `stamp`, and carried into every newer version, oldest first, until a
-    /// newer version changed that field itself: the newer stamp wins a
-    /// field both wrote, and a field only the late write changed is never
-    /// lost. Writing a field to the value the newest version already holds
-    /// changes nothing.
-    fn install_late(&mut self, stamp: u64, written: Vec<P>) {
+    /// Install a late write: a write stamped `stamp`, older than the newest
+    /// version, set field `idx` to `value`. That field is set in the
+    /// version visible at `stamp` (or, for a record created after `stamp`,
+    /// in its first version), which is spliced in at `stamp`, and carried
+    /// into every newer version, oldest first, until a newer version changed
+    /// that field itself or is a tombstone: the newer stamp wins a field
+    /// both wrote, and a field only the late write set is never lost — even
+    /// when the newest version already holds the same value.
+    fn install_late(&mut self, stamp: u64, idx: usize, value: P) {
         let chain = &mut self.chain;
-        let current = chain.head.as_ref().expect("a write lands on a live record");
-        let mut change: Vec<(usize, P)> = written
-            .into_iter()
-            .enumerate()
-            .filter(|(i, v)| current.get(*i) != Some(v))
-            .collect();
         let at = chain.older.partition_point(|(s, _)| *s <= stamp);
-        let mut before = at.checked_sub(1).and_then(|i| chain.older[i].1.clone());
+        let below = at.checked_sub(1).and_then(|i| chain.older[i].1.as_ref());
         let first_newer = chain.older.get(at).map_or(&chain.head, |(_, v)| v);
-        let mut spliced = before.clone().or_else(|| first_newer.clone()).unwrap_or_default();
-        apply_change(&mut spliced, &change);
-        let newer = chain.older[at..].iter_mut().map(|(_, v)| v).chain([&mut chain.head]);
-        for version in newer {
-            let original = version.clone();
-            match (version.as_mut(), &before) {
-                (Some(fields), Some(prev)) => {
-                    change.retain(|(i, _)| fields.get(*i) == prev.get(*i));
-                }
-                (Some(_), None) => {}
-                (None, _) => change.clear(),
+        let mut spliced = below.or(first_newer.as_ref()).cloned().unwrap_or_default();
+        put_field(&mut spliced, idx, &value);
+        // The field as the version below the next newer one held it; `None`
+        // when that version is a tombstone or there is none.
+        let mut prev = below.map(|fields| fields.get(idx).cloned());
+        for version in chain.older[at..].iter_mut().map(|(_, v)| v).chain([&mut chain.head]) {
+            let Some(fields) = version else { break };
+            let own = fields.get(idx).cloned();
+            if prev.is_some_and(|prev| prev != own) {
+                break;
             }
-            if let Some(fields) = version {
-                apply_change(fields, &change);
-            }
-            before = original;
+            put_field(fields, idx, &value);
+            prev = Some(own);
         }
         if chain.older.capacity() == 0 {
             chain.older.reserve_exact(1);
@@ -212,16 +201,13 @@ impl<P: Payload> Record<P> {
     }
 }
 
-/// Set each `(index, value)` of `change` in `fields`, appending an index one
-/// past the end; an index further out is skipped (the version predates the
-/// fields between).
-fn apply_change<P: Clone>(fields: &mut Vec<P>, change: &[(usize, P)]) {
-    for (i, value) in change {
-        if *i < fields.len() {
-            fields[*i] = value.clone();
-        } else if *i == fields.len() {
-            fields.push(value.clone());
-        }
+/// Set field `idx` of `fields` to `value`, appending it one past the end; an
+/// index further out is skipped (the version predates the fields between).
+fn put_field<P: Clone>(fields: &mut Vec<P>, idx: usize, value: &P) {
+    if idx < fields.len() {
+        fields[idx] = value.clone();
+    } else if idx == fields.len() {
+        fields.push(value.clone());
     }
 }
 
@@ -304,35 +290,36 @@ impl<P: Payload> Segment<P> {
         self.record(slot).and_then(|r| r.fields_at(epoch))
     }
 
-    /// Apply a field mutation as a **new version** stamped `stamp`: the
-    /// current fields are cloned, `f` edits the clone, and on `Ok` the
-    /// result is pushed onto the chain (page accounting follows the new
-    /// current size — shrink in place, grow in place, or relocate).
+    /// Apply a one-field write as a **new version** stamped `stamp`: the
+    /// current fields are cloned, `f` sets one field of the clone and
+    /// returns its index, and on `Ok` the result is pushed onto the chain
+    /// (page accounting follows the new current size — shrink in place,
+    /// grow in place, or relocate).
     ///
     /// A write whose stamp is older than the newest version (concurrent
     /// tickets finish out of stamp order) is a *late write*: see
-    /// `Record::install_late` for where its change lands.
+    /// `Record::install_late` for where the field it set lands.
     ///
     /// Returns `None` when the slot is unknown or currently deleted;
     /// `Some(Err(e))` passes through `f`'s error with **no version pushed**.
-    /// On success the payload is `(f's result, page, moved)`.
-    pub fn modify<R, E>(
+    /// On success the payload is `(the index written, page, moved)`.
+    pub fn modify<E>(
         &mut self,
         slot: u32,
         stamp: u64,
         page_size: usize,
-        f: impl FnOnce(&mut Vec<P>) -> Result<R, E>,
-    ) -> Option<Result<(R, u32, bool), E>> {
+        f: impl FnOnce(&mut Vec<P>) -> Result<usize, E>,
+    ) -> Option<Result<(usize, u32, bool), E>> {
         let record = self.slots.get_mut(slot as usize)?.as_mut()?;
         let mut fields = record.current()?.clone();
-        let out = match f(&mut fields) {
-            Ok(r) => r,
+        let written = match f(&mut fields) {
+            Ok(idx) => idx,
             Err(e) => return Some(Err(e)),
         };
         if stamp >= record.chain.current_stamp() {
             record.chain.push(stamp, Some(fields));
         } else {
-            record.install_late(stamp, fields);
+            record.install_late(stamp, written, fields.swap_remove(written));
         }
         let new_bytes = record.current().map_or(0, |f| record_bytes(f));
         let old_bytes = record.bytes as usize;
@@ -353,7 +340,7 @@ impl<P: Payload> Segment<P> {
         let record = self.slots[slot as usize].as_mut().unwrap();
         record.page = page;
         record.bytes = new_bytes as u32;
-        Some(Ok((out, page, moved)))
+        Some(Ok((written, page, moved)))
     }
 
     /// Delete a record by pushing a tombstone stamped `stamp`, returning a
@@ -505,7 +492,7 @@ mod tests {
     fn set_field(seg: &mut Segment<SP>, slot: u32, stamp: u64, idx: usize, v: SP) {
         seg.modify(slot, stamp, PS, |fields| {
             fields[idx] = v;
-            Ok::<(), ()>(())
+            Ok::<_, ()>(idx)
         })
         .unwrap()
         .unwrap();
@@ -568,7 +555,7 @@ mod tests {
         let (_, p_new, moved) = seg
             .modify(a, 2, PS, |fields| {
                 fields.push(SP::Str("x".repeat(120)));
-                Ok::<(), ()>(())
+                Ok::<_, ()>(fields.len() - 1)
             })
             .unwrap()
             .unwrap();
@@ -583,7 +570,7 @@ mod tests {
         let (_, p, moved) = seg
             .modify(a, 2, PS, |fields| {
                 fields[0] = SP::Int(1);
-                Ok::<(), ()>(())
+                Ok::<_, ()>(0)
             })
             .unwrap()
             .unwrap();
@@ -622,7 +609,7 @@ mod tests {
     fn failed_modify_pushes_no_version() {
         let mut seg: Segment<SP> = Segment::new("s".into());
         let (a, _) = seg.insert(vec![SP::Int(1)], PS, 1);
-        let r = seg.modify(a, 2, PS, |_| Err::<(), &str>("nope")).unwrap();
+        let r = seg.modify(a, 2, PS, |_| Err::<usize, &str>("nope")).unwrap();
         assert!(r.is_err());
         assert_eq!(seg.record(a).unwrap().chain.history_len(), 0);
         assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(1));
@@ -695,6 +682,19 @@ mod tests {
         assert_eq!(seg.fields_at(a, None).unwrap(), &vec![SP::Int(30), SP::Int(50)]);
     }
 
+    #[test]
+    fn a_late_write_of_the_newest_value_still_reaches_readers_between() {
+        let mut seg: Segment<SP> = Segment::new("s".into());
+        let (a, _) = seg.insert(vec![SP::Int(0)], PS, 1);
+        set_field(&mut seg, a, 5, 0, SP::Int(7));
+        // Stamp 3 writes the value stamp 5 already holds: a reader pinned at
+        // 4 must see it, not the stamp-1 original.
+        set_field(&mut seg, a, 3, 0, SP::Int(7));
+        assert_eq!(seg.fields_at(a, Some(4)).unwrap(), &vec![SP::Int(7)]);
+        assert_eq!(seg.fields_at(a, Some(2)).unwrap(), &vec![SP::Int(0)]);
+        assert_eq!(seg.fields_at(a, None).unwrap(), &vec![SP::Int(7)]);
+    }
+
     /// The version chain as it was before the inline head: every version
     /// in one stamp-sorted `Vec`, oldest first, with its own page set. The
     /// oracle [`chains_match_the_vec_reference`] runs [`Segment`] against.
@@ -765,37 +765,34 @@ mod tests {
                 }
             }
 
-            pub fn modify(&mut self, slot: u32, stamp: u64, f: impl FnOnce(&mut Vec<SP>)) -> Option<(u32, bool)> {
+            pub fn modify(&mut self, slot: u32, stamp: u64, i: usize, value: SP) -> Option<(u32, bool)> {
                 let record = self.slots.get_mut(slot as usize)?.as_mut()?;
-                let current = record.current()?.clone();
-                let mut fields = current.clone();
-                f(&mut fields);
+                let mut fields = record.current()?.clone();
+                put(&mut fields, i, &value);
                 let newest = record.versions.last().unwrap().0;
                 if stamp >= newest {
                     record.push(stamp, Some(fields));
                 } else {
                     // A late write: splice it onto the version visible at its
-                    // stamp, then walk each field it changed up the newer
-                    // versions until one of them rewrote that field.
+                    // stamp, then walk the field it set up the newer versions
+                    // until one of them rewrote that field.
                     let at = record.versions.partition_point(|(s, _)| *s <= stamp);
                     let base = record.versions[..at].last().and_then(|(_, f)| f.clone());
                     let mut spliced = base.unwrap_or_else(|| record.versions[at].1.clone().unwrap());
+                    put(&mut spliced, i, &value);
                     let versions = &mut record.versions;
-                    for (i, value) in fields.iter().enumerate().filter(|(i, v)| current.get(*i) != Some(v)) {
-                        put(&mut spliced, i, value);
-                        // Version `k` stops the walk if it is a tombstone or
-                        // differs at `i` from a live predecessor.
-                        let stops = |k: usize| {
-                            match (k.checked_sub(1).and_then(|j| versions[j].1.as_ref()), &versions[k].1) {
-                                (_, None) => true,
-                                (Some(prev), Some(f)) => prev.get(i) != f.get(i),
-                                (None, Some(_)) => false,
-                            }
-                        };
-                        let stop = (at..versions.len()).find(|k| stops(*k)).unwrap_or(versions.len());
-                        for (_, version) in &mut versions[at..stop] {
-                            put(version.as_mut().unwrap(), i, value);
+                    // Version `k` stops the walk if it is a tombstone or
+                    // differs at `i` from a live predecessor.
+                    let stops = |k: usize| {
+                        match (k.checked_sub(1).and_then(|j| versions[j].1.as_ref()), &versions[k].1) {
+                            (_, None) => true,
+                            (Some(prev), Some(f)) => prev.get(i) != f.get(i),
+                            (None, Some(_)) => false,
                         }
+                    };
+                    let stop = (at..versions.len()).find(|k| stops(*k)).unwrap_or(versions.len());
+                    for (_, version) in &mut versions[at..stop] {
+                        put(version.as_mut().unwrap(), i, &value);
                     }
                     versions.insert(at, (stamp, Some(spliced)));
                 }
@@ -939,9 +936,9 @@ mod tests {
                         let field = if v % 3 == 0 { SP::Str("x".repeat(v as usize / 2)) } else { SP::Int(v as i64) };
                         let ours = seg.modify(slot, stamp, PS, |f| {
                             f[i] = field.clone();
-                            Ok::<(), ()>(())
+                            Ok::<_, ()>(i)
                         });
-                        let theirs = model.modify(slot, stamp, |f| f[i] = field.clone());
+                        let theirs = model.modify(slot, stamp, i, field);
                         prop_assert_eq!(ours.map(|r| r.map(|(_, page, moved)| (page, moved)).unwrap()), theirs);
                     }
                     ChainOp::Free(pick, behind) => {

@@ -457,7 +457,7 @@ impl<P: Payload> SliceStore<P> {
                 let slot =
                     fields.get_mut(idx).ok_or(StorageError::FieldOutOfBounds { index: idx, len })?;
                 *slot = value;
-                Ok::<_, StorageError>(())
+                Ok::<_, StorageError>(idx)
             })
         })?;
         let (_, page, moved) = outcome
