@@ -50,11 +50,26 @@ use tse_storage::{
 use tse_telemetry::Telemetry;
 
 use crate::health::{observe_io_error, HealthMachine, SystemHealth};
-use crate::system::{note_fault, TseSystem};
+use crate::system::TseSystem;
 use crate::walcodec::{decode_frame, encode_frame, ViewMode, WalRecord};
 
 fn corrupt(msg: &str) -> ModelError {
     StorageError::Corrupt(msg.to_string()).into()
+}
+
+/// Surface a fired failpoint in the `fault.*` counters and the journal, so
+/// the observability layer sees every injected fault.
+pub(crate) fn note_fault(telemetry: &Telemetry, e: &ModelError) {
+    let (site, kind) = match e {
+        ModelError::Storage(StorageError::Injected(site)) => (site, "error"),
+        ModelError::Storage(StorageError::SimulatedCrash(site)) => (site, "crash"),
+        _ => return,
+    };
+    telemetry.incr("fault.injected", 1);
+    if kind == "crash" {
+        telemetry.incr("fault.crashes", 1);
+    }
+    telemetry.event("fault.fired", &[("site", site.as_str().into()), ("kind", kind.into())]);
 }
 
 /// An injected fault on the durable path: count it in `fault.*`.

@@ -8,12 +8,19 @@
 //! written against it) keeps working, and all versions share the same
 //! persistent objects.
 //!
-//! [`TseSystem`] is the in-memory core. Build a base schema, give each user a view
-//! ([`TseSystem::create_view`]), then evolve with [`TseSystem::evolve`] /
-//! [`TseSystem::evolve_cmd`]:
+//! [`TseSystem`] is the in-memory control plane. Build a base schema, give
+//! each user a view ([`TseSystem::create_view`]), then evolve with
+//! [`TseSystem::evolve`] / [`TseSystem::evolve_cmd`]. [`SharedSystem`] is
+//! the one handle around that core: in memory ([`SharedSystem::new`],
+//! [`SharedSystem::from_system`]) or on a directory
+//! ([`SharedSystem::open`]), shareable across threads, with every mutation
+//! of a directory-backed system write-ahead logged. Its sessions
+//! ([`ReadSession`], [`WriteSession`]) are the one data plane, and
+//! [`TseClient`] is their public face, implemented over a `SharedSystem`
+//! and over the wire:
 //!
 //! ```
-//! use tse_core::TseSystem;
+//! use tse_core::{SharedSystem, TseClient, TseReader, TseSystem, TseWriter};
 //! use tse_object_model::{PropertyDef, Value, ValueType};
 //!
 //! let mut tse = TseSystem::new();
@@ -21,23 +28,21 @@
 //!     PropertyDef::stored("name", ValueType::Str, Value::Null),
 //! ]).unwrap();
 //! tse.define_base_class("Student", &["Person"], vec![]).unwrap();
-//! let _v1 = tse.create_view("VS", &["Person", "Student"]).unwrap();
+//! tse.create_view("alice", &["Person", "Student"]).unwrap();
 //!
 //! // The user asks for a new stored attribute through their view:
-//! let report = tse.evolve_cmd("VS", "add_attribute register: bool = false to Student").unwrap();
-//! let v2 = report.view;
+//! tse.evolve_cmd("alice", "add_attribute register: bool = false to Student").unwrap();
 //!
+//! // Alice's client binds to the newest version of her view family.
+//! let alice = SharedSystem::from_system(tse).client("alice");
+//! assert_eq!(alice.bound_version(), Some(2));
 //! // Transparent: the evolved view still calls the class "Student".
-//! let oid = tse.create(v2, "Student", &[("name", "ann".into())]).unwrap();
-//! tse.set(v2, oid, "Student", &[("register", Value::Bool(true))]).unwrap();
-//! assert_eq!(tse.get(v2, oid, "Student", "register").unwrap(), Value::Bool(true));
+//! let writer = alice.writer().unwrap();
+//! let oid = writer.create("Student", &[("name", "ann".into())]).unwrap();
+//! writer.set(oid, "Student", &[("register", Value::Bool(true))]).unwrap();
+//! let reader = alice.session().unwrap();
+//! assert_eq!(reader.get(oid, "Student", "register").unwrap(), Value::Bool(true));
 //! ```
-//!
-//! [`SharedSystem`] is the one handle around that core: in memory
-//! ([`SharedSystem::new`], [`SharedSystem::from_system`]) or on a directory
-//! ([`SharedSystem::open`]), shareable across threads, with every mutation
-//! of a directory-backed system write-ahead logged. [`TseClient`] is the
-//! public face, implemented over a `SharedSystem` and over the wire.
 
 #![warn(missing_docs)]
 

@@ -100,7 +100,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tse_algebra::UpdatePolicy;
-use tse_object_model::{ClassId, ModelError, ModelResult, Oid, Schema, Value};
+use tse_object_model::{ClassId, Database, ModelError, ModelResult, Oid, Schema, Value};
 use tse_storage::{
     EpochClock, FailpointRegistry, ReadEpochGuard, ReadPin, ScrubReport, StoreConfig,
     WriteStampGuard,
@@ -109,9 +109,9 @@ use tse_telemetry::{OpName, Telemetry};
 use tse_view::{ViewId, ViewManager, ViewSchema};
 
 use crate::change::{parse_change, SchemaChange};
-use crate::durable::{apply_record, DurableState, LogHandle};
+use crate::durable::{apply_record, note_fault, DurableState, LogHandle};
 use crate::health::SystemHealth;
-use crate::system::{is_crash, note_fault, observe_op, ops, EvolutionReport, TseSystem};
+use crate::system::{EvolutionReport, TseSystem};
 use crate::walcodec::{ViewMode, WalRecord};
 
 /// One epoch's immutable metadata bundle: everything a reader needs to
@@ -558,7 +558,8 @@ impl SharedSystem {
         let report = {
             let _stamp = WriteStampGuard::new(ticket.stamp());
             private.evolve(family, change)
-        }?;
+        }
+        .inspect_err(|e| note_fault(&self.inner.telemetry, e))?;
 
         // Nothing is warmed for the swap: the fork carries the live
         // system's extent cache and its schema's fact cache, a new view
@@ -786,6 +787,29 @@ impl SharedSystem {
     }
 }
 
+/// The data-plane operations, with their `op.<name>` / `latency.<name>`
+/// metric names interned (DESIGN.md §8). Each is observed at one place:
+/// [`ReadSession`]'s read scaffold or [`WriteSession`]'s logged write.
+mod ops {
+    use tse_telemetry::{op_name, OpName};
+
+    pub(super) const CREATE: OpName = op_name!("create");
+    pub(super) const GET: OpName = op_name!("get");
+    pub(super) const SET: OpName = op_name!("set");
+    pub(super) const EXTENT: OpName = op_name!("extent");
+    pub(super) const SELECT_WHERE: OpName = op_name!("select_where");
+    pub(super) const UPDATE_WHERE: OpName = op_name!("update_where");
+    pub(super) const INVOKE: OpName = op_name!("invoke");
+    pub(super) const ADD_TO: OpName = op_name!("add_to");
+    pub(super) const REMOVE_FROM: OpName = op_name!("remove_from");
+    pub(super) const DELETE_OBJECTS: OpName = op_name!("delete_objects");
+}
+
+/// Did the error originate from a simulated-crash failpoint?
+pub(crate) fn is_crash(e: &ModelError) -> bool {
+    matches!(e, ModelError::Storage(s) if s.is_crash())
+}
+
 /// The histogram of waits for the `system` lock in shared mode.
 const READ_WAIT: &str = "lock.read_wait_ns";
 
@@ -901,18 +925,35 @@ impl ReadSession {
         self.pin = Some(self.clock.pin());
     }
 
-    /// Close one measured operation: count it, record its latency, and
-    /// observe its wait for the system lock, all in one visit to the
-    /// registry.
-    fn observe(&self, op: &OpName, started: Instant, waited: u64) {
-        let dur_ns = started.elapsed().as_nanos() as u64;
-        self.inner.telemetry.observe_op(op, dur_ns, Some((READ_WAIT, waited)));
-    }
-
     /// Guard that routes every store/object-model read inside one session
     /// operation to the pinned epoch.
     fn epoch_guard(&self) -> ReadEpochGuard {
         ReadEpochGuard::new(self.pinned_epoch())
+    }
+
+    /// Run one data-plane read as the measured operation `name`, the way
+    /// [`WriteSession`]'s logged write runs every mutation: in the session's
+    /// trace, `class_local` resolved against the pinned snapshot, `read`
+    /// at the pinned epoch under the shared system lock. Counts the
+    /// operation, records its latency and observes its wait for the lock,
+    /// all in one visit to the registry.
+    fn read<R>(
+        &self,
+        name: &OpName,
+        view: ViewId,
+        class_local: &str,
+        read: impl FnOnce(&Database, ClassId) -> ModelResult<R>,
+    ) -> ModelResult<R> {
+        let _t = self.inner.telemetry.enter_trace(self.trace);
+        let started = Instant::now();
+        let class = self.meta.resolve(view, class_local)?;
+        let _epoch = self.epoch_guard();
+        let (sys, waited) = read_locked(&self.inner);
+        let out = read(sys.db(), class);
+        drop(sys);
+        let dur_ns = started.elapsed().as_nanos() as u64;
+        self.inner.telemetry.observe_op(name, dur_ns, Some((READ_WAIT, waited)));
+        out
     }
 
     /// The current version of a view family, as of this session's epoch.
@@ -929,28 +970,14 @@ impl ReadSession {
     /// lock-free against the pinned snapshot; the record read takes the
     /// shared lock.
     pub fn get(&self, view: ViewId, oid: Oid, class_local: &str, attr: &str) -> ModelResult<Value> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
-        let class = self.meta.resolve(view, class_local)?;
-        let _epoch = self.epoch_guard();
-        let (sys, waited) = read_locked(&self.inner);
-        let out = sys.db().read_attr(oid, class, attr);
-        drop(sys);
-        self.observe(&ops::GET, started, waited);
-        out
+        self.read(&ops::GET, view, class_local, |db, class| db.read_attr(oid, class, attr))
     }
 
     /// The extent of a view class.
     pub fn extent(&self, view: ViewId, class_local: &str) -> ModelResult<Vec<Oid>> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
-        let class = self.meta.resolve(view, class_local)?;
-        let _epoch = self.epoch_guard();
-        let (sys, waited) = read_locked(&self.inner);
-        let out = Ok(sys.db().extent(class)?.iter().copied().collect());
-        drop(sys);
-        self.observe(&ops::EXTENT, started, waited);
-        out
+        self.read(&ops::EXTENT, view, class_local, |db, class| {
+            Ok(db.extent(class)?.iter().copied().collect())
+        })
     }
 
     /// [`ReadSession::extent`] through `Database::extent_uncached`: the
@@ -969,30 +996,15 @@ impl ReadSession {
         class_local: &str,
         expr: &str,
     ) -> ModelResult<Vec<Oid>> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
-        let class = self.meta.resolve(view, class_local)?;
-        let body = crate::change::parse_expr(expr)?;
-        let pred = tse_object_model::Predicate::Expr(body);
-        let _epoch = self.epoch_guard();
-        let (sys, waited) = read_locked(&self.inner);
-        let out = tse_algebra::select_objects(sys.db(), class, &pred);
-        drop(sys);
-        self.observe(&ops::SELECT_WHERE, started, waited);
-        out
+        self.read(&ops::SELECT_WHERE, view, class_local, |db, class| {
+            let pred = tse_object_model::Predicate::Expr(crate::change::parse_expr(expr)?);
+            tse_algebra::select_objects(db, class, &pred)
+        })
     }
 
     /// Invoke a property with dynamic dispatch through a view class.
     pub fn invoke(&self, view: ViewId, oid: Oid, class_local: &str, name: &str) -> ModelResult<Value> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
-        let started = Instant::now();
-        let class = self.meta.resolve(view, class_local)?;
-        let _epoch = self.epoch_guard();
-        let (sys, waited) = read_locked(&self.inner);
-        let out = sys.db().invoke(oid, class, name);
-        drop(sys);
-        self.observe(&ops::INVOKE, started, waited);
-        out
+        self.read(&ops::INVOKE, view, class_local, |db, class| db.invoke(oid, class, name))
     }
 
     /// Cumulative storage access counters of the live system (what the
@@ -1097,7 +1109,7 @@ impl WriteSession {
             }
             Ok(out)
         })();
-        observe_op(&inner.telemetry, name, started);
+        inner.telemetry.observe_op(name, started.elapsed().as_nanos() as u64, None);
         maybe_autocheckpoint(inner);
         out
     }

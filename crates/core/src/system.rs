@@ -14,10 +14,11 @@ use tse_classifier::{classify_with, Subsumption};
 use tse_object_model::{
     ClassId, Database, EvolutionTxn, ModelError, ModelResult, Oid, PendingProp, Value,
 };
-use tse_storage::{FailpointRegistry, StorageError, StoreConfig};
+use tse_storage::{FailpointRegistry, StoreConfig};
 use tse_view::{ViewId, ViewManager, ViewSchema};
 
 use crate::change::{parse_change, SchemaChange};
+use crate::shared::is_crash;
 use crate::translate::{translate, ChangePlan};
 
 /// Outcome of one schema evolution.
@@ -74,7 +75,11 @@ impl PhaseTimings {
     }
 }
 
-/// The TSE system: one shared database, many evolving views.
+/// The TSE system: one shared database, many evolving views. This is the
+/// control plane — base schema, views, evolution. Data operations go
+/// through the sessions of a [`crate::SharedSystem`] built over it; the
+/// unobserved [`TseSystem::create`], [`TseSystem::get`], [`TseSystem::set`]
+/// and [`TseSystem::extent`] only build populations below that layer.
 pub struct TseSystem {
     pub(crate) db: Database,
     pub(crate) views: ViewManager,
@@ -325,7 +330,6 @@ impl TseSystem {
                 span.record("error", true);
                 span.finish();
                 telemetry.incr("evolve.errors", 1);
-                note_fault(&telemetry, &e);
                 if let Some(cp) = checkpoint {
                     if is_crash(&e) {
                         // A simulated crash deliberately leaves the
@@ -599,30 +603,28 @@ impl TseSystem {
         Ok((map, duplicates))
     }
 
-    // ----- user data operations through views ------------------------------------
+    // ----- population helpers ---------------------------------------------------
 
     fn resolve_in(&self, view: ViewId, class_local: &str) -> ModelResult<ClassId> {
         self.views.view(view)?.lookup(&self.db, class_local)
     }
 
-    /// Create an object through a view class.
+    /// Create an object through a view class: a helper for building a
+    /// population below the sharing layer, unobserved and unlogged. The
+    /// data plane is [`crate::WriteSession::create`].
     pub fn create(
         &self,
         view: ViewId,
         class_local: &str,
         values: &[(&str, Value)],
     ) -> ModelResult<Oid> {
-        let started = std::time::Instant::now();
         let class = self.resolve_in(view, class_local)?;
-        let out = tse_algebra::create(&self.db, &self.policy, class, values);
-        if let Err(e) = &out {
-            note_fault(self.db.telemetry(), e);
-        }
-        observe_op(self.db.telemetry(), &ops::CREATE, started);
-        out
+        tse_algebra::create(&self.db, &self.policy, class, values)
     }
 
-    /// Read an attribute through a view class.
+    /// Read an attribute through a view class: a helper below the sharing
+    /// layer, unobserved and unlogged. The data plane is
+    /// [`crate::ReadSession::get`].
     pub fn get(
         &self,
         view: ViewId,
@@ -630,14 +632,13 @@ impl TseSystem {
         class_local: &str,
         attr: &str,
     ) -> ModelResult<Value> {
-        let started = std::time::Instant::now();
         let class = self.resolve_in(view, class_local)?;
-        let out = self.db.read_attr(oid, class, attr);
-        observe_op(self.db.telemetry(), &ops::GET, started);
-        out
+        self.db.read_attr(oid, class, attr)
     }
 
-    /// Set attributes through a view class.
+    /// Set attributes through a view class: a helper for building a
+    /// population below the sharing layer, unobserved and unlogged. The
+    /// data plane is [`crate::WriteSession::set`].
     pub fn set(
         &self,
         view: ViewId,
@@ -645,97 +646,16 @@ impl TseSystem {
         class_local: &str,
         assignments: &[(&str, Value)],
     ) -> ModelResult<()> {
-        let started = std::time::Instant::now();
         let class = self.resolve_in(view, class_local)?;
-        let out = tse_algebra::set(&self.db, &self.policy, &[oid], class, assignments);
-        if let Err(e) = &out {
-            note_fault(self.db.telemetry(), e);
-        }
-        observe_op(self.db.telemetry(), &ops::SET, started);
-        out
+        tse_algebra::set(&self.db, &self.policy, &[oid], class, assignments)
     }
 
-    /// Add existing objects to a view class.
-    pub fn add_to(&self, view: ViewId, oids: &[Oid], class_local: &str) -> ModelResult<()> {
-        let class = self.resolve_in(view, class_local)?;
-        tse_algebra::add(&self.db, &self.policy, oids, class)
-    }
-
-    /// Remove objects from a view class.
-    pub fn remove_from(
-        &self,
-        view: ViewId,
-        oids: &[Oid],
-        class_local: &str,
-    ) -> ModelResult<()> {
-        let class = self.resolve_in(view, class_local)?;
-        tse_algebra::remove(&self.db, &self.policy, oids, class)
-    }
-
-    /// Destroy objects.
-    pub fn delete_objects(&self, oids: &[Oid]) -> ModelResult<()> {
-        tse_algebra::delete(&self.db, oids)
-    }
-
-    /// The extent of a view class.
+    /// The extent of a view class: a helper below the sharing layer,
+    /// unobserved and unlogged. The data plane is
+    /// [`crate::ReadSession::extent`].
     pub fn extent(&self, view: ViewId, class_local: &str) -> ModelResult<Vec<Oid>> {
         let class = self.resolve_in(view, class_local)?;
         Ok(self.db.extent(class)?.iter().copied().collect())
-    }
-
-    /// `select from <Class> where <expr>` — evaluate a textual boolean
-    /// expression over each member of a view class and return the matches.
-    ///
-    /// ```text
-    /// tse.select_where(v, "Student", "gpa >= 3.5 and age < 30")
-    /// ```
-    pub fn select_where(
-        &self,
-        view: ViewId,
-        class_local: &str,
-        expr: &str,
-    ) -> ModelResult<Vec<Oid>> {
-        let started = std::time::Instant::now();
-        let class = self.resolve_in(view, class_local)?;
-        let body = crate::change::parse_expr(expr)?;
-        let pred = tse_object_model::Predicate::Expr(body);
-        let out = tse_algebra::select_objects(&self.db, class, &pred);
-        observe_op(self.db.telemetry(), &ops::SELECT_WHERE, started);
-        out
-    }
-
-    /// `( select from <Class> where <expr> ) set [assignments]` — the
-    /// user-level query-update pipeline of §3.3.
-    pub fn update_where(
-        &self,
-        view: ViewId,
-        class_local: &str,
-        expr: &str,
-        assignments: &[(&str, Value)],
-    ) -> ModelResult<usize> {
-        let started = std::time::Instant::now();
-        let class = self.resolve_in(view, class_local)?;
-        let pred = tse_object_model::Predicate::Expr(crate::change::parse_expr(expr)?);
-        let out = tse_algebra::select_objects(&self.db, class, &pred).and_then(|oids| {
-            tse_algebra::set(&self.db, &self.policy, &oids, class, assignments)?;
-            Ok(oids.len())
-        });
-        observe_op(self.db.telemetry(), &ops::UPDATE_WHERE, started);
-        out
-    }
-
-    /// Invoke a property with dynamic dispatch (late binding) through a view
-    /// class — an overriding definition on the object's own class wins even
-    /// if this view only knows a superclass.
-    pub fn invoke(
-        &self,
-        view: ViewId,
-        oid: Oid,
-        class_local: &str,
-        name: &str,
-    ) -> ModelResult<Value> {
-        let class = self.resolve_in(view, class_local)?;
-        self.db.invoke(oid, class, name)
     }
 
     /// Attach a class constraint through a view: every member must satisfy
@@ -770,53 +690,6 @@ impl TseSystem {
         }
         Ok(true)
     }
-}
-
-/// Did the error originate from a simulated-crash failpoint?
-pub(crate) fn is_crash(e: &ModelError) -> bool {
-    matches!(e, ModelError::Storage(s) if s.is_crash())
-}
-
-/// Surface a fired failpoint in the `fault.*` counters and the journal, so
-/// the observability layer sees every injected fault.
-pub(crate) fn note_fault(telemetry: &tse_telemetry::Telemetry, e: &ModelError) {
-    let (site, kind) = match e {
-        ModelError::Storage(StorageError::Injected(site)) => (site, "error"),
-        ModelError::Storage(StorageError::SimulatedCrash(site)) => (site, "crash"),
-        _ => return,
-    };
-    telemetry.incr("fault.injected", 1);
-    if kind == "crash" {
-        telemetry.incr("fault.crashes", 1);
-    }
-    telemetry.event("fault.fired", &[("site", site.as_str().into()), ("kind", kind.into())]);
-}
-
-/// The data-plane operations, with their `op.<name>` / `latency.<name>`
-/// metric names interned (DESIGN.md §8).
-pub(crate) mod ops {
-    use tse_telemetry::{op_name, OpName};
-
-    pub(crate) const CREATE: OpName = op_name!("create");
-    pub(crate) const GET: OpName = op_name!("get");
-    pub(crate) const SET: OpName = op_name!("set");
-    pub(crate) const EXTENT: OpName = op_name!("extent");
-    pub(crate) const SELECT_WHERE: OpName = op_name!("select_where");
-    pub(crate) const UPDATE_WHERE: OpName = op_name!("update_where");
-    pub(crate) const INVOKE: OpName = op_name!("invoke");
-    pub(crate) const ADD_TO: OpName = op_name!("add_to");
-    pub(crate) const REMOVE_FROM: OpName = op_name!("remove_from");
-    pub(crate) const DELETE_OBJECTS: OpName = op_name!("delete_objects");
-}
-
-/// Count a data-plane operation (`op.<name>`) and record its wall-clock
-/// latency into the `latency.<name>` histogram.
-pub(crate) fn observe_op(
-    telemetry: &tse_telemetry::Telemetry,
-    op: &tse_telemetry::OpName,
-    started: std::time::Instant,
-) {
-    telemetry.observe_op(op, started.elapsed().as_nanos() as u64, None);
 }
 
 /// Replace by-name references that were folded onto other classes.

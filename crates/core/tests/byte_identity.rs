@@ -8,8 +8,8 @@
 
 use std::path::PathBuf;
 
-use tse_core::SharedSystem;
-use tse_object_model::{encode_database, PropertyDef, Value, ValueType};
+use tse_core::{parse_expr, SharedSystem};
+use tse_object_model::{encode_database, Predicate, PropertyDef, Value, ValueType};
 use tse_storage::durable::{snapshot_path, WAL_FILE};
 use tse_workload::university::{build_university, populate_university};
 
@@ -37,12 +37,18 @@ fn populated_snapshot() -> Vec<u8> {
     for (i, oid) in oids.iter().enumerate().step_by(5) {
         tse.set(newest, *oid, "Person", &[("email", Value::Str(format!("e{i}")))]).unwrap();
     }
-    tse.update_where(newest, "Student", "age < 30", &[("credits", Value::Int(9))]).unwrap();
+    // Straight into the engine, below the data plane.
+    let (db, policy) = (tse.db(), tse.policy());
+    let class = |view, name| tse.view(view).unwrap().lookup(db, name).unwrap();
+    let student = class(newest, "Student");
+    let young = Predicate::Expr(parse_expr("age < 30").unwrap());
+    let matched = tse_algebra::select_objects(db, student, &young).unwrap();
+    tse_algebra::set(db, policy, &matched, student, &[("credits", Value::Int(9))]).unwrap();
     tse.create(newest, "Grad", &[("name", "new".into()), ("credits", Value::Int(1))]).unwrap();
-    tse.add_to(v1, &oids[..20], "Staff").unwrap();
-    tse.remove_from(v1, &oids[28..29], "Student").unwrap();
-    tse.delete_objects(&oids[40..60]).unwrap();
-    encode_database(tse.db()).to_vec()
+    tse_algebra::add(db, policy, &oids[..20], class(v1, "Staff")).unwrap();
+    tse_algebra::remove(db, policy, &oids[28..29], class(v1, "Student")).unwrap();
+    tse_algebra::delete(db, &oids[40..60]).unwrap();
+    encode_database(db).to_vec()
 }
 
 /// A fresh durable directory holding a two-class schema, then the WAL of

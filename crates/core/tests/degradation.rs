@@ -412,3 +412,20 @@ fn an_injected_fault_is_counted_whichever_write_op_it_fires_under() {
         assert_eq!(telemetry.counter("fault.injected"), 1, "{site}");
     }
 }
+
+#[test]
+fn an_injected_fault_in_a_composite_evolve_is_counted_once() {
+    // `insert_class` expands into two primitives, each a nested evolve. A
+    // fault in the first is counted once, by the shared system's evolve,
+    // not once per nesting level it unwinds through.
+    let shared = SharedSystem::new();
+    shared.define_base_class("Person", &[], vec![]).unwrap();
+    shared.define_base_class("Student", &["Person"], vec![]).unwrap();
+    shared.create_view("VS", &["Person", "Student"]).unwrap();
+    shared.failpoints().arm("evolve.translate", 1, FailAction::Error);
+    let err = shared.evolve_cmd("VS", "insert_class Mid between Person - Student").unwrap_err();
+    assert!(matches!(err, ModelError::Storage(StorageError::Injected(_))), "{err}");
+    let telemetry = shared.telemetry();
+    assert_eq!(telemetry.counter("fault.injected"), 1);
+    assert_eq!(telemetry.journal_lines().matches("fault.fired").count(), 1);
+}

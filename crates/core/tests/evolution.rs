@@ -2,7 +2,7 @@
 //! exercising translate → execute → classify → view generation → transparent
 //! renaming, plus data interoperability across view versions.
 
-use tse_core::{SchemaChange, TseSystem};
+use tse_core::{SchemaChange, SharedSystem, TseSystem};
 use tse_object_model::{PropertyDef, Value, ValueType};
 
 /// The university database of Figure 2 (restricted to the classes the §6
@@ -560,22 +560,23 @@ fn type_closed_views_pull_in_referenced_classes() {
 fn select_where_and_update_where_pipeline() {
     let mut tse = university();
     let v = tse.create_view("VS", &["Person", "Student"]).unwrap();
-    let a = tse.create(v, "Student", &[("age", Value::Int(17))]).unwrap();
-    let b = tse.create(v, "Student", &[("age", Value::Int(25))]).unwrap();
-    let c = tse.create(v, "Student", &[("age", Value::Int(40))]).unwrap();
+    let shared = SharedSystem::from_system(tse);
+    let w = shared.writer();
+    let a = w.create(v, "Student", &[("age", Value::Int(17))]).unwrap();
+    let b = w.create(v, "Student", &[("age", Value::Int(25))]).unwrap();
+    let c = w.create(v, "Student", &[("age", Value::Int(40))]).unwrap();
 
-    let adults = tse.select_where(v, "Student", "age >= 18").unwrap();
+    let adults = shared.session().select_where(v, "Student", "age >= 18").unwrap();
     assert_eq!(adults, vec![b, c]);
     // Update the matches in one pipeline.
-    let n = tse
-        .update_where(v, "Student", "age >= 18", &[("gpa", Value::Float(4.0))])
-        .unwrap();
+    let n = w.update_where(v, "Student", "age >= 18", &[("gpa", Value::Float(4.0))]).unwrap();
     assert_eq!(n, 2);
-    assert_eq!(tse.get(v, b, "Student", "gpa").unwrap(), Value::Float(4.0));
-    assert_eq!(tse.get(v, a, "Student", "gpa").unwrap(), Value::Float(0.0));
+    let r = shared.session();
+    assert_eq!(r.get(v, b, "Student", "gpa").unwrap(), Value::Float(4.0));
+    assert_eq!(r.get(v, a, "Student", "gpa").unwrap(), Value::Float(0.0));
     // Bad expressions are rejected.
-    assert!(tse.select_where(v, "Student", "age >=").is_err());
-    assert!(tse.select_where(v, "Student", "salary > 3").is_err());
+    assert!(r.select_where(v, "Student", "age >=").is_err());
+    assert!(r.select_where(v, "Student", "salary > 3").is_err());
 }
 
 #[test]

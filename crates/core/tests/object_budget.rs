@@ -144,8 +144,8 @@ fn a_thinned_out_table_costs_what_its_survivors_store() {
     let oids = populate_university(&mut tse, v1, CHURNED).unwrap();
     let doomed: Vec<_> =
         oids.iter().enumerate().filter(|(i, _)| i % KEEP_ONE_IN != 0).map(|(_, o)| *o).collect();
-    tse.delete_objects(&doomed).unwrap();
     let db = tse.db();
+    tse_algebra::delete(db, &doomed).unwrap();
     db.gc(db.store().clock().gc_watermark());
     let survivors = db.object_count();
     assert_eq!(survivors, CHURNED.div_ceil(KEEP_ONE_IN));

@@ -87,9 +87,14 @@ impl Classes {
         }
     }
 
-    /// The set with `class` added.
-    fn with(&self, class: ClassId) -> Classes {
-        self.as_slice().iter().copied().chain([class]).collect()
+    fn contains(&self, class: ClassId) -> bool {
+        self.as_slice().binary_search(&class).is_ok()
+    }
+
+    /// The set with each class of `classes` made a member (`member`) or not.
+    fn edited(&self, classes: &[ClassId], member: bool) -> Classes {
+        let kept = self.as_slice().iter().copied().filter(|c| member || !classes.contains(c));
+        kept.chain(classes.iter().copied().filter(|_| member)).collect()
     }
 }
 
@@ -149,6 +154,50 @@ impl ObjectEntry {
             (None, Some(_)) => None,
             (Some(e), Some(dead)) if dead <= e => None,
             _ => self.directs.at(epoch),
+        }
+    }
+
+    /// Install a membership edit stamped `stamp` that makes each class of
+    /// `classes` a member (`member`) or not. In stamp order the edit is
+    /// applied to the newest set and goes on top. A late edit (DESIGN.md
+    /// §13, *Late writes*) is applied to the set visible at its stamp — the
+    /// first set, for an object younger than the edit — and spliced in
+    /// there; each class is then carried into every newer version, oldest
+    /// first, until one of them changed that class itself. It is the rule of
+    /// a late record write, with a class in place of a field.
+    fn reclassify(&mut self, stamp: u64, classes: &[ClassId], member: bool) {
+        let chain = &mut self.directs;
+        // Lift the versions newer than the edit off, newest first.
+        let mut newer = Vec::new();
+        while chain.current_stamp() > stamp {
+            let head_stamp = chain.current_stamp();
+            let Some(set) = chain.pop() else { break };
+            newer.push((head_stamp, set));
+        }
+        let younger = chain.current_stamp() > stamp;
+        // Each class with its membership in the version below the next
+        // newer one; `None` while there is no such version.
+        let mut carried: Vec<(ClassId, Option<bool>)> = classes
+            .iter()
+            .map(|&class| (class, (!younger).then(|| chain.current().contains(class))))
+            .collect();
+        chain.push(stamp, chain.current().edited(classes, member));
+        if younger {
+            // The object's first version, newer than the edit, is the
+            // head again: lift it off too.
+            let head_stamp = chain.current_stamp();
+            newer.extend(chain.pop().map(|set| (head_stamp, set)));
+        }
+        for (stamp, mut set) in newer.into_iter().rev() {
+            carried.retain_mut(|(class, below)| {
+                let own = set.contains(*class);
+                below.replace(own).is_none_or(|below| below == own)
+            });
+            if !carried.is_empty() {
+                let classes: Vec<ClassId> = carried.iter().map(|(class, _)| *class).collect();
+                set = set.edited(&classes, member);
+            }
+            chain.push(stamp, set);
         }
     }
 
@@ -855,8 +904,8 @@ impl Database {
         let _mutation = self.membership.begin(stamp);
         let mut objects = self.objects.write();
         let entry = objects.get_mut(oid).ok_or(ModelError::UnknownObject(oid))?;
-        let set = entry.direct_at(None).ok_or(ModelError::UnknownObject(oid))?.with(class);
-        entry.directs.push(stamp, set);
+        entry.direct_at(None).ok_or(ModelError::UnknownObject(oid))?;
+        entry.reclassify(stamp, &[class], true);
         Ok(())
     }
 
@@ -872,11 +921,10 @@ impl Database {
         let mut objects = self.objects.write();
         let entry = objects.get_mut(oid).ok_or(ModelError::UnknownObject(oid))?;
         let cur = entry.direct_at(None).ok_or(ModelError::UnknownObject(oid))?.as_slice();
-        let set: Classes = cur.iter().copied().filter(|c| !doomed.contains(c)).collect();
-        if set.as_slice().len() == cur.len() {
+        if !cur.iter().any(|c| doomed.contains(c)) {
             return Err(ModelError::NotAMember { oid, class });
         }
-        entry.directs.push(stamp, set);
+        entry.reclassify(stamp, &doomed.into_iter().collect::<Vec<_>>(), false);
         Ok(())
     }
 
@@ -2042,6 +2090,48 @@ mod tests {
         assert_eq!(minor, adult, "the rolled-back id is handed out again");
         assert_eq!(*db.extent(minor).unwrap(), BTreeSet::from([kid]));
         db.commit_evolution(txn).unwrap();
+    }
+
+    /// A late membership edit lands on the version visible at its stamp,
+    /// reaches the head, and does not leak the newer edit to readers
+    /// between the two stamps.
+    #[test]
+    fn a_late_membership_edit_reaches_the_head_and_hides_newer_edits_below_it() {
+        let mut db = Database::default();
+        let [a, b, c] =
+            ["A", "B", "C"].map(|name| db.schema_mut().create_base_class(name, &[]).unwrap());
+        let oid = {
+            let _stamp = WriteStampGuard::new(1);
+            db.create_object(a, &[]).unwrap()
+        };
+        let edit = |stamp, add: bool, class| {
+            let _stamp = WriteStampGuard::new(stamp);
+            if add {
+                db.add_to_class(oid, class)
+            } else {
+                db.remove_from_class(oid, class)
+            }
+            .unwrap();
+        };
+        let classes = |epoch: Option<u64>| {
+            let _pin = epoch.map(tse_storage::ReadEpochGuard::new);
+            db.direct_classes(oid).unwrap()
+        };
+        edit(5, true, b);
+        edit(3, true, c); // late
+        assert_eq!(classes(None), BTreeSet::from([a, b, c]));
+        assert_eq!(classes(Some(4)), BTreeSet::from([a, c]));
+        assert_eq!(classes(Some(2)), BTreeSet::from([a]));
+
+        // A late removal is carried the same way, and a newer version that
+        // changed the class itself keeps its own answer.
+        edit(7, false, c);
+        edit(6, false, a); // late
+        edit(4, true, a); // late, and below a version that removed `a`
+        assert_eq!(classes(None), BTreeSet::from([b]));
+        assert_eq!(classes(Some(6)), BTreeSet::from([b, c]));
+        assert_eq!(classes(Some(5)), BTreeSet::from([a, b, c]));
+        assert_eq!(classes(Some(4)), BTreeSet::from([a, c]));
     }
 
     #[test]

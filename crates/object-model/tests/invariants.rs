@@ -402,6 +402,38 @@ fn write(chain: &mut Vec<(u64, Option<i64>)>, stamp: u64, value: i64) {
     chain.insert(at, (stamp, Some(value)));
 }
 
+/// Install a membership edit the way the object model does: each class of
+/// `classes` made a member (`member`) or not in the set visible at `stamp`
+/// (the oldest set when every version is newer), which is spliced in there.
+/// Each class is carried up through the newer versions until one of them
+/// changed that class; in stamp order the edit simply goes on top.
+fn reclassify(
+    chain: &mut Vec<(u64, BTreeSet<ClassId>)>,
+    stamp: u64,
+    classes: &BTreeSet<ClassId>,
+    member: bool,
+) {
+    let set_member = |set: &mut BTreeSet<ClassId>, class: ClassId| {
+        if member {
+            set.insert(class);
+        } else {
+            set.remove(&class);
+        }
+    };
+    let at = chain.partition_point(|(s, _)| *s <= stamp);
+    let mut spliced = chain[at.saturating_sub(1)].1.clone();
+    for &class in classes {
+        set_member(&mut spliced, class);
+        let changed =
+            |k: usize| k > 0 && chain[k - 1].1.contains(&class) != chain[k].1.contains(&class);
+        let stop = (at..chain.len()).find(|k| changed(*k)).unwrap_or(chain.len());
+        for (_, set) in &mut chain[at..stop] {
+            set_member(set, class);
+        }
+    }
+    chain.insert(at, (stamp, spliced));
+}
+
 fn visible<T>(chain: &[(u64, T)], epoch: Option<u64>) -> Option<&T> {
     match epoch {
         None => chain.last().map(|(_, v)| v),
@@ -501,22 +533,17 @@ proptest! {
                     let _at = WriteStampGuard::new(stamp);
                     let adding = matches!(op, ChainOp::Add(..));
                     let ours = if adding { db.add_to_class(oid, class) } else { db.remove_from_class(oid, class) };
-                    let expected = object.classes_at(None).cloned().and_then(|mut set| {
-                        if adding {
-                            set.insert(class);
-                        } else {
-                            let doomed = db.schema().descendants(class);
-                            let before = set.len();
-                            set.retain(|c| !doomed.contains(c));
-                            if set.len() == before {
-                                return None;
-                            }
-                        }
-                        Some(set)
-                    });
-                    prop_assert_eq!(ours.is_ok(), expected.is_some(), "{:?} on {}", op, oid);
-                    if let Some(set) = expected {
-                        splice(&mut object.directs, stamp, set);
+                    // The newest set decides whether the edit applies.
+                    let edited = match adding {
+                        true => BTreeSet::from([class]),
+                        false => db.schema().descendants(class),
+                    };
+                    let applies = object
+                        .classes_at(None)
+                        .is_some_and(|set| adding || set.iter().any(|c| edited.contains(c)));
+                    prop_assert_eq!(ours.is_ok(), applies, "{:?} on {}", op, oid);
+                    if applies {
+                        reclassify(&mut object.directs, stamp, &edited, adding);
                     }
                 }
                 ChainOp::Write(o, v, lag) if !model.is_empty() => {

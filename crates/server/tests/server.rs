@@ -4,6 +4,8 @@
 //! and remote transports, and exactly-once writes across network faults
 //! and live evolutions (audited by the `tse-workload` history checker).
 
+mod netfault;
+
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,7 +14,6 @@ use std::sync::{Arc, Mutex};
 use tse_core::{
     SharedSystem, TseClient, TseCode, TseReader, TseSystem, TseWriter,
 };
-use tse_netfault::{ChaosConfig, NetFault};
 use tse_object_model::{PendingProp, PropertyDef, Value, ValueType};
 use tse_server::proto::{
     decode_response, encode_request, read_frame, write_frame, Request, Response,
@@ -22,6 +23,8 @@ use tse_storage::{FailAction, RetryPolicy};
 use tse_telemetry::Telemetry;
 use tse_workload::history::{seeded, History, Op, Outcome};
 use tse_workload::trace::{generate_and_apply_trace, TraceMix};
+
+use netfault::{ChaosConfig, NetFault};
 
 /// A unique, empty scratch directory per test.
 fn tmpdir(name: &str) -> PathBuf {
@@ -303,7 +306,7 @@ fn chaos_load_across_live_evolves_applies_every_acked_write_exactly_once() {
     );
 }
 
-/// Four connections read and write through a seeded `tse-netfault` proxy
+/// Four connections read and write through a seeded `netfault` proxy
 /// (severs, black holes, delays, byte-level fragmentation) while an admin,
 /// over a direct connection, replays a Sjøberg-shaped schema-change trace
 /// from `tse-workload`. Afterwards the history checker audits the store

@@ -1,13 +1,10 @@
-//! Shared-access correctness: the legacy whole-system `RwLock` sharing
-//! model (readers and writers both serialize on one lock), and the
-//! control-plane / data-plane split of `SharedSystem`, where read sessions
-//! pin epoch-published metadata snapshots and evolution only takes the
-//! exclusive lock for the final swap-in.
+//! Shared-access correctness: readers, writers and evolutions on one
+//! `SharedSystem`, whose read sessions pin epoch-published metadata
+//! snapshots while evolution only takes the exclusive lock for the final
+//! swap-in.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-use parking_lot::RwLock;
 
 use tse::core::{SharedSystem, TseClient, TseSystem, TseWriter};
 use tse::object_model::{PropertyDef, Value, ValueType};
@@ -44,21 +41,21 @@ fn build() -> (TseSystem, Vec<tse::object_model::Oid>, tse::view::ViewId) {
 #[test]
 fn parallel_readers_see_consistent_data() {
     let (sys, oids, v) = build();
-    let shared = Arc::new(RwLock::new(sys));
+    let shared = SharedSystem::from_system(sys);
     std::thread::scope(|scope| {
         for t in 0..8 {
-            let shared = Arc::clone(&shared);
+            let shared = shared.clone();
             let oids = oids.clone();
             scope.spawn(move || {
                 for round in 0..50 {
-                    let sys = shared.read();
+                    let session = shared.session();
                     let idx = (t * 31 + round * 7) % oids.len();
-                    let age = sys.get(v, oids[idx], "Person", "age").unwrap();
+                    let age = session.get(v, oids[idx], "Person", "age").unwrap();
                     assert_eq!(age, Value::Int(idx as i64));
-                    // Extent evaluation (cache-refreshing) under read locks.
-                    assert_eq!(sys.extent(v, "Person").unwrap().len(), oids.len());
+                    // Extent evaluation (cache-refreshing) from many readers.
+                    assert_eq!(session.extent(v, "Person").unwrap().len(), oids.len());
                     // Query pipeline too.
-                    let n = sys.select_where(v, "Person", "age >= 100").unwrap().len();
+                    let n = session.select_where(v, "Person", "age >= 100").unwrap().len();
                     assert_eq!(n, 100);
                 }
             });
@@ -69,27 +66,25 @@ fn parallel_readers_see_consistent_data() {
 #[test]
 fn readers_interleaved_with_writers_stay_coherent() {
     let (sys, oids, v) = build();
-    let shared = Arc::new(RwLock::new(sys));
+    let shared = SharedSystem::from_system(sys);
     std::thread::scope(|scope| {
         // A writer bumps ages by 1000 one at a time.
         {
-            let shared = Arc::clone(&shared);
+            let writer = shared.writer();
             let oids = oids.clone();
             scope.spawn(move || {
                 for (i, oid) in oids.iter().enumerate() {
-                    let sys = shared.write();
-                    sys.set(v, *oid, "Person", &[("age", Value::Int(1000 + i as i64))]).unwrap();
+                    writer.set(v, *oid, "Person", &[("age", Value::Int(1000 + i as i64))]).unwrap();
                 }
             });
         }
         // Readers observe either the old or the new value, never junk.
         for _ in 0..4 {
-            let shared = Arc::clone(&shared);
+            let shared = shared.clone();
             let oids = oids.clone();
             scope.spawn(move || {
                 for (i, oid) in oids.iter().enumerate() {
-                    let sys = shared.read();
-                    match sys.get(v, *oid, "Person", "age").unwrap() {
+                    match shared.session().get(v, *oid, "Person", "age").unwrap() {
                         Value::Int(x) => {
                             assert!(
                                 x == i as i64 || x == 1000 + i as i64,
@@ -103,40 +98,36 @@ fn readers_interleaved_with_writers_stay_coherent() {
         }
     });
     // Final state: all bumped.
-    let sys = shared.read();
-    assert_eq!(sys.get(v, oids[5], "Person", "age").unwrap(), Value::Int(1005));
+    assert_eq!(shared.session().get(v, oids[5], "Person", "age").unwrap(), Value::Int(1005));
 }
 
 #[test]
 fn evolution_under_lock_with_concurrent_old_version_readers() {
     let (sys, oids, v1) = build();
-    let shared = Arc::new(RwLock::new(sys));
+    let shared = SharedSystem::from_system(sys);
     std::thread::scope(|scope| {
         {
-            let shared = Arc::clone(&shared);
+            let shared = shared.clone();
             scope.spawn(move || {
                 for i in 0..5 {
-                    let mut sys = shared.write();
-                    sys.evolve_cmd("VS", &format!("add_attribute extra{i}: int to Person"))
-                        .unwrap();
+                    let change = format!("add_attribute extra{i}: int to Person");
+                    shared.evolve_cmd("VS", &change).unwrap();
                 }
             });
         }
         for _ in 0..4 {
-            let shared = Arc::clone(&shared);
+            let shared = shared.clone();
             let oids = oids.clone();
             scope.spawn(move || {
                 for oid in &oids {
-                    let sys = shared.read();
                     // The old view keeps answering regardless of how far
                     // evolution has progressed.
-                    assert!(sys.get(v1, *oid, "Person", "name").is_ok());
+                    assert!(shared.session().get(v1, *oid, "Person", "name").is_ok());
                 }
             });
         }
     });
-    let sys = shared.read();
-    assert_eq!(sys.views().versions("VS").unwrap().len(), 6);
+    assert_eq!(shared.session().meta().views().versions("VS").unwrap().len(), 6);
 }
 
 /// Person ← Student system with a two-class view — the shape a composite

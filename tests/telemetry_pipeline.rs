@@ -1,24 +1,34 @@
 //! End-to-end telemetry integration: the evolution pipeline's spans,
 //! counters, and phase timings, observed through the public facade.
 
-use tse::core::TseSystem;
+use tse::core::{SharedSystem, TseClient, TseReader, TseWriter};
 use tse::object_model::Value;
 use tse::telemetry::json::validate_lines;
 use tse::workload::university::build_university;
 
-/// A fixed mixed workload: one evolution plus a few data-plane operations.
-fn run_workload() -> TseSystem {
-    let (mut tse, _) = build_university().unwrap();
-    tse.create_view("VS1", &["Person", "Student", "TA"]).unwrap();
-    let report = tse
-        .evolve_cmd("VS1", "add_attribute register: bool = false to Student")
-        .unwrap();
-    let o = tse.create(report.view, "Student", &[("register", Value::Bool(true))]).unwrap();
-    assert_eq!(tse.get(report.view, o, "Student", "register").unwrap(), Value::Bool(true));
-    assert_eq!(tse.select_where(report.view, "Student", "register == true").unwrap(), vec![o]);
-    tse.update_where(report.view, "Student", "register == true", &[("register", Value::Bool(false))])
-        .unwrap();
-    tse
+/// A fixed mixed workload through the client: one evolution, then each
+/// data-plane operation once.
+fn run_workload() -> SharedSystem {
+    let (tse, _) = build_university().unwrap();
+    let sys = SharedSystem::from_system(tse);
+    let client = sys.client("VS1");
+    client.create_view(&["Person", "Student", "TA", "Staff"]).unwrap();
+    client.evolve("add_attribute register: bool = false to Student").unwrap();
+    let w = client.writer().unwrap();
+    let o = w.create("Student", &[("register", Value::Bool(true))]).unwrap();
+    w.set(o, "Student", &[("age", Value::Int(20))]).unwrap();
+    w.add_to(&[o], "Staff").unwrap();
+    w.remove_from(&[o], "Staff").unwrap();
+    let r = client.session().unwrap();
+    assert_eq!(r.get(o, "Student", "register").unwrap(), Value::Bool(true));
+    assert_eq!(r.invoke(o, "Student", "age").unwrap(), Value::Int(20));
+    assert_eq!(r.extent("Student").unwrap(), vec![o]);
+    assert_eq!(r.select_where("Student", "register == true").unwrap(), vec![o]);
+    let updated =
+        w.update_where("Student", "register == true", &[("register", Value::Bool(false))]);
+    assert_eq!(updated.unwrap(), 1);
+    w.delete_objects(&[o]).unwrap();
+    sys
 }
 
 #[test]
@@ -109,14 +119,18 @@ fn evolve_journal_records_share_one_trace() {
 
 #[test]
 fn data_plane_counters_and_latency_histograms_recorded() {
-    let tse = run_workload();
-    let snap = tse.telemetry().snapshot();
-    for op in ["create", "get", "select_where", "update_where"] {
-        assert!(snap.counter(&format!("op.{op}")) >= 1, "op.{op} not counted");
+    let snap = run_workload().telemetry().snapshot();
+    let ops = [
+        "create", "get", "set", "extent", "select_where", "update_where", "invoke", "add_to",
+        "remove_from", "delete_objects",
+    ];
+    for op in ops {
+        assert_eq!(snap.counter(&format!("op.{op}")), 1, "op.{op}: one call, one count");
         let h = snap.histograms.get(&format!("latency.{op}")).unwrap_or_else(|| {
             panic!("latency.{op} histogram missing");
         });
-        assert!(h.count >= 1 && h.min >= 1, "latency.{op} empty or zero");
+        assert_eq!(h.count, 1, "latency.{op}: one call, one sample");
+        assert!(h.min >= 1, "latency.{op} is zero");
     }
     // Store gauges are published on every evolve, and the fact cache's
     // two counters with them.
@@ -126,15 +140,18 @@ fn data_plane_counters_and_latency_histograms_recorded() {
 }
 
 #[test]
-fn a_bare_system_update_where_counts_itself_once_and_no_select() {
-    let (mut tse, _) = build_university().unwrap();
-    let v = tse.create_view("VS1", &["Person", "Student"]).unwrap();
-    tse.create(v, "Person", &[("age", Value::Int(20))]).unwrap();
-    let count = |tse: &TseSystem, op: &str| tse.telemetry().snapshot().counter(op);
-    let before = (count(&tse, "op.update_where"), count(&tse, "op.select_where"));
-    tse.update_where(v, "Person", "age >= 0", &[("age", Value::Int(30))]).unwrap();
+fn a_session_update_where_counts_itself_once_and_no_select() {
+    let (tse, _) = build_university().unwrap();
+    let sys = SharedSystem::from_system(tse);
+    let client = sys.client("VS1");
+    client.create_view(&["Person", "Student"]).unwrap();
+    let w = client.writer().unwrap();
+    w.create("Person", &[("age", Value::Int(20))]).unwrap();
+    let count = |op: &str| sys.telemetry().snapshot().counter(op);
+    let before = (count("op.update_where"), count("op.select_where"));
+    w.update_where("Person", "age >= 0", &[("age", Value::Int(30))]).unwrap();
     // A failing set is still one update_where.
-    tse.update_where(v, "Person", "age >= 0", &[("age", Value::Str("old".into()))]).unwrap_err();
-    let after = (count(&tse, "op.update_where"), count(&tse, "op.select_where"));
+    w.update_where("Person", "age >= 0", &[("age", Value::Str("old".into()))]).unwrap_err();
+    let after = (count("op.update_where"), count("op.select_where"));
     assert_eq!(after, (before.0 + 2, before.1), "(update_where, select_where) counts");
 }
