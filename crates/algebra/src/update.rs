@@ -323,9 +323,11 @@ pub fn select_objects(
     pred: &tse_object_model::Predicate,
 ) -> ModelResult<Vec<Oid>> {
     let ext = db.extent(class)?;
-    // The names the predicate mentions resolve once for the whole extent.
+    // One read pass over the extent: the names the predicate mentions
+    // resolve once, and the locks are taken once, not once per member. The
+    // pass ends with this function, before any caller writes.
     let bound = db.bind_attrs(class);
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(ext.len());
     for oid in ext.iter() {
         if pred.eval(&bound.source(*oid))? {
             out.push(*oid);

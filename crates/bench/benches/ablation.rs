@@ -8,6 +8,10 @@
 //!   buffer; sweep the pool size and record scan cost. A page touch must
 //!   cost the same however large the pool is: the medians of a hot read loop
 //!   on a full pool of 8, 256 and 4 096 pages land in `BENCH_ablation.json`.
+//! * **Select pass** — a select reads its extent in one pass, so a member
+//!   costs it less than a get of that member does: the per-member medians
+//!   of a 64-member select and of 64 gets on a full pool land in
+//!   `BENCH_ablation.json`.
 //! * **Saturation prover** — the cost of one more schema change as the
 //!   number of virtual classes earlier changes left behind grows (the prover
 //!   is extended per class, not rebuilt; the change should cost what it
@@ -19,7 +23,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use tse_core::TseSystem;
-use tse_object_model::{PropertyDef, Value, ValueType};
+use tse_object_model::{BinOp, MethodBody, Predicate, PropertyDef, Value, ValueType};
 use tse_storage::{SliceStore, StoreConfig};
 use tse_telemetry::JsonValue;
 
@@ -154,6 +158,73 @@ fn buffer_pool_touch_rows() -> Vec<JsonValue> {
     rows
 }
 
+/// The per-member cost of a 64-member select against the cost of a get of
+/// the same members on a full pool: a select reads its extent in one pass
+/// (one object-table guard, one stripe guard at a time, page touches
+/// flushed once, the comparison made in place), so a member costs it less
+/// than a get does. Timed here rather than through the criterion driver.
+fn select_pass_rows() -> Vec<JsonValue> {
+    const SAMPLES: usize = 15;
+    const REPS: usize = 400;
+    const MEMBERS: usize = 64;
+    // 512-byte pages hold a dozen slices: 4 000 people fill far more than
+    // the pool's 64 pages, so the pool is full and every read's page is
+    // found resident at the MRU end.
+    let config = StoreConfig { page_size: 512, buffer_pages: 64, ..StoreConfig::default() };
+    let mut db = tse_object_model::Database::new(config);
+    let schema = db.schema_mut();
+    let person = schema.create_base_class("Person", &[]).unwrap();
+    let seminar = schema.create_base_class("Seminar", &[person]).unwrap();
+    let age = PropertyDef::stored("age", ValueType::Int, Value::Int(0));
+    schema.add_local_prop(person, age, None).unwrap();
+    for i in 0..4_000 {
+        db.create_object(person, &[("age", Value::Int(i % 70))]).unwrap();
+    }
+    let members: Vec<_> = (0..MEMBERS as i64)
+        .map(|i| db.create_object(seminar, &[("age", Value::Int(18 + i))]).unwrap())
+        .collect();
+    let pred = Predicate::Expr(MethodBody::bin(
+        BinOp::Ge,
+        MethodBody::Attr("age".into()),
+        MethodBody::Const(Value::Int(30)),
+    ));
+    assert_eq!(tse_algebra::select_objects(&db, seminar, &pred).unwrap().len(), MEMBERS - 12);
+    let before = db.store_stats();
+    let per_member = |f: &dyn Fn()| {
+        let mut ns: Vec<u64> = (0..SAMPLES)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..REPS {
+                    f();
+                }
+                start.elapsed().as_nanos() as u64 / (REPS * MEMBERS) as u64
+            })
+            .collect();
+        ns.sort_unstable();
+        ns[SAMPLES / 2]
+    };
+    let select = per_member(&|| {
+        black_box(tse_algebra::select_objects(&db, seminar, &pred).unwrap());
+    });
+    let get = per_member(&|| {
+        for oid in &members {
+            black_box(db.read_attr(*oid, seminar, "age").unwrap());
+        }
+    });
+    let window = db.store_stats().delta_since(&before);
+    assert_eq!(window.page_misses, 0, "the members' pages stay resident");
+    let ratio = select as f64 / get.max(1) as f64;
+    println!(
+        "bench ablation/select_pass/{MEMBERS}_members  select {select:>4} ns/member, get {get:>4} ns/member, x{ratio:.2}"
+    );
+    vec![JsonValue::obj(vec![
+        ("members", (MEMBERS as u64).into()),
+        ("select_ns_per_member", select.into()),
+        ("get_ns_per_member", get.into()),
+        ("samples", (SAMPLES as u64).into()),
+    ])]
+}
+
 /// Classification overhead vs accumulated schema size: evolve repeatedly in
 /// one family and measure the next change. Timed here rather than through
 /// the criterion driver, which reports no per-benchmark figure back: the
@@ -194,10 +265,11 @@ fn bench_timed_medians(_c: &mut Criterion) {
     let json = JsonValue::obj(vec![
         ("bench", "ablation".into()),
         ("buffer_pool_touch", JsonValue::Arr(buffer_pool_touch_rows())),
+        ("select_pass", JsonValue::Arr(select_pass_rows())),
         ("classification_vs_schema_size", JsonValue::Arr(prover_growth_rows())),
     ]);
     let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
-    println!("buffer-pool-touch and classification-vs-schema-size medians written to {path}");
+    println!("buffer-pool-touch, select-pass and classification-vs-schema-size medians written to {path}");
 }
 
 criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_timed_medians);

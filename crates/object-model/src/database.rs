@@ -36,6 +36,7 @@ use tse_storage::{
     StoreConfig, StoreStats, TxnToken, VersionChain, WriteStampGuard,
 };
 
+use crate::access::{Pass, Scope};
 use crate::class::ClassKind;
 use crate::derivation::Derivation;
 use crate::error::{ModelError, ModelResult};
@@ -971,64 +972,7 @@ impl Database {
     /// never builds an extent, so a write through a view pays for one
     /// object, not for the view's population.
     pub fn is_member(&self, oid: Oid, class: ClassId) -> ModelResult<bool> {
-        let direct = {
-            let objects = self.objects.read();
-            match objects.get(oid).and_then(|e| e.direct_at(current_read_epoch())) {
-                Some(s) => s.clone(),
-                None => return Ok(false),
-            }
-        };
-        self.member_via(oid, direct.as_slice(), class, None)
-    }
-
-    /// [`Database::is_member`], or for an `Unpublished` object the same
-    /// check on its class and initial values.
-    pub(crate) fn member(
-        &self,
-        oid: Oid,
-        class: ClassId,
-        object: Option<Unpublished<'_>>,
-    ) -> ModelResult<bool> {
-        match object {
-            Some(o) => self.member_via(oid, &[o.class], class, object),
-            None => self.is_member(oid, class),
-        }
-    }
-
-    fn member_via(
-        &self,
-        oid: Oid,
-        direct: &[ClassId],
-        class: ClassId,
-        object: Option<Unpublished<'_>>,
-    ) -> ModelResult<bool> {
-        let derivation = match &self.schema.class(class)?.kind {
-            ClassKind::Base => {
-                return Ok(direct.iter().any(|d| self.schema.is_sub_of(*d, class)));
-            }
-            ClassKind::Virtual(derivation) => derivation,
-        };
-        Ok(match derivation {
-            Derivation::Select { src, pred } => {
-                self.member_via(oid, direct, *src, object)?
-                    && pred.eval(&self.bind_object(*src, object).source(oid))?
-            }
-            Derivation::Hide { src, .. } | Derivation::Refine { src, .. } => {
-                self.member_via(oid, direct, *src, object)?
-            }
-            Derivation::Union { a, b } => {
-                self.member_via(oid, direct, *a, object)?
-                    || self.member_via(oid, direct, *b, object)?
-            }
-            Derivation::Difference { a, b } => {
-                self.member_via(oid, direct, *a, object)?
-                    && !self.member_via(oid, direct, *b, object)?
-            }
-            Derivation::Intersect { a, b } => {
-                self.member_via(oid, direct, *a, object)?
-                    && self.member_via(oid, direct, *b, object)?
-            }
-        })
+        Pass::new(self).member(oid, class, None)
     }
 
     fn read_point(&self) -> ReadPoint {
@@ -1260,12 +1204,13 @@ impl Database {
                 self.schema.class(*c).map(|cls| cls.constraint().is_some()).unwrap_or(false)
             })
             .collect();
+        let pass = Pass::new(self);
         for c in constrained {
-            if !self.member(oid, c, object)? {
+            if !pass.member(oid, c, object)? {
                 continue;
             }
-            let pred = self.schema.class(c)?.constraint().cloned().expect("filtered");
-            if !pred.eval(&self.bind_object(c, object).source(oid))? {
+            let pred = self.schema.class(c)?.constraint().expect("filtered");
+            if !pred.eval(&pass.source(&Scope::new(c, object), oid))? {
                 return Err(ModelError::Invalid(format!(
                     "class constraint of {} refused the update on {oid}: {}",
                     self.schema.class(c)?.name,
@@ -1323,9 +1268,10 @@ impl Database {
             })
             .collect();
         // Keep only those the object belongs to.
+        let pass = Pass::new(self);
         let mut member_capable = Vec::new();
         for c in capable {
-            if self.member(oid, c, object)? {
+            if pass.member(oid, c, object)? {
                 member_capable.push(c);
             }
         }

@@ -117,6 +117,13 @@ pub fn eval_body(body: &MethodBody, src: &dyn AttrSource) -> ModelResult<Value> 
             }
         }
         MethodBody::Bin(op, a, b) => {
+            // `attr op const`, the shape of most predicates: compared in
+            // place, the constant neither cloned nor moved.
+            if let (MethodBody::Attr(name), MethodBody::Const(k)) = (&**a, &**b) {
+                if op.is_comparison() {
+                    return compare_op(*op, &src.get(name)?, k);
+                }
+            }
             let va = eval_body(a, src)?;
             // Short-circuit logical operators.
             match op {
@@ -137,24 +144,7 @@ fn apply_bin(op: BinOp, a: Value, b: Value) -> ModelResult<Value> {
     match op {
         And => Ok(Bool(a.truthy() && b.truthy())),
         Or => Ok(Bool(a.truthy() || b.truthy())),
-        Eq => Ok(Bool(values_eq(&a, &b))),
-        Ne => Ok(Bool(!values_eq(&a, &b))),
-        Lt | Le | Gt | Ge => {
-            let ord = compare(&a, &b).ok_or_else(|| {
-                ModelError::MethodEval(format!(
-                    "cannot compare {} with {}",
-                    a.kind_name(),
-                    b.kind_name()
-                ))
-            })?;
-            Ok(Bool(match op {
-                Lt => ord.is_lt(),
-                Le => ord.is_le(),
-                Gt => ord.is_gt(),
-                Ge => ord.is_ge(),
-                _ => unreachable!(),
-            }))
-        }
+        Eq | Ne | Lt | Le | Gt | Ge => compare_op(op, &a, &b),
         Add => match (a, b) {
             (Int(x), Int(y)) => Ok(Int(x.wrapping_add(y))),
             (Float(x), Float(y)) => Ok(Float(x + y)),
@@ -206,6 +196,36 @@ fn apply_bin(op: BinOp, a: Value, b: Value) -> ModelResult<Value> {
             }))
         }
     }
+}
+
+impl BinOp {
+    /// `Eq`, `Ne`, `Lt`, `Le`, `Gt` or `Ge`.
+    fn is_comparison(self) -> bool {
+        matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
+    }
+}
+
+/// Apply a comparison operator to two borrowed values.
+fn compare_op(op: BinOp, a: &Value, b: &Value) -> ModelResult<Value> {
+    use BinOp::*;
+    let ord = match op {
+        Eq => return Ok(Value::Bool(values_eq(a, b))),
+        Ne => return Ok(Value::Bool(!values_eq(a, b))),
+        _ => compare(a, b).ok_or_else(|| {
+            ModelError::MethodEval(format!(
+                "cannot compare {} with {}",
+                a.kind_name(),
+                b.kind_name()
+            ))
+        })?,
+    };
+    Ok(Value::Bool(match op {
+        Lt => ord.is_lt(),
+        Le => ord.is_le(),
+        Gt => ord.is_gt(),
+        Ge => ord.is_ge(),
+        _ => unreachable!("not a comparison: {op:?}"),
+    }))
 }
 
 /// Value equality used by `Eq`/`Ne` (int/float cross-compare allowed).
@@ -340,6 +360,67 @@ mod tests {
             Box::new(MethodBody::Attr("age".into())),
         );
         assert_eq!(body.referenced_attrs(), vec!["age".to_string(), "name".to_string()]);
+    }
+
+    /// `attr op const` is compared in place; every comparison of every
+    /// pair of value kinds (Null, cross-kind, NaN included) answers or
+    /// errors exactly as the general path through `apply_bin` does.
+    #[test]
+    fn in_place_comparison_matches_apply_bin() {
+        let values = [
+            Value::Null,
+            Value::Int(2),
+            Value::Int(-7),
+            Value::Float(2.0),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::Str("ann".into()),
+            Value::Str("bob".into()),
+            Value::List(vec![Value::Int(1)]),
+        ];
+        let ops = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+        for op in ops {
+            for attr in &values {
+                let src = MapSource([("x".to_string(), attr.clone())].into());
+                for k in &values {
+                    let in_place = MethodBody::bin(
+                        op,
+                        MethodBody::Attr("x".into()),
+                        MethodBody::Const(k.clone()),
+                    );
+                    // Not of the `attr op const` shape: takes the general path.
+                    let general = MethodBody::If(
+                        Box::new(MethodBody::Const(Value::Bool(true))),
+                        Box::new(MethodBody::bin(
+                            op,
+                            MethodBody::If(
+                                Box::new(MethodBody::Const(Value::Bool(true))),
+                                Box::new(MethodBody::Attr("x".into())),
+                                Box::new(MethodBody::Const(Value::Null)),
+                            ),
+                            MethodBody::Const(k.clone()),
+                        )),
+                        Box::new(MethodBody::Const(Value::Null)),
+                    );
+                    assert_eq!(
+                        eval_body(&in_place, &src),
+                        apply_bin(op, attr.clone(), k.clone()),
+                        "{attr:?} {op:?} {k:?}"
+                    );
+                    assert_eq!(eval_body(&in_place, &src), eval_body(&general, &src));
+                }
+            }
+            // A missing attribute fails the same way on both paths.
+            let missing = MethodBody::bin(
+                op,
+                MethodBody::Attr("missing".into()),
+                MethodBody::Const(Value::Int(1)),
+            );
+            assert_eq!(
+                eval_body(&missing, &src()),
+                Err(ModelError::MethodEval("no missing".into()))
+            );
+        }
     }
 
     #[test]

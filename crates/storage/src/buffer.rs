@@ -67,6 +67,9 @@ pub(crate) struct BufferPool {
     head: u32,
     /// Most recently used node.
     tail: u32,
+    /// Every touch and whether it hit, in order (for the store's tests).
+    #[cfg(test)]
+    pub(crate) log: Vec<(PageKey, bool)>,
 }
 
 impl BufferPool {
@@ -77,11 +80,20 @@ impl BufferPool {
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
+            #[cfg(test)]
+            log: Vec::new(),
         }
     }
 
     /// Touch a page; returns `true` on a hit, `false` on a miss (page fault).
     pub fn touch(&mut self, key: PageKey) -> bool {
+        let hit = self.touch_unlogged(key);
+        #[cfg(test)]
+        self.log.push((key, hit));
+        hit
+    }
+
+    fn touch_unlogged(&mut self, key: PageKey) -> bool {
         if let Some(&slot) = self.index.get(&key) {
             if slot != self.tail {
                 self.unlink(slot);
@@ -129,7 +141,7 @@ impl BufferPool {
     }
 
     /// Resident pages, least recently used first.
-    fn lru_order(&self) -> impl Iterator<Item = PageKey> + '_ {
+    pub(crate) fn lru_order(&self) -> impl Iterator<Item = PageKey> + '_ {
         std::iter::successors((self.head != NIL).then_some(self.head), |slot| {
             let next = self.nodes[*slot as usize].next;
             (next != NIL).then_some(next)

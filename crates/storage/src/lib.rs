@@ -76,5 +76,5 @@ pub use segment::VersionChain;
 pub use payload::{Payload, SimplePayload};
 pub use snapshot::{decode_store, decode_store_with, encode_store};
 pub use stats::StoreStats;
-pub use store::{RecordId, SegmentId, SliceStore, StoreConfig};
+pub use store::{ReadCursor, RecordId, SegmentId, SliceStore, StoreConfig};
 pub use txn::TxnToken;

@@ -14,14 +14,15 @@
 //! contents live behind an `Arc` so [`SliceStore::fork_shared`] is a
 //! handle clone: the control plane's fork copies nothing.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tse_telemetry::Telemetry;
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PageKey};
 use crate::error::{StorageError, StorageResult};
 use crate::failpoint::FailpointRegistry;
 use crate::mvcc::{current_read_epoch, current_write_stamp, EpochClock, ReadPin};
@@ -127,14 +128,14 @@ impl AtomicStats {
 /// own buffer pool (a shared pool would re-serialize every page touch).
 #[derive(Debug)]
 struct Stripe<P: Payload> {
-    segments: RwLock<std::collections::BTreeMap<u32, Segment<P>>>,
+    segments: RwLock<BTreeMap<u32, Segment<P>>>,
     buffer: Mutex<BufferPool>,
 }
 
 impl<P: Payload> Stripe<P> {
     fn new(buffer_pages: usize) -> Self {
         Stripe {
-            segments: RwLock::new(std::collections::BTreeMap::new()),
+            segments: RwLock::new(BTreeMap::new()),
             buffer: Mutex::new(BufferPool::new(buffer_pages)),
         }
     }
@@ -146,7 +147,7 @@ impl<P: Payload> Stripe<P> {
     fn write_segments(
         &self,
         telemetry: &Telemetry,
-    ) -> RwLockWriteGuard<'_, std::collections::BTreeMap<u32, Segment<P>>> {
+    ) -> RwLockWriteGuard<'_, BTreeMap<u32, Segment<P>>> {
         match self.segments.try_write() {
             Some(guard) => guard,
             None => {
@@ -424,18 +425,24 @@ impl<P: Payload> SliceStore<P> {
         Ok(fields)
     }
 
-    /// Read one field of a record at the calling thread's pinned epoch.
+    /// Read one field of a record at the calling thread's pinned epoch: a
+    /// [`ReadCursor`] pass of one read.
     pub fn read_field(&self, rec: RecordId, idx: usize) -> StorageResult<P> {
-        let epoch = current_read_epoch();
-        let (field, len, page) = self.with_segment(rec.segment, |s| {
-            s.record(rec.slot).and_then(|r| {
-                r.fields_at(epoch).map(|f| (f.get(idx).cloned(), f.len(), r.page))
-            })
-        })?
-        .ok_or(StorageError::UnknownRecord { segment: rec.segment.0, slot: rec.slot })?;
-        self.inner.stats.record_reads.fetch_add(1, Ordering::Relaxed);
-        self.touch_page(rec.segment, page);
-        field.ok_or(StorageError::FieldOutOfBounds { index: idx, len })
+        self.cursor().read_field(rec, idx)
+    }
+
+    /// A read cursor at the calling thread's pinned epoch (latest when
+    /// unpinned), for a pass of field reads that takes its locks once per
+    /// stripe run instead of once per read.
+    pub fn cursor(&self) -> ReadCursor<'_, P> {
+        ReadCursor {
+            store: self,
+            epoch: current_read_epoch(),
+            stripe: 0,
+            guard: None,
+            touches: [(0, 0); TOUCH_BATCH],
+            pending: 0,
+        }
     }
 
     /// Number of fields in a record at the calling thread's pinned epoch
@@ -508,26 +515,34 @@ impl<P: Payload> SliceStore<P> {
         let epoch = current_read_epoch();
         let guard = self.stripe(seg).segments.read();
         let segment = guard.get(&seg.0).ok_or(StorageError::UnknownSegment(seg.0))?;
-        let mut touches: Vec<u32> = Vec::new();
+        let mut touches: Vec<PageKey> = Vec::new();
         for (slot, record) in segment.iter_records() {
             let Some(fields) = record.fields_at(epoch) else { continue };
-            self.inner.stats.record_reads.fetch_add(1, Ordering::Relaxed);
-            touches.push(record.page);
+            touches.push((seg.0, record.page));
             f(RecordId { segment: seg, slot }, fields);
         }
         drop(guard);
-        for page in touches {
-            self.touch_page(seg, page);
-        }
+        self.inner.stats.record_reads.fetch_add(touches.len() as u64, Ordering::Relaxed);
+        self.replay_touches(self.stripe(seg), &touches);
         Ok(())
     }
 
     fn touch_page(&self, seg: SegmentId, page: u32) {
-        let hit = self.stripe(seg).buffer.lock().touch((seg.0, page));
-        if hit {
-            self.inner.stats.page_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.stats.page_misses.fetch_add(1, Ordering::Relaxed);
+        self.replay_touches(self.stripe(seg), &[(seg.0, page)]);
+    }
+
+    /// Touch `pages` of one stripe's buffer pool in order, under one lock,
+    /// and count the hits and misses.
+    fn replay_touches(&self, stripe: &Stripe<P>, pages: &[PageKey]) {
+        let mut pool = stripe.buffer.lock();
+        let hits = pages.iter().filter(|key| pool.touch(**key)).count() as u64;
+        drop(pool);
+        let stats = &self.inner.stats;
+        if hits > 0 {
+            stats.page_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if hits < pages.len() as u64 {
+            stats.page_misses.fetch_add(pages.len() as u64 - hits, Ordering::Relaxed);
         }
     }
 
@@ -626,6 +641,14 @@ impl<P: Payload> SliceStore<P> {
     /// Zero all access counters (does not evict the buffer pools).
     pub fn reset_stats(&self) {
         self.inner.stats.reset();
+    }
+
+    /// Every stripe's resident pages as `(segment, page)`, least recently
+    /// used first: a probe for tests that compare two read paths' effect on
+    /// the pools.
+    #[doc(hidden)]
+    pub fn resident_pages(&self) -> Vec<Vec<(u32, u32)>> {
+        self.inner.stripes.iter().map(|s| s.buffer.lock().lru_order().collect()).collect()
     }
 
     /// Evict every stripe's buffer pool (cold-cache measurements).
@@ -737,6 +760,82 @@ impl<P: Payload> SliceStore<P> {
     }
 }
 
+/// Page touches a [`ReadCursor`] defers before it flushes them.
+const TOUCH_BATCH: usize = 16;
+
+/// A pass of field reads over a [`SliceStore`], at the epoch pinned when
+/// the cursor was made.
+///
+/// The cursor holds at most one stripe's segment read guard, and takes a
+/// new one only when a read lands on another stripe. It defers the reads'
+/// page touches and record-read count, and flushes them when the stripe
+/// changes, when its batch of pending touches is full, and when it drops: the
+/// segment guard is released first, then the stripe's buffer pool is locked
+/// once and the touches are replayed in the order they were made — the same
+/// hits and misses, per stripe, as one `read_field` per record. A cursor
+/// of one read allocates nothing.
+///
+/// While a guard is held, a writer on that stripe waits, so nothing may
+/// write to the store between two reads of one cursor (and a thread must
+/// not take a second cursor on a stripe it is reading: a recursive read can
+/// deadlock behind a queued writer).
+pub struct ReadCursor<'s, P: Payload> {
+    store: &'s SliceStore<P>,
+    epoch: Option<u64>,
+    /// The stripe `guard` and the pending touches belong to.
+    stripe: usize,
+    guard: Option<RwLockReadGuard<'s, BTreeMap<u32, Segment<P>>>>,
+    /// Deferred touches, one per read since the last flush.
+    touches: [PageKey; TOUCH_BATCH],
+    pending: usize,
+}
+
+impl<P: Payload> ReadCursor<'_, P> {
+    /// The epoch the cursor reads at (`None` = latest).
+    pub fn epoch(&self) -> Option<u64> {
+        self.epoch
+    }
+
+    /// Read one field of a record (counts one record read and one page
+    /// touch, both deferred).
+    pub fn read_field(&mut self, rec: RecordId, idx: usize) -> StorageResult<P> {
+        let store = self.store;
+        let stripe = rec.segment.0 as usize % store.inner.stripes.len();
+        if stripe != self.stripe || self.pending == TOUCH_BATCH {
+            self.flush();
+            self.stripe = stripe;
+        }
+        let guard = self.guard.get_or_insert_with(|| store.inner.stripes[stripe].segments.read());
+        let segment = guard.get(&rec.segment.0).ok_or(StorageError::UnknownSegment(rec.segment.0))?;
+        let (fields, page) = segment
+            .record(rec.slot)
+            .and_then(|r| r.fields_at(self.epoch).map(|f| (f, r.page)))
+            .ok_or(StorageError::UnknownRecord { segment: rec.segment.0, slot: rec.slot })?;
+        self.touches[self.pending] = (rec.segment.0, page);
+        self.pending += 1;
+        fields.get(idx).cloned().ok_or(StorageError::FieldOutOfBounds { index: idx, len: fields.len() })
+    }
+
+    /// Release the segment guard, then replay the pending touches into
+    /// their stripe's buffer pool and publish the deferred counts.
+    fn flush(&mut self) {
+        self.guard = None;
+        if self.pending == 0 {
+            return;
+        }
+        let store = self.store;
+        store.inner.stats.record_reads.fetch_add(self.pending as u64, Ordering::Relaxed);
+        store.replay_touches(&store.inner.stripes[self.stripe], &self.touches[..self.pending]);
+        self.pending = 0;
+    }
+}
+
+impl<P: Payload> Drop for ReadCursor<'_, P> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 // Snapshot support needs access to internals; see `snapshot.rs`.
 impl<P: Payload> SliceStore<P> {
     /// Run `f` over the dense segment-slot view (index = segment id, `None`
@@ -845,6 +944,90 @@ mod tests {
         // 200 records * 25 bytes ≈ 5000 bytes → 2 pages → 2 misses.
         assert!(stats.page_misses <= 3, "expected ≤3 cold pages, got {}", stats.page_misses);
         assert!(stats.page_hits >= 190);
+    }
+
+    /// Every touch of every stripe's pool, in order, with its outcome.
+    fn pool_logs(st: &SliceStore<SP>) -> Vec<Vec<(PageKey, bool)>> {
+        st.inner.stripes.iter().map(|s| s.buffer.lock().log.clone()).collect()
+    }
+
+    /// Two identical stores: three segments over two stripes, records big
+    /// enough that a segment spans several pages, a pool of two pages per
+    /// stripe, and some records rewritten (one grown by a field), deleted
+    /// or inserted after `pin` was taken.
+    fn twin_store() -> (SliceStore<SP>, Vec<RecordId>, ReadPin) {
+        let st = SliceStore::<SP>::new(StoreConfig {
+            page_size: 128,
+            buffer_pages: 2,
+            write_stripes: 2,
+            ..StoreConfig::default()
+        });
+        let segs: Vec<SegmentId> = (0..3).map(|i| st.create_segment(&format!("s{i}"))).collect();
+        let mut recs = Vec::new();
+        for i in 0..24 {
+            let fields = vec![SP::Int(i), SP::Str(format!("record {i}"))];
+            recs.push(st.insert(segs[i as usize % 3], fields).unwrap());
+        }
+        let pin = st.pin_read();
+        st.write_field(recs[4], 0, SP::Int(-4)).unwrap();
+        st.append_field(recs[5], SP::Int(55)).unwrap();
+        st.free(recs[6]).unwrap();
+        recs.push(st.insert(segs[1], vec![SP::Int(99)]).unwrap());
+        recs.push(RecordId { segment: segs[2], slot: 77 });
+        recs.push(RecordId { segment: SegmentId(9), slot: 0 });
+        st.reset_stats();
+        (st, recs, pin)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Reads through cursors of any length return what one
+        /// `read_field` per read returns, error for error, and leave the
+        /// same record-read and page counts and the same hit/miss sequence
+        /// in every stripe's pool — at the latest epoch and pinned.
+        #[test]
+        fn cursor_reads_match_one_read_field_per_read(
+            passes in proptest::collection::vec(
+                proptest::collection::vec((0usize..64, 0usize..3), 0..80), 1..6),
+            pinned in proptest::prelude::any::<bool>(),
+        ) {
+            let (by_cursor, recs, pin) = twin_store();
+            let (one_by_one, _, pin_twin) = twin_store();
+            let _at = pinned.then(|| ReadEpochGuard::new(pin.epoch()));
+            let _twin_pin = pin_twin;
+            for pass in &passes {
+                let mut cursor = by_cursor.cursor();
+                for &(r, idx) in pass {
+                    let rec = recs[r % recs.len()];
+                    proptest::prop_assert_eq!(
+                        cursor.read_field(rec, idx),
+                        one_by_one.read_field(rec, idx),
+                        "{:?} field {}", rec, idx
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(by_cursor.stats(), one_by_one.stats());
+            proptest::prop_assert_eq!(pool_logs(&by_cursor), pool_logs(&one_by_one));
+        }
+    }
+
+    #[test]
+    fn a_cursor_defers_its_touches_to_one_flush_per_stripe_run() {
+        let (st, recs, _pin) = twin_store();
+        let before = pool_logs(&st);
+        let mut cursor = st.cursor();
+        for rec in recs[12..24].iter().filter(|r| r.segment.0 % 2 == 0) {
+            cursor.read_field(*rec, 0).unwrap();
+        }
+        assert_eq!(st.stats().record_reads, 0, "nothing published mid-run");
+        assert_eq!(pool_logs(&st), before, "no page touched mid-run");
+        drop(cursor);
+        assert_eq!(st.stats().record_reads, 8);
+        assert_eq!(st.stats().page_touches(), 8);
     }
 
     #[test]

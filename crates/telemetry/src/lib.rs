@@ -351,6 +351,9 @@ pub struct TraceHandoff {
 #[must_use = "a trace scope ends as soon as the guard drops"]
 pub struct TraceGuard {
     domain: u64,
+    /// Checked on drop in debug builds only: reading the thread id clones
+    /// and drops an `Arc<Thread>`, a cost every session op would pay.
+    #[cfg(debug_assertions)]
     owner: ThreadId,
     trace: u64,
 }
@@ -364,7 +367,8 @@ impl TraceGuard {
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        debug_assert_eq!(
+        #[cfg(debug_assertions)]
+        assert_eq!(
             self.owner,
             std::thread::current().id(),
             "TraceGuard dropped on a different thread than it was entered on"
@@ -575,7 +579,12 @@ impl Telemetry {
     fn push_scope(&self, scope: TraceScope) -> TraceGuard {
         let trace = scope.trace;
         with_local(&self.inner, |ctx| ctx.traces.push(scope));
-        TraceGuard { domain: self.inner.id, owner: std::thread::current().id(), trace }
+        TraceGuard {
+            domain: self.inner.id,
+            #[cfg(debug_assertions)]
+            owner: std::thread::current().id(),
+            trace,
+        }
     }
 
     /// The calling thread's innermost trace scope: `(trace, follows_span)`.

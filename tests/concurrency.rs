@@ -710,6 +710,11 @@ fn creates_through_an_evolved_view_rebuild_no_extent() {
 }
 
 fn bank_schema(sys: &SharedSystem) {
+    account_class(sys);
+    sys.create_view("BANK", &["Account"]).unwrap();
+}
+
+fn account_class(sys: &SharedSystem) {
     sys.define_base_class(
         "Account",
         &[],
@@ -719,7 +724,6 @@ fn bank_schema(sys: &SharedSystem) {
         ],
     )
     .unwrap();
-    sys.create_view("BANK", &["Account"]).unwrap();
 }
 
 /// Pinned readers vs writer churn vs an evolution swap: four readers pin a
@@ -911,5 +915,150 @@ fn writers_setting_different_attributes_of_one_record_both_land() {
             });
             history.into_inner().unwrap().check(&ledger).unwrap();
         }
+    });
+}
+
+/// The bank's accounts plus a `Vip` subclass that objects join and leave.
+fn club_schema(sys: &SharedSystem) {
+    account_class(sys);
+    sys.define_base_class("Vip", &["Account"], vec![]).unwrap();
+    sys.create_view("CLUB", &["Account", "Vip"]).unwrap();
+}
+
+/// A select pass holds the object table's read guard from its first read
+/// to its end, and one store stripe's read guard at a time after it (DESIGN.md
+/// §4). Here such passes — `select_where` through readers, `update_where`
+/// and the tag lookups of `set` and `delete` through writers — run against
+/// concurrent creates, deletes, sets and `add_to`/`remove_from` on the
+/// pass's own class and segment. Each writer owns its tags, so the acked
+/// history folds in any interleaving; a pinned reader must get the same
+/// answer twice. A lock-order deadlock fails the watchdog instead of
+/// hanging the run. The seed varies the interleaving (who yields when).
+#[test]
+fn select_and_update_where_passes_race_writers_on_their_own_class() {
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use tse::core::{TseCode, TseReader};
+
+    const ACCOUNTS: i64 = 48;
+    const ROUNDS: i64 = 200;
+    const ROLES: u64 = 6;
+    let target =
+        "--test concurrency -- select_and_update_where_passes_race_writers_on_their_own_class";
+    seeded(target, &[1], |seed| {
+        let shared = SharedSystem::new();
+        club_schema(&shared);
+        let mut history = History::new("CLUB", "Account", "tag", club_schema);
+        let club = shared.client("CLUB");
+        for tag in 0..ACCOUNTS {
+            let values = vec![("balance".to_string(), Value::Int(tag))];
+            history.issue(&club, Op::Create { tag, values }).unwrap();
+        }
+        let members = club.session().unwrap().extent("Account").unwrap();
+        let history = Arc::new(Mutex::new(history));
+        let (done, finished) = mpsc::channel();
+        let start = Arc::new(std::sync::Barrier::new(ROLES as usize));
+        for role in 0..ROLES {
+            let (shared, history, members, done, start) = (
+                shared.clone(),
+                Arc::clone(&history),
+                members.clone(),
+                done.clone(),
+                Arc::clone(&start),
+            );
+            std::thread::spawn(move || {
+                let work = AssertUnwindSafe(|| {
+                    let club = shared.client("CLUB");
+                    let writer = club.writer().unwrap();
+                    start.wait();
+                    let mut noise = seed.wrapping_mul(0x9e37_79b9) ^ (role + 1);
+                    let mut jitter = || {
+                        noise ^= noise << 13;
+                        noise ^= noise >> 7;
+                        noise ^= noise << 17;
+                        if noise.is_multiple_of(3) {
+                            std::thread::yield_now();
+                        }
+                    };
+                    let write = |op: Op| {
+                        let out = op.write(&writer, &club.session().unwrap(), "Account", "tag");
+                        if out.is_ok() {
+                            history.lock().unwrap().record(op, 1, Outcome::Acked);
+                        }
+                        out
+                    };
+                    for i in 0..ROUNDS {
+                        jitter();
+                        match role {
+                            // Readers: a pinned reader's passes repeat.
+                            0 | 1 => {
+                                let reader = club.session().unwrap();
+                                for class in ["Account", "Vip"] {
+                                    let first = reader.select_where(class, "balance >= 0").unwrap();
+                                    jitter();
+                                    let again = reader.select_where(class, "balance >= 0").unwrap();
+                                    assert_eq!(first, again, "a pinned {class} pass drifted");
+                                }
+                            }
+                            // update_where passes over the whole class, at
+                            // the latest epoch: a member deleted after the
+                            // extent was read and before the pass took the
+                            // object table fails the op, which then applied
+                            // nothing (the final check would see it if it had).
+                            2 => match write(Op::UpdateWhere {
+                                tag: i % 16,
+                                attr: "balance".into(),
+                                value: Value::Int(1_000 + i),
+                            }) {
+                                Err(e) if e.code() == TseCode::NotFound => {}
+                                out => out.unwrap(),
+                            },
+                            3 => write(Op::Set {
+                                tag: 16 + i % 16,
+                                attr: "balance".into(),
+                                value: Value::Int(2_000 + i),
+                            })
+                            .unwrap(),
+                            // Creates into the class, and deletes of every
+                            // other one created (by oid: a session opened
+                            // after the create may be pinned below it while
+                            // an older write ticket is still open).
+                            4 => {
+                                let tag = 1_000 + i;
+                                let values = [("tag", Value::Int(tag)), ("balance", Value::Int(i))];
+                                let oid = writer.create("Account", &values).unwrap();
+                                let balance = vec![("balance".to_string(), Value::Int(i))];
+                                let op = Op::Create { tag, values: balance };
+                                history.lock().unwrap().record(op, 1, Outcome::Acked);
+                                if i % 2 == 0 {
+                                    writer.delete_objects(&[oid]).unwrap();
+                                    let op = Op::Delete { tag };
+                                    history.lock().unwrap().record(op, 1, Outcome::Acked);
+                                }
+                            }
+                            // Membership edits of the same objects.
+                            _ => {
+                                let oids = [members[32 + i as usize % 16]];
+                                if i % 32 < 16 {
+                                    writer.add_to(&oids, "Vip").unwrap();
+                                } else {
+                                    writer.remove_from(&oids, "Vip").unwrap();
+                                }
+                            }
+                        }
+                    }
+                });
+                let _ = done.send(catch_unwind(work));
+            });
+        }
+        for _ in 0..ROLES {
+            match finished.recv_timeout(Duration::from_secs(60)) {
+                Ok(Ok(())) => {}
+                Ok(Err(panic)) => resume_unwind(panic),
+                Err(_) => panic!("no worker finished for 60 s: a pass and a writer deadlocked"),
+            }
+        }
+        history.lock().unwrap().check(&club).unwrap();
     });
 }
