@@ -317,23 +317,15 @@ pub fn set(
 
 /// Evaluate a set-expression: the extent of a class filtered by a predicate
 /// (helper for user-level `( select from C where p ) set […]` pipelines).
+/// An ad-hoc select is an unnamed `Select` class: [`Database::select`]
+/// evaluates it and caches its answer like such a class's extent. The
+/// predicate is handed over so that a miss keeps it without a copy.
 pub fn select_objects(
     db: &Database,
     class: ClassId,
-    pred: &tse_object_model::Predicate,
+    pred: tse_object_model::Predicate,
 ) -> ModelResult<Vec<Oid>> {
-    let ext = db.extent(class)?;
-    // One read pass over the extent: the names the predicate mentions
-    // resolve once, and the locks are taken once, not once per member. The
-    // pass ends with this function, before any caller writes.
-    let bound = db.bind_attrs(class);
-    let mut out = Vec::with_capacity(ext.len());
-    for oid in ext.iter() {
-        if pred.eval(&bound.source(*oid))? {
-            out.push(*oid);
-        }
-    }
-    Ok(out)
+    db.select(class, pred)
 }
 
 #[cfg(test)]
@@ -524,9 +516,9 @@ mod tests {
         let o1 = db.create_object(person, &[("age", Value::Int(10))]).unwrap();
         let o2 = db.create_object(person, &[("age", Value::Int(40))]).unwrap();
         let picked =
-            select_objects(&db, person, &Predicate::cmp("age", CmpOp::Gt, 18)).unwrap();
+            select_objects(&db, person, Predicate::cmp("age", CmpOp::Gt, 18)).unwrap();
         assert_eq!(picked, vec![o2]);
-        let all = select_objects(&db, person, &Predicate::True).unwrap();
+        let all = select_objects(&db, person, Predicate::True).unwrap();
         assert_eq!(all, vec![o1, o2]);
     }
 

@@ -71,26 +71,30 @@ fn tokenize(src: &str) -> ModelResult<Vec<Tok>> {
                 i += 1;
             }
             '=' | '!' | '<' | '>' => {
-                let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
-                match two.as_str() {
-                    "==" | "!=" | "<=" | ">=" => {
-                        toks.push(Tok::Op(match two.as_str() {
-                            "==" => "==",
-                            "!=" => "!=",
-                            "<=" => "<=",
-                            _ => ">=",
-                        }));
+                let two = match (c, chars.get(i + 1)) {
+                    ('=', Some('=')) => Some("=="),
+                    ('!', Some('=')) => Some("!="),
+                    ('<', Some('=')) => Some("<="),
+                    ('>', Some('=')) => Some(">="),
+                    _ => None,
+                };
+                match two {
+                    Some(op) => {
+                        toks.push(Tok::Op(op));
                         i += 2;
                     }
-                    _ if c == '<' => {
+                    None if c == '<' => {
                         toks.push(Tok::Op("<"));
                         i += 1;
                     }
-                    _ if c == '>' => {
+                    None if c == '>' => {
                         toks.push(Tok::Op(">"));
                         i += 1;
                     }
-                    _ => return Err(err(format!("bad operator at {two:?}"))),
+                    None => {
+                        let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
+                        return Err(err(format!("bad operator at {two:?}")));
+                    }
                 }
             }
             '\'' | '"' => {

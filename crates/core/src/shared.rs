@@ -95,7 +95,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -123,12 +123,13 @@ pub struct MetaSnapshot {
     schema: Schema,
     views: ViewManager,
     policy: UpdatePolicy,
-    /// View-local class names of this epoch, one table per view, each
-    /// built the first time the view resolves a name. A local name is a
-    /// view's rename or the class's global name, and `Schema::rename_class`
-    /// can change the latter, so the tables belong to the epoch and not to
-    /// the (immutable, epoch-spanning) `ViewSchema`.
-    names: RwLock<HashMap<ViewId, HashMap<String, ClassId>>>,
+    /// View-local class names of this epoch, one table per view indexed by
+    /// its (dense) id, each built the first time the view resolves a name;
+    /// a resolve takes no lock. A local name is a view's rename or the
+    /// class's global name, and `Schema::rename_class` can change the
+    /// latter, so the tables belong to the epoch and not to the (immutable,
+    /// epoch-spanning) `ViewSchema`.
+    names: Box<[OnceLock<HashMap<String, ClassId>>]>,
 }
 
 impl MetaSnapshot {
@@ -141,7 +142,7 @@ impl MetaSnapshot {
             schema: system.db().schema().clone(),
             views: system.views().clone(),
             policy: system.policy().clone(),
-            names: RwLock::new(HashMap::new()),
+            names: (0..system.views().view_count()).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -180,15 +181,15 @@ impl MetaSnapshot {
     /// (or a table that cannot be built) goes through
     /// [`ViewSchema::lookup_in`], which owns the error cases.
     pub fn resolve(&self, view: ViewId, class_local: &str) -> ModelResult<ClassId> {
-        if let Some(table) = self.names.read().get(&view) {
-            return match table.get(class_local) {
-                Some(class) => Ok(*class),
-                None => self.views.view(view)?.lookup_in(&self.schema, class_local),
-            };
+        let slot = self.names.get(view.0 as usize);
+        if let Some(class) = slot.and_then(OnceLock::get).and_then(|t| t.get(class_local)) {
+            return Ok(*class);
         }
         let schema = self.views.view(view)?;
-        if let Ok(table) = self.name_table(schema) {
-            self.names.write().insert(view, table);
+        if let Some(slot) = slot.filter(|slot| slot.get().is_none()) {
+            if let Ok(table) = self.name_table(schema) {
+                let _ = slot.set(table);
+            }
         }
         schema.lookup_in(&self.schema, class_local)
     }
@@ -998,7 +999,7 @@ impl ReadSession {
     ) -> ModelResult<Vec<Oid>> {
         self.read(&ops::SELECT_WHERE, view, class_local, |db, class| {
             let pred = tse_object_model::Predicate::Expr(crate::change::parse_expr(expr)?);
-            tse_algebra::select_objects(db, class, &pred)
+            tse_algebra::select_objects(db, class, pred)
         })
     }
 
@@ -1173,7 +1174,7 @@ impl WriteSession {
         self.with_data_logged(
             &ops::UPDATE_WHERE,
             |sys| -> ModelResult<Vec<Oid>> {
-                let oids = tse_algebra::select_objects(sys.db(), class, &pred)?;
+                let oids = tse_algebra::select_objects(sys.db(), class, pred)?;
                 tse_algebra::set(sys.db(), policy, &oids, class, assignments)?;
                 Ok(oids)
             },

@@ -42,7 +42,7 @@ fn populated_snapshot() -> Vec<u8> {
     let class = |view, name| tse.view(view).unwrap().lookup(db, name).unwrap();
     let student = class(newest, "Student");
     let young = Predicate::Expr(parse_expr("age < 30").unwrap());
-    let matched = tse_algebra::select_objects(db, student, &young).unwrap();
+    let matched = tse_algebra::select_objects(db, student, young).unwrap();
     tse_algebra::set(db, policy, &matched, student, &[("credits", Value::Int(9))]).unwrap();
     tse.create(newest, "Grad", &[("name", "new".into()), ("credits", Value::Int(1))]).unwrap();
     tse_algebra::add(db, policy, &oids[..20], class(v1, "Staff")).unwrap();

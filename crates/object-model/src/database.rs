@@ -26,6 +26,7 @@
 //! instead of data, and [`Database::gc`] prunes what no pin can reach.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,6 +42,7 @@ use crate::class::ClassKind;
 use crate::derivation::Derivation;
 use crate::error::{ModelError, ModelResult};
 use crate::ids::{ClassId, Oid, PropKey};
+use crate::predicate::Predicate;
 use crate::property::PropKind;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -432,26 +434,45 @@ impl ReadPoint {
 /// they carry `value_sensitive` and are additionally invalidated by value
 /// writes. The generations say whether the entry is still current; the
 /// stamp says which readers are new enough to share it: every reader
-/// pinned at or after it, and every unpinned one.
+/// pinned at or after it, and every unpinned one. A class's entry holds a
+/// set; an ad-hoc select's holds its answer as the list it returns.
 #[derive(Clone)]
-struct CachedExtent {
+struct CachedExtent<E = Arc<BTreeSet<Oid>>> {
     mem_gen: u64,
     val_gen: u64,
     value_sensitive: bool,
     stamp: u64,
-    extent: Arc<BTreeSet<Oid>>,
+    extent: E,
 }
 
-impl CachedExtent {
+impl<E> CachedExtent<E> {
     fn serves(&self, at: &ReadPoint) -> bool {
-        self.mem_gen == at.mem_gen
-            && (!self.value_sensitive || self.val_gen == at.val_gen)
-            && at.pinned_before(self.stamp).is_none()
+        !self.is_dead(at) && at.pinned_before(self.stamp).is_none()
+    }
+
+    /// A generation it depends on moved: it can never serve again.
+    fn is_dead(&self, now: &ReadPoint) -> bool {
+        self.mem_gen != now.mem_gen || (self.value_sensitive && self.val_gen != now.val_gen)
     }
 }
 
-/// Hard bound on current entries (there is at most one per class); the map
-/// is cleared when a schema outgrows it rather than tracking eviction.
+/// One ad-hoc select's answer (see [`Database::select`]): `Select { class,
+/// pred }` without a class to name it, cached under a class entry's rule.
+/// `Predicate` is not `Eq` (float constants), so the entry keeps its
+/// predicate and a hit compares it; a `NaN` constant never hits.
+#[derive(Clone)]
+struct CachedSelect {
+    class: ClassId,
+    pred: Predicate,
+    /// Insertion order: the oldest entry is evicted first.
+    seq: u64,
+    found: CachedExtent<Arc<[Oid]>>,
+}
+
+/// Hard bound on current class entries (there is at most one per class;
+/// the map is cleared when a schema outgrows it rather than tracking
+/// eviction), and separately on ad-hoc select entries (oldest evicted
+/// first), so a stream of distinct selects never evicts a class's extent.
 const EXTENT_CACHE_CAP: usize = 1024;
 
 /// Extents kept for readers pinned before the last mutation.
@@ -466,10 +487,15 @@ const OLD_EPOCH_ENTRIES: usize = 8;
 /// No schema change invalidates an entry: classes are append-only and a
 /// class's derivation never changes; a new class has none, and its first
 /// read derives from its sources' entries.
+///
+/// Ad-hoc selects live beside the class entries, keyed by a hash of
+/// (source class, predicate), and serve readers by the same rule.
 #[derive(Clone, Default)]
 struct ExtentCache {
     current: HashMap<ClassId, CachedExtent>,
     old_epochs: VecDeque<(ClassId, u64, Arc<BTreeSet<Oid>>)>,
+    selects: HashMap<u64, CachedSelect>,
+    next_seq: u64,
 }
 
 impl ExtentCache {
@@ -486,6 +512,50 @@ impl ExtentCache {
         let (_, _, extent) = self.old_epochs.iter().find(|(c, e, _)| *c == class && *e == epoch)?;
         Some(Arc::clone(extent))
     }
+
+    /// The cached answer of `select from class where pred` under `key`, if
+    /// it serves a reader at `at`.
+    fn select_for(
+        &self,
+        key: u64,
+        class: ClassId,
+        pred: &Predicate,
+        at: &ReadPoint,
+    ) -> Option<Arc<[Oid]>> {
+        let entry = self.selects.get(&key)?;
+        (entry.class == class && entry.pred == *pred && entry.found.serves(at))
+            .then(|| Arc::clone(&entry.found.extent))
+    }
+
+    /// Keep an ad-hoc select's answer. A new key first drops the entries no
+    /// reader can be served again (`now` is past their generations), then
+    /// the oldest while the bound is reached.
+    fn keep_select(
+        &mut self,
+        key: u64,
+        (class, pred): (ClassId, Predicate),
+        found: CachedExtent<Arc<[Oid]>>,
+        now: &ReadPoint,
+    ) {
+        if !self.selects.contains_key(&key) && self.selects.len() >= EXTENT_CACHE_CAP {
+            self.selects.retain(|_, e| !e.found.is_dead(now));
+            if self.selects.len() >= EXTENT_CACHE_CAP {
+                let oldest = self.selects.iter().min_by_key(|(_, e)| e.seq).map(|(k, _)| *k);
+                self.selects.remove(&oldest.expect("the map is full"));
+            }
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.selects.insert(key, CachedSelect { class, pred, seq, found });
+    }
+}
+
+/// The key of an ad-hoc select: a hash of (source class, predicate). Two
+/// selects that collide only evict each other.
+fn select_key(class: ClassId, pred: &Predicate) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    (class, pred).hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Work done by one [`Database::extent`] call: what it computed (class →
@@ -1021,6 +1091,64 @@ impl Database {
         Ok(result)
     }
 
+    /// `select from class where pred`: the members of `class`'s extent
+    /// that satisfy `pred`, in oid order, at the calling thread's read
+    /// epoch. An ad-hoc select is an unnamed `Select` class, and its answer
+    /// is cached under the rule of [`Database::extent`]: value-sensitive,
+    /// kept only when no mutation began or ended during the pass and the
+    /// reader sees the last mutation it reflects, served to every reader
+    /// that does. A hit costs a hash, one lookup and a copy of the answer.
+    /// At most `EXTENT_CACHE_CAP` answers are kept, beside the class
+    /// entries and never in place of one.
+    pub fn select(&self, class: ClassId, pred: Predicate) -> ModelResult<Vec<Oid>> {
+        let key = select_key(class, &pred);
+        let at = self.read_point();
+        let hit = self.extent_cache.lock().select_for(key, class, &pred, &at);
+        if let Some(found) = hit {
+            self.telemetry.incr("extent.cache_hits", 1);
+            return Ok(found.to_vec());
+        }
+        let base = self.extent(class)?;
+        let started = std::time::Instant::now();
+        let found = self.select_pass(class, &base, &pred)?;
+        self.telemetry.incr("extent.rebuilds", 1);
+        self.telemetry.observe_ns("extent.rebuild_ns", started.elapsed().as_nanos() as u64);
+        let stamp = at.stamp_for(true);
+        let now = self.read_point();
+        let quiescent = now.mem_gen == at.mem_gen && now.val_gen == at.val_gen;
+        if quiescent && at.pinned_before(stamp).is_none() {
+            let entry = CachedExtent {
+                mem_gen: at.mem_gen,
+                val_gen: at.val_gen,
+                value_sensitive: true,
+                stamp,
+                extent: Arc::from(found.as_slice()),
+            };
+            self.extent_cache.lock().keep_select(key, (class, pred), entry, &now);
+        }
+        Ok(found)
+    }
+
+    /// `Select { src, pred }` over `base`, the extent of `src`: one read
+    /// pass (the names `pred` mentions resolve once, the locks are taken
+    /// once, not once per member), ending before the caller writes. The
+    /// one routine both a `Select` class and an ad-hoc select evaluate by.
+    fn select_pass(
+        &self,
+        src: ClassId,
+        base: &BTreeSet<Oid>,
+        pred: &Predicate,
+    ) -> ModelResult<Vec<Oid>> {
+        let bound = self.bind_attrs(src);
+        let mut out = Vec::with_capacity(base.len());
+        for oid in base {
+            if pred.eval(&bound.source(*oid))? {
+                out.push(*oid);
+            }
+        }
+        Ok(out)
+    }
+
     /// The extent of `class` computed from the object map and the
     /// derivations alone, reading and writing no cache: the reference the
     /// cache is tested against.
@@ -1138,14 +1266,7 @@ impl Database {
             ClassKind::Virtual(derivation) => match derivation {
                 Derivation::Select { src, pred } => {
                     let (base, _) = self.extent_rec(*src, at, work)?;
-                    let bound = self.bind_attrs(*src);
-                    let mut out = BTreeSet::new();
-                    for oid in base.iter() {
-                        if pred.eval(&bound.source(*oid))? {
-                            out.insert(*oid);
-                        }
-                    }
-                    (out, true)
+                    (self.select_pass(*src, &base, pred)?.into_iter().collect(), true)
                 }
                 Derivation::Hide { src, .. } | Derivation::Refine { src, .. } => {
                     // The same objects as the source: share its set.
@@ -2036,6 +2157,153 @@ mod tests {
         assert_eq!(minor, adult, "the rolled-back id is handed out again");
         assert_eq!(*db.extent(minor).unwrap(), BTreeSet::from([kid]));
         db.commit_evolution(txn).unwrap();
+    }
+
+    fn ge_18() -> Predicate {
+        Predicate::cmp("age", CmpOp::Ge, 18)
+    }
+
+    #[test]
+    fn an_ad_hoc_select_dies_on_any_value_write_and_any_membership_write() {
+        let (mut db, person, _, _) = university();
+        let course = db.schema_mut().create_base_class("Course", &[]).unwrap();
+        let title = PropertyDef::stored("title", ValueType::Str, Value::Null);
+        db.schema_mut().add_local_prop(course, title, None).unwrap();
+        let outsider = db.create_object(course, &[]).unwrap();
+        db.create_object(person, &[("age", Value::Int(10))]).unwrap();
+        let grown = db.create_object(person, &[("age", Value::Int(40))]).unwrap();
+        let adult = || db.select(person, ge_18()).unwrap();
+        assert_eq!(adult(), vec![grown]);
+        let (built, hits) = (rebuilds(&db), cache_hits(&db));
+        assert_eq!(adult(), vec![grown]);
+        assert_eq!((rebuilds(&db), cache_hits(&db)), (built, hits + 1), "served");
+
+        // A value write to an object outside the class kills the answer.
+        db.write_attr(outsider, course, "title", Value::Str("db".into())).unwrap();
+        assert_eq!(adult(), vec![grown]);
+        assert_eq!(rebuilds(&db), built + 1, "a value write anywhere kills the answer");
+        let built = rebuilds(&db);
+        assert_eq!(adult(), vec![grown]);
+        assert_eq!(rebuilds(&db), built, "the new answer is served");
+
+        // So does a membership write, with Person's extent under it.
+        db.create_object(course, &[]).unwrap();
+        assert_eq!(adult(), vec![grown]);
+        assert_eq!(rebuilds(&db), built + 2, "the extent and the pass rebuilt");
+    }
+
+    #[test]
+    fn a_reader_pinned_before_an_answer_gets_its_own_and_stores_nothing() {
+        let (db, person, _, _) = university();
+        let grown = db.create_object(person, &[("age", Value::Int(40))]).unwrap();
+        let early = db.store().pin_read();
+        let late = db.create_object(person, &[("age", Value::Int(50))]).unwrap();
+        let adult = || db.select(person, ge_18()).unwrap();
+        assert_eq!(adult(), vec![grown, late]);
+        let stamp_of = |db: &Database| {
+            let cache = db.extent_cache.lock();
+            let entries: Vec<u64> = cache.selects.values().map(|e| e.found.stamp).collect();
+            entries
+        };
+        let kept = stamp_of(&db);
+        assert_eq!(kept.len(), 1);
+        {
+            let _g = tse_storage::ReadEpochGuard::new(early.epoch());
+            let built = rebuilds(&db);
+            assert_eq!(adult(), vec![grown], "the pinned answer");
+            assert_eq!(adult(), vec![grown], "and again");
+            assert_eq!(rebuilds(&db), built + 3, "two passes and its own extent");
+            assert_eq!(stamp_of(&db), kept, "nothing stored for a pinned reader");
+        }
+        let built = rebuilds(&db);
+        assert_eq!(adult(), vec![grown, late]);
+        assert_eq!(rebuilds(&db), built, "the unpinned answer is still served");
+    }
+
+    #[test]
+    fn a_select_from_a_half_applied_batch_is_not_served_once_the_batch_lands() {
+        let (db, person, student, _) = university();
+        let clock = Arc::clone(db.store().clock());
+        let ticket = clock.begin_write();
+        let stamped = |write: &dyn Fn() -> Oid| {
+            let _stamp = WriteStampGuard::new(ticket.stamp());
+            write()
+        };
+        let first = stamped(&|| db.create_object(student, &[("age", Value::Int(30))]).unwrap());
+        let adult = || db.select(person, ge_18()).unwrap();
+        // An unpinned reader racing the batch sees, and caches, the half
+        // that is installed.
+        assert_eq!(adult(), vec![first]);
+        // A reader pinned now is older than the batch: not its answer.
+        let before = clock.pin();
+        {
+            let _g = tse_storage::ReadEpochGuard::new(before.epoch());
+            assert!(adult().is_empty());
+        }
+        let second = stamped(&|| db.create_object(student, &[("age", Value::Int(40))]).unwrap());
+        stamped(&|| {
+            db.write_attr(first, student, "age", Value::Int(5)).unwrap();
+            first
+        });
+        ticket.end();
+        assert_eq!(adult(), vec![second]);
+        let after = clock.pin();
+        let _g = tse_storage::ReadEpochGuard::new(after.epoch());
+        assert_eq!(adult(), vec![second]);
+    }
+
+    #[test]
+    fn a_fork_carries_ad_hoc_answers_and_a_rollback_clears_them() {
+        let (mut db, person, _, _) = university();
+        let grown = db.create_object(person, &[("age", Value::Int(40))]).unwrap();
+        let adult = |db: &Database| db.select(person, ge_18()).unwrap();
+        assert_eq!(adult(&db), vec![grown]);
+        let built = rebuilds(&db);
+        let fork = db.fork_shared().unwrap();
+        assert_eq!(adult(&fork), vec![grown]);
+        assert_eq!(rebuilds(&fork), built, "the fork is served what the original cached");
+        drop(fork);
+
+        let txn = db.begin_evolution().unwrap();
+        db.rollback_evolution(txn).unwrap();
+        assert!(db.extent_cache.lock().selects.is_empty());
+        assert_eq!(adult(&db), vec![grown]);
+        assert_eq!(rebuilds(&db), built + 2, "the extent and the pass rebuilt");
+    }
+
+    #[test]
+    fn a_nan_predicate_answers_correctly_and_never_hits() {
+        let (db, _, student, _) = university();
+        let a = db.create_object(student, &[("gpa", Value::Float(3.5))]).unwrap();
+        let b = db.create_object(student, &[("gpa", Value::Float(f64::NAN))]).unwrap();
+        for (op, expected) in [(CmpOp::Ne, vec![a, b]), (CmpOp::Eq, vec![]), (CmpOp::Lt, vec![])] {
+            let nan = || db.select(student, Predicate::cmp("gpa", op, f64::NAN)).unwrap();
+            assert_eq!(nan(), expected);
+            let (built, hits) = (rebuilds(&db), cache_hits(&db));
+            assert_eq!(nan(), expected);
+            assert_eq!(rebuilds(&db), built + 1, "a NaN constant equals nothing, itself too");
+            assert_eq!(cache_hits(&db), hits + 1, "only the source's extent is served");
+        }
+    }
+
+    /// `tse_workload::history` checks with a point-select per tag: a stream
+    /// of distinct selects must not push the class extents out.
+    #[test]
+    fn distinct_point_selects_never_evict_a_class_extent() {
+        let (db, person, _, _) = university();
+        for age in 0..64 {
+            db.create_object(person, &[("age", Value::Int(age))]).unwrap();
+        }
+        let people = db.extent(person).unwrap();
+        let built = rebuilds(&db);
+        for k in 0..10_000 {
+            let found = db.select(person, Predicate::cmp("age", CmpOp::Eq, k)).unwrap();
+            assert_eq!(found.len(), usize::from(k < 64));
+            assert!(db.extent_cache.lock().selects.len() <= EXTENT_CACHE_CAP);
+        }
+        assert_eq!(rebuilds(&db), built + 10_000, "one pass each, and Person's extent never");
+        assert!(Arc::ptr_eq(&db.extent(person).unwrap(), &people));
+        assert_eq!(db.extent_cache.lock().selects.len(), EXTENT_CACHE_CAP);
     }
 
     /// A late membership edit lands on the version visible at its stamp,

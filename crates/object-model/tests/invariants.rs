@@ -1,5 +1,6 @@
 //! Object-model invariants under randomized operation sequences:
-//! membership closure, extent consistency for every operator, and
+//! membership closure, extent consistency for every operator, ad-hoc
+//! selects (cached or not) against a filter of the uncached extent, and
 //! attribute-write round-trips through arbitrary perspectives.
 
 use std::collections::BTreeSet;
@@ -129,12 +130,52 @@ fn check_invariants(db: &Database, bases: &[ClassId], virtuals: &[ClassId]) {
     }
 }
 
+const CMP_OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+/// `score <op> k`: the predicates the ad-hoc selects of a case ask.
+fn select_strategy() -> impl Strategy<Value = (CmpOp, i64)> {
+    (0usize..CMP_OPS.len(), -50i64..50).prop_map(|(op, k)| (CMP_OPS[op], k))
+}
+
+/// Every ad-hoc select, asked twice (the second is served from the cache
+/// when nothing moved), equals the members of the uncached extent whose
+/// score satisfies it.
+fn check_selects(db: &Database, classes: &[ClassId], selects: &[(CmpOp, i64)]) {
+    for &c in classes {
+        let extent = db.extent_uncached(c).unwrap();
+        for &(op, k) in selects {
+            let expected: Vec<Oid> = extent
+                .iter()
+                .copied()
+                .filter(|o| {
+                    let Value::Int(score) = db.read_attr(*o, c, "score").unwrap() else {
+                        panic!("score of {o} is not an Int");
+                    };
+                    match op {
+                        CmpOp::Eq => score == k,
+                        CmpOp::Ne => score != k,
+                        CmpOp::Lt => score < k,
+                        CmpOp::Le => score <= k,
+                        CmpOp::Gt => score > k,
+                        CmpOp::Ge => score >= k,
+                    }
+                })
+                .collect();
+            for _ in 0..2 {
+                let found = db.select(c, Predicate::cmp("score", op, k)).unwrap();
+                assert_eq!(found, expected, "select from {c} where score {op:?} {k}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
     #[test]
     fn membership_and_extent_invariants_hold_under_churn(
         ops in proptest::collection::vec(op_strategy(), 1..40),
+        selects in proptest::collection::vec(select_strategy(), 1..4),
     ) {
         let (db, bases, virtuals) = build();
         let mut live: Vec<tse_object_model::Oid> = Vec::new();
@@ -175,6 +216,8 @@ proptest! {
                 }
             }
             check_invariants(&db, &bases, &virtuals);
+            let classes: Vec<ClassId> = bases.iter().chain(&virtuals).copied().collect();
+            check_selects(&db, &classes, &selects);
         }
     }
 

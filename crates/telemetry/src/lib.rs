@@ -449,10 +449,16 @@ impl Telemetry {
         self.inner.state.lock().unwrap().bump(name, by);
     }
 
-    /// Set the named counter to an absolute value (gauge semantics).
+    /// Set the named counter to an absolute value (gauge semantics),
+    /// without allocating when it exists.
     pub fn set_gauge(&self, name: &str, value: u64) {
         let mut st = self.inner.state.lock().unwrap();
-        st.counters.insert(name.to_string(), value);
+        match st.counters.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                st.counters.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Current value of a counter/gauge (0 if never touched).

@@ -931,9 +931,11 @@ fn club_schema(sys: &SharedSystem) {
 /// and the tag lookups of `set` and `delete` through writers — run against
 /// concurrent creates, deletes, sets and `add_to`/`remove_from` on the
 /// pass's own class and segment. Each writer owns its tags, so the acked
-/// history folds in any interleaving; a pinned reader must get the same
-/// answer twice. A lock-order deadlock fails the watchdog instead of
-/// hanging the run. The seed varies the interleaving (who yields when).
+/// history folds in any interleaving; a pinned reader repeating an
+/// identical select (served from the extent cache when nothing moved) must
+/// get its uncached extent every time. A lock-order deadlock fails the
+/// watchdog instead of hanging the run. The seed varies the interleaving
+/// (who yields when).
 #[test]
 fn select_and_update_where_passes_race_writers_on_their_own_class() {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -991,14 +993,21 @@ fn select_and_update_where_passes_race_writers_on_their_own_class() {
                     for i in 0..ROUNDS {
                         jitter();
                         match role {
-                            // Readers: a pinned reader's passes repeat.
+                            // Readers: a pinned reader repeats identical
+                            // selects, so answers served from the extent
+                            // cache race the writers. Every balance is
+                            // >= 0: each answer is the uncached extent.
                             0 | 1 => {
-                                let reader = club.session().unwrap();
+                                let reader = shared.session();
+                                let view = reader.current_view("CLUB").unwrap().id;
                                 for class in ["Account", "Vip"] {
-                                    let first = reader.select_where(class, "balance >= 0").unwrap();
-                                    jitter();
-                                    let again = reader.select_where(class, "balance >= 0").unwrap();
-                                    assert_eq!(first, again, "a pinned {class} pass drifted");
+                                    let extent = reader.extent_uncached(view, class).unwrap();
+                                    for _ in 0..3 {
+                                        let found =
+                                            reader.select_where(view, class, "balance >= 0").unwrap();
+                                        assert_eq!(found, extent, "a pinned {class} select drifted");
+                                        jitter();
+                                    }
                                 }
                             }
                             // update_where passes over the whole class, at
