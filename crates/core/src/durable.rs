@@ -271,7 +271,7 @@ impl DurableState {
         let mut recovered: Option<(u64, u64, TseSystem)> = None;
         let load = |g: u64| -> ModelResult<(u64, TseSystem)> {
             let (lsn, payload) = durable::read_snapshot_file(dir, g)?;
-            Ok((lsn, TseSystem::decode_with_config(Bytes::from(payload), config)?))
+            Ok((lsn, TseSystem::decode(Bytes::from(payload), config)?))
         };
         for g in candidates {
             match load(g) {

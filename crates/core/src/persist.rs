@@ -1,24 +1,30 @@
-//! Whole-system persistence: database + view history + update policy in one
-//! snapshot. A TSE deployment survives restarts with every schema version
-//! still addressable and every object intact.
+//! Whole-system persistence: database + view history + update policy as
+//! the payload of one snapshot generation. A TSE deployment survives
+//! restarts with every schema version still addressable and every object
+//! intact.
 //!
-//! Format `TSESYS02`: each section (database blob, view blob, policy) is
-//! followed by a CRC32 covering its length framing and content, so any
-//! single-bit corruption anywhere in the blob — and any other magic — is
-//! detected as [`tse_storage::StorageError::Corrupt`] rather than silently
-//! misread. The blob is the payload of a checkpoint's snapshot generation
-//! (`crate::durable`); it has no other on-disk home.
+//! ```text
+//! store | schema | objects   (Database::encode_into)
+//! views                      (ViewManager::encode_into)
+//! u32 n_routes | (u32 class | u8 route)…
+//! ```
+//!
+//! The payload is written in one pass into one buffer and carries no
+//! magic, length prefix or checksum of its own. Its one integrity check is
+//! the CRC of the snapshot file that holds it
+//! ([`tse_storage::durable::write_snapshot_file`]); it has no other on-disk
+//! home. [`TseSystem::decode`] still refuses truncation, unknown tags and
+//! trailing bytes as [`tse_storage::StorageError::Corrupt`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use tse_algebra::{UnionRoute, UpdatePolicy};
-use tse_object_model::{ClassId, ModelError, ModelResult};
-use tse_storage::Crc32;
-use tse_view::{decode_manager, encode_manager};
+use tse_object_model::{ClassId, Database, ModelError, ModelResult};
+use tse_storage::payload::{get_u32, get_u8};
+use tse_storage::StoreConfig;
+use tse_view::ViewManager;
 
 use crate::system::TseSystem;
-
-const MAGIC: &[u8; 8] = b"TSESYS02";
 
 fn corrupt(msg: &str) -> ModelError {
     ModelError::Storage(tse_storage::StorageError::Corrupt(msg.to_string()))
@@ -41,107 +47,39 @@ fn route_from(tag: u8) -> ModelResult<UnionRoute> {
     })
 }
 
-/// Append `u64 len | blob | u32 crc(len ‖ blob)`.
-fn put_section(buf: &mut BytesMut, blob: &[u8]) {
-    let len = (blob.len() as u64).to_be_bytes();
-    buf.put_slice(&len);
-    buf.put_slice(blob);
-    let mut h = Crc32::new();
-    h.update(&len);
-    h.update(blob);
-    buf.put_u32(h.finalize());
-}
-
-/// Read a section written by [`put_section`], verifying its CRC.
-fn get_section(bytes: &mut Bytes, what: &str) -> ModelResult<Bytes> {
-    if bytes.remaining() < 8 {
-        return Err(corrupt(&format!("truncated {what} length")));
-    }
-    let len = bytes.get_u64() as usize;
-    if bytes.remaining() < len.saturating_add(4) {
-        return Err(corrupt(&format!("truncated {what} blob")));
-    }
-    let blob = bytes.copy_to_bytes(len);
-    let mut h = Crc32::new();
-    h.update(&(len as u64).to_be_bytes());
-    h.update(blob.as_ref());
-    if bytes.get_u32() != h.finalize() {
-        return Err(corrupt(&format!("{what} section crc mismatch")));
-    }
-    Ok(blob)
-}
-
 impl TseSystem {
-    /// Serialize the whole system (format `TSESYS02`).
+    /// Serialize the whole system in one pass: store, schema, objects,
+    /// views, policy. The output is an **unchecked** payload: its check is
+    /// the CRC of the snapshot file a checkpoint writes it into.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        put_section(&mut buf, &tse_object_model::encode_database(&self.db));
-        put_section(&mut buf, &encode_manager(&self.views));
+        self.db.encode_into(&mut buf);
+        self.views.encode_into(&mut buf);
         // Policy: union routes (the value-closure and intersect defaults are
         // configuration, not state; they reset to defaults on load).
-        let mut pol = BytesMut::new();
-        pol.put_u32(self.policy.union_routes.len() as u32);
+        buf.put_u32(self.policy.union_routes.len() as u32);
         for (class, route) in &self.policy.union_routes {
-            pol.put_u32(class.0);
-            pol.put_u8(route_tag(*route));
+            buf.put_u32(class.0);
+            buf.put_u8(route_tag(*route));
         }
-        let pol = pol.freeze();
-        buf.put_slice(pol.as_ref());
-        buf.put_u32(tse_storage::crc32(pol.as_ref()));
         buf.freeze()
     }
 
-    /// Restore a system from [`TseSystem::encode`] output. Corruption
-    /// anywhere — flipped bit, truncation, trailing garbage — is an error,
-    /// never a misread system.
-    pub fn decode(bytes: Bytes) -> ModelResult<TseSystem> {
-        Self::decode_with_config(bytes, tse_storage::StoreConfig::default())
-    }
-
-    /// Like [`TseSystem::decode`], but threads runtime store knobs (stripe
-    /// count, auto-checkpoint threshold) through to the restored store.
-    /// Persisted layout parameters (`page_size`, `buffer_pages`) still win.
-    pub fn decode_with_config(
-        mut bytes: Bytes,
-        runtime: tse_storage::StoreConfig,
-    ) -> ModelResult<TseSystem> {
-        if bytes.remaining() < MAGIC.len() {
-            return Err(corrupt("system snapshot too short"));
-        }
-        let mut magic = [0u8; 8];
-        bytes.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(corrupt("bad system snapshot magic"));
-        }
-        let db = tse_object_model::decode_database_with(
-            get_section(&mut bytes, "database")?,
-            runtime,
-        )?;
-        let views = decode_manager(get_section(&mut bytes, "views")?)?;
-        if bytes.remaining() < 4 {
-            return Err(corrupt("truncated policy"));
-        }
-        let n = bytes.get_u32() as usize;
-        let need = n.checked_mul(5).ok_or_else(|| corrupt("policy count overflow"))?;
-        if bytes.remaining() < need + 4 {
-            return Err(corrupt("truncated policy routes"));
-        }
-        let sect = bytes.copy_to_bytes(need);
-        let mut h = Crc32::new();
-        h.update(&(n as u32).to_be_bytes());
-        h.update(sect.as_ref());
-        if bytes.get_u32() != h.finalize() {
-            return Err(corrupt("policy section crc mismatch"));
-        }
+    /// Restore a system from [`TseSystem::encode`] output, threading
+    /// `runtime` store knobs (stripe count, auto-checkpoint threshold)
+    /// through to the restored store; persisted layout parameters
+    /// (`page_size`, `buffer_pages`) still win. Truncation, an unknown tag
+    /// or a trailing byte is an error, never a misread system.
+    pub fn decode(mut bytes: Bytes, runtime: StoreConfig) -> ModelResult<TseSystem> {
+        let db = Database::decode_from(&mut bytes, runtime)?;
+        let views = ViewManager::decode_from(&mut bytes)?;
         let mut policy = UpdatePolicy::default();
-        let mut s = sect;
-        for _ in 0..n {
-            let class = ClassId(s.get_u32());
-            let route = route_from(s.get_u8())?;
+        for _ in 0..get_u32(&mut bytes)? {
+            let class = ClassId(get_u32(&mut bytes)?);
+            let route = route_from(get_u8(&mut bytes)?)?;
             policy.union_routes.insert(class, route);
         }
-        if bytes.remaining() > 0 {
+        if !bytes.is_empty() {
             return Err(corrupt("trailing bytes after system snapshot"));
         }
         Ok(TseSystem::assemble(db, views, policy))
@@ -178,7 +116,7 @@ mod tests {
     #[test]
     fn whole_system_roundtrips() {
         let (tse, o, v1, v2) = build();
-        let restored = TseSystem::decode(tse.encode()).unwrap();
+        let restored = TseSystem::decode(tse.encode(), StoreConfig::default()).unwrap();
         // Both view versions still answer over the same object.
         assert_eq!(
             restored.get(v2, o, "Student", "register").unwrap(),
@@ -192,7 +130,7 @@ mod tests {
     #[test]
     fn restored_system_keeps_evolving() {
         let (tse, o, _v1, v2) = build();
-        let mut restored = TseSystem::decode(tse.encode()).unwrap();
+        let mut restored = TseSystem::decode(tse.encode(), StoreConfig::default()).unwrap();
         let v3 = restored
             .evolve_cmd("VS", "add_attribute email: str to Person")
             .unwrap()
@@ -207,51 +145,16 @@ mod tests {
     }
 
     #[test]
-    fn an_unchecksummed_version_one_blob_is_refused() {
-        // `TSESYS01` was the same sections without their CRCs.
-        let (tse, ..) = build();
-        let mut old = BytesMut::new();
-        old.put_slice(b"TSESYS01");
-        for blob in [tse_object_model::encode_database(&tse.db), encode_manager(&tse.views)] {
-            old.put_u64(blob.len() as u64);
-            old.put_slice(blob.as_ref());
-        }
-        old.put_u32(0);
-        let refused = TseSystem::decode(old.freeze()).err().expect("refused");
-        assert!(
-            matches!(refused, ModelError::Storage(tse_storage::StorageError::Corrupt(_))),
-            "{refused}"
-        );
-    }
-
-    #[test]
     fn truncation_and_trailing_bytes_are_rejected() {
         let (tse, ..) = build();
         // Every strict prefix must be rejected, never panic or misread.
         let good = tse.encode();
         for cut in 0..good.len() {
-            assert!(TseSystem::decode(good.slice(..cut)).is_err(), "prefix {cut} accepted");
+            assert!(TseSystem::decode(good.slice(..cut), StoreConfig::default()).is_err(), "prefix {cut} accepted");
         }
         // Trailing garbage is rejected too.
         let mut padded: Vec<u8> = good.as_slice().to_vec();
         padded.push(0);
-        assert!(TseSystem::decode(Bytes::from(padded)).is_err());
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_detected() {
-        let (tse, ..) = build();
-        let good = tse.encode();
-        let base: Vec<u8> = good.as_slice().to_vec();
-        for byte in 0..base.len() {
-            for bit in 0..8 {
-                let mut bad = base.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    TseSystem::decode(Bytes::from(bad)).is_err(),
-                    "flip at byte {byte} bit {bit} accepted"
-                );
-            }
-        }
+        assert!(TseSystem::decode(Bytes::from(padded), StoreConfig::default()).is_err());
     }
 }

@@ -1,15 +1,18 @@
 //! The in-memory layout of objects and records is not a format: a snapshot
 //! of a seeded, populated and evolved database and the WAL of a fixed op
 //! script must encode to the same bytes whatever the engine holds in
-//! memory. The digests were recorded before the object table, the flat
-//! object entries and the inline version chains replaced the maps and
-//! vectors they were taken from; a change to either format must update
-//! them on purpose.
+//! memory. The digests were first recorded before the object table, the
+//! flat object entries and the inline version chains replaced the maps and
+//! vectors they were taken from, and re-recorded when the snapshot payload
+//! lost its nested magics, lengths and CRCs and the typed WAL record its
+//! own length and CRC; a change to either format must update them on
+//! purpose.
 
 use std::path::PathBuf;
 
 use tse_core::{parse_expr, SharedSystem};
-use tse_object_model::{encode_database, Predicate, PropertyDef, Value, ValueType};
+use bytes::BytesMut;
+use tse_object_model::{Predicate, PropertyDef, Value, ValueType};
 use tse_storage::durable::{snapshot_path, WAL_FILE};
 use tse_workload::university::{build_university, populate_university};
 
@@ -48,7 +51,9 @@ fn populated_snapshot() -> Vec<u8> {
     tse_algebra::add(db, policy, &oids[..20], class(v1, "Staff")).unwrap();
     tse_algebra::remove(db, policy, &oids[28..29], class(v1, "Student")).unwrap();
     tse_algebra::delete(db, &oids[40..60]).unwrap();
-    encode_database(db).to_vec()
+    let mut buf = BytesMut::new();
+    db.encode_into(&mut buf);
+    buf.as_ref().to_vec()
 }
 
 /// A fresh durable directory holding a two-class schema, then the WAL of
@@ -101,7 +106,7 @@ fn scripted_wal() -> (Vec<u8>, Vec<u8>) {
 #[test]
 fn snapshot_and_wal_bytes_match_the_recorded_digests() {
     let (wal, checkpoint) = scripted_wal();
-    assert_eq!(digest(&populated_snapshot()), "57ccb34b15a08767/57180", "snapshot encoding");
-    assert_eq!(digest(&wal), "f545072483f6e472/3475", "wal.log");
-    assert_eq!(digest(&checkpoint), "9179101ae000274b/3240", "checkpoint generation");
+    assert_eq!(digest(&populated_snapshot()), "2fe1c71772c16cc3/57092", "snapshot encoding");
+    assert_eq!(digest(&wal), "01e9a1d578a969f1/3099", "wal.log");
+    assert_eq!(digest(&checkpoint), "6ba2cfffb88ca926/3160", "checkpoint generation");
 }

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use tse_core::{SchemaChange, SharedSystem, TseSystem};
 use tse_object_model::{Oid, PropertyDef, Value, ValueType};
 use tse_storage::durable::read_snapshot_file;
-use tse_storage::FailAction;
+use tse_storage::{FailAction, StoreConfig};
 use tse_view::ViewId;
 
 /// A unique, empty scratch directory per test.
@@ -57,7 +57,7 @@ fn check_consistency(sys: &SharedSystem, dir: &Path, v1: ViewId, oid: Oid) {
         }
     }
     assert_eq!(session.get(v1, oid, "Student", "name").unwrap(), Value::Str("ann".into()));
-    TseSystem::decode(image(sys, dir).into()).unwrap();
+    TseSystem::decode(image(sys, dir).into(), StoreConfig::default()).unwrap();
 }
 
 fn versions(sys: &SharedSystem) -> Vec<ViewId> {
@@ -275,6 +275,43 @@ fn corrupt_newest_snapshot_falls_back_to_older_generation() {
     assert_eq!(sys.generation(), Some(1));
     assert_eq!(versions(&sys).len(), 1);
     check_consistency(&sys, &dir, v1, oid);
+}
+
+#[test]
+fn a_flipped_byte_in_the_newest_generation_s_header_or_payload_falls_back() {
+    // The snapshot file's CRC is the payload's only check: a flip anywhere
+    // in the newest generation — its header fields or any section of its
+    // payload — must make recovery skip it and serve the older one.
+    let dir = tmpdir("flip_gen");
+    let (sys, _v1, _oid) = seed(&dir);
+    sys.evolve_cmd("VS", "add_attribute register: bool = false to Student").unwrap();
+    sys.checkpoint().unwrap(); // generation 2, WAL emptied
+    drop(sys);
+
+    let snap2 = tse_storage::durable::snapshot_path(&dir, 2);
+    let good = std::fs::read(&snap2).unwrap();
+    // The 28-byte header (magic, LSN, length, CRC), then a spread of
+    // payload bytes through every section, the last byte included.
+    let header = 0..28;
+    let payload = (28..good.len()).step_by(13).chain([good.len() - 1]);
+    for byte in header.chain(payload) {
+        let mut bad = good.clone();
+        bad[byte] ^= 1 << (byte % 8);
+        std::fs::write(&snap2, &bad).unwrap();
+        let sys = SharedSystem::open(&dir).unwrap();
+        assert_eq!(
+            sys.telemetry().counter("recovery.snapshots_skipped"),
+            1,
+            "flip in byte {byte} of {}",
+            good.len()
+        );
+        assert_eq!(sys.generation(), Some(1), "flip in byte {byte}");
+        assert_eq!(versions(&sys).len(), 1, "flip in byte {byte}");
+    }
+    std::fs::write(&snap2, &good).unwrap();
+    let sys = SharedSystem::open(&dir).unwrap();
+    assert_eq!(sys.telemetry().counter("recovery.snapshots_skipped"), 0);
+    assert_eq!(versions(&sys).len(), 2);
 }
 
 #[test]

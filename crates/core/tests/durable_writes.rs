@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use tse_core::{SchemaChange, SharedSystem, TseSystem};
 use tse_object_model::{ModelError, PropertyDef, Value, ValueType};
-use tse_storage::durable::{GroupWal, Wal};
+use tse_storage::durable::{GroupWal, Wal, WAL_FILE};
 use tse_storage::{FailAction, FailpointRegistry, RetryPolicy, StoreConfig};
 use tse_telemetry::Telemetry;
 use tse_view::ViewId;
@@ -383,6 +383,41 @@ fn a_degraded_system_refuses_a_constraint() {
     let err = shared.set_constraint(view, "Student", Some("age >= 18")).unwrap_err();
     assert!(matches!(err, ModelError::Unavailable { .. }), "{err}");
     assert!(!student_is_constrained(&shared, view), "refused means not applied");
+}
+
+#[test]
+fn a_flipped_bit_in_a_logged_create_cuts_the_log_there() {
+    // A typed record has no check of its own: the WAL frame's CRC is its
+    // one check. Every bit flip in the middle `Create` frame (its header
+    // and its record) must cut the log at that frame, and replay must
+    // never turn the damaged bytes into some other record.
+    let dir = tmpdir("create_flip");
+    let (shared, view) = seed(&dir);
+    let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() as usize;
+    let w = shared.writer();
+    let first = w.create(view, "Person", &[("name", "ann".into()), ("age", Value::Int(30))]);
+    let first = first.unwrap();
+    let start = wal_len();
+    w.create(view, "Person", &[("name", "bob".into()), ("age", Value::Int(40))]).unwrap();
+    let end = wal_len();
+    w.create(view, "Person", &[("name", "cy".into())]).unwrap();
+    drop((w, shared));
+    let good = std::fs::read(dir.join(WAL_FILE)).unwrap();
+
+    for byte in start..end {
+        for bit in 0..8 {
+            let mut bad = good.clone();
+            bad[byte] ^= 1 << bit;
+            std::fs::write(dir.join(WAL_FILE), &bad).unwrap();
+            let shared = SharedSystem::open(&dir).unwrap();
+            let what = format!("bit {bit} of byte {byte}");
+            assert_eq!(shared.telemetry().counter("recovery.replayed"), 1, "{what}");
+            assert_eq!(wal_len(), start, "{what}: log cut at the damaged frame");
+            let s = shared.session();
+            assert_eq!(s.extent(view, "Person").unwrap(), vec![first], "{what}");
+            assert_eq!(s.get(view, first, "Person", "age").unwrap(), Value::Int(30), "{what}");
+        }
+    }
 }
 
 #[test]

@@ -26,7 +26,7 @@ mod method;
 mod predicate;
 mod property;
 mod schema;
-pub mod snapshot;
+mod snapshot;
 mod value;
 
 pub use access::{AttrBindings, ObjAttrSource};
@@ -40,5 +40,4 @@ pub use method::{eval_body, AttrSource, BinOp, MethodBody};
 pub use predicate::{CmpOp, Predicate};
 pub use property::{LocalProp, PendingProp, PropKind, PropertyDef};
 pub use schema::{Candidate, ResolvedProp, ResolvedType, Schema, ROOT_CLASS};
-pub use snapshot::{decode_database, decode_database_with, encode_database};
 pub use value::{Value, ValueType};

@@ -7,7 +7,7 @@
 //! are displayed when views are printed.
 
 use crate::error::ModelResult;
-use crate::method::{compare, eval_body, values_eq, AttrSource, BinOp, MethodBody};
+use crate::method::{compare, eval_body, values_eq, AttrSource, MethodBody};
 use crate::value::Value;
 
 /// Comparison operators usable in atomic predicates.
@@ -155,11 +155,6 @@ impl Predicate {
     #[allow(clippy::should_implement_trait)]
     pub fn not(self) -> Predicate {
         Predicate::Not(Box::new(self))
-    }
-
-    /// Shorthand expression predicate built from two attr operands.
-    pub fn expr_bin(op: BinOp, a: MethodBody, b: MethodBody) -> Predicate {
-        Predicate::Expr(MethodBody::bin(op, a, b))
     }
 }
 

@@ -1,73 +1,68 @@
-//! Whole-database snapshots: schema + objects + paged store, in one binary
-//! blob. Completes the persistence story of the storage substrate — a TSE
-//! database survives process restarts with every class, view-relevant
-//! derivation, object slice and attribute value intact.
+//! Whole-database snapshots: store, schema and objects as one section of
+//! a snapshot payload. A TSE database survives process restarts with every
+//! class, view-relevant derivation, object slice and attribute value
+//! intact.
+//!
+//! ```text
+//! store (tse_storage) | schema | objects | u64 next_oid
+//! ```
+//!
+//! The section carries no magic, length or checksum of its own: its one
+//! check is the CRC of the snapshot file that holds the payload, and the
+//! payload's outermost decoder refuses bytes after its last section.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
-use tse_storage::{decode_store_with, encode_store, StorageError, StoreConfig};
+use tse_storage::{SliceStore, StoreConfig};
 
 use crate::database::Database;
-use crate::error::{ModelError, ModelResult};
+use crate::error::ModelResult;
 use crate::schema::Schema;
 
-const MAGIC: &[u8; 8] = b"TSEDB001";
+impl Database {
+    /// Append the whole database to `buf`.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
+        self.store().encode_into(buf);
+        // Fold late (data-plane-assigned) segments into the persisted schema
+        // so the restored database needs no overlay.
+        self.schema_for_snapshot().encode_into(buf);
+        self.encode_objects_into(buf);
+    }
 
-/// Serialize an entire database.
-pub fn encode_database(db: &Database) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    // Store blob, length-prefixed.
-    let store_bytes = encode_store(db.store());
-    buf.put_u64(store_bytes.len() as u64);
-    buf.put_slice(&store_bytes);
-    // Fold late (data-plane-assigned) segments into the persisted schema so
-    // the restored database needs no overlay.
-    db.schema_for_snapshot().encode_into(&mut buf);
-    db.encode_objects_into(&mut buf);
-    buf.freeze()
-}
-
-/// Restore a database from bytes produced by [`encode_database`]. Runtime
-/// store knobs (stripe count, auto-checkpoint threshold) take the process
-/// default; see [`decode_database_with`] to supply them.
-pub fn decode_database(bytes: Bytes) -> ModelResult<Database> {
-    decode_database_with(bytes, StoreConfig::default())
-}
-
-/// Restore a database, threading `runtime` store knobs through to
-/// [`tse_storage::decode_store_with`] (persisted `page_size`/`buffer_pages`
-/// still win — they shape the stored layout).
-pub fn decode_database_with(mut bytes: Bytes, runtime: StoreConfig) -> ModelResult<Database> {
-    if bytes.remaining() < MAGIC.len() {
-        return Err(ModelError::Storage(StorageError::Corrupt("snapshot too short".into())));
+    /// Read a database written by [`Database::encode_into`], threading
+    /// `runtime` store knobs (stripe count, auto-checkpoint threshold)
+    /// through to the restored store; persisted `page_size`/`buffer_pages`
+    /// still win — they shape the stored layout.
+    pub fn decode_from(buf: &mut Bytes, runtime: StoreConfig) -> ModelResult<Database> {
+        let store = SliceStore::decode_from(buf, runtime)?;
+        let schema = Schema::decode_from(buf)?;
+        let (objects, next_oid) = Database::decode_objects_from(buf)?;
+        Ok(Database::from_parts(schema, store, objects, next_oid))
     }
-    let mut magic = [0u8; 8];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(ModelError::Storage(StorageError::Corrupt("bad database magic".into())));
-    }
-    if bytes.remaining() < 8 {
-        return Err(ModelError::Storage(StorageError::Corrupt("truncated store length".into())));
-    }
-    let store_len = bytes.get_u64() as usize;
-    if bytes.remaining() < store_len {
-        return Err(ModelError::Storage(StorageError::Corrupt("truncated store blob".into())));
-    }
-    let store_bytes = bytes.copy_to_bytes(store_len);
-    let store = decode_store_with(store_bytes, runtime)?;
-    let schema = Schema::decode_from(&mut bytes)?;
-    let (objects, next_oid) = Database::decode_objects_from(&mut bytes)?;
-    Ok(Database::from_parts(schema, store, objects, next_oid))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Buf;
+
     use crate::derivation::Derivation;
     use crate::predicate::{CmpOp, Predicate};
     use crate::property::PropertyDef;
     use crate::value::{Value, ValueType};
+
+    fn encode_database(db: &Database) -> Bytes {
+        let mut buf = BytesMut::new();
+        db.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Decode a whole blob: every byte must belong to the database.
+    fn decode_database(mut bytes: Bytes) -> ModelResult<Database> {
+        let db = Database::decode_from(&mut bytes, StoreConfig::default())?;
+        assert_eq!(bytes.remaining(), 0, "decode left bytes unread");
+        Ok(db)
+    }
 
     fn build() -> Database {
         let mut db = Database::default();
@@ -166,10 +161,18 @@ mod tests {
     #[test]
     fn corrupt_snapshots_error_not_panic() {
         assert!(decode_database(Bytes::from_static(b"nope")).is_err());
-        let db = build();
-        let good = encode_database(&db);
-        for cut in (0..good.len()).step_by(97) {
-            let _ = decode_database(good.slice(..cut));
+        let good = encode_database(&build());
+        for cut in 0..good.len() {
+            assert!(
+                Database::decode_from(&mut good.slice(..cut), StoreConfig::default()).is_err(),
+                "prefix {cut} accepted"
+            );
         }
+        // A trailing byte is left for the payload's outermost decoder.
+        let mut padded = good.to_vec();
+        padded.push(0);
+        let mut padded = Bytes::from(padded);
+        Database::decode_from(&mut padded, StoreConfig::default()).unwrap();
+        assert_eq!(padded.remaining(), 1, "trailing byte consumed");
     }
 }

@@ -5,12 +5,21 @@
 
 use std::collections::BTreeSet;
 
+use bytes::BytesMut;
 use proptest::prelude::*;
 
 use tse_object_model::{
     ClassId, ClassKind, CmpOp, Database, Derivation, Oid, Predicate, PropertyDef, Value,
     ValueType,
 };
+use tse_storage::StoreConfig;
+
+/// The database through an encode/decode round trip.
+fn restored(db: &Database) -> Database {
+    let mut buf = BytesMut::new();
+    db.encode_into(&mut buf);
+    Database::decode_from(&mut buf.freeze(), StoreConfig::default()).unwrap()
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -239,8 +248,7 @@ proptest! {
                 _ => {}
             }
         }
-        let restored =
-            tse_object_model::decode_database(tse_object_model::encode_database(&db)).unwrap();
+        let restored = restored(&db);
         check_invariants(&restored, &bases, &virtuals);
         for &c in bases.iter().chain(&virtuals) {
             let (ea, eb) = (db.extent(c).unwrap(), restored.extent(c).unwrap());
@@ -364,8 +372,7 @@ fn class_constraints_refuse_updates() {
     assert_eq!(db.read_attr(o, acct, "balance").unwrap(), Value::Int(20));
 
     // The constraint survives a database snapshot.
-    let restored =
-        tse_object_model::decode_database(tse_object_model::encode_database(&db)).unwrap();
+    let restored = restored(&db);
     assert!(restored.write_attr(o, acct, "balance", Value::Int(-1)).is_err());
     restored.write_attr(o, acct, "balance", Value::Int(7)).unwrap();
 

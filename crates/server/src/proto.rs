@@ -1,5 +1,5 @@
 //! The TSE wire protocol: versioned, CRC32-framed binary request/response
-//! messages, reusing the `walcodec` framing discipline.
+//! messages, reusing the WAL's framing discipline.
 //!
 //! Frame layout (all integers big-endian), identical in both directions:
 //!
@@ -7,7 +7,7 @@
 //! u8 version (0xB4) | u8 kind | u32 body_len | u32 crc32(kind ‖ body_len ‖ body) | body
 //! ```
 //!
-//! The version byte is `0xB4` for the same reason the WAL's is `0xA2`: it
+//! The version byte is `0xB4` for the same reason the WAL's is `0xA3`: it
 //! is not a small integer, so a single-bit flip never turns it into another
 //! valid version, and everything after it is covered by the CRC — every
 //! single-bit corruption of a frame is detected (see the fuzz tests).

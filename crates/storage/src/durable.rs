@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! <dir>/MANIFEST        "TSEMANI1" | u64 generation | u32 crc(generation)
-//! <dir>/snap-<gen>.tse  "TSEDURS1" | u64 wal_lsn | u64 len | u32 crc(payload) | payload
+//! <dir>/snap-<gen>.tse  "TSEDURS2" | u64 wal_lsn | u64 len | u32 crc(wal_lsn‖len‖payload) | payload
 //! <dir>/wal.log         frames: u32 len | u32 crc(lsn‖payload) | u64 lsn | payload
 //! ```
 //!
@@ -21,8 +21,12 @@
 //!   CRC and truncated on open — everything before it remains valid. One
 //!   parser, [`walk_frames`], reads the frame format, for recovery and the
 //!   scrubber alike;
-//! * snapshot payloads are validated by CRC at read time, so a corrupt
-//!   generation is *detected* and the caller can fall back to an older one.
+//! * each artifact has exactly one integrity check, at its file framing: a
+//!   snapshot generation's header CRC covers its LSN, length and whole
+//!   payload (the payload sections nested inside carry no check of their
+//!   own), and a WAL frame's CRC covers its LSN and payload. A corrupt
+//!   generation is *detected* at read time and the caller can fall back to
+//!   an older one.
 //!
 //! All write paths consult the [`FailpointRegistry`] (sites
 //! `durable.snapshot_write`, `durable.manifest_write`, `durable.wal_append`,
@@ -43,7 +47,7 @@ use crate::failpoint::{FailAction, FailpointRegistry};
 use crate::fault::{with_retries, RetryPolicy};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"TSEMANI1";
-const SNAPSHOT_MAGIC: &[u8; 8] = b"TSEDURS1";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"TSEDURS2";
 
 /// Name of the manifest file inside a system directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -167,7 +171,8 @@ pub fn list_snapshot_generations(dir: &Path) -> StorageResult<Vec<u64>> {
 
 /// Write snapshot generation `generation`: the payload is framed with a
 /// length and CRC plus the WAL LSN the snapshot covers, then written
-/// atomically. Failpoint site: `durable.snapshot_write`.
+/// atomically. The CRC is the payload's only check. Failpoint site:
+/// `durable.snapshot_write`.
 pub fn write_snapshot_file(
     dir: &Path,
     generation: u64,
@@ -193,7 +198,7 @@ pub fn write_snapshot_file(
 /// it covers and the raw payload. Any framing or CRC violation is
 /// [`StorageError::Corrupt`] — the caller falls back to an older generation.
 pub fn read_snapshot_file(dir: &Path, generation: u64) -> StorageResult<(u64, Vec<u8>)> {
-    let bytes = fs::read(snapshot_path(dir, generation))
+    let mut bytes = fs::read(snapshot_path(dir, generation))
         .map_err(|e| io_err("read snapshot", e))?;
     if bytes.len() < 28 || &bytes[..8] != SNAPSHOT_MAGIC {
         return Err(StorageError::Corrupt("bad snapshot header".into()));
@@ -214,7 +219,8 @@ pub fn read_snapshot_file(dir: &Path, generation: u64) -> StorageResult<(u64, Ve
     if h.finalize() != crc {
         return Err(StorageError::Corrupt("snapshot crc mismatch".into()));
     }
-    Ok((wal_lsn, payload.to_vec()))
+    bytes.drain(..28);
+    Ok((wal_lsn, bytes))
 }
 
 // ----- write-ahead log ------------------------------------------------------
@@ -921,15 +927,28 @@ mod tests {
         assert_eq!(list_snapshot_generations(&dir).unwrap(), vec![2, 1]);
         let (lsn, payload) = read_snapshot_file(&dir, 2).unwrap();
         assert_eq!((lsn, payload.as_slice()), (20, b"payload two".as_slice()));
-        // Corrupt generation 2: every bit flip must be detected.
+        // Corrupt generation 2: every flip of every bit, header included,
+        // must be detected.
         let path = snapshot_path(&dir, 2);
         let good = fs::read(&path).unwrap();
         for byte in 0..good.len() {
-            let mut bad = good.clone();
-            bad[byte] ^= 0x10;
-            fs::write(&path, &bad).unwrap();
-            assert!(read_snapshot_file(&dir, 2).is_err(), "flip at byte {byte} accepted");
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[byte] ^= 1 << bit;
+                fs::write(&path, &bad).unwrap();
+                assert!(
+                    read_snapshot_file(&dir, 2).is_err(),
+                    "flip at byte {byte} bit {bit} accepted"
+                );
+            }
         }
+        // A file of the previous format, `TSEDURS1` (same framing), is
+        // refused as corrupt, like any other bad generation.
+        let mut old = good.clone();
+        old[..8].copy_from_slice(b"TSEDURS1");
+        fs::write(&path, &old).unwrap();
+        let refused = read_snapshot_file(&dir, 2).unwrap_err();
+        assert!(matches!(refused, StorageError::Corrupt(_)), "{refused}");
         // Generation 1 is untouched — the fallback read succeeds.
         assert!(read_snapshot_file(&dir, 1).is_ok());
         fs::remove_dir_all(&dir).ok();

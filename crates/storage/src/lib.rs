@@ -25,11 +25,14 @@
 //!   ever blocking readers, `fork_shared` makes the control plane's fork a
 //!   copy-free handle clone, and `SliceStore::gc` reclaims superseded
 //!   versions once the oldest pin advances.
-//! * **Snapshots** — a hand-rolled binary codec (over [`bytes`]) that can
-//!   persist and restore an entire store, with per-section CRC32s so torn
-//!   or bit-rotted blobs are rejected instead of mis-decoded.
-//! * **Durability** — the [`durable`] module: checksummed snapshot
-//!   generations written via temp-file + atomic rename + fsync, a
+//! * **Snapshots** — a hand-rolled binary codec (over [`bytes`]):
+//!   [`SliceStore::encode_into`] / [`SliceStore::decode_from`] write and
+//!   read an entire store as one section of a snapshot payload, with no
+//!   magic or checksum of its own. The payload's one check is the CRC of
+//!   the snapshot file that holds it, so torn or bit-rotted bytes are
+//!   rejected there instead of mis-decoded.
+//! * **Durability** — the [`durable`] module: snapshot generations checked
+//!   by one CRC each, written via temp-file + atomic rename + fsync, a
 //!   CRC32-framed write-ahead log with torn-tail truncation, and the
 //!   manifest naming the current generation.
 //! * **Failpoints** — a [`FailpointRegistry`] of deterministic fault
@@ -74,7 +77,6 @@ pub use mvcc::{
 pub use scrub::{scrub_dir, GenerationStatus, ScrubReport};
 pub use segment::VersionChain;
 pub use payload::{Payload, SimplePayload};
-pub use snapshot::{decode_store, decode_store_with, encode_store};
 pub use stats::StoreStats;
 pub use store::{ReadCursor, RecordId, SegmentId, SliceStore, StoreConfig};
 pub use txn::TxnToken;

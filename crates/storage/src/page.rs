@@ -83,6 +83,7 @@ impl PageSet {
 
     /// Total number of pages ever allocated (empty pages are not reclaimed;
     /// this mirrors a real store's high-water mark).
+    #[cfg(test)]
     pub fn page_count(&self) -> usize {
         self.pages.len()
     }

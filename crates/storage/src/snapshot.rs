@@ -1,23 +1,23 @@
-//! Binary snapshot codec.
+//! Binary snapshot codec: the store's section of a snapshot payload.
 //!
-//! Persists an entire store to bytes and restores it. The format is a
-//! hand-rolled length-prefixed encoding (the workspace deliberately carries
-//! no serde format crate). Every section carries a CRC32 so torn and
-//! bit-rotted blobs are *rejected* instead of mis-decoded:
+//! [`SliceStore::encode_into`] appends the whole store to a buffer and
+//! [`SliceStore::decode_from`] reads it back from the same position. The
+//! format is a hand-rolled length-prefixed encoding (the workspace
+//! deliberately carries no serde format crate), with no magic and no
+//! checksum of its own: it is one section of a snapshot payload, whose one
+//! check is the CRC of the snapshot file that holds it (`durable`).
 //!
 //! ```text
-//! magic "TSESNAP2" | u32 page_size | u32 buffer_pages | u32 n_segment_slots
-//! u32 crc32(magic ‖ header fields)
-//! per segment slot:
-//!   section: u8 present
-//!     if present: str name | u32 n_record_slots
-//!       per record slot: u8 present
-//!         if present: u32 n_fields | fields…
-//!   u32 crc32(section bytes)
+//! u32 page_size | u32 buffer_pages | u32 n_segment_slots
+//! per segment slot: u8 present
+//!   if present: str name | u32 n_record_slots
+//!     per record slot: u8 present
+//!       if present: u32 n_fields | fields…
 //! ```
 //!
-//! A blob with any other magic, and trailing garbage after the last
-//! section, are refused as [`StorageError::Corrupt`].
+//! Truncation anywhere is refused as
+//! [`StorageError::Corrupt`](crate::StorageError::Corrupt); the
+//! payload's outermost decoder refuses bytes after its last section.
 //!
 //! Record slot **indices are preserved**, so every `RecordId` taken before a
 //! snapshot remains valid after a restore — the property the object model
@@ -25,33 +25,40 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::crc::crc32;
-use crate::error::{StorageError, StorageResult};
-use crate::payload::{get_str, put_str, Payload};
+use crate::error::StorageResult;
+use crate::payload::{get_str, get_u32, get_u8, put_str, Payload};
 use crate::segment::Segment;
 use crate::store::{SliceStore, StoreConfig};
 
-const MAGIC: &[u8; 8] = b"TSESNAP2";
+impl<P: Payload> SliceStore<P> {
+    /// Append the whole store to `buf`.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
+        self.with_segment_slots(|segments| {
+            buf.put_u32(self.config().page_size as u32);
+            buf.put_u32(self.config().buffer_pages as u32);
+            buf.put_u32(segments.len() as u32);
+            for seg in segments {
+                encode_segment(buf, *seg);
+            }
+        })
+    }
 
-/// Serialize the whole store.
-pub fn encode_store<P: Payload>(store: &SliceStore<P>) -> Bytes {
-    store.with_segment_slots(|segments| {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32(store.config().page_size as u32);
-        buf.put_u32(store.config().buffer_pages as u32);
-        buf.put_u32(segments.len() as u32);
-        let header_crc = crc32(buf.as_ref());
-        buf.put_u32(header_crc);
-        for seg in segments {
-            let mut section = BytesMut::new();
-            encode_segment(&mut section, *seg);
-            let crc = crc32(section.as_ref());
-            buf.put_slice(section.as_ref());
-            buf.put_u32(crc);
+    /// Read a store written by [`SliceStore::encode_into`], taking
+    /// `page_size`/`buffer_pages` from the bytes (they shape the persisted
+    /// layout) and every runtime knob — stripe count, auto-checkpoint
+    /// threshold — from `runtime`.
+    pub fn decode_from(buf: &mut Bytes, runtime: StoreConfig) -> StorageResult<Self> {
+        let page_size = get_u32(buf)? as usize;
+        let buffer_pages = get_u32(buf)? as usize;
+        let n_segments = get_u32(buf)? as usize;
+        let config = StoreConfig { page_size, buffer_pages, ..runtime };
+        let mut segments: Vec<Option<Segment<P>>> =
+            Vec::with_capacity(n_segments.min(buf.remaining()));
+        for _ in 0..n_segments {
+            segments.push(decode_segment(buf, page_size)?);
         }
-        buf.freeze()
-    })
+        Ok(SliceStore::rebuild(config, segments))
+    }
 }
 
 /// One segment slot: present flag, then name and records. Only the
@@ -89,89 +96,24 @@ fn encode_segment<P: Payload>(buf: &mut BytesMut, seg: Option<&Segment<P>>) {
     }
 }
 
-/// Restore a store from bytes produced by [`encode_store`]. Runtime knobs
-/// (`write_stripes`, `wal_autocheckpoint_bytes`) take the process default;
-/// see [`decode_store_with`] to supply them.
-pub fn decode_store<P: Payload>(bytes: Bytes) -> StorageResult<SliceStore<P>> {
-    decode_store_with(bytes, StoreConfig::default())
-}
-
-/// Restore a store, taking `page_size`/`buffer_pages` from the snapshot
-/// (they shape the persisted layout) and every runtime knob — stripe
-/// count, auto-checkpoint threshold — from `runtime`.
-pub fn decode_store_with<P: Payload>(
-    all: Bytes,
-    runtime: StoreConfig,
-) -> StorageResult<SliceStore<P>> {
-    if all.remaining() < 8 {
-        return Err(StorageError::Corrupt("snapshot too short".into()));
-    }
-    if &all[..8] != MAGIC {
-        return Err(StorageError::Corrupt("bad magic".into()));
-    }
-    if all.remaining() < 8 + 12 + 4 {
-        return Err(StorageError::Corrupt("truncated header".into()));
-    }
-    let expected = crc32(&all[..20]);
-    let mut bytes = all.clone();
-    bytes.advance(8);
-    let page_size = bytes.get_u32() as usize;
-    let buffer_pages = bytes.get_u32() as usize;
-    let n_segments = bytes.get_u32() as usize;
-    if bytes.get_u32() != expected {
-        return Err(StorageError::Corrupt("header crc mismatch".into()));
-    }
-    let config = StoreConfig { page_size, buffer_pages, ..runtime };
-    let mut segments: Vec<Option<Segment<P>>> =
-        Vec::with_capacity(n_segments.min(bytes.remaining()));
-    for _ in 0..n_segments {
-        let start = all.len() - bytes.remaining();
-        let seg = decode_segment(&mut bytes, page_size)?;
-        let end = all.len() - bytes.remaining();
-        if bytes.remaining() < 4 {
-            return Err(StorageError::Corrupt("truncated section crc".into()));
-        }
-        if bytes.get_u32() != crc32(&all[start..end]) {
-            return Err(StorageError::Corrupt("section crc mismatch".into()));
-        }
-        segments.push(seg);
-    }
-    if bytes.remaining() > 0 {
-        return Err(StorageError::Corrupt("trailing bytes after snapshot".into()));
-    }
-    Ok(SliceStore::rebuild(config, segments))
-}
-
-/// Decode one segment slot (the caller checks the section CRC around this).
+/// Decode one segment slot written by [`encode_segment`].
 fn decode_segment<P: Payload>(
     bytes: &mut Bytes,
     page_size: usize,
 ) -> StorageResult<Option<Segment<P>>> {
-    if bytes.remaining() < 1 {
-        return Err(StorageError::Corrupt("truncated segment flag".into()));
-    }
-    if bytes.get_u8() == 0 {
+    if get_u8(bytes)? == 0 {
         return Ok(None);
     }
     let name = get_str(bytes)?;
-    if bytes.remaining() < 4 {
-        return Err(StorageError::Corrupt("truncated slot count".into()));
-    }
-    let n_slots = bytes.get_u32() as usize;
+    let n_slots = get_u32(bytes)? as usize;
     let mut seg = Segment::new(name);
     // Gather live records first so freed slots in between stay freed.
     let mut live: Vec<(u32, Vec<P>)> = Vec::new();
     for slot in 0..n_slots {
-        if bytes.remaining() < 1 {
-            return Err(StorageError::Corrupt("truncated record flag".into()));
-        }
-        if bytes.get_u8() == 0 {
+        if get_u8(bytes)? == 0 {
             continue;
         }
-        if bytes.remaining() < 4 {
-            return Err(StorageError::Corrupt("truncated field count".into()));
-        }
-        let n_fields = bytes.get_u32() as usize;
+        let n_fields = get_u32(bytes)? as usize;
         let mut fields = Vec::with_capacity(n_fields.min(bytes.remaining()));
         for _ in 0..n_fields {
             fields.push(P::decode(bytes)?);
@@ -189,6 +131,19 @@ mod tests {
     use super::*;
     use crate::payload::SimplePayload as SP;
     use crate::store::RecordId;
+
+    fn encode_store(st: &SliceStore<SP>) -> Bytes {
+        let mut buf = BytesMut::new();
+        st.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Decode a whole blob: every byte must belong to the store.
+    fn decode_store(mut bytes: Bytes) -> StorageResult<SliceStore<SP>> {
+        let st = SliceStore::decode_from(&mut bytes, StoreConfig::default())?;
+        assert_eq!(bytes.remaining(), 0, "decode left bytes unread");
+        Ok(st)
+    }
 
     fn populated() -> (SliceStore<SP>, RecordId, RecordId, RecordId) {
         let st = SliceStore::<SP>::new(StoreConfig {
@@ -217,18 +172,6 @@ mod tests {
         assert_eq!(restored.segment_name(r1.segment).unwrap(), "Person");
         assert_eq!(restored.segment_name(r3.segment).unwrap(), "Car");
         assert_eq!(restored.config().page_size, 256);
-    }
-
-    #[test]
-    fn an_unchecksummed_version_one_blob_is_refused() {
-        // `TSESNAP1` was the same layout without the CRCs: strip them and
-        // swap the magic, and the blob must be refused, not decoded.
-        let st = SliceStore::<SP>::default();
-        let mut old = encode_store(&st).to_vec();
-        old[..8].copy_from_slice(b"TSESNAP1");
-        old.truncate(20);
-        let refused = decode_store::<SP>(Bytes::from(old)).unwrap_err();
-        assert!(matches!(refused, StorageError::Corrupt(_)), "{refused}");
     }
 
     #[test]
@@ -266,41 +209,26 @@ mod tests {
 
     #[test]
     fn corrupt_inputs_are_rejected_not_panicking() {
-        assert!(decode_store::<SP>(Bytes::from_static(b"short")).is_err());
-        assert!(decode_store::<SP>(Bytes::from_static(b"WRONGMAG00000000")).is_err());
+        assert!(decode_store(Bytes::from_static(b"short")).is_err());
+        assert!(decode_store(Bytes::from_static(b"WRONGMAG00000000")).is_err());
         let (st, ..) = populated();
         let good = encode_store(&st);
         // Every proper prefix must actually be rejected, never panic and
         // never decode to a store.
         for cut in 0..good.len() {
             assert!(
-                decode_store::<SP>(good.slice(..cut)).is_err(),
+                SliceStore::<SP>::decode_from(&mut good.slice(..cut), StoreConfig::default())
+                    .is_err(),
                 "prefix of {cut}/{} bytes decoded successfully",
                 good.len()
             );
         }
-        // Appending garbage must be rejected too.
+        // A trailing byte is not the store's: it is left for the payload's
+        // outermost decoder to refuse.
         let mut padded = good.to_vec();
         padded.push(0);
-        assert!(
-            decode_store::<SP>(Bytes::from(padded)).is_err(),
-            "trailing byte accepted"
-        );
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_detected() {
-        let (st, ..) = populated();
-        let good = encode_store(&st);
-        for byte in 0..good.len() {
-            for bit in 0..8u8 {
-                let mut bad = good.to_vec();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    decode_store::<SP>(Bytes::from(bad)).is_err(),
-                    "bit flip at {byte}.{bit} decoded successfully"
-                );
-            }
-        }
+        let mut padded = Bytes::from(padded);
+        SliceStore::<SP>::decode_from(&mut padded, StoreConfig::default()).unwrap();
+        assert_eq!(padded.remaining(), 1, "trailing byte consumed");
     }
 }

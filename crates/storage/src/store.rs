@@ -333,16 +333,6 @@ impl<P: Payload> SliceStore<P> {
         self.with_segment(seg, |s| s.len())
     }
 
-    /// Number of pages a segment occupies.
-    pub fn segment_pages(&self, seg: SegmentId) -> StorageResult<usize> {
-        self.with_segment(seg, |s| s.pages.page_count())
-    }
-
-    /// Bytes used by a segment's records (incl. record headers).
-    pub fn segment_bytes(&self, seg: SegmentId) -> StorageResult<usize> {
-        self.with_segment(seg, |s| s.pages.bytes_used())
-    }
-
     /// All live segment ids with their names, in id order.
     pub fn segments(&self) -> Vec<(SegmentId, String)> {
         let mut out = Vec::new();
@@ -664,15 +654,6 @@ impl<P: Payload> SliceStore<P> {
             .stripes
             .iter()
             .map(|s| s.segments.read().values().map(|seg| seg.pages.bytes_used()).sum::<usize>())
-            .sum()
-    }
-
-    /// Total pages across all segments.
-    pub fn total_pages(&self) -> usize {
-        self.inner
-            .stripes
-            .iter()
-            .map(|s| s.segments.read().values().map(|seg| seg.pages.page_count()).sum::<usize>())
             .sum()
     }
 

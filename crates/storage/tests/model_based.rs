@@ -5,7 +5,18 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use tse_storage::{decode_store, encode_store, RecordId, SimplePayload, SliceStore, StoreConfig};
+use bytes::{Bytes, BytesMut};
+use tse_storage::{RecordId, SimplePayload, SliceStore, StoreConfig};
+
+fn encode_store(store: &SliceStore<SimplePayload>) -> Bytes {
+    let mut buf = BytesMut::new();
+    store.encode_into(&mut buf);
+    buf.freeze()
+}
+
+fn decode_store(mut bytes: Bytes) -> tse_storage::StorageResult<SliceStore<SimplePayload>> {
+    SliceStore::decode_from(&mut bytes, StoreConfig::default())
+}
 
 #[derive(Debug, Clone)]
 enum Op {

@@ -731,16 +731,6 @@ impl Telemetry {
         Ok(())
     }
 
-    /// Flush the attached sink (no-op without one) and return how many
-    /// records it has received since it was attached.
-    pub fn flush_sink(&self) -> std::io::Result<u64> {
-        let mut st = self.inner.state.lock().unwrap();
-        if let Some(sink) = &mut st.sink {
-            sink.flush()?;
-        }
-        Ok(st.sink_records)
-    }
-
     /// Detach the sink, flushing it; returns the record count it received.
     pub fn detach_sink(&self) -> std::io::Result<u64> {
         let mut st = self.inner.state.lock().unwrap();

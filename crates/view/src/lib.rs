@@ -27,9 +27,8 @@
 mod closure;
 mod manager;
 mod schema;
-pub mod snapshot;
+mod snapshot;
 
 pub use closure::{closed_selection, closure_violations, ClosureViolation};
 pub use manager::ViewManager;
 pub use schema::{build_view, generate_edges, ViewId, ViewSchema};
-pub use snapshot::{decode_manager, encode_manager};

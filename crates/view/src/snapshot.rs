@@ -1,21 +1,25 @@
 //! Binary persistence for view schemas and the view history — the "View
 //! Schema History" dictionary of the TSE architecture survives restarts
-//! together with the database.
+//! together with the database, as one section of a snapshot payload:
+//!
+//! ```text
+//! u32 n_views | per view: u32 id | str family | u32 version
+//!   | u32 n_classes | classes… | u32 n_renames | (class, str)…
+//!   | u32 n_edges | (class, class)…
+//! ```
+//!
+//! The section carries no magic or checksum of its own: its one check is
+//! the CRC of the snapshot file that holds the payload.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
-use tse_object_model::{ClassId, ModelError, ModelResult};
+use tse_object_model::{ClassId, ModelResult};
 use tse_storage::payload::{get_str, get_u32, put_str};
 
 use crate::manager::ViewManager;
 use crate::schema::{ViewId, ViewSchema};
 
-fn corrupt(msg: &str) -> ModelError {
-    ModelError::Storage(tse_storage::StorageError::Corrupt(msg.to_string()))
-}
-
-/// Encode one view schema.
-pub fn encode_view(buf: &mut BytesMut, view: &ViewSchema) {
+fn encode_view(buf: &mut BytesMut, view: &ViewSchema) {
     buf.put_u32(view.id.0);
     put_str(buf, &view.family);
     buf.put_u32(view.version);
@@ -35,8 +39,7 @@ pub fn encode_view(buf: &mut BytesMut, view: &ViewSchema) {
     }
 }
 
-/// Decode one view schema.
-pub fn decode_view(buf: &mut Bytes) -> ModelResult<ViewSchema> {
+fn decode_view(buf: &mut Bytes) -> ModelResult<ViewSchema> {
     let id = ViewId(get_u32(buf)?);
     let family = get_str(buf)?;
     let version = get_u32(buf)?;
@@ -59,45 +62,47 @@ pub fn decode_view(buf: &mut Bytes) -> ModelResult<ViewSchema> {
     Ok(ViewSchema { id, family, version, classes, renames, edges })
 }
 
-/// Encode a whole manager (all views + family histories).
-pub fn encode_manager(manager: &ViewManager) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(b"TSEVW001");
-    let views: Vec<&ViewSchema> = (0..manager.view_count() as u32)
-        .map(|i| manager.view(ViewId(i)).expect("dense view ids"))
-        .collect();
-    buf.put_u32(views.len() as u32);
-    for v in views {
-        encode_view(&mut buf, v);
+impl ViewManager {
+    /// Append every view (and so every family history) to `buf`.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
+        buf.put_u32(self.view_count() as u32);
+        for i in 0..self.view_count() as u32 {
+            encode_view(buf, self.view(ViewId(i)).expect("dense view ids"));
+        }
     }
-    buf.freeze()
-}
 
-/// Decode a manager. The per-family histories are rebuilt from the views'
-/// family/version fields.
-pub fn decode_manager(mut bytes: Bytes) -> ModelResult<ViewManager> {
-    if bytes.remaining() < 8 {
-        return Err(corrupt("view snapshot too short"));
+    /// Read a manager written by [`ViewManager::encode_into`]. The
+    /// per-family histories are rebuilt from the views' family/version
+    /// fields.
+    pub fn decode_from(buf: &mut Bytes) -> ModelResult<ViewManager> {
+        let n = get_u32(buf)? as usize;
+        let mut views = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            views.push(decode_view(buf)?);
+        }
+        ViewManager::from_views(views)
     }
-    let mut magic = [0u8; 8];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != b"TSEVW001" {
-        return Err(corrupt("bad view snapshot magic"));
-    }
-    let n = get_u32(&mut bytes)? as usize;
-    let mut views = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        views.push(decode_view(&mut bytes)?);
-    }
-    ViewManager::from_views(views)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::ViewManager;
+    use bytes::Buf;
     use std::collections::BTreeSet;
     use tse_object_model::Database;
+
+    fn encode_manager(vm: &ViewManager) -> Bytes {
+        let mut buf = BytesMut::new();
+        vm.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Decode a whole blob: every byte must belong to the manager.
+    fn decode_manager(mut bytes: Bytes) -> ModelResult<ViewManager> {
+        let vm = ViewManager::decode_from(&mut bytes)?;
+        assert_eq!(bytes.remaining(), 0, "decode left bytes unread");
+        Ok(vm)
+    }
 
     fn setup() -> (Database, ViewManager) {
         let mut db = Database::default();
@@ -135,8 +140,14 @@ mod tests {
         assert!(decode_manager(Bytes::from_static(b"junk")).is_err());
         let (_, vm) = setup();
         let good = encode_manager(&vm);
-        for cut in (0..good.len()).step_by(13) {
-            let _ = decode_manager(good.slice(..cut));
+        for cut in 0..good.len() {
+            assert!(ViewManager::decode_from(&mut good.slice(..cut)).is_err(), "prefix {cut}");
         }
+        // A trailing byte is left for the payload's outermost decoder.
+        let mut padded = good.to_vec();
+        padded.push(0);
+        let mut padded = Bytes::from(padded);
+        ViewManager::decode_from(&mut padded).unwrap();
+        assert_eq!(padded.remaining(), 1, "trailing byte consumed");
     }
 }

@@ -4,6 +4,7 @@
 
 use tse::core::TseSystem;
 use tse::object_model::Value;
+use tse::storage::StoreConfig;
 use tse::workload::trace::{generate_and_apply_trace, TraceMix};
 use tse::workload::university::{build_university, populate_university};
 
@@ -23,7 +24,7 @@ fn two_hundred_changes_with_snapshot_checkpoints() {
             .unwrap();
         // Checkpoint: snapshot, restore, and keep going with the restored
         // system.
-        let restored = TseSystem::decode(tse.encode()).unwrap();
+        let restored = TseSystem::decode(tse.encode(), StoreConfig::default()).unwrap();
         tse = restored;
         // Invariants at every checkpoint.
         assert!(tse.views_unaffected_except("dev").unwrap());
@@ -65,7 +66,7 @@ fn wide_random_schema_absorbs_changes() {
     assert_eq!(tse.db().object_count(), 150);
     assert_eq!(tse.views().versions("R").unwrap().len(), n + 1);
     // Full persistence round-trip of the big state.
-    let restored = TseSystem::decode(tse.encode()).unwrap();
+    let restored = TseSystem::decode(tse.encode(), StoreConfig::default()).unwrap();
     assert_eq!(restored.views().view_count(), tse.views().view_count());
     assert_eq!(restored.db().object_count(), 150);
 }

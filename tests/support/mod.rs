@@ -1,8 +1,10 @@
 //! Shared by the integration tests that hold the schema's fact cache
 //! against a schema that has none.
 
+use bytes::BytesMut;
 use tse::algebra::intent_type;
-use tse::object_model::{decode_database, encode_database, Database};
+use tse::object_model::Database;
+use tse::storage::StoreConfig;
 
 /// Every class's resolved type and intent type, as `db`'s schema has them
 /// cached (or resolves them now), equal those of a cold twin: the same
@@ -10,7 +12,9 @@ use tse::object_model::{decode_database, encode_database, Database};
 /// empty, so that every fact it hands out is worked out from scratch.
 /// Returns the twin.
 pub fn assert_facts_equal_a_cold_schema(db: &Database, context: &str) -> Database {
-    let cold = decode_database(encode_database(db)).unwrap();
+    let mut buf = BytesMut::new();
+    db.encode_into(&mut buf);
+    let cold = Database::decode_from(&mut buf.freeze(), StoreConfig::default()).unwrap();
     for class in db.schema().class_ids() {
         assert_eq!(
             db.schema().resolved_type(class),
