@@ -233,9 +233,10 @@ mod tests {
         .unwrap();
         let t1 = intent_type(&db, r1).unwrap();
         let t2 = intent_type(&db, r2).unwrap();
-        let k1 = t1.iter().find(|(n, _)| n == "register").unwrap().1;
-        let k2 = t2.iter().find(|(n, _)| n == "register").unwrap().1;
-        assert_eq!(k1, k2, "shared definition, same key");
+        let register = |t: &[tse_object_model::PropKey]| {
+            *t.iter().find(|k| db.schema().def_by_key(**k).unwrap().1.name == "register").unwrap()
+        };
+        assert_eq!(register(&t1), register(&t2), "shared definition, same key");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Operator typing rules and definition-time validation.
 //!
 //! Each algebra operator determines the *intent type* of the virtual class it
-//! derives, as a set of `(name, key)` pairs:
+//! derives, as a sorted array of property keys ([`TypeKeys`]):
 //!
 //! * `select` / `difference` — type of the (first) source, unchanged;
 //! * `hide` — source type minus the hidden names (a supertype);
@@ -9,6 +9,11 @@
 //! * `union` — the lowest common supertype: properties shared by both inputs
 //!   (same definition, i.e. same key);
 //! * `intersect` — the greatest common subtype: all properties of both.
+//!
+//! A key has exactly one name at any schema state
+//! ([`tse_object_model::Schema::def_by_key`]), so a type is its keys; the
+//! rules that need names — `hide` and the validations — read them from the
+//! definitions.
 //!
 //! The intent type is what the classifier positions a freshly derived class
 //! by; once the class is wired into the DAG and promotions have run, the
@@ -21,8 +26,9 @@ use tse_object_model::{
     ClassId, ClassKind, Database, Derivation, ModelError, ModelResult, PropKey,
 };
 
-/// `(name, key)` type view used for subsumption.
-pub type TypeKeys = BTreeSet<(String, PropKey)>;
+/// A type as used for subsumption: the keys of its properties, sorted and
+/// deduplicated, so that inclusion and equality are merges over the keys.
+pub type TypeKeys = [PropKey];
 
 /// Compute the intent type of a class: for base classes the hierarchy
 /// resolution; for virtual classes the operator rule over the sources'
@@ -50,39 +56,35 @@ fn derive_intent(db: &Database, class: ClassId) -> ModelResult<Arc<TypeKeys>> {
                 intent_type(db, *src)?
             }
             Derivation::Hide { src, hidden } => {
-                let mut t = TypeKeys::clone(&*intent_type(db, *src)?);
-                t.retain(|(name, _)| !hidden.contains(name));
-                Arc::new(t)
+                let mut kept = Vec::new();
+                for &key in intent_type(db, *src)?.iter() {
+                    if !hidden.contains(&schema.def_by_key(key)?.1.name) {
+                        kept.push(key);
+                    }
+                }
+                kept.into()
             }
             Derivation::Refine { src, new_props, inherited } => {
-                let mut t = TypeKeys::clone(&*intent_type(db, *src)?);
-                for key in new_props {
-                    // New props are locals of this very class — unless a
-                    // later classification promoted the definition upward
-                    // (the key is stable, so look it up globally then).
-                    let name = match cls.local_by_key(*key) {
-                        Some(lp) => lp.def.name.clone(),
-                        None => schema.def_by_key(*key)?.1.name.clone(),
-                    };
-                    t.insert((name, *key));
-                }
-                for (_, key) in inherited {
-                    let (_, def) = schema.def_by_key(*key)?;
-                    t.insert((def.name.clone(), *key));
+                let mut t = intent_type(db, *src)?.to_vec();
+                // New props are locals of this very class — unless a later
+                // classification promoted the definition upward — and
+                // inherited ones are held elsewhere: the key is stable, and
+                // it must still have a definition.
+                for &key in new_props.iter().chain(inherited.iter().map(|(_, k)| k)) {
+                    schema.def_by_key(key)?;
+                    t.push(key);
                 }
                 // Plus any locals added after creation (promotion targets).
-                for lp in cls.locals() {
-                    t.insert((lp.def.name.clone(), lp.def.key));
-                }
-                Arc::new(t)
+                t.extend(cls.locals().iter().map(|lp| lp.def.key));
+                key_array(t)
             }
             Derivation::Union { a, b } => {
                 let (ta, tb) = (intent_type(db, *a)?, intent_type(db, *b)?);
-                Arc::new(ta.intersection(&tb).cloned().collect())
+                ta.iter().copied().filter(|k| tb.binary_search(k).is_ok()).collect()
             }
             Derivation::Intersect { a, b } => {
                 let (ta, tb) = (intent_type(db, *a)?, intent_type(db, *b)?);
-                Arc::new(ta.union(&tb).cloned().collect())
+                key_array(ta.iter().chain(tb.iter()).copied().collect())
             }
         },
     };
@@ -91,22 +93,30 @@ fn derive_intent(db: &Database, class: ClassId) -> ModelResult<Arc<TypeKeys>> {
     if cls.extra_refs().is_empty() {
         return Ok(by_operator);
     }
-    let mut t = TypeKeys::clone(&by_operator);
-    t.extend(
-        cls.extra_refs()
-            .iter()
-            .filter_map(|(_, k)| schema.def_by_key(*k).ok().map(|(_, d)| (d.name.clone(), *k))),
-    );
-    Ok(Arc::new(t))
+    let mut t = by_operator.to_vec();
+    t.extend(cls.extra_refs().iter().map(|(_, k)| *k).filter(|k| schema.def_by_key(*k).is_ok()));
+    Ok(key_array(t))
+}
+
+/// Sort and deduplicate `keys` into a type.
+fn key_array(mut keys: Vec<PropKey>) -> Arc<TypeKeys> {
+    keys.sort_unstable();
+    keys.dedup();
+    keys.into()
+}
+
+/// The name of each key of `t`, in key order (an ambiguous name appears
+/// once per definition).
+fn names<'a>(db: &'a Database, t: &TypeKeys) -> ModelResult<Vec<&'a str>> {
+    t.iter().map(|&key| Ok(db.schema().def_by_key(key)?.1.name.as_str())).collect()
 }
 
 /// Definition-time validation for `select`: every referenced attribute must
 /// resolve (unambiguously) in the source's type.
 pub fn validate_select(db: &Database, src: ClassId, attrs: &[String]) -> ModelResult<()> {
-    let t = intent_type(db, src)?;
+    let names = names(db, &intent_type(db, src)?)?;
     for attr in attrs {
-        let matches: Vec<_> = t.iter().filter(|(n, _)| n == attr).collect();
-        match matches.len() {
+        match names.iter().filter(|n| **n == attr).count() {
             0 => {
                 return Err(ModelError::UnknownProperty { class: src, name: attr.clone() });
             }
@@ -122,9 +132,9 @@ pub fn validate_select(db: &Database, src: ClassId, attrs: &[String]) -> ModelRe
 /// Definition-time validation for `hide`: hidden names must exist in the
 /// source type.
 pub fn validate_hide(db: &Database, src: ClassId, props: &[String]) -> ModelResult<()> {
-    let t = intent_type(db, src)?;
+    let names = names(db, &intent_type(db, src)?)?;
     for p in props {
-        if !t.iter().any(|(n, _)| n == p) {
+        if !names.contains(&p.as_str()) {
             return Err(ModelError::UnknownProperty { class: src, name: p.clone() });
         }
     }
@@ -140,9 +150,9 @@ pub fn validate_refine(
     new_names: &[String],
     inherited_names: &[String],
 ) -> ModelResult<()> {
-    let t = intent_type(db, src)?;
+    let names = names(db, &intent_type(db, src)?)?;
     for name in new_names.iter().chain(inherited_names) {
-        if t.iter().any(|(n, _)| n == name) {
+        if names.contains(&name.as_str()) {
             return Err(ModelError::PropertyExists { class: src, name: name.clone() });
         }
     }
@@ -157,9 +167,11 @@ pub fn validate_refine(
 }
 
 /// Does type `a` subsume (⊇) type `b`? I.e. is `a` a valid *subclass* type
-/// of `b`'s class (more properties = more specific)?
+/// of `b`'s class (more properties = more specific)? One merge over the two
+/// sorted arrays.
 pub fn type_includes(a: &TypeKeys, b: &TypeKeys) -> bool {
-    b.is_subset(a)
+    let mut rest = a.iter();
+    b.len() <= a.len() && b.iter().all(|k| rest.find(|x| *x >= k) == Some(k))
 }
 
 #[cfg(test)]
@@ -190,8 +202,7 @@ mod tests {
             )
             .unwrap();
         let t = intent_type(&db, v).unwrap();
-        assert_eq!(t.len(), 1);
-        assert!(t.iter().any(|(n, _)| n == "name"));
+        assert_eq!(names(&db, &t).unwrap(), ["name"]);
     }
 
     #[test]
@@ -242,7 +253,11 @@ mod tests {
             .create_virtual_class("S", Derivation::Select { src: h, pred })
             .unwrap();
         let names = |db: &Database, class| -> Vec<String> {
-            intent_type(db, class).unwrap().iter().map(|(n, _)| n.clone()).collect()
+            let t = intent_type(db, class).unwrap();
+            let mut sorted: Vec<String> =
+                names(db, &t).unwrap().into_iter().map(Into::into).collect();
+            sorted.sort();
+            sorted
         };
         for class in [h, u, s] {
             assert_eq!(names(&db, class), ["name"]);
@@ -278,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn type_inclusion_is_subset_on_pairs() {
+    fn type_inclusion_is_subset_on_keys() {
         let (mut db, person) = db_with_person();
         let r = db
             .schema_mut()
@@ -293,5 +308,15 @@ mod tests {
         let tr = intent_type(&db, r).unwrap();
         assert!(type_includes(&tr, &tp));
         assert!(!type_includes(&tp, &tr));
+
+        // The merge, on hand-made arrays: a miss below, between and above
+        // the other side's keys.
+        let k = |keys: &[u64]| -> Vec<PropKey> { keys.iter().map(|&k| PropKey(k)).collect() };
+        assert!(type_includes(&k(&[1, 2, 3]), &k(&[1, 3])));
+        assert!(type_includes(&k(&[1, 2, 3]), &k(&[])));
+        assert!(!type_includes(&k(&[1, 2, 3]), &k(&[0, 1])));
+        assert!(!type_includes(&k(&[1, 3]), &k(&[2])));
+        assert!(!type_includes(&k(&[1, 3]), &k(&[3, 4])));
+        assert!(!type_includes(&k(&[1]), &k(&[1, 2])));
     }
 }

@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 
-use tse_algebra::{intent_type, TypeKeys};
-use tse_object_model::{ClassId, Database, ModelError, ModelResult};
+use tse_algebra::{intent_type, type_includes, TypeKeys};
+use tse_object_model::{ClassId, Database, ModelError, ModelResult, PropKey};
 use tse_telemetry::Telemetry;
 
 use crate::subsume::Subsumption;
@@ -101,7 +101,10 @@ fn classify_inner(
 
     // Candidate supers / subs: a class the prover relates to `class` in
     // neither direction can be none of super, sub or duplicate, so only the
-    // new class's row and column are examined, in id order.
+    // new class's row and column are examined, in id order. Each candidate
+    // is compared by its intent type: it was classified before, so its
+    // resolved type equals its intent (the type-agreement invariant), and
+    // the intent survives the placements that re-resolve its ancestors.
     let mut super_cands: Vec<(ClassId, Arc<TypeKeys>)> = Vec::new();
     let mut sub_cands: Vec<(ClassId, Arc<TypeKeys>)> = Vec::new();
     for other in prover.related(class) {
@@ -109,7 +112,7 @@ fn classify_inner(
             continue;
         }
         *candidates += 1;
-        let other_type = db.schema().type_keys(other)?;
+        let other_type = intent_type(db, other)?;
         let ext_below = prover.subsumes(class, other);
         let ext_above = prover.subsumes(other, class);
         if ext_below && ext_above && other_type == target_type {
@@ -123,10 +126,10 @@ fn classify_inner(
                 promoted: vec![],
             });
         }
-        if ext_below && other_type.is_subset(&target_type) {
+        if ext_below && type_includes(&target_type, &other_type) {
             super_cands.push((other, Arc::clone(&other_type)));
         }
-        if ext_above && target_type.is_subset(&other_type) {
+        if ext_above && type_includes(&other_type, &target_type) {
             sub_cands.push((other, other_type));
         }
     }
@@ -139,8 +142,8 @@ fn classify_inner(
             !super_cands.iter().any(|(s2, t2)| {
                 s2 != s1
                     && prover.subsumes(*s2, *s1)
-                    && t1.is_subset(t2)
-                    && !(prover.subsumes(*s1, *s2) && t2.is_subset(t1))
+                    && type_includes(t2, t1)
+                    && !(prover.subsumes(*s1, *s2) && type_includes(t1, t2))
             })
         })
         .map(|(s, _)| *s)
@@ -159,8 +162,8 @@ fn classify_inner(
             !sub_cands.iter().any(|(x2, t2)| {
                 x2 != x1
                     && prover.subsumes(*x1, *x2)
-                    && t2.is_subset(t1)
-                    && !(prover.subsumes(*x2, *x1) && t1.is_subset(t2))
+                    && type_includes(t1, t2)
+                    && !(prover.subsumes(*x2, *x1) && type_includes(t2, t1))
             })
         })
         .map(|(x, _)| *x)
@@ -183,14 +186,13 @@ fn classify_inner(
     }
 
     // Upward property promotion: definitions held locally by a new direct
-    // subclass but included in the new class's type move up into it.
+    // subclass but included in the new class's type move up into it, in
+    // `(name, key)` order.
     let mut promoted = Vec::new();
     for x in &subs {
-        let shared: Vec<(String, tse_object_model::PropKey)> = target_type
-            .iter()
-            .filter(|(_, key)| db.schema().class(*x).map(|c| c.local_by_key(*key).is_some()).unwrap_or(false))
-            .cloned()
-            .collect();
+        let sub = db.schema().class(*x)?;
+        let local_name = |key| Some((sub.local_by_key(key)?.def.name.clone(), key));
+        let shared = by_name(target_type.iter().filter_map(|&key| local_name(key)));
         for (name, _key) in shared {
             if db.schema().class(class)?.local(&name).is_some() {
                 continue; // the class already owns a local with that name
@@ -204,13 +206,27 @@ fn classify_inner(
     // promotion still cannot resolve (e.g. a hide class whose source
     // inherits from a class outside the evolving view, so no primed
     // counterpart exists to sit under) is attached by reference — a shared
-    // definition, exactly like `refine C1:x for C2`.
+    // definition, exactly like `refine C1:x for C2` — in `(name, key)`
+    // order.
     let resolved = db.schema().type_keys(class)?;
-    for (_, key) in target_type.difference(&resolved) {
-        db.schema_mut().add_extra_ref(class, *key)?;
+    let mut missing = Vec::new();
+    for &key in target_type.iter().filter(|k| resolved.binary_search(k).is_err()) {
+        missing.push((db.schema().def_by_key(key)?.1.name.clone(), key));
+    }
+    for (_, key) in by_name(missing) {
+        db.schema_mut().add_extra_ref(class, key)?;
     }
 
     Ok(Placement { class, duplicate_of: None, supers, subs, promoted })
+}
+
+/// `(name, key)` pairs sorted by name, then key: the order promotion and
+/// by-reference repair apply in, so the classes they edit come out in the
+/// same order whatever order the types keep their keys in.
+fn by_name(pairs: impl IntoIterator<Item = (String, PropKey)>) -> Vec<(String, PropKey)> {
+    let mut pairs: Vec<_> = pairs.into_iter().collect();
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Debug/test helper: check that a classified class's hierarchy-resolved

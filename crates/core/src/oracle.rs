@@ -73,7 +73,7 @@ impl SimpleSchema {
             let mut inherited_keys = BTreeSet::new();
             for sup in view.supers_in_view(class) {
                 inherited_keys
-                    .extend(db.schema().resolved_type(sup)?.keys().iter().map(|(_, k)| *k));
+                    .extend(db.schema().resolved_type(sup)?.keys().iter().copied());
             }
             for (name, rp) in &rt.props {
                 for cand in &rp.candidates {

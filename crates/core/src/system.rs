@@ -413,8 +413,7 @@ impl TseSystem {
                         )?;
                     }
                 }
-                for (i, u) in sups.iter().enumerate() {
-                    let is_last = i + 1 == sups.len();
+                for u in &sups {
                     self.evolve(
                         family,
                         &SchemaChange::DeleteEdge {
@@ -423,7 +422,6 @@ impl TseSystem {
                             connected_to: None,
                         },
                     )?;
-                    let _ = is_last;
                 }
                 self.evolve(family, &SchemaChange::DeleteClass { class: class.clone() })
             }

@@ -8,6 +8,8 @@
 //! own length and CRC; a change to either format must update them on
 //! purpose.
 
+mod support;
+
 use std::path::PathBuf;
 
 use tse_core::{parse_expr, SharedSystem};
@@ -16,13 +18,7 @@ use tse_object_model::{Predicate, PropertyDef, Value, ValueType};
 use tse_storage::durable::{snapshot_path, WAL_FILE};
 use tse_workload::university::{build_university, populate_university};
 
-/// FNV-1a, 64-bit: a stable digest with no dependency.
-fn digest(bytes: &[u8]) -> String {
-    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{hash:016x}/{}", bytes.len())
-}
+use support::digest;
 
 /// The university of Figure 2, 600 people, two capacity-augmenting
 /// evolves, and writes, reclassifications and deletes through old and new

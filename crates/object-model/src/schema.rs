@@ -79,33 +79,27 @@ impl ResolvedProp {
 pub struct ResolvedType {
     /// Properties by name.
     pub props: BTreeMap<String, ResolvedProp>,
-    /// The `(name, key)` pairs of `props`, computed once when the type is
-    /// built: the classifier compares these sets for every candidate.
-    keys: Arc<BTreeSet<(String, PropKey)>>,
+    /// The keys of every candidate in `props`, sorted and deduplicated,
+    /// computed once when the type is built: the classifier compares these
+    /// arrays for every candidate.
+    keys: Arc<[PropKey]>,
 }
 
 impl ResolvedType {
     fn new(props: BTreeMap<String, ResolvedProp>) -> Self {
-        let keys = props
-            .iter()
-            .flat_map(|(name, rp)| rp.candidates.iter().map(move |c| (name.clone(), c.key)))
-            .collect();
-        ResolvedType { props, keys: Arc::new(keys) }
+        let mut keys: Vec<PropKey> =
+            props.values().flat_map(|rp| rp.candidates.iter().map(|c| c.key)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        ResolvedType { props, keys: keys.into() }
     }
 
-    /// The `(name, key)` pairs of every candidate — the set the classifier
-    /// compares for type subsumption. Ambiguous names contribute all their
-    /// candidates.
-    pub fn keys(&self) -> &BTreeSet<(String, PropKey)> {
+    /// The type as a sorted key array — what the classifier compares for
+    /// type subsumption. Ambiguous names contribute all their candidates. A
+    /// key has one name at any schema state ([`Schema::def_by_key`]), so
+    /// the keys determine the names.
+    pub fn keys(&self) -> &[PropKey] {
         &self.keys
-    }
-
-    /// Just the property keys, ignoring names (renaming-insensitive view).
-    pub fn key_set(&self) -> BTreeSet<PropKey> {
-        self.props
-            .values()
-            .flat_map(|rp| rp.candidates.iter().map(|c| c.key))
-            .collect()
     }
 
     /// Does the type contain this property name (ambiguous or not)?
@@ -191,7 +185,7 @@ impl AccessPlan {
 #[derive(Clone, Default)]
 struct ClassFacts {
     resolved: Option<Arc<ResolvedType>>,
-    intent: Option<Arc<BTreeSet<(String, PropKey)>>>,
+    intent: Option<Arc<[PropKey]>>,
     plans: HashMap<Box<str>, Arc<AccessPlan>>,
 }
 
@@ -949,8 +943,8 @@ impl Schema {
     pub fn intent_type_with(
         &self,
         class: ClassId,
-        derive: impl FnOnce() -> ModelResult<Arc<BTreeSet<(String, PropKey)>>>,
-    ) -> ModelResult<Arc<BTreeSet<(String, PropKey)>>> {
+        derive: impl FnOnce() -> ModelResult<Arc<[PropKey]>>,
+    ) -> ModelResult<Arc<[PropKey]>> {
         self.class(class)?;
         if let Some(intent) = self.facts.lock().entry(class).and_then(|f| f.intent.as_ref()) {
             return Ok(Arc::clone(intent));
@@ -959,7 +953,7 @@ impl Schema {
         let mut intent = derive()?;
         let mut cache = self.facts.lock();
         let facts = cache.entry_mut(class);
-        // Once a class is classified its two types agree: keep one set.
+        // Once a class is classified its two types agree: keep one array.
         if let Some(resolved) = facts.resolved.as_ref().filter(|r| r.keys == intent) {
             intent = Arc::clone(&resolved.keys);
         }
@@ -1143,9 +1137,9 @@ impl Schema {
         Ok(resolved)
     }
 
-    /// `(name, key)` view of a class's type (classifier subsumption basis),
-    /// shared with the cached [`ResolvedType`].
-    pub fn type_keys(&self, class: ClassId) -> ModelResult<Arc<BTreeSet<(String, PropKey)>>> {
+    /// A class's type as a sorted key array (the classifier's subsumption
+    /// basis), shared with the cached [`ResolvedType`].
+    pub fn type_keys(&self, class: ClassId) -> ModelResult<Arc<[PropKey]>> {
         Ok(Arc::clone(&self.resolved_type(class)?.keys))
     }
 
@@ -1502,11 +1496,11 @@ mod tests {
     /// Every class's resolved type and (memoised through a stand-in rule)
     /// intent type, to be compared by pointer after a mutation: a surviving
     /// entry hands the same `Arc` out again, a dropped one is rebuilt.
-    type Facts = (Arc<ResolvedType>, Arc<BTreeSet<(String, PropKey)>>);
+    type Facts = (Arc<ResolvedType>, Arc<[PropKey]>);
     fn facts(s: &Schema) -> BTreeMap<ClassId, Facts> {
         s.class_ids()
             .map(|c| {
-                let intent = s.intent_type_with(c, || Ok(Arc::new(BTreeSet::new()))).unwrap();
+                let intent = s.intent_type_with(c, || Ok(Arc::from([]))).unwrap();
                 (c, (s.resolved_type(c).unwrap(), intent))
             })
             .collect()

@@ -6,9 +6,12 @@ use proptest::prelude::*;
 
 use tse::algebra::{self, define_vc, Query, UpdatePolicy};
 use tse::classifier::classify;
+use tse::core::TseSystem;
 use tse::object_model::{
     ClassId, CmpOp, Database, Predicate, PropertyDef, Value, ValueType,
 };
+use tse::workload::trace::{generate_and_apply_trace, TraceMix};
+use tse::workload::university::build_university;
 
 /// Base schema: two sibling base classes under a common parent.
 fn base() -> (Database, ClassId, ClassId, ClassId) {
@@ -130,6 +133,40 @@ proptest! {
             let resolved = db.schema().type_keys(class).unwrap();
             let intent = tse::algebra::intent_type(&db, class).unwrap();
             prop_assert_eq!(resolved, intent, "type agreement at {}", class);
+        }
+    }
+}
+
+/// The university of Figure 2 under one whole-schema view.
+fn university() -> TseSystem {
+    let (mut tse, _) = build_university().unwrap();
+    tse.create_view_all("U").unwrap();
+    tse
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+
+    /// Type agreement holds through evolution, not only after one layering:
+    /// after every change of a seeded Sjøberg-mix trace, every live virtual
+    /// class resolves to its operator-intent type. The classifier places a
+    /// new class by its candidates' intent types on the strength of this.
+    #[test]
+    fn type_agreement_holds_after_every_change_of_a_trace(seed in 0u64..1_000_000) {
+        let mix = TraceMix::default();
+        let trace = generate_and_apply_trace(&mut university(), "U", 100, &mix, seed).unwrap();
+        let mut tse = university();
+        for (i, change) in trace.changes.iter().enumerate() {
+            tse.evolve("U", change).unwrap();
+            let db = tse.db();
+            for class in db.schema().class_ids() {
+                if db.schema().is_retired(class) || db.schema().class(class).unwrap().is_base() {
+                    continue;
+                }
+                let resolved = db.schema().type_keys(class).unwrap();
+                let intent = tse::algebra::intent_type(db, class).unwrap();
+                prop_assert_eq!(resolved, intent, "change {} ({:?}): {}", i, change, class);
+            }
         }
     }
 }
