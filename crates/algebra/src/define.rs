@@ -28,7 +28,7 @@ fn resolve_ref(db: &Database, r: &ClassRef) -> ModelResult<ClassId> {
 /// classification.
 pub fn define_vc(db: &mut Database, name: &str, query: &Query) -> ModelResult<ClassId> {
     let mut counter = 0u32;
-    define_rec(db, name, query, &mut counter, true)
+    define_rec(db, name, query, &mut counter)
 }
 
 fn define_rec(
@@ -36,7 +36,6 @@ fn define_rec(
     name: &str,
     query: &Query,
     counter: &mut u32,
-    top: bool,
 ) -> ModelResult<ClassId> {
     // Sub-queries become their own (intermediate) virtual classes.
     let materialize =
@@ -50,12 +49,11 @@ fn define_rec(
                 _ => {
                     *counter += 1;
                     let sub_name = db.schema().fresh_name(&format!("{name}#{counter}"));
-                    define_rec(db, &sub_name, sub, counter, false)
+                    define_rec(db, &sub_name, sub, counter)
                 }
             }
         };
 
-    let _ = top;
     match query {
         Query::Class(_) | Query::ClassName(_) => {
             // `defineVC X as C` — an alias class: the algebra has no alias

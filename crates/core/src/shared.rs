@@ -34,7 +34,12 @@
 //! — the global schema only ever grows, so class ids resolved under an old
 //! epoch remain valid against the new live system. A failed evolution
 //! drops the private fork and publishes nothing: readers never observe a
-//! torn epoch.
+//! torn epoch. The classifier's prover is the one part of the live system
+//! the fork *takes* rather than shares: no reader touches it and evolves
+//! are serialized, so it moves into the fork and comes back with the swap
+//! (a failed fork drops it, and the live system's next classification
+//! re-derives it). [`SharedSystem::prover`] therefore waits for the control
+//! mutex.
 //!
 //! **MVCC — repeatable reads.** Metadata pinning alone would leave record
 //! reads at read-committed: a session would see whatever the store held at
@@ -46,10 +51,10 @@
 //! run under a `WriteTicket`, so a session opened mid-batch observes none
 //! of it and one opened after observes all of it; writers never block on
 //! readers, they just stamp new versions. The evolve path forks with
-//! [`TseSystem::fork_shared`] — a handful of `Arc` clones, whatever the
-//! data volume — and superseded versions are reclaimed by
-//! [`SharedSystem::gc_now`] (or opportunistically when sessions drop) once
-//! the oldest pin advances past them (`mvcc.*` telemetry).
+//! [`TseSystem::fork_shared`] — a handful of `Arc` clones and the prover's
+//! move, whatever the data volume — and superseded versions are reclaimed
+//! by [`SharedSystem::gc_now`] (or opportunistically when sessions drop)
+//! once the oldest pin advances past them (`mvcc.*` telemetry).
 //!
 //! Lock taxonomy (acquisition order, coarse → fine):
 //! 1. `control` mutex — serializes schema changes and durability
@@ -382,8 +387,11 @@ impl SharedSystem {
 
     /// A copy of the live system's subsumption prover (diagnostics and the
     /// differential tests: it must equal a from-scratch saturation of the
-    /// published schema).
+    /// published schema). An evolve moves the prover into its fork, so this
+    /// takes the control mutex and waits for a running evolve to swap it
+    /// back instead of copying the empty slot it left.
     pub fn prover(&self) -> tse_classifier::Subsumption {
+        let _ctl = self.lock_control();
         self.read_timed().prover().clone()
     }
 
@@ -547,10 +555,13 @@ impl SharedSystem {
         // The fork is **copy-free**: it shares the store contents and
         // object map with the live system (MVCC version chains keep
         // pinned readers on their epoch), so its cost does not scale
-        // with data volume. Everything the evolution installs is stamped
-        // under one write ticket: no reader can pin an epoch that sees a
-        // half-applied evolution, and a failed run's versions are popped
-        // by the undo log before the ticket is released.
+        // with data volume, and it takes the live system's prover (which
+        // the control mutex we hold keeps from anyone else) instead of
+        // copying it, so it does not scale with the schema. Everything the
+        // evolution installs is stamped under one write ticket: no reader
+        // can pin an epoch that sees a half-applied evolution, and a failed
+        // run's versions are popped by the undo log before the ticket is
+        // released.
         let (clock, mut private) = {
             let sys = self.read_timed();
             (Arc::clone(sys.db().store().clock()), sys.fork_shared()?)

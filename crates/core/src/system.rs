@@ -8,7 +8,9 @@
 //! actually modified her original schema".
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 
+use parking_lot::Mutex;
 use tse_algebra::{define_vc, ClassRef, Query, Stmt, UpdatePolicy};
 use tse_classifier::{classify_with, Subsumption};
 use tse_object_model::{
@@ -86,12 +88,14 @@ pub struct TseSystem {
     pub(crate) policy: UpdatePolicy,
     /// The classifier's subsumption prover, kept next to the schema it
     /// describes so a change pays for the classes it adds, not for every
-    /// class earlier changes left behind. Cloned into a fork, carried
-    /// through the swap-in with it, dropped with a failed one, and emptied
-    /// after a rollback. Never persisted: a loaded or recovered system
-    /// starts with an empty prover that the first classification advances
-    /// over the whole schema.
-    prover: Subsumption,
+    /// class earlier changes left behind. It has one owner at a time:
+    /// [`TseSystem::fork_shared`] moves it into the fork (the lock is only
+    /// there to let a fork taken through `&self` empty this slot), the
+    /// swap-in carries it back with the fork, a failed fork drops it, and a
+    /// rollback empties it. An emptied or never-filled prover is the state
+    /// of a loaded or recovered system too (it is never persisted): the
+    /// next classification advances it over the whole schema.
+    prover: Mutex<Subsumption>,
 }
 
 /// Pre-change state captured by the outermost `evolve` call: the store
@@ -123,7 +127,7 @@ impl TseSystem {
     /// A system over the given parts, with an empty prover.
     pub(crate) fn assemble(db: Database, views: ViewManager, policy: UpdatePolicy) -> Self {
         tse_classifier::register_metrics(db.telemetry());
-        TseSystem { db, views, policy, prover: Subsumption::default() }
+        TseSystem { db, views, policy, prover: Mutex::default() }
     }
 
     /// The shared database.
@@ -137,14 +141,19 @@ impl TseSystem {
     /// (shallowly) cloned. Mutations the fork installs are MVCC versions on
     /// the shared data, invisible to readers pinned before them and
     /// undo-poppable on rollback, so the swap-in is a metadata publish, not
-    /// a data migration. The caller must quiesce writers for the fork's
-    /// lifetime. Fails if an evolution transaction is open.
+    /// a data migration. The classifier's prover is **moved**, not copied:
+    /// the fork takes it and `self` is left with an empty one, so the fork
+    /// must replace `self` (the swap-in) or be dropped — after which `self`
+    /// re-derives what it knew at its next classification. The caller must
+    /// quiesce writers for the fork's lifetime and serialize forks. Fails if
+    /// an evolution transaction is open.
     pub fn fork_shared(&self) -> ModelResult<TseSystem> {
+        let db = self.db.fork_shared()?;
         Ok(TseSystem {
-            db: self.db.fork_shared()?,
+            db,
             views: self.views.clone(),
             policy: self.policy.clone(),
-            prover: self.prover.clone(),
+            prover: Mutex::new(std::mem::take(&mut *self.prover.lock())),
         })
     }
 
@@ -166,9 +175,10 @@ impl TseSystem {
 
     /// The classifier's subsumption prover, as far as the last
     /// classification advanced it (it may trail the schema by the classes
-    /// created since).
-    pub fn prover(&self) -> &Subsumption {
-        &self.prover
+    /// created since, and is empty while a fork holds it). The guard holds
+    /// the prover's lock: drop it before [`TseSystem::fork_shared`].
+    pub fn prover(&self) -> impl Deref<Target = Subsumption> + '_ {
+        self.prover.lock()
     }
 
     /// The telemetry domain shared by every layer of this system — storage,
@@ -344,8 +354,9 @@ impl TseSystem {
                         // The restored schema hands the rolled-back class
                         // ids out again: whatever the prover learnt about
                         // them must not outlive them.
-                        if self.prover.known() > self.db.schema().class_count() {
-                            self.prover = Subsumption::default();
+                        let prover = self.prover.get_mut();
+                        if prover.known() > self.db.schema().class_count() {
+                            *prover = Subsumption::default();
                         }
                         telemetry.incr("evolve.rollbacks", 1);
                         telemetry.event(
@@ -569,7 +580,7 @@ impl TseSystem {
                 Stmt::DefineVc { name, query } => {
                     let query = substitute(query, &map);
                     let id = define_vc(&mut self.db, name, &query)?;
-                    let placement = classify_with(&mut self.prover, &mut self.db, id)?;
+                    let placement = classify_with(self.prover.get_mut(), &mut self.db, id)?;
                     if placement.duplicate_of.is_some() {
                         duplicates += 1;
                     }

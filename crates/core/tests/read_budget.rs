@@ -3,6 +3,9 @@
 //! and a session's open and drop may allocate — on a buffer pool with room
 //! to spare and on a full one that evicts — and that the slice-hop counter a
 //! read feeds still counts the is-a distance a search of the class DAG finds.
+//! Plus the budget of an evolve beside those reads: what one change
+//! allocates follows the change, not the number of classes the schema holds
+//! (its fork moves the classifier's prover and shares the class names).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,23 +16,26 @@ use tse_storage::StoreConfig;
 use tse_workload::university::{build_university, populate_university};
 
 /// The system allocator plus a per-thread count of `alloc`/`realloc` calls
-/// (per thread, so tests running beside this one do not show up in it).
+/// and of the bytes they asked for (per thread, so tests running beside this
+/// one do not show up in it). A `realloc` counts its new size in full.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(size: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the only addition is a bump of a const-initialised thread-local
-// `Cell`, which neither allocates nor touches allocator state.
+// unchanged; the only addition is a bump of two const-initialised
+// thread-local `Cell`s, which neither allocates nor touches allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -40,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: as for `dealloc`, with the caller's layout and size.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -51,9 +57,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations the calling thread makes while `f` runs.
 fn allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
+    let (out, n, _) = allocs_and_bytes(f);
+    (out, n)
+}
+
+/// Allocations the calling thread makes while `f` runs, and their bytes.
+fn allocs_and_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    (out, ALLOCS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
 }
 
 const MEMBERS: usize = 64;
@@ -211,6 +223,46 @@ fn a_session_opens_and_drops_within_its_allocations() {
     drop(shared.session());
     let (_, n) = allocs(|| drop(shared.session()));
     assert!(n <= 4, "opening and dropping a session made {n} allocations");
+}
+
+/// One `add_attribute` to `Item` on an in-memory system whose schema also
+/// holds `unrelated` base classes no view of `F0` reaches: its allocations
+/// and their bytes, after a warm-up change that classified every class once.
+fn one_add_attribute(unrelated: usize) -> (u64, u64) {
+    let mut sys = TseSystem::new();
+    let name = PropertyDef::stored("name", ValueType::Str, Value::Null);
+    sys.define_base_class("Item", &[], vec![name]).unwrap();
+    for i in 0..unrelated {
+        sys.define_base_class(&format!("Unrelated{i}"), &[], vec![]).unwrap();
+    }
+    sys.create_view("F0", &["Item"]).unwrap();
+    let shared = SharedSystem::from_system(sys);
+    shared.evolve_cmd("F0", "add_attribute warm: int to Item").unwrap();
+    let (_, n, bytes) =
+        allocs_and_bytes(|| shared.evolve_cmd("F0", "add_attribute probe: int to Item").unwrap());
+    (n, bytes)
+}
+
+/// An evolve pays for what it changes. Its fork moves the classifier's
+/// prover instead of copying two bit matrices of the whole schema, and the
+/// copy of the name index it makes on its first new class bumps one
+/// refcount per name instead of cloning a `String`. What is left grows with
+/// the schema only through pointer spines (class list, fact cache, name
+/// table): ≈ 310 bytes per class. With the copies it was ≈ 1.2 KB per class
+/// (mostly the prover's) and one more allocation per class (a name's).
+#[test]
+fn an_evolve_allocates_for_its_change_not_for_the_schema() {
+    let sizes = [0, 300, 1_000];
+    let [(n0, b0), (n300, b300), (n1000, b1000)] = sizes.map(one_add_attribute);
+    let counts = [n0, n300, n1000];
+    let spread = counts.iter().max().unwrap() - counts.iter().min().unwrap();
+    assert!(spread <= 8, "allocations of one add_attribute at {sizes:?} classes: {counts:?}");
+    let per_class = b1000.saturating_sub(b0) / 1_000;
+    assert!(
+        per_class < 600,
+        "one add_attribute allocates {per_class} more bytes per unrelated class \
+         ({b0} / {b300} / {b1000} bytes at {sizes:?})"
+    );
 }
 
 /// On the Figure-2 university schema every read adds to

@@ -236,10 +236,12 @@ impl FactCache {
 /// shared-system control plane, is a handful of pointer copies. The clone
 /// shares all of it until one side mutates: the first mutation pays for one
 /// copy of the spine it touches (`Arc::make_mut`), and a class is copied
-/// when `Schema::class_mut` first reaches it.
+/// when `Schema::class_mut` first reaches it. The name index is keyed by
+/// shared `Arc<str>` names, so its copy is one table allocation and a
+/// refcount bump per class, not a `String` per class.
 pub struct Schema {
     classes: Arc<Vec<Arc<Class>>>,
-    by_name: Arc<HashMap<String, ClassId>>,
+    by_name: Arc<HashMap<Arc<str>, ClassId>>,
     root: ClassId,
     next_prop_key: u64,
     /// Current holder of each property definition (moves on promotion).
@@ -260,11 +262,12 @@ impl std::fmt::Debug for Schema {
 /// (the TSEM clones the schema before a change and swaps the clone back in
 /// on rollback) and the snapshot primitive of epoch publication (the shared
 /// system clones it into each `MetaSnapshot`): pointer copies, whatever the
-/// size of the schema. The fact cache rides along — its entries are
-/// `Arc`s and every mutator keeps it consistent with the schema it sits in
-/// (`Schema::invalidate`) — so a fork starts warm, a rollback restores a
-/// schema whose cache never saw the rolled-back classes, and a published
-/// snapshot is warm for its first reader.
+/// size of the schema — and the name index's copy on a later write clones
+/// no name (its keys are shared `Arc<str>`s). The fact cache rides along —
+/// its entries are `Arc`s and every mutator keeps it consistent with the
+/// schema it sits in (`Schema::invalidate`) — so a fork starts warm, a
+/// rollback restores a schema whose cache never saw the rolled-back
+/// classes, and a published snapshot is warm for its first reader.
 impl Clone for Schema {
     fn clone(&self) -> Self {
         Schema {
@@ -291,7 +294,7 @@ impl Schema {
         let root = Class::new(ClassId(0), ROOT_CLASS.to_string(), ClassKind::Base);
         Schema {
             classes: Arc::new(vec![Arc::new(root)]),
-            by_name: Arc::new(HashMap::from([(ROOT_CLASS.to_string(), ClassId(0))])),
+            by_name: Arc::new(HashMap::from([(Arc::from(ROOT_CLASS), ClassId(0))])),
             root: ClassId(0),
             next_prop_key: 0,
             prop_home: Arc::default(),
@@ -359,14 +362,14 @@ impl Schema {
         }
         let mut candidate = format!("{base}'");
         for _ in 0..8 {
-            if !self.by_name.contains_key(&candidate) {
+            if !self.by_name.contains_key(candidate.as_str()) {
                 return candidate;
             }
             candidate.push('\'');
         }
         for i in 2.. {
             let candidate = format!("{base}~{i}");
-            if !self.by_name.contains_key(&candidate) {
+            if !self.by_name.contains_key(candidate.as_str()) {
                 return candidate;
             }
         }
@@ -469,7 +472,7 @@ impl Schema {
         let class = Class::new(id, name.to_string(), kind);
         let sources = class.sources();
         Arc::make_mut(&mut self.classes).push(Arc::new(class));
-        Arc::make_mut(&mut self.by_name).insert(name.to_string(), id);
+        Arc::make_mut(&mut self.by_name).insert(Arc::from(name), id);
         for src in sources {
             self.class_mut(src)?.derived.push(id);
         }
@@ -510,9 +513,9 @@ impl Schema {
         }
         self.class_mut(id)?.locals.clear();
         let by_name = Arc::make_mut(&mut self.by_name);
-        by_name.remove(&name);
+        by_name.remove(name.as_str());
         let tombstone = format!("{RETIRED_PREFIX}{}", id.0);
-        by_name.insert(tombstone.clone(), id);
+        by_name.insert(Arc::from(tombstone.as_str()), id);
         self.class_mut(id)?.name = tombstone;
         self.invalidate(&changed);
         Ok(())
@@ -526,8 +529,8 @@ impl Schema {
         }
         let old = self.class(id)?.name.clone();
         let by_name = Arc::make_mut(&mut self.by_name);
-        by_name.remove(&old);
-        by_name.insert(new_name.to_string(), id);
+        by_name.remove(old.as_str());
+        by_name.insert(Arc::from(new_name), id);
         self.class_mut(id)?.name = new_name.to_string();
         Ok(())
     }
@@ -1210,7 +1213,7 @@ impl Schema {
                     format!("unknown class kind {t}"),
                 ))),
             };
-            let mut cls = Class::new(id, name.clone(), kind);
+            let mut cls = Class::new(id, name, kind);
             let n_locals = get_u32(buf)? as usize;
             for _ in 0..n_locals {
                 let lp = get_local_prop(buf)?;
@@ -1240,7 +1243,7 @@ impl Schema {
                     Some(crate::codec::get_pred(buf)?)
                 }
             };
-            by_name.insert(name, id);
+            by_name.insert(Arc::from(cls.name.as_str()), id);
             classes.push(cls);
         }
         let next_prop_key = get_u64(buf)?;

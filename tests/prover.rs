@@ -12,6 +12,7 @@ mod batch;
 mod support;
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use batch::BatchClosure;
 use tse::classifier::Subsumption;
@@ -63,7 +64,7 @@ fn the_prover_equals_a_from_scratch_saturation_after_every_change_of_the_trace()
     let mut duplicates = 0;
     for (i, change) in frozen_trace().iter().enumerate() {
         duplicates += tse.evolve(FAMILY, change).unwrap().duplicates_folded;
-        assert_equals_from_scratch(tse.prover(), tse.db().schema(), &format!("change {i}"));
+        assert_equals_from_scratch(&tse.prover(), tse.db().schema(), &format!("change {i}"));
     }
     // As at the commit before the prover became persistent (the repo
     // benchmark reports the same 519, and 48 of the 76 folds: it counts its
@@ -163,7 +164,7 @@ fn an_aborted_evolve_leaves_nothing_in_the_prover_of_an_in_memory_system() {
             let tse = tse.borrow();
             // After a rollback the prover knows no class the schema lacks.
             assert!(tse.prover().known() <= tse.db().schema().class_count());
-            assert_equals_from_scratch(tse.prover(), tse.db().schema(), command);
+            assert_equals_from_scratch(&tse.prover(), tse.db().schema(), command);
             // Nor does the fact cache: the rollback restored the one that
             // never saw the rolled-back classes.
             support::assert_facts_equal_a_cold_schema(tse.db(), command);
@@ -189,6 +190,36 @@ fn an_aborted_evolve_leaves_nothing_in_the_prover_of_a_shared_system() {
         &|| shared.session().meta().schema().class_count(),
     );
     assert_same_outcome(&reports, shared.session().meta().schema());
+}
+
+/// An evolve moves the live system's prover into its fork and brings it back
+/// with the swap, so a read of the prover that ran beside an evolve would
+/// copy the empty slot the move left. It waits for the evolve instead: over
+/// a trace of successful changes, what it reads never shrinks.
+#[test]
+fn a_prover_read_beside_an_evolve_never_sees_the_moved_out_prover() {
+    let shared = SharedSystem::from_system(university());
+    let trace = frozen_trace();
+    let done = AtomicBool::new(false);
+    let polls = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let (mut last, mut polls) = (shared.prover().known(), 0);
+            while !done.load(Ordering::Acquire) {
+                let known = shared.prover().known();
+                assert!(known >= last, "poll {polls}: the prover shrank from {last} to {known}");
+                (last, polls) = (known, polls + 1);
+            }
+            polls
+        });
+        for change in &trace {
+            shared.evolve(FAMILY, change).unwrap();
+        }
+        done.store(true, Ordering::Release);
+        poller.join().unwrap()
+    });
+    assert!(polls > 0);
+    let session = shared.session();
+    assert_equals_from_scratch(&shared.prover(), session.meta().schema(), "after the trace");
 }
 
 /// A unique, empty scratch directory per test.
