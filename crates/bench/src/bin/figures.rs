@@ -65,7 +65,8 @@ fn fig4() {
         &tse_algebra::Query::hide(tse_algebra::Query::class(u.person), &["age"]),
     )
     .unwrap();
-    let placement = tse_classifier::classify(tse.db_mut(), ageless).unwrap();
+    let placement =
+        tse_classifier::classify_with(&mut Default::default(), tse.db_mut(), ageless).unwrap();
     println!("classified AgelessPerson: supers={:?} subs={:?}", placement.supers, placement.subs);
     assert_eq!(placement.subs, vec![u.person], "superclass of its source class");
     let t = tse.db().schema().resolved_type(ageless).unwrap();
@@ -171,7 +172,7 @@ fn fig12_13() {
         ),
     )
     .unwrap();
-    tse_classifier::classify(tse.db_mut(), honor).unwrap();
+    tse_classifier::classify_with(&mut Default::default(), tse.db_mut(), honor).unwrap();
     let v = tse.create_view("VH", &["Person", "Student", "HonorStudent"]).unwrap();
     let star = tse.create(v, "Student", &[("gpa", Value::Float(3.9))]).unwrap();
     let report = tse

@@ -43,14 +43,6 @@ pub fn register_metrics(telemetry: &Telemetry) {
     telemetry.register_histogram("classifier.prover_advance_ns");
 }
 
-/// Classify a virtual class into the global schema, one-shot: the prover is
-/// built for this call and dropped. A caller that classifies more than once
-/// over a growing schema keeps a [`Subsumption`] and calls
-/// [`classify_with`].
-pub fn classify(db: &mut Database, class: ClassId) -> ModelResult<Placement> {
-    classify_with(&mut Subsumption::default(), db, class)
-}
-
 /// Classify a virtual class into the global schema (see the module docs),
 /// advancing `prover` over every class created since it was last used. The
 /// prover must have been advanced over this schema only — see
@@ -244,6 +236,11 @@ mod tests {
     use tse_object_model::{
         CmpOp, Predicate, PropertyDef, Value, ValueType,
     };
+
+    /// Classify with a prover built for this call and dropped.
+    fn classify(db: &mut Database, class: ClassId) -> ModelResult<Placement> {
+        classify_with(&mut Subsumption::default(), db, class)
+    }
 
     /// Person(name, age) ← Student(gpa) ← TA(lecture); Person ← Staff(salary).
     fn setup() -> (Database, ClassId, ClassId, ClassId, ClassId) {

@@ -8,7 +8,7 @@
 //!
 //! ```
 //! use tse_algebra::{define_vc, Query};
-//! use tse_classifier::classify;
+//! use tse_classifier::{classify_with, Subsumption};
 //! use tse_object_model::{Database, PropertyDef, Value, ValueType};
 //!
 //! let mut db = Database::default();
@@ -21,7 +21,7 @@
 //! let ageless = define_vc(&mut db, "Ageless",
 //!     &Query::hide(Query::class(person), &["age"])).unwrap();
 //!
-//! let placement = classify(&mut db, ageless).unwrap();
+//! let placement = classify_with(&mut Subsumption::default(), &mut db, ageless).unwrap();
 //! // A hide class becomes a *superclass* of its source, with the remaining
 //! // properties promoted up into it.
 //! assert_eq!(placement.subs, vec![person]);
@@ -34,7 +34,5 @@ mod batch;
 mod classify;
 mod subsume;
 
-pub use classify::{
-    check_type_agreement, classify, classify_with, register_metrics, Placement,
-};
+pub use classify::{check_type_agreement, classify_with, register_metrics, Placement};
 pub use subsume::Subsumption;

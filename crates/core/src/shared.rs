@@ -569,7 +569,7 @@ impl SharedSystem {
         let ticket = clock.begin_write();
         let report = {
             let _stamp = WriteStampGuard::new(ticket.stamp());
-            private.evolve(family, change)
+            private.evolve_fork(family, change)
         }
         .inspect_err(|e| note_fault(&self.inner.telemetry, e))?;
 

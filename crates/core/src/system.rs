@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use tse_algebra::{define_vc, ClassRef, Query, Stmt, UpdatePolicy};
 use tse_classifier::{classify_with, Subsumption};
 use tse_object_model::{
-    ClassId, Database, EvolutionTxn, ModelError, ModelResult, Oid, PendingProp, Value,
+    ClassId, Database, ModelError, ModelResult, Oid, PendingProp, Value,
 };
 use tse_storage::{FailpointRegistry, StoreConfig};
 use tse_view::{ViewId, ViewManager, ViewSchema};
@@ -91,20 +91,11 @@ pub struct TseSystem {
     /// class earlier changes left behind. It has one owner at a time:
     /// [`TseSystem::fork_shared`] moves it into the fork (the lock is only
     /// there to let a fork taken through `&self` empty this slot), the
-    /// swap-in carries it back with the fork, a failed fork drops it, and a
-    /// rollback empties it. An emptied or never-filled prover is the state
-    /// of a loaded or recovered system too (it is never persisted): the
-    /// next classification advances it over the whole schema.
+    /// swap-in carries it back with the fork, and a failed fork drops it.
+    /// An emptied or never-filled prover is the state of a loaded or
+    /// recovered system too (it is never persisted): the next
+    /// classification advances it over the whole schema.
     prover: Mutex<Subsumption>,
-}
-
-/// Pre-change state captured by the outermost `evolve` call: the store
-/// transaction (which undoes record/segment mutations) plus clones of the
-/// cheap control-plane structures the undo log does not cover.
-struct ChangeCheckpoint {
-    txn: EvolutionTxn,
-    views: ViewManager,
-    policy: UpdatePolicy,
 }
 
 impl Default for TseSystem {
@@ -135,18 +126,20 @@ impl TseSystem {
         &self.db
     }
 
-    /// A **copy-free** fork for fork–evolve–swap: the returned system
-    /// shares the store contents and object map with `self` (see
-    /// [`Database::fork_shared`]) — only schema/view/policy metadata is
-    /// (shallowly) cloned. Mutations the fork installs are MVCC versions on
-    /// the shared data, invisible to readers pinned before them and
-    /// undo-poppable on rollback, so the swap-in is a metadata publish, not
-    /// a data migration. The classifier's prover is **moved**, not copied:
-    /// the fork takes it and `self` is left with an empty one, so the fork
-    /// must replace `self` (the swap-in) or be dropped — after which `self`
-    /// re-derives what it knew at its next classification. The caller must
-    /// quiesce writers for the fork's lifetime and serialize forks. Fails if
-    /// an evolution transaction is open.
+    /// A **copy-free** fork for fork–evolve–swap, the one way a change
+    /// runs ([`TseSystem::evolve`]): the returned system shares the store
+    /// contents and object map with `self` (see [`Database::fork_shared`])
+    /// — only schema/view/policy metadata is (shallowly) cloned, once per
+    /// change. Mutations the fork installs are MVCC versions on the shared
+    /// data, invisible to readers pinned before them and popped by the
+    /// store's undo log if the change fails, so the swap-in is a metadata
+    /// publish, not a data migration. The classifier's prover is **moved**,
+    /// not copied: the fork takes it and `self` is left with an empty one,
+    /// so the fork must replace `self` (the swap-in) or be dropped — after
+    /// which `self` re-derives what it knew at its next classification. The
+    /// caller must quiesce writers for the fork's lifetime and serialize
+    /// forks. Fails if an evolution transaction is open (a simulated crash
+    /// left one behind).
     pub fn fork_shared(&self) -> ModelResult<TseSystem> {
         let db = self.db.fork_shared()?;
         Ok(TseSystem {
@@ -293,28 +286,69 @@ impl TseSystem {
     /// counters, and republishes the `store.*` and `schema.*` gauges, so the
     /// journal records the full expansion tree of each change.
     ///
-    /// Each top-level call is **all-or-nothing**: the outermost frame opens
-    /// a storage transaction and checkpoints the schema, views, and policy;
-    /// on any error the store rolls record/segment mutations back through
-    /// its undo log and the control-plane clones are restored, so no
-    /// partially created classes survive a failed change. The recursive
-    /// sub-evolves a composite macro expands into join the outer
-    /// transaction and leave rollback to this frame.
+    /// Each call is **all-or-nothing** because it runs on a fork, the one
+    /// evolve path a [`crate::SharedSystem`] takes too: the change evolves a
+    /// [`TseSystem::fork_shared`] of `self`, which replaces `self` on success
+    /// and is dropped on failure, so no partially created class, view
+    /// version or union route survives a failed change. A simulated crash
+    /// (`FailAction::Crash`) drops the fork too, but leaves the shared
+    /// store's transaction open: `self` is unchanged, and every later evolve
+    /// is refused (the store's `TxnState` error) until the system is reopened
+    /// from disk.
     pub fn evolve(&mut self, family: &str, change: &SchemaChange) -> ModelResult<EvolutionReport> {
+        let mut fork = self.fork_shared()?;
+        let report = fork.evolve_fork(family, change)?;
+        *self = fork;
+        Ok(report)
+    }
+
+    /// Run a change on `self`, a fork that its caller swaps in on success
+    /// and drops on failure. The change runs under one store transaction:
+    /// the store is shared with the live system, so a failed change pops
+    /// the record versions it pushed and prunes the late-segment overlay
+    /// entries that pointed at the segments it created. Nothing else is
+    /// undone: the fork's schema, views, policy, extent cache and prover
+    /// are private to it and die with it. A simulated crash leaves the
+    /// transaction open, which refuses every later fork.
+    pub(crate) fn evolve_fork(
+        &mut self,
+        family: &str,
+        change: &SchemaChange,
+    ) -> ModelResult<EvolutionReport> {
         let telemetry = self.db.telemetry().clone();
-        // One trace per top-level change: a composite macro's recursive
-        // sub-evolves re-enter the same trace, so the whole expansion tree
-        // shares one trace id in the journal.
+        // One trace per top-level change: a composite macro's sub-changes
+        // nest in it, so the whole expansion tree shares one trace id in
+        // the journal.
         let _trace = telemetry.ensure_trace("evolve");
-        let checkpoint = if self.db.in_evolution() {
-            None
-        } else {
-            Some(ChangeCheckpoint {
-                txn: self.db.begin_evolution()?,
-                views: self.views.clone(),
-                policy: self.policy.clone(),
-            })
-        };
+        let txn = self.db.begin_evolution()?;
+        let result = self.evolve_spanned(family, change);
+        match &result {
+            Ok(_) => self.db.commit_evolution(txn)?,
+            Err(e) if is_crash(e) => {}
+            Err(e) => {
+                self.db.rollback_evolution(txn)?;
+                telemetry.incr("evolve.rollbacks", 1);
+                telemetry.event(
+                    "evolve.rollback",
+                    &[
+                        ("family", family.into()),
+                        ("op", change.op_name().into()),
+                        ("error", e.to_string().into()),
+                    ],
+                );
+            }
+        }
+        result
+    }
+
+    /// One change, or one sub-change of a composite macro, under its own
+    /// `evolve` span and counters.
+    fn evolve_spanned(
+        &mut self,
+        family: &str,
+        change: &SchemaChange,
+    ) -> ModelResult<EvolutionReport> {
+        let telemetry = self.db.telemetry().clone();
         let span = telemetry.span_with(
             "evolve",
             &[("family", family.into()), ("op", change.op_name().into())],
@@ -330,9 +364,6 @@ impl TseSystem {
                 telemetry.incr("evolve.count", 1);
                 telemetry.incr("evolve.classes_created", report.created.len() as u64);
                 telemetry.incr("evolve.duplicates_folded", report.duplicates_folded as u64);
-                if let Some(cp) = checkpoint {
-                    self.db.commit_evolution(cp.txn)?;
-                }
                 self.db.publish_store_stats();
                 Ok(report)
             }
@@ -340,35 +371,6 @@ impl TseSystem {
                 span.record("error", true);
                 span.finish();
                 telemetry.incr("evolve.errors", 1);
-                if let Some(cp) = checkpoint {
-                    if is_crash(&e) {
-                        // A simulated crash deliberately leaves the
-                        // in-memory state torn mid-change (the transaction
-                        // stays open, poisoning further evolves): recovery
-                        // is exercised by re-opening the system from disk,
-                        // not by in-memory rollback.
-                    } else {
-                        self.views = cp.views;
-                        self.policy = cp.policy;
-                        self.db.rollback_evolution(cp.txn)?;
-                        // The restored schema hands the rolled-back class
-                        // ids out again: whatever the prover learnt about
-                        // them must not outlive them.
-                        let prover = self.prover.get_mut();
-                        if prover.known() > self.db.schema().class_count() {
-                            *prover = Subsumption::default();
-                        }
-                        telemetry.incr("evolve.rollbacks", 1);
-                        telemetry.event(
-                            "evolve.rollback",
-                            &[
-                                ("family", family.into()),
-                                ("op", change.op_name().into()),
-                                ("error", e.to_string().into()),
-                            ],
-                        );
-                    }
-                }
                 Err(e)
             }
         }
@@ -382,14 +384,14 @@ impl TseSystem {
         match change {
             SchemaChange::InsertClass { name, sup, sub } => {
                 // §6.9.1: add_class + add_edge.
-                self.evolve(
+                self.evolve_spanned(
                     family,
                     &SchemaChange::AddClass {
                         name: name.clone(),
                         connected_to: Some(sup.clone()),
                     },
                 )?;
-                self.evolve(
+                self.evolve_spanned(
                     family,
                     &SchemaChange::AddEdge { sup: name.clone(), sub: sub.clone() },
                 )
@@ -409,7 +411,7 @@ impl TseSystem {
                     .map(|s| view.local_name(&self.db, s))
                     .collect::<ModelResult<_>>()?;
                 for v in &subs {
-                    self.evolve(
+                    self.evolve_spanned(
                         family,
                         &SchemaChange::DeleteEdge {
                             sup: class.clone(),
@@ -418,14 +420,14 @@ impl TseSystem {
                         },
                     )?;
                     for u in &sups {
-                        self.evolve(
+                        self.evolve_spanned(
                             family,
                             &SchemaChange::AddEdge { sup: u.clone(), sub: v.clone() },
                         )?;
                     }
                 }
                 for u in &sups {
-                    self.evolve(
+                    self.evolve_spanned(
                         family,
                         &SchemaChange::DeleteEdge {
                             sup: u.clone(),
@@ -434,7 +436,7 @@ impl TseSystem {
                         },
                     )?;
                 }
-                self.evolve(family, &SchemaChange::DeleteClass { class: class.clone() })
+                self.evolve_spanned(family, &SchemaChange::DeleteClass { class: class.clone() })
             }
             SchemaChange::RenameClass { old, new } => {
                 // A pure view change: same classes, updated rename map.

@@ -3,7 +3,8 @@
 //! renaming, plus data interoperability across view versions.
 
 use tse_core::{SchemaChange, SharedSystem, TseSystem};
-use tse_object_model::{PropertyDef, Value, ValueType};
+use tse_object_model::{ModelError, PropertyDef, Value, ValueType};
+use tse_storage::{FailAction, StorageError};
 
 /// The university database of Figure 2 (restricted to the classes the §6
 /// examples use), with the view VS1 = {Person, Student, TA} of Figure 3.
@@ -330,7 +331,7 @@ fn figure_12_add_class_under_virtual_class_starts_empty() {
         ),
     )
     .unwrap();
-    tse_classifier::classify(tse.db_mut(), honor).unwrap();
+    tse_classifier::classify_with(&mut Default::default(), tse.db_mut(), honor).unwrap();
     let _ = v1;
     let v_honor = tse.create_view("VH", &["Person", "Student", "HonorStudent"]).unwrap();
     let star = tse.create(v_honor, "Student", &[("gpa", Value::Float(3.9))]).unwrap();
@@ -532,6 +533,57 @@ fn a_failing_macro_rolls_back_everything() {
     assert!(tse.telemetry().counter("evolve.rollbacks") >= 1);
     // The rolled-back system still evolves normally afterwards.
     tse.evolve_cmd("VS", "add_class Ok connected_to Person").unwrap();
+}
+
+/// The bare system's counterpart of `crash_recovery.rs`'s
+/// `clean_phase_failures_roll_back_to_byte_identical_state`: a change that
+/// fails cleanly in any phase drops its fork, so the system encodes to the
+/// same bytes as before it and the next change succeeds.
+#[test]
+fn clean_phase_failures_drop_the_fork_byte_identically() {
+    // add_edge's script routes the union class it derives (`RouteUnion`),
+    // so a failure after classification drops a fork whose policy grew.
+    let changes = ["add_attribute register: bool = false to Person", "add_edge SupportStaff - TA"];
+    for site in ["evolve.translate", "evolve.classify", "evolve.view_regen", "evolve.swap_in"] {
+        for command in changes {
+            let (mut tse, _) = staff_system();
+            let before = tse.encode();
+            tse.failpoints().arm(site, 1, FailAction::Error);
+            let err = tse.evolve_cmd("VS", command).unwrap_err();
+            assert!(err.to_string().contains("injected fault"), "{site}, {command}: {err}");
+            assert_eq!(tse.encode(), before, "{site}, {command}");
+            assert_eq!(tse.telemetry().counter("evolve.rollbacks"), 1, "{site}, {command}");
+
+            tse.evolve_cmd("VS", command).unwrap();
+            assert_ne!(tse.encode(), before, "{site}, {command}");
+        }
+    }
+    let (mut tse, _) = staff_system();
+    tse.evolve_cmd("VS", changes[1]).unwrap();
+    assert!(!tse.policy().union_routes.is_empty(), "add_edge routes a union");
+}
+
+/// A simulated crash drops the fork as a clean failure does, but leaves the
+/// shared store's transaction open: the system is unchanged, even when the
+/// crash hits a composite macro after its first primitive registered a
+/// version, and it refuses every later change until it is reopened.
+#[test]
+fn a_crash_leaves_the_system_unchanged_and_refuses_the_next_change() {
+    let mut tse = university();
+    tse.create_view("VS", &["Person", "Student", "TA"]).unwrap();
+    let before = tse.encode();
+    // insert_class = add_class, then add_edge: crash in the second's
+    // classification.
+    tse.failpoints().arm("evolve.classify", 2, FailAction::Crash);
+    let insert =
+        SchemaChange::InsertClass { name: "Mid".into(), sup: "Person".into(), sub: "Student".into() };
+    let err = tse.evolve("VS", &insert).unwrap_err();
+    assert!(err.to_string().contains("simulated crash"), "{err}");
+    assert_eq!(tse.encode(), before);
+
+    let err = tse.evolve_cmd("VS", "add_class Ok connected_to Person").unwrap_err();
+    assert!(matches!(err, ModelError::Storage(StorageError::TxnState(_))), "{err}");
+    assert_eq!(tse.encode(), before);
 }
 
 #[test]

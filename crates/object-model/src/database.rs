@@ -605,13 +605,11 @@ pub struct SlicingStats {
     pub classes: u64,
 }
 
-/// An open schema-evolution transaction: the store's undo-log token plus
-/// the schema checkpoint taken when the transaction began. Obtained from
-/// [`Database::begin_evolution`] and consumed by `commit_evolution` /
-/// `rollback_evolution`.
+/// An open schema-evolution transaction: the store's undo-log token.
+/// Obtained from [`Database::begin_evolution`] and consumed by
+/// `commit_evolution` / `rollback_evolution`.
 pub struct EvolutionTxn {
     token: TxnToken,
-    schema: Schema,
 }
 
 /// The object database (slicing backend).
@@ -783,17 +781,12 @@ impl Database {
     // ----- transactional schema evolution -----------------------------------
 
     /// Begin a schema-evolution transaction: open the store's undo-log
-    /// transaction and checkpoint the schema. The TSEM calls this once per
-    /// top-level `evolve`; composite macros run their expanded primitives
-    /// inside the outer transaction (see [`Database::in_evolution`]).
+    /// transaction. A change runs on a [`Database::fork_shared`] handle and
+    /// opens one transaction for the whole change, composite macros
+    /// included; the transaction is what undoes the change's writes to the
+    /// store, which the fork shares with the original.
     pub fn begin_evolution(&mut self) -> ModelResult<EvolutionTxn> {
-        let token = self.store.begin_txn()?;
-        Ok(EvolutionTxn { token, schema: self.schema.clone() })
-    }
-
-    /// Whether an evolution transaction is currently open.
-    pub fn in_evolution(&self) -> bool {
-        self.store.in_txn()
+        Ok(EvolutionTxn { token: self.store.begin_txn()? })
     }
 
     /// Make the transaction's mutations permanent.
@@ -803,18 +796,14 @@ impl Database {
     }
 
     /// Abort: the store rolls back every record and segment mutation via
-    /// its undo log, and the schema is restored from the checkpoint taken
-    /// at `begin` — no partially created classes survive.
+    /// its undo log. Nothing else is restored: the handle is a fork that
+    /// is dropped next, and its schema and extent cache are its own.
     pub fn rollback_evolution(&mut self, txn: EvolutionTxn) -> ModelResult<()> {
         self.store.abort_txn(txn.token)?;
-        self.schema = txn.schema;
         // Late-assigned segments created inside the transaction were rolled
-        // back with the store; drop any overlay entries pointing at them.
+        // back with the store; the overlay is shared with the original, so
+        // drop any entries pointing at them.
         self.late_segments.write().retain(|_, seg| self.store.segment_name(*seg).is_ok());
-        // The restored schema hands the rolled-back classes' ids out again
-        // and the undo log may have popped record versions, so nothing
-        // cached during the transaction may outlive it.
-        *self.extent_cache.lock() = ExtentCache::default();
         Ok(())
     }
 
@@ -2142,21 +2131,26 @@ mod tests {
 
     #[test]
     fn rollback_leaves_nothing_cached_under_a_reused_class_id() {
-        let (mut db, person, _, _) = university();
+        let (db, person, _, _) = university();
         let kid = db.create_object(person, &[("age", Value::Int(10))]).unwrap();
         let grown = db.create_object(person, &[("age", Value::Int(40))]).unwrap();
         let select = |op| Derivation::Select { src: person, pred: Predicate::cmp("age", op, 18) };
 
-        let txn = db.begin_evolution().unwrap();
-        let adult = db.schema_mut().create_virtual_class("Adult", select(CmpOp::Ge)).unwrap();
-        assert_eq!(*db.extent(adult).unwrap(), BTreeSet::from([grown]));
-        db.rollback_evolution(txn).unwrap();
+        // A failed change: its fork caches an extent for a class it
+        // created, aborts and is dropped.
+        let mut fork = db.fork_shared().unwrap();
+        let txn = fork.begin_evolution().unwrap();
+        let adult = fork.schema_mut().create_virtual_class("Adult", select(CmpOp::Ge)).unwrap();
+        assert_eq!(*fork.extent(adult).unwrap(), BTreeSet::from([grown]));
+        fork.rollback_evolution(txn).unwrap();
+        drop(fork);
 
-        let txn = db.begin_evolution().unwrap();
-        let minor = db.schema_mut().create_virtual_class("Minor", select(CmpOp::Lt)).unwrap();
-        assert_eq!(minor, adult, "the rolled-back id is handed out again");
-        assert_eq!(*db.extent(minor).unwrap(), BTreeSet::from([kid]));
-        db.commit_evolution(txn).unwrap();
+        let mut fork = db.fork_shared().unwrap();
+        let txn = fork.begin_evolution().unwrap();
+        let minor = fork.schema_mut().create_virtual_class("Minor", select(CmpOp::Lt)).unwrap();
+        assert_eq!(minor, adult, "the dropped fork's id is handed out again");
+        assert_eq!(*fork.extent(minor).unwrap(), BTreeSet::from([kid]));
+        fork.commit_evolution(txn).unwrap();
     }
 
     fn ge_18() -> Predicate {
@@ -2254,21 +2248,29 @@ mod tests {
 
     #[test]
     fn a_fork_carries_ad_hoc_answers_and_a_rollback_clears_them() {
-        let (mut db, person, _, _) = university();
+        let (db, person, _, _) = university();
+        let kid = db.create_object(person, &[("age", Value::Int(10))]).unwrap();
         let grown = db.create_object(person, &[("age", Value::Int(40))]).unwrap();
         let adult = |db: &Database| db.select(person, ge_18()).unwrap();
+        let minor = |db: &Database| db.select(person, Predicate::cmp("age", CmpOp::Lt, 18)).unwrap();
         assert_eq!(adult(&db), vec![grown]);
         let built = rebuilds(&db);
-        let fork = db.fork_shared().unwrap();
+        let mut fork = db.fork_shared().unwrap();
         assert_eq!(adult(&fork), vec![grown]);
         assert_eq!(rebuilds(&fork), built, "the fork is served what the original cached");
-        drop(fork);
 
-        let txn = db.begin_evolution().unwrap();
-        db.rollback_evolution(txn).unwrap();
-        assert!(db.extent_cache.lock().selects.is_empty());
+        // An answer the fork caches inside a failed change dies with it.
+        let txn = fork.begin_evolution().unwrap();
+        assert_eq!(minor(&fork), vec![kid]);
+        assert_eq!(fork.extent_cache.lock().selects.len(), 2);
+        fork.rollback_evolution(txn).unwrap();
+        drop(fork);
+        assert_eq!(db.extent_cache.lock().selects.len(), 1, "only the original's answer");
+        let built = rebuilds(&db);
         assert_eq!(adult(&db), vec![grown]);
-        assert_eq!(rebuilds(&db), built + 2, "the extent and the pass rebuilt");
+        assert_eq!(rebuilds(&db), built, "the original's answer is still served");
+        assert_eq!(minor(&db), vec![kid]);
+        assert_eq!(rebuilds(&db), built + 1, "the dropped fork's answer is computed again");
     }
 
     #[test]

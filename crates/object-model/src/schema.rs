@@ -258,16 +258,16 @@ impl std::fmt::Debug for Schema {
     }
 }
 
-/// Cloning a schema is the checkpoint primitive of transactional evolution
-/// (the TSEM clones the schema before a change and swaps the clone back in
-/// on rollback) and the snapshot primitive of epoch publication (the shared
-/// system clones it into each `MetaSnapshot`): pointer copies, whatever the
-/// size of the schema — and the name index's copy on a later write clones
-/// no name (its keys are shared `Arc<str>`s). The fact cache rides along —
+/// Cloning a schema is the fork primitive of evolution (every change
+/// evolves a clone, which is published on success and dropped on failure)
+/// and the snapshot primitive of epoch publication (the shared system
+/// clones it into each `MetaSnapshot`): pointer copies, whatever the size
+/// of the schema — and the name index's copy on a later write clones no
+/// name (its keys are shared `Arc<str>`s). The fact cache rides along —
 /// its entries are `Arc`s and every mutator keeps it consistent with the
-/// schema it sits in (`Schema::invalidate`) — so a fork starts warm, a
-/// rollback restores a schema whose cache never saw the rolled-back
-/// classes, and a published snapshot is warm for its first reader.
+/// schema it sits in (`Schema::invalidate`) — so a fork starts warm, the
+/// original's cache never sees a dropped fork's classes, and a published
+/// snapshot is warm for its first reader.
 impl Clone for Schema {
     fn clone(&self) -> Self {
         Schema {
@@ -467,8 +467,8 @@ impl Schema {
                 supers.to_vec()
             };
         // A new id has no cache entry — classes are never removed, and a
-        // rollback restores the cache with the schema — so creation itself
-        // invalidates nothing.
+        // failed change's classes die with its fork's schema and cache — so
+        // creation itself invalidates nothing.
         let class = Class::new(id, name.to_string(), kind);
         let sources = class.sources();
         Arc::make_mut(&mut self.classes).push(Arc::new(class));

@@ -30,8 +30,10 @@ pub enum FailAction {
     /// recoverable failure the caller is expected to handle (rollback).
     Error,
     /// Return [`StorageError::SimulatedCrash`]: the process is considered
-    /// dead at this point. Callers propagate it without cleanup; the test
-    /// drops the in-memory system and re-opens from disk.
+    /// dead at this point. Callers propagate it without cleanup: an evolve
+    /// drops its fork, so the system is unchanged, but leaves the store's
+    /// transaction open, so every later change is refused. The test drops
+    /// the in-memory system and re-opens from disk.
     Crash,
     /// For file-writing sites only: persist the first `keep_bytes` bytes of
     /// the write, then crash — a torn write, exactly what a power cut

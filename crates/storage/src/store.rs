@@ -679,11 +679,6 @@ impl<P: Payload> SliceStore<P> {
         Ok(TxnToken(id))
     }
 
-    /// Whether a transaction is currently open.
-    pub fn in_txn(&self) -> bool {
-        self.inner.txn_active.load(Ordering::Acquire)
-    }
-
     /// Commit: discard the undo log, making all mutations permanent.
     pub fn commit_txn(&self, token: TxnToken) -> StorageResult<()> {
         let mut txn = self.inner.txn.lock();

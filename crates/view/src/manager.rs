@@ -15,8 +15,8 @@ use tse_object_model::{ClassId, Database, ModelError, ModelResult};
 use crate::schema::{build_view, ViewId, ViewSchema};
 
 /// Registry of all view schemas plus the per-family history. `Clone` exists
-/// for transactional evolution (the TSEM checkpoints the manager before a
-/// schema change and restores the clone on rollback) and for epoch snapshot
+/// for evolution (every change registers its version in a fork's clone,
+/// published on success and dropped on failure) and for epoch snapshot
 /// publication in the shared system. View schemas are immutable once
 /// registered, so they live behind `Arc`s: cloning the manager copies only
 /// the vector of pointers plus the family histories, never the view bodies.
@@ -189,7 +189,7 @@ impl ViewManager {
 mod tests {
     use super::*;
     use tse_algebra::{define_vc, Query};
-    use tse_classifier::classify;
+    use tse_classifier::{classify_with, Subsumption};
     use tse_object_model::{PropertyDef, Value, ValueType};
 
     fn setup() -> (Database, ClassId, ClassId) {
@@ -245,7 +245,7 @@ mod tests {
             ),
         )
         .unwrap();
-        classify(&mut db, sp).unwrap();
+        classify_with(&mut Subsumption::default(), &mut db, sp).unwrap();
         assert!(vm.is_unaffected(&db, v1).unwrap());
     }
 }

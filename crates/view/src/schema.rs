@@ -346,7 +346,7 @@ pub fn build_view(
 mod tests {
     use super::*;
     use tse_algebra::{define_vc, Query};
-    use tse_classifier::classify;
+    use tse_classifier::{classify_with, Subsumption};
     use tse_object_model::{PropertyDef, Value, ValueType};
 
     fn setup() -> (Database, ClassId, ClassId, ClassId, ClassId) {
@@ -457,7 +457,7 @@ mod tests {
             ),
         )
         .unwrap();
-        classify(&mut db, sp).unwrap();
+        classify_with(&mut Subsumption::default(), &mut db, sp).unwrap();
         let classes = BTreeSet::from([person, sp]);
         let renames = BTreeMap::from([(sp, "Student".to_string())]);
         let v = build_view(&db, ViewId(0), "VS2", 2, classes, renames).unwrap();
@@ -480,7 +480,7 @@ mod tests {
         let (mut db, person, student, _, _) = setup();
         let sp = define_vc(&mut db, "Student'", &Query::hide(Query::class(student), &["name"]))
             .unwrap();
-        classify(&mut db, sp).unwrap();
+        classify_with(&mut Subsumption::default(), &mut db, sp).unwrap();
         let classes = BTreeSet::from([person, sp]);
         let renames = BTreeMap::from([(sp, "Student".to_string())]);
         let v = build_view(&db, ViewId(3), "VS2", 2, classes, renames).unwrap();

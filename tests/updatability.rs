@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use tse::algebra::{self, define_vc, Query, UpdatePolicy};
-use tse::classifier::classify;
+use tse::classifier::{classify_with, Subsumption};
 use tse::core::TseSystem;
 use tse::object_model::{
     ClassId, CmpOp, Database, Predicate, PropertyDef, Value, ValueType,
@@ -40,7 +40,7 @@ fn layer(db: &mut Database, op: usize, x: ClassId, y: ClassId, tag: usize) -> Op
         _ => Query::intersect(Query::class(x), Query::class(y)),
     };
     let id = define_vc(db, &name, &query).ok()?;
-    let placement = classify(db, id).ok()?;
+    let placement = classify_with(&mut Subsumption::default(), db, id).ok()?;
     Some(placement.class)
 }
 
@@ -177,7 +177,7 @@ fn union_substitution_policy_matches_section_6_5_4() {
     // the *substituted* class, so the subclass extent is not polluted.
     let (mut db, _root, a, b) = base();
     let u = define_vc(&mut db, "U", &Query::union(Query::class(a), Query::class(b))).unwrap();
-    classify(&mut db, u).unwrap();
+    classify_with(&mut Subsumption::default(), &mut db, u).unwrap();
     let mut policy = UpdatePolicy::default();
     policy.union_routes.insert(u, tse::algebra::UnionRoute::First);
     let oid = algebra::create(&db, &policy, u, &[]).unwrap();
