@@ -290,7 +290,7 @@ pub fn decode_frame(payload: &[u8]) -> ModelResult<WalRecord> {
         return Err(corrupt("wal frame: unknown version byte"));
     }
     let kind = FrameKind::from_u8(kind_byte)?;
-    let mut buf = Bytes::from(body.to_vec());
+    let mut buf = Bytes::from(body);
     let record = match kind {
         FrameKind::Evolve => {
             WalRecord::Evolve { family: get_str(&mut buf)?, command: get_str(&mut buf)? }

@@ -248,11 +248,11 @@ impl Payload for Value {
                 if buf.remaining() < len {
                     return Err(StorageError::Corrupt("truncated str body".into()));
                 }
-                let raw = buf.copy_to_bytes(len);
-                Value::Str(
-                    String::from_utf8(raw.to_vec())
-                        .map_err(|_| StorageError::Corrupt("non-utf8 str".into()))?,
-                )
+                let s = std::str::from_utf8(&buf.chunk()[..len])
+                    .map_err(|_| StorageError::Corrupt("non-utf8 str".into()))?
+                    .to_owned();
+                buf.advance(len);
+                Value::Str(s)
             }
             5 => {
                 if buf.remaining() < 8 {

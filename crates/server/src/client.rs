@@ -31,6 +31,7 @@
 //! [`TseCode::DeadlineExceeded`] instead of blocking forever.
 
 use std::cell::Cell;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -45,7 +46,7 @@ use tse_storage::RetryPolicy;
 use tse_telemetry::Telemetry;
 
 use crate::proto::{
-    decode_response, encode_request, read_frame, write_frame, Request, Response,
+    decode_response, encode_request, frame_reader, read_frame, write_frame, Request, Response,
 };
 
 /// Client-side fault-tolerance knobs.
@@ -97,8 +98,10 @@ enum OpKind {
     Once,
 }
 
+/// A live connection: the socket, read through one buffer and written
+/// through `get_ref()`.
 struct Conn {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl Conn {
@@ -106,7 +109,7 @@ impl Conn {
     /// back as `Ok(Response::...)` — classification is the retry loop's
     /// job, not the transport's.
     fn exchange(&mut self, req: &Request) -> TseResult<Response> {
-        write_frame(&mut self.stream, &encode_request(req))?;
+        write_frame(&mut self.stream.get_ref(), &encode_request(req))?;
         let frame = read_frame(&mut self.stream)?.ok_or_else(|| {
             TseError::new(TseCode::Io, "server closed the connection mid-request")
         })?;
@@ -224,7 +227,7 @@ impl ConnCore {
             let _ = stream
                 .set_write_timeout(Some(Duration::from_millis(self.config.write_timeout_ms)));
         }
-        Ok(Conn { stream })
+        Ok(Conn { stream: frame_reader(stream) })
     }
 
     /// Dial + `Hello` + re-bind if the connection is down. On success the

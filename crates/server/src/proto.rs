@@ -23,7 +23,7 @@
 //! codes an in-process caller gets. Value and property-definition bodies
 //! reuse the storage layer's [`Payload`] codecs; nothing is re-specified.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tse_core::{TseCode, TseError, TseResult};
@@ -414,6 +414,47 @@ impl Request {
         }
     }
 
+    /// The encoded body's length, so that a frame is allocated once at its
+    /// final size. Exact for every kind but `DefineClass`, a cold DDL frame
+    /// whose property definitions are not measured: its buffer may regrow.
+    fn body_len(&self) -> usize {
+        match self {
+            Request::Hello { user: s }
+            | Request::Bind { family: s }
+            | Request::Evolve { command: s } => str_len(s),
+            Request::OpenReader
+            | Request::OpenWriter
+            | Request::Describe
+            | Request::Versions
+            | Request::Health
+            | Request::Ping
+            | Request::Shutdown
+            | Request::Bye => 0,
+            Request::CloseReader { .. }
+            | Request::RefreshReader { .. }
+            | Request::CloseWriter { .. }
+            | Request::RefreshWriter { .. } => 8,
+            Request::Get { class, attr: name, .. } | Request::Invoke { class, name, .. } => {
+                16 + str_len(class) + str_len(name)
+            }
+            Request::Extent { class, .. } => 8 + str_len(class),
+            Request::SelectWhere { class, expr, .. } => 8 + str_len(class) + str_len(expr),
+            Request::Create { class, values, .. } => 16 + str_len(class) + pairs_len(values),
+            Request::SetAttrs { class, assignments, .. } => {
+                24 + str_len(class) + pairs_len(assignments)
+            }
+            Request::UpdateWhere { class, expr, assignments, .. } => {
+                16 + str_len(class) + str_len(expr) + pairs_len(assignments)
+            }
+            Request::AddTo { class, oids, .. } | Request::RemoveFrom { class, oids, .. } => {
+                16 + str_len(class) + oids_len(oids)
+            }
+            Request::Delete { oids, .. } => 16 + oids_len(oids),
+            Request::DefineClass { name, supers, .. } => str_len(name) + strs_len(supers) + 4,
+            Request::CreateView { classes } => strs_len(classes),
+        }
+    }
+
     fn encode_body(&self, body: &mut BytesMut) {
         match self {
             Request::Hello { user } => put_str(body, user),
@@ -612,6 +653,28 @@ impl Response {
         }
     }
 
+    /// The encoded body's length, exact for every kind, so that a frame is
+    /// allocated once at its final size.
+    fn body_len(&self) -> usize {
+        match self {
+            Response::Welcome { .. } | Response::ReaderOpened { .. } => 12,
+            Response::Bound { .. } | Response::ViewVersion(_) => 4,
+            Response::WriterOpened { .. }
+            | Response::OidIs(_)
+            | Response::Count(_)
+            | Response::Retry { .. } => 8,
+            Response::Closed | Response::Refreshed | Response::Unit | Response::Pong
+            | Response::Bye => 0,
+            // A value's page size is its encoded length (`Value::encode`).
+            Response::Val(v) => v.byte_size(),
+            Response::Oids(oids) => oids_len(oids),
+            Response::Evolved { script, .. } => 20 + str_len(script),
+            Response::Described(text) => str_len(text),
+            Response::HealthIs { reason, .. } => 9 + str_len(reason),
+            Response::Err { message, .. } => 10 + str_len(message),
+        }
+    }
+
     fn encode_body(&self, body: &mut BytesMut) {
         match self {
             Response::Welcome { version, nonce } => {
@@ -706,33 +769,52 @@ impl Response {
 // Framing
 // ---------------------------------------------------------------------------
 
-fn encode_frame(kind: u8, body: &BytesMut) -> Vec<u8> {
-    let len = body.len() as u32;
+/// Lengths of the body shapes `put_str`, `put_strs`, `put_oids` and
+/// `put_pairs` write.
+fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
+fn strs_len(strs: &[String]) -> usize {
+    4 + strs.iter().map(|s| str_len(s)).sum::<usize>()
+}
+
+fn oids_len(oids: &[Oid]) -> usize {
+    4 + 8 * oids.len()
+}
+
+fn pairs_len(pairs: &[(String, Value)]) -> usize {
+    4 + pairs.iter().map(|(name, value)| str_len(name) + value.byte_size()).sum::<usize>()
+}
+
+/// Encode one frame into a single buffer sized for `body_len` body bytes:
+/// the header is reserved, the body written after it, and the header
+/// filled in once the body's length and CRC are known.
+fn encode_frame(kind: u8, body_len: usize, encode_body: impl FnOnce(&mut BytesMut)) -> Vec<u8> {
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + body_len);
+    buf.put_slice(&[0; HEADER_LEN]);
+    encode_body(&mut buf);
+    let mut frame = Vec::from(buf);
+    let len = ((frame.len() - HEADER_LEN) as u32).to_be_bytes();
     let mut crc = Crc32::new();
     crc.update(&[kind]);
-    crc.update(&len.to_be_bytes());
-    crc.update(body.as_ref());
-    let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
-    frame.push(WIRE_VERSION);
-    frame.push(kind);
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(&crc.finalize().to_be_bytes());
-    frame.extend_from_slice(body.as_ref());
+    crc.update(&len);
+    crc.update(&frame[HEADER_LEN..]);
+    frame[0] = WIRE_VERSION;
+    frame[1] = kind;
+    frame[2..6].copy_from_slice(&len);
+    frame[6..HEADER_LEN].copy_from_slice(&crc.finalize().to_be_bytes());
     frame
 }
 
 /// Encode a request into a complete frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = BytesMut::new();
-    req.encode_body(&mut body);
-    encode_frame(req.kind(), &body)
+    encode_frame(req.kind(), req.body_len(), |body| req.encode_body(body))
 }
 
 /// Encode a response into a complete frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut body = BytesMut::new();
-    resp.encode_body(&mut body);
-    encode_frame(resp.kind(), &body)
+    encode_frame(resp.kind(), resp.body_len(), |body| resp.encode_body(body))
 }
 
 /// Validate a complete frame (version, length, CRC) and hand back the kind
@@ -764,7 +846,7 @@ fn check_frame(frame: &[u8]) -> TseResult<(u8, Bytes)> {
     if h.finalize() != crc {
         return Err(protocol("frame: crc mismatch"));
     }
-    Ok((kind, Bytes::from(body.to_vec())))
+    Ok((kind, Bytes::from(body)))
 }
 
 /// Decode a checked frame's body and require that it was consumed whole.
@@ -790,6 +872,20 @@ pub fn decode_request(frame: &[u8]) -> TseResult<Request> {
 /// Decode one complete response frame.
 pub fn decode_response(frame: &[u8]) -> TseResult<Response> {
     decode_body(frame, Response::decode_body)
+}
+
+/// Bytes a connection's reader buffers: one `read` takes in a whole frame
+/// of any common request or response, where reading straight from the
+/// socket takes three (the version byte, the rest of the header, the body).
+const READ_BUFFER: usize = 8 * 1024;
+
+/// The reader a connection's frames come through, on the server and the
+/// client alike. [`read_frame`] and [`read_frame_idle`] run over it
+/// unchanged: the header is still checked before the body is read, and a
+/// read timeout still means idle before a frame's first byte and a stall
+/// after it, since a buffered read reports the same timeout as the socket.
+pub(crate) fn frame_reader<R: Read>(inner: R) -> BufReader<R> {
+    BufReader::with_capacity(READ_BUFFER, inner)
 }
 
 /// Outcome of [`read_frame_idle`]: a frame, a clean EOF, or an idle tick.
@@ -1066,10 +1162,13 @@ mod tests {
         frame[2..6].copy_from_slice(&(u32::MAX).to_be_bytes());
         // Direct decode: header/body length mismatch.
         assert!(decode_request(&frame).is_err());
-        // Stream read: rejected by the cap before any allocation.
-        let mut cursor = io::Cursor::new(frame);
+        // Stream read: rejected by the cap before any allocation, read
+        // straight or through the connection's buffer.
+        let mut cursor = io::Cursor::new(frame.clone());
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.code(), TseCode::Protocol);
+        assert!(err.message().contains("cap"), "unexpected message: {}", err.message());
+        let err = read_frame(&mut frame_reader(io::Cursor::new(frame))).unwrap_err();
         assert!(err.message().contains("cap"), "unexpected message: {}", err.message());
     }
 
@@ -1141,63 +1240,161 @@ mod tests {
         }
     }
 
+    /// A reader that counts the `read` calls reaching it — the syscalls a
+    /// socket would see.
+    struct CountingReads<R> {
+        inner: R,
+        reads: usize,
+    }
+
+    impl<R: Read> Read for CountingReads<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
     #[test]
     fn byte_at_a_time_fragmented_reads_reassemble_every_frame() {
         let mut pipe: Vec<u8> = Vec::new();
         for req in sample_requests() {
             write_frame(&mut pipe, &encode_request(&req)).unwrap();
         }
-        let mut fragmented = OneByteAtATime(io::Cursor::new(pipe));
-        for req in sample_requests() {
-            let frame = read_frame(&mut fragmented).unwrap().expect("frame present");
-            assert_eq!(decode_request(&frame).unwrap(), req);
+        fn reassemble(fragmented: &mut impl Read) {
+            for req in sample_requests() {
+                let frame = read_frame(fragmented).unwrap().expect("frame present");
+                assert_eq!(decode_request(&frame).unwrap(), req);
+            }
+            assert!(read_frame(fragmented).unwrap().is_none(), "clean EOF at the end");
         }
-        assert!(read_frame(&mut fragmented).unwrap().is_none(), "clean EOF at the end");
+        reassemble(&mut OneByteAtATime(io::Cursor::new(pipe.clone())));
+        reassemble(&mut frame_reader(OneByteAtATime(io::Cursor::new(pipe))));
     }
 
     #[test]
     fn mid_frame_disconnect_is_an_io_error_not_a_clean_eof() {
         let frame = encode_request(&Request::Evolve { command: "drop_attribute x".into() });
+        fn severed(r: &mut impl Read, keep: usize) {
+            let err = read_frame(r).expect_err(&format!("sever after {keep} bytes must error"));
+            assert_eq!(err.code(), TseCode::Io, "sever after {keep} bytes: {err}");
+        }
         // Sever at every interior byte boundary: mid-header and mid-body.
         for keep in 1..frame.len() {
-            let mut cursor = io::Cursor::new(frame[..keep].to_vec());
-            let err = read_frame(&mut cursor)
-                .expect_err(&format!("sever after {keep} bytes must error"));
-            assert_eq!(err.code(), TseCode::Io, "sever after {keep} bytes: {err}");
+            severed(&mut io::Cursor::new(frame[..keep].to_vec()), keep);
+            severed(&mut frame_reader(io::Cursor::new(frame[..keep].to_vec())), keep);
         }
         // Severing at the frame boundary (0 bytes) is the one clean EOF.
         let mut empty = io::Cursor::new(Vec::new());
         assert!(read_frame(&mut empty).unwrap().is_none());
+        assert!(read_frame(&mut frame_reader(io::Cursor::new(Vec::new()))).unwrap().is_none());
     }
 
     #[test]
     fn write_stalled_between_header_and_body_trips_the_deadline() {
         let frame = encode_request(&Request::Bind { family: "VS".into() });
         // The peer sends the full header, then nothing: a mid-frame stall
-        // is a deadline violation for both read entry points.
-        let stalled = || StallAfter { data: io::Cursor::new(frame.clone()), limit: HEADER_LEN };
-        let err = read_frame(&mut stalled()).unwrap_err();
-        assert_eq!(err.code(), TseCode::DeadlineExceeded);
-        assert!(err.message().contains("mid-frame"), "unexpected message: {}", err.message());
-        let err = match read_frame_idle(&mut stalled()) {
-            Err(e) => e,
-            Ok(other) => panic!("mid-frame stall must error, got {other:?}"),
+        // is a deadline violation for both read entry points, read straight
+        // or through the connection's buffer.
+        let trips = |wrap: fn(StallAfter) -> Box<dyn Read>| {
+            let stalled =
+                || wrap(StallAfter { data: io::Cursor::new(frame.clone()), limit: HEADER_LEN });
+            let err = read_frame(&mut stalled()).unwrap_err();
+            assert_eq!(err.code(), TseCode::DeadlineExceeded);
+            assert!(err.message().contains("mid-frame"), "unexpected message: {}", err.message());
+            let err = match read_frame_idle(&mut stalled()) {
+                Err(e) => e,
+                Ok(other) => panic!("mid-frame stall must error, got {other:?}"),
+            };
+            assert_eq!(err.code(), TseCode::DeadlineExceeded);
         };
-        assert_eq!(err.code(), TseCode::DeadlineExceeded);
+        trips(|r| Box::new(r));
+        trips(|r| Box::new(frame_reader(r)));
     }
 
     #[test]
     fn pre_frame_quiet_is_idle_for_the_server_and_a_deadline_for_the_client() {
-        // No bytes at all: read_frame_idle reports Idle (reap-eligible,
-        // not an error); read_frame treats it as a missed response.
-        let quiet = || StallAfter { data: io::Cursor::new(Vec::new()), limit: 0 };
-        assert!(matches!(read_frame_idle(&mut quiet()).unwrap(), FrameRead::Idle));
-        assert_eq!(read_frame(&mut quiet()).unwrap_err().code(), TseCode::DeadlineExceeded);
-        // One byte then quiet: now *both* entry points call it a stall.
-        let frame = encode_request(&Request::Ping);
-        let stall = || StallAfter { data: io::Cursor::new(frame.clone()), limit: 1 };
-        assert!(read_frame_idle(&mut stall()).is_err());
-        assert!(read_frame(&mut stall()).is_err());
+        fn check(wrap: fn(StallAfter) -> Box<dyn Read>) {
+            // No bytes at all: read_frame_idle reports Idle (reap-eligible,
+            // not an error); read_frame treats it as a missed response.
+            let quiet = || wrap(StallAfter { data: io::Cursor::new(Vec::new()), limit: 0 });
+            assert!(matches!(read_frame_idle(&mut quiet()).unwrap(), FrameRead::Idle));
+            assert_eq!(read_frame(&mut quiet()).unwrap_err().code(), TseCode::DeadlineExceeded);
+            // One byte then quiet: now *both* entry points call it a stall.
+            let frame = encode_request(&Request::Ping);
+            let stall = || wrap(StallAfter { data: io::Cursor::new(frame.clone()), limit: 1 });
+            assert!(read_frame_idle(&mut stall()).is_err());
+            assert!(read_frame(&mut stall()).is_err());
+        }
+        check(|r| Box::new(r));
+        check(|r| Box::new(frame_reader(r)));
+    }
+
+    #[test]
+    fn a_buffered_connection_reads_a_whole_frame_with_one_read() {
+        let frame = encode_request(&Request::Get {
+            sid: 7,
+            oid: Oid(3),
+            class: "Person".into(),
+            attr: "name".into(),
+        });
+        // Straight from the stream: the version byte, the rest of the
+        // header, then the body.
+        let mut raw = CountingReads { inner: io::Cursor::new(frame.clone()), reads: 0 };
+        assert_eq!(read_frame(&mut raw).unwrap().as_deref(), Some(&frame[..]));
+        assert_eq!(raw.reads, 3);
+        // Through the connection's buffer: one.
+        let mut buffered = frame_reader(CountingReads { inner: io::Cursor::new(frame), reads: 0 });
+        assert!(read_frame(&mut buffered).unwrap().is_some());
+        assert_eq!(buffered.get_ref().reads, 1);
+    }
+
+    #[test]
+    fn frames_coalesced_into_one_read_come_back_in_order() {
+        // Three frames that land in one read, then one larger than the
+        // buffer, which is read past it.
+        let sent = [
+            Request::Ping,
+            Request::Bind { family: "VS".into() },
+            Request::CloseReader { sid: 7 },
+        ];
+        let mut pipe: Vec<u8> = Vec::new();
+        for req in &sent {
+            write_frame(&mut pipe, &encode_request(req)).unwrap();
+        }
+        let big = Request::Evolve { command: "x".repeat(3 * READ_BUFFER) };
+        write_frame(&mut pipe, &encode_request(&big)).unwrap();
+        let mut reader = frame_reader(CountingReads { inner: io::Cursor::new(pipe), reads: 0 });
+        for req in &sent {
+            let frame = read_frame(&mut reader).unwrap().expect("frame present");
+            assert_eq!(&decode_request(&frame).unwrap(), req);
+        }
+        assert_eq!(reader.get_ref().reads, 1, "the first three frames cost one read");
+        let frame = read_frame(&mut reader).unwrap().expect("frame present");
+        assert_eq!(decode_request(&frame).unwrap(), big);
+        assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF, nothing lost");
+    }
+
+    #[test]
+    fn every_body_is_sized_before_it_is_encoded() {
+        // The size a frame's buffer is allocated at is the body's length,
+        // so the encoder never regrows it (DefineClass excepted: its
+        // property definitions are not measured).
+        for req in sample_requests() {
+            if matches!(req, Request::DefineClass { .. }) {
+                continue;
+            }
+            let frame = encode_request(&req);
+            assert_eq!(req.body_len(), frame.len() - HEADER_LEN, "body of {req:?}");
+        }
+        let mut responses = sample_responses();
+        responses.extend([
+            Response::Val(Value::Int(4)),
+            Response::Val(Value::List(vec![Value::Null, Value::Str("ab".into())])),
+        ]);
+        for resp in responses {
+            let frame = encode_response(&resp);
+            assert_eq!(resp.body_len(), frame.len() - HEADER_LEN, "body of {resp:?}");
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ use tse_core::{
 use tse_object_model::Value;
 
 use crate::proto::{
-    decode_request, encode_response, read_frame_idle, write_frame, FrameRead, Request,
-    Response,
+    decode_request, encode_response, frame_reader, read_frame_idle, write_frame, FrameRead,
+    Request, Response,
 };
 
 /// Server runtime knobs.
@@ -320,7 +320,7 @@ impl ConnState {
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let telemetry = shared.sys.telemetry().clone();
     // Deadlines: the read timeout is both the idle-reaping tick (no frame
     // started) and the slow-client read budget (frame started, then
@@ -341,8 +341,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         writers: HashMap::new(),
         next_handle: 1,
     };
+    let mut reader = frame_reader(&stream);
     loop {
-        let frame = match read_frame_idle(&mut stream) {
+        let frame = match read_frame_idle(&mut reader) {
             Ok(FrameRead::Frame(frame)) => frame,
             // Clean EOF: the peer closed, or drain half-closed our read
             // side after the last in-flight response flushed.
@@ -373,7 +374,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             Err(e) => (Response::from_error(&e), true),
         };
         telemetry.observe_ns("server.request_ns", started.elapsed().as_nanos() as u64);
-        if write_frame(&mut stream, &encode_response(&response)).is_err() {
+        if write_frame(&mut &stream, &encode_response(&response)).is_err() {
             break;
         }
         if close {

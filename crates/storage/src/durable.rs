@@ -296,7 +296,9 @@ pub fn walk_frames(bytes: &[u8]) -> FrameWalk {
 /// a frame reaches the file.
 #[derive(Debug)]
 pub struct Wal {
-    file: File,
+    /// Shared with the group-commit flush leader, which fsyncs it outside
+    /// the lock; every write, truncate and seek goes through `&File` too.
+    file: Arc<File>,
     dir: PathBuf,
     len: u64,
     next_lsn: u64,
@@ -321,7 +323,7 @@ impl Wal {
         let walk = walk_frames(&bytes);
         let next_lsn = walk.frames.last().map_or(1, |f| f.lsn + 1);
         let mut wal = Wal {
-            file,
+            file: Arc::new(file),
             dir: dir.to_path_buf(),
             len: bytes.len() as u64,
             next_lsn,
@@ -380,7 +382,7 @@ impl Wal {
             }
             Some(FailAction::TornWrite { keep_bytes }) => {
                 let keep = keep_bytes.min(frame.len());
-                self.file
+                (&*self.file)
                     .write_all(&frame[..keep])
                     .map_err(|e| io_err("torn wal append", e))?;
                 self.file.sync_data().ok();
@@ -396,7 +398,7 @@ impl Wal {
             }
             None => {}
         }
-        if let Err(e) = self.file.write_all(&frame) {
+        if let Err(e) = (&*self.file).write_all(&frame) {
             // A partial write leaves the tail in an unknown state.
             self.poisoned = true;
             return Err(io_err("wal append", e));
@@ -409,7 +411,7 @@ impl Wal {
     fn truncate_to(&mut self, offset: u64) -> StorageResult<()> {
         self.file.set_len(offset).map_err(|e| io_err("truncate wal", e))?;
         self.file.sync_all().map_err(|e| io_err("fsync wal", e))?;
-        self.file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek wal", e))?;
+        (&*self.file).seek(SeekFrom::End(0)).map_err(|e| io_err("seek wal", e))?;
         self.len = offset;
         Ok(())
     }
@@ -445,11 +447,12 @@ struct GroupInner {
 /// frames alike.
 ///
 /// [`GroupWal::append`] writes the frame under a short mutex hold, then one
-/// appender becomes the *flush leader*: it clones the file handle, releases
-/// the lock, and fsyncs the whole batch while followers wait on a condvar
-/// (and new appenders keep writing frames for the *next* batch). The fsync
-/// happening outside the lock is what makes batches form: with the lock
-/// held, appends and fsyncs would interleave 1:1.
+/// appender becomes the *flush leader*: it takes a second reference to the
+/// shared file (no new descriptor), releases the lock, and fsyncs the whole
+/// batch while followers wait on a condvar (and new appenders keep writing
+/// frames for the *next* batch). The fsync happening outside the lock is
+/// what makes batches form: with the lock held, appends and fsyncs would
+/// interleave 1:1.
 ///
 /// Transient append and fsync faults are retried through
 /// [`with_retries`] before anyone is acknowledged, each retry counted in
@@ -511,12 +514,12 @@ impl GroupWal {
             st.syncing = true;
             let target = st.append_seq;
             let batch = target - st.flushed_seq;
-            let file = st.wal.file.try_clone().map_err(|e| io_err("clone wal handle", e));
+            let file = Arc::clone(&st.wal.file);
             drop(st);
             // Transient fsync stalls are retried here, outside the lock,
             // before any waiter of this batch is acknowledged; what still
             // fails poisons the log.
-            let result = file.and_then(|f| self.retrying(|| self.fsync_once(&f)));
+            let result = self.retrying(|| self.fsync_once(&file));
             st = inner.state.lock().unwrap();
             st.syncing = false;
             match result {

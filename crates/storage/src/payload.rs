@@ -97,8 +97,11 @@ pub fn get_str(buf: &mut Bytes) -> StorageResult<String> {
     if buf.remaining() < len {
         return Err(corrupt("truncated string body"));
     }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| corrupt("non-utf8 string"))
+    // Checked in place and copied once, straight into the `String`.
+    let s = std::str::from_utf8(&buf.chunk()[..len]).map_err(|_| corrupt("non-utf8 string"))?;
+    let s = s.to_owned();
+    buf.advance(len);
+    Ok(s)
 }
 
 /// Encode a list of strings: a u32 count, then each through [`put_str`].
