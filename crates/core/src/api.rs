@@ -194,7 +194,6 @@ impl From<StorageError> for TseError {
             }
             StorageError::Poisoned(_) => TseCode::Poisoned,
             StorageError::FieldOutOfBounds { .. }
-            | StorageError::TxnState(_)
             | StorageError::Injected(_)
             | StorageError::SimulatedCrash(_) => TseCode::Internal,
         };

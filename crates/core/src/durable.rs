@@ -19,11 +19,12 @@
 //!    frames (`Create` with the assigned oid, `Set`, `UpdateWhere` with the
 //!    resolved oid set, …) after applying, and are acknowledged only once
 //!    the frame's group-commit batch is on disk.
-//! 3. A change that fails cleanly is rolled back by the transactional
-//!    evolve and its WAL frame is truncated away — it never replays.
-//! 4. A crash mid-apply leaves the frame in the log; the next
-//!    [`crate::SharedSystem::open`] redoes it against the last snapshot
-//!    (logical redo).
+//! 3. A change that fails cleanly is dropped with the fork it ran on, and
+//!    its WAL frame is truncated away — it never replays.
+//! 4. A crash mid-apply leaves the frame in the log and poisons the log,
+//!    so no data frame or later change lands after a change the live
+//!    system never applied; the next [`crate::SharedSystem::open`] redoes
+//!    it against the last snapshot (logical redo).
 //! 5. [`crate::SharedSystem::checkpoint`] appends a
 //!    [`WalRecord::Checkpoint`] marker, writes a new snapshot generation
 //!    crash-atomically, repoints the manifest, and empties the WAL. When
@@ -418,12 +419,21 @@ impl DurableState {
         self.last_lsn = self.last_lsn.max(mark.lsn);
     }
 
-    /// The change failed cleanly (and was rolled back in memory): truncate
-    /// its frame away so it never replays. A simulated crash must *not*
-    /// abort — the frame's fate is decided by redo at recovery, exactly as
-    /// after a real mid-apply crash.
+    /// The change failed cleanly (its fork was dropped): truncate its frame
+    /// away so it never replays. A simulated crash must *not* abort — the
+    /// frame's fate is decided by redo at recovery, exactly as after a real
+    /// mid-apply crash ([`DurableState::log_crash`]).
     pub(crate) fn log_abort(&self, mark: WalMark) -> ModelResult<()> {
         Ok(self.log.wal.truncate_to(mark.len_before)?)
+    }
+
+    /// The change crashed mid-apply: keep its frame for redo and fail-stop,
+    /// as a crash inside the frame's own append does. The live system never
+    /// applied the change, so a data frame or a second change appended
+    /// after it would replay against a state the live system never had.
+    pub(crate) fn log_crash(&self, telemetry: &Telemetry, crash: &ModelError) {
+        self.log.wal.poison();
+        self.log.health.poison(&crash.to_string(), telemetry);
     }
 
     /// Write a new snapshot generation crash-atomically, repoint the

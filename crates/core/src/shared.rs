@@ -517,7 +517,8 @@ impl SharedSystem {
     /// control mutex, with writers quiesced by the swap latch, append the
     /// change's frame and fsync it **before** `apply` runs; commit the frame
     /// when `apply` succeeds, truncate it away when `apply` fails cleanly,
-    /// and leave it to redo at the next open when `apply` crashed. The
+    /// and leave it to redo at the next open when `apply` crashed, poisoning
+    /// the log so nothing is appended after it until then. The
     /// latch is taken before the frame is logged so that the truncation can
     /// never clip a concurrent data frame. In-memory systems just `apply`.
     fn logged<R>(
@@ -533,7 +534,7 @@ impl SharedSystem {
         let out = apply();
         match &out {
             Ok(_) => durable.log_commit(mark),
-            Err(e) if is_crash(e) => {}
+            Err(e) if is_crash(e) => durable.log_crash(&self.inner.telemetry, e),
             Err(_) => durable.log_abort(mark)?,
         }
         out
@@ -559,12 +560,12 @@ impl SharedSystem {
         // the control mutex we hold keeps from anyone else) instead of
         // copying it, so it does not scale with the schema. Everything the
         // evolution installs is stamped under one write ticket: no reader
-        // can pin an epoch that sees a half-applied evolution, and a failed
-        // run's versions are popped by the undo log before the ticket is
-        // released.
+        // can pin an epoch that sees a half-applied evolution. A change
+        // adds capacity and moves no data, so a failed run leaves nothing
+        // in the shared store: dropping the fork undoes it.
         let (clock, mut private) = {
             let sys = self.read_timed();
-            (Arc::clone(sys.db().store().clock()), sys.fork_shared()?)
+            (Arc::clone(sys.db().store().clock()), sys.fork_shared())
         };
         let ticket = clock.begin_write();
         let report = {

@@ -130,24 +130,21 @@ impl TseSystem {
     /// runs ([`TseSystem::evolve`]): the returned system shares the store
     /// contents and object map with `self` (see [`Database::fork_shared`])
     /// — only schema/view/policy metadata is (shallowly) cloned, once per
-    /// change. Mutations the fork installs are MVCC versions on the shared
-    /// data, invisible to readers pinned before them and popped by the
-    /// store's undo log if the change fails, so the swap-in is a metadata
-    /// publish, not a data migration. The classifier's prover is **moved**,
-    /// not copied: the fork takes it and `self` is left with an empty one,
-    /// so the fork must replace `self` (the swap-in) or be dropped — after
-    /// which `self` re-derives what it knew at its next classification. The
-    /// caller must quiesce writers for the fork's lifetime and serialize
-    /// forks. Fails if an evolution transaction is open (a simulated crash
-    /// left one behind).
-    pub fn fork_shared(&self) -> ModelResult<TseSystem> {
-        let db = self.db.fork_shared()?;
-        Ok(TseSystem {
-            db,
+    /// change. A change adds capacity and moves no data, so the fork writes
+    /// nothing to what it shares: the swap-in is a metadata publish, not a
+    /// data migration, and a failed change is undone by dropping the fork.
+    /// The classifier's prover is **moved**, not copied: the fork takes it
+    /// and `self` is left with an empty one, so the fork must replace
+    /// `self` (the swap-in) or be dropped — after which `self` re-derives
+    /// what it knew at its next classification. The caller must quiesce
+    /// writers for the fork's lifetime and serialize forks.
+    pub fn fork_shared(&self) -> TseSystem {
+        TseSystem {
+            db: self.db.fork_shared(),
             views: self.views.clone(),
             policy: self.policy.clone(),
             prover: Mutex::new(std::mem::take(&mut *self.prover.lock())),
-        })
+        }
     }
 
     /// Mutable database access (base-schema construction).
@@ -291,25 +288,23 @@ impl TseSystem {
     /// [`TseSystem::fork_shared`] of `self`, which replaces `self` on success
     /// and is dropped on failure, so no partially created class, view
     /// version or union route survives a failed change. A simulated crash
-    /// (`FailAction::Crash`) drops the fork too, but leaves the shared
-    /// store's transaction open: `self` is unchanged, and every later evolve
-    /// is refused (the store's `TxnState` error) until the system is reopened
-    /// from disk.
+    /// (`FailAction::Crash`) drops the fork too, so `self` is unchanged; an
+    /// in-memory system has no log to disagree with, so its next change
+    /// runs (a durable [`crate::SharedSystem`] poisons its log instead).
     pub fn evolve(&mut self, family: &str, change: &SchemaChange) -> ModelResult<EvolutionReport> {
-        let mut fork = self.fork_shared()?;
+        let mut fork = self.fork_shared();
         let report = fork.evolve_fork(family, change)?;
         *self = fork;
         Ok(report)
     }
 
     /// Run a change on `self`, a fork that its caller swaps in on success
-    /// and drops on failure. The change runs under one store transaction:
-    /// the store is shared with the live system, so a failed change pops
-    /// the record versions it pushed and prunes the late-segment overlay
-    /// entries that pointed at the segments it created. Nothing else is
-    /// undone: the fork's schema, views, policy, extent cache and prover
-    /// are private to it and die with it. A simulated crash leaves the
-    /// transaction open, which refuses every later fork.
+    /// and drops on failure. Nothing needs undoing: the change writes
+    /// nothing to the store and object map it shares with the live system,
+    /// and the fork's schema, views, policy, extent cache and prover are
+    /// private to it and die with it. A clean failure counts one
+    /// `evolve.rollbacks` and journals an `evolve.rollback` event; a
+    /// simulated crash records nothing, as a dead process would not.
     pub(crate) fn evolve_fork(
         &mut self,
         family: &str,
@@ -320,23 +315,17 @@ impl TseSystem {
         // nest in it, so the whole expansion tree shares one trace id in
         // the journal.
         let _trace = telemetry.ensure_trace("evolve");
-        let txn = self.db.begin_evolution()?;
         let result = self.evolve_spanned(family, change);
-        match &result {
-            Ok(_) => self.db.commit_evolution(txn)?,
-            Err(e) if is_crash(e) => {}
-            Err(e) => {
-                self.db.rollback_evolution(txn)?;
-                telemetry.incr("evolve.rollbacks", 1);
-                telemetry.event(
-                    "evolve.rollback",
-                    &[
-                        ("family", family.into()),
-                        ("op", change.op_name().into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-            }
+        if let Some(e) = result.as_ref().err().filter(|e| !is_crash(e)) {
+            telemetry.incr("evolve.rollbacks", 1);
+            telemetry.event(
+                "evolve.rollback",
+                &[
+                    ("family", family.into()),
+                    ("op", change.op_name().into()),
+                    ("error", e.to_string().into()),
+                ],
+            );
         }
         result
     }

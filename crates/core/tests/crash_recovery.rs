@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use tse_core::{SchemaChange, SharedSystem, TseSystem};
+use tse_core::{SchemaChange, SharedSystem, SystemHealth, TseCode, TseError, TseSystem};
 use tse_object_model::{Oid, PropertyDef, Value, ValueType};
 use tse_storage::durable::read_snapshot_file;
 use tse_storage::{FailAction, StoreConfig};
@@ -136,6 +136,35 @@ fn crash_at_every_evolve_phase_redoes_the_change_on_reopen() {
             "at {site}"
         );
     }
+}
+
+/// A crash inside a logged change leaves its frame for redo, and the live
+/// system never applied the change: a data frame or a second change
+/// appended after the frame would replay against a state the live system
+/// never had. So the crash poisons the log, and everything is refused until
+/// a reopen redoes the change.
+#[test]
+fn a_crash_mid_change_poisons_the_log_until_a_reopen_redoes_it() {
+    let dir = tmpdir("crash_poisons");
+    let (sys, v1, oid) = seed(&dir);
+    sys.failpoints().arm("evolve.classify", 1, FailAction::Crash);
+    let err = sys.evolve_cmd("VS", "add_attribute register: bool = false to Student").unwrap_err();
+    assert!(err.to_string().contains("simulated crash"), "{err}");
+    let wal = sys.wal_len();
+
+    let refused = sys.evolve_cmd("VS", "add_attribute ok: int = 0 to Student").unwrap_err();
+    assert_eq!(TseError::from(refused).code(), TseCode::Poisoned);
+    let refused = sys.writer().create(v1, "Student", &[("name", "bob".into())]).unwrap_err();
+    assert_eq!(TseError::from(refused).code(), TseCode::Poisoned);
+    assert_eq!(sys.wal_len(), wal, "nothing appended after the crashed change");
+    assert_eq!(sys.health(), SystemHealth::Poisoned);
+    drop(sys);
+
+    let sys = SharedSystem::open(&dir).unwrap();
+    check_consistency(&sys, &dir, v1, oid);
+    assert_eq!(sys.telemetry().counter("recovery.replayed"), 1);
+    assert_eq!(versions(&sys).len(), 2);
+    assert_eq!(sys.session().extent(v1, "Student").unwrap(), vec![oid], "the refused create");
 }
 
 #[test]

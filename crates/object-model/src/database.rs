@@ -34,7 +34,7 @@ use parking_lot::{Mutex, RwLock};
 
 use tse_storage::{
     current_read_epoch, current_write_stamp, FailpointRegistry, RecordId, SegmentId, SliceStore,
-    StoreConfig, StoreStats, TxnToken, VersionChain, WriteStampGuard,
+    StoreConfig, StoreStats, VersionChain, WriteStampGuard,
 };
 
 use crate::access::{Pass, Scope};
@@ -605,13 +605,6 @@ pub struct SlicingStats {
     pub classes: u64,
 }
 
-/// An open schema-evolution transaction: the store's undo-log token.
-/// Obtained from [`Database::begin_evolution`] and consumed by
-/// `commit_evolution` / `rollback_evolution`.
-pub struct EvolutionTxn {
-    token: TxnToken,
-}
-
 /// The object database (slicing backend).
 ///
 /// Data-plane mutation (`create_object`, `write_attr`, membership changes)
@@ -737,9 +730,9 @@ impl Database {
     /// original's epoch clock. The schema is still cloned (pointer copies,
     /// copy-on-write, its fact cache riding along — the fork knows every
     /// class the original knew): an evolution mutates the fork's schema
-    /// privately and the swap-in publishes it, while its store and
-    /// membership mutations are MVCC versions — undo-logged for rollback,
-    /// invisible to pinned readers until published.
+    /// privately and the swap-in publishes it. A schema change adds
+    /// capacity and moves no data, so it writes nothing to the shared store
+    /// or object map, and a failed change is undone by dropping the fork.
     ///
     /// Cost is a handful of `Arc` clones regardless of data volume. The
     /// caller must quiesce data-plane writers (the
@@ -754,12 +747,10 @@ impl Database {
     /// fork inherits them all. It is a copy and not the same map so that
     /// what a failed evolution cached for classes it created dies with the
     /// fork — their ids are handed out again.
-    ///
-    /// Fails if a schema-evolution transaction is open.
-    pub fn fork_shared(&self) -> ModelResult<Database> {
-        Ok(Database {
+    pub fn fork_shared(&self) -> Database {
+        Database {
             schema: self.schema.clone(),
-            store: self.store.fork_shared()?,
+            store: self.store.fork_shared(),
             objects: Arc::clone(&self.objects),
             next_oid: AtomicU64::new(self.next_oid.load(Ordering::Acquire)),
             membership: self.membership.clone(),
@@ -768,7 +759,7 @@ impl Database {
             extent_cache: Mutex::new(self.extent_cache.lock().clone()),
             slice_hops: AtomicU64::new(self.slice_hops.load(Ordering::Relaxed)),
             telemetry: self.telemetry.clone(),
-        })
+        }
     }
 
     /// The write stamp for a mutation: the ambient batch stamp when a
@@ -776,35 +767,6 @@ impl Database {
     /// solo stamp from the store's clock.
     pub(crate) fn write_stamp(&self) -> u64 {
         current_write_stamp().unwrap_or_else(|| self.store.clock().solo_stamp())
-    }
-
-    // ----- transactional schema evolution -----------------------------------
-
-    /// Begin a schema-evolution transaction: open the store's undo-log
-    /// transaction. A change runs on a [`Database::fork_shared`] handle and
-    /// opens one transaction for the whole change, composite macros
-    /// included; the transaction is what undoes the change's writes to the
-    /// store, which the fork shares with the original.
-    pub fn begin_evolution(&mut self) -> ModelResult<EvolutionTxn> {
-        Ok(EvolutionTxn { token: self.store.begin_txn()? })
-    }
-
-    /// Make the transaction's mutations permanent.
-    pub fn commit_evolution(&mut self, txn: EvolutionTxn) -> ModelResult<()> {
-        self.store.commit_txn(txn.token)?;
-        Ok(())
-    }
-
-    /// Abort: the store rolls back every record and segment mutation via
-    /// its undo log. Nothing else is restored: the handle is a fork that
-    /// is dropped next, and its schema and extent cache are its own.
-    pub fn rollback_evolution(&mut self, txn: EvolutionTxn) -> ModelResult<()> {
-        self.store.abort_txn(txn.token)?;
-        // Late-assigned segments created inside the transaction were rolled
-        // back with the store; the overlay is shared with the original, so
-        // drop any entries pointing at them.
-        self.late_segments.write().retain(|_, seg| self.store.segment_name(*seg).is_ok());
-        Ok(())
     }
 
     // ----- object lifecycle ------------------------------------------------
@@ -2027,7 +1989,7 @@ mod tests {
     fn fork_shared_is_a_handle_onto_the_same_database() {
         let (db, _, student, _) = university();
         let o = db.create_object(student, &[("name", "a".into())]).unwrap();
-        let fork = db.fork_shared().unwrap();
+        let fork = db.fork_shared();
         assert!(fork.store().shares_contents_with(db.store()));
         assert_eq!(fork.read_attr(o, student, "name").unwrap(), Value::Str("a".into()));
         let o2 = fork.create_object(student, &[]).unwrap();
@@ -2109,7 +2071,7 @@ mod tests {
         let cached = db.extent(person).unwrap();
         let (built, hits) = (rebuilds(&db), cache_hits(&db));
 
-        let mut fork = db.fork_shared().unwrap();
+        let mut fork = db.fork_shared();
         assert!(Arc::ptr_eq(&fork.extent(person).unwrap(), &cached));
         // A class the fork adds derives its first extent from its source's
         // entry: the same set, no scan of the object map.
@@ -2138,19 +2100,15 @@ mod tests {
 
         // A failed change: its fork caches an extent for a class it
         // created, aborts and is dropped.
-        let mut fork = db.fork_shared().unwrap();
-        let txn = fork.begin_evolution().unwrap();
+        let mut fork = db.fork_shared();
         let adult = fork.schema_mut().create_virtual_class("Adult", select(CmpOp::Ge)).unwrap();
         assert_eq!(*fork.extent(adult).unwrap(), BTreeSet::from([grown]));
-        fork.rollback_evolution(txn).unwrap();
         drop(fork);
 
-        let mut fork = db.fork_shared().unwrap();
-        let txn = fork.begin_evolution().unwrap();
+        let mut fork = db.fork_shared();
         let minor = fork.schema_mut().create_virtual_class("Minor", select(CmpOp::Lt)).unwrap();
         assert_eq!(minor, adult, "the dropped fork's id is handed out again");
         assert_eq!(*fork.extent(minor).unwrap(), BTreeSet::from([kid]));
-        fork.commit_evolution(txn).unwrap();
     }
 
     fn ge_18() -> Predicate {
@@ -2255,15 +2213,13 @@ mod tests {
         let minor = |db: &Database| db.select(person, Predicate::cmp("age", CmpOp::Lt, 18)).unwrap();
         assert_eq!(adult(&db), vec![grown]);
         let built = rebuilds(&db);
-        let mut fork = db.fork_shared().unwrap();
+        let fork = db.fork_shared();
         assert_eq!(adult(&fork), vec![grown]);
         assert_eq!(rebuilds(&fork), built, "the fork is served what the original cached");
 
         // An answer the fork caches inside a failed change dies with it.
-        let txn = fork.begin_evolution().unwrap();
         assert_eq!(minor(&fork), vec![kid]);
         assert_eq!(fork.extent_cache.lock().selects.len(), 2);
-        fork.rollback_evolution(txn).unwrap();
         drop(fork);
         assert_eq!(db.extent_cache.lock().selects.len(), 1, "only the original's answer");
         let built = rebuilds(&db);

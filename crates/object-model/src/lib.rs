@@ -32,7 +32,7 @@ mod value;
 pub use access::{AttrBindings, ObjAttrSource};
 pub use class::{Class, ClassKind};
 pub use codec::{get_oids, get_pairs, get_pending_prop, put_oids, put_pairs, put_pending_prop};
-pub use database::{Database, EvolutionTxn, ObjRef, ResidentBytes, SlicingStats};
+pub use database::{Database, ObjRef, ResidentBytes, SlicingStats};
 pub use derivation::Derivation;
 pub use error::{ModelError, ModelResult};
 pub use ids::{ClassId, Oid, PropKey};

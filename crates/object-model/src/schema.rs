@@ -231,14 +231,14 @@ impl FactCache {
 ///
 /// Everything that grows with the schema sits behind an `Arc` — the class
 /// list (and each class in it), the name index, the definition homes, the
-/// fact cache's spine — so cloning the schema, the checkpoint primitive of
-/// transactional evolution *and* the epoch-snapshot primitive of the
-/// shared-system control plane, is a handful of pointer copies. The clone
-/// shares all of it until one side mutates: the first mutation pays for one
-/// copy of the spine it touches (`Arc::make_mut`), and a class is copied
-/// when `Schema::class_mut` first reaches it. The name index is keyed by
-/// shared `Arc<str>` names, so its copy is one table allocation and a
-/// refcount bump per class, not a `String` per class.
+/// fact cache's spine — so cloning the schema, which every evolution fork
+/// *and* every epoch snapshot of the shared-system control plane does, is a
+/// handful of pointer copies. The clone shares all of it until one side
+/// mutates: the first mutation pays for one copy of the spine it touches
+/// (`Arc::make_mut`), and a class is copied when `Schema::class_mut` first
+/// reaches it. The name index is keyed by shared `Arc<str>` names, so its
+/// copy is one table allocation and a refcount bump per class, not a
+/// `String` per class.
 pub struct Schema {
     classes: Arc<Vec<Arc<Class>>>,
     by_name: Arc<HashMap<Arc<str>, ClassId>>,
@@ -316,7 +316,7 @@ impl Schema {
     }
 
     /// Copy-on-write mutable access: if the class is shared with a snapshot
-    /// (an epoch's `MetaSnapshot` or a transactional checkpoint), the first
+    /// (an epoch's `MetaSnapshot` or the system an evolution forked), the first
     /// mutation clones it; snapshots keep the pre-mutation version.
     pub(crate) fn class_mut(&mut self, id: ClassId) -> ModelResult<&mut Class> {
         Arc::make_mut(&mut self.classes)

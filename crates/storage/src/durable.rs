@@ -600,6 +600,15 @@ impl GroupWal {
         self.quiesced().wal.truncate_to(offset)
     }
 
+    /// Put the log in fail-stop mode, as a crash inside an append does: every
+    /// later append is refused with [`StorageError::Poisoned`] until
+    /// [`GroupWal::reopen`]. For a caller whose process "died" after its
+    /// frame reached the log, so nothing is appended past a frame the live
+    /// process never applied.
+    pub fn poison(&self) {
+        self.inner.state.lock().unwrap().wal.poisoned = true;
+    }
+
     /// Replace the log handle with one freshly opened from disk, keeping the
     /// LSN floor. This clears a fail-stopped handle; every durable frame is
     /// re-read, so nothing acked is lost.

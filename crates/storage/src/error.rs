@@ -24,9 +24,6 @@ pub enum StorageError {
         /// Actual number of fields in the record.
         len: usize,
     },
-    /// A transaction was required but none is active, or one is already
-    /// active when a new one was requested.
-    TxnState(&'static str),
     /// Snapshot bytes were malformed.
     Corrupt(String),
     /// An operating-system I/O failure in the durable layer.
@@ -37,8 +34,8 @@ pub enum StorageError {
     /// behavior is fail-stop: no further appends, reopen from disk.
     Poisoned(String),
     /// A failpoint fired with [`crate::FailAction::Error`]: a clean,
-    /// injected failure the caller is expected to recover from by rolling
-    /// back. Carries the site name.
+    /// injected failure the caller is expected to recover from by dropping
+    /// what it was building. Carries the site name.
     Injected(String),
     /// A failpoint simulated a process crash at this site. Callers must
     /// propagate it without cleanup — in-memory state is considered torn,
@@ -58,8 +55,7 @@ pub enum StorageError {
 
 impl StorageError {
     /// True for [`StorageError::SimulatedCrash`] — callers that normally
-    /// roll back cleanly use this to leave state torn, as a real crash
-    /// would.
+    /// clean up use this to leave state torn, as a real crash would.
     pub fn is_crash(&self) -> bool {
         matches!(self, StorageError::SimulatedCrash(_))
     }
@@ -75,7 +71,6 @@ impl fmt::Display for StorageError {
             StorageError::FieldOutOfBounds { index, len } => {
                 write!(f, "field index {index} out of bounds (record has {len} fields)")
             }
-            StorageError::TxnState(msg) => write!(f, "transaction state error: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
             StorageError::Io(msg) => write!(f, "durable i/o error: {msg}"),
             StorageError::Poisoned(msg) => write!(f, "wal poisoned: {msg}"),
@@ -104,7 +99,6 @@ mod tests {
             StorageError::FieldOutOfBounds { index: 9, len: 2 }.to_string(),
             "field index 9 out of bounds (record has 2 fields)"
         );
-        assert!(StorageError::TxnState("nested").to_string().contains("nested"));
         assert!(StorageError::Corrupt("bad magic".into()).to_string().contains("bad magic"));
     }
 }

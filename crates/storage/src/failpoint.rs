@@ -27,13 +27,14 @@ use crate::error::StorageError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailAction {
     /// Return an [`StorageError::Injected`] error from the site: a clean,
-    /// recoverable failure the caller is expected to handle (rollback).
+    /// recoverable failure the caller is expected to handle (an evolve
+    /// drops its fork).
     Error,
     /// Return [`StorageError::SimulatedCrash`]: the process is considered
     /// dead at this point. Callers propagate it without cleanup: an evolve
-    /// drops its fork, so the system is unchanged, but leaves the store's
-    /// transaction open, so every later change is refused. The test drops
-    /// the in-memory system and re-opens from disk.
+    /// drops its fork, so the system is unchanged, and a durable system
+    /// poisons its log, so every later write and change is refused. The
+    /// test drops the in-memory system and re-opens from disk.
     Crash,
     /// For file-writing sites only: persist the first `keep_bytes` bytes of
     /// the write, then crash — a torn write, exactly what a power cut

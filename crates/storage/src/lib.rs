@@ -16,15 +16,14 @@
 //! * **Records** — a record is an ordered list of payload fields. The payload
 //!   type is generic ([`Payload`]); the object model instantiates it with its
 //!   `Value` type.
-//! * **Transactions** — a single-writer undo log providing atomic multi-record
-//!   updates with abort/rollback, mirroring the transactional platform the
-//!   paper assumes.
 //! * **MVCC** — every record carries a small version chain stamped by a
 //!   shared [`EpochClock`]; readers pin an epoch ([`mvcc`]) and resolve
 //!   the version visible at it, so writers install new versions without
 //!   ever blocking readers, `fork_shared` makes the control plane's fork a
 //!   copy-free handle clone, and `SliceStore::gc` reclaims superseded
-//!   versions once the oldest pin advances.
+//!   versions once the oldest pin advances. There are no store
+//!   transactions: a schema change adds capacity and moves no data, so its
+//!   fork writes nothing here, and a failed change drops the fork.
 //! * **Snapshots** — a hand-rolled binary codec (over [`bytes`]):
 //!   [`SliceStore::encode_into`] / [`SliceStore::decode_from`] write and
 //!   read an entire store as one section of a snapshot payload, with no
@@ -64,7 +63,6 @@ pub mod scrub;
 mod snapshot;
 mod stats;
 mod store;
-mod txn;
 
 pub use crc::{crc32, Crc32};
 pub use error::{StorageError, StorageResult};
@@ -79,4 +77,3 @@ pub use segment::VersionChain;
 pub use payload::{Payload, SimplePayload};
 pub use stats::StoreStats;
 pub use store::{ReadCursor, RecordId, SegmentId, SliceStore, StoreConfig};
-pub use txn::TxnToken;

@@ -211,22 +211,6 @@ fn put_field<P: Clone>(fields: &mut Vec<P>, idx: usize, value: &P) {
     }
 }
 
-/// Outcome of popping the newest version off a slot (transaction rollback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PopOutcome {
-    /// The popped version was the only one: the slot is empty again
-    /// (rolled back an insert).
-    Removed,
-    /// The popped version was a tombstone: the record is live again
-    /// (rolled back a delete).
-    Undeleted,
-    /// The popped version superseded an older live one, which is current
-    /// again (rolled back a field write).
-    Reverted,
-    /// No record at the slot (caller bug; tolerated in release builds).
-    Missing,
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct Segment<P> {
     pub name: String,
@@ -357,42 +341,6 @@ impl<P: Payload> Segment<P> {
         record.bytes = 0;
         self.pages.release(page, bytes);
         Some(fields)
-    }
-
-    /// Pop the newest version off a slot (transaction rollback of the
-    /// mutation that pushed it), restoring page accounting for whatever
-    /// version is current afterwards.
-    pub fn pop_version(&mut self, slot: u32, page_size: usize) -> PopOutcome {
-        let Some(record) = self.slots.get_mut(slot as usize).and_then(|r| r.as_mut()) else {
-            debug_assert!(false, "pop_version on empty slot");
-            return PopOutcome::Missing;
-        };
-        let was_live = record.current().is_some();
-        if was_live {
-            // The popped version owned the page charge.
-            self.pages.release(record.page, record.bytes as usize);
-        }
-        if record.chain.pop().is_none() {
-            self.slots[slot as usize] = None;
-            self.free.push(slot);
-            return PopOutcome::Removed;
-        }
-        let (page, bytes) = match record.current() {
-            Some(fields) => {
-                let bytes = record_bytes(fields);
-                (self.pages.place(bytes, page_size), bytes)
-            }
-            // Current is (still) a tombstone; nothing to re-charge.
-            None => (0, 0),
-        };
-        let record = self.slots[slot as usize].as_mut().unwrap();
-        let outcome = match (was_live, record.current().is_some()) {
-            (false, true) => PopOutcome::Undeleted,
-            _ => PopOutcome::Reverted,
-        };
-        record.page = page;
-        record.bytes = bytes as u32;
-        outcome
     }
 
     /// Prune version history unreachable from `watermark`: for every slot,
@@ -616,24 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_version_rolls_back_in_reverse() {
-        let mut seg: Segment<SP> = Segment::new("s".into());
-        let (a, _) = seg.insert(vec![SP::Int(1)], PS, 1);
-        set_field(&mut seg, a, 2, 0, SP::Int(2));
-        seg.free(a, 3);
-        assert_eq!(seg.pop_version(a, PS), PopOutcome::Undeleted);
-        assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(2));
-        assert_eq!(seg.pop_version(a, PS), PopOutcome::Reverted);
-        assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(1));
-        assert_eq!(seg.pop_version(a, PS), PopOutcome::Removed);
-        assert_eq!(seg.len(), 0);
-        // Rolled-back insert frees the slot immediately (nothing was ever
-        // visible to any reader — the txn never published).
-        let (b, _) = seg.insert(vec![SP::Int(9)], PS, 4);
-        assert_eq!(b, a);
-    }
-
-    #[test]
     fn gc_prunes_superseded_versions() {
         let mut seg: Segment<SP> = Segment::new("s".into());
         let (a, _) = seg.insert(vec![SP::Int(1)], PS, 1);
@@ -821,33 +751,6 @@ mod tests {
                 Some(fields)
             }
 
-            pub fn pop_version(&mut self, slot: u32) -> PopOutcome {
-                let record = self.slots[slot as usize].as_mut().unwrap();
-                let (_, popped) = record.versions.pop().unwrap();
-                if popped.is_some() {
-                    self.pages.release(record.page, record.bytes);
-                }
-                let Some((_, now)) = record.versions.last() else {
-                    self.slots[slot as usize] = None;
-                    self.free.push(slot);
-                    return PopOutcome::Removed;
-                };
-                let (page, bytes) = match now {
-                    Some(fields) => {
-                        let bytes = record_bytes(fields);
-                        (self.pages.place(bytes, PS), bytes)
-                    }
-                    None => (0, 0),
-                };
-                let outcome = match (popped.is_some(), now.is_some()) {
-                    (false, true) => PopOutcome::Undeleted,
-                    _ => PopOutcome::Reverted,
-                };
-                let record = self.slots[slot as usize].as_mut().unwrap();
-                (record.page, record.bytes) = (page, bytes);
-                outcome
-            }
-
             pub fn gc(&mut self, watermark: u64) -> u64 {
                 let mut reclaimed = 0;
                 for i in 0..self.slots.len() {
@@ -882,7 +785,6 @@ mod tests {
         /// length grows the record.
         Modify(usize, u64, usize, u8),
         Free(usize, u64),
-        Pop(usize),
         /// How far behind the clock the watermark is.
         Gc(u64),
     }
@@ -897,7 +799,6 @@ mod tests {
             modify(),
             modify(),
             (any::<usize>(), 0u64..3).prop_map(|(s, b)| ChainOp::Free(s, b)),
-            any::<usize>().prop_map(ChainOp::Pop),
             (0u64..6).prop_map(ChainOp::Gc),
         ]
     }
@@ -908,7 +809,7 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
 
         /// Random interleavings of insert, modify (stragglers included),
-        /// free, pop and GC leave the inline-head chain answering exactly as
+        /// free and GC leave the inline-head chain answering exactly as
         /// the plain `Vec` of versions: the fields at every epoch and at the
         /// latest, the version backlog, each record's page charge and the
         /// page set — through inline → spilled → inline transitions.
@@ -945,10 +846,6 @@ mod tests {
                         let Some(slot) = occupied(&model, pick) else { continue };
                         let stamp = clock.saturating_sub(behind);
                         prop_assert_eq!(seg.free(slot, stamp), model.free(slot, stamp));
-                    }
-                    ChainOp::Pop(pick) => {
-                        let Some(slot) = occupied(&model, pick) else { continue };
-                        prop_assert_eq!(seg.pop_version(slot, PS), model.pop_version(slot));
                     }
                     ChainOp::Gc(behind) => {
                         let watermark = clock.saturating_sub(behind);
@@ -987,7 +884,8 @@ mod tests {
         seg.gc(3);
         assert_eq!(seg.record(a).unwrap().chain.spill_capacity(), 0, "back to inline");
         set_field(&mut seg, a, 4, 0, SP::Int(4));
-        assert_eq!(seg.pop_version(a, PS), PopOutcome::Reverted);
+        let chain = &mut seg.slots[a as usize].as_mut().unwrap().chain;
+        assert!(chain.pop().is_some());
         assert_eq!(seg.record(a).unwrap().chain.spill_capacity(), 0, "a pop frees it too");
         assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(3));
     }

@@ -1,5 +1,5 @@
 //! The store: lock-striped multi-versioned segments + per-stripe buffer
-//! pools + counters + transactions.
+//! pools + counters.
 //!
 //! Segments (one per class in the object model) are partitioned across
 //! `StoreConfig::write_stripes` lock stripes keyed by `SegmentId % N`, so
@@ -15,7 +15,7 @@
 //! handle clone: the control plane's fork copies nothing.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,9 +27,8 @@ use crate::error::{StorageError, StorageResult};
 use crate::failpoint::FailpointRegistry;
 use crate::mvcc::{current_read_epoch, current_write_stamp, EpochClock, ReadPin};
 use crate::payload::Payload;
-use crate::segment::{PopOutcome, Segment};
+use crate::segment::Segment;
 use crate::stats::StoreStats;
-use crate::txn::{TxnState, TxnToken, Undo};
 
 /// Identifies a segment (one per class in the object model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -164,19 +163,15 @@ impl<P: Payload> Stripe<P> {
 
 /// The shared contents of a store family: everything except the per-handle
 /// failpoint/telemetry attachments. `SliceStore::fork_shared` clones the
-/// `Arc` around this, so a live system and its evolution fork mutate the
-/// same stripes — isolation comes from version stamps, not from copying.
+/// `Arc` around this, so a live system and its evolution fork share the
+/// same stripes — nothing is copied, and version stamps keep pinned readers
+/// on their epoch.
 #[derive(Debug)]
 struct StoreInner<P: Payload> {
     config: StoreConfig,
     stripes: Vec<Stripe<P>>,
     next_segment: AtomicU32,
     stats: AtomicStats,
-    /// Undo log for the (single, control-plane) transaction. `txn_active`
-    /// mirrors `txn.active.is_some()` so the data-plane fast path can skip
-    /// the mutex entirely when no transaction is open.
-    txn: Mutex<TxnState>,
-    txn_active: AtomicBool,
     /// The stamp source shared by every handle of this store family.
     clock: Arc<EpochClock>,
     /// Superseded version entries awaiting GC, maintained incrementally by
@@ -213,8 +208,6 @@ impl<P: Payload> SliceStore<P> {
                 stripes: (0..n).map(|_| Stripe::new(config.buffer_pages)).collect(),
                 next_segment: AtomicU32::new(0),
                 stats: AtomicStats::default(),
-                txn: Mutex::new(TxnState::default()),
-                txn_active: AtomicBool::new(false),
                 clock: Arc::new(EpochClock::new()),
                 superseded: AtomicU64::new(0),
             }),
@@ -287,13 +280,6 @@ impl<P: Payload> SliceStore<P> {
         self.inner.superseded.fetch_add(n, Ordering::Relaxed);
     }
 
-    fn superseded_sub(&self, n: u64) {
-        let _ = self
-            .inner
-            .superseded
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(n)));
-    }
-
     // ----- segments -------------------------------------------------------
 
     /// Create a new segment (a per-class record arena).
@@ -302,18 +288,11 @@ impl<P: Payload> SliceStore<P> {
         self.stripe(id)
             .write_segments(&self.telemetry)
             .insert(id.0, Segment::new(name.to_string()));
-        if self.inner.txn_active.load(Ordering::Acquire) {
-            self.inner.txn.lock().record(Undo::CreateSegment { seg: id });
-        }
         id
     }
 
-    /// Drop a segment and everything in it. Not permitted inside a
-    /// transaction (segment drops are not undoable).
+    /// Drop a segment and everything in it.
     pub fn drop_segment(&self, seg: SegmentId) -> StorageResult<()> {
-        if self.inner.txn_active.load(Ordering::Acquire) {
-            return Err(StorageError::TxnState("drop_segment inside a transaction"));
-        }
         let stripe = self.stripe(seg);
         let removed = stripe.write_segments(&self.telemetry).remove(&seg.0);
         if removed.is_none() {
@@ -374,13 +353,9 @@ impl<P: Payload> SliceStore<P> {
         let page_size = self.inner.config.page_size;
         let stamp = self.mutation_stamp();
         let (slot, page) = self.with_segment_mut(seg, |s| s.insert(fields, page_size, stamp))?;
-        let rec = RecordId { segment: seg, slot };
         self.inner.stats.records_allocated.fetch_add(1, Ordering::Relaxed);
         self.touch_page(seg, page);
-        if self.inner.txn_active.load(Ordering::Acquire) {
-            self.inner.txn.lock().record(Undo::PopVersion { rec });
-        }
-        Ok(rec)
+        Ok(RecordId { segment: seg, slot })
     }
 
     /// Delete a record by installing a tombstone version, returning the
@@ -396,9 +371,6 @@ impl<P: Payload> SliceStore<P> {
         // The superseded live version plus the tombstone itself are both
         // reclaimable once the watermark passes the tombstone.
         self.superseded_add(2);
-        if self.inner.txn_active.load(Ordering::Acquire) {
-            self.inner.txn.lock().record(Undo::PopVersion { rec });
-        }
         Ok(fields)
     }
 
@@ -465,9 +437,6 @@ impl<P: Payload> SliceStore<P> {
         }
         self.superseded_add(1);
         self.touch_page(rec.segment, page);
-        if self.inner.txn_active.load(Ordering::Acquire) {
-            self.inner.txn.lock().record(Undo::PopVersion { rec });
-        }
         Ok(())
     }
 
@@ -490,9 +459,6 @@ impl<P: Payload> SliceStore<P> {
         }
         self.superseded_add(1);
         self.touch_page(rec.segment, page);
-        if self.inner.txn_active.load(Ordering::Acquire) {
-            self.inner.txn.lock().record(Undo::PopVersion { rec });
-        }
         Ok(new_idx)
     }
 
@@ -540,20 +506,15 @@ impl<P: Payload> SliceStore<P> {
 
     /// A **copy-free fork**: a new handle onto the *same* store contents
     /// (same `Arc`), with this handle's failpoint registry and telemetry
-    /// attached. The control plane uses this for evolution — the fork's
-    /// mutations are stamped by an unfinished write ticket, so readers
-    /// pinned to earlier epochs never observe them, and nothing is copied.
-    /// Forking while a transaction is open is rejected (the fork would
-    /// share, and could interleave with, the open undo log).
-    pub fn fork_shared(&self) -> StorageResult<Self> {
-        if self.inner.txn_active.load(Ordering::Acquire) {
-            return Err(StorageError::TxnState("fork inside a transaction"));
-        }
-        Ok(SliceStore {
+    /// attached. Nothing is copied, and a write through the fork is a write
+    /// to the shared contents: the control plane's evolution fork writes
+    /// nothing here, and a failed change just drops the handle.
+    pub fn fork_shared(&self) -> Self {
+        SliceStore {
             inner: Arc::clone(&self.inner),
             failpoints: self.failpoints.clone(),
             telemetry: self.telemetry.clone(),
-        })
+        }
     }
 
     /// Whether two handles share the same store contents (true for
@@ -579,8 +540,8 @@ impl<P: Payload> SliceStore<P> {
                 reclaimed += segment.gc(watermark);
             }
         }
-        // Recompute the backlog authoritatively (incremental accounting
-        // can drift across rollbacks).
+        // Recompute the backlog authoritatively (the mutation paths only
+        // ever add to the estimate).
         let backlog = self.version_backlog();
         self.inner.superseded.store(backlog, Ordering::Relaxed);
         self.telemetry.incr("mvcc.gc_reclaimed", reclaimed);
@@ -655,84 +616,6 @@ impl<P: Payload> SliceStore<P> {
             .iter()
             .map(|s| s.segments.read().values().map(|seg| seg.pages.bytes_used()).sum::<usize>())
             .sum()
-    }
-
-    // ----- transactions ---------------------------------------------------
-
-    /// Begin a transaction. Errors if one is already open.
-    ///
-    /// The transaction machinery serves the single-threaded control plane:
-    /// the undo log is one global journal, not per-stripe, and concurrent
-    /// data-plane writers must not be active on this store while a
-    /// transaction is open. The shared control plane guarantees this by
-    /// holding the swap latch exclusively for the whole logged evolution.
-    pub fn begin_txn(&self) -> StorageResult<TxnToken> {
-        let mut txn = self.inner.txn.lock();
-        if txn.active.is_some() {
-            return Err(StorageError::TxnState("transaction already active"));
-        }
-        let id = txn.next_id;
-        txn.next_id += 1;
-        txn.active = Some(id);
-        txn.log.clear();
-        self.inner.txn_active.store(true, Ordering::Release);
-        Ok(TxnToken(id))
-    }
-
-    /// Commit: discard the undo log, making all mutations permanent.
-    pub fn commit_txn(&self, token: TxnToken) -> StorageResult<()> {
-        let mut txn = self.inner.txn.lock();
-        Self::check_token(&txn, token)?;
-        txn.active = None;
-        txn.log.clear();
-        self.inner.txn_active.store(false, Ordering::Release);
-        Ok(())
-    }
-
-    /// Abort: roll every logged mutation back, in reverse order, by
-    /// popping the version each one pushed.
-    pub fn abort_txn(&self, token: TxnToken) -> StorageResult<()> {
-        let log = {
-            let mut txn = self.inner.txn.lock();
-            Self::check_token(&txn, token)?;
-            txn.active = None;
-            self.inner.txn_active.store(false, Ordering::Release);
-            std::mem::take(&mut txn.log)
-        };
-        let page_size = self.inner.config.page_size;
-        for undo in log.into_iter().rev() {
-            match undo {
-                Undo::PopVersion { rec } => {
-                    let outcome = self
-                        .with_segment_mut(rec.segment, |s| s.pop_version(rec.slot, page_size))?;
-                    match outcome {
-                        PopOutcome::Removed => {
-                            self.inner.stats.records_freed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        PopOutcome::Undeleted => {
-                            self.inner.stats.records_allocated.fetch_add(1, Ordering::Relaxed);
-                            self.superseded_sub(2);
-                        }
-                        PopOutcome::Reverted => self.superseded_sub(1),
-                        PopOutcome::Missing => {}
-                    }
-                }
-                Undo::CreateSegment { seg } => {
-                    let stripe = self.stripe(seg);
-                    stripe.write_segments(&self.telemetry).remove(&seg.0);
-                    stripe.buffer.lock().evict_segment(seg.0);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn check_token(txn: &TxnState, token: TxnToken) -> StorageResult<()> {
-        match txn.active {
-            Some(id) if id == token.0 => Ok(()),
-            Some(_) => Err(StorageError::TxnState("token does not match active transaction")),
-            None => Err(StorageError::TxnState("no active transaction")),
-        }
     }
 }
 
@@ -1007,59 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn txn_commit_keeps_mutations() {
-        let st = store();
-        let seg = st.create_segment("s");
-        let rec = st.insert(seg, vec![SP::Int(1)]).unwrap();
-        let t = st.begin_txn().unwrap();
-        st.write_field(rec, 0, SP::Int(2)).unwrap();
-        st.commit_txn(t).unwrap();
-        assert_eq!(st.read_field(rec, 0).unwrap(), SP::Int(2));
-    }
-
-    #[test]
-    fn txn_abort_rolls_back_everything() {
-        let st = store();
-        let seg = st.create_segment("s");
-        let keep = st.insert(seg, vec![SP::Int(1), SP::Str("x".into())]).unwrap();
-        let doomed = st.insert(seg, vec![SP::Int(9)]).unwrap();
-
-        let t = st.begin_txn().unwrap();
-        st.write_field(keep, 0, SP::Int(42)).unwrap();
-        st.append_field(keep, SP::Int(7)).unwrap();
-        let created = st.insert(seg, vec![SP::Int(100)]).unwrap();
-        st.free(doomed).unwrap();
-        let new_seg = st.create_segment("temp");
-        st.insert(new_seg, vec![SP::Int(5)]).unwrap();
-        st.abort_txn(t).unwrap();
-
-        assert_eq!(st.read(keep).unwrap(), vec![SP::Int(1), SP::Str("x".into())]);
-        assert_eq!(st.read(doomed).unwrap(), vec![SP::Int(9)], "freed record restored");
-        assert!(st.read(created).is_err(), "inserted record rolled back");
-        assert!(st.segment_name(new_seg).is_err(), "created segment rolled back");
-    }
-
-    #[test]
-    fn txn_state_errors() {
-        let st = store();
-        let t = st.begin_txn().unwrap();
-        assert!(st.begin_txn().is_err(), "nested txn rejected");
-        assert!(st.drop_segment(SegmentId(0)).is_err(), "drop inside txn rejected");
-        st.commit_txn(t).unwrap();
-        assert!(st.commit_txn(t).is_err(), "double commit rejected");
-        assert!(st.abort_txn(t).is_err(), "abort after commit rejected");
-    }
-
-    #[test]
-    fn stale_token_is_rejected() {
-        let st = store();
-        let t1 = st.begin_txn().unwrap();
-        st.commit_txn(t1).unwrap();
-        let _t2 = st.begin_txn().unwrap();
-        assert!(st.commit_txn(t1).is_err(), "old token must not commit new txn");
-    }
-
-    #[test]
     fn drop_segment_frees_and_invalidates() {
         let st = store();
         let seg = st.create_segment("s");
@@ -1188,7 +1018,7 @@ mod tests {
         let st = store();
         let seg = st.create_segment("s");
         let rec = st.insert(seg, vec![SP::Int(1)]).unwrap();
-        let fork = st.fork_shared().unwrap();
+        let fork = st.fork_shared();
         assert!(st.shares_contents_with(&fork));
         fork.write_field(rec, 0, SP::Int(2)).unwrap();
         assert_eq!(st.read_field(rec, 0).unwrap(), SP::Int(2), "mutation visible via original");

@@ -1,6 +1,6 @@
 //! Model-based property tests: the paged store must behave exactly like a
 //! plain in-memory map of records under arbitrary operation sequences, with
-//! snapshots and transactions thrown in.
+//! snapshots thrown in.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -117,56 +117,5 @@ proptest! {
                 prop_assert_eq!(store.read(*rec).unwrap(), expected);
             }
         }
-    }
-
-    /// Aborting a transaction restores the exact pre-transaction state, for
-    /// arbitrary mutation mixes inside the transaction.
-    #[test]
-    fn abort_is_a_time_machine(
-        before in proptest::collection::vec((0usize..3, any::<i64>()), 1..12),
-        inside in proptest::collection::vec(op_strategy(), 1..20),
-    ) {
-        let store: SliceStore<SimplePayload> = SliceStore::default();
-        let mut segs = Vec::new();
-        for i in 0..3 {
-            segs.push(store.create_segment(&format!("s{i}")));
-        }
-        let mut live = Vec::new();
-        for (s, v) in before {
-            live.push(store.insert(segs[s], vec![SimplePayload::Int(v)]).unwrap());
-        }
-        let baseline = encode_store(&store);
-
-        let token = store.begin_txn().unwrap();
-        for op in inside {
-            match op {
-                Op::Insert(s, v) => {
-                    store.insert(segs[s % segs.len()], vec![SimplePayload::Int(v)]).ok();
-                }
-                Op::WriteField(r, _f, v) => {
-                    if !live.is_empty() {
-                        store.write_field(live[r % live.len()], 0, SimplePayload::Int(v)).ok();
-                    }
-                }
-                Op::AppendField(r, v) => {
-                    if !live.is_empty() {
-                        store.append_field(live[r % live.len()], SimplePayload::Int(v)).ok();
-                    }
-                }
-                Op::Free(r) => {
-                    if !live.is_empty() {
-                        store.free(live[r % live.len()]).ok();
-                    }
-                }
-                Op::Snapshot => {}
-            }
-        }
-        store.abort_txn(token).unwrap();
-        // Content identical to the pre-transaction snapshot.
-        let restored: SliceStore<SimplePayload> = decode_store(baseline).unwrap();
-        for rec in &live {
-            prop_assert_eq!(store.read(*rec).unwrap(), restored.read(*rec).unwrap());
-        }
-        prop_assert_eq!(store.total_bytes(), restored.total_bytes());
     }
 }

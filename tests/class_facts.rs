@@ -68,7 +68,7 @@ fn a_fork_and_a_published_snapshot_resolve_nothing_the_change_left_alone() {
     }
 
     // The fork of a warm system is warm.
-    let fork = tse.fork_shared().unwrap();
+    let fork = tse.fork_shared();
     let forked = fork.db().schema();
     let resolved = forked.types_resolved();
     for class in forked.class_ids() {

@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use batch::BatchClosure;
 use tse::classifier::Subsumption;
 use tse::core::{EvolutionReport, SchemaChange, SharedSystem, TseSystem};
-use tse::object_model::{PropertyDef, Schema, Value, ValueType};
-use tse::storage::FailAction;
+use tse::object_model::{Database, PropertyDef, Schema, Value, ValueType};
+use tse::storage::{FailAction, SegmentId};
 use tse::telemetry::JournalRecord;
 use tse::workload::trace::{generate_and_apply_trace, TraceMix};
 use tse::workload::university::{build_university, populate_university};
@@ -30,6 +30,24 @@ fn university() -> TseSystem {
     let (mut tse, _) = build_university().unwrap();
     tse.create_view_all(FAMILY).unwrap();
     tse
+}
+
+/// The university with 180 objects spread over its base classes.
+fn populated_university() -> TseSystem {
+    let mut tse = university();
+    let view = tse.current_view(FAMILY).unwrap().id;
+    populate_university(&mut tse, view, 180).unwrap();
+    tse
+}
+
+/// What a change must leave alone in the store it shares with the live
+/// system: the record write counters and the segments. A change adds
+/// capacity and moves no data, so it writes nothing there.
+fn store_footprint(db: &Database) -> ([u64; 4], Vec<(SegmentId, String)>) {
+    let stats = db.store_stats();
+    let counts =
+        [stats.records_allocated, stats.records_freed, stats.record_writes, stats.record_moves];
+    (counts, db.store().segments())
 }
 
 /// The benchmark's frozen trace: 105 changes, default mix, seed 1.
@@ -60,11 +78,14 @@ fn assert_equals_from_scratch(prover: &Subsumption, schema: &Schema, context: &s
 
 #[test]
 fn the_prover_equals_a_from_scratch_saturation_after_every_change_of_the_trace() {
-    let mut tse = university();
+    let mut tse = populated_university();
+    let footprint = store_footprint(tse.db());
+    assert!(!footprint.1.is_empty(), "the objects have segments");
     let mut duplicates = 0;
     for (i, change) in frozen_trace().iter().enumerate() {
         duplicates += tse.evolve(FAMILY, change).unwrap().duplicates_folded;
         assert_equals_from_scratch(&tse.prover(), tse.db().schema(), &format!("change {i}"));
+        assert_eq!(store_footprint(tse.db()), footprint, "change {i} wrote to the store");
     }
     // As at the commit before the prover became persistent (the repo
     // benchmark reports the same 519, and 48 of the 76 folds: it counts its
@@ -156,12 +177,15 @@ fn assert_same_outcome(got: &[EvolutionReport], schema: &Schema) {
 
 #[test]
 fn an_aborted_evolve_leaves_nothing_in_the_prover_of_an_in_memory_system() {
-    let tse = std::cell::RefCell::new(university());
+    let tse = std::cell::RefCell::new(populated_university());
     let failpoints = tse.borrow().failpoints().clone();
+    let footprint = store_footprint(tse.borrow().db());
     let reports = abort_then_reuse(
         &|command| {
             let out = tse.borrow_mut().evolve_cmd(FAMILY, command);
             let tse = tse.borrow();
+            // Failed or not, the change wrote nothing to the store.
+            assert_eq!(store_footprint(tse.db()), footprint, "{command}");
             // After a rollback the prover knows no class the schema lacks.
             assert!(tse.prover().known() <= tse.db().schema().class_count());
             assert_equals_from_scratch(&tse.prover(), tse.db().schema(), command);
