@@ -17,8 +17,13 @@
 //!   number of virtual classes earlier changes left behind grows (the prover
 //!   is extended per class, not rebuilt; the change should cost what it
 //!   touches). The per-preload medians land in `BENCH_ablation.json`.
+//! * **Op record** — a data-plane op's metrics land in a shard owned by the
+//!   recording thread, so a second thread recording on the same domain
+//!   costs the first nothing: the ns per recorded op from 1 and from 2
+//!   threads land in `BENCH_ablation.json`.
 
 use std::hint::black_box;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -26,7 +31,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use tse_core::TseSystem;
 use tse_object_model::{BinOp, MethodBody, Predicate, PropertyDef, Value, ValueType};
 use tse_storage::{SliceStore, StoreConfig};
-use tse_telemetry::JsonValue;
+use tse_telemetry::{op_name, JsonValue, Telemetry};
 
 fn families(n: usize) -> TseSystem {
     let mut tse = TseSystem::new();
@@ -285,6 +290,58 @@ fn prover_growth_rows() -> Vec<JsonValue> {
     rows
 }
 
+/// What a data-plane op's bookkeeping costs besides its clocks and its
+/// read: enter the session's trace, then count the op, record its latency
+/// and its wait for the system lock, and leave the trace — from 1 and from
+/// 2 threads recording on one domain at once. Each thread records into its
+/// own metric shard; while every op took the registry mutex, 2 threads
+/// cost up to 4.6× what 1 did. Per sample, the slower thread's ns per op.
+fn op_record_rows() -> Vec<JsonValue> {
+    const SAMPLES: usize = 15;
+    const OPS: u64 = 20_000;
+    let t = Telemetry::new();
+    let get = t.op(&op_name!("get"));
+    let trace = t.mint_trace("read_session");
+    let ns_per_op = |threads: usize| {
+        let barrier = Barrier::new(threads);
+        let record = || {
+            barrier.wait();
+            let start = Instant::now();
+            for _ in 0..OPS {
+                let scope = t.enter_trace(trace);
+                t.finish_op(scope, &get, black_box(500), Some(("lock.read_wait_ns", 1)));
+            }
+            start.elapsed().as_nanos() as u64 / OPS
+        };
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..threads).map(|_| s.spawn(record)).collect();
+            runs.into_iter().map(|run| run.join().unwrap()).max().unwrap()
+        })
+    };
+    let rows: Vec<(usize, u64)> = [1, 2]
+        .into_iter()
+        .map(|threads| {
+            let mut ns: Vec<u64> = (0..SAMPLES).map(|_| ns_per_op(threads)).collect();
+            ns.sort_unstable();
+            (threads, ns[SAMPLES / 2])
+        })
+        .collect();
+    let ratio = rows[1].1 as f64 / rows[0].1.max(1) as f64;
+    println!(
+        "bench ablation/op_record  1 thread {} ns/op, 2 threads {} ns/op, x{ratio:.2}",
+        rows[0].1, rows[1].1
+    );
+    rows.into_iter()
+        .map(|(threads, ns)| {
+            JsonValue::obj(vec![
+                ("threads", (threads as u64).into()),
+                ("ns_per_op", ns.into()),
+                ("samples", (SAMPLES as u64).into()),
+            ])
+        })
+        .collect()
+}
+
 /// The self-timed medians, as `BENCH_ablation.json`.
 fn bench_timed_medians(_c: &mut Criterion) {
     let (select_pass, select_hit) = select_pass_rows();
@@ -294,9 +351,10 @@ fn bench_timed_medians(_c: &mut Criterion) {
         ("select_pass", JsonValue::Arr(select_pass)),
         ("select_hit", JsonValue::Arr(select_hit)),
         ("classification_vs_schema_size", JsonValue::Arr(prover_growth_rows())),
+        ("op_record", JsonValue::Arr(op_record_rows())),
     ]);
     let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
-    println!("buffer-pool-touch, select-pass, select-hit and classification-vs-schema-size medians written to {path}");
+    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size and op-record medians written to {path}");
 }
 
 criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_timed_medians);

@@ -120,17 +120,22 @@ impl LogHandle {
 
     /// Refuse writes while degraded: reads keep serving from the published
     /// snapshot, writers get typed backpressure instead of a permanent
-    /// failure. A *poisoned* system falls through — the WAL's own fail-stop
-    /// error is the better diagnostic and must keep surfacing verbatim.
+    /// failure. A *poisoned* log refuses the write here too, before it
+    /// applies, with the WAL's own fail-stop error — the better diagnostic,
+    /// surfaced verbatim — so the live system never holds a write the log
+    /// turned away.
     pub(crate) fn check_writable(&self, telemetry: &Telemetry) -> ModelResult<()> {
-        if let SystemHealth::Degraded { reason } = self.health.current() {
-            telemetry.incr("health.rejected_writes", 1);
-            return Err(ModelError::Unavailable {
-                reason: reason.name().to_string(),
-                retry_after_ms: self.retry_after_ms(),
-            });
+        match self.health.current() {
+            SystemHealth::Healthy => Ok(()),
+            SystemHealth::Degraded { reason } => {
+                telemetry.incr("health.rejected_writes", 1);
+                Err(ModelError::Unavailable {
+                    reason: reason.name().to_string(),
+                    retry_after_ms: self.retry_after_ms(),
+                })
+            }
+            SystemHealth::Poisoned => Ok(self.wal.refuse_if_poisoned()?),
         }
-        Ok(())
     }
 
     /// The client backoff hint carried in `Unavailable`: the retry policy's

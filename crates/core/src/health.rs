@@ -130,7 +130,7 @@ impl HealthMachine {
     }
 
     /// True when writes should be refused with `Unavailable` (degraded
-    /// only — poisoned writes fall through to the WAL's own fail-stop
+    /// only — a poisoned system refuses them with the WAL's own fail-stop
     /// error, preserving its diagnostic).
     pub fn is_degraded(&self) -> bool {
         matches!(self.current(), SystemHealth::Degraded { .. })

@@ -110,7 +110,7 @@ use tse_storage::{
     EpochClock, FailpointRegistry, ReadEpochGuard, ReadPin, ScrubReport, StoreConfig,
     WriteStampGuard,
 };
-use tse_telemetry::{OpName, Telemetry};
+use tse_telemetry::{OpHandle, Telemetry};
 use tse_view::{ViewId, ViewManager, ViewSchema};
 
 use crate::change::{parse_change, SchemaChange};
@@ -234,6 +234,8 @@ struct SharedInner {
     meta: RwLock<Arc<MetaSnapshot>>,
     epoch: AtomicU64,
     telemetry: Telemetry,
+    /// The data-plane operations' metrics, resolved in `telemetry` once.
+    ops: ops::Ops,
     /// The handle `control.durable` appends through, reachable without the
     /// control mutex: the data plane appends its frames, checks health
     /// before every write and asks whether a checkpoint is due through it.
@@ -330,6 +332,7 @@ impl SharedSystem {
         let meta = Arc::new(MetaSnapshot::capture(1, &system));
         telemetry.set_gauge("epoch", 1);
         let log = durable.as_ref().map(|d| d.log().clone());
+        let ops = ops::Ops::resolve(&telemetry);
         SharedSystem {
             inner: Arc::new(SharedInner {
                 control: Mutex::new(ControlState { durable }),
@@ -338,6 +341,7 @@ impl SharedSystem {
                 meta: RwLock::new(meta),
                 epoch: AtomicU64::new(1),
                 telemetry,
+                ops,
                 log,
             }),
         }
@@ -508,7 +512,7 @@ impl SharedSystem {
             || self.evolve_under_latch(family, change),
         );
         if out.is_ok() {
-            maybe_autocheckpoint(&self.inner);
+            maybe_autocheckpoint(&self.inner, None);
         }
         out
     }
@@ -801,21 +805,41 @@ impl SharedSystem {
 }
 
 /// The data-plane operations, with their `op.<name>` / `latency.<name>`
-/// metric names interned (DESIGN.md §8). Each is observed at one place:
-/// [`ReadSession`]'s read scaffold or [`WriteSession`]'s logged write.
+/// metrics resolved once per system (DESIGN.md §8). Each is observed at one
+/// place: [`ReadSession`]'s read scaffold or [`WriteSession`]'s logged
+/// write.
 mod ops {
-    use tse_telemetry::{op_name, OpName};
+    use tse_telemetry::{op_name, OpHandle, Telemetry};
 
-    pub(super) const CREATE: OpName = op_name!("create");
-    pub(super) const GET: OpName = op_name!("get");
-    pub(super) const SET: OpName = op_name!("set");
-    pub(super) const EXTENT: OpName = op_name!("extent");
-    pub(super) const SELECT_WHERE: OpName = op_name!("select_where");
-    pub(super) const UPDATE_WHERE: OpName = op_name!("update_where");
-    pub(super) const INVOKE: OpName = op_name!("invoke");
-    pub(super) const ADD_TO: OpName = op_name!("add_to");
-    pub(super) const REMOVE_FROM: OpName = op_name!("remove_from");
-    pub(super) const DELETE_OBJECTS: OpName = op_name!("delete_objects");
+    pub(super) struct Ops {
+        pub(super) create: OpHandle,
+        pub(super) get: OpHandle,
+        pub(super) set: OpHandle,
+        pub(super) extent: OpHandle,
+        pub(super) select_where: OpHandle,
+        pub(super) update_where: OpHandle,
+        pub(super) invoke: OpHandle,
+        pub(super) add_to: OpHandle,
+        pub(super) remove_from: OpHandle,
+        pub(super) delete_objects: OpHandle,
+    }
+
+    impl Ops {
+        pub(super) fn resolve(t: &Telemetry) -> Ops {
+            Ops {
+                create: t.op(&op_name!("create")),
+                get: t.op(&op_name!("get")),
+                set: t.op(&op_name!("set")),
+                extent: t.op(&op_name!("extent")),
+                select_where: t.op(&op_name!("select_where")),
+                update_where: t.op(&op_name!("update_where")),
+                invoke: t.op(&op_name!("invoke")),
+                add_to: t.op(&op_name!("add_to")),
+                remove_from: t.op(&op_name!("remove_from")),
+                delete_objects: t.op(&op_name!("delete_objects")),
+            }
+        }
+    }
 }
 
 /// Did the error originate from a simulated-crash failpoint?
@@ -823,8 +847,14 @@ pub(crate) fn is_crash(e: &ModelError) -> bool {
     matches!(e, ModelError::Storage(s) if s.is_crash())
 }
 
-/// The histogram of waits for the `system` lock in shared mode.
+/// The histogram of waits for the `system` lock in shared mode. Like
+/// [`WRITE_WAIT`], a tracked wait: every telemetry domain resolves it when
+/// it is created, so passing it to `finish_op` by name looks nothing up.
 const READ_WAIT: &str = "lock.read_wait_ns";
+
+/// The histogram of a data write's wait for the swap latch and the system
+/// lock.
+const WRITE_WAIT: &str = "lock.write_wait_ns";
 
 /// Take the `system` lock shared; returns the guard and the wait in
 /// nanoseconds. Unless a swap-in holds the lock it is there at the first
@@ -880,7 +910,8 @@ impl Drop for ScrubberHandle {
 /// threshold. Runs in whichever mutation path next finds the control plane
 /// free — a busy control mutex means an evolve or checkpoint is already in
 /// flight, so skipping is always safe (the next write re-checks).
-fn maybe_autocheckpoint(inner: &SharedInner) {
+/// `trigger` is the trace of a mutation that has already left its scope.
+fn maybe_autocheckpoint(inner: &SharedInner, trigger: Option<u64>) {
     let Some(log) = &inner.log else { return };
     if !log.autocheckpoint_due() {
         return;
@@ -889,6 +920,7 @@ fn maybe_autocheckpoint(inner: &SharedInner) {
     let Some(durable) = ctl.durable.as_mut() else { return };
     // The checkpoint is its own causal unit: a fresh trace linked back to
     // the mutation that tripped the threshold via `follows_from`.
+    let _trigger = trigger.map(|trace| inner.telemetry.enter_trace(trace));
     let _trace = inner.telemetry.new_trace("autocheckpoint");
     let _latch = inner.latch.write();
     if !log.autocheckpoint_due() {
@@ -944,20 +976,22 @@ impl ReadSession {
         ReadEpochGuard::new(self.pinned_epoch())
     }
 
-    /// Run one data-plane read as the measured operation `name`, the way
+    /// Run one data-plane read as the measured operation `op`, the way
     /// [`WriteSession`]'s logged write runs every mutation: in the session's
     /// trace, `class_local` resolved against the pinned snapshot, `read`
-    /// at the pinned epoch under the shared system lock. Counts the
-    /// operation, records its latency and observes its wait for the lock,
-    /// all in one visit to the registry.
+    /// at the pinned epoch under the shared system lock. The thread's
+    /// telemetry context is visited twice: once to enter the trace, once to
+    /// count the operation, record its latency and its wait for the lock,
+    /// and leave the trace — into the thread's own metric shard, with no
+    /// lock taken.
     fn read<R>(
         &self,
-        name: &OpName,
+        op: OpHandle,
         view: ViewId,
         class_local: &str,
         read: impl FnOnce(&Database, ClassId) -> ModelResult<R>,
     ) -> ModelResult<R> {
-        let _t = self.inner.telemetry.enter_trace(self.trace);
+        let scope = self.inner.telemetry.enter_trace(self.trace);
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let _epoch = self.epoch_guard();
@@ -965,7 +999,7 @@ impl ReadSession {
         let out = read(sys.db(), class);
         drop(sys);
         let dur_ns = started.elapsed().as_nanos() as u64;
-        self.inner.telemetry.observe_op(name, dur_ns, Some((READ_WAIT, waited)));
+        self.inner.telemetry.finish_op(scope, &op, dur_ns, Some((READ_WAIT, waited)));
         out
     }
 
@@ -983,12 +1017,12 @@ impl ReadSession {
     /// lock-free against the pinned snapshot; the record read takes the
     /// shared lock.
     pub fn get(&self, view: ViewId, oid: Oid, class_local: &str, attr: &str) -> ModelResult<Value> {
-        self.read(&ops::GET, view, class_local, |db, class| db.read_attr(oid, class, attr))
+        self.read(self.inner.ops.get, view, class_local, |db, class| db.read_attr(oid, class, attr))
     }
 
     /// The extent of a view class.
     pub fn extent(&self, view: ViewId, class_local: &str) -> ModelResult<Vec<Oid>> {
-        self.read(&ops::EXTENT, view, class_local, |db, class| {
+        self.read(self.inner.ops.extent, view, class_local, |db, class| {
             Ok(db.extent(class)?.iter().copied().collect())
         })
     }
@@ -1009,7 +1043,7 @@ impl ReadSession {
         class_local: &str,
         expr: &str,
     ) -> ModelResult<Vec<Oid>> {
-        self.read(&ops::SELECT_WHERE, view, class_local, |db, class| {
+        self.read(self.inner.ops.select_where, view, class_local, |db, class| {
             let pred = tse_object_model::Predicate::Expr(crate::change::parse_expr(expr)?);
             tse_algebra::select_objects(db, class, pred)
         })
@@ -1017,7 +1051,7 @@ impl ReadSession {
 
     /// Invoke a property with dynamic dispatch through a view class.
     pub fn invoke(&self, view: ViewId, oid: Oid, class_local: &str, name: &str) -> ModelResult<Value> {
-        self.read(&ops::INVOKE, view, class_local, |db, class| db.invoke(oid, class, name))
+        self.read(self.inner.ops.invoke, view, class_local, |db, class| db.invoke(oid, class, name))
     }
 
     /// Cumulative storage access counters of the live system (what the
@@ -1086,25 +1120,28 @@ impl WriteSession {
     /// A failpoint that fired under `op` is counted in `fault.*` here, for
     /// every operation alike; one that fired under the append is counted by
     /// [`LogHandle::append`], like any frame's.
+    ///
+    /// Like [`ReadSession`]'s reads, a write visits the thread's telemetry
+    /// context twice (enter the trace; record the op and its wait for the
+    /// locks, and leave), taking no telemetry lock.
     fn with_data_logged<R>(
         &self,
-        name: &OpName,
+        name: OpHandle,
         op: impl FnOnce(&TseSystem) -> ModelResult<R>,
         record: impl FnOnce(&R) -> WalRecord,
     ) -> ModelResult<R> {
         let inner = &*self.inner;
-        let _t = inner.telemetry.enter_trace(self.trace);
+        let scope = inner.telemetry.enter_trace(self.trace);
         let started = Instant::now();
+        let mut waited = None;
         let out = (|| {
-            // Degraded backpressure comes first: while read-only, the
+            // Backpressure comes first: while read-only or poisoned, the
             // mutation must not even apply in memory (it could never be
             // made durable).
             check_writable(inner)?;
             let _latch = inner.latch.read();
             let sys = inner.system.read();
-            inner
-                .telemetry
-                .observe_ns("lock.write_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
+            waited = Some((WRITE_WAIT, (started.elapsed().as_nanos() as u64).max(1)));
             // One MVCC write ticket per operation: every version the op
             // installs carries the ticket's stamp, and the stable frontier
             // stays below it until this closure returns — a ReadSession
@@ -1122,8 +1159,9 @@ impl WriteSession {
             }
             Ok(out)
         })();
-        inner.telemetry.observe_op(name, started.elapsed().as_nanos() as u64, None);
-        maybe_autocheckpoint(inner);
+        let dur_ns = started.elapsed().as_nanos() as u64;
+        inner.telemetry.finish_op(scope, &name, dur_ns, waited);
+        maybe_autocheckpoint(inner, Some(self.trace));
         out
     }
 
@@ -1139,7 +1177,7 @@ impl WriteSession {
         let class = self.meta.resolve(view, class_local)?;
         let policy = &self.meta.policy;
         self.with_data_logged(
-            &ops::CREATE,
+            self.inner.ops.create,
             |sys| tse_algebra::create(sys.db(), policy, class, values),
             |oid| WalRecord::Create { class, oid: *oid, values: own_pairs(values) },
         )
@@ -1156,7 +1194,7 @@ impl WriteSession {
         let class = self.meta.resolve(view, class_local)?;
         let policy = &self.meta.policy;
         self.with_data_logged(
-            &ops::SET,
+            self.inner.ops.set,
             |sys| tse_algebra::set(sys.db(), policy, &[oid], class, assignments),
             |_| WalRecord::Set {
                 class,
@@ -1184,7 +1222,7 @@ impl WriteSession {
         let pred = tse_object_model::Predicate::Expr(body);
         let policy = &self.meta.policy;
         self.with_data_logged(
-            &ops::UPDATE_WHERE,
+            self.inner.ops.update_where,
             |sys| -> ModelResult<Vec<Oid>> {
                 let oids = tse_algebra::select_objects(sys.db(), class, pred)?;
                 tse_algebra::set(sys.db(), policy, &oids, class, assignments)?;
@@ -1205,7 +1243,7 @@ impl WriteSession {
         let class = self.meta.resolve(view, class_local)?;
         let policy = &self.meta.policy;
         self.with_data_logged(
-            &ops::ADD_TO,
+            self.inner.ops.add_to,
             |sys| tse_algebra::add(sys.db(), policy, oids, class),
             |_| WalRecord::AddTo { class, oids: oids.to_vec() },
         )
@@ -1216,7 +1254,7 @@ impl WriteSession {
         let class = self.meta.resolve(view, class_local)?;
         let policy = &self.meta.policy;
         self.with_data_logged(
-            &ops::REMOVE_FROM,
+            self.inner.ops.remove_from,
             |sys| tse_algebra::remove(sys.db(), policy, oids, class),
             |_| WalRecord::RemoveFrom { class, oids: oids.to_vec() },
         )
@@ -1227,7 +1265,7 @@ impl WriteSession {
     /// cross-segment delete cannot deadlock against a same-stripe writer.
     pub fn delete_objects(&self, oids: &[Oid]) -> ModelResult<()> {
         self.with_data_logged(
-            &ops::DELETE_OBJECTS,
+            self.inner.ops.delete_objects,
             |sys| tse_algebra::delete(sys.db(), oids),
             |_| WalRecord::Delete { oids: oids.to_vec() },
         )

@@ -167,6 +167,25 @@ fn a_crash_mid_change_poisons_the_log_until_a_reopen_redoes_it() {
     assert_eq!(sys.session().extent(v1, "Student").unwrap(), vec![oid], "the refused create");
 }
 
+/// The poisoned log turns a write away before it applies: the refusal
+/// carries the WAL's own error, the live extent never holds the refused
+/// object, and nothing reaches the log.
+#[test]
+fn a_poisoned_system_refuses_a_write_before_applying_it() {
+    let dir = tmpdir("poisoned_write");
+    let (sys, v1, oid) = seed(&dir);
+    sys.failpoints().arm("evolve.view_regen", 1, FailAction::Crash);
+    sys.evolve_cmd("VS", "add_attribute register: bool = false to Student").unwrap_err();
+    assert_eq!(sys.health(), SystemHealth::Poisoned);
+    let wal = sys.wal_len();
+
+    let refused = sys.writer().create(v1, "Student", &[("name", "bob".into())]).unwrap_err();
+    assert!(refused.to_string().contains("wal poisoned"), "{refused}");
+    assert_eq!(TseError::from(refused).code(), TseCode::Poisoned);
+    assert_eq!(sys.session().extent(v1, "Student").unwrap(), vec![oid], "the refused create applied");
+    assert_eq!(sys.wal_len(), wal, "the refused create reached the log");
+}
+
 #[test]
 fn crash_in_storage_insert_loses_only_the_unlogged_write() {
     let dir = tmpdir("storage_insert");

@@ -174,6 +174,42 @@ fn a_get_allocates_nothing_on_a_full_evicting_pool() {
     assert_eq!(hitting, 0, "a get that hits a full pool allocates");
 }
 
+/// A thread's telemetry in a system is set up by its first measured
+/// operation: its context and its metric shard, registered with the
+/// domain. Every later get records into that shard and allocates nothing.
+#[test]
+fn a_threads_first_get_allocates_its_shard_and_no_later_get_allocates() {
+    let (shared, oids) = evolved(StoreConfig::default());
+    let session = shared.session();
+    let newest = *session.meta().views().versions("VS").unwrap().last().unwrap();
+    let age = |oid| session.get(newest, oid, "Seminar", "age");
+    // Plans and name tables are the system's, not the thread's: warm them
+    // here, so the new thread's first get sets up only its telemetry.
+    for oid in &oids {
+        assert!(matches!(age(*oid), Ok(Value::Int(_))));
+    }
+    let (first, later) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let (_, first, bytes) = allocs_and_bytes(|| age(oids[0]).unwrap());
+            let (_, later) = allocs(|| {
+                for oid in &oids {
+                    assert!(matches!(age(*oid), Ok(Value::Int(_))));
+                }
+            });
+            ((first, bytes), later)
+        })
+        .join()
+        .unwrap()
+    });
+    let (first, bytes) = first;
+    assert!(
+        (1..=10).contains(&first) && bytes >= 1_000,
+        "a thread's first get made {first} allocations of {bytes} bytes"
+    );
+    assert_eq!(later, 0, "a get after the thread's first allocates");
+    assert_eq!(shared.telemetry().counter("op.get"), 2 * oids.len() as u64 + 1);
+}
+
 /// A select the extent cache cannot serve: a value write to a non-member
 /// kills the answer the warm-up cached (an ad-hoc select depends on every
 /// value), so the call runs the pass again.

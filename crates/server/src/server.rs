@@ -39,6 +39,7 @@ use tse_core::{
     TseError, TseReader, TseResult, TseWriter,
 };
 use tse_object_model::Value;
+use tse_telemetry::{CounterHandle, HistogramHandle};
 
 use crate::proto::{
     decode_request, encode_response, frame_reader, read_frame_idle, write_frame, FrameRead,
@@ -105,6 +106,10 @@ struct Shared {
     /// blocked in `read_frame` without severing their write side.
     conns: Mutex<HashMap<u64, TcpStream>>,
     handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// `server.requests` and `server.request_ns`, resolved once: each
+    /// handler records every request into its own thread's shard.
+    requests: CounterHandle,
+    request_ns: HistogramHandle,
 }
 
 impl Shared {
@@ -154,7 +159,10 @@ impl TseServer {
         let local = listener
             .local_addr()
             .map_err(|e| TseError::new(TseCode::Io, format!("local_addr failed: {e}")))?;
+        let telemetry = sys.telemetry();
         let shared = Arc::new(Shared {
+            requests: telemetry.counter_handle("server.requests"),
+            request_ns: telemetry.histogram_handle("server.request_ns"),
             sys,
             config,
             draining: AtomicBool::new(false),
@@ -363,7 +371,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             }
         };
         let started = Instant::now();
-        telemetry.incr("server.requests", 1);
+        telemetry.add(&shared.requests, 1);
         let (response, close) = match decode_request(&frame) {
             Ok(request) => {
                 let close = matches!(request, Request::Bye | Request::Shutdown);
@@ -373,7 +381,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             // the typed error, then hang up rather than guess at framing.
             Err(e) => (Response::from_error(&e), true),
         };
-        telemetry.observe_ns("server.request_ns", started.elapsed().as_nanos() as u64);
+        telemetry.record(&shared.request_ns, started.elapsed().as_nanos() as u64);
         if write_frame(&mut &stream, &encode_response(&response)).is_err() {
             break;
         }

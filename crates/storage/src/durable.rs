@@ -635,6 +635,15 @@ impl GroupWal {
     pub fn is_poisoned(&self) -> bool {
         self.inner.state.lock().unwrap().wal.poisoned
     }
+
+    /// The error an append would answer once the log is in fail-stop mode,
+    /// for a caller that must not apply a write the log is going to refuse.
+    pub fn refuse_if_poisoned(&self) -> StorageResult<()> {
+        if self.is_poisoned() {
+            return Err(poisoned_err());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

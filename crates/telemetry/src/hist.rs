@@ -5,6 +5,12 @@
 //! `2..=3`, bucket 3 holds `4..=7`, … — 65 buckets cover the whole `u64`
 //! domain. Cheap enough for per-operation latency recording on the data
 //! plane, and deterministic (no sampling).
+//!
+//! A [`Histogram`] is the domain-wide total, kept under the registry lock;
+//! `HistCells` is its twin in one thread's metric shard, written without
+//! a lock by that thread alone and folded into the total when summed.
+
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// One log₂ histogram: counts per bucket plus running aggregates.
 #[derive(Debug, Clone)]
@@ -52,6 +58,21 @@ impl Histogram {
         self.count
     }
 
+    /// Add a shard's observations to this total.
+    pub(crate) fn absorb(&mut self, cells: &HistCells) {
+        let count = cells.count.load(Relaxed);
+        if count == 0 {
+            return;
+        }
+        for (total, cell) in self.buckets.iter_mut().zip(&cells.buckets) {
+            *total += cell.load(Relaxed);
+        }
+        self.count += count;
+        self.sum = self.sum.saturating_add(cells.sum.load(Relaxed));
+        self.min = self.min.min(cells.min.load(Relaxed));
+        self.max = self.max.max(cells.max.load(Relaxed));
+    }
+
     /// Point-in-time copy with only the populated buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -67,6 +88,67 @@ impl Histogram {
                 .map(|(i, c)| (bucket_upper_bound(i), *c))
                 .collect(),
         }
+    }
+}
+
+/// One histogram in a thread's metric shard: the buckets and aggregates of
+/// a [`Histogram`] as atomics. Only the owning thread writes them, each
+/// with a relaxed load and store (no lock-prefixed read-modify-write); any
+/// thread may read them.
+///
+/// The aggregates come first (`repr(C)` keeps them there) so that they
+/// share a cache line with the lowest buckets, where a wait that never
+/// blocked lands.
+#[repr(C)]
+pub(crate) struct HistCells {
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: [AtomicU64; 65],
+}
+
+/// Add `by` to a cell only its owner writes.
+pub(crate) fn bump(cell: &AtomicU64, by: u64) {
+    cell.store(cell.load(Relaxed).wrapping_add(by), Relaxed);
+}
+
+impl HistCells {
+    pub(crate) fn new() -> Self {
+        HistCells {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// Record one observation. Owner thread only.
+    pub(crate) fn record(&self, v: u64) {
+        bump(&self.buckets[bucket_index(v)], 1);
+        bump(&self.count, 1);
+        self.sum.store(self.sum.load(Relaxed).saturating_add(v), Relaxed);
+        if v < self.min.load(Relaxed) {
+            self.min.store(v, Relaxed);
+        }
+        if v > self.max.load(Relaxed) {
+            self.max.store(v, Relaxed);
+        }
+    }
+
+    /// Become a copy of `other`. Only while neither owner records.
+    pub(crate) fn copy_from(&self, other: &HistCells) {
+        let cells = self.buckets.iter().chain([&self.count, &self.sum, &self.min, &self.max]);
+        let from = other.buckets.iter().chain([&other.count, &other.sum, &other.min, &other.max]);
+        for (to, from) in cells.zip(from) {
+            to.store(from.load(Relaxed), Relaxed);
+        }
+    }
+
+    /// Back to empty. Owner thread only.
+    pub(crate) fn clear(&self) {
+        self.copy_from(&HistCells::new());
     }
 }
 
@@ -136,6 +218,23 @@ mod tests {
         // 0 -> b0; 1 -> b1; 2,3 -> b2; 4 -> b3; 1000 -> b10 (513..=1023).
         assert_eq!(s.buckets, vec![(0, 1), (1, 1), (3, 2), (7, 1), (1023, 1)]);
         assert!((s.mean() - 1010.0 / 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn absorbed_cells_equal_recording_into_the_total() {
+        let values = [0, 1, 2, 3, 4, 1000, 77];
+        let mut direct = Histogram::default();
+        let cells = HistCells::new();
+        let mut total = Histogram::default();
+        for v in values {
+            direct.record(v);
+            cells.record(v);
+        }
+        total.absorb(&cells);
+        assert_eq!(total.snapshot(), direct.snapshot());
+        cells.clear();
+        total.absorb(&cells);
+        assert_eq!(total.snapshot(), direct.snapshot(), "cleared cells add nothing");
     }
 
     #[test]

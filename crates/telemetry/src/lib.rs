@@ -20,7 +20,14 @@
 //! * **Metrics registry** ([`Telemetry::incr`], [`Telemetry::observe_ns`],
 //!   [`Telemetry::set_gauge`]): named `u64` counters/gauges and log₂-bucket
 //!   histograms, snapshotted deterministically with
-//!   [`Telemetry::snapshot`].
+//!   [`Telemetry::snapshot`]. A name resolves once to a dense slot
+//!   ([`Telemetry::op`], [`Telemetry::counter_handle`],
+//!   [`Telemetry::histogram_handle`]); counters and histograms are then
+//!   recorded into a **shard owned by the recording thread**, which takes
+//!   no lock and hashes no name. A snapshot sums the domain's totals and
+//!   every live shard; a thread's shard is folded into the totals when its
+//!   context drops, and a reset starts a new generation that each owner
+//!   applies to its own shard. Gauges stay domain-wide.
 //! * **Flight recorder** ([`Telemetry::journal_lines`]): every closed span
 //!   and explicit event lands in a **bounded ring buffer** (default
 //!   [`DEFAULT_JOURNAL_CAPACITY`] records; overflow evicts the oldest
@@ -43,6 +50,7 @@
 pub mod hist;
 pub mod json;
 
+mod metrics;
 mod registry;
 mod span;
 
@@ -67,7 +75,10 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 64 * 1024;
 /// operation context, so a `slow_op` event can attribute where a slow
 /// operation spent its time. Every name here is observed *on the thread
 /// performing the operation* (lock acquisition and group-commit waits run
-/// inline), which is what makes the attribution causally correct.
+/// inline), which is what makes the attribution causally correct. Every
+/// domain resolves them at its creation, to the histogram slots of their
+/// positions here, so a wait passed to [`Telemetry::observe_op`] by name
+/// finds its slot without the registry.
 const TRACKED_WAITS: &[&str] = &[
     "lock.stripe_wait_ns",
     "lock.read_wait_ns",
@@ -112,6 +123,55 @@ macro_rules! op_name {
     };
 }
 
+/// A counter resolved to its slot in one domain ([`Telemetry::counter_handle`]):
+/// [`Telemetry::add`] records through it without a lock.
+#[derive(Debug, Clone, Copy)]
+pub struct CounterHandle {
+    domain: u64,
+    slot: usize,
+}
+
+/// A histogram resolved to its slot in one domain
+/// ([`Telemetry::histogram_handle`]): [`Telemetry::record`] records through
+/// it without a lock.
+#[derive(Debug, Clone, Copy)]
+pub struct HistogramHandle {
+    domain: u64,
+    slot: usize,
+    /// The name, when it is one of the tracked waits.
+    tracked: Option<&'static str>,
+}
+
+/// An operation's `op.<name>` counter and `latency.<name>` histogram
+/// resolved in one domain ([`Telemetry::op`]).
+#[derive(Debug, Clone, Copy)]
+pub struct OpHandle {
+    name: &'static str,
+    count: CounterHandle,
+    latency: HistogramHandle,
+}
+
+/// What [`Telemetry::observe_op`] counts: an [`OpHandle`], resolved once,
+/// or an [`OpName`], resolved under the registry lock on every call as a
+/// name passed to [`Telemetry::incr`] is.
+pub trait OpKey {
+    /// The operation's slots in `telemetry`'s domain.
+    fn handle(&self, telemetry: &Telemetry) -> OpHandle;
+}
+
+impl OpKey for OpName {
+    fn handle(&self, telemetry: &Telemetry) -> OpHandle {
+        telemetry.op(self)
+    }
+}
+
+impl OpKey for OpHandle {
+    fn handle(&self, telemetry: &Telemetry) -> OpHandle {
+        debug_assert_eq!(self.count.domain, telemetry.inner.id, "an OpHandle of another domain");
+        *self
+    }
+}
+
 /// One trace scope entered on a thread (innermost last on the stack).
 pub(crate) struct TraceScope {
     pub(crate) trace: u64,
@@ -121,9 +181,10 @@ pub(crate) struct TraceScope {
 }
 
 /// What one thread keeps for one domain without sharing it: the trace
-/// scopes it has entered and the waits of its current operation. Both are
-/// only ever touched by the thread itself, so they live in a thread-local
-/// and entering a trace or accumulating a wait takes no lock.
+/// scopes it has entered, the waits of its current operation and its
+/// metric shard. All are only ever written by the thread itself, so they
+/// live in a thread-local, and entering a trace, accumulating a wait or
+/// recording a metric takes no lock.
 struct LocalCtx {
     domain: u64,
     /// Dead once the domain is dropped: the context is then garbage.
@@ -132,6 +193,9 @@ struct LocalCtx {
     /// Tracked waits accumulated since the last [`Telemetry::observe_op`]
     /// on this thread (name → summed ns).
     waits: Vec<(&'static str, u64)>,
+    /// This thread's cells of the domain's metrics, registered with the
+    /// domain on the first recording and folded into its totals on drop.
+    shard: Option<Arc<metrics::Shard>>,
 }
 
 impl LocalCtx {
@@ -144,6 +208,44 @@ impl LocalCtx {
         match self.waits.iter_mut().find(|(n, _)| *n == name) {
             Some((_, sum)) => *sum += ns,
             None => self.waits.push((name, ns)),
+        }
+    }
+
+    /// Pop the innermost scope of `trace`.
+    fn leave(&mut self, trace: u64) {
+        if let Some(pos) = self.traces.iter().rposition(|s| s.trace == trace) {
+            self.traces.remove(pos);
+        }
+    }
+
+    /// This thread's shard, with room for counter slots below `counters`
+    /// and histogram slots below `hists`: registered with the domain on
+    /// first touch, regrown once the domain has resolved more names, and
+    /// zeroed by its owner — this thread — once a reset came since.
+    fn shard(&mut self, inner: &Inner, counters: usize, hists: usize) -> &metrics::Shard {
+        if !self.shard.as_ref().is_some_and(|s| s.fits(counters, hists)) {
+            let old = self.shard.take();
+            self.shard = Some(inner.lock().metrics.register(old, counters, hists));
+        }
+        let shard = self.shard.as_deref().expect("registered above");
+        let generation = inner.reset_generation.load(Ordering::Acquire);
+        if shard.generation() < generation {
+            shard.restart(generation);
+        }
+        shard
+    }
+}
+
+impl Drop for LocalCtx {
+    /// Fold the shard into the domain's totals, so a thread that is gone
+    /// leaves its counts and nothing else behind.
+    fn drop(&mut self) {
+        if let (Some(shard), Some(inner)) = (self.shard.take(), self.owner.upgrade()) {
+            // A registry poisoned by a panic has lost more than this shard;
+            // a drop must not panic on top of it.
+            if let Ok(mut st) = inner.state.lock() {
+                st.metrics.fold(&shard);
+            }
         }
     }
 }
@@ -161,6 +263,10 @@ static NEXT_DOMAIN: AtomicU64 = AtomicU64::new(1);
 /// Run `f` on the calling thread's context for `domain`, creating it (and
 /// dropping other domains' idle contexts) on first touch. `None` only while
 /// the thread is being torn down.
+///
+/// Never called with a domain's registry lock held: dropping an idle
+/// context folds its shard under its domain's lock, and a first recording
+/// registers a shard under this one's.
 fn with_local<R>(domain: &Arc<Inner>, f: impl FnOnce(&mut LocalCtx) -> R) -> Option<R> {
     LOCAL
         .try_with(|local| {
@@ -174,6 +280,7 @@ fn with_local<R>(domain: &Arc<Inner>, f: impl FnOnce(&mut LocalCtx) -> R) -> Opt
                         owner: Arc::downgrade(domain),
                         traces: Vec::new(),
                         waits: Vec::new(),
+                        shard: None,
                     });
                     local.len() - 1
                 }
@@ -193,8 +300,7 @@ pub(crate) struct ThreadCtx {
 }
 
 pub(crate) struct State {
-    pub(crate) counters: HashMap<String, u64>,
-    pub(crate) histograms: HashMap<String, Histogram>,
+    pub(crate) metrics: metrics::Metrics,
     pub(crate) threads: HashMap<ThreadId, ThreadCtx>,
     /// Dense 1-based thread numbering, assigned on first touch and **kept
     /// for the domain's lifetime** even when the heavy [`ThreadCtx`] is
@@ -207,7 +313,6 @@ pub(crate) struct State {
     pub(crate) sink_records: u64,
     pub(crate) next_span_id: u64,
     pub(crate) next_trace_id: u64,
-    pub(crate) slow_op_threshold_ns: u64,
 }
 
 impl State {
@@ -242,22 +347,17 @@ impl State {
         }
     }
 
-    /// Add `by` to a counter without allocating when it exists.
+    /// Add `by` to a counter's domain total, without allocating when the
+    /// name exists.
     pub(crate) fn bump(&mut self, name: &str, by: u64) {
-        match self.counters.get_mut(name) {
-            Some(count) => *count += by,
-            None => {
-                self.counters.insert(name.to_string(), by);
-            }
-        }
+        self.metrics.bump(name, by);
     }
 
-    /// Record into a histogram without allocating when it exists.
+    /// Record into a histogram's domain total, without allocating when the
+    /// name exists.
     pub(crate) fn record(&mut self, name: &str, value: u64) {
-        match self.histograms.get_mut(name) {
-            Some(hist) => hist.record(value),
-            None => self.histograms.entry(name.to_string()).or_default().record(value),
-        }
+        let slot = self.metrics.touch_hist(name);
+        self.metrics.record(slot, value);
     }
 
     /// Append one record: stream it to the sink (if any), then push it into
@@ -275,14 +375,14 @@ impl State {
             let mut line = rec.to_json().render();
             line.push('\n');
             let wrote = sink.write_all(line.as_bytes()).or_else(|_| {
-                *self.counters.entry("journal.sink_errors".into()).or_insert(0) += 1;
+                self.metrics.bump("journal.sink_errors", 1);
                 sink.write_all(line.as_bytes())
             });
             if wrote.is_ok() {
                 self.sink_records += 1;
             } else {
-                *self.counters.entry("journal.sink_errors".into()).or_insert(0) += 1;
-                *self.counters.entry("journal.sink_detached".into()).or_insert(0) += 1;
+                self.bump("journal.sink_errors", 1);
+                self.bump("journal.sink_detached", 1);
                 self.sink = None;
                 self.sink_records = 0;
                 let tid = self.tid();
@@ -301,26 +401,50 @@ impl State {
                         "sink write failed twice; detached".into(),
                     )],
                 };
-                while self.journal.len() >= self.journal_capacity.max(1) {
-                    self.journal.pop_front();
-                    *self.counters.entry("journal.dropped".into()).or_insert(0) += 1;
-                }
-                self.journal.push_back(detached);
+                self.push_into_ring(detached);
             }
         }
+        self.push_into_ring(rec);
+    }
+
+    /// Push onto the ring, evicting (and counting) the oldest on overflow.
+    fn push_into_ring(&mut self, rec: JournalRecord) {
         while self.journal.len() >= self.journal_capacity.max(1) {
             self.journal.pop_front();
-            *self.counters.entry("journal.dropped".into()).or_insert(0) += 1;
+            self.bump("journal.dropped", 1);
         }
         self.journal.push_back(rec);
     }
+}
+
+/// The calling thread's journal stamp: `(tid, trace, innermost open
+/// span)`, for a record made under `trace` (the thread's active trace, read
+/// before the lock was taken). Falls back to the innermost open span's
+/// trace when no trace scope is entered (a span guard held across a scope
+/// exit keeps attributing).
+fn stamp(st: &mut State, trace: Option<u64>) -> (u64, Option<u64>, Option<u64>) {
+    let innermost = st.innermost_span().map(|s| (s.id, s.trace));
+    let trace = trace.or_else(|| innermost.and_then(|(_, trace)| trace));
+    (st.tid(), trace, innermost.map(|(id, _)| id))
 }
 
 pub(crate) struct Inner {
     /// Process-unique id: keys this domain's thread-local contexts.
     pub(crate) id: u64,
     pub(crate) epoch: Instant,
+    /// The metrics' reset generation, read by each shard's owner without
+    /// the lock (written under it).
+    reset_generation: AtomicU64,
+    /// 0 = the slow-op log is off.
+    slow_op_threshold_ns: AtomicU64,
     pub(crate) state: Mutex<State>,
+}
+
+impl Inner {
+    /// The registry lock.
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state.lock().expect("a thread panicked while holding the telemetry registry")
+    }
 }
 
 /// A cloneable handle to one telemetry domain (registry + journal + the
@@ -378,9 +502,7 @@ impl Drop for TraceGuard {
         let _ = LOCAL.try_with(|local| {
             let mut local = local.borrow_mut();
             if let Some(ctx) = local.iter_mut().find(|c| c.domain == self.domain) {
-                if let Some(pos) = ctx.traces.iter().rposition(|s| s.trace == self.trace) {
-                    ctx.traces.remove(pos);
-                }
+                ctx.leave(self.trace);
             }
         });
     }
@@ -394,10 +516,11 @@ impl Default for Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.state.lock().unwrap();
+        let st = self.inner.lock();
+        let (counters, histograms) = st.metrics.len();
         f.debug_struct("Telemetry")
-            .field("counters", &st.counters.len())
-            .field("histograms", &st.histograms.len())
+            .field("counters", &counters)
+            .field("histograms", &histograms)
             .field("journal_records", &st.journal.len())
             .field("threads", &st.threads.len())
             .field("open_spans", &st.threads.values().map(|c| c.stack.len()).sum::<usize>())
@@ -419,9 +542,10 @@ impl Telemetry {
             inner: Arc::new(Inner {
                 id: NEXT_DOMAIN.fetch_add(1, Ordering::Relaxed),
                 epoch: Instant::now(),
+                reset_generation: AtomicU64::new(0),
+                slow_op_threshold_ns: AtomicU64::new(0),
                 state: Mutex::new(State {
-                    counters: Default::default(),
-                    histograms: Default::default(),
+                    metrics: metrics::Metrics::new(TRACKED_WAITS),
                     threads: HashMap::new(),
                     tids: HashMap::new(),
                     next_tid: 1,
@@ -431,7 +555,6 @@ impl Telemetry {
                     sink_records: 0,
                     next_span_id: 1,
                     next_trace_id: 1,
-                    slow_op_threshold_ns: 0,
                 }),
             }),
         }
@@ -444,26 +567,41 @@ impl Telemetry {
 
     // ----- counters / gauges -------------------------------------------------
 
-    /// Add `by` to the named counter (creating it at zero).
+    /// Add `by` to the named counter (creating it at zero). The name is
+    /// looked up under the registry lock, then recorded as through
+    /// [`Telemetry::add`].
     pub fn incr(&self, name: &str, by: u64) {
-        self.inner.state.lock().unwrap().bump(name, by);
+        let slot = self.inner.lock().metrics.touch_counter(name);
+        self.add(&CounterHandle { domain: self.inner.id, slot }, by);
     }
 
     /// Set the named counter to an absolute value (gauge semantics),
-    /// without allocating when it exists.
+    /// without allocating when it exists. Gauges are domain-wide: they are
+    /// set under the registry lock, not sharded.
     pub fn set_gauge(&self, name: &str, value: u64) {
-        let mut st = self.inner.state.lock().unwrap();
-        match st.counters.get_mut(name) {
-            Some(gauge) => *gauge = value,
-            None => {
-                st.counters.insert(name.to_string(), value);
-            }
-        }
+        self.inner.lock().metrics.set(name, value);
     }
 
     /// Current value of a counter/gauge (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.state.lock().unwrap().counters.get(name).copied().unwrap_or(0)
+        self.inner.lock().metrics.counter(name)
+    }
+
+    /// The named counter resolved to its slot, for [`Telemetry::add`]. A
+    /// counter resolved but never added to stays out of snapshots.
+    pub fn counter_handle(&self, name: &str) -> CounterHandle {
+        CounterHandle { domain: self.inner.id, slot: self.inner.lock().metrics.counter_slot(name) }
+    }
+
+    /// Add `by` to a resolved counter, in the calling thread's shard: no
+    /// lock, no name lookup.
+    pub fn add(&self, counter: &CounterHandle, by: u64) {
+        debug_assert_eq!(counter.domain, self.inner.id, "a CounterHandle of another domain");
+        let slot = counter.slot;
+        let added = with_local(&self.inner, |ctx| ctx.shard(&self.inner, slot + 1, 0).add(slot, by));
+        if added.is_none() {
+            self.inner.lock().metrics.add(slot, by);
+        }
     }
 
     // ----- histograms --------------------------------------------------------
@@ -471,18 +609,46 @@ impl Telemetry {
     /// Record one observation (e.g. nanoseconds) into the named log₂
     /// histogram. Tracked wait names (`lock.*_wait_ns`, `wal.fsync_ns`,
     /// `wal.commit_wait_ns`) additionally accumulate into the calling
-    /// thread's operation context for slow-op attribution.
+    /// thread's operation context for slow-op attribution. The name is
+    /// looked up under the registry lock, then recorded as through
+    /// [`Telemetry::record`].
     pub fn observe_ns(&self, name: &str, value: u64) {
-        self.inner.state.lock().unwrap().record(name, value);
-        if let Some(tracked) = TRACKED_WAITS.iter().find(|w| **w == name) {
-            with_local(&self.inner, |ctx| ctx.add_wait(tracked, value));
+        let slot = self.inner.lock().metrics.touch_hist(name);
+        let tracked = TRACKED_WAITS.iter().find(|w| **w == name).copied();
+        self.record(&HistogramHandle { domain: self.inner.id, slot, tracked }, value);
+    }
+
+    /// The named histogram resolved to its slot, for
+    /// [`Telemetry::record`]. A histogram resolved but never recorded into
+    /// stays out of snapshots.
+    pub fn histogram_handle(&self, name: &str) -> HistogramHandle {
+        let slot = self.inner.lock().metrics.hist_slot(name);
+        let tracked = TRACKED_WAITS.iter().find(|w| **w == name).copied();
+        HistogramHandle { domain: self.inner.id, slot, tracked }
+    }
+
+    /// Record one observation into a resolved histogram, in the calling
+    /// thread's shard: no lock, no name lookup. A tracked wait also
+    /// accumulates for slow-op attribution, as through
+    /// [`Telemetry::observe_ns`].
+    pub fn record(&self, hist: &HistogramHandle, value: u64) {
+        debug_assert_eq!(hist.domain, self.inner.id, "a HistogramHandle of another domain");
+        let (slot, tracked) = (hist.slot, hist.tracked);
+        let recorded = with_local(&self.inner, |ctx| {
+            ctx.shard(&self.inner, 0, slot + 1).record(slot, value);
+            if let Some(name) = tracked {
+                ctx.add_wait(name, value);
+            }
+        });
+        if recorded.is_none() {
+            self.inner.lock().metrics.record(slot, value);
         }
     }
 
     /// Create the named histogram empty, so snapshots carry it before its
     /// first observation.
     pub fn register_histogram(&self, name: &str) {
-        self.inner.state.lock().unwrap().histograms.entry(name.to_string()).or_default();
+        self.inner.lock().metrics.touch_hist(name);
     }
 
     /// Time a closure into the named histogram; returns its result.
@@ -499,7 +665,25 @@ impl Telemetry {
     /// least `ns` nanoseconds emit a `slow_op` journal event enriched with
     /// the thread's tracked waits. `0` (the default) disables the log.
     pub fn set_slow_op_threshold_ns(&self, ns: u64) {
-        self.inner.state.lock().unwrap().slow_op_threshold_ns = ns;
+        self.inner.slow_op_threshold_ns.store(ns, Ordering::Relaxed);
+    }
+
+    fn slow_op_threshold(&self) -> u64 {
+        self.inner.slow_op_threshold_ns.load(Ordering::Relaxed)
+    }
+
+    /// An operation's `op.<name>` counter and `latency.<name>` histogram
+    /// resolved once, for [`Telemetry::observe_op`] and
+    /// [`Telemetry::finish_op`].
+    pub fn op(&self, name: &OpName) -> OpHandle {
+        let mut st = self.inner.lock();
+        let count = CounterHandle { domain: self.inner.id, slot: st.metrics.counter_slot(name.counter) };
+        let latency = HistogramHandle {
+            domain: self.inner.id,
+            slot: st.metrics.hist_slot(name.latency),
+            tracked: None,
+        };
+        OpHandle { name: name.name, count, latency }
     }
 
     /// Count one data-plane operation (`op.<name>`), record its latency
@@ -511,43 +695,109 @@ impl Telemetry {
     ///
     /// `waited` is a tracked wait the caller measured itself during the
     /// operation (`(histogram name, ns)`, e.g. its `lock.read_wait_ns`): it
-    /// is observed exactly as [`Telemetry::observe_ns`] would, but under
-    /// the lock this call takes anyway, so a fast operation costs one
-    /// acquisition of the registry, not two.
-    pub fn observe_op(&self, op: &OpName, dur_ns: u64, waited: Option<(&'static str, u64)>) {
+    /// is observed and attributed exactly as [`Telemetry::observe_ns`]
+    /// would, in the same visit to the thread's context.
+    ///
+    /// Everything lands in the calling thread's metric shard. Given an
+    /// [`OpHandle`] and a tracked wait, an operation under the threshold
+    /// takes no lock and hashes no name; only a slow one takes the registry
+    /// lock, to journal its event.
+    pub fn observe_op(&self, op: &impl OpKey, dur_ns: u64, waited: Option<(&'static str, u64)>) {
+        self.op_done(&op.handle(self), dur_ns, waited, None);
+    }
+
+    /// [`Telemetry::observe_op`], then leave `scope` (the operation's trace
+    /// scope) in the same visit to the thread's context. A slow operation's
+    /// event is stamped with the scope's trace.
+    pub fn finish_op(
+        &self,
+        scope: TraceGuard,
+        op: &impl OpKey,
+        dur_ns: u64,
+        waited: Option<(&'static str, u64)>,
+    ) {
+        self.op_done(&op.handle(self), dur_ns, waited, Some(scope));
+    }
+
+    fn op_done(
+        &self,
+        op: &OpHandle,
+        dur_ns: u64,
+        waited: Option<(&'static str, u64)>,
+        scope: Option<TraceGuard>,
+    ) {
         let dur_ns = dur_ns.max(1);
-        let mut st = self.inner.state.lock().unwrap();
-        st.bump(op.counter, 1);
-        st.record(op.latency, dur_ns);
-        if let Some((name, ns)) = waited {
-            st.record(name, ns);
-        }
-        let threshold = st.slow_op_threshold_ns;
+        let wait = waited.map(|(name, ns)| (name, self.wait_slot(name), ns));
+        let threshold = self.slow_op_threshold();
         let slow = threshold > 0 && dur_ns >= threshold;
-        // The thread's accumulated waits end with the operation; a slow one
-        // takes them along.
-        let waits = with_local(&self.inner, |ctx| {
-            if let Some((name, ns)) = waited {
-                ctx.add_wait(name, ns);
+        let (count, latency) = (op.count.slot, op.latency.slot);
+        let hists = wait.map_or(latency, |(_, slot, _)| slot.max(latency)) + 1;
+        let visited = with_local(&self.inner, |ctx| {
+            let shard = ctx.shard(&self.inner, count + 1, hists);
+            shard.add(count, 1);
+            shard.record(latency, dur_ns);
+            if let Some((_, slot, ns)) = wait {
+                shard.record(slot, ns);
             }
-            let waits = if slow { ctx.waits.clone() } else { Vec::new() };
+            // The thread's accumulated waits end with the operation; a slow
+            // one takes them along. Nobody reads them without a threshold,
+            // so the operation's own wait joins them only under one.
+            let mut journaled = None;
+            if threshold > 0 {
+                if let Some((name, _, ns)) = wait {
+                    ctx.add_wait(name, ns);
+                }
+                if slow {
+                    journaled = Some((ctx.waits.clone(), ctx.traces.last().map(|s| s.trace)));
+                }
+            }
             ctx.waits.clear();
-            waits
+            if let Some(scope) = &scope {
+                ctx.leave(scope.trace);
+            }
+            journaled
         });
-        if slow {
-            st.bump("slow_op.count", 1);
+        let journaled = match visited {
+            Some(journaled) => {
+                // Already left above; the guard has nothing left to pop.
+                std::mem::forget(scope);
+                journaled
+            }
+            // The thread is being torn down: no context, so the totals.
+            None => {
+                let mut st = self.inner.lock();
+                st.metrics.add(count, 1);
+                st.metrics.record(latency, dur_ns);
+                if let Some((_, slot, ns)) = wait {
+                    st.metrics.record(slot, ns);
+                }
+                slow.then(|| (Vec::new(), None))
+            }
+        };
+        if let Some((waits, trace)) = journaled {
             let mut fields: Vec<(String, JsonValue)> = vec![
                 ("op".into(), op.name.into()),
                 ("dur_ns".into(), dur_ns.into()),
                 ("threshold_ns".into(), threshold.into()),
             ];
-            for (name, sum) in waits.unwrap_or_default() {
+            for (name, sum) in waits {
                 fields.push((name.to_string(), sum.into()));
             }
             let at_ns = self.now_ns();
-            let (tid, trace, parent) = self.stamp(&mut st);
+            let mut st = self.inner.lock();
+            st.bump("slow_op.count", 1);
+            let (tid, trace, parent) = stamp(&mut st, trace);
             let rec = JournalRecord::Event { name: "slow_op".into(), at_ns, parent, trace, tid, fields };
             st.push_record(rec);
+        }
+    }
+
+    /// The histogram slot of a wait passed by name: a tracked wait's is
+    /// fixed at the domain's creation; any other name is looked up.
+    fn wait_slot(&self, name: &str) -> usize {
+        match TRACKED_WAITS.iter().position(|w| *w == name) {
+            Some(slot) => slot,
+            None => self.inner.lock().metrics.hist_slot(name),
         }
     }
 
@@ -559,7 +809,7 @@ impl Telemetry {
     /// per operation.
     pub fn mint_trace(&self, kind: &str) -> u64 {
         let at_ns = self.now_ns();
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.lock();
         let trace = st.next_trace_id;
         st.next_trace_id += 1;
         let tid = st.tid();
@@ -619,7 +869,7 @@ impl Telemetry {
     pub fn new_trace(&self, kind: &str) -> TraceGuard {
         let at_ns = self.now_ns();
         let prev = self.current_trace();
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.lock();
         let trace = st.next_trace_id;
         st.next_trace_id += 1;
         let follows_span = st.innermost_span().map(|s| s.id);
@@ -650,7 +900,7 @@ impl Telemetry {
     /// thread. `None` when no trace is active.
     pub fn handoff(&self) -> Option<TraceHandoff> {
         let trace = self.current_trace()?;
-        let span = self.inner.state.lock().unwrap().innermost_span().map(|s| s.id);
+        let span = self.inner.lock().innermost_span().map(|s| s.id);
         Some(TraceHandoff { trace, span })
     }
 
@@ -664,22 +914,13 @@ impl Telemetry {
 
     // ----- events ------------------------------------------------------------
 
-    /// Current thread's journal stamp: `(tid, active trace, innermost open
-    /// span)`. Falls back to the innermost open span's trace when no trace
-    /// scope is entered (a span guard held across a scope exit keeps
-    /// attributing).
-    fn stamp(&self, st: &mut State) -> (u64, Option<u64>, Option<u64>) {
-        let innermost = st.innermost_span().map(|s| (s.id, s.trace));
-        let trace = self.current_trace().or_else(|| innermost.and_then(|(_, trace)| trace));
-        (st.tid(), trace, innermost.map(|(id, _)| id))
-    }
-
     /// Append a free-form event record to the journal, stamped with the
     /// calling thread's id and active trace.
     pub fn event(&self, name: &str, fields: &[(&str, JsonValue)]) {
         let at_ns = self.now_ns();
-        let mut st = self.inner.state.lock().unwrap();
-        let (tid, trace, parent) = self.stamp(&mut st);
+        let trace = self.current_trace();
+        let mut st = self.inner.lock();
+        let (tid, trace, parent) = stamp(&mut st, trace);
         let rec = JournalRecord::Event {
             name: name.to_string(),
             at_ns,
@@ -696,17 +937,17 @@ impl Telemetry {
     /// Resize the journal ring buffer. Shrinking evicts the oldest records
     /// (counted in `journal.dropped`).
     pub fn set_journal_capacity(&self, capacity: usize) {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.lock();
         st.journal_capacity = capacity.max(1);
         while st.journal.len() > st.journal_capacity {
             st.journal.pop_front();
-            *st.counters.entry("journal.dropped".into()).or_insert(0) += 1;
+            st.bump("journal.dropped", 1);
         }
     }
 
     /// The journal ring's current capacity in records.
     pub fn journal_capacity(&self) -> usize {
-        self.inner.state.lock().unwrap().journal_capacity
+        self.inner.lock().journal_capacity
     }
 
     /// Records evicted from the ring so far (the `journal.dropped`
@@ -722,7 +963,7 @@ impl Telemetry {
     /// the instrumented operation.
     pub fn attach_sink(&self, path: &Path) -> std::io::Result<()> {
         let file = std::fs::File::create(path)?;
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.lock();
         if let Some(mut old) = st.sink.take() {
             let _ = old.flush();
         }
@@ -733,7 +974,7 @@ impl Telemetry {
 
     /// Detach the sink, flushing it; returns the record count it received.
     pub fn detach_sink(&self) -> std::io::Result<u64> {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.lock();
         let n = st.sink_records;
         if let Some(mut sink) = st.sink.take() {
             sink.flush()?;
@@ -744,13 +985,10 @@ impl Telemetry {
 
     // ----- snapshot / journal ------------------------------------------------
 
-    /// A deterministic point-in-time copy of every counter and histogram.
+    /// A deterministic point-in-time copy of every counter and histogram:
+    /// the domain's totals plus every live thread's shard.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let st = self.inner.state.lock().unwrap();
-        MetricsSnapshot {
-            counters: st.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: st.histograms.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect(),
-        }
+        self.inner.lock().metrics.snapshot()
     }
 
     /// Embed the current metrics snapshot in the journal as a
@@ -765,12 +1003,12 @@ impl Telemetry {
     /// sustained load with a full ring this is the *tail* of history; the
     /// sink keeps the rest.
     pub fn journal(&self) -> Vec<JournalRecord> {
-        self.inner.state.lock().unwrap().journal.iter().cloned().collect()
+        self.inner.lock().journal.iter().cloned().collect()
     }
 
     /// The in-ring journal serialised as JSON-lines (one object per line).
     pub fn journal_lines(&self) -> String {
-        let st = self.inner.state.lock().unwrap();
+        let st = self.inner.lock();
         let mut out = String::new();
         for rec in &st.journal {
             out.push_str(&rec.to_json().render());
@@ -781,11 +1019,13 @@ impl Telemetry {
 
     /// Drop all recorded state (counters, histograms, journal ring). Open
     /// span guards and entered traces keep working; their records land in
-    /// the fresh journal. An attached sink is left in place.
+    /// the fresh journal. An attached sink is left in place. Resolved
+    /// handles stay valid. Each thread's shard is zeroed by that thread
+    /// when it next records; until then its cells count as empty.
     pub fn reset(&self) {
-        let mut st = self.inner.state.lock().unwrap();
-        st.counters.clear();
-        st.histograms.clear();
+        let mut st = self.inner.lock();
+        let generation = st.metrics.reset();
+        self.inner.reset_generation.store(generation, Ordering::Release);
         st.journal.clear();
     }
 }
@@ -1040,5 +1280,159 @@ mod tests {
             }
             other => panic!("expected span, got {other:?}"),
         }
+    }
+
+    /// Four threads record through one resolved op on one domain; three
+    /// have exited (their shards folded into the totals) and one is still
+    /// alive (its shard summed live) when the snapshot is taken.
+    #[test]
+    fn sharded_counts_are_exact_across_live_and_exited_threads() {
+        const OPS: u64 = 10_000;
+        let t = Telemetry::new();
+        let get = t.op(&op_name!("get"));
+        let work = move |t: Telemetry| {
+            for i in 0..OPS {
+                t.observe_op(&get, 100 + i % 7, Some(("lock.read_wait_ns", 1)));
+            }
+        };
+        let joined: Vec<_> = (0..3)
+            .map(|_| {
+                let t = t.clone();
+                std::thread::spawn(move || work(t))
+            })
+            .collect();
+        for handle in joined {
+            handle.join().unwrap();
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let alive = {
+            let t = t.clone();
+            std::thread::spawn(move || {
+                work(t);
+                done_tx.send(()).unwrap();
+                exit_rx.recv().unwrap();
+            })
+        };
+        done_rx.recv().unwrap();
+        let check = |snap: &MetricsSnapshot| {
+            assert_eq!(snap.counter("op.get"), 4 * OPS);
+            assert_eq!(snap.histograms["latency.get"].count, 4 * OPS);
+            assert_eq!(snap.histograms["lock.read_wait_ns"].count, 4 * OPS);
+            assert_eq!(snap.histograms["lock.read_wait_ns"].sum, 4 * OPS);
+        };
+        check(&t.snapshot());
+        assert_eq!(t.counter("op.get"), 4 * OPS);
+        exit_tx.send(()).unwrap();
+        alive.join().unwrap();
+        check(&t.snapshot());
+    }
+
+    #[test]
+    fn a_reset_empties_a_shard_that_predates_it() {
+        let t = Telemetry::new();
+        let get = t.op(&op_name!("get"));
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = {
+            let t = t.clone();
+            std::thread::spawn(move || {
+                while go_rx.recv().is_ok() {
+                    t.observe_op(&get, 10, None);
+                    done_tx.send(()).unwrap();
+                }
+            })
+        };
+        for _ in 0..5 {
+            go_tx.send(()).unwrap();
+            done_rx.recv().unwrap();
+        }
+        assert_eq!(t.counter("op.get"), 5);
+        t.reset();
+        assert_eq!(t.counter("op.get"), 0, "the worker's shard predates the reset");
+        assert!(t.snapshot().counters.is_empty());
+        go_tx.send(()).unwrap();
+        done_rx.recv().unwrap();
+        assert_eq!(t.counter("op.get"), 1);
+        assert_eq!(t.snapshot().histograms["latency.get"].count, 1);
+        drop(go_tx);
+        worker.join().unwrap();
+        assert_eq!(t.counter("op.get"), 1, "folded at exit");
+    }
+
+    #[test]
+    fn two_domains_on_one_thread_do_not_mix() {
+        let (a, b) = (Telemetry::new(), Telemetry::new());
+        let (get_a, get_b) = (a.op(&op_name!("get")), b.op(&op_name!("get")));
+        let hits = b.counter_handle("hits");
+        for _ in 0..3 {
+            a.observe_op(&get_a, 5, None);
+        }
+        b.observe_op(&get_b, 5, None);
+        b.add(&hits, 2);
+        assert_eq!((a.counter("op.get"), b.counter("op.get")), (3, 1));
+        assert_eq!((a.counter("hits"), b.counter("hits")), (0, 2));
+        // A third domain drops the idle contexts of the first two, folding
+        // their shards: nothing is lost or moved.
+        let c = Telemetry::new();
+        c.incr("x", 1);
+        assert_eq!((a.counter("op.get"), b.counter("op.get"), c.counter("x")), (3, 1, 1));
+    }
+
+    #[test]
+    fn a_resolved_name_stays_absent_until_recorded() {
+        let t = Telemetry::new();
+        let hits = t.counter_handle("hits");
+        let lat = t.histogram_handle("lat");
+        let _op = t.op(&op_name!("get"));
+        let snap = t.snapshot();
+        assert!(snap.counters.is_empty() && snap.histograms.is_empty(), "{snap:?}");
+        // Through the registry a zero still creates the counter, as before.
+        t.incr("zero", 0);
+        t.add(&hits, 4);
+        t.record(&lat, 9);
+        let snap = t.snapshot();
+        assert_eq!(snap.counters.len(), 2);
+        assert_eq!((snap.counter("zero"), snap.counter("hits")), (0, 4));
+        assert_eq!(snap.histograms["lat"].sum, 9);
+        assert_eq!(snap.histograms.len(), 1);
+    }
+
+    #[test]
+    fn a_shard_regrows_for_names_resolved_after_it() {
+        let t = Telemetry::new();
+        let first = t.counter_handle("first");
+        t.add(&first, 1);
+        // Enough names after the shard was registered to outgrow its room.
+        let later: Vec<_> = (0..100).map(|i| t.counter_handle(&format!("later{i}"))).collect();
+        for (i, handle) in later.iter().enumerate() {
+            t.add(handle, i as u64 + 1);
+            t.observe_ns(&format!("h{i}"), i as u64);
+        }
+        t.add(&first, 1);
+        assert_eq!(t.counter("first"), 2);
+        assert_eq!(t.counter("later99"), 100);
+        assert_eq!(t.snapshot().histograms.len(), 100);
+    }
+
+    #[test]
+    fn finish_op_journals_a_slow_op_under_its_scope_and_leaves_it() {
+        let t = Telemetry::new();
+        let create = t.op(&op_name!("create"));
+        t.set_slow_op_threshold_ns(1000);
+        let trace = t.mint_trace("write_session");
+        let scope = t.enter_trace(trace);
+        t.observe_ns("lock.stripe_wait_ns", 40);
+        t.finish_op(scope, &create, 5000, Some(("lock.write_wait_ns", 2)));
+        assert_eq!(t.current_trace(), None, "the scope was left");
+        assert_eq!(t.counter("slow_op.count"), 1);
+        let journal = t.journal();
+        let slow = journal.iter().find(|r| r.name() == "slow_op").expect("slow_op event");
+        assert_eq!(slow.trace(), Some(trace));
+        let JournalRecord::Event { fields, .. } = slow else { panic!("{slow:?}") };
+        for (name, ns) in [("lock.stripe_wait_ns", 40), ("lock.write_wait_ns", 2)] {
+            assert!(fields.iter().any(|(k, v)| k == name && *v == JsonValue::U64(ns)), "{fields:?}");
+        }
+        assert_eq!(t.snapshot().histograms["lock.write_wait_ns"].count, 1);
     }
 }

@@ -193,7 +193,7 @@ impl Telemetry {
         let owner = std::thread::current().id();
         let scope = self.scope();
         let scope_trace = scope.map(|(trace, _)| trace);
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.lock();
         // A span runs from after this lock to before the one that closes
         // it, both on the domain's one clock: a child's interval lies inside
         // its parent's however long either waited for the registry.
@@ -224,7 +224,7 @@ impl Telemetry {
 impl SpanGuard {
     /// Attach a field to this span (visible in its journal record).
     pub fn record(&self, key: &str, value: impl Into<JsonValue>) {
-        let mut st = self.telemetry.inner.state.lock().unwrap();
+        let mut st = self.telemetry.inner.lock();
         if let Some(ctx) = st.threads.get_mut(&self.owner) {
             if let Some(frame) = ctx.stack.iter_mut().find(|f| f.id == self.id) {
                 frame.fields.push((key.to_string(), value.into()));
@@ -243,7 +243,7 @@ impl SpanGuard {
         }
         self.closed = true;
         let end_ns = self.telemetry.now_ns();
-        let mut st = self.telemetry.inner.state.lock().unwrap();
+        let mut st = self.telemetry.inner.lock();
         // Pop this span — and any still-open children above it on the SAME
         // thread's stack (a child guard outliving its parent). Children are
         // force-closed so journal parent links stay consistent, but each

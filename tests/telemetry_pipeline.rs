@@ -155,3 +155,112 @@ fn a_session_update_where_counts_itself_once_and_no_select() {
     let after = (count("op.update_where"), count("op.select_where"));
     assert_eq!(after, (before.0 + 2, before.1), "(update_where, select_where) counts");
 }
+
+/// A university system with one `Student` behind view family `VS1`.
+fn one_student() -> (SharedSystem, tse::object_model::Oid) {
+    let (tse, _) = build_university().unwrap();
+    let sys = SharedSystem::from_system(tse);
+    let client = sys.client("VS1");
+    client.create_view(&["Person", "Student"]).unwrap();
+    let o = client.writer().unwrap().create("Student", &[("age", Value::Int(20))]).unwrap();
+    (sys, o)
+}
+
+/// Per-thread metric shards sum exactly: three reader threads have exited
+/// (their shards folded into the domain's totals) and a fourth is still
+/// alive (its shard summed live) when the snapshot is taken.
+#[test]
+fn gets_from_four_threads_are_counted_exactly() {
+    const GETS: u64 = 10_000;
+    let (sys, o) = one_student();
+    // Sessions open here: opening one observes a wait for the system lock
+    // too, and the reset below leaves only the gets to count.
+    let mut readers: Vec<_> = (0..4).map(|_| sys.client("VS1").session().unwrap()).collect();
+    sys.telemetry().reset();
+    let read_all = move |r: &dyn TseReader| {
+        for _ in 0..GETS {
+            assert_eq!(r.get(o, "Student", "age").unwrap(), Value::Int(20));
+        }
+    };
+    let last = readers.pop().unwrap();
+    let exited: Vec<_> = readers
+        .into_iter()
+        .map(|r| std::thread::spawn(move || read_all(&r)))
+        .collect();
+    for handle in exited {
+        handle.join().unwrap();
+    }
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+    let alive = std::thread::spawn(move || {
+        read_all(&last);
+        done_tx.send(()).unwrap();
+        exit_rx.recv().unwrap();
+    });
+    done_rx.recv().unwrap();
+    let snap = sys.telemetry().snapshot();
+    assert_eq!(snap.counter("op.get"), 4 * GETS);
+    assert_eq!(snap.histograms["latency.get"].count, 4 * GETS);
+    assert_eq!(snap.histograms["lock.read_wait_ns"].count, 4 * GETS);
+    exit_tx.send(()).unwrap();
+    alive.join().unwrap();
+    assert_eq!(sys.telemetry().snapshot().counter("op.get"), 4 * GETS, "after the last exit");
+}
+
+/// A reset reaches a shard its owner filled before it: the next get on that
+/// thread counts from zero.
+#[test]
+fn a_get_after_a_reset_counts_once_on_a_thread_that_counted_before() {
+    let (sys, o) = one_student();
+    let reader = sys.client("VS1").session().unwrap();
+    let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        while go_rx.recv().is_ok() {
+            reader.get(o, "Student", "age").unwrap();
+            done_tx.send(()).unwrap();
+        }
+    });
+    for _ in 0..3 {
+        go_tx.send(()).unwrap();
+        done_rx.recv().unwrap();
+    }
+    assert_eq!(sys.telemetry().counter("op.get"), 3);
+    sys.telemetry().reset();
+    go_tx.send(()).unwrap();
+    done_rx.recv().unwrap();
+    let snap = sys.telemetry().snapshot();
+    assert_eq!(snap.counter("op.get"), 1);
+    assert_eq!(snap.histograms["latency.get"].count, 1);
+    drop(go_tx);
+    worker.join().unwrap();
+}
+
+#[test]
+fn two_systems_read_on_one_thread_count_apart() {
+    let (a, oa) = one_student();
+    let (b, ob) = one_student();
+    let (ra, rb) = (a.client("VS1").session().unwrap(), b.client("VS1").session().unwrap());
+    for _ in 0..3 {
+        ra.get(oa, "Student", "age").unwrap();
+    }
+    rb.get(ob, "Student", "age").unwrap();
+    assert_eq!(a.telemetry().snapshot().counter("op.get"), 3);
+    assert_eq!(b.telemetry().snapshot().counter("op.get"), 1);
+}
+
+/// With a threshold set, a get over it journals a `slow_op` event carrying
+/// its wait for the system lock, stamped with the session's trace.
+#[test]
+fn a_slow_get_journals_its_waits() {
+    let (sys, o) = one_student();
+    let reader = sys.client("VS1").session().unwrap();
+    sys.telemetry().set_slow_op_threshold_ns(1);
+    reader.get(o, "Student", "age").unwrap();
+    assert_eq!(sys.telemetry().counter("slow_op.count"), 1);
+    let lines = sys.telemetry().journal_lines();
+    let slow = lines.lines().find(|l| l.contains("\"name\":\"slow_op\"")).expect("slow_op event");
+    assert!(slow.contains("\"op\":\"get\""), "{slow}");
+    assert!(slow.contains("\"lock.read_wait_ns\":"), "{slow}");
+    assert!(!slow.contains("\"trace\":null"), "{slow}");
+}
