@@ -69,7 +69,7 @@ fn define_rec(
             let schema = db.schema_mut();
             schema.create_virtual_class(
                 name,
-                Derivation::Select { src, pred: tse_object_model::Predicate::True },
+                Derivation::Select { src, pred: tse_object_model::Predicate::TRUE },
             )
         }
         Query::Select { src, pred } => {
@@ -122,7 +122,7 @@ fn define_rec(
 mod tests {
     use super::*;
     use crate::typing::intent_type;
-    use tse_object_model::{CmpOp, Predicate, PropertyDef, Value, ValueType};
+    use tse_object_model::{BinOp, Predicate, PropertyDef, Value, ValueType};
 
     fn setup() -> (Database, ClassId, ClassId) {
         let mut db = Database::default();
@@ -159,7 +159,7 @@ mod tests {
         let before = db.schema().class_count();
         let q = Query::union(
             Query::difference(Query::class(person), Query::class(student)),
-            Query::select(Query::class(student), Predicate::cmp("gpa", CmpOp::Ge, 3.0)),
+            Query::select(Query::class(student), Predicate::cmp("gpa", BinOp::Ge, 3.0)),
         );
         let v = define_vc(&mut db, "Mixed", &q).unwrap();
         // Target + two intermediates.
@@ -186,7 +186,7 @@ mod tests {
         assert!(define_vc(
             &mut db,
             "Bad2",
-            &Query::select(Query::class(person), Predicate::cmp("salary", CmpOp::Gt, 0))
+            &Query::select(Query::class(person), Predicate::cmp("salary", BinOp::Gt, 0))
         )
         .is_err());
         assert!(define_vc(

@@ -9,7 +9,7 @@
 //!
 //! ```
 //! use tse_algebra::{define_vc, create, Query, UpdatePolicy};
-//! use tse_object_model::{Database, CmpOp, Predicate, PropertyDef, Value, ValueType};
+//! use tse_object_model::{parse_expr, BinOp, Database, Predicate, PropertyDef, Value, ValueType};
 //!
 //! let mut db = Database::default();
 //! let person = db.schema_mut().create_base_class("Person", &[]).unwrap();
@@ -31,6 +31,12 @@
 //! let o = create(&mut db, &policy, vip, &[("age", Value::Int(30)), ("level", Value::Int(3))]).unwrap();
 //! assert!(db.is_member(o, person).unwrap());
 //! assert_eq!(db.read_attr(o, vip, "level").unwrap(), Value::Int(3));
+//!
+//! // A select: its predicate is one boolean expression, built or parsed.
+//! let adults = Predicate::cmp("age", BinOp::Ge, 18);
+//! assert_eq!(adults, Predicate::Expr(parse_expr("age >= 18").unwrap()));
+//! let adult = define_vc(&mut db, "Adult", &Query::select(Query::class(person), adults)).unwrap();
+//! assert!(db.is_member(o, adult).unwrap());
 //! ```
 
 #![warn(missing_docs)]

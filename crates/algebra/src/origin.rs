@@ -91,7 +91,7 @@ mod tests {
         let b = db.schema_mut().create_base_class("B", &[]).unwrap();
         let v1 = db
             .schema_mut()
-            .create_virtual_class("V1", Derivation::Select { src: a, pred: Predicate::True })
+            .create_virtual_class("V1", Derivation::Select { src: a, pred: Predicate::TRUE })
             .unwrap();
         let v2 = db
             .schema_mut()

@@ -161,12 +161,12 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tse_object_model::CmpOp;
+    use tse_object_model::BinOp;
 
     #[test]
     fn builders_and_render() {
         let q = Query::union(
-            Query::select(Query::class(ClassId(1)), Predicate::cmp("age", CmpOp::Ge, 18)),
+            Query::select(Query::class(ClassId(1)), Predicate::cmp("age", BinOp::Ge, 18)),
             Query::hide(Query::class(ClassId(2)), &["ssn"]),
         );
         let rendered = q.render(&|c| format!("C{}", c.0));

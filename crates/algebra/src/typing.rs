@@ -247,7 +247,7 @@ mod tests {
             .create_virtual_class("U", Derivation::Union { a: person, b: h })
             .unwrap();
         // A chain: the select's intent is the hide's, one level down.
-        let pred = tse_object_model::Predicate::IsSet("name".into());
+        let pred = tse_object_model::Predicate::is_set("name");
         let s = db
             .schema_mut()
             .create_virtual_class("S", Derivation::Select { src: h, pred })

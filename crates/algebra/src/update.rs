@@ -333,7 +333,7 @@ mod tests {
     use super::*;
     use crate::define::define_vc;
     use crate::query::Query;
-    use tse_object_model::{CmpOp, Predicate, PropertyDef, ValueType};
+    use tse_object_model::{BinOp, Predicate, PropertyDef, ValueType};
 
     fn setup() -> (Database, ClassId, ClassId) {
         let mut db = Database::default();
@@ -358,7 +358,7 @@ mod tests {
         let adult = define_vc(
             &mut db,
             "Adult",
-            &Query::select(Query::class(person), Predicate::cmp("age", CmpOp::Ge, 18)),
+            &Query::select(Query::class(person), Predicate::cmp("age", BinOp::Ge, 18)),
         )
         .unwrap();
         let policy = UpdatePolicy::default(); // Reject
@@ -480,7 +480,7 @@ mod tests {
         let adult = define_vc(
             &mut db,
             "Adult",
-            &Query::select(Query::class(person), Predicate::cmp("age", CmpOp::Ge, 18)),
+            &Query::select(Query::class(person), Predicate::cmp("age", BinOp::Ge, 18)),
         )
         .unwrap();
         let policy = UpdatePolicy::default();
@@ -500,7 +500,7 @@ mod tests {
         let adult = define_vc(
             &mut db,
             "Adult",
-            &Query::select(Query::class(person), Predicate::cmp("age", CmpOp::Ge, 18)),
+            &Query::select(Query::class(person), Predicate::cmp("age", BinOp::Ge, 18)),
         )
         .unwrap();
         let policy = UpdatePolicy::default();
@@ -516,9 +516,9 @@ mod tests {
         let o1 = db.create_object(person, &[("age", Value::Int(10))]).unwrap();
         let o2 = db.create_object(person, &[("age", Value::Int(40))]).unwrap();
         let picked =
-            select_objects(&db, person, Predicate::cmp("age", CmpOp::Gt, 18)).unwrap();
+            select_objects(&db, person, Predicate::cmp("age", BinOp::Gt, 18)).unwrap();
         assert_eq!(picked, vec![o2]);
-        let all = select_objects(&db, person, Predicate::True).unwrap();
+        let all = select_objects(&db, person, Predicate::TRUE).unwrap();
         assert_eq!(all, vec![o1, o2]);
     }
 
@@ -538,7 +538,7 @@ mod tests {
         let q = Query::refine(
             Query::select(
                 Query::union(Query::class(staff), Query::class(student)),
-                Predicate::cmp("age", CmpOp::Ge, 0),
+                Predicate::cmp("age", BinOp::Ge, 0),
             ),
             vec![PropertyDef::stored("badge", ValueType::Int, Value::Int(0))],
         );

@@ -168,7 +168,7 @@ fn fig12_13() {
         "HonorStudent",
         &tse_algebra::Query::select(
             tse_algebra::Query::class(u.student),
-            tse_object_model::Predicate::cmp("gpa", tse_object_model::CmpOp::Ge, 3.5),
+            tse_object_model::Predicate::cmp("gpa", tse_object_model::BinOp::Ge, 3.5),
         ),
     )
     .unwrap();

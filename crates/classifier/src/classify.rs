@@ -233,9 +233,7 @@ pub fn check_type_agreement(db: &Database, class: ClassId) -> ModelResult<bool> 
 mod tests {
     use super::*;
     use tse_algebra::{define_vc, Query};
-    use tse_object_model::{
-        CmpOp, Predicate, PropertyDef, Value, ValueType,
-    };
+    use tse_object_model::{parse_expr, BinOp, Predicate, PropertyDef, Value, ValueType};
 
     /// Classify with a prover built for this call and dropped.
     fn classify(db: &mut Database, class: ClassId) -> ModelResult<Placement> {
@@ -269,7 +267,7 @@ mod tests {
         let adult = define_vc(
             &mut db,
             "Adult",
-            &Query::select(Query::class(person), Predicate::cmp("age", CmpOp::Ge, 18)),
+            &Query::select(Query::class(person), Predicate::cmp("age", BinOp::Ge, 18)),
         )
         .unwrap();
         let p = classify(&mut db, adult).unwrap();
@@ -381,20 +379,35 @@ mod tests {
         let a = define_vc(
             &mut db,
             "Adult",
-            &Query::select(Query::class(person), Predicate::cmp("age", CmpOp::Ge, 18)),
+            &Query::select(Query::class(person), Predicate::cmp("age", BinOp::Ge, 18)),
         )
         .unwrap();
         classify(&mut db, a).unwrap();
         let b = define_vc(
             &mut db,
             "GrownUp",
-            &Query::select(Query::class(person), Predicate::cmp("age", CmpOp::Ge, 18)),
+            &Query::select(Query::class(person), Predicate::cmp("age", BinOp::Ge, 18)),
         )
         .unwrap();
         let p = classify(&mut db, b).unwrap();
         assert_eq!(p.duplicate_of, Some(a));
         assert_eq!(p.class, a);
         assert!(db.schema().by_name("GrownUp").is_err(), "duplicate name freed");
+    }
+
+    /// A predicate built in code and the same predicate parsed from text
+    /// are one expression, so their select classes are one class.
+    #[test]
+    fn a_built_and_a_parsed_predicate_select_one_class() {
+        let (mut db, person, _, _, _) = setup();
+        let built = Predicate::cmp("age", BinOp::Ge, 18);
+        let a = define_vc(&mut db, "Adult", &Query::select(Query::class(person), built)).unwrap();
+        classify(&mut db, a).unwrap();
+        let parsed = Predicate::Expr(parse_expr("age >= 18").unwrap());
+        let b = define_vc(&mut db, "Major", &Query::select(Query::class(person), parsed)).unwrap();
+        let p = classify(&mut db, b).unwrap();
+        assert_eq!(p.duplicate_of, Some(a));
+        assert!(db.schema().by_name("Major").is_err(), "duplicate name freed");
     }
 
     #[test]

@@ -482,7 +482,7 @@ mod tests {
     use super::*;
     use crate::batch::BatchClosure;
     use proptest::prelude::*;
-    use tse_object_model::CmpOp;
+    use tse_object_model::BinOp;
 
     fn saturated(schema: &Schema) -> Subsumption {
         let mut prover = Subsumption::default();
@@ -529,7 +529,7 @@ mod tests {
     fn operator_rules() {
         let (mut s, person, student, staff) = schema();
         let sel = s
-            .create_virtual_class("Sel", Derivation::Select { src: person, pred: Predicate::True })
+            .create_virtual_class("Sel", Derivation::Select { src: person, pred: Predicate::TRUE })
             .unwrap();
         let hid = s
             .create_virtual_class("Hid", Derivation::Hide { src: student, hidden: vec![] })
@@ -572,7 +572,7 @@ mod tests {
         let honor = s
             .create_virtual_class(
                 "Honor",
-                Derivation::Select { src: student, pred: Predicate::True },
+                Derivation::Select { src: student, pred: Predicate::TRUE },
             )
             .unwrap();
         let honor_plus = s.create_refine_class("Honor+", honor, vec![], vec![]).unwrap();
@@ -586,10 +586,10 @@ mod tests {
     fn no_false_positives_between_siblings() {
         let (mut s, _, student, staff) = schema();
         let a = s
-            .create_virtual_class("A", Derivation::Select { src: student, pred: Predicate::True })
+            .create_virtual_class("A", Derivation::Select { src: student, pred: Predicate::TRUE })
             .unwrap();
         let b = s
-            .create_virtual_class("B", Derivation::Select { src: staff, pred: Predicate::True })
+            .create_virtual_class("B", Derivation::Select { src: staff, pred: Predicate::TRUE })
             .unwrap();
         let sub = saturated(&s);
         assert!(!sub.subsumes(a, b));
@@ -602,7 +602,7 @@ mod tests {
     fn monotone_select_rule() {
         // select(Sub, p) ⊆ select(Sup, p) — the §6.7.3 add-class argument.
         let (mut s, person, student, _) = schema();
-        let p = Predicate::True;
+        let p = Predicate::TRUE;
         let big = s
             .create_virtual_class("Big", Derivation::Select { src: person, pred: p.clone() })
             .unwrap();
@@ -634,10 +634,10 @@ mod tests {
     fn identical_derivations_are_extent_equal() {
         let (mut s, person, _, _) = schema();
         let a = s
-            .create_virtual_class("A", Derivation::Select { src: person, pred: Predicate::True })
+            .create_virtual_class("A", Derivation::Select { src: person, pred: Predicate::TRUE })
             .unwrap();
         let b = s
-            .create_virtual_class("B", Derivation::Select { src: person, pred: Predicate::True })
+            .create_virtual_class("B", Derivation::Select { src: person, pred: Predicate::TRUE })
             .unwrap();
         let sub = saturated(&s);
         assert!(sub.extent_equal(a, b));
@@ -647,7 +647,7 @@ mod tests {
     fn equal_predicates_with_different_bits_share_the_index() {
         // 0.0 == -0.0: the hash index must file both predicates together.
         let (mut s, person, student, _) = schema();
-        let at = |zero: f64| Predicate::Cmp { attr: "x".into(), op: CmpOp::Ge, value: zero.into() };
+        let at = |zero: f64| Predicate::cmp("x", BinOp::Ge, zero);
         let big = s
             .create_virtual_class("Big", Derivation::Select { src: person, pred: at(0.0) })
             .unwrap();
@@ -744,10 +744,10 @@ mod tests {
             lag in 1usize..4,
         ) {
             let preds = [
-                Predicate::True,
-                Predicate::IsSet("x".into()),
-                Predicate::Cmp { attr: "x".into(), op: CmpOp::Ge, value: 0.0.into() },
-                Predicate::Cmp { attr: "x".into(), op: CmpOp::Ge, value: (-0.0).into() },
+                Predicate::TRUE,
+                Predicate::is_set("x"),
+                Predicate::cmp("x", BinOp::Ge, 0.0),
+                Predicate::cmp("x", BinOp::Ge, -0.0),
             ];
             let (mut s, ..) = schema();
             let mut prover = Subsumption::default();

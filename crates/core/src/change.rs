@@ -7,9 +7,7 @@
 //! whole point of TSE is that the user addresses their own view.
 
 use tse_object_model::{ClassId, MethodBody, ModelError, ModelResult, Oid, Value, ValueType};
-
-mod expr;
-pub use expr::{parse_expr, render_expr};
+pub use tse_object_model::{parse_expr, render_expr};
 
 /// A schema-change request against a view.
 #[derive(Debug, Clone, PartialEq)]

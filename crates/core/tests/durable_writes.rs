@@ -345,6 +345,30 @@ fn a_constraint_is_logged_and_survives_reopen_without_a_checkpoint() {
     shared.writer().create(view, "Student", &minor).unwrap();
 }
 
+/// A refused update names the constraint's expression, before and after
+/// the constraint is replayed from the log.
+#[test]
+fn a_refused_update_names_the_constraint_it_broke() {
+    let dir = tmpdir("constraint_text");
+    let shared = SharedSystem::open(&dir).unwrap();
+    let balance = PropertyDef::stored("balance", ValueType::Int, Value::Int(0));
+    shared.define_base_class("Acct", &[], vec![balance]).unwrap();
+    let view = shared.create_view("VA", &["Acct"]).unwrap();
+    shared.checkpoint().unwrap();
+    shared.set_constraint(view, "Acct", Some("balance >= 0")).unwrap();
+    let overdrawn = [("balance", Value::Int(-5))];
+    let refusal = |shared: &SharedSystem| {
+        shared.writer().create(view, "Acct", &overdrawn).unwrap_err().to_string()
+    };
+    let err = refusal(&shared);
+    assert!(err.contains("class constraint of Acct refused"), "{err}");
+    assert!(err.contains("balance >= 0"), "{err}");
+    drop(shared);
+    let shared = SharedSystem::open(&dir).unwrap();
+    let err = refusal(&shared);
+    assert!(err.contains("balance >= 0"), "{err}");
+}
+
 #[test]
 fn a_constraint_that_crashes_in_the_wal_append_is_wholly_absent_after_reopen() {
     for action in [FailAction::Crash, FailAction::TornWrite { keep_bytes: 9 }] {

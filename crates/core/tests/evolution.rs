@@ -327,7 +327,7 @@ fn figure_12_add_class_under_virtual_class_starts_empty() {
         "HonorStudent",
         &tse_algebra::Query::select(
             tse_algebra::Query::class(student),
-            tse_object_model::Predicate::cmp("gpa", tse_object_model::CmpOp::Ge, 3.5),
+            tse_object_model::Predicate::cmp("gpa", tse_object_model::BinOp::Ge, 3.5),
         ),
     )
     .unwrap();

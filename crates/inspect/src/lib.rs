@@ -695,7 +695,8 @@ mod tests {
         let g2 = t.enter_trace(tr2);
         t.observe_ns("lock.stripe_wait_ns", 300);
         t.set_slow_op_threshold_ns(1);
-        t.observe_op(&tse_telemetry::op_name!("create"), 5_000, None);
+        let create = t.op(&tse_telemetry::op_name!("create"));
+        t.observe_op(&create, 5_000, None);
         drop(g2);
         t.journal_metrics_snapshot();
         t.journal_lines()

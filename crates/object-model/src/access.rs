@@ -499,7 +499,7 @@ mod tests {
     use super::reference::Reference;
     use super::*;
     use crate::method::{BinOp, MethodBody};
-    use crate::predicate::{CmpOp, Predicate};
+    use crate::predicate::Predicate;
     use crate::property::PropertyDef;
     use crate::schema::Schema;
     use crate::value::ValueType;
@@ -602,7 +602,7 @@ mod tests {
                     let _ = self.db.schema_mut().create_virtual_class(&format!("U{tag}"), d);
                 }
                 2 => {
-                    let pred = Predicate::cmp("age", CmpOp::Ge, (a % 30) as i64);
+                    let pred = Predicate::cmp("age", BinOp::Ge, (a % 30) as i64);
                     let d = Derivation::Select { src: ca, pred };
                     let _ = self.db.schema_mut().create_virtual_class(&format!("S{tag}"), d);
                 }
@@ -806,10 +806,6 @@ mod tests {
             }
         }
 
-        fn cmp_op(&mut self) -> CmpOp {
-            [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][self.next(6)]
-        }
-
         fn bin_op(&mut self) -> BinOp {
             let ops = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
             ops[self.next(6)]
@@ -839,16 +835,12 @@ mod tests {
             }
         }
 
-        fn predicate(&mut self, w: &World, depth: u32) -> Predicate {
-            let p = |p: &mut Self| Box::new(p.predicate(w, depth - 1));
-            match self.next(if depth == 0 { 4 } else { 7 }) {
-                0 => Predicate::Cmp { attr: self.name(w), op: self.cmp_op(), value: self.constant() },
-                1 => Predicate::IsSet(self.name(w)),
-                2 => Predicate::Expr(self.body(w, 2)),
-                3 => Predicate::True,
-                4 => Predicate::And(p(self), p(self)),
-                5 => Predicate::Or(p(self), p(self)),
-                _ => Predicate::Not(p(self)),
+        /// The constant true, or a body (comparisons, and/or/not and
+        /// `is set` are among the shapes it draws).
+        fn predicate(&mut self, w: &World) -> Predicate {
+            match self.next(4) {
+                0 => Predicate::TRUE,
+                _ => Predicate::Expr(self.body(w, 3)),
             }
         }
     }
@@ -881,7 +873,7 @@ mod tests {
                 one_by_one.step(tag, op, a, b);
             }
             let mut picks = Picks(picks, 0);
-            let preds: Vec<Predicate> = (0..4).map(|_| picks.predicate(&by_pass, 2)).collect();
+            let preds: Vec<Predicate> = (0..4).map(|_| picks.predicate(&by_pass)).collect();
             let probe = |db: &Database| {
                 (db.slice_hops.load(Ordering::Relaxed), db.store_stats(), db.store().resident_pages())
             };
@@ -968,7 +960,7 @@ mod tests {
         let w = world();
         let person = w.db.schema().by_name("Person").unwrap();
         let bound = w.db.bind_attrs(person);
-        let pred = Predicate::cmp("age", CmpOp::Ge, 18).and(Predicate::IsSet("name".into()));
+        let pred = Predicate::cmp("age", BinOp::Ge, 18).and(Predicate::is_set("name"));
         for &oid in &w.oids {
             let through_bindings = pred.eval(&bound.source(oid)).unwrap();
             let one_by_one = pred.eval(&w.db.bind_attrs(person).source(oid)).unwrap();

@@ -10,7 +10,7 @@ use tse_storage::{Payload, StorageError, StorageResult};
 use crate::derivation::Derivation;
 use crate::ids::{ClassId, Oid, PropKey};
 use crate::method::{BinOp, MethodBody};
-use crate::predicate::{CmpOp, Predicate};
+use crate::predicate::Predicate;
 use crate::property::{LocalProp, PropKind, PropertyDef};
 use crate::value::{Value, ValueType};
 
@@ -185,76 +185,21 @@ pub(crate) fn get_body(buf: &mut Bytes) -> StorageResult<MethodBody> {
 
 // ----- Predicate -------------------------------------------------------------
 
-fn cmp_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn cmp_from(tag: u8) -> StorageResult<CmpOp> {
-    Ok(match tag {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        t => return Err(corrupt(&format!("unknown cmp tag {t}"))),
-    })
-}
-
+/// The constant true is tag 0; any other predicate is tag 3 and its body.
+/// Tags 1, 2, 4, 5 and 6 named predicate shapes that are no longer written.
 pub(crate) fn put_pred(buf: &mut BytesMut, pred: &Predicate) {
-    match pred {
-        Predicate::True => buf.put_u8(0),
-        Predicate::Cmp { attr, op, value } => {
-            buf.put_u8(1);
-            put_str(buf, attr);
-            buf.put_u8(cmp_tag(*op));
-            value.encode(buf);
-        }
-        Predicate::IsSet(attr) => {
-            buf.put_u8(2);
-            put_str(buf, attr);
-        }
-        Predicate::Expr(body) => {
-            buf.put_u8(3);
-            put_body(buf, body);
-        }
-        Predicate::And(a, b) => {
-            buf.put_u8(4);
-            put_pred(buf, a);
-            put_pred(buf, b);
-        }
-        Predicate::Or(a, b) => {
-            buf.put_u8(5);
-            put_pred(buf, a);
-            put_pred(buf, b);
-        }
-        Predicate::Not(a) => {
-            buf.put_u8(6);
-            put_pred(buf, a);
-        }
+    if *pred == Predicate::TRUE {
+        buf.put_u8(0);
+    } else {
+        buf.put_u8(3);
+        put_body(buf, pred.body());
     }
 }
 
 pub(crate) fn get_pred(buf: &mut Bytes) -> StorageResult<Predicate> {
     Ok(match get_u8(buf)? {
-        0 => Predicate::True,
-        1 => Predicate::Cmp {
-            attr: get_str(buf)?,
-            op: cmp_from(get_u8(buf)?)?,
-            value: Value::decode(buf)?,
-        },
-        2 => Predicate::IsSet(get_str(buf)?),
+        0 => Predicate::TRUE,
         3 => Predicate::Expr(get_body(buf)?),
-        4 => Predicate::And(Box::new(get_pred(buf)?), Box::new(get_pred(buf)?)),
-        5 => Predicate::Or(Box::new(get_pred(buf)?), Box::new(get_pred(buf)?)),
-        6 => Predicate::Not(Box::new(get_pred(buf)?)),
         t => return Err(corrupt(&format!("unknown predicate tag {t}"))),
     })
 }
@@ -446,22 +391,37 @@ mod tests {
 
     #[test]
     fn predicates_roundtrip() {
-        roundtrip_pred(Predicate::True);
-        roundtrip_pred(Predicate::cmp("age", CmpOp::Ge, 18).and(Predicate::IsSet("x".into())));
+        roundtrip_pred(Predicate::TRUE);
+        roundtrip_pred(Predicate::cmp("age", BinOp::Ge, 18).and(Predicate::is_set("x")));
         roundtrip_pred(
             Predicate::Expr(MethodBody::bin(
                 BinOp::Add,
                 MethodBody::Attr("a".into()),
                 MethodBody::Const(Value::Float(1.5)),
             ))
-            .or(Predicate::True.not()),
+            .or(Predicate::TRUE.not()),
         );
+    }
+
+    /// The constant true is one tag byte; any other predicate is tag 3 then
+    /// its body, the bytes the same body has as a method.
+    #[test]
+    fn a_predicate_is_tag_three_and_its_body() {
+        let mut buf = BytesMut::new();
+        put_pred(&mut buf, &Predicate::TRUE);
+        assert_eq!(buf.as_ref(), [0]);
+        let pred = Predicate::cmp("x", BinOp::Lt, 5);
+        let (mut p, mut b) = (BytesMut::new(), BytesMut::new());
+        put_pred(&mut p, &pred);
+        put_body(&mut b, pred.body());
+        assert_eq!(p.as_ref()[0], 3);
+        assert_eq!(&p.as_ref()[1..], b.as_ref());
     }
 
     #[test]
     fn derivations_roundtrip() {
         let cases = vec![
-            Derivation::Select { src: ClassId(3), pred: Predicate::cmp("x", CmpOp::Lt, 5) },
+            Derivation::Select { src: ClassId(3), pred: Predicate::cmp("x", BinOp::Lt, 5) },
             Derivation::Hide { src: ClassId(1), hidden: vec!["a".into(), "b".into()] },
             Derivation::Refine {
                 src: ClassId(2),
@@ -514,12 +474,19 @@ mod tests {
         let mut buf = BytesMut::new();
         put_derivation(
             &mut buf,
-            &Derivation::Select { src: ClassId(3), pred: Predicate::cmp("x", CmpOp::Lt, 5) },
+            &Derivation::Select { src: ClassId(3), pred: Predicate::cmp("x", BinOp::Lt, 5) },
         );
         let full = buf.freeze();
         for cut in 0..full.len() {
             let mut b = full.slice(..cut);
             let _ = get_derivation(&mut b); // must not panic
+        }
+        // A retired predicate tag (an attribute comparison, `is set`, and,
+        // or, not) is corrupt, not read as another shape.
+        for tag in [1u8, 2, 4, 5, 6] {
+            let mut b = Bytes::from(vec![tag, 0, 0, 0, 1, b'x', 0]);
+            let expected = format!("unknown predicate tag {tag}");
+            assert!(matches!(get_pred(&mut b), Err(StorageError::Corrupt(m)) if m == expected));
         }
     }
 }

@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn sources_match_arity() {
-        let s = Derivation::Select { src: ClassId(1), pred: Predicate::True };
+        let s = Derivation::Select { src: ClassId(1), pred: Predicate::TRUE };
         assert_eq!(s.sources(), vec![ClassId(1)]);
         let u = Derivation::Union { a: ClassId(1), b: ClassId(2) };
         assert_eq!(u.sources(), vec![ClassId(1), ClassId(2)]);

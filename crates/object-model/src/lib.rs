@@ -36,8 +36,8 @@ pub use database::{Database, ObjRef, ResidentBytes, SlicingStats};
 pub use derivation::Derivation;
 pub use error::{ModelError, ModelResult};
 pub use ids::{ClassId, Oid, PropKey};
-pub use method::{eval_body, AttrSource, BinOp, MethodBody};
-pub use predicate::{CmpOp, Predicate};
+pub use method::{eval_body, parse_expr, render_expr, AttrSource, BinOp, MethodBody};
+pub use predicate::Predicate;
 pub use property::{LocalProp, PendingProp, PropKind, PropertyDef};
 pub use schema::{Candidate, ResolvedProp, ResolvedType, Schema, ROOT_CLASS};
 pub use value::{Value, ValueType};

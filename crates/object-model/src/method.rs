@@ -5,9 +5,16 @@
 //! deleted, inherited, overridden and promoted exactly like attributes, and
 //! they compute derived values from stored state. A deterministic expression
 //! language over `self`'s attributes reproduces all of that behaviour.
+//!
+//! The same language is the one boolean expression of the `select`
+//! operator and of a class constraint ([`crate::Predicate`]). This module
+//! owns the type, its evaluator, and (in `expr`) its parser and renderer.
 
 use crate::error::{ModelError, ModelResult};
 use crate::value::Value;
+
+mod expr;
+pub use expr::{parse_expr, render_expr};
 
 /// Binary operators available in method bodies and predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,7 +236,7 @@ fn compare_op(op: BinOp, a: &Value, b: &Value) -> ModelResult<Value> {
 }
 
 /// Value equality used by `Eq`/`Ne` (int/float cross-compare allowed).
-pub fn values_eq(a: &Value, b: &Value) -> bool {
+fn values_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Int(x), Value::Float(y)) | (Value::Float(y), Value::Int(x)) => *x as f64 == *y,
         _ => a == b,
@@ -237,7 +244,7 @@ pub fn values_eq(a: &Value, b: &Value) -> bool {
 }
 
 /// Partial ordering across comparable value kinds.
-pub fn compare(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
+fn compare(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     use Value::*;
     match (a, b) {
         (Int(x), Int(y)) => Some(x.cmp(y)),

@@ -1,160 +1,80 @@
-//! Predicates for the `select` operator.
-//!
-//! A predicate is a boolean expression over an object's attributes —
-//! structurally a [`MethodBody`] restricted to boolean results, but kept as a
-//! distinct type because predicates are *schema artifacts*: they appear in
-//! class derivations, must be comparable for duplicate-class detection, and
-//! are displayed when views are printed.
+//! Predicates for the `select` operator and for class constraints.
 
 use crate::error::ModelResult;
-use crate::method::{compare, eval_body, values_eq, AttrSource, MethodBody};
+use crate::method::{eval_body, render_expr, AttrSource, BinOp, MethodBody};
 use crate::value::Value;
 
-/// Comparison operators usable in atomic predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Less than.
-    Lt,
-    /// Less or equal.
-    Le,
-    /// Greater than.
-    Gt,
-    /// Greater or equal.
-    Ge,
-}
-
-impl CmpOp {
-    fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-}
-
-/// A selection predicate.
+/// One boolean expression over the candidate object: the predicate of a
+/// `select` and a class's constraint. It is a [`MethodBody`], evaluated by
+/// [`eval_body`] and read by its truthiness, so it answers exactly as the
+/// same text given to `select_where` does. An ordering comparison of values
+/// that do not compare (`null`, NaN, mixed kinds) is an error, not `false`.
+///
+/// Two predicates that spell the same expression are equal and hash alike,
+/// which is what duplicate-class detection compares.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Predicate {
-    /// Always true (select-all).
-    True,
-    /// Compare an attribute with a constant.
-    Cmp {
-        /// Attribute name on the candidate object.
-        attr: String,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Constant to compare against.
-        value: Value,
-    },
-    /// The attribute is non-null.
-    IsSet(String),
-    /// Evaluate an arbitrary boolean expression (escape hatch that keeps
-    /// parity with the paper's "arbitrary queries").
+    /// The expression (the only shape).
     Expr(MethodBody),
-    /// Conjunction.
-    And(Box<Predicate>, Box<Predicate>),
-    /// Disjunction.
-    Or(Box<Predicate>, Box<Predicate>),
-    /// Negation.
-    Not(Box<Predicate>),
 }
 
 impl Predicate {
+    /// Always true (select-all).
+    pub const TRUE: Predicate = Predicate::Expr(MethodBody::Const(Value::Bool(true)));
+
+    /// The expression.
+    pub(crate) fn body(&self) -> &MethodBody {
+        let Predicate::Expr(body) = self;
+        body
+    }
+
+    fn into_body(self) -> MethodBody {
+        let Predicate::Expr(body) = self;
+        body
+    }
+
     /// Evaluate against a property source for the candidate object.
     pub fn eval(&self, src: &dyn AttrSource) -> ModelResult<bool> {
-        match self {
-            Predicate::True => Ok(true),
-            Predicate::Cmp { attr, op, value } => {
-                let actual = src.get(attr)?;
-                Ok(match op {
-                    CmpOp::Eq => values_eq(&actual, value),
-                    CmpOp::Ne => !values_eq(&actual, value),
-                    CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => match compare(&actual, value)
-                    {
-                        Some(ord) => match op {
-                            CmpOp::Lt => ord.is_lt(),
-                            CmpOp::Le => ord.is_le(),
-                            CmpOp::Gt => ord.is_gt(),
-                            CmpOp::Ge => ord.is_ge(),
-                            _ => unreachable!(),
-                        },
-                        // Null (or cross-kind) comparisons are simply false,
-                        // as in SQL three-valued logic collapsed to boolean.
-                        None => false,
-                    },
-                })
-            }
-            Predicate::IsSet(attr) => Ok(src.get(attr)? != Value::Null),
-            Predicate::Expr(body) => Ok(eval_body(body, src)?.truthy()),
-            Predicate::And(a, b) => Ok(a.eval(src)? && b.eval(src)?),
-            Predicate::Or(a, b) => Ok(a.eval(src)? || b.eval(src)?),
-            Predicate::Not(a) => Ok(!a.eval(src)?),
-        }
+        Ok(eval_body(self.body(), src)?.truthy())
     }
 
     /// Attribute names the predicate reads.
     pub fn referenced_attrs(&self) -> Vec<String> {
-        fn walk(p: &Predicate, out: &mut Vec<String>) {
-            match p {
-                Predicate::True => {}
-                Predicate::Cmp { attr, .. } | Predicate::IsSet(attr) => out.push(attr.clone()),
-                Predicate::Expr(body) => out.extend(body.referenced_attrs()),
-                Predicate::And(a, b) | Predicate::Or(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                Predicate::Not(a) => walk(a, out),
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out.sort();
-        out.dedup();
-        out
+        self.body().referenced_attrs()
     }
 
-    /// Human-readable rendering (used when printing view definitions).
+    /// The expression's text (used when printing view definitions and
+    /// refused updates); the debug form for the few bodies the grammar
+    /// cannot spell.
     pub fn render(&self) -> String {
-        match self {
-            Predicate::True => "true".into(),
-            Predicate::Cmp { attr, op, value } => {
-                format!("{attr} {} {value:?}", op.symbol())
-            }
-            Predicate::IsSet(attr) => format!("{attr} is set"),
-            Predicate::Expr(_) => "<expr>".into(),
-            Predicate::And(a, b) => format!("({} and {})", a.render(), b.render()),
-            Predicate::Or(a, b) => format!("({} or {})", a.render(), b.render()),
-            Predicate::Not(a) => format!("(not {})", a.render()),
-        }
+        render_expr(self.body()).unwrap_or_else(|_| format!("{:?}", self.body()))
     }
 
     /// Shorthand: `attr op value`.
-    pub fn cmp(attr: &str, op: CmpOp, value: impl Into<Value>) -> Predicate {
-        Predicate::Cmp { attr: attr.to_string(), op, value: value.into() }
+    pub fn cmp(attr: &str, op: BinOp, value: impl Into<Value>) -> Predicate {
+        let (attr, value) = (MethodBody::Attr(attr.into()), MethodBody::Const(value.into()));
+        Predicate::Expr(MethodBody::bin(op, attr, value))
+    }
+
+    /// Shorthand: `attr != null`.
+    pub fn is_set(attr: &str) -> Predicate {
+        Predicate::cmp(attr, BinOp::Ne, Value::Null)
     }
 
     /// Shorthand conjunction.
     pub fn and(self, other: Predicate) -> Predicate {
-        Predicate::And(Box::new(self), Box::new(other))
+        Predicate::Expr(MethodBody::bin(BinOp::And, self.into_body(), other.into_body()))
     }
 
     /// Shorthand disjunction.
     pub fn or(self, other: Predicate) -> Predicate {
-        Predicate::Or(Box::new(self), Box::new(other))
+        Predicate::Expr(MethodBody::bin(BinOp::Or, self.into_body(), other.into_body()))
     }
 
     /// Shorthand negation.
     #[allow(clippy::should_implement_trait)]
     pub fn not(self) -> Predicate {
-        Predicate::Not(Box::new(self))
+        Predicate::Expr(MethodBody::Not(Box::new(self.into_body())))
     }
 }
 
@@ -162,6 +82,7 @@ impl Predicate {
 mod tests {
     use super::*;
     use crate::error::ModelError;
+    use crate::method::parse_expr;
     use std::collections::HashMap;
 
     struct MapSource(HashMap<String, Value>);
@@ -185,41 +106,57 @@ mod tests {
     #[test]
     fn comparisons_work() {
         let src = person(30, "ann");
-        assert!(Predicate::cmp("age", CmpOp::Ge, 18).eval(&src).unwrap());
-        assert!(!Predicate::cmp("age", CmpOp::Lt, 18).eval(&src).unwrap());
-        assert!(Predicate::cmp("name", CmpOp::Eq, "ann").eval(&src).unwrap());
-        assert!(Predicate::cmp("name", CmpOp::Lt, "bob").eval(&src).unwrap());
+        assert!(Predicate::cmp("age", BinOp::Ge, 18).eval(&src).unwrap());
+        assert!(!Predicate::cmp("age", BinOp::Lt, 18).eval(&src).unwrap());
+        assert!(Predicate::cmp("name", BinOp::Eq, "ann").eval(&src).unwrap());
+        assert!(Predicate::cmp("name", BinOp::Lt, "bob").eval(&src).unwrap());
     }
 
     #[test]
     fn boolean_combinators() {
         let src = person(30, "ann");
-        let p = Predicate::cmp("age", CmpOp::Ge, 18).and(Predicate::cmp("name", CmpOp::Ne, "bob"));
+        let p = Predicate::cmp("age", BinOp::Ge, 18).and(Predicate::cmp("name", BinOp::Ne, "bob"));
         assert!(p.eval(&src).unwrap());
-        let q = Predicate::cmp("age", CmpOp::Lt, 18).or(Predicate::True);
+        let q = Predicate::cmp("age", BinOp::Lt, 18).or(Predicate::TRUE);
         assert!(q.eval(&src).unwrap());
-        assert!(!Predicate::True.not().eval(&src).unwrap());
+        assert!(!Predicate::TRUE.not().eval(&src).unwrap());
     }
 
+    /// An ordering comparison with `null` fails as the same text given to
+    /// `select_where` does; `is_set` still tells a null from a value.
     #[test]
-    fn null_comparison_is_false_but_is_set_detects() {
+    fn null_ordering_errors_as_its_text_does_but_is_set_detects() {
         let src = person(30, "ann");
-        assert!(!Predicate::cmp("advisor", CmpOp::Gt, 0).eval(&src).unwrap());
-        assert!(!Predicate::IsSet("advisor".into()).eval(&src).unwrap());
-        assert!(Predicate::IsSet("age".into()).eval(&src).unwrap());
+        let refused = Err(ModelError::MethodEval("cannot compare null with int".into()));
+        assert_eq!(Predicate::cmp("advisor", BinOp::Gt, 0).eval(&src), refused);
+        assert_eq!(Predicate::Expr(parse_expr("advisor > 0").unwrap()).eval(&src), refused);
+        assert!(!Predicate::is_set("advisor").eval(&src).unwrap());
+        assert!(Predicate::is_set("age").eval(&src).unwrap());
     }
 
     #[test]
     fn missing_attribute_propagates_error() {
         let src = person(30, "ann");
-        assert!(Predicate::cmp("salary", CmpOp::Gt, 0).eval(&src).is_err());
+        assert!(Predicate::cmp("salary", BinOp::Gt, 0).eval(&src).is_err());
     }
 
     #[test]
     fn referenced_attrs_and_render() {
-        let p = Predicate::cmp("age", CmpOp::Ge, 18).and(Predicate::IsSet("name".into()));
+        let p = Predicate::cmp("age", BinOp::Ge, 18).and(Predicate::is_set("name"));
         assert_eq!(p.referenced_attrs(), vec!["age".to_string(), "name".to_string()]);
-        assert!(p.render().contains(">="));
-        assert!(p.render().contains("is set"));
+        assert_eq!(p.render(), "((age >= 18) and (name != null))");
+        assert_eq!(parse_expr(&p.render()).unwrap(), *p.body());
+        assert_eq!(Predicate::TRUE.render(), "true");
+    }
+
+    #[test]
+    fn a_built_predicate_equals_its_parsed_text() {
+        use std::hash::{BuildHasher, RandomState};
+        let built = Predicate::cmp("age", BinOp::Ge, 18);
+        let parsed = Predicate::Expr(parse_expr("age >= 18").unwrap());
+        assert_eq!(built, parsed);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&built), hasher.hash_one(&parsed));
+        assert_eq!(Predicate::TRUE, Predicate::Expr(parse_expr("true").unwrap()));
     }
 }

@@ -1533,7 +1533,7 @@ mod tests {
         let lab = s.create_base_class("Lab", &[]).unwrap();
         // One class per operator over Student, unclassified: only the
         // derivation ties them to it.
-        let pred = crate::predicate::Predicate::cmp("gpa", crate::predicate::CmpOp::Ge, 3);
+        let pred = crate::predicate::Predicate::cmp("gpa", crate::method::BinOp::Ge, 3);
         let derive = |s: &mut Schema, name: &str, d| s.create_virtual_class(name, d).unwrap();
         let select = derive(&mut s, "Sel", Derivation::Select { src: student, pred });
         let refine = s.create_refine_class("Ref", student, vec![stored("x")], vec![]).unwrap();

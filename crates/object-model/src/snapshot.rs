@@ -47,7 +47,8 @@ mod tests {
     use bytes::Buf;
 
     use crate::derivation::Derivation;
-    use crate::predicate::{CmpOp, Predicate};
+    use crate::method::BinOp;
+    use crate::predicate::Predicate;
     use crate::property::PropertyDef;
     use crate::value::{Value, ValueType};
 
@@ -77,7 +78,7 @@ mod tests {
         db.schema_mut()
             .create_virtual_class(
                 "Adult",
-                Derivation::Select { src: person, pred: Predicate::cmp("age", CmpOp::Ge, 18) },
+                Derivation::Select { src: person, pred: Predicate::cmp("age", BinOp::Ge, 18) },
             )
             .unwrap();
         db.schema_mut()

@@ -9,7 +9,7 @@ use bytes::BytesMut;
 use proptest::prelude::*;
 
 use tse_object_model::{
-    ClassId, ClassKind, CmpOp, Database, Derivation, Oid, Predicate, PropertyDef, Value,
+    BinOp, ClassId, ClassKind, Database, Derivation, Oid, Predicate, PropertyDef, Value,
     ValueType,
 };
 use tse_storage::StoreConfig;
@@ -56,7 +56,7 @@ fn build() -> (Database, Vec<ClassId>, Vec<ClassId>) {
     let virtuals = vec![
         s.create_virtual_class(
             "VSel",
-            Derivation::Select { src: top, pred: Predicate::cmp("score", CmpOp::Ge, 10) },
+            Derivation::Select { src: top, pred: Predicate::cmp("score", BinOp::Ge, 10) },
         )
         .unwrap(),
         s.create_virtual_class("VHide", Derivation::Hide { src: left, hidden: vec![] }).unwrap(),
@@ -139,17 +139,17 @@ fn check_invariants(db: &Database, bases: &[ClassId], virtuals: &[ClassId]) {
     }
 }
 
-const CMP_OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+const CMP_OPS: [BinOp; 6] = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
 
 /// `score <op> k`: the predicates the ad-hoc selects of a case ask.
-fn select_strategy() -> impl Strategy<Value = (CmpOp, i64)> {
+fn select_strategy() -> impl Strategy<Value = (BinOp, i64)> {
     (0usize..CMP_OPS.len(), -50i64..50).prop_map(|(op, k)| (CMP_OPS[op], k))
 }
 
 /// Every ad-hoc select, asked twice (the second is served from the cache
 /// when nothing moved), equals the members of the uncached extent whose
 /// score satisfies it.
-fn check_selects(db: &Database, classes: &[ClassId], selects: &[(CmpOp, i64)]) {
+fn check_selects(db: &Database, classes: &[ClassId], selects: &[(BinOp, i64)]) {
     for &c in classes {
         let extent = db.extent_uncached(c).unwrap();
         for &(op, k) in selects {
@@ -161,12 +161,13 @@ fn check_selects(db: &Database, classes: &[ClassId], selects: &[(CmpOp, i64)]) {
                         panic!("score of {o} is not an Int");
                     };
                     match op {
-                        CmpOp::Eq => score == k,
-                        CmpOp::Ne => score != k,
-                        CmpOp::Lt => score < k,
-                        CmpOp::Le => score <= k,
-                        CmpOp::Gt => score > k,
-                        CmpOp::Ge => score >= k,
+                        BinOp::Eq => score == k,
+                        BinOp::Ne => score != k,
+                        BinOp::Lt => score < k,
+                        BinOp::Le => score <= k,
+                        BinOp::Gt => score > k,
+                        BinOp::Ge => score >= k,
+                        other => unreachable!("not in CMP_OPS: {other:?}"),
                     }
                 })
                 .collect();
@@ -357,7 +358,7 @@ fn class_constraints_refuse_updates() {
         .add_local_prop(acct, PropertyDef::stored("balance", ValueType::Int, Value::Int(0)), None)
         .unwrap();
     db.schema_mut()
-        .set_class_constraint(acct, Some(Predicate::cmp("balance", CmpOp::Ge, 0)))
+        .set_class_constraint(acct, Some(Predicate::cmp("balance", BinOp::Ge, 0)))
         .unwrap();
 
     // Valid create and update pass.
@@ -391,7 +392,7 @@ fn class_constraints_judge_a_complete_new_object() {
     let s = db.schema_mut();
     s.add_local_prop(adult, PropertyDef::stored("name", ValueType::Str, Value::Null), None).unwrap();
     s.add_local_prop(adult, PropertyDef::stored("age", ValueType::Int, Value::Int(0)), None).unwrap();
-    s.set_class_constraint(adult, Some(Predicate::cmp("age", CmpOp::Ge, 18))).unwrap();
+    s.set_class_constraint(adult, Some(Predicate::cmp("age", BinOp::Ge, 18))).unwrap();
 
     let (name, age) = (("name", Value::Str("ann".into())), ("age", Value::Int(30)));
     let age_first = db.create_object(adult, &[age.clone(), name.clone()]).unwrap();

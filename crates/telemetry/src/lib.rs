@@ -151,27 +151,6 @@ pub struct OpHandle {
     latency: HistogramHandle,
 }
 
-/// What [`Telemetry::observe_op`] counts: an [`OpHandle`], resolved once,
-/// or an [`OpName`], resolved under the registry lock on every call as a
-/// name passed to [`Telemetry::incr`] is.
-pub trait OpKey {
-    /// The operation's slots in `telemetry`'s domain.
-    fn handle(&self, telemetry: &Telemetry) -> OpHandle;
-}
-
-impl OpKey for OpName {
-    fn handle(&self, telemetry: &Telemetry) -> OpHandle {
-        telemetry.op(self)
-    }
-}
-
-impl OpKey for OpHandle {
-    fn handle(&self, telemetry: &Telemetry) -> OpHandle {
-        debug_assert_eq!(self.count.domain, telemetry.inner.id, "an OpHandle of another domain");
-        *self
-    }
-}
-
 /// One trace scope entered on a thread (innermost last on the stack).
 pub(crate) struct TraceScope {
     pub(crate) trace: u64,
@@ -698,12 +677,12 @@ impl Telemetry {
     /// is observed and attributed exactly as [`Telemetry::observe_ns`]
     /// would, in the same visit to the thread's context.
     ///
-    /// Everything lands in the calling thread's metric shard. Given an
-    /// [`OpHandle`] and a tracked wait, an operation under the threshold
-    /// takes no lock and hashes no name; only a slow one takes the registry
-    /// lock, to journal its event.
-    pub fn observe_op(&self, op: &impl OpKey, dur_ns: u64, waited: Option<(&'static str, u64)>) {
-        self.op_done(&op.handle(self), dur_ns, waited, None);
+    /// Everything lands in the calling thread's metric shard. Given a
+    /// tracked wait, an operation under the threshold takes no lock and
+    /// hashes no name; only a slow one takes the registry lock, to journal
+    /// its event.
+    pub fn observe_op(&self, op: &OpHandle, dur_ns: u64, waited: Option<(&'static str, u64)>) {
+        self.op_done(op, dur_ns, waited, None);
     }
 
     /// [`Telemetry::observe_op`], then leave `scope` (the operation's trace
@@ -712,11 +691,11 @@ impl Telemetry {
     pub fn finish_op(
         &self,
         scope: TraceGuard,
-        op: &impl OpKey,
+        op: &OpHandle,
         dur_ns: u64,
         waited: Option<(&'static str, u64)>,
     ) {
-        self.op_done(&op.handle(self), dur_ns, waited, Some(scope));
+        self.op_done(op, dur_ns, waited, Some(scope));
     }
 
     fn op_done(
@@ -726,6 +705,7 @@ impl Telemetry {
         waited: Option<(&'static str, u64)>,
         scope: Option<TraceGuard>,
     ) {
+        debug_assert_eq!(op.count.domain, self.inner.id, "an OpHandle of another domain");
         let dur_ns = dur_ns.max(1);
         let wait = waited.map(|(name, ns)| (name, self.wait_slot(name), ns));
         let threshold = self.slow_op_threshold();
@@ -1220,13 +1200,14 @@ mod tests {
         let t = Telemetry::new();
         t.set_slow_op_threshold_ns(1000);
         t.observe_ns("lock.stripe_wait_ns", 77);
-        t.observe_op(&op_name!("fast"), 999, None);
+        let (fast, slow) = (t.op(&op_name!("fast")), t.op(&op_name!("slow")));
+        t.observe_op(&fast, 999, None);
         assert_eq!(t.counter("slow_op.count"), 0, "below threshold: no event");
         t.observe_ns("lock.stripe_wait_ns", 500);
         t.observe_ns("lock.stripe_wait_ns", 11);
         // A wait the caller measured itself rides the same call: observed
         // into its histogram and attributed like any other tracked wait.
-        t.observe_op(&op_name!("slow"), 5000, Some(("lock.read_wait_ns", 9)));
+        t.observe_op(&slow, 5000, Some(("lock.read_wait_ns", 9)));
         assert_eq!(t.counter("slow_op.count"), 1);
         assert_eq!(t.snapshot().histograms["lock.read_wait_ns"].sum, 9);
         let journal = t.journal();

@@ -8,7 +8,7 @@ use tse::algebra::{self, define_vc, Query, UpdatePolicy};
 use tse::classifier::{classify_with, Subsumption};
 use tse::core::TseSystem;
 use tse::object_model::{
-    ClassId, CmpOp, Database, Predicate, PropertyDef, Value, ValueType,
+    BinOp, ClassId, Database, Predicate, PropertyDef, Value, ValueType,
 };
 use tse::workload::trace::{generate_and_apply_trace, TraceMix};
 use tse::workload::university::build_university;
@@ -29,7 +29,7 @@ fn base() -> (Database, ClassId, ClassId, ClassId) {
 fn layer(db: &mut Database, op: usize, x: ClassId, y: ClassId, tag: usize) -> Option<ClassId> {
     let name = format!("V{tag}");
     let query = match op % 6 {
-        0 => Query::select(Query::class(x), Predicate::cmp("rank", CmpOp::Ge, 0)),
+        0 => Query::select(Query::class(x), Predicate::cmp("rank", BinOp::Ge, 0)),
         1 => Query::hide(Query::class(x), &[]),
         2 => Query::refine(
             Query::class(x),
