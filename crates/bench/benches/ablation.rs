@@ -21,6 +21,11 @@
 //!   recording thread, so a second thread recording on the same domain
 //!   costs the first nothing: the ns per recorded op from 1 and from 2
 //!   threads land in `BENCH_ablation.json`.
+//! * **Op scaffold** — where a warm `ReadSession::get` goes besides its
+//!   read: the ns per op of the clock pair, the trace scope with
+//!   `finish_op`, the view-name resolve, the epoch guard with the system
+//!   lock, `Database::read_attr` and the whole get land in
+//!   `BENCH_ablation.json`. Ungated.
 
 use std::hint::black_box;
 use std::sync::Barrier;
@@ -28,10 +33,11 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use tse_core::TseSystem;
+use tse_core::{SharedSystem, TseSystem};
 use tse_object_model::{BinOp, MethodBody, Predicate, PropertyDef, Value, ValueType};
 use tse_storage::{SliceStore, StoreConfig};
 use tse_telemetry::{op_name, JsonValue, Telemetry};
+use tse_workload::university::{build_university, populate_university};
 
 fn families(n: usize) -> TseSystem {
     let mut tse = TseSystem::new();
@@ -342,6 +348,83 @@ fn op_record_rows() -> Vec<JsonValue> {
         .collect()
 }
 
+/// Where a warm `ReadSession::get` of an `Int` goes, in ns per op on one
+/// populated `SharedSystem`: the op's clock pair, its trace scope with
+/// `finish_op`, the view-name resolve, `Database::read_attr` and the whole
+/// get, each timed alone over the same objects. The epoch guard and the
+/// system lock are private to the session, so their row is the get minus
+/// the other parts (floored at 0).
+fn op_scaffold_rows() -> Vec<JsonValue> {
+    const SAMPLES: usize = 15;
+    const OPS: usize = 20_000;
+    const OBJECTS: usize = 2_000;
+    let (mut tse, university) = build_university().unwrap();
+    let v1 = tse.create_view_all("U").unwrap();
+    let oids = populate_university(&mut tse, v1, OBJECTS).unwrap();
+    // Each part runs one untimed round first: the first round after the
+    // population read ≈ 3× slower than the rest.
+    let median = |op: &mut dyn FnMut(usize)| {
+        (0..OPS).for_each(|i| op(i % OBJECTS));
+        let mut ns: Vec<u64> = (0..SAMPLES)
+            .map(|_| {
+                let start = Instant::now();
+                for i in 0..OPS {
+                    op(i % OBJECTS);
+                }
+                start.elapsed().as_nanos() as u64 / OPS as u64
+            })
+            .collect();
+        ns.sort_unstable();
+        ns[SAMPLES / 2]
+    };
+    let read_attr = median(&mut |i| {
+        black_box(tse.db().read_attr(oids[i], university.person, "age").unwrap());
+    });
+    let shared = SharedSystem::from_system(tse);
+    let session = shared.session();
+    let t = shared.telemetry();
+    let get_op = t.op(&op_name!("get"));
+    let trace = t.mint_trace("read_session");
+    let clock_pair = median(&mut |_| {
+        let started = Instant::now();
+        black_box(started.elapsed().as_nanos());
+    });
+    let trace_finish = median(&mut |_| {
+        let scope = t.enter_trace(trace);
+        t.finish_op(scope, &get_op, black_box(500), Some(("lock.read_wait_ns", 1)));
+    });
+    let resolve = median(&mut |_| {
+        black_box(session.meta().resolve(v1, "Person").unwrap());
+    });
+    let get = median(&mut |i| {
+        black_box(session.get(v1, oids[i], "Person", "age").unwrap());
+    });
+    let epoch_lock = get.saturating_sub(clock_pair + trace_finish + resolve + read_attr);
+    let parts = [
+        ("clock_pair", clock_pair),
+        ("trace_finish_op", trace_finish),
+        ("resolve", resolve),
+        ("epoch_guard_lock", epoch_lock),
+        ("read_attr", read_attr),
+        ("session_get", get),
+    ];
+    println!(
+        "bench ablation/op_scaffold  {}",
+        parts.map(|(part, ns)| format!("{part} {ns} ns")).join(", ")
+    );
+    parts
+        .into_iter()
+        .map(|(part, ns)| {
+            JsonValue::obj(vec![
+                ("part", part.into()),
+                ("ns_per_op", ns.into()),
+                ("by_difference", (part == "epoch_guard_lock").into()),
+                ("samples", (SAMPLES as u64).into()),
+            ])
+        })
+        .collect()
+}
+
 /// The self-timed medians, as `BENCH_ablation.json`.
 fn bench_timed_medians(_c: &mut Criterion) {
     let (select_pass, select_hit) = select_pass_rows();
@@ -352,9 +435,10 @@ fn bench_timed_medians(_c: &mut Criterion) {
         ("select_hit", JsonValue::Arr(select_hit)),
         ("classification_vs_schema_size", JsonValue::Arr(prover_growth_rows())),
         ("op_record", JsonValue::Arr(op_record_rows())),
+        ("op_scaffold", JsonValue::Arr(op_scaffold_rows())),
     ]);
     let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
-    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size and op-record medians written to {path}");
+    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size, op-record and op-scaffold medians written to {path}");
 }
 
 criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_timed_medians);

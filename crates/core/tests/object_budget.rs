@@ -1,6 +1,7 @@
 //! What an object costs resident, so the gain of the flat layout — one
-//! inline version per record and per membership, small sorted maps instead
-//! of trees and hash maps, an oid-indexed object table holding only live
+//! inline version per record and per membership behind one spill pointer,
+//! exact boxed fields, one sorted block of bindings per object instead of
+//! trees and hash maps, an oid-indexed object table holding only live
 //! entries — cannot rot silently.
 //!
 //! The university of Figure 2 is populated, evolved three times with writes
@@ -59,18 +60,20 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 const OBJECTS: usize = 12_000;
 
 /// Ceilings in bytes per object: the measured cost plus ~15%. Measured
-/// (x86-64, release and debug alike): object table 112, membership 0,
-/// slices 15, home_of 36, record chains 114, fields 72; 373 live in all
-/// (980 before the flat layout, with maps, trees and four-slot version
+/// (x86-64, release and debug alike): object table 56, membership 0,
+/// slices 19 (the bindings block's count word and its slice triples),
+/// home_of 27, record chains 86, fields 72; 283–284 live in all (373 with
+/// a spill `Vec` per chain, `Vec` fields and two map `Vec`s per object;
+/// 980 before the flat layout, with maps, trees and four-slot version
 /// vectors).
 const CEILINGS: [(&str, usize); 7] = [
-    ("object table", 131),
+    ("object table", 64),
     ("membership", 4),
-    ("slices", 18),
-    ("home_of", 42),
-    ("record chains", 131),
+    ("slices", 22),
+    ("home_of", 31),
+    ("record chains", 99),
     ("fields", 83),
-    ("live, all owners", 432),
+    ("live, all owners", 327),
 ];
 
 #[test]
@@ -132,9 +135,10 @@ const CHURNED: usize = 16_384;
 const KEEP_ONE_IN: usize = 1_000;
 
 /// Object-table bytes per survivor of the thinned-out case, plus ~15%.
-/// Measured (x86-64): 1 075 — the survivor's entry and the chunk headers of
-/// the oids around it (≈ 114 700 with fully allocated 1 024-slot chunks).
-const THINNED_TABLE_CEILING: usize = 1_240;
+/// Measured (x86-64): 1 019 — the survivor's entry and the chunk headers of
+/// the oids around it (1 075 with 112-byte entries; ≈ 114 700 with fully
+/// allocated 1 024-slot chunks).
+const THINNED_TABLE_CEILING: usize = 1_172;
 
 #[test]
 fn a_thinned_out_table_costs_what_its_survivors_store() {

@@ -46,7 +46,7 @@ use tse_storage::RetryPolicy;
 use tse_telemetry::Telemetry;
 
 use crate::proto::{
-    decode_response, encode_request, frame_reader, read_frame, write_frame, Request, Response,
+    decode_response_owned, encode_request, frame_reader, read_frame, write_frame, Request, Response,
 };
 
 /// Client-side fault-tolerance knobs.
@@ -113,7 +113,7 @@ impl Conn {
         let frame = read_frame(&mut self.stream)?.ok_or_else(|| {
             TseError::new(TseCode::Io, "server closed the connection mid-request")
         })?;
-        decode_response(&frame)
+        decode_response_owned(frame)
     }
 }
 

@@ -818,8 +818,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 }
 
 /// Validate a complete frame (version, length, CRC) and hand back the kind
-/// byte and body. Shared by both decode directions.
-fn check_frame(frame: &[u8]) -> TseResult<(u8, Bytes)> {
+/// byte and the body, which stays where it is in the frame the check takes.
+/// Shared by both decode directions.
+fn check_frame(frame: Vec<u8>) -> TseResult<(u8, Bytes)> {
     if frame.first() != Some(&WIRE_VERSION) {
         return Err(protocol(format!(
             "unsupported protocol version {:#04x} (expected {WIRE_VERSION:#04x})",
@@ -846,14 +847,16 @@ fn check_frame(frame: &[u8]) -> TseResult<(u8, Bytes)> {
     if h.finalize() != crc {
         return Err(protocol("frame: crc mismatch"));
     }
-    Ok((kind, Bytes::from(body)))
+    let mut body = Bytes::from(frame);
+    body.advance(HEADER_LEN);
+    Ok((kind, body))
 }
 
 /// Decode a checked frame's body and require that it was consumed whole.
 /// The one place a body codec's [`StorageError`] becomes
 /// [`TseCode::Protocol`].
 fn decode_body<T>(
-    frame: &[u8],
+    frame: Vec<u8>,
     decode: impl FnOnce(u8, &mut Bytes) -> StorageResult<T>,
 ) -> TseResult<T> {
     let (kind, mut buf) = check_frame(frame)?;
@@ -864,14 +867,28 @@ fn decode_body<T>(
     Ok(msg)
 }
 
-/// Decode one complete request frame.
-pub fn decode_request(frame: &[u8]) -> TseResult<Request> {
+/// Decode one complete request frame, taking it: the body is read where
+/// it was received, with no copy.
+pub fn decode_request_owned(frame: Vec<u8>) -> TseResult<Request> {
     decode_body(frame, Request::decode_body)
 }
 
-/// Decode one complete response frame.
-pub fn decode_response(frame: &[u8]) -> TseResult<Response> {
+/// Decode one complete response frame, taking it: the body is read where
+/// it was received, with no copy.
+pub fn decode_response_owned(frame: Vec<u8>) -> TseResult<Response> {
     decode_body(frame, Response::decode_body)
+}
+
+/// Decode one complete request frame from a borrowed buffer, which is
+/// copied once.
+pub fn decode_request(frame: &[u8]) -> TseResult<Request> {
+    decode_request_owned(frame.to_vec())
+}
+
+/// Decode one complete response frame from a borrowed buffer, which is
+/// copied once.
+pub fn decode_response(frame: &[u8]) -> TseResult<Response> {
+    decode_response_owned(frame.to_vec())
 }
 
 /// Bytes a connection's reader buffers: one `read` takes in a whole frame

@@ -42,7 +42,7 @@ use tse_object_model::Value;
 use tse_telemetry::{CounterHandle, HistogramHandle};
 
 use crate::proto::{
-    decode_request, encode_response, frame_reader, read_frame_idle, write_frame, FrameRead,
+    decode_request_owned, encode_response, frame_reader, read_frame_idle, write_frame, FrameRead,
     Request, Response,
 };
 
@@ -372,7 +372,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         };
         let started = Instant::now();
         telemetry.add(&shared.requests, 1);
-        let (response, close) = match decode_request(&frame) {
+        let (response, close) = match decode_request_owned(frame) {
             Ok(request) => {
                 let close = matches!(request, Request::Bye | Request::Shutdown);
                 (dispatch(shared, &mut state, request), close)

@@ -1,6 +1,7 @@
 //! The allocation budget of the wire codec, so a served request's fixed cost
 //! cannot regrow unnoticed: what a get's request and its answer allocate
-//! through encode and decode, and that a decoded string costs one
+//! through encode and decode — from a borrowed frame and from the owned one
+//! the server and the client decode — and that a decoded string costs one
 //! allocation — its own `String` — with nothing staged on the way.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -9,7 +10,8 @@ use std::cell::Cell;
 use bytes::{Bytes, BytesMut};
 use tse_object_model::{Oid, Value};
 use tse_server::proto::{
-    decode_request, decode_response, encode_request, encode_response, Request, Response,
+    decode_request, decode_request_owned, decode_response, decode_response_owned, encode_request,
+    encode_response, Request, Response,
 };
 use tse_storage::payload::{get_str, put_str};
 
@@ -70,10 +72,29 @@ fn a_get_and_its_answer_cross_the_codec_in_seven_allocations() {
     assert_eq!(req, request);
     assert_eq!(resp, response);
     // One frame buffer per encode, sized before the body is written; per
-    // decode, one shared body buffer plus each string's own `String`
-    // (two in the request, one in the answer). Twenty before the frame
-    // was sized up front and a string was copied straight out of the body.
+    // decode, one copy of the borrowed frame plus each string's own
+    // `String` (two in the request, one in the answer). Twenty before the
+    // frame was sized up front and a string was copied straight out of the
+    // body.
     assert_eq!(n, 7, "a get's codec round trip allocated {n} times");
+}
+
+#[test]
+fn a_get_and_its_answer_cross_the_codec_in_five_allocations_when_the_decoder_takes_the_frame() {
+    let request =
+        Request::Get { sid: 7, oid: Oid(3), class: "Person".into(), attr: "name".into() };
+    let response = Response::Val(Value::Str("ann".into()));
+    let ((req, resp), n) = allocs(|| {
+        let req = decode_request_owned(encode_request(&request)).expect("request decodes");
+        let resp = decode_response_owned(encode_response(&response)).expect("response decodes");
+        (req, resp)
+    });
+    assert_eq!(req, request);
+    assert_eq!(resp, response);
+    // One frame buffer per encode; a decode reads the body inside the frame
+    // it takes, so only each string's own `String` is new. Seven while a
+    // decode copied every body into a shared buffer first.
+    assert_eq!(n, 5, "a get's codec round trip allocated {n} times");
 }
 
 #[test]

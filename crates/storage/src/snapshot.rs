@@ -80,7 +80,7 @@ fn encode_segment<P: Payload>(buf: &mut BytesMut, seg: Option<&Segment<P>>) {
     buf.put_u32(cap);
     let mut records: Vec<Option<&[P]>> = vec![None; cap as usize];
     for (slot, fields) in seg.iter_at(None) {
-        records[slot as usize] = Some(fields.as_slice());
+        records[slot as usize] = Some(fields);
     }
     for fields in records {
         match fields {

@@ -379,7 +379,7 @@ impl<P: Payload> SliceStore<P> {
     pub fn read(&self, rec: RecordId) -> StorageResult<Vec<P>> {
         let epoch = current_read_epoch();
         let (fields, page) = self.with_segment(rec.segment, |s| {
-            s.record(rec.slot).and_then(|r| r.fields_at(epoch).map(|f| (f.clone(), r.page)))
+            s.record(rec.slot).and_then(|r| r.fields_at(epoch).map(|f| (f.to_vec(), r.page)))
         })?
         .ok_or(StorageError::UnknownRecord { segment: rec.segment.0, slot: rec.slot })?;
         self.inner.stats.record_reads.fetch_add(1, Ordering::Relaxed);
@@ -447,6 +447,7 @@ impl<P: Payload> SliceStore<P> {
         let stamp = self.mutation_stamp();
         let outcome = self.with_segment_mut(rec.segment, |segment| {
             segment.modify(rec.slot, stamp, page_size, move |fields| {
+                fields.reserve_exact(1);
                 fields.push(value);
                 Ok::<_, StorageError>(fields.len() - 1)
             })
