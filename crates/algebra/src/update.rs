@@ -97,13 +97,13 @@ fn collect_targets(
     class: ClassId,
     out: &mut Vec<ClassId>,
 ) -> ModelResult<()> {
-    match db.schema().class(class)?.kind.clone() {
+    match &db.schema().class(class)?.kind {
         ClassKind::Base => {
             if !out.contains(&class) {
                 out.push(class);
             }
         }
-        ClassKind::Virtual(d) => match d {
+        ClassKind::Virtual(d) => match *d {
             Derivation::Select { src, .. }
             | Derivation::Hide { src, .. }
             | Derivation::Refine { src, .. } => collect_targets(db, policy, src, out)?,
@@ -141,18 +141,16 @@ pub fn create(
     // Values resolvable at the first base target are set at creation (this
     // satisfies REQUIRED attributes); the rest are written through the
     // requested class afterwards (refine attributes, other-branch values).
+    // Both parts stay borrowed: each value is cloned once, into its slice.
     let first_type = db.schema().resolved_type(first)?;
-    let (base_values, rest): (Vec<_>, Vec<_>) = values
-        .iter()
-        .cloned()
-        .partition(|(name, _)| first_type.get_unique(first, name).is_ok());
+    let at_first = |(name, _): &&(&str, Value)| first_type.get_unique(first, name).is_ok();
 
-    let oid = db.create_object(first, &base_values)?;
+    let oid = db.create_object(first, values.iter().filter(at_first))?;
     for t in targets.iter().skip(1) {
         db.add_to_class(oid, *t)?;
     }
-    for (name, value) in rest {
-        if let Err(e) = db.write_attr(oid, class, name, value) {
+    for (name, value) in values.iter().filter(|v| !at_first(v)) {
+        if let Err(e) = db.write_attr(oid, class, name, value.clone()) {
             db.delete_object(oid)?;
             return Err(e);
         }
@@ -229,9 +227,9 @@ fn remove_one(
     oid: Oid,
     class: ClassId,
 ) -> ModelResult<()> {
-    match db.schema().class(class)?.kind.clone() {
+    match &db.schema().class(class)?.kind {
         ClassKind::Base => db.remove_from_class(oid, class),
-        ClassKind::Virtual(d) => match d {
+        ClassKind::Virtual(d) => match *d {
             Derivation::Select { src, .. }
             | Derivation::Hide { src, .. }
             | Derivation::Refine { src, .. } => remove_one(db, policy, oid, src),
@@ -285,7 +283,11 @@ fn remove_one(
 /// Writes route to the correct slice automatically (base attribute → base
 /// class slice, refining attribute → refine-class slice). With
 /// [`ValueClosure::Reject`], assignments that would make an object invisible
-/// to `class` are rolled back and rejected.
+/// to `class` are rolled back and rejected. Only a class whose membership
+/// reads values (a `Select` in its derivation closure,
+/// [`tse_object_model::Schema::value_sensitive`]) can lose an object to a
+/// write: through any other, the old values are not read and membership is
+/// not asked again.
 pub fn set(
     db: &Database,
     policy: &UpdatePolicy,
@@ -297,13 +299,21 @@ pub fn set(
         if !db.is_member(*oid, class)? {
             return Err(ModelError::NotAMember { oid: *oid, class });
         }
+        let closure_checked = matches!(policy.value_closure, ValueClosure::Reject)
+            && db.schema().value_sensitive(class)?;
+        if !closure_checked {
+            for (name, value) in assignments {
+                db.write_attr(*oid, class, name, value.clone())?;
+            }
+            continue;
+        }
         let mut old: Vec<(&str, Value)> = Vec::with_capacity(assignments.len());
         for (name, value) in assignments {
             let prev = db.read_attr(*oid, class, name)?;
             db.write_attr(*oid, class, name, value.clone())?;
             old.push((name, prev));
         }
-        if matches!(policy.value_closure, ValueClosure::Reject) && !db.is_member(*oid, class)? {
+        if !db.is_member(*oid, class)? {
             for (name, prev) in old.into_iter().rev() {
                 db.write_attr(*oid, class, name, prev)?;
             }

@@ -26,6 +26,12 @@
 //!   `finish_op`, the view-name resolve, the epoch guard with the system
 //!   lock, `Database::read_attr` and the whole get land in
 //!   `BENCH_ablation.json`. Ungated.
+//! * **Op write** — a write costs what its object touches, not what the
+//!   schema holds: the ns per op of a create, of a first write of an
+//!   attribute an evolution added (through view version 17) and of a
+//!   steady set, on the 104-class schema of the repo benchmark's
+//!   `local_read` and on the same family evolved to ≈ 500 classes, land in
+//!   `BENCH_ablation.json`.
 
 use std::hint::black_box;
 use std::sync::Barrier;
@@ -425,6 +431,80 @@ fn op_scaffold_rows() -> Vec<JsonValue> {
         .collect()
 }
 
+/// ns per op of a create, a first write of `h0` through view version 17
+/// and a steady set, all through one `WriteSession`, on the university with
+/// 8 seminars evolved by the repo benchmark's history (`add_attribute
+/// h<k>` cycling over 8 classes): 16 changes (104 classes, `local_read`'s
+/// schema), then on until the schema holds ≈ 500. Version 17 is the same
+/// view at both sizes, so only the schema around it grows. While a write
+/// scanned every class for its homes, a create at 500 classes cost 3.1×
+/// one at 104 and a first write 1.3×.
+fn op_write_rows() -> Vec<JsonValue> {
+    const SAMPLES: usize = 9;
+    const OPS: usize = 1_000;
+    const TARGETS: [&str; 8] =
+        ["Person", "Student", "Staff", "TeachingStaff", "TA", "Grad", "Undergrad", "SupportStaff"];
+    let (mut tse, _) = build_university().unwrap();
+    for k in 0..8 {
+        tse.define_base_class(&format!("Seminar{k}"), &["Student"], vec![]).unwrap();
+    }
+    let v1 = tse.create_view_all("uni").unwrap();
+    let shared = SharedSystem::from_system(tse);
+    let mut steps = 0;
+    let mut evolve_to = |classes: usize| {
+        while steps < 16 || shared.session().meta().schema().class_count() < classes {
+            let target = TARGETS[steps % TARGETS.len()];
+            let command = format!("add_attribute h{steps}: int = {steps} to {target}");
+            shared.evolve_cmd("uni", &command).unwrap();
+            steps += 1;
+        }
+    };
+    let median_ns = |f: &mut dyn FnMut(usize)| {
+        let mut ns: Vec<u64> = (0..SAMPLES)
+            .map(|sample| {
+                let start = Instant::now();
+                for i in 0..OPS {
+                    f(sample * OPS + i);
+                }
+                start.elapsed().as_nanos() as u64 / OPS as u64
+            })
+            .collect();
+        ns.sort_unstable();
+        ns[SAMPLES / 2]
+    };
+    let mut rows = Vec::new();
+    for target in [104, 500] {
+        evolve_to(target);
+        let writer = shared.writer();
+        let classes = writer.meta().schema().class_count();
+        let v17 = writer.meta().views().versions("uni").unwrap()[16];
+        let named: Vec<_> = (0..SAMPLES * OPS)
+            .map(|i| [("name", Value::Str(format!("w{i}"))), ("age", Value::Int(i as i64))])
+            .collect();
+        let mut oids = Vec::with_capacity(named.len());
+        let create = median_ns(&mut |i| {
+            oids.push(writer.create(v1, "Person", &named[i]).unwrap());
+        });
+        let first_write = median_ns(&mut |i| {
+            writer.set(v17, oids[i], "Person", &[("h0", Value::Int(i as i64))]).unwrap();
+        });
+        let steady_set = median_ns(&mut |i| {
+            writer.set(v17, oids[i], "Person", &[("age", Value::Int(-(i as i64)))]).unwrap();
+        });
+        println!(
+            "bench ablation/op_write/{classes}_classes  create {create} ns/op, first write {first_write} ns/op, steady set {steady_set} ns/op"
+        );
+        rows.push(JsonValue::obj(vec![
+            ("classes", (classes as u64).into()),
+            ("create_ns_per_op", create.into()),
+            ("first_write_ns_per_op", first_write.into()),
+            ("steady_set_ns_per_op", steady_set.into()),
+            ("samples", (SAMPLES as u64).into()),
+        ]));
+    }
+    rows
+}
+
 /// The self-timed medians, as `BENCH_ablation.json`.
 fn bench_timed_medians(_c: &mut Criterion) {
     let (select_pass, select_hit) = select_pass_rows();
@@ -436,9 +516,10 @@ fn bench_timed_medians(_c: &mut Criterion) {
         ("classification_vs_schema_size", JsonValue::Arr(prover_growth_rows())),
         ("op_record", JsonValue::Arr(op_record_rows())),
         ("op_scaffold", JsonValue::Arr(op_scaffold_rows())),
+        ("op_write", JsonValue::Arr(op_write_rows())),
     ]);
     let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
-    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size, op-record and op-scaffold medians written to {path}");
+    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size, op-record, op-scaffold and op-write medians written to {path}");
 }
 
 criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_timed_medians);

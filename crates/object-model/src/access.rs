@@ -151,23 +151,7 @@ impl Database {
         value: &Value,
     ) -> ModelResult<Arc<AccessPlan>> {
         let plan = Pass::new(self).plan(oid, via, name, None)?;
-        let PlanKind::Stored { vtype, required, .. } = &plan.kind else {
-            return Err(ModelError::NotStored(name.to_string()));
-        };
-        if !vtype.admits(value) {
-            return Err(ModelError::TypeMismatch {
-                name: name.to_string(),
-                expected: vtype.describe(),
-                got: format!("{value:?}"),
-            });
-        }
-        if *required && *value == Value::Null {
-            return Err(ModelError::TypeMismatch {
-                name: name.to_string(),
-                expected: "non-null (REQUIRED)".into(),
-                got: "null".into(),
-            });
-        }
+        check_write(&plan, name, value)?;
         Ok(plan)
     }
 
@@ -178,24 +162,37 @@ impl Database {
         plan: &AccessPlan,
         value: Value,
     ) -> ModelResult<()> {
-        let home = self.bind_home(oid, via, plan.key)?;
-        let rec = self.ensure_slice(oid, home)?;
+        let home = self.bind_home(oid, via, plan)?;
         let idx = plan.home(home)?.index;
         // The store stamps the write with the ambient stamp, so the values
         // clock and the record version agree on when it happened.
         let stamp = self.write_stamp();
         let _as_stamp = WriteStampGuard::new(stamp);
         let _mutation = self.values.begin(stamp);
-        // Dynamic restructuring: extend the slice record if the class layout
-        // grew after the slice was created.
-        while self.store.field_count(rec)? <= idx {
-            let fill_key = self.schema.class(home)?.stored_layout()[self.store.field_count(rec)?];
-            let fill = self.default_for(fill_key);
-            self.store.append_field(rec, fill)?;
-        }
-        self.store.write_field(rec, idx, value)?;
-        Ok(())
+        self.write_slice(oid, home, idx, value)
     }
+}
+
+/// Does `value` fit the stored attribute `plan` describes, as `name`?
+pub(crate) fn check_write(plan: &AccessPlan, name: &str, value: &Value) -> ModelResult<()> {
+    let PlanKind::Stored { vtype, required, .. } = &plan.kind else {
+        return Err(ModelError::NotStored(name.to_string()));
+    };
+    if !vtype.admits(value) {
+        return Err(ModelError::TypeMismatch {
+            name: name.to_string(),
+            expected: vtype.describe(),
+            got: format!("{value:?}"),
+        });
+    }
+    if *required && *value == Value::Null {
+        return Err(ModelError::TypeMismatch {
+            name: name.to_string(),
+            expected: "non-null (REQUIRED)".into(),
+            got: "null".into(),
+        });
+    }
+    Ok(())
 }
 
 /// The locks and deferred counts of one read pass, shared by every binding

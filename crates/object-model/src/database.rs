@@ -39,14 +39,14 @@ use tse_storage::{
     StoreConfig, StoreStats, VersionChain, WriteStampGuard,
 };
 
-use crate::access::{Pass, Scope};
+use crate::access::{check_write, Pass, Scope};
 use crate::class::ClassKind;
 use crate::derivation::Derivation;
 use crate::error::{ModelError, ModelResult};
 use crate::ids::{ClassId, Oid, PropKey};
 use crate::predicate::Predicate;
 use crate::property::PropKind;
-use crate::schema::Schema;
+use crate::schema::{AccessPlan, Schema};
 use crate::value::Value;
 
 /// A typed handle: an object viewed *as* an instance of a class. Casting in
@@ -61,17 +61,18 @@ pub struct ObjRef {
 }
 
 /// A new object as [`Database::create_object`] checks it, before it joins
-/// the object map: its base class and its initial stored values by key.
-/// Every stored attribute without an initial value reads as its default.
+/// the object map: its base class and its initial stored values, each with
+/// the plan it was checked against. Every stored attribute without an
+/// initial value reads as its default.
 #[derive(Clone, Copy)]
 pub(crate) struct Unpublished<'a> {
     pub(crate) class: ClassId,
-    pub(crate) values: &'a [(PropKey, Value)],
+    pub(crate) values: &'a [(Arc<AccessPlan>, Value)],
 }
 
 impl Unpublished<'_> {
     pub(crate) fn value(&self, key: PropKey) -> Option<&Value> {
-        self.values.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        self.values.iter().find(|(plan, _)| plan.key == key).map(|(_, v)| v)
     }
 }
 
@@ -891,52 +892,53 @@ impl Database {
     /// initial values as one version, under the same write stamp as the
     /// membership. No writer can see, match or modify a half-created
     /// object, and a refused create publishes nothing.
-    pub fn create_object(&self, class: ClassId, values: &[(&str, Value)]) -> ModelResult<Oid> {
+    ///
+    /// `values` is borrowed (a slice, or a filter over one): each value is
+    /// cloned once, into the slice of its home. A value refused by its
+    /// definition spends no oid.
+    pub fn create_object<'v, 'n: 'v>(
+        &self,
+        class: ClassId,
+        values: impl IntoIterator<Item = &'v (&'n str, Value)>,
+    ) -> ModelResult<Oid> {
         if !self.schema.class(class)?.is_base() {
             return Err(ModelError::NotABaseClass(class));
         }
-        let rt = self.schema.resolved_type(class)?;
-        // Validate names up front.
-        for (name, _) in values {
-            rt.get_unique(class, name)?;
-        }
-        let oid = Oid(self.next_oid.fetch_add(1, Ordering::AcqRel));
-        // The initial values by key, each checked against its definition; a
-        // name given twice keeps its last value.
-        let mut initial: Vec<(PropKey, Value)> = Vec::with_capacity(values.len());
+        // The initial values, each with the plan of its name at the class —
+        // a base class knows every name it has — which it is checked
+        // against and written by. A name given twice keeps its last value.
+        let values = values.into_iter();
+        let mut initial: Vec<(Arc<AccessPlan>, Value)> =
+            Vec::with_capacity(values.size_hint().1.unwrap_or_default());
         for (name, value) in values {
-            let key = self.plan_for_write(oid, class, name, value)?.key;
-            match initial.iter_mut().find(|(k, _)| *k == key) {
+            let plan = self.schema.access_plan(class, name)?;
+            check_write(&plan, name, value)?;
+            match initial.iter_mut().find(|(given, _)| given.key == plan.key) {
                 Some((_, old)) => *old = value.clone(),
-                None => initial.push((key, value.clone())),
+                None => initial.push((plan, value.clone())),
             }
         }
+        let oid = Oid(self.next_oid.fetch_add(1, Ordering::AcqRel));
         let object = Unpublished { class, values: &initial };
         let mut home_of = Vec::with_capacity(initial.len());
-        for (key, _) in &initial {
-            home_of.push((*key, self.choose_home(oid, class, *key, Some(object))?));
+        for (plan, _) in &initial {
+            home_of.push((plan.key, self.choose_home(oid, class, plan, Some(object))?));
         }
         // Required-attribute check (explicit values, else defaults).
-        for name in rt.props.keys() {
-            let Ok(cand) = rt.get_unique(class, name) else {
-                continue; // ambiguous names can't be enforced
-            };
-            let (_, def) = self.schema.def_by_key(cand.key)?;
-            if let PropKind::Stored { required: true, default, .. } = &def.kind {
-                if *object.value(cand.key).unwrap_or(default) == Value::Null {
-                    return Err(ModelError::TypeMismatch {
-                        name: name.clone(),
-                        expected: "non-null (REQUIRED)".into(),
-                        got: "null".into(),
-                    });
-                }
+        for &key in self.schema.required_keys(class)?.iter() {
+            if object.value(key).is_none_or(|value| *value == Value::Null) {
+                return Err(ModelError::TypeMismatch {
+                    name: self.schema.def_by_key(key)?.1.name.clone(),
+                    expected: "non-null (REQUIRED)".into(),
+                    got: "null".into(),
+                });
             }
         }
         // Class constraints ("the class predicate is checked", §3.3).
         self.check_constraints_of(oid, Some(object))?;
 
         let stamp = self.write_stamp();
-        let bindings = self.insert_slices(object, &mut home_of, stamp)?;
+        let bindings = self.insert_slices(initial, home_of, stamp)?;
         let entry = ObjectEntry::new(stamp, Classes::One(class), bindings);
         let _mutation = self.membership.begin(stamp);
         self.objects.write().insert(oid, entry);
@@ -945,13 +947,14 @@ impl Database {
 
     /// Insert the slice records of a new object, stamped `stamp`: one per
     /// home class, in the order the values first name it, each holding its
-    /// initial values (defaults elsewhere). Returns the object's bindings:
-    /// those slices and `home_of` (which it sorts by key), built in one
+    /// initial values (moved in, not cloned; defaults elsewhere).
+    /// `home_of[i]` is the home of `initial[i]`. Returns the object's
+    /// bindings: those slices and `home_of`, sorted by key, built in one
     /// exact block. On a failure the records already inserted are freed.
     fn insert_slices(
         &self,
-        object: Unpublished<'_>,
-        home_of: &mut [(PropKey, ClassId)],
+        mut initial: Vec<(Arc<AccessPlan>, Value)>,
+        mut home_of: Vec<(PropKey, ClassId)>,
         stamp: u64,
     ) -> ModelResult<Bindings> {
         let _as_stamp = WriteStampGuard::new(stamp);
@@ -959,22 +962,23 @@ impl Database {
         let slices = (0..home_of.len()).filter(|i| named_first(*i)).count();
         let words = if home_of.is_empty() { 0 } else { 1 + BINDING * (slices + home_of.len()) };
         let mut words = Vec::with_capacity(words);
-        let insert = |home: ClassId| -> ModelResult<RecordId> {
-            let seg = self.segment_for(home)?;
-            let home_of_key = |key| home_of.iter().find(|(k, _)| *k == key).map(|(_, home)| *home);
-            let fields = self.schema.class(home)?.stored_layout().iter().map(|key| {
-                match object.value(*key) {
-                    Some(value) if home_of_key(*key) == Some(home) => value.clone(),
-                    _ => self.default_for(*key),
-                }
-            });
-            Ok(self.store.insert(seg, fields.collect())?)
-        };
-        for (i, &(_, home)) in home_of.iter().enumerate() {
+        for i in 0..home_of.len() {
             if !named_first(i) {
                 continue;
             }
-            match insert(home) {
+            let home = home_of[i].1;
+            let mut insert = || -> ModelResult<RecordId> {
+                let seg = self.segment_for(home)?;
+                let fields = self.schema.class(home)?.stored_layout().iter().map(|key| {
+                    let given = home_of.iter().position(|&bound| bound == (*key, home));
+                    match given {
+                        Some(at) => std::mem::replace(&mut initial[at].1, Value::Null),
+                        None => self.default_for(*key),
+                    }
+                });
+                Ok(self.store.insert(seg, fields.collect())?)
+            };
+            match insert() {
                 Ok(rec) => {
                     bind_in(&mut words, slice_binding(home, rec), true);
                 }
@@ -987,7 +991,7 @@ impl Database {
             }
         }
         home_of.sort_unstable_by_key(|(key, _)| *key);
-        for &(key, home) in home_of.iter() {
+        for &(key, home) in &home_of {
             bind_in(&mut words, home_binding(key, home), false);
         }
         Ok(Bindings(words.into_boxed_slice()))
@@ -1405,14 +1409,20 @@ impl Database {
         }
     }
 
-    /// Decide (and remember) which class's slice stores `key` for `oid`:
-    /// an already-bound home, else [`Database::choose_home`]'s.
-    pub(crate) fn bind_home(&self, oid: Oid, via: ClassId, key: PropKey) -> ModelResult<ClassId> {
+    /// Decide (and remember) which class's slice stores `plan`'s key for
+    /// `oid`: an already-bound home, else [`Database::choose_home`]'s.
+    pub(crate) fn bind_home(
+        &self,
+        oid: Oid,
+        via: ClassId,
+        plan: &AccessPlan,
+    ) -> ModelResult<ClassId> {
+        let key = plan.key;
         let bound = self.objects.read().get(oid).ok_or(ModelError::UnknownObject(oid))?.home(key);
         if let Some(home) = bound {
             return Ok(home);
         }
-        let chosen = self.choose_home(oid, via, key, None)?;
+        let chosen = self.choose_home(oid, via, plan, None)?;
         // Publish the binding; if a concurrent writer bound this key first,
         // its choice wins so both writers target the same slice.
         let mut objects = self.objects.write();
@@ -1420,49 +1430,42 @@ impl Database {
         Ok(entry.bindings.bind_home(key, chosen))
     }
 
-    /// The class whose slice should store `key` for `oid` (or for an
-    /// `Unpublished` object): the most specific class with storage
-    /// capability for `key` that the object is a member of.
+    /// The class whose slice should store `plan`'s key for `oid` (or for an
+    /// `Unpublished` object): the most specific of the plan's homes — the
+    /// classes with storage capability for the key, by class id — that the
+    /// object is a member of, the first by class id if several are. Whether
+    /// one home is below another is a bit test; an object's membership of a
+    /// home is asked once, plus once per home above a member it is below.
     fn choose_home(
         &self,
         oid: Oid,
         via: ClassId,
-        key: PropKey,
+        plan: &AccessPlan,
         object: Option<Unpublished<'_>>,
     ) -> ModelResult<ClassId> {
-        // Capability classes: stored_layout contains the key.
-        let capable: Vec<ClassId> = self
-            .schema
-            .class_ids()
-            .filter(|c| {
-                self.schema
-                    .class(*c)
-                    .map(|cls| cls.stored_layout().contains(&key))
-                    .unwrap_or(false)
-            })
-            .collect();
-        // Keep only those the object belongs to.
         let pass = Pass::new(self);
-        let mut member_capable = Vec::new();
-        for c in capable {
-            if pass.member(oid, c, object)? {
-                member_capable.push(c);
+        for home in plan.homes() {
+            if !pass.member(oid, home, object)? {
+                continue;
+            }
+            let mut most_specific = true;
+            for other in plan.homes() {
+                if other != home
+                    && self.schema.is_sub_of(other, home)
+                    && pass.member(oid, other, object)?
+                {
+                    most_specific = false;
+                    break;
+                }
+            }
+            if most_specific {
+                return Ok(home);
             }
         }
-        if member_capable.is_empty() {
-            return Err(ModelError::Invalid(format!(
-                "object {oid} (via {via}) has no storage-capable class for {key}"
-            )));
-        }
-        // Most specific: no other member-capable class strictly below it.
-        Ok(*member_capable
-            .iter()
-            .find(|c| {
-                !member_capable
-                    .iter()
-                    .any(|other| *other != **c && self.schema.is_sub_of(*other, **c))
-            })
-            .unwrap_or(&member_capable[0]))
+        Err(ModelError::Invalid(format!(
+            "object {oid} (via {via}) has no storage-capable class for {}",
+            plan.key
+        )))
     }
 
     /// The storage segment assigned to `class`, if any: the one baked into
@@ -1498,35 +1501,56 @@ impl Database {
         Ok(seg)
     }
 
-    /// Materialize (or fetch) the slice of `oid` for `class`, creating the
-    /// class's segment on first use.
-    pub(crate) fn ensure_slice(&self, oid: Oid, class: ClassId) -> ModelResult<RecordId> {
-        let bound = self.objects.read().get(oid).ok_or(ModelError::UnknownObject(oid))?.slice(class);
-        if let Some(rec) = bound {
-            return Ok(rec);
-        }
-        let seg = self.segment_for(class)?;
-        let layout: Vec<PropKey> = self.schema.class(class)?.stored_layout().to_vec();
-        let fields: Vec<Value> = layout.iter().map(|k| self.default_for(*k)).collect();
-        // Create the record outside the object-map lock, then publish it;
-        // if a concurrent writer materialized the slice first, theirs wins
-        // and our speculative record is freed.
-        let rec = self.store.insert(seg, fields)?;
-        let winner = {
-            let mut objects = self.objects.write();
-            match objects.get_mut(oid) {
-                Some(entry) => entry.bindings.bind_slice(class, rec),
-                None => {
-                    drop(objects);
-                    let _ = self.store.free(rec);
-                    return Err(ModelError::UnknownObject(oid));
+    /// Write `value` into field `idx` of `oid`'s slice of `home`, under the
+    /// ambient write stamp. A slice not yet materialized is inserted
+    /// already holding the value (defaults elsewhere): one insert, one
+    /// version. If a concurrent writer materialized it first, theirs wins,
+    /// the speculative record is freed and the value written into theirs.
+    pub(crate) fn write_slice(
+        &self,
+        oid: Oid,
+        home: ClassId,
+        idx: usize,
+        mut value: Value,
+    ) -> ModelResult<()> {
+        let bound = self.objects.read().get(oid).ok_or(ModelError::UnknownObject(oid))?.slice(home);
+        let rec = match bound {
+            Some(rec) => rec,
+            None => {
+                let seg = self.segment_for(home)?;
+                let layout = self.schema.class(home)?.stored_layout();
+                let mut fields: Vec<Value> = layout.iter().map(|k| self.default_for(*k)).collect();
+                fields[idx] = value;
+                // Create the record outside the object-map lock, then
+                // publish it.
+                let rec = self.store.insert(seg, fields)?;
+                let winner = {
+                    let mut objects = self.objects.write();
+                    match objects.get_mut(oid) {
+                        Some(entry) => entry.bindings.bind_slice(home, rec),
+                        None => {
+                            drop(objects);
+                            let _ = self.store.free(rec);
+                            return Err(ModelError::UnknownObject(oid));
+                        }
+                    }
+                };
+                if winner == rec {
+                    return Ok(());
                 }
+                value = self.store.free(rec)?.swap_remove(idx);
+                winner
             }
         };
-        if winner != rec {
-            let _ = self.store.free(rec);
+        // Dynamic restructuring: extend the slice record if the class layout
+        // grew after the slice was created.
+        while self.store.field_count(rec)? <= idx {
+            let fill_key = self.schema.class(home)?.stored_layout()[self.store.field_count(rec)?];
+            let fill = self.default_for(fill_key);
+            self.store.append_field(rec, fill)?;
         }
-        Ok(winner)
+        self.store.write_field(rec, idx, value)?;
+        Ok(())
     }
 
     /// Number of implementation objects (slices) an object currently has.

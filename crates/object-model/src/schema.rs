@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::class::{Class, ClassKind};
 use crate::derivation::Derivation;
@@ -168,6 +168,11 @@ pub(crate) struct HomeSlot {
 }
 
 impl AccessPlan {
+    /// Every class with storage capability for the plan's key, by class id.
+    pub(crate) fn homes(&self) -> impl Iterator<Item = ClassId> + '_ {
+        self.homes.iter().map(|slot| slot.class)
+    }
+
     /// The slot of `home`, the class an object's value for this property
     /// is bound to. Homes are only ever bound to classes that can store the
     /// key, and layouts only grow, so a miss is a broken invariant.
@@ -180,19 +185,51 @@ impl AccessPlan {
 
 /// What the schema remembers about one class between mutations: its
 /// resolved type, its intent type (the operator rule of `tse-algebra`,
-/// memoised through [`Schema::intent_type_with`]) and the access plans
-/// compiled so far. See [`Schema::invalidate`] for when an entry dies.
+/// memoised through [`Schema::intent_type_with`]), the facts a write asks
+/// for (its ancestors, its REQUIRED keys, whether its membership reads
+/// values) and the access plans compiled so far. See [`Schema::invalidate`]
+/// for when an entry dies.
 #[derive(Clone, Default)]
 struct ClassFacts {
     resolved: Option<Arc<ResolvedType>>,
     intent: Option<Arc<[PropKey]>>,
+    /// The class and its is-a ancestors, one bit per class id: built from
+    /// the direct supers' sets.
+    ancestors: Option<Arc<[u64]>>,
+    /// The REQUIRED stored attributes that default to null, in name order:
+    /// the keys a create must give a value. Built from the resolved type.
+    required: Option<Arc<[PropKey]>>,
+    /// Is there a `Select` in the class's derivation closure? Built from the
+    /// derivation sources' facts; a base class's membership reads no value.
+    value_sensitive: Option<bool>,
     plans: HashMap<Box<str>, Arc<AccessPlan>>,
 }
 
 impl ClassFacts {
     fn is_empty(&self) -> bool {
-        self.resolved.is_none() && self.intent.is_none() && self.plans.is_empty()
+        self.resolved.is_none()
+            && self.intent.is_none()
+            && self.ancestors.is_none()
+            && self.required.is_none()
+            && self.value_sensitive.is_none()
+            && self.plans.is_empty()
     }
+}
+
+/// The fact cache's entries, one per class of a schema of `classes`
+/// classes, for a fill that recurses through other classes' entries.
+fn spine(entries: &mut Arc<Vec<ClassFacts>>, classes: usize) -> &mut [ClassFacts] {
+    let entries = Arc::make_mut(entries);
+    if entries.len() < classes {
+        entries.resize_with(classes, ClassFacts::default);
+    }
+    entries
+}
+
+/// Is bit `class` set in `bits`?
+fn has_bit(bits: &[u64], class: ClassId) -> bool {
+    let idx = class.0 as usize;
+    bits.get(idx / 64).is_some_and(|word| word >> (idx % 64) & 1 == 1)
 }
 
 /// The fact cache: one [`ClassFacts`] per class id (shorter than the class
@@ -249,7 +286,7 @@ pub struct Schema {
     /// Number of classes carrying a constraint (fast path: the database
     /// skips constraint checking entirely when zero).
     constraint_count: usize,
-    facts: Mutex<FactCache>,
+    facts: RwLock<FactCache>,
 }
 
 impl std::fmt::Debug for Schema {
@@ -277,7 +314,7 @@ impl Clone for Schema {
             next_prop_key: self.next_prop_key,
             prop_home: Arc::clone(&self.prop_home),
             constraint_count: self.constraint_count,
-            facts: Mutex::new(self.facts.lock().clone()),
+            facts: RwLock::new(self.facts.read().clone()),
         }
     }
 }
@@ -299,7 +336,7 @@ impl Schema {
             next_prop_key: 0,
             prop_home: Arc::default(),
             constraint_count: 0,
-            facts: Mutex::default(),
+            facts: RwLock::default(),
         }
     }
 
@@ -601,27 +638,44 @@ impl Schema {
         out
     }
 
-    /// Is `sub` a (transitive or reflexive) subclass of `sup`?
+    /// Is `sub` a (transitive or reflexive) subclass of `sup`? One bit of
+    /// `sub`'s ancestor set in the fact cache: no walk, and no allocation
+    /// once the set is built.
     pub fn is_sub_of(&self, sub: ClassId, sup: ClassId) -> bool {
         if sub == sup {
             return true;
         }
-        // Upward search that stops at the first hit; the visited map keeps
-        // diamonds from being walked once per path.
-        let mut seen = vec![false; self.classes.len()];
-        let mut stack = vec![sub];
-        while let Some(c) = stack.pop() {
-            let Ok(cls) = self.class(c) else { continue };
-            for &s in &cls.supers {
-                if s == sup {
-                    return true;
-                }
-                if !std::mem::replace(&mut seen[s.0 as usize], true) {
-                    stack.push(s);
-                }
+        if sub.0 as usize >= self.classes.len() {
+            return false;
+        }
+        if let Some(bits) = self.facts.read().entry(sub).and_then(|f| f.ancestors.as_ref()) {
+            return has_bit(bits, sup);
+        }
+        let entries = &mut self.facts.write().entries;
+        has_bit(&self.ancestors_rec(sub, spine(entries, self.classes.len())), sup)
+    }
+
+    /// The ancestor set of `class` (itself included), built into `memo`
+    /// from the direct supers' sets.
+    fn ancestors_rec(&self, class: ClassId, memo: &mut [ClassFacts]) -> Arc<[u64]> {
+        if let Some(bits) = &memo[class.0 as usize].ancestors {
+            return Arc::clone(bits);
+        }
+        let idx = class.0 as usize;
+        let mut bits = vec![0u64; idx / 64 + 1];
+        bits[idx / 64] |= 1 << (idx % 64);
+        for &sup in &self.classes[idx].supers {
+            let above = self.ancestors_rec(sup, memo);
+            if bits.len() < above.len() {
+                bits.resize(above.len(), 0);
+            }
+            for (word, up) in bits.iter_mut().zip(above.iter()) {
+                *word |= up;
             }
         }
-        false
+        let bits: Arc<[u64]> = bits.into();
+        memo[idx].ancestors = Some(Arc::clone(&bits));
+        bits
     }
 
     /// Length of the shortest upward is-a path from `from` to `to`
@@ -908,13 +962,13 @@ impl Schema {
     /// Class types resolved so far by this schema and the schemas it was
     /// cloned from (every miss of the fact cache, counted per class).
     pub fn types_resolved(&self) -> u64 {
-        self.facts.lock().resolved
+        self.facts.read().resolved
     }
 
     /// Cache entries dropped so far by mutations of this schema and of the
     /// schemas it was cloned from.
     pub fn types_invalidated(&self) -> u64 {
-        self.facts.lock().invalidated
+        self.facts.read().invalidated
     }
 
     // ----- type resolution -------------------------------------------------
@@ -922,19 +976,72 @@ impl Schema {
     /// The resolved type of a class, from the fact cache.
     pub fn resolved_type(&self, class: ClassId) -> ModelResult<Arc<ResolvedType>> {
         self.class(class)?;
-        let mut cache = self.facts.lock();
-        if let Some(resolved) = cache.entry(class).and_then(|facts| facts.resolved.as_ref()) {
+        if let Some(resolved) = self.facts.read().entry(class).and_then(|f| f.resolved.as_ref()) {
             return Ok(Arc::clone(resolved));
         }
         // A miss resolves straight into the cache, which doubles as the
         // recursion memo: shared ancestors are resolved once and a miss
         // costs what it resolves, not the size of the cache.
+        let mut cache = self.facts.write();
         let FactCache { entries, resolved, .. } = &mut *cache;
-        let entries = Arc::make_mut(entries);
-        if entries.len() < self.classes.len() {
-            entries.resize_with(self.classes.len(), ClassFacts::default);
+        self.resolve_rec(class, spine(entries, self.classes.len()), resolved)
+    }
+
+    /// The REQUIRED stored attributes of `class` that default to null, in
+    /// name order: the keys a create must be given a non-null value for. An
+    /// ambiguous name is not enforced. From the fact cache, built from the
+    /// resolved type, so it dies with it.
+    pub fn required_keys(&self, class: ClassId) -> ModelResult<Arc<[PropKey]>> {
+        self.class(class)?;
+        if let Some(required) = self.facts.read().entry(class).and_then(|f| f.required.as_ref()) {
+            return Ok(Arc::clone(required));
         }
-        self.resolve_rec(class, entries, resolved)
+        let resolved = self.resolved_type(class)?;
+        let mut required = Vec::new();
+        for rp in resolved.props.values().filter(|rp| !rp.is_ambiguous()) {
+            let key = rp.candidates[0].key;
+            let (_, def) = self.def_by_key(key)?;
+            if matches!(&def.kind, PropKind::Stored { required: true, default: Value::Null, .. }) {
+                required.push(key);
+            }
+        }
+        let required: Arc<[PropKey]> = required.into();
+        self.facts.write().entry_mut(class).required = Some(Arc::clone(&required));
+        Ok(required)
+    }
+
+    /// Can a write of an attribute value change whether an object belongs
+    /// to `class`? Only through a `Select` somewhere in its derivation
+    /// closure: every other operator's membership follows explicit base
+    /// membership alone. From the fact cache, built from the derivation
+    /// sources' facts.
+    pub fn value_sensitive(&self, class: ClassId) -> ModelResult<bool> {
+        self.class(class)?;
+        if let Some(sensitive) = self.facts.read().entry(class).and_then(|f| f.value_sensitive) {
+            return Ok(sensitive);
+        }
+        let entries = &mut self.facts.write().entries;
+        Ok(self.value_sensitive_rec(class, spine(entries, self.classes.len())))
+    }
+
+    fn value_sensitive_rec(&self, class: ClassId, memo: &mut [ClassFacts]) -> bool {
+        if let Some(sensitive) = memo[class.0 as usize].value_sensitive {
+            return sensitive;
+        }
+        let sensitive = match &self.classes[class.0 as usize].kind {
+            ClassKind::Base => false,
+            ClassKind::Virtual(Derivation::Select { .. }) => true,
+            ClassKind::Virtual(
+                Derivation::Hide { src, .. } | Derivation::Refine { src, .. },
+            ) => self.value_sensitive_rec(*src, memo),
+            ClassKind::Virtual(
+                Derivation::Union { a, b }
+                | Derivation::Difference { a, b }
+                | Derivation::Intersect { a, b },
+            ) => self.value_sensitive_rec(*a, memo) || self.value_sensitive_rec(*b, memo),
+        };
+        memo[class.0 as usize].value_sensitive = Some(sensitive);
+        sensitive
     }
 
     /// The intent type of `class` — what the operator that derived it says
@@ -949,12 +1056,12 @@ impl Schema {
         derive: impl FnOnce() -> ModelResult<Arc<[PropKey]>>,
     ) -> ModelResult<Arc<[PropKey]>> {
         self.class(class)?;
-        if let Some(intent) = self.facts.lock().entry(class).and_then(|f| f.intent.as_ref()) {
+        if let Some(intent) = self.facts.read().entry(class).and_then(|f| f.intent.as_ref()) {
             return Ok(Arc::clone(intent));
         }
         // Not under the lock: `derive` comes back for the sources.
         let mut intent = derive()?;
-        let mut cache = self.facts.lock();
+        let mut cache = self.facts.write();
         let facts = cache.entry_mut(class);
         // Once a class is classified its two types agree: keep one array.
         if let Some(resolved) = facts.resolved.as_ref().filter(|r| r.keys == intent) {
@@ -971,13 +1078,13 @@ impl Schema {
     /// [`ResolvedType::get_unique`], which are not cached) and compiles the
     /// plan; classification and `evolve` never do.
     pub(crate) fn access_plan(&self, class: ClassId, name: &str) -> ModelResult<Arc<AccessPlan>> {
-        if let Some(plan) = self.facts.lock().entry(class).and_then(|f| f.plans.get(name)) {
+        if let Some(plan) = self.facts.read().entry(class).and_then(|f| f.plans.get(name)) {
             return Ok(Arc::clone(plan));
         }
         let resolved = self.resolved_type(class)?;
         let key = resolved.get_unique(class, name)?.key;
         let plan = Arc::new(self.compile_plan(class, key)?);
-        let mut cache = self.facts.lock();
+        let mut cache = self.facts.write();
         cache.entry_mut(class).plans.insert(name.into(), Arc::clone(&plan));
         cache.plans_live = true;
         Ok(plan)
@@ -1275,7 +1382,7 @@ impl Schema {
             next_prop_key,
             prop_home: Arc::new(prop_home),
             constraint_count,
-            facts: Mutex::default(),
+            facts: RwLock::default(),
         })
     }
 }

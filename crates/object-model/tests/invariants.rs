@@ -424,10 +424,14 @@ struct RefObject {
 }
 
 /// Install a version keeping a chain stamp-sorted: a straggler goes below
-/// every newer stamp, an equal stamp after the existing one.
+/// every newer stamp, and a version at an existing version's stamp
+/// replaces it.
 fn splice<T>(chain: &mut Vec<(u64, T)>, stamp: u64, value: T) {
     let at = chain.partition_point(|(s, _)| *s <= stamp);
-    chain.insert(at, (stamp, value));
+    match at.checked_sub(1).map(|below| &mut chain[below]) {
+        Some((s, version)) if *s == stamp => *version = value,
+        _ => chain.insert(at, (stamp, value)),
+    }
 }
 
 /// Install a write of `value` the way the store does. In stamp order it
@@ -437,7 +441,7 @@ fn splice<T>(chain: &mut Vec<(u64, T)>, stamp: u64, value: T) {
 fn write(chain: &mut Vec<(u64, Option<i64>)>, stamp: u64, value: i64) {
     let (newest, _) = *chain.last().unwrap();
     if stamp >= newest {
-        chain.push((stamp, Some(value)));
+        splice(chain, stamp, Some(value));
         return;
     }
     let at = chain.partition_point(|(s, _)| *s <= stamp);
@@ -450,7 +454,7 @@ fn write(chain: &mut Vec<(u64, Option<i64>)>, stamp: u64, value: i64) {
     for (_, version) in &mut chain[at..stop] {
         *version = Some(value);
     }
-    chain.insert(at, (stamp, Some(value)));
+    splice(chain, stamp, Some(value));
 }
 
 /// Install a membership edit the way the object model does: each class of
@@ -482,7 +486,7 @@ fn reclassify(
             set_member(set, class);
         }
     }
-    chain.insert(at, (stamp, spliced));
+    splice(chain, stamp, spliced);
 }
 
 fn visible<T>(chain: &[(u64, T)], epoch: Option<u64>) -> Option<&T> {

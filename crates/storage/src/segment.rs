@@ -111,8 +111,8 @@ impl<T> VersionChain<T> {
     }
 
     /// The link a version stamped `stamp` goes in below the head: after
-    /// every spilled version stamped above it, so an equal stamp lands
-    /// newer than the versions it ties with.
+    /// every spilled version stamped above it, so the version there, if
+    /// any, is the one visible at `stamp`.
     fn link_at(&mut self, stamp: u64) -> &mut Spill<T> {
         let mut link = &mut self.older;
         while link.as_ref().is_some_and(|node| node.stamp > stamp) {
@@ -148,16 +148,23 @@ impl<T> VersionChain<T> {
 
     /// Install a version keeping the chain stamp-sorted. Concurrent tickets
     /// can finish out of stamp order, so a late-arriving lower stamp is
-    /// spliced into place below the newest; an equal stamp goes after
-    /// (latest-of-equals wins at every epoch). One box either way.
+    /// spliced into place below the newest, in one box. A version pushed at
+    /// an existing version's stamp replaces that version: the later of two
+    /// versions with one stamp wins at every epoch, so no reader could ever
+    /// see the earlier one. That is what a second write to a record within
+    /// one write batch does, and it spills nothing.
     pub fn push(&mut self, stamp: u64, value: T) {
-        if stamp >= self.head_stamp {
+        if stamp == self.head_stamp {
+            self.head = value;
+        } else if stamp > self.head_stamp {
             let value = std::mem::replace(&mut self.head, value);
             let stamp = std::mem::replace(&mut self.head_stamp, stamp);
             self.older = Some(Box::new(Older { stamp, value, next: self.older.take() }));
         } else {
-            let link = self.link_at(stamp);
-            *link = Some(Box::new(Older { stamp, value, next: link.take() }));
+            match self.link_at(stamp) {
+                Some(node) if node.stamp == stamp => node.value = value,
+                link => *link = Some(Box::new(Older { stamp, value, next: link.take() })),
+            }
         }
     }
 
@@ -746,14 +753,13 @@ mod tests {
                 }
             }
 
+            /// A version at an existing version's stamp replaces it.
             fn push(&mut self, stamp: u64, fields: Option<Vec<SP>>) {
-                let at = match self.versions.last() {
-                    Some((last, _)) if *last > stamp => {
-                        self.versions.partition_point(|(s, _)| *s <= stamp)
-                    }
-                    _ => self.versions.len(),
-                };
-                self.versions.insert(at, (stamp, fields));
+                let at = self.versions.partition_point(|(s, _)| *s <= stamp);
+                match at.checked_sub(1).map(|below| &mut self.versions[below]) {
+                    Some((s, version)) if *s == stamp => *version = fields,
+                    _ => self.versions.insert(at, (stamp, fields)),
+                }
             }
         }
 
@@ -818,7 +824,7 @@ mod tests {
                     for (_, version) in &mut versions[at..stop] {
                         put(version.as_mut().unwrap(), i, &value);
                     }
-                    versions.insert(at, (stamp, Some(spliced)));
+                    record.push(stamp, Some(spliced));
                 }
                 let new = record.current().map_or(0, |f| record_bytes(f));
                 let (old, old_page) = (record.bytes, record.page);
@@ -977,6 +983,34 @@ mod tests {
         let slot = std::mem::size_of::<Option<Record<Payload32>>>();
         println!("record slot: {slot} B");
         assert!(slot <= 48, "a record slot is {slot} B");
+    }
+
+    /// Two writes of one record in one batch share its stamp: the second
+    /// replaces the first, at the head or spliced below it, and nothing
+    /// spills.
+    #[test]
+    fn a_second_version_at_one_stamp_replaces_the_first() {
+        let mut seg: Segment<SP> = Segment::new("s".into());
+        let (a, _) = seg.insert(vec![SP::Int(0), SP::Int(0)], PS, 3);
+        set_field(&mut seg, a, 3, 0, SP::Int(30));
+        set_field(&mut seg, a, 3, 1, SP::Int(31));
+        assert_eq!(seg.version_backlog(), 0);
+        assert_eq!(seg.fields_at(a, Some(3)).unwrap(), &vec![SP::Int(30), SP::Int(31)]);
+        assert!(seg.fields_at(a, Some(2)).is_none());
+        set_field(&mut seg, a, 5, 0, SP::Int(50));
+        // A late write at the stamp below the head replaces that version
+        // and is carried into the head.
+        set_field(&mut seg, a, 3, 1, SP::Int(32));
+        assert_eq!(seg.version_backlog(), 1);
+        assert_eq!(seg.fields_at(a, Some(4)).unwrap(), &vec![SP::Int(30), SP::Int(32)]);
+        assert_eq!(seg.fields_at(a, None).unwrap(), &vec![SP::Int(50), SP::Int(32)]);
+        // A delete in the batch that created a record leaves its tombstone
+        // alone, which GC reclaims with the slot.
+        let (b, _) = seg.insert(vec![SP::Int(1)], PS, 7);
+        seg.free(b, 7);
+        assert_eq!(seg.record(b).unwrap().chain.history_len(), 0);
+        assert!(seg.fields_at(b, Some(7)).is_none());
+        assert_eq!(seg.gc(7), 2, "a's stamp-3 version and b's slot");
     }
 
     #[test]

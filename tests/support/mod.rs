@@ -6,8 +6,9 @@ use tse::algebra::intent_type;
 use tse::object_model::Database;
 use tse::storage::StoreConfig;
 
-/// Every class's resolved type and intent type, as `db`'s schema has them
-/// cached (or resolves them now), equal those of a cold twin: the same
+/// Every class's resolved type, intent type, REQUIRED keys and value
+/// sensitivity, as `db`'s schema has them cached (or works them out now),
+/// equal those of a cold twin: the same
 /// database through an encode/decode round trip, its schema's fact cache
 /// empty, so that every fact it hands out is worked out from scratch.
 /// Returns the twin.
@@ -25,6 +26,16 @@ pub fn assert_facts_equal_a_cold_schema(db: &Database, context: &str) -> Databas
             intent_type(db, class),
             intent_type(&cold, class),
             "{context}: intent type of {class} (cached vs from scratch)"
+        );
+        assert_eq!(
+            db.schema().required_keys(class),
+            cold.schema().required_keys(class),
+            "{context}: REQUIRED keys of {class} (cached vs from scratch)"
+        );
+        assert_eq!(
+            db.schema().value_sensitive(class),
+            cold.schema().value_sensitive(class),
+            "{context}: value sensitivity of {class} (cached vs from scratch)"
         );
     }
     cold

@@ -8,7 +8,8 @@ use tse::algebra::{self, define_vc, Query, UpdatePolicy};
 use tse::classifier::{classify_with, Subsumption};
 use tse::core::TseSystem;
 use tse::object_model::{
-    BinOp, ClassId, Database, Predicate, PropertyDef, Value, ValueType,
+    BinOp, ClassId, Database, Derivation, PropKey, PropKind, Predicate, PropertyDef, Schema, Value,
+    ValueType,
 };
 use tse::workload::trace::{generate_and_apply_trace, TraceMix};
 use tse::workload::university::build_university;
@@ -112,7 +113,9 @@ proptest! {
     }
 
     /// Classified classes always satisfy the type-agreement invariant:
-    /// hierarchy-resolved type == operator-intent type.
+    /// hierarchy-resolved type == operator-intent type. And each class's
+    /// cached value sensitivity agrees with a recursion over the
+    /// derivations, whatever mix of the six operators built it.
     #[test]
     fn classification_preserves_type_agreement(
         ops in proptest::collection::vec((0usize..6, 0usize..8, 0usize..8), 1..8),
@@ -133,6 +136,10 @@ proptest! {
             let resolved = db.schema().type_keys(class).unwrap();
             let intent = tse::algebra::intent_type(&db, class).unwrap();
             prop_assert_eq!(resolved, intent, "type agreement at {}", class);
+            prop_assert_eq!(
+                db.schema().value_sensitive(class).unwrap(), select_below(db.schema(), class),
+                "value sensitivity of {}", class
+            );
         }
     }
 }
@@ -166,6 +173,96 @@ proptest! {
                 let resolved = db.schema().type_keys(class).unwrap();
                 let intent = tse::algebra::intent_type(db, class).unwrap();
                 prop_assert_eq!(resolved, intent, "change {} ({:?}): {}", i, change, class);
+            }
+        }
+    }
+}
+
+/// The classes `from` reaches by walking up the direct supers, itself
+/// included, by class id: the is-a test as `Schema::is_sub_of` answered it
+/// before the fact cache kept ancestor sets.
+fn reached_upward(schema: &Schema, from: ClassId) -> Vec<bool> {
+    let mut seen = vec![false; schema.class_count()];
+    let mut stack = vec![from];
+    while let Some(class) = stack.pop() {
+        if !std::mem::replace(&mut seen[class.0 as usize], true) {
+            stack.extend(schema.class(class).unwrap().direct_supers());
+        }
+    }
+    seen
+}
+
+/// Whether a `Select` is anywhere in `class`'s derivation closure, by
+/// recursion over the derivations.
+fn select_below(schema: &Schema, class: ClassId) -> bool {
+    match schema.class(class).unwrap().derivation() {
+        None => false,
+        Some(Derivation::Select { .. }) => true,
+        Some(derivation) => derivation.sources().into_iter().any(|src| select_below(schema, src)),
+    }
+}
+
+/// The REQUIRED attributes defaulting to null, read off the resolved type
+/// name by name, the way a create checked them before the fact cache kept
+/// them.
+fn required_by_name(schema: &Schema, class: ClassId) -> Vec<PropKey> {
+    let resolved = schema.resolved_type(class).unwrap();
+    let mut required = Vec::new();
+    for name in resolved.props.keys() {
+        let Ok(candidate) = resolved.get_unique(class, name) else { continue };
+        let (_, def) = schema.def_by_key(candidate.key).unwrap();
+        if let PropKind::Stored { required: true, default: Value::Null, .. } = &def.kind {
+            required.push(candidate.key);
+        }
+    }
+    required
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+
+    /// The write path's facts agree with their references through
+    /// evolution: after every change of a seeded Sjøberg-mix trace, the
+    /// is-a test of every class pair agrees with a walk up the supers, and
+    /// every class's value sensitivity and REQUIRED keys with a recursion
+    /// over its derivations and a reading of its resolved type.
+    #[test]
+    fn write_facts_agree_with_their_references_after_every_change_of_a_trace(
+        seed in 0u64..1_000_000,
+    ) {
+        // The university plus a class with a REQUIRED attribute, so that
+        // the changes derive classes that must be given it.
+        let university = || {
+            let (mut tse, _) = build_university().unwrap();
+            let badge = PropertyDef::required("code", ValueType::Str, Value::Null);
+            tse.define_base_class("Badge", &["Staff"], vec![badge]).unwrap();
+            tse.create_view_all("U").unwrap();
+            tse
+        };
+        let mix = TraceMix::default();
+        let trace = generate_and_apply_trace(&mut university(), "U", 100, &mix, seed).unwrap();
+        let mut tse = university();
+        let badge = tse.db().schema().by_name("Badge").unwrap();
+        prop_assert_eq!(required_by_name(tse.db().schema(), badge).len(), 1);
+        for (i, change) in trace.changes.iter().enumerate() {
+            tse.evolve("U", change).unwrap();
+            let schema = tse.db().schema();
+            for sub in schema.class_ids() {
+                let reached = reached_upward(schema, sub);
+                for sup in schema.class_ids() {
+                    prop_assert_eq!(
+                        schema.is_sub_of(sub, sup), reached[sup.0 as usize],
+                        "change {} ({:?}): {} below {}", i, change, sub, sup
+                    );
+                }
+                prop_assert_eq!(
+                    schema.value_sensitive(sub).unwrap(), select_below(schema, sub),
+                    "change {} ({:?}): value sensitivity of {}", i, change, sub
+                );
+                prop_assert_eq!(
+                    &schema.required_keys(sub).unwrap()[..], &required_by_name(schema, sub)[..],
+                    "change {} ({:?}): REQUIRED keys of {}", i, change, sub
+                );
             }
         }
     }
