@@ -32,6 +32,11 @@
 //!   steady set, on the 104-class schema of the repo benchmark's
 //!   `local_read` and on the same family evolved to ≈ 500 classes, land in
 //!   `BENCH_ablation.json`.
+//! * **Evolve flush** — what durability adds to a schema change: the p50 ns
+//!   of an `add_attribute` evolve on an in-memory system and on a durable
+//!   one with the same schema (whose frame is fsynced while its fork
+//!   evolves), beside a bare `fdatasync` p50 in the same directory, land in
+//!   `BENCH_ablation.json`. Ungated: the disk varies.
 
 use std::hint::black_box;
 use std::sync::Barrier;
@@ -505,6 +510,62 @@ fn op_write_rows() -> Vec<JsonValue> {
     rows
 }
 
+fn evolve_flush_rows() -> Vec<JsonValue> {
+    const EVOLVES: usize = 41;
+    let dir =
+        std::env::temp_dir().join(format!("tse_ablation_evolve_flush_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // One schema for both: the university with a whole-schema view,
+    // recovered by the durable system from a snapshot generation.
+    let (mut tse, _) = build_university().unwrap();
+    tse.create_view_all("uni").unwrap();
+    let image = tse.encode();
+    let fp = tse_storage::FailpointRegistry::new();
+    tse_storage::durable::write_snapshot_file(&dir, 1, 0, &image, &fp).unwrap();
+    tse_storage::durable::write_manifest(&dir, 1, &fp).unwrap();
+    let memory =
+        SharedSystem::from_system(TseSystem::decode(image, StoreConfig::default()).unwrap());
+    let durable = SharedSystem::open(&dir).unwrap();
+    let p50 = |mut ns: Vec<u64>| {
+        ns.sort_unstable();
+        ns[ns.len() / 2]
+    };
+    let timed = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_nanos() as u64
+    };
+    // Alternate the two systems, so both see the schema at each size.
+    let (mut in_memory, mut on_disk) = (Vec::new(), Vec::new());
+    for i in 0..EVOLVES {
+        let command = format!("add_attribute f{i}: int = {i} to Student");
+        in_memory.push(timed(&mut || drop(memory.evolve_cmd("uni", &command).unwrap())));
+        on_disk.push(timed(&mut || drop(durable.evolve_cmd("uni", &command).unwrap())));
+    }
+    drop(durable);
+    let file = std::fs::File::create(dir.join("fdatasync.probe")).unwrap();
+    let fdatasync: Vec<u64> = (0..EVOLVES)
+        .map(|_| {
+            timed(&mut || {
+                std::io::Write::write_all(&mut &file, &[0u8; 64]).unwrap();
+                file.sync_data().unwrap();
+            })
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    let (in_memory, on_disk, fdatasync) = (p50(in_memory), p50(on_disk), p50(fdatasync));
+    println!(
+        "bench ablation/evolve_flush  in memory {in_memory} ns/evolve, durable {on_disk} ns/evolve, fdatasync p50 {fdatasync} ns"
+    );
+    vec![JsonValue::obj(vec![
+        ("memory_ns_per_evolve", in_memory.into()),
+        ("durable_ns_per_evolve", on_disk.into()),
+        ("fdatasync_p50_ns", fdatasync.into()),
+        ("evolves", (EVOLVES as u64).into()),
+    ])]
+}
+
 /// The self-timed medians, as `BENCH_ablation.json`.
 fn bench_timed_medians(_c: &mut Criterion) {
     let (select_pass, select_hit) = select_pass_rows();
@@ -517,9 +578,10 @@ fn bench_timed_medians(_c: &mut Criterion) {
         ("op_record", JsonValue::Arr(op_record_rows())),
         ("op_scaffold", JsonValue::Arr(op_scaffold_rows())),
         ("op_write", JsonValue::Arr(op_write_rows())),
+        ("evolve_flush", JsonValue::Arr(evolve_flush_rows())),
     ]);
     let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
-    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size, op-record, op-scaffold and op-write medians written to {path}");
+    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size, op-record, op-scaffold, op-write and evolve-flush medians written to {path}");
 }
 
 criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_timed_medians);

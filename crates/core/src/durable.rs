@@ -12,9 +12,10 @@
 //!
 //! 1. Structural changes (class definitions, view creations, constraints,
 //!    and both evolve entry points of [`crate::SharedSystem`]) append their
-//!    frame and wait for its fsync **before** applying the change in
-//!    memory. They hold the swap latch exclusive, so their group of one
-//!    has no data frame to share its fsync with.
+//!    frame and wait for its fsync **before** publishing the change; an
+//!    evolve runs its fork while the frame is flushed. They hold the swap
+//!    latch exclusive, so their group of one has no data frame to share
+//!    its fsync with.
 //! 2. Data-plane writes through [`crate::WriteSession`] append effect
 //!    frames (`Create` with the assigned oid, `Set`, `UpdateWhere` with the
 //!    resolved oid set, …) after applying, and are acknowledged only once
@@ -103,6 +104,19 @@ impl LogHandle {
     /// appended.
     pub(crate) fn append(&self, telemetry: &Telemetry, record: &WalRecord) -> ModelResult<u64> {
         self.wal.append(&encode_frame(record)).map_err(|e| self.surfaced(telemetry, e))
+    }
+
+    /// [`LogHandle::append`], running `work` on the calling thread while
+    /// the frame is fsynced ([`GroupWal::append_overlapped`]).
+    pub(crate) fn append_during<R>(
+        &self,
+        telemetry: &Telemetry,
+        record: &WalRecord,
+        work: impl FnOnce() -> R,
+    ) -> ModelResult<(u64, R)> {
+        self.wal
+            .append_overlapped(&encode_frame(record), work)
+            .map_err(|e| self.surfaced(telemetry, e))
     }
 
     /// A durable-path write that failed with its retries spent: advance the
@@ -400,22 +414,26 @@ impl DurableState {
     }
 
     /// Append a structural record (evolve, class definition, view creation,
-    /// constraint) through the [`LogHandle`] — durable **before** the change
-    /// is applied anywhere. Returns the frame's mark for
-    /// [`DurableState::log_commit`] / [`DurableState::log_abort`].
+    /// constraint) through the [`LogHandle`] and run `prepare` while its
+    /// frame is flushed; return once the frame is durable, with its mark
+    /// for [`DurableState::log_commit`] / [`DurableState::log_abort`] and
+    /// what `prepare` returned. `prepare` must leave nothing another client
+    /// can see: if the flush fails, its result is dropped and the flush's
+    /// own error comes back.
     ///
     /// Callers must hold the exclusion that quiesces concurrent data
     /// appends (the swap latch): the log length read just before the
     /// append is where a later [`DurableState::log_abort`] truncates, which
     /// must not clip acked data frames appended in between.
-    pub(crate) fn log_structural(
+    pub(crate) fn log_during<P>(
         &self,
         telemetry: &Telemetry,
         record: &WalRecord,
-    ) -> ModelResult<WalMark> {
+        prepare: impl FnOnce() -> P,
+    ) -> ModelResult<(WalMark, P)> {
         let len_before = self.log.wal.len();
-        let lsn = self.log.append(telemetry, record)?;
-        Ok(WalMark { lsn, len_before })
+        let (lsn, prepared) = self.log.append_during(telemetry, record, prepare)?;
+        Ok((WalMark { lsn, len_before }, prepared))
     }
 
     /// The change applied in memory: the frame's LSN becomes the high-water

@@ -80,12 +80,13 @@
 //! recovers from a snapshot + WAL directory, after which every mutation is
 //! redo-logged as a typed frame ([`crate::walcodec`]) — no entry point
 //! bypasses the log, and every frame of either plane goes through one
-//! group-commit append. Structural changes (class definitions, view creations,
+//! group-commit log. Structural changes (class definitions, view creations,
 //! constraints, [`SharedSystem::evolve`] and [`SharedSystem::evolve_cmd`])
-//! append their frame **before** they apply — while holding the swap latch exclusive,
-//! so a clean-failure truncation can never clip a concurrent data frame —
-//! commit it after the swap publishes the new epoch, and truncate it when
-//! the change fails cleanly. Data writes through a [`WriteSession`] apply
+//! append their frame and publish only once it is durable (an evolve's fork
+//! runs while it is flushed), holding the swap latch exclusive so a
+//! clean-failure truncation can never clip a concurrent data frame; they
+//! commit the frame after the swap publishes the new epoch, and truncate it
+//! when the change fails cleanly. Data writes through a [`WriteSession`] apply
 //! under the latch shared, then append their effect frame through the
 //! group-commit WAL *while still holding the latch* (a checkpoint can
 //! therefore never land between apply and append) and are acknowledged only
@@ -108,7 +109,7 @@ use tse_algebra::UpdatePolicy;
 use tse_object_model::{ClassId, Database, ModelError, ModelResult, Oid, Schema, Value};
 use tse_storage::{
     EpochClock, FailpointRegistry, ReadEpochGuard, ReadPin, ScrubReport, StoreConfig,
-    WriteStampGuard,
+    WriteStampGuard, WriteTicket,
 };
 use tse_telemetry::{OpHandle, Telemetry};
 use tse_view::{ViewId, ViewManager, ViewSchema};
@@ -290,6 +291,14 @@ pub struct WriteSession {
     meta: Arc<MetaSnapshot>,
     /// Trace id minted at open; see [`ReadSession::trace`].
     trace: u64,
+}
+
+/// An evolved fork waiting for its frame to be durable: the report, the
+/// changed system, and the write ticket its versions are stamped under.
+struct Forked {
+    report: EvolutionReport,
+    system: TseSystem,
+    ticket: WriteTicket,
 }
 
 impl Default for SharedSystem {
@@ -488,9 +497,9 @@ impl SharedSystem {
     }
 
     /// Parse and apply a textual schema-change command. On a durable
-    /// system the command is appended to the WAL and fsync'd before the
-    /// fork evolves, the frame is committed only after the swap publishes
-    /// the new epoch, and a cleanly failed change truncates its frame — so
+    /// system the command is appended to the WAL and fsync'd while the
+    /// fork evolves, the swap publishes the new epoch only once the frame
+    /// is durable, and a cleanly failed change truncates its frame — so
     /// the log never replays an epoch that was not published (simulated
     /// crashes keep the frame, to be decided by redo at the next open).
     pub fn evolve_cmd(&self, family: &str, command: &str) -> ModelResult<EvolutionReport> {
@@ -509,7 +518,8 @@ impl SharedSystem {
         let _trace = self.inner.telemetry.ensure_trace("evolve");
         let out = self.logged(
             || Ok(WalRecord::Evolve { family: family.to_string(), command: command()? }),
-            || self.evolve_under_latch(family, change),
+            || self.fork_evolve(family, change),
+            |forked| Ok(self.swap_in(forked)),
         );
         if out.is_ok() {
             maybe_autocheckpoint(&self.inner, None);
@@ -519,23 +529,27 @@ impl SharedSystem {
 
     /// The write-ahead protocol of every structural change, once: under the
     /// control mutex, with writers quiesced by the swap latch, append the
-    /// change's frame and fsync it **before** `apply` runs; commit the frame
-    /// when `apply` succeeds, truncate it away when `apply` fails cleanly,
-    /// and leave it to redo at the next open when `apply` crashed, poisoning
-    /// the log so nothing is appended after it until then. The
-    /// latch is taken before the frame is logged so that the truncation can
-    /// never clip a concurrent data frame. In-memory systems just `apply`.
-    fn logged<R>(
+    /// change's frame and run `prepare` while it is flushed; only once the
+    /// frame is durable does `publish` make the change visible. Commit the
+    /// frame when both succeed, truncate it away when either fails cleanly,
+    /// and leave it to redo at the next open when either crashed, poisoning
+    /// the log so nothing is appended after it until then. When the flush
+    /// itself fails, `prepare`'s result is dropped unpublished and the
+    /// flush's error returned. The latch is taken before the frame is
+    /// logged so that the truncation can never clip a concurrent data
+    /// frame. In-memory systems just `prepare`, then `publish`.
+    fn logged<P, R>(
         &self,
         record: impl FnOnce() -> ModelResult<WalRecord>,
-        apply: impl FnOnce() -> ModelResult<R>,
+        prepare: impl FnOnce() -> ModelResult<P>,
+        publish: impl FnOnce(P) -> ModelResult<R>,
     ) -> ModelResult<R> {
         check_writable(&self.inner)?;
         let mut ctl = self.lock_control();
         let _latch = self.inner.latch.write();
-        let Some(durable) = ctl.durable.as_mut() else { return apply() };
-        let mark = durable.log_structural(&self.inner.telemetry, &record()?)?;
-        let out = apply();
+        let Some(durable) = ctl.durable.as_mut() else { return prepare().and_then(publish) };
+        let (mark, prepared) = durable.log_during(&self.inner.telemetry, &record()?, prepare)?;
+        let out = prepared.and_then(publish);
         match &out {
             Ok(_) => durable.log_commit(mark),
             Err(e) if is_crash(e) => durable.log_crash(&self.inner.telemetry, e),
@@ -544,13 +558,10 @@ impl SharedSystem {
         out
     }
 
-    /// The fork–evolve–swap body. Caller holds the control mutex and the
-    /// swap latch exclusively ([`SharedSystem::logged`]).
-    fn evolve_under_latch(
-        &self,
-        family: &str,
-        change: &SchemaChange,
-    ) -> ModelResult<EvolutionReport> {
+    /// Run a change on a private fork: the evolve's work, which publishes
+    /// nothing. Caller holds the control mutex and the swap latch
+    /// exclusively ([`SharedSystem::logged`]).
+    fn fork_evolve(&self, family: &str, change: &SchemaChange) -> ModelResult<Forked> {
         // Writers are quiesced for the whole fork→swap window: the swap
         // latch drains in-flight write batches (each holds it shared for
         // one operation), so the fork sees every batch completely or not
@@ -567,22 +578,27 @@ impl SharedSystem {
         // can pin an epoch that sees a half-applied evolution. A change
         // adds capacity and moves no data, so a failed run leaves nothing
         // in the shared store: dropping the fork undoes it.
-        let (clock, mut private) = {
+        let (clock, mut system) = {
             let sys = self.read_timed();
             (Arc::clone(sys.db().store().clock()), sys.fork_shared())
         };
         let ticket = clock.begin_write();
         let report = {
             let _stamp = WriteStampGuard::new(ticket.stamp());
-            private.evolve_fork(family, change)
+            system.evolve_fork(family, change)
         }
         .inspect_err(|e| note_fault(&self.inner.telemetry, e))?;
-
         // Nothing is warmed for the swap: the fork carries the live
         // system's extent cache and its schema's fact cache, a new view
         // class derives its first extent from its source's entry, and the
         // classifier resolved the new classes' types on the way in.
+        Ok(Forked { report, system, ticket })
+    }
 
+    /// Publish an evolved fork: its versions, then the next epoch. Runs
+    /// once the change's frame is durable.
+    fn swap_in(&self, forked: Forked) -> EvolutionReport {
+        let Forked { report, system: mut private, ticket } = forked;
         // Publish the evolution's versions before the metadata swap:
         // sessions opened after the swap must pin an epoch that already
         // includes everything the evolution installed. (Evolution is
@@ -610,7 +626,7 @@ impl SharedSystem {
         // deallocation never extends it.
         drop(old_meta);
         drop(private);
-        Ok(report)
+        report
     }
 
     /// Write a new snapshot generation and empty the WAL (durable systems
@@ -724,7 +740,8 @@ impl SharedSystem {
         let frame = record.clone();
         self.logged(
             move || Ok(frame),
-            || {
+            || Ok(()),
+            |()| {
                 let mut sys = self.write_timed();
                 apply_record(&mut sys, record)?;
                 self.publish_meta_locked(&sys);

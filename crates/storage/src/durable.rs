@@ -15,8 +15,9 @@
 //! * snapshot and manifest files are written via **temp file + fsync +
 //!   atomic rename + directory fsync** — a crash leaves either the old or
 //!   the new file, never a torn one;
-//! * every WAL frame reaches the file through [`GroupWal::append`], which
-//!   returns only once the frame's group-commit batch is fsync'd;
+//! * every WAL frame reaches the file through [`GroupWal::append`] or
+//!   [`GroupWal::append_overlapped`], which return only once the frame's
+//!   group-commit batch is fsync'd;
 //! * a torn final WAL frame (crash mid-append) is detected by its length or
 //!   CRC and truncated on open — everything before it remains valid. One
 //!   parser, [`walk_frames`], reads the frame format, for recovery and the
@@ -36,7 +37,8 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use tse_telemetry::Telemetry;
@@ -431,11 +433,22 @@ struct GroupState {
     flushed_seq: u64,
     /// A leader is fsyncing outside the lock right now.
     syncing: bool,
+    /// The newest append the flusher thread was asked to lead a flush for.
+    requested: u64,
+    /// The error of a flush the flusher thread led and lost, kept for the
+    /// append that asked for it (by sequence): the flusher has no caller
+    /// to return it to, and the health machine needs the fault itself, not
+    /// the generic fail-stop answer a follower gets.
+    lost: Option<(u64, StorageError)>,
+    /// The last handle dropped: the flusher thread exits.
+    closing: bool,
 }
 
 struct GroupInner {
     state: Mutex<GroupState>,
     flushed: Condvar,
+    /// Wakes the flusher thread: a flush request, or the last handle's drop.
+    wake: Condvar,
     failpoints: FailpointRegistry,
     telemetry: Telemetry,
     /// Pre-ack retry policy for transient append/fsync faults.
@@ -454,114 +467,137 @@ struct GroupInner {
 /// what makes batches form: with the lock held, appends and fsyncs would
 /// interleave 1:1.
 ///
+/// [`GroupWal::append_overlapped`] hands the leader's part to one
+/// persistent flusher thread, started on the first such append and stopped
+/// when the last handle drops, so the caller's own work runs while its
+/// frame is fsynced; both appends then wait in the same leader/follower
+/// loop.
+///
 /// Transient append and fsync faults are retried through
 /// [`with_retries`] before anyone is acknowledged, each retry counted in
 /// `fault.retries`. Per-flush telemetry: `wal.group_size` (frames per
 /// fsync, the batching evidence) and `wal.fsync_ns`; per append,
 /// `wal.commit_wait_ns`. A failed fsync poisons the underlying log
 /// (`wal.poisoned` counter) and wakes every waiter with
-/// [`StorageError::Poisoned`].
+/// [`StorageError::Poisoned`] — except the leader's own caller, who gets
+/// the fsync's error.
 #[derive(Clone)]
 pub struct GroupWal {
-    inner: Arc<GroupInner>,
+    handles: Arc<Handles>,
 }
 
-impl GroupWal {
-    /// Wrap `wal` for group commit. The log's failpoint registry guards the
-    /// leader's fsync (site `durable.wal_fsync`); flush telemetry and
-    /// retries land in `telemetry`; transient append/fsync faults are
-    /// retried per `policy` *before* any caller's append is acknowledged.
-    pub fn new(wal: Wal, telemetry: Telemetry, policy: RetryPolicy) -> GroupWal {
-        let failpoints = wal.failpoints.clone();
-        GroupWal {
-            inner: Arc::new(GroupInner {
-                state: Mutex::new(GroupState {
-                    wal,
-                    append_seq: 0,
-                    flushed_seq: 0,
-                    syncing: false,
-                }),
-                flushed: Condvar::new(),
-                failpoints,
-                telemetry,
-                policy,
-            }),
+/// What every clone of a [`GroupWal`] shares: the log, and the flusher
+/// thread. The thread holds only the log, never a handle, so the last
+/// handle's drop — which stops and joins it — never runs on it.
+struct Handles {
+    inner: Arc<GroupInner>,
+    /// Started by the first overlapped append; `None` inside when the
+    /// spawn failed, and callers then lead their own flushes.
+    flusher: OnceLock<Option<JoinHandle<()>>>,
+}
+
+impl Drop for Handles {
+    fn drop(&mut self) {
+        if let Some(Some(flusher)) = self.flusher.take() {
+            self.inner.state.lock().unwrap_or_else(PoisonError::into_inner).closing = true;
+            self.inner.wake.notify_all();
+            let _ = flusher.join();
         }
     }
+}
 
-    /// Append one frame and return once it is **durable** (its batch has
-    /// been fsynced). Returns the frame's LSN.
-    pub fn append(&self, payload: &[u8]) -> StorageResult<u64> {
-        let inner = &*self.inner;
-        let begun = Instant::now();
-        let mut st = inner.state.lock().unwrap();
-        // Transient append faults are retried under the mutex — nothing has
-        // reached the file, and the retry must observe the same log tail.
-        let lsn = self.retrying(|| st.wal.write_frame(payload))?;
-        st.append_seq += 1;
-        let my_seq = st.append_seq;
-        while st.flushed_seq < my_seq {
+impl GroupInner {
+    /// Wait until append `seq` is on disk: follow the flush in flight, or
+    /// lead the next one. The one leader/follower loop, for both appends.
+    fn wait_durable<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, GroupState>,
+        seq: u64,
+    ) -> StorageResult<()> {
+        while st.flushed_seq < seq {
             if st.wal.poisoned {
-                return Err(poisoned_err());
+                return Err(st.lost.take_if(|(s, _)| *s == seq).map_or_else(poisoned_err, |l| l.1));
             }
             if st.syncing {
                 // A leader is already flushing (possibly a batch that does
                 // not cover us yet) — wait for its verdict.
-                st = inner.flushed.wait(st).unwrap();
+                st = self.flushed.wait(st).unwrap();
                 continue;
             }
-            // Become the flush leader for everything appended so far.
-            st.syncing = true;
-            let target = st.append_seq;
-            let batch = target - st.flushed_seq;
-            let file = Arc::clone(&st.wal.file);
-            drop(st);
-            // Transient fsync stalls are retried here, outside the lock,
-            // before any waiter of this batch is acknowledged; what still
-            // fails poisons the log.
-            let result = self.retrying(|| self.fsync_once(&file));
-            st = inner.state.lock().unwrap();
-            st.syncing = false;
-            match result {
-                Ok(()) => {
-                    if st.flushed_seq < target {
-                        st.flushed_seq = target;
-                    }
-                    inner.telemetry.observe_ns("wal.group_size", batch);
-                    inner.flushed.notify_all();
-                }
-                Err(e) => {
-                    st.wal.poisoned = true;
-                    inner.telemetry.incr("wal.poisoned", 1);
-                    inner.flushed.notify_all();
-                    return Err(e);
-                }
+            let (guard, result) = self.lead_flush(st);
+            st = guard;
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Become the flush leader for everything appended so far: fsync it
+    /// outside the lock, then hand the verdict to every waiter. The caller
+    /// saw no flush in flight.
+    fn lead_flush<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, GroupState>,
+    ) -> (MutexGuard<'a, GroupState>, StorageResult<()>) {
+        st.syncing = true;
+        let target = st.append_seq;
+        let batch = target - st.flushed_seq;
+        let file = Arc::clone(&st.wal.file);
+        drop(st);
+        // Transient fsync stalls are retried here, outside the lock, before
+        // any waiter of this batch is acknowledged; what still fails
+        // poisons the log.
+        let result = self.retrying(|| self.fsync_once(&file));
+        let mut st = self.state.lock().unwrap();
+        st.syncing = false;
+        match result {
+            Ok(()) => {
+                st.flushed_seq = st.flushed_seq.max(target);
+                self.telemetry.observe_ns("wal.group_size", batch);
+            }
+            Err(_) => {
+                st.wal.poisoned = true;
+                self.telemetry.incr("wal.poisoned", 1);
             }
         }
-        drop(st);
-        // Total time from append to durability ack — lock wait + queueing
-        // behind a leader's fsync + our own flush. Attributed to the calling
-        // thread so a slow op can cite its commit wait.
-        inner
-            .telemetry
-            .observe_ns("wal.commit_wait_ns", (begun.elapsed().as_nanos() as u64).max(1));
-        Ok(lsn)
+        self.flushed.notify_all();
+        if st.requested > st.flushed_seq {
+            // A request that arrived while this batch was in flight.
+            self.wake.notify_one();
+        }
+        (st, result)
+    }
+
+    /// The flusher thread: lead a flush for each request, until the last
+    /// handle drops.
+    fn run_flusher(&self) {
+        let mut st = self.state.lock().unwrap();
+        while !st.closing {
+            let want = st.requested;
+            if want > st.flushed_seq && !st.syncing && !st.wal.poisoned {
+                let (guard, result) = self.lead_flush(st);
+                st = guard;
+                if let Err(e) = result {
+                    st.lost = Some((want, e));
+                }
+            } else {
+                st = self.wake.wait(st).unwrap();
+            }
+        }
     }
 
     /// [`with_retries`] under this log's policy and failpoint clock, every
     /// retry counted in `fault.retries`.
     fn retrying<T>(&self, f: impl FnMut() -> StorageResult<T>) -> StorageResult<T> {
-        let inner = &*self.inner;
         with_retries(
-            &inner.policy,
-            &inner.failpoints,
-            |_, _, _| inner.telemetry.incr("fault.retries", 1),
+            &self.policy,
+            &self.failpoints,
+            |_, _, _| self.telemetry.incr("fault.retries", 1),
             f,
         )
     }
 
     fn fsync_once(&self, file: &File) -> StorageResult<()> {
-        match self.inner.failpoints.hit("durable.wal_fsync") {
+        match self.failpoints.hit("durable.wal_fsync") {
             Some(FailAction::Error) => {
                 return Err(StorageError::Injected("durable.wal_fsync".into()));
             }
@@ -578,15 +614,115 @@ impl GroupWal {
         }
         let begun = Instant::now();
         file.sync_data().map_err(|e| io_err("group wal fsync", e))?;
-        self.inner.telemetry.observe_ns("wal.fsync_ns", begun.elapsed().as_nanos() as u64);
+        self.telemetry.observe_ns("wal.fsync_ns", begun.elapsed().as_nanos() as u64);
         Ok(())
+    }
+}
+
+impl GroupWal {
+    /// Wrap `wal` for group commit. The log's failpoint registry guards the
+    /// leader's fsync (site `durable.wal_fsync`); flush telemetry and
+    /// retries land in `telemetry`; transient append/fsync faults are
+    /// retried per `policy` *before* any caller's append is acknowledged.
+    pub fn new(wal: Wal, telemetry: Telemetry, policy: RetryPolicy) -> GroupWal {
+        let failpoints = wal.failpoints.clone();
+        let inner = Arc::new(GroupInner {
+            state: Mutex::new(GroupState {
+                wal,
+                append_seq: 0,
+                flushed_seq: 0,
+                syncing: false,
+                requested: 0,
+                lost: None,
+                closing: false,
+            }),
+            flushed: Condvar::new(),
+            wake: Condvar::new(),
+            failpoints,
+            telemetry,
+            policy,
+        });
+        GroupWal { handles: Arc::new(Handles { inner, flusher: OnceLock::new() }) }
+    }
+
+    fn inner(&self) -> &GroupInner {
+        &self.handles.inner
+    }
+
+    /// Write one frame under the mutex; returns the still-held guard, the
+    /// frame's LSN and its append sequence.
+    fn write(&self, payload: &[u8]) -> StorageResult<(MutexGuard<'_, GroupState>, u64, u64)> {
+        let mut st = self.inner().state.lock().unwrap();
+        // Transient append faults are retried under the mutex — nothing has
+        // reached the file, and the retry must observe the same log tail.
+        let lsn = self.inner().retrying(|| st.wal.write_frame(payload))?;
+        st.append_seq += 1;
+        let seq = st.append_seq;
+        Ok((st, lsn, seq))
+    }
+
+    /// Append one frame and return once it is **durable** (its batch has
+    /// been fsynced). Returns the frame's LSN.
+    pub fn append(&self, payload: &[u8]) -> StorageResult<u64> {
+        let begun = Instant::now();
+        let (st, lsn, seq) = self.write(payload)?;
+        self.inner().wait_durable(st, seq)?;
+        // Total time from append to durability ack — lock wait + queueing
+        // behind a leader's fsync + our own flush. Attributed to the calling
+        // thread so a slow op can cite its commit wait.
+        self.observe_commit_wait(begun);
+        Ok(lsn)
+    }
+
+    /// Append one frame, ask the flusher thread to fsync it, and run `work`
+    /// on the calling thread meanwhile; return the frame's LSN and `work`'s
+    /// result once the frame is **durable**. When the frame never reached
+    /// the log, `work` does not run; when its flush fails, `work`'s result
+    /// is dropped and the flush's own error returned. The first call starts
+    /// the flusher. `wal.commit_wait_ns` records only the wait after `work`
+    /// returned.
+    pub fn append_overlapped<R>(
+        &self,
+        payload: &[u8],
+        work: impl FnOnce() -> R,
+    ) -> StorageResult<(u64, R)> {
+        let inner = self.inner();
+        let flusher = self.handles.flusher.get_or_init(|| {
+            let inner = Arc::clone(&self.handles.inner);
+            std::thread::Builder::new()
+                .name("tse-wal-flusher".into())
+                .spawn(move || inner.run_flusher())
+                .ok()
+        });
+        let (mut st, lsn, seq) = self.write(payload)?;
+        if flusher.is_some() {
+            st.requested = seq;
+            inner.wake.notify_one();
+        }
+        drop(st);
+        let out = work();
+        let waited = Instant::now();
+        // When the flusher has not taken this flush — not up yet, or busy
+        // with an earlier batch — the caller leads it.
+        if let Err(e) = inner.wait_durable(inner.state.lock().unwrap(), seq) {
+            drop(out);
+            return Err(e);
+        }
+        self.observe_commit_wait(waited);
+        Ok((lsn, out))
+    }
+
+    fn observe_commit_wait(&self, since: Instant) {
+        self.inner()
+            .telemetry
+            .observe_ns("wal.commit_wait_ns", (since.elapsed().as_nanos() as u64).max(1));
     }
 
     /// The log, once no flush is in flight.
     fn quiesced(&self) -> MutexGuard<'_, GroupState> {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner().state.lock().unwrap();
         while st.syncing {
-            st = self.inner.flushed.wait(st).unwrap();
+            st = self.inner().flushed.wait(st).unwrap();
         }
         st
     }
@@ -606,7 +742,7 @@ impl GroupWal {
     /// frame reached the log, so nothing is appended past a frame the live
     /// process never applied.
     pub fn poison(&self) {
-        self.inner.state.lock().unwrap().wal.poisoned = true;
+        self.inner().state.lock().unwrap().wal.poisoned = true;
     }
 
     /// Replace the log handle with one freshly opened from disk, keeping the
@@ -614,15 +750,16 @@ impl GroupWal {
     /// re-read, so nothing acked is lost.
     pub fn reopen(&self) -> StorageResult<()> {
         let mut st = self.quiesced();
-        let (mut fresh, _) = Wal::open(&st.wal.dir, self.inner.failpoints.clone())?;
+        let (mut fresh, _) = Wal::open(&st.wal.dir, self.inner().failpoints.clone())?;
         fresh.ensure_next_lsn(st.wal.next_lsn);
         st.wal = fresh;
+        st.lost = None;
         Ok(())
     }
 
     /// Current log size in bytes (offset the next frame lands at).
     pub fn len(&self) -> u64 {
-        self.inner.state.lock().unwrap().wal.len
+        self.inner().state.lock().unwrap().wal.len
     }
 
     /// True when the log holds no frames.
@@ -633,7 +770,7 @@ impl GroupWal {
     /// True once the underlying log is in fail-stop mode (a failed fsync or
     /// a torn append).
     pub fn is_poisoned(&self) -> bool {
-        self.inner.state.lock().unwrap().wal.poisoned
+        self.inner().state.lock().unwrap().wal.poisoned
     }
 
     /// The error an append would answer once the log is in fail-stop mode,
@@ -917,6 +1054,67 @@ mod tests {
         assert_eq!(group.append(b"ok").unwrap(), 1);
         assert!(!group.is_poisoned());
         assert_eq!(telemetry.snapshot().counter("fault.retries"), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_overlapped_append_runs_its_work_while_the_frame_is_flushed() {
+        let dir = tmpdir("wal_overlap");
+        let fp = FailpointRegistry::new();
+        fp.set_virtual_clock(true);
+        let telemetry = Telemetry::new();
+        let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let policy = RetryPolicy { max_retries: 4, base_backoff_ns: 1, max_backoff_ns: 8 };
+        let group = GroupWal::new(wal, telemetry.clone(), policy);
+        assert_eq!(group.append(b"plain").unwrap(), 1);
+        // The flusher rides out a stall on its own thread; the caller's
+        // work result comes back with the durable frame's LSN.
+        fp.arm("durable.wal_fsync", 1, FailAction::TransientError { succeed_after: 2 });
+        assert_eq!(group.append_overlapped(b"beside", || "worked").unwrap(), (2, "worked"));
+        assert_eq!(group.append_overlapped(b"again", || 7).unwrap(), (3, 7));
+        assert_eq!(telemetry.snapshot().counter("fault.retries"), 2);
+        assert!(!group.is_poisoned());
+        drop(group);
+        let payloads: Vec<Vec<u8>> =
+            recovered(&dir, &fp).frames.into_iter().map(|f| f.payload).collect();
+        assert_eq!(payloads, [b"plain".to_vec(), b"beside".to_vec(), b"again".to_vec()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_overlapped_append_whose_flush_fails_drops_its_work_with_the_fsync_error() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct Flag<'a>(&'a AtomicBool);
+        impl Drop for Flag<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let dir = tmpdir("wal_overlap_fail");
+        let fp = FailpointRegistry::new();
+        let group = group(&dir, &fp);
+        let dropped = AtomicBool::new(false);
+        fp.arm("durable.wal_fsync", 1, FailAction::Error);
+        // The fsync's own error, not the fail-stop answer of a follower.
+        let err = group.append_overlapped(b"doomed", || Flag(&dropped)).map(|_| ()).unwrap_err();
+        assert!(matches!(err, StorageError::Injected(_)), "{err}");
+        assert!(dropped.load(Ordering::Relaxed), "the work's result outlived its failed flush");
+        assert!(group.is_poisoned());
+        let after = group.append_overlapped(b"after", || ()).unwrap_err();
+        assert!(matches!(after, StorageError::Poisoned(_)), "{after}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_overlapped_append_that_never_reached_the_log_runs_no_work() {
+        let dir = tmpdir("wal_overlap_refused");
+        let fp = FailpointRegistry::new();
+        let group = group(&dir, &fp);
+        fp.arm("durable.wal_append", 1, FailAction::Error);
+        let mut ran = false;
+        assert!(group.append_overlapped(b"refused", || ran = true).is_err());
+        assert!(!ran && !group.is_poisoned());
+        assert_eq!(group.append_overlapped(b"kept", || ()).unwrap().0, 1);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,9 +11,9 @@
 //!   exhausted transients and ENOSPC must degrade to read-only with typed
 //!   `Unavailable` backpressure, heal via `try_heal()` and resume; plugs
 //!   are pulled mid-run.
-//! - `poison`: a permanent fsync fault must fail-stop (`Poisoned`) without
-//!   acking the unsynced frame, refuse to heal in place, and recover on
-//!   restart.
+//! - `poison`: a permanent fsync fault under a create or an evolve must
+//!   fail-stop (`Poisoned`) without acking the unsynced frame or publishing
+//!   the evolve, refuse to heal in place, and recover on restart.
 //!
 //! Every recovered or healed state is audited by
 //! [`History::check`](tse::workload::history::History::check). Each arm
@@ -152,7 +152,7 @@ fn chaos() {
 
 #[test]
 fn poison() {
-    seeded("--test torture -- poison", &[DEFAULT_SEED], |_| run_poison());
+    seeded("--test torture -- poison", &[DEFAULT_SEED], run_poison);
 }
 
 /// Kill at a random failpoint, reopen, check.
@@ -390,51 +390,68 @@ fn run_chaos(seed: u64) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A permanent fsync fault must poison the system without acknowledging
-/// the unsynced frame, refuse an in-place heal, and recover cleanly only
-/// through a restart.
-fn run_poison() {
+/// Rounds of the `poison` arm, each on a fresh directory.
+const POISON_ROUNDS: u64 = 3;
+
+/// A permanent fsync fault — under a create, or on some rounds under an
+/// evolve whose fork runs while its frame is flushed — must poison the
+/// system without acknowledging the unsynced frame or publishing the
+/// evolve, refuse an in-place heal, and recover cleanly only through a
+/// restart.
+fn run_poison(seed: u64) {
+    let mut rng = Rng::new(seed);
     let config = StoreConfig::default();
-    let dir = scratch_dir("poison");
+    let mut evolved = false;
+    for round in 0..POISON_ROUNDS {
+        let at = format!("round {round}");
+        let dir = scratch_dir(&format!("poison{round}"));
+        let shared = open(&dir, config);
+        seed_schema(&shared);
+        shared.checkpoint().unwrap();
+        let client = shared.client("VS");
+        let mut history = new_history();
+        for tag in 0..5 {
+            history.issue(&client, create(tag, &format!("s{tag}"))).expect("pre-fault writes ack");
+        }
 
-    let shared = open(&dir, config);
-    seed_schema(&shared);
-    shared.checkpoint().unwrap();
-    let client = shared.client("VS");
-    let mut history = new_history();
-    for tag in 0..5 {
-        history.issue(&client, create(tag, &format!("s{tag}"))).expect("pre-fault writes ack");
+        // A permanent (non-transient, non-ENOSPC) fsync failure: the log's
+        // durable contents are unknowable, so the system must fail-stop.
+        let evolve = rng.below(2) == 0 || (round + 1 == POISON_ROUNDS && !evolved);
+        evolved |= evolve;
+        let op = if evolve { fresh_add_attr(&mut rng, &mut 0) } else { create(5, "s5") };
+        let epoch = shared.epoch();
+        shared.failpoints().arm("durable.wal_fsync", 1, FailAction::Error);
+        let out = history.issue(&client, op);
+        assert!(out.is_err(), "{at}: acked through a failed fsync");
+        assert_eq!(shared.health(), SystemHealth::Poisoned, "{at}");
+        assert_eq!(shared.epoch(), epoch, "{at}: an epoch published through a failed fsync");
+        assert!(shared.try_heal().is_err(), "{at}: try_heal healed a poisoned system in place");
+        let probe = history.issue(&client, create(6, "s6"));
+        assert!(
+            matches!(&probe, Err(e) if e.code() == TseCode::Poisoned),
+            "{at}: poisoned write not fail-stopped: {probe:?}"
+        );
+        // Live, the refused op has not landed; its frame may still redo at
+        // the restart, so the history keeps it unresolved.
+        check(&shared, &history, &format!("{at}, poisoned"));
+        // The unrecovered transition and the poisoned-log counter are
+        // exactly what the journal gate exists to flag.
+        let problems = journal_problems(&shared);
+        assert!(
+            problems.iter().any(|p| p.starts_with("wal.poisoned")),
+            "{at}: the poison journal passes the gate: {problems:?}"
+        );
+        drop((client, shared));
+
+        // Restart and recover: every acked write present; the unsynced
+        // frame may have reached the disk but was never acknowledged —
+        // either world is correct.
+        let shared = open(&dir, config);
+        assert_eq!(shared.health(), SystemHealth::Healthy, "{at}: reopened system not healthy");
+        history = check(&shared, &history, &format!("{at}, restart"));
+        history.issue(&shared.client("VS"), create(7, "s7")).expect("writes resume after restart");
+        check(&shared, &history, &format!("{at}, after resuming"));
+        drop(shared);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-
-    // A permanent (non-transient, non-ENOSPC) fsync failure: the log's
-    // durable contents are unknowable, so the system must fail-stop.
-    shared.failpoints().arm("durable.wal_fsync", 1, FailAction::Error);
-    let out = history.issue(&client, create(5, "s5"));
-    assert!(out.is_err(), "write acked through a failed fsync");
-    assert_eq!(shared.health(), SystemHealth::Poisoned);
-    assert!(shared.try_heal().is_err(), "try_heal healed a poisoned system in place");
-    let probe = history.issue(&client, create(6, "s6"));
-    assert!(
-        matches!(&probe, Err(e) if e.code() == TseCode::Poisoned),
-        "poisoned write not fail-stopped: {probe:?}"
-    );
-    // The unrecovered transition and the poisoned-log counter are exactly
-    // what the journal gate exists to flag.
-    let problems = journal_problems(&shared);
-    assert!(
-        problems.iter().any(|p| p.starts_with("wal.poisoned")),
-        "the poison journal passes the gate: {problems:?}"
-    );
-    drop((client, shared));
-
-    // Restart and recover: every acked write present; the unsynced frame
-    // may have reached the disk but was never acknowledged — either world
-    // is correct.
-    let shared = open(&dir, config);
-    assert_eq!(shared.health(), SystemHealth::Healthy, "reopened system not healthy");
-    history = check(&shared, &history, "restart");
-    history.issue(&shared.client("VS"), create(7, "s7")).expect("writes resume after restart");
-    check(&shared, &history, "after resuming");
-    drop(shared);
-    let _ = std::fs::remove_dir_all(&dir);
 }
