@@ -23,9 +23,13 @@
 //!   threads land in `BENCH_ablation.json`.
 //! * **Op scaffold** — where a warm `ReadSession::get` goes besides its
 //!   read: the ns per op of the clock pair, the trace scope with
-//!   `finish_op`, the view-name resolve, the epoch guard with the system
-//!   lock, `Database::read_attr` and the whole get land in
+//!   `finish_op`, the view-name resolve, the epoch guard,
+//!   `Database::read_attr` and the whole get land in
 //!   `BENCH_ablation.json`. Ungated.
+//! * **Read scaling** — what a second reader costs the first: the ns per
+//!   warm `ReadSession::get` from 1 thread, from 2 threads on one
+//!   `SharedSystem` and from 2 threads on two systems land in
+//!   `BENCH_ablation.json`, stamped with `cpu_cores`. Ungated.
 //! * **Op write** — a write costs what its object touches, not what the
 //!   schema holds: the ns per op of a create, of a first write of an
 //!   attribute an evolution added (through view version 17) and of a
@@ -309,7 +313,7 @@ fn prover_growth_rows() -> Vec<JsonValue> {
 
 /// What a data-plane op's bookkeeping costs besides its clocks and its
 /// read: enter the session's trace, then count the op, record its latency
-/// and its wait for the system lock, and leave the trace — from 1 and from
+/// and a tracked wait, and leave the trace — from 1 and from
 /// 2 threads recording on one domain at once. Each thread records into its
 /// own metric shard; while every op took the registry mutex, 2 threads
 /// cost up to 4.6× what 1 did. Per sample, the slower thread's ns per op.
@@ -326,7 +330,7 @@ fn op_record_rows() -> Vec<JsonValue> {
             let start = Instant::now();
             for _ in 0..OPS {
                 let scope = t.enter_trace(trace);
-                t.finish_op(scope, &get, black_box(500), Some(("lock.read_wait_ns", 1)));
+                t.finish_op(scope, &get, black_box(500), Some(("lock.write_wait_ns", 1)));
             }
             start.elapsed().as_nanos() as u64 / OPS
         };
@@ -362,9 +366,9 @@ fn op_record_rows() -> Vec<JsonValue> {
 /// Where a warm `ReadSession::get` of an `Int` goes, in ns per op on one
 /// populated `SharedSystem`: the op's clock pair, its trace scope with
 /// `finish_op`, the view-name resolve, `Database::read_attr` and the whole
-/// get, each timed alone over the same objects. The epoch guard and the
-/// system lock are private to the session, so their row is the get minus
-/// the other parts (floored at 0).
+/// get, each timed alone over the same objects. The epoch guard is
+/// private to the session, so its row is the get minus the other parts
+/// (floored at 0).
 fn op_scaffold_rows() -> Vec<JsonValue> {
     const SAMPLES: usize = 15;
     const OPS: usize = 20_000;
@@ -402,7 +406,7 @@ fn op_scaffold_rows() -> Vec<JsonValue> {
     });
     let trace_finish = median(&mut |_| {
         let scope = t.enter_trace(trace);
-        t.finish_op(scope, &get_op, black_box(500), Some(("lock.read_wait_ns", 1)));
+        t.finish_op(scope, &get_op, black_box(500), Some(("lock.write_wait_ns", 1)));
     });
     let resolve = median(&mut |_| {
         black_box(session.meta().resolve(v1, "Person").unwrap());
@@ -410,12 +414,12 @@ fn op_scaffold_rows() -> Vec<JsonValue> {
     let get = median(&mut |i| {
         black_box(session.get(v1, oids[i], "Person", "age").unwrap());
     });
-    let epoch_lock = get.saturating_sub(clock_pair + trace_finish + resolve + read_attr);
+    let epoch_guard = get.saturating_sub(clock_pair + trace_finish + resolve + read_attr);
     let parts = [
         ("clock_pair", clock_pair),
         ("trace_finish_op", trace_finish),
         ("resolve", resolve),
-        ("epoch_guard_lock", epoch_lock),
+        ("epoch_guard", epoch_guard),
         ("read_attr", read_attr),
         ("session_get", get),
     ];
@@ -429,8 +433,75 @@ fn op_scaffold_rows() -> Vec<JsonValue> {
             JsonValue::obj(vec![
                 ("part", part.into()),
                 ("ns_per_op", ns.into()),
-                ("by_difference", (part == "epoch_guard_lock").into()),
+                ("by_difference", (part == "epoch_guard").into()),
                 ("samples", (SAMPLES as u64).into()),
+            ])
+        })
+        .collect()
+}
+
+/// A populated university behind one `SharedSystem`: its whole-schema
+/// view and its objects.
+type Populated = (SharedSystem, tse_view::ViewId, Vec<tse_object_model::Oid>);
+
+/// ns per warm `ReadSession::get` of an `Int`, per thread: from 1 thread,
+/// from 2 threads each with its own session on one `SharedSystem`, and from
+/// 2 threads on two systems built alike. Per sample, the slower thread's ns
+/// per get. Where one system's two readers cost more than two systems' do,
+/// the difference is cache lines the readers share, not work.
+fn read_scaling_rows() -> Vec<JsonValue> {
+    const SAMPLES: usize = 15;
+    const OPS: usize = 20_000;
+    const OBJECTS: usize = 2_000;
+    let populated = || -> Populated {
+        let (mut tse, _) = build_university().unwrap();
+        let v1 = tse.create_view_all("U").unwrap();
+        let oids = populate_university(&mut tse, v1, OBJECTS).unwrap();
+        (SharedSystem::from_system(tse), v1, oids)
+    };
+    let (first, second) = (populated(), populated());
+    let ns_per_get = |systems: &[&Populated]| {
+        let barrier = Barrier::new(systems.len());
+        let read = |(shared, view, oids): &Populated| {
+            let session = shared.session();
+            let get = |i: usize| {
+                black_box(session.get(*view, oids[i % OBJECTS], "Person", "age").unwrap());
+            };
+            (0..OPS).for_each(get);
+            barrier.wait();
+            let start = Instant::now();
+            (0..OPS).for_each(get);
+            start.elapsed().as_nanos() as u64 / OPS as u64
+        };
+        std::thread::scope(|s| {
+            let runs: Vec<_> = systems.iter().map(|sys| s.spawn(move || read(sys))).collect();
+            runs.into_iter().map(|run| run.join().unwrap()).max().unwrap()
+        })
+    };
+    let arms = [
+        ("one_thread", vec![&first]),
+        ("two_threads_one_system", vec![&first, &first]),
+        ("two_threads_two_systems", vec![&first, &second]),
+    ];
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let rows: Vec<(&str, usize, u64)> = arms
+        .iter()
+        .map(|(arm, systems)| {
+            let mut ns: Vec<u64> = (0..SAMPLES).map(|_| ns_per_get(systems)).collect();
+            ns.sort_unstable();
+            (*arm, systems.len(), ns[SAMPLES / 2])
+        })
+        .collect();
+    let parts: Vec<String> = rows.iter().map(|(arm, _, ns)| format!("{arm} {ns} ns/get")).collect();
+    println!("bench ablation/read_scaling  {} ({cores} cores)", parts.join(", "));
+    rows.into_iter()
+        .map(|(arm, threads, ns)| {
+            JsonValue::obj(vec![
+                ("arm", arm.into()),
+                ("threads", (threads as u64).into()),
+                ("ns_per_get", ns.into()),
+                ("samples", (SAMPLES as u64).into()),
+                ("cpu_cores", cores.into()),
             ])
         })
         .collect()
@@ -577,11 +648,12 @@ fn bench_timed_medians(_c: &mut Criterion) {
         ("classification_vs_schema_size", JsonValue::Arr(prover_growth_rows())),
         ("op_record", JsonValue::Arr(op_record_rows())),
         ("op_scaffold", JsonValue::Arr(op_scaffold_rows())),
+        ("read_scaling", JsonValue::Arr(read_scaling_rows())),
         ("op_write", JsonValue::Arr(op_write_rows())),
         ("evolve_flush", JsonValue::Arr(evolve_flush_rows())),
     ]);
     let path = tse_bench::write_bench_json("ablation", &json).expect("write BENCH_ablation.json");
-    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size, op-record, op-scaffold, op-write and evolve-flush medians written to {path}");
+    println!("buffer-pool-touch, select-pass, select-hit, classification-vs-schema-size, op-record, op-scaffold, read-scaling, op-write and evolve-flush medians written to {path}");
 }
 
 criterion_group!(benches, bench_duplicate_folding, bench_buffer_pool, bench_timed_medians);

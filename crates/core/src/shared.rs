@@ -1,5 +1,5 @@
 //! Control-plane / data-plane split: a concurrently shareable TSE system
-//! with **epoch-published metadata snapshots**.
+//! with **epoch-published cores**.
 //!
 //! The paper's promise is *transparency* — users keep working while the
 //! schema evolves underneath them. A `RwLock<TseSystem>` breaks that
@@ -9,90 +9,112 @@
 //! the system into two planes:
 //!
 //! * **Data plane** — [`ReadSession`]s and [`WriteSession`]s pin the
-//!   current epoch's immutable [`MetaSnapshot`] (schema, view schemas,
-//!   update policy) and resolve names against it without any lock. Reads
-//!   take a short shared lock on the live system for the record access.
-//!   Writes (`create`/`set`/…) *also* run under the **shared** system lock:
-//!   the object model mutates through `&self`, with the actual record
-//!   traffic sharded across the store's per-segment lock stripes — so
-//!   write batches on different class segments proceed concurrently
-//!   instead of serializing through the control mutex.
+//!   current epoch's immutable [`MetaSnapshot`], which owns the
+//!   `Arc<TseSystem>` it was captured from (its *core*: schema, view
+//!   schemas, update policy and a handle onto the one shared store). A read
+//!   resolves names against its snapshot and reads records through the
+//!   snapshot's core, taking no lock of this module. Writes
+//!   (`create`/`set`/…) hold the swap latch shared and run through the
+//!   newest core, with the record traffic sharded across the store's
+//!   per-segment lock stripes — so write batches on different class
+//!   segments proceed concurrently instead of serializing through the
+//!   control mutex.
 //! * **Control plane** — schema changes serialize through one mutex.
-//!   `evolve` runs **fork–evolve–swap**: translate, classify, and view
-//!   regeneration all execute against a private fork of the system while
-//!   readers keep using the live one, and only the final pointer swap —
-//!   publishing the next epoch — runs under the exclusive lock. The
-//!   reader-visible critical section shrinks from whole-evolve to one
-//!   `mem::swap` (measured by `evolve.exclusive_ns`). A `swap latch`
-//!   (writer-quiescing RwLock) is held in write mode from fork to swap, so
-//!   an in-flight data write can never fall between the fork and the
-//!   swapped-in successor — the fork sees all of a write batch or none.
 //!
-//! Epoch lifecycle: epoch *n*'s snapshot is immutable once published;
-//! sessions opened at epoch *n* keep resolving against it even after *n+1*
-//! is published. That is safe because TSE evolution is capacity-augmenting
-//! — the global schema only ever grows, so class ids resolved under an old
-//! epoch remain valid against the new live system. A failed evolution
-//! drops the private fork and publishes nothing: readers never observe a
-//! torn epoch. The classifier's prover is the one part of the live system
-//! the fork *takes* rather than shares: no reader touches it and evolves
-//! are serialized, so it moves into the fork and comes back with the swap
-//! (a failed fork drops it, and the live system's next classification
-//! re-derives it). [`SharedSystem::prover`] therefore waits for the control
-//! mutex.
+//! **Structural changes.** Every change of the control plane — an evolve,
+//! a class definition, a view creation, a constraint — runs one path,
+//! **fork → apply → swap** ([`SharedSystem::logged`]): under the control
+//! mutex and with writers quiesced by the swap latch, `fork_with` forks the
+//! newest core ([`TseSystem::fork_shared`]: a handful of `Arc` clones and
+//! the prover's move, whatever the data volume), opens one MVCC write
+//! ticket and applies the change to the private fork (the evolve pipeline,
+//! or [`apply_record`], the routine recovery redoes a frame with); readers
+//! keep using the published cores meanwhile. `swap_in` then ends the
+//! ticket, captures the fork as the next epoch and replaces the `meta`
+//! pointer — the one exclusive section, timed as `evolve.exclusive_ns`.
+//! A failed change drops its fork and publishes nothing: readers never
+//! observe a torn epoch. The classifier's prover is the one part the fork
+//! *takes* rather than shares: no reader touches it and changes are
+//! serialized, so it moves into the fork and is published with it (a
+//! failed fork drops it, and the next classification re-derives it).
+//! [`SharedSystem::prover`] therefore waits for the control mutex.
+//!
+//! Epoch lifecycle: epoch *n*'s snapshot and core are immutable once
+//! published (the object model mutates through `&self`, so the newest core
+//! takes writes; no older one does). Sessions opened at epoch *n* keep
+//! reading through core *n* after *n+1* is published, and core *n* lives as
+//! long as one of them does. That is safe because TSE evolution is
+//! capacity-augmenting — the global schema only ever grows, so class ids
+//! resolved under an old epoch remain valid in every newer core, and every
+//! core shares one store.
 //!
 //! **MVCC — repeatable reads.** Metadata pinning alone would leave record
 //! reads at read-committed: a session would see whatever the store held at
-//! each `get`. Every [`ReadSession`] therefore also holds a [`ReadPin`] on the
-//! store's [`EpochClock`]: all of its `get`/`extent`/`select_where`/
-//! `invoke` calls resolve record versions and object membership at the
-//! pinned epoch, for the session's whole lifetime — true snapshot
-//! isolation for readers. Write batches ([`WriteSession`] ops, evolutions)
-//! run under a `WriteTicket`, so a session opened mid-batch observes none
-//! of it and one opened after observes all of it; writers never block on
-//! readers, they just stamp new versions. The evolve path forks with
-//! [`TseSystem::fork_shared`] — a handful of `Arc` clones and the prover's
-//! move, whatever the data volume — and superseded versions are reclaimed
-//! by [`SharedSystem::gc_now`] (or opportunistically when sessions drop)
-//! once the oldest pin advances past them (`mvcc.*` telemetry).
+//! each `get`. Every [`ReadSession`] therefore also holds a [`ReadPin`] on
+//! the store's [`EpochClock`](tse_storage::EpochClock), which every core
+//! shares: all of its `get`/`extent`/`select_where`/`invoke` calls resolve
+//! record versions and object membership at the pinned epoch, for the
+//! session's whole lifetime — true snapshot isolation for readers. Write batches ([`WriteSession`]
+//! ops, structural changes) run under a `WriteTicket`, so a session opened
+//! mid-batch observes none of it and one opened after observes all of it;
+//! writers never block on readers, they just stamp new versions.
+//! Superseded versions are reclaimed by [`SharedSystem::gc_now`] (or
+//! opportunistically when sessions drop) once the oldest pin advances past
+//! them (`mvcc.*` telemetry).
+//!
+//! Three rules keep every core's caches right:
+//!
+//! 1. **A read goes through its session's own core.** `ReadSession::read`
+//!    derefs its snapshot and takes no lock and no `Arc` clone. The class
+//!    ids its epoch resolved live in that core's schema by construction.
+//! 2. **A write goes through the newest core.** A data write holds the
+//!    latch shared and then `meta` shared for the op. A fork copies the
+//!    oid allocator and the extent cache's mutation clocks by value, so a
+//!    write through an older core would hand out oids the newer one
+//!    already gave, and the newer core's clocks would miss it. GC,
+//!    checkpoints, healing, `describe_view`, `prover` and `failpoints` use
+//!    the newest core too.
+//! 3. **A session pins while it holds `meta` shared** (open and
+//!    `refresh`). A swap-in takes `meta` exclusive, so it falls wholly
+//!    before the pin or wholly after the load; every write through core
+//!    *n+1* begins after the swap, so none is visible to a session whose
+//!    snapshot is epoch *n*. That is why core *n*'s extent cache and
+//!    mutation clocks stay valid for every session pinned to it.
 //!
 //! Lock taxonomy (acquisition order, coarse → fine):
 //! 1. `control` mutex — serializes schema changes and durability
 //!    (`lock.control_wait_ns`).
 //! 2. `latch` RwLock — the swap latch. Data writes hold it shared for the
-//!    duration of one operation; fork–evolve–swap and checkpoint hold it
-//!    exclusive to quiesce writers (`lock.write_wait_ns` measures the
-//!    data-plane wait on latch + system).
-//! 3. `system` RwLock — shared for reads *and* data writes
-//!    (`lock.read_wait_ns`), exclusive only for the swap-in and metadata
-//!    writes.
-//! 4. `meta` RwLock — pointer-sized critical sections; publishers update it
-//!    while holding the `system` write lock, readers take it alone.
-//! 5. store stripes — acquired inside the object model, per segment, in
+//!    duration of one operation; fork → apply → swap and checkpoints hold
+//!    it exclusive to quiesce writers (`lock.write_wait_ns` measures the
+//!    data-plane wait on latch + meta).
+//! 3. `meta` RwLock — the one pointer to current state. Shared for a
+//!    pointer copy (session open, `refresh`, the control plane's newest
+//!    core) and for a data write's op; exclusive only for the swap-in's
+//!    pointer replace, which holds the latch exclusive and so never waits
+//!    behind a write.
+//! 4. store stripes — acquired inside the object model, per segment, in
 //!    canonical index order for cross-stripe operations
 //!    (`lock.stripe_wait_ns`, `stripe.conflicts`).
 //!
-//! Readers never hold `meta` while acquiring `system`, and data writers
-//! acquire `latch` before `system` and stripes last, so the order is
-//! acyclic and deadlock-free.
+//! Readers take none of them; data writers acquire `latch` before `meta`
+//! and stripes last, so the order is acyclic and deadlock-free.
 //!
 //! Durability threads through **both** planes: [`SharedSystem::open`]
 //! recovers from a snapshot + WAL directory, after which every mutation is
 //! redo-logged as a typed frame ([`crate::walcodec`]) — no entry point
 //! bypasses the log, and every frame of either plane goes through one
-//! group-commit log. Structural changes (class definitions, view creations,
-//! constraints, [`SharedSystem::evolve`] and [`SharedSystem::evolve_cmd`])
-//! append their frame and publish only once it is durable (an evolve's fork
-//! runs while it is flushed), holding the swap latch exclusive so a
-//! clean-failure truncation can never clip a concurrent data frame; they
-//! commit the frame after the swap publishes the new epoch, and truncate it
-//! when the change fails cleanly. Data writes through a [`WriteSession`] apply
-//! under the latch shared, then append their effect frame through the
-//! group-commit WAL *while still holding the latch* (a checkpoint can
-//! therefore never land between apply and append) and are acknowledged only
-//! once their batch is fsync'd. The WAL mutex is the innermost lock of the
-//! whole system: it is only ever taken after latch/system/stripes, never
-//! before.
+//! group-commit log. A structural change appends its frame and applies
+//! its fork while the frame is flushed, and publishes only once the frame
+//! is durable, holding the swap latch exclusive so a clean-failure
+//! truncation can never clip a concurrent data frame; it commits the frame
+//! after the swap publishes the new epoch, and truncates it when the change
+//! fails cleanly. Data writes through a [`WriteSession`] apply under the
+//! latch shared, then append their frame through the group-commit WAL
+//! *while still holding the latch* (a checkpoint can therefore never land
+//! between apply and append) and are acknowledged only once their batch is
+//! fsync'd. The WAL mutex is the innermost lock of the whole system: it is
+//! only ever taken after latch/meta/stripes, never before.
 //!
 //! When the WAL outgrows `StoreConfig::wal_autocheckpoint_bytes`, the next
 //! mutation that can take the control plane exclusively runs a checkpoint
@@ -100,16 +122,15 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock};
 use tse_algebra::UpdatePolicy;
 use tse_object_model::{ClassId, Database, ModelError, ModelResult, Oid, Schema, Value};
 use tse_storage::{
-    EpochClock, FailpointRegistry, ReadEpochGuard, ReadPin, ScrubReport, StoreConfig,
-    WriteStampGuard, WriteTicket,
+    FailpointRegistry, ReadEpochGuard, ReadPin, ScrubReport, StoreConfig, WriteStampGuard,
+    WriteTicket,
 };
 use tse_telemetry::{OpHandle, Telemetry};
 use tse_view::{ViewId, ViewManager, ViewSchema};
@@ -120,15 +141,13 @@ use crate::health::SystemHealth;
 use crate::system::{EvolutionReport, TseSystem};
 use crate::walcodec::{ViewMode, WalRecord};
 
-/// One epoch's immutable metadata bundle: everything a reader needs to
-/// resolve view-local names without touching the live system. Published
-/// atomically by the control plane; never mutated afterwards.
-#[derive(Debug)]
+/// One epoch: the core it was captured from (schema, views, policy and a
+/// handle onto the shared store) and the view-local name tables resolved
+/// against it. Published atomically by the control plane; never mutated
+/// afterwards.
 pub struct MetaSnapshot {
     epoch: u64,
-    schema: Schema,
-    views: ViewManager,
-    policy: UpdatePolicy,
+    core: Arc<TseSystem>,
     /// View-local class names of this epoch, one table per view indexed by
     /// its (dense) id, each built the first time the view resolves a name;
     /// a resolve takes no lock. A local name is a view's rename or the
@@ -139,17 +158,9 @@ pub struct MetaSnapshot {
 }
 
 impl MetaSnapshot {
-    fn capture(epoch: u64, system: &TseSystem) -> Self {
-        // Cheap by construction: a schema clone is a handful of `Arc` copies
-        // (its fact cache rides along, so the snapshot is warm for its first
-        // reader) and view schemas are `Arc<ViewSchema>`.
-        MetaSnapshot {
-            epoch,
-            schema: system.db().schema().clone(),
-            views: system.views().clone(),
-            policy: system.policy().clone(),
-            names: (0..system.views().view_count()).map(|_| OnceLock::new()).collect(),
-        }
+    fn capture(epoch: u64, core: Arc<TseSystem>) -> Self {
+        let names = (0..core.views().view_count()).map(|_| OnceLock::new()).collect();
+        MetaSnapshot { epoch, core, names }
     }
 
     /// The epoch this snapshot was published at (1 = initial state).
@@ -159,27 +170,27 @@ impl MetaSnapshot {
 
     /// The global schema as of this epoch.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.core.db().schema()
     }
 
     /// The view registry as of this epoch.
     pub fn views(&self) -> &ViewManager {
-        &self.views
+        self.core.views()
     }
 
     /// The update-propagation policy as of this epoch.
     pub fn policy(&self) -> &UpdatePolicy {
-        &self.policy
+        self.core.policy()
     }
 
     /// The current version of a view family as of this epoch.
     pub fn current_view(&self, family: &str) -> ModelResult<&ViewSchema> {
-        self.views.current(family)
+        self.views().current(family)
     }
 
     /// A specific registered view version.
     pub fn view(&self, id: ViewId) -> ModelResult<&ViewSchema> {
-        self.views.view(id)
+        self.views().view(id)
     }
 
     /// Resolve a view-local class name against this epoch's schema: one
@@ -191,13 +202,13 @@ impl MetaSnapshot {
         if let Some(class) = slot.and_then(OnceLock::get).and_then(|t| t.get(class_local)) {
             return Ok(*class);
         }
-        let schema = self.views.view(view)?;
+        let schema = self.views().view(view)?;
         if let Some(slot) = slot.filter(|slot| slot.get().is_none()) {
             if let Ok(table) = self.name_table(schema) {
                 let _ = slot.set(table);
             }
         }
-        schema.lookup_in(&self.schema, class_local)
+        schema.lookup_in(self.schema(), class_local)
     }
 
     /// Every name `view` resolves, in [`ViewSchema::lookup_in`]'s order of
@@ -210,7 +221,7 @@ impl MetaSnapshot {
         }
         for class in &view.classes {
             if !view.renames.contains_key(class) {
-                table.entry(self.schema.class(*class)?.name.clone()).or_insert(*class);
+                table.entry(self.schema().class(*class)?.name.clone()).or_insert(*class);
             }
         }
         Ok(table)
@@ -226,14 +237,12 @@ struct ControlState {
 
 struct SharedInner {
     control: Mutex<ControlState>,
-    /// Swap latch: data writes hold it shared, fork–evolve–swap and
-    /// checkpoint hold it exclusive. Separate from `system` so writers can
-    /// share the system lock (stripes provide the fine-grained exclusion)
-    /// while the control plane can still quiesce them wholesale.
+    /// Swap latch: data writes hold it shared, fork → apply → swap and
+    /// checkpoints hold it exclusive, so the control plane can quiesce
+    /// writers wholesale while stripes separate writers from each other.
     latch: RwLock<()>,
-    system: RwLock<TseSystem>,
+    /// The published epoch, the one pointer to current state.
     meta: RwLock<Arc<MetaSnapshot>>,
-    epoch: AtomicU64,
     telemetry: Telemetry,
     /// The data-plane operations' metrics, resolved in `telemetry` once.
     ops: ops::Ops,
@@ -249,6 +258,28 @@ fn check_writable(inner: &SharedInner) -> ModelResult<()> {
     inner.log.as_ref().map_or(Ok(()), |log| log.check_writable(&inner.telemetry))
 }
 
+impl SharedInner {
+    /// The newest epoch, for the control plane and GC (rule 2).
+    fn current(&self) -> Arc<MetaSnapshot> {
+        Arc::clone(&self.meta.read())
+    }
+
+    /// The newest epoch with an MVCC pin taken while `meta` is held, so no
+    /// swap-in falls between the two (rule 3).
+    fn pin_current(&self) -> (Arc<MetaSnapshot>, ReadPin) {
+        let meta = self.meta.read();
+        let pin = meta.core.db().store().clock().pin();
+        (Arc::clone(&meta), pin)
+    }
+
+    /// One GC pass through the newest core.
+    fn gc(&self) -> u64 {
+        let current = self.current();
+        let db = current.core.db();
+        db.gc(db.store().clock().gc_watermark())
+    }
+}
+
 /// A concurrently shareable TSE system: clone handles freely and use them
 /// from any thread. Reads go through [`SharedSystem::session`]; writes and
 /// schema changes serialize through the control plane. See the module docs
@@ -259,15 +290,13 @@ pub struct SharedSystem {
 }
 
 /// A data-plane handle pinned to one epoch's [`MetaSnapshot`]. All methods
-/// take `&self`; name resolution is lock-free against the pinned snapshot
-/// and only the record access takes a short shared lock. Sessions are
+/// take `&self`; names resolve against the pinned snapshot and records are
+/// read through its core, with no lock of the system taken. Sessions are
 /// cheap — open one per thread, or one per batch of operations, and
 /// [`ReadSession::refresh`] to observe a newer epoch.
 pub struct ReadSession {
     inner: Arc<SharedInner>,
     meta: Arc<MetaSnapshot>,
-    /// The store family's epoch clock (shared across evolve swap-ins).
-    clock: Arc<EpochClock>,
     /// MVCC pin: every record/membership read of this session resolves at
     /// this epoch — repeatable reads across concurrent write batches and
     /// evolution swap-ins. `Option` only so `Drop` can release it before
@@ -279,11 +308,11 @@ pub struct ReadSession {
 }
 
 /// A data-plane **write** handle pinned to one epoch's [`MetaSnapshot`],
-/// mirroring [`ReadSession`]. Name resolution is lock-free against the
-/// pinned snapshot; each mutation holds the swap latch and the system lock
-/// *shared*, with the record traffic sharded across the store's
-/// per-segment lock stripes — concurrent `WriteSession`s on different
-/// class segments do not serialize. Open one per writer thread (or batch)
+/// mirroring [`ReadSession`]. Names resolve against the pinned snapshot;
+/// each mutation holds the swap latch shared and runs through the newest
+/// core, with the record traffic sharded across the store's per-segment
+/// lock stripes — concurrent `WriteSession`s on different class segments
+/// do not serialize. Open one per writer thread (or batch)
 /// via [`SharedSystem::writer`]; [`WriteSession::refresh`] re-pins to the
 /// newest epoch after an evolution.
 pub struct WriteSession {
@@ -293,10 +322,11 @@ pub struct WriteSession {
     trace: u64,
 }
 
-/// An evolved fork waiting for its frame to be durable: the report, the
-/// changed system, and the write ticket its versions are stamped under.
-struct Forked {
-    report: EvolutionReport,
+/// A changed fork waiting for its frame to be durable: what the change
+/// returned, the changed core, and the write ticket its versions are
+/// stamped under.
+struct Forked<T> {
+    out: T,
     system: TseSystem,
     ticket: WriteTicket,
 }
@@ -338,7 +368,7 @@ impl SharedSystem {
 
     fn assemble(system: TseSystem, durable: Option<DurableState>) -> Self {
         let telemetry = system.telemetry().clone();
-        let meta = Arc::new(MetaSnapshot::capture(1, &system));
+        let meta = Arc::new(MetaSnapshot::capture(1, Arc::new(system)));
         telemetry.set_gauge("epoch", 1);
         let log = durable.as_ref().map(|d| d.log().clone());
         let ops = ops::Ops::resolve(&telemetry);
@@ -346,9 +376,7 @@ impl SharedSystem {
             inner: Arc::new(SharedInner {
                 control: Mutex::new(ControlState { durable }),
                 latch: RwLock::new(()),
-                system: RwLock::new(system),
                 meta: RwLock::new(meta),
-                epoch: AtomicU64::new(1),
                 telemetry,
                 ops,
                 log,
@@ -363,29 +391,27 @@ impl SharedSystem {
     /// the session's operations emit.
     pub fn session(&self) -> ReadSession {
         let trace = self.inner.telemetry.mint_trace("read_session");
-        let meta = self.inner.meta.read().clone();
-        let clock = Arc::clone(self.read_timed().db().store().clock());
-        let pin = clock.pin();
-        self.inner.telemetry.set_gauge("mvcc.pinned_epochs", clock.pinned_epochs() as u64);
-        ReadSession { inner: self.inner.clone(), meta, clock, pin: Some(pin), trace }
+        let (meta, pin) = self.inner.pin_current();
+        let pinned = meta.core.db().store().clock().pinned_epochs();
+        self.inner.telemetry.set_gauge("mvcc.pinned_epochs", pinned as u64);
+        ReadSession { inner: self.inner.clone(), meta, pin: Some(pin), trace }
     }
 
     /// Open a data-plane write session pinned to the current epoch.
     ///
-    /// Mirrors [`SharedSystem::session`]: name resolution is lock-free
-    /// against the pinned snapshot, and each mutation runs under the
-    /// *shared* system lock with the record traffic sharded across the
-    /// store's per-segment lock stripes — so writers on different class
-    /// segments proceed concurrently. Schema changes still quiesce all
-    /// write sessions via the swap latch.
+    /// Mirrors [`SharedSystem::session`]: names resolve against the pinned
+    /// snapshot, and each mutation runs through the newest core with the
+    /// record traffic sharded across the store's per-segment lock stripes
+    /// — so writers on different class segments proceed concurrently.
+    /// Schema changes still quiesce all write sessions via the swap latch.
     pub fn writer(&self) -> WriteSession {
         let trace = self.inner.telemetry.mint_trace("write_session");
-        WriteSession { inner: self.inner.clone(), meta: self.inner.meta.read().clone(), trace }
+        WriteSession { inner: self.inner.clone(), meta: self.inner.current(), trace }
     }
 
-    /// The current epoch (bumped by every published metadata change).
+    /// The current epoch (bumped by every published structural change).
     pub fn epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::Acquire)
+        self.inner.meta.read().epoch
     }
 
     /// The telemetry domain shared by every layer of this system.
@@ -395,7 +421,7 @@ impl SharedSystem {
 
     /// The shared fault-injection registry.
     pub fn failpoints(&self) -> FailpointRegistry {
-        self.inner.system.read().failpoints().clone()
+        self.inner.current().core.failpoints().clone()
     }
 
     /// A copy of the live system's subsumption prover (diagnostics and the
@@ -405,21 +431,21 @@ impl SharedSystem {
     /// back instead of copying the empty slot it left.
     pub fn prover(&self) -> tse_classifier::Subsumption {
         let _ctl = self.lock_control();
-        self.read_timed().prover().clone()
+        self.inner.current().core.prover().clone()
     }
 
     /// Number of write stripes of the live store (bench/topology sizing
     /// aid).
     pub fn store_stripes(&self) -> usize {
-        self.read_timed().db().store().stripe_count()
+        self.inner.current().core.db().store().stripe_count()
     }
 
     /// Render a view (classes and local names) for humans — the client
-    /// API's `describe`. Resolves against the *live* system so any view
+    /// API's `describe`. Resolves against the newest core so any view
     /// version ever published can be rendered.
     pub fn describe_view(&self, view: ViewId) -> ModelResult<String> {
-        let sys = self.read_timed();
-        Ok(sys.view(view)?.render(sys.db()))
+        let current = self.inner.current();
+        Ok(current.core.view(view)?.render(current.core.db()))
     }
 
     /// The client backoff hint (milliseconds) carried in
@@ -437,9 +463,7 @@ impl SharedSystem {
     /// is updated as a side effect. Safe to call concurrently with readers
     /// and writers — GC only touches state no pin can reach.
     pub fn gc_now(&self) -> u64 {
-        let sys = self.read_timed();
-        let watermark = sys.db().store().clock().gc_watermark();
-        sys.db().gc(watermark)
+        self.inner.gc()
     }
 
     // ----- lock plumbing ---------------------------------------------------
@@ -453,38 +477,14 @@ impl SharedSystem {
         guard
     }
 
-    fn read_timed(&self) -> RwLockReadGuard<'_, TseSystem> {
-        read_timed(&self.inner)
-    }
-
-    /// Take the `system` lock exclusively, observing the wait.
-    fn write_timed(&self) -> RwLockWriteGuard<'_, TseSystem> {
-        let started = Instant::now();
-        let guard = self.inner.system.write();
-        self.inner
-            .telemetry
-            .observe_ns("lock.write_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
-        guard
-    }
-
-    /// Publish the next epoch's snapshot. Caller must hold the `system`
-    /// write lock (the `&TseSystem` borrow proves a lock is held; the
-    /// control mutex serializes the epoch increment itself).
-    fn publish_meta_locked(&self, sys: &TseSystem) {
-        let epoch = self.inner.epoch.load(Ordering::Relaxed) + 1;
-        *self.inner.meta.write() = Arc::new(MetaSnapshot::capture(epoch, sys));
-        self.inner.epoch.store(epoch, Ordering::Release);
-        self.inner.telemetry.set_gauge("epoch", epoch);
-    }
-
     // ----- control plane: schema changes -----------------------------------
 
-    /// Apply a schema change to a view family with **fork–evolve–swap**:
+    /// Apply a schema change to a view family with **fork → apply → swap**:
     /// the whole Figure 6 pipeline (translate, classify, view regeneration)
-    /// runs against a private fork while readers keep using the live
-    /// system; only the final swap — publishing the new epoch — takes the
-    /// exclusive lock, and `evolve.exclusive_ns` records exactly that
-    /// window. On error the fork is dropped and no epoch is published.
+    /// runs against a private fork while readers keep using the published
+    /// cores; only the final pointer swap publishing the new epoch is
+    /// exclusive, and `evolve.exclusive_ns` records exactly that window.
+    /// On error the fork is dropped and no epoch is published.
     ///
     /// On a durable system the change is rendered back to command text
     /// ([`SchemaChange::render`], guaranteed to re-parse to an equal
@@ -518,8 +518,7 @@ impl SharedSystem {
         let _trace = self.inner.telemetry.ensure_trace("evolve");
         let out = self.logged(
             || Ok(WalRecord::Evolve { family: family.to_string(), command: command()? }),
-            || self.fork_evolve(family, change),
-            |forked| Ok(self.swap_in(forked)),
+            |fork| fork.evolve_fork(family, change),
         );
         if out.is_ok() {
             maybe_autocheckpoint(&self.inner, None);
@@ -527,29 +526,32 @@ impl SharedSystem {
         out
     }
 
-    /// The write-ahead protocol of every structural change, once: under the
-    /// control mutex, with writers quiesced by the swap latch, append the
-    /// change's frame and run `prepare` while it is flushed; only once the
-    /// frame is durable does `publish` make the change visible. Commit the
-    /// frame when both succeed, truncate it away when either fails cleanly,
-    /// and leave it to redo at the next open when either crashed, poisoning
-    /// the log so nothing is appended after it until then. When the flush
-    /// itself fails, `prepare`'s result is dropped unpublished and the
-    /// flush's error returned. The latch is taken before the frame is
-    /// logged so that the truncation can never clip a concurrent data
-    /// frame. In-memory systems just `prepare`, then `publish`.
-    fn logged<P, R>(
+    /// Every structural change, once: fork → apply → swap under the
+    /// write-ahead protocol. Under the control mutex, with writers quiesced
+    /// by the swap latch, append the change's frame and run `change` on a
+    /// fork ([`SharedSystem::fork_with`]) while the frame is flushed; only
+    /// once the frame is durable does [`SharedSystem::swap_in`] publish the
+    /// fork. Commit the frame when the change succeeds, truncate it away
+    /// when the change fails cleanly, and leave it to redo at the next open
+    /// when the change crashed, poisoning the log so nothing is appended
+    /// after it until then. When the flush itself fails, the fork is
+    /// dropped unpublished and the flush's error returned. The latch is
+    /// taken before the frame is logged so that the truncation can never
+    /// clip a concurrent data frame. In-memory systems fork, apply and swap.
+    fn logged<T>(
         &self,
         record: impl FnOnce() -> ModelResult<WalRecord>,
-        prepare: impl FnOnce() -> ModelResult<P>,
-        publish: impl FnOnce(P) -> ModelResult<R>,
-    ) -> ModelResult<R> {
+        change: impl FnOnce(&mut TseSystem) -> ModelResult<T>,
+    ) -> ModelResult<T> {
         check_writable(&self.inner)?;
         let mut ctl = self.lock_control();
         let _latch = self.inner.latch.write();
-        let Some(durable) = ctl.durable.as_mut() else { return prepare().and_then(publish) };
+        let prepare = || self.fork_with(change);
+        let Some(durable) = ctl.durable.as_mut() else {
+            return prepare().map(|forked| self.swap_in(forked));
+        };
         let (mark, prepared) = durable.log_during(&self.inner.telemetry, &record()?, prepare)?;
-        let out = prepared.and_then(publish);
+        let out = prepared.map(|forked| self.swap_in(forked));
         match &out {
             Ok(_) => durable.log_commit(mark),
             Err(e) if is_crash(e) => durable.log_crash(&self.inner.telemetry, e),
@@ -558,10 +560,13 @@ impl SharedSystem {
         out
     }
 
-    /// Run a change on a private fork: the evolve's work, which publishes
+    /// Run a change on a private fork of the newest core, publishing
     /// nothing. Caller holds the control mutex and the swap latch
     /// exclusively ([`SharedSystem::logged`]).
-    fn fork_evolve(&self, family: &str, change: &SchemaChange) -> ModelResult<Forked> {
+    fn fork_with<T>(
+        &self,
+        change: impl FnOnce(&mut TseSystem) -> ModelResult<T>,
+    ) -> ModelResult<Forked<T>> {
         // Writers are quiesced for the whole fork→swap window: the swap
         // latch drains in-flight write batches (each holds it shared for
         // one operation), so the fork sees every batch completely or not
@@ -569,70 +574,63 @@ impl SharedSystem {
         // Readers are unaffected — they never touch the latch.
         //
         // The fork is **copy-free**: it shares the store contents and
-        // object map with the live system (MVCC version chains keep
+        // object map with every published core (MVCC version chains keep
         // pinned readers on their epoch), so its cost does not scale
-        // with data volume, and it takes the live system's prover (which
+        // with data volume, and it takes the newest core's prover (which
         // the control mutex we hold keeps from anyone else) instead of
         // copying it, so it does not scale with the schema. Everything the
-        // evolution installs is stamped under one write ticket: no reader
-        // can pin an epoch that sees a half-applied evolution. A change
+        // change installs is stamped under one write ticket: no reader
+        // can pin an epoch that sees a half-applied change. A change
         // adds capacity and moves no data, so a failed run leaves nothing
         // in the shared store: dropping the fork undoes it.
-        let (clock, mut system) = {
-            let sys = self.read_timed();
-            (Arc::clone(sys.db().store().clock()), sys.fork_shared())
-        };
-        let ticket = clock.begin_write();
-        let report = {
+        let mut system = self.inner.current().core.fork_shared();
+        let ticket = system.db().store().clock().begin_write();
+        let out = {
             let _stamp = WriteStampGuard::new(ticket.stamp());
-            system.evolve_fork(family, change)
+            change(&mut system)
         }
         .inspect_err(|e| note_fault(&self.inner.telemetry, e))?;
-        // Nothing is warmed for the swap: the fork carries the live
-        // system's extent cache and its schema's fact cache, a new view
+        // Nothing is warmed for the swap: the fork carries the newest
+        // core's extent cache and its schema's fact cache, a new view
         // class derives its first extent from its source's entry, and the
         // classifier resolved the new classes' types on the way in.
-        Ok(Forked { report, system, ticket })
+        Ok(Forked { out, system, ticket })
     }
 
-    /// Publish an evolved fork: its versions, then the next epoch. Runs
+    /// Publish a changed fork: its versions, then the next epoch. Runs
     /// once the change's frame is durable.
-    fn swap_in(&self, forked: Forked) -> EvolutionReport {
-        let Forked { report, system: mut private, ticket } = forked;
-        // Publish the evolution's versions before the metadata swap:
-        // sessions opened after the swap must pin an epoch that already
-        // includes everything the evolution installed. (Evolution is
-        // capacity-augmenting, so a session pinning between here and the
-        // swap sees the new record versions under the old metadata —
-        // harmless, the old schema simply doesn't name the new capacity.)
+    fn swap_in<T>(&self, forked: Forked<T>) -> T {
+        let Forked { out, system, ticket } = forked;
+        // Publish the change's versions before the epoch: sessions opened
+        // after the swap must pin an epoch that already includes
+        // everything the change installed. (A change is capacity-
+        // augmenting, so a session pinning between here and the swap sees
+        // the new record versions under the old core — harmless, the old
+        // schema simply doesn't name the new capacity.)
         ticket.end();
 
-        // Swap-in: build the next snapshot *outside* the exclusive
-        // section, then swap the system pointer and publish the epoch.
-        let epoch = self.inner.epoch.load(Ordering::Relaxed) + 1;
-        let next_meta = Arc::new(MetaSnapshot::capture(epoch, &private));
-        let mut sys = self.write_timed();
+        // Capture the next epoch *outside* the exclusive section, then
+        // swap the one pointer.
+        let epoch = self.inner.meta.read().epoch + 1;
+        let next = Arc::new(MetaSnapshot::capture(epoch, Arc::new(system)));
+        let mut meta = self.inner.meta.write();
         let exclusive = Instant::now();
-        std::mem::swap(&mut *sys, &mut private);
-        let old_meta = std::mem::replace(&mut *self.inner.meta.write(), next_meta);
-        self.inner.epoch.store(epoch, Ordering::Release);
-        drop(sys);
+        let old = std::mem::replace(&mut *meta, next);
+        drop(meta);
         self.inner
             .telemetry
             .observe_ns("evolve.exclusive_ns", (exclusive.elapsed().as_nanos() as u64).max(1));
         self.inner.telemetry.set_gauge("epoch", epoch);
-        // `private` now holds the pre-change system and `old_meta` the
-        // superseded snapshot; drop both outside the exclusive section so
-        // deallocation never extends it.
-        drop(old_meta);
-        drop(private);
-        report
+        // Drop the superseded epoch outside the exclusive section; its
+        // core lives on while a session pinned to it does.
+        drop(old);
+        out
     }
 
     /// Write a new snapshot generation and empty the WAL (durable systems
-    /// only). Readers keep running: encoding happens under the shared lock.
-    /// Data writers are quiesced via the swap latch so the object map and
-    /// the record store are encoded as one consistent image.
+    /// only) from the newest core. Readers keep running; data writers are
+    /// quiesced via the swap latch so the object map and the record store
+    /// are encoded as one consistent image.
     pub fn checkpoint(&self) -> ModelResult<u64> {
         let _trace = self.inner.telemetry.ensure_trace("checkpoint");
         let mut ctl = self.lock_control();
@@ -641,8 +639,7 @@ impl SharedSystem {
             .as_mut()
             .ok_or_else(|| ModelError::Invalid("checkpoint on a non-durable system".into()))?;
         let _latch = self.inner.latch.write();
-        let sys = read_timed(&self.inner);
-        durable.checkpoint(&sys)
+        durable.checkpoint(&self.inner.current().core)
     }
 
     /// Current service health: `Healthy`, `Degraded` (read-only), or
@@ -665,8 +662,7 @@ impl SharedSystem {
             .as_mut()
             .ok_or_else(|| ModelError::Invalid("try_heal on a non-durable system".into()))?;
         let _latch = self.inner.latch.write();
-        let sys = read_timed(&self.inner);
-        durable.try_heal(&sys)
+        durable.try_heal(&self.inner.current().core)
     }
 
     /// Run one integrity scrub pass (durable systems only): re-verify every
@@ -727,27 +723,17 @@ impl SharedSystem {
     // ----- control plane: base schema + views -------------------------------
 
     /// Log a structural record (class definition, view creation,
-    /// constraint), apply it under the exclusive system lock through
-    /// [`apply_record`] — the routine recovery replays it with, so what a
-    /// live call does and what a reopen redoes cannot drift — and publish
-    /// the new epoch. `read` takes the caller's answer (the id the record
-    /// created) from the changed system under the same lock.
+    /// constraint) and run it the evolve's way: [`apply_record`] on a fork
+    /// — the routine recovery replays it with, so what a live call does and
+    /// what a reopen redoes cannot drift — then the swap. `read` takes the
+    /// caller's answer (the id the record created) from the changed fork.
     fn structural_logged<R>(
         &self,
         record: WalRecord,
-        read: impl FnOnce(&TseSystem) -> R,
+        read: impl FnOnce(&TseSystem) -> ModelResult<R>,
     ) -> ModelResult<R> {
         let frame = record.clone();
-        self.logged(
-            move || Ok(frame),
-            || Ok(()),
-            |()| {
-                let mut sys = self.write_timed();
-                apply_record(&mut sys, record)?;
-                self.publish_meta_locked(&sys);
-                Ok(read(&sys))
-            },
-        )
+        self.logged(move || Ok(frame), |fork| apply_record(fork, record).and_then(|_| read(fork)))
     }
 
     /// Define a base class (global-schema setup). Publishes a new epoch;
@@ -765,7 +751,7 @@ impl SharedSystem {
             supers: supers.iter().map(|s| s.to_string()).collect(),
             props,
         };
-        self.structural_logged(record, |sys| sys.db().schema().by_name(name))?
+        self.structural_logged(record, |sys| sys.db().schema().by_name(name))
     }
 
     /// Log and apply a `CreateView` record; the new version is the family's
@@ -781,7 +767,7 @@ impl SharedSystem {
             classes: class_names.iter().map(|s| s.to_string()).collect(),
             mode,
         };
-        self.structural_logged(record, |sys| sys.views().current(family).map(|v| v.id))?
+        self.structural_logged(record, |sys| sys.views().current(family).map(|v| v.id))
     }
 
     /// Create a view over the named global classes. Publishes a new epoch;
@@ -817,7 +803,7 @@ impl SharedSystem {
             class_local: class_local.to_string(),
             expr: expr.map(str::to_string),
         };
-        self.structural_logged(record, |_| ())
+        self.structural_logged(record, |_| Ok(()))
     }
 }
 
@@ -864,34 +850,10 @@ pub(crate) fn is_crash(e: &ModelError) -> bool {
     matches!(e, ModelError::Storage(s) if s.is_crash())
 }
 
-/// The histogram of waits for the `system` lock in shared mode. Like
-/// [`WRITE_WAIT`], a tracked wait: every telemetry domain resolves it when
-/// it is created, so passing it to `finish_op` by name looks nothing up.
-const READ_WAIT: &str = "lock.read_wait_ns";
-
-/// The histogram of a data write's wait for the swap latch and the system
-/// lock.
+/// The histogram of a data write's wait for the swap latch and `meta`: a
+/// tracked wait, which every telemetry domain resolves when it is created,
+/// so passing it to `finish_op` by name looks nothing up.
 const WRITE_WAIT: &str = "lock.write_wait_ns";
-
-/// Take the `system` lock shared; returns the guard and the wait in
-/// nanoseconds. Unless a swap-in holds the lock it is there at the first
-/// try, and that wait is put down as 1 ns without reading a clock.
-fn read_locked(inner: &SharedInner) -> (RwLockReadGuard<'_, TseSystem>, u64) {
-    if let Some(guard) = inner.system.try_read() {
-        return (guard, 1);
-    }
-    let started = Instant::now();
-    let guard = inner.system.read();
-    (guard, (started.elapsed().as_nanos() as u64).max(1))
-}
-
-/// [`read_locked`] for callers that are not a measured operation: the wait
-/// is observed on the spot.
-fn read_timed(inner: &SharedInner) -> RwLockReadGuard<'_, TseSystem> {
-    let (guard, waited) = read_locked(inner);
-    inner.telemetry.observe_ns(READ_WAIT, waited);
-    guard
-}
 
 /// Handle to a background integrity-scrubber thread started by
 /// [`SharedSystem::start_scrubber`]. Dropping the handle stops and joins
@@ -943,10 +905,9 @@ fn maybe_autocheckpoint(inner: &SharedInner, trigger: Option<u64>) {
     if !log.autocheckpoint_due() {
         return; // someone checkpointed while we waited for the latch
     }
-    let sys = read_timed(inner);
     // A failure was already counted where it surfaced, inside the
     // checkpoint; the next mutation tries again.
-    if durable.checkpoint(&sys).is_ok() {
+    if durable.checkpoint(&inner.current().core).is_ok() {
         inner.telemetry.incr("durable.autocheckpoints", 1);
     }
 }
@@ -983,8 +944,9 @@ impl ReadSession {
     /// and the MVCC read epoch advance; reads before and after `refresh`
     /// may observe different states.
     pub fn refresh(&mut self) {
-        self.meta = self.inner.meta.read().clone();
-        self.pin = Some(self.clock.pin());
+        let (meta, pin) = self.inner.pin_current();
+        self.pin = Some(pin);
+        self.meta = meta;
     }
 
     /// Guard that routes every store/object-model read inside one session
@@ -996,11 +958,10 @@ impl ReadSession {
     /// Run one data-plane read as the measured operation `op`, the way
     /// [`WriteSession`]'s logged write runs every mutation: in the session's
     /// trace, `class_local` resolved against the pinned snapshot, `read`
-    /// at the pinned epoch under the shared system lock. The thread's
-    /// telemetry context is visited twice: once to enter the trace, once to
-    /// count the operation, record its latency and its wait for the lock,
-    /// and leave the trace — into the thread's own metric shard, with no
-    /// lock taken.
+    /// at the pinned epoch through the snapshot's core, with no lock taken.
+    /// The thread's telemetry context is visited twice: once to enter the
+    /// trace, once to count the operation, record its latency and leave the
+    /// trace — into the thread's own metric shard.
     fn read<R>(
         &self,
         op: OpHandle,
@@ -1012,11 +973,9 @@ impl ReadSession {
         let started = Instant::now();
         let class = self.meta.resolve(view, class_local)?;
         let _epoch = self.epoch_guard();
-        let (sys, waited) = read_locked(&self.inner);
-        let out = read(sys.db(), class);
-        drop(sys);
+        let out = read(self.meta.core.db(), class);
         let dur_ns = started.elapsed().as_nanos() as u64;
-        self.inner.telemetry.finish_op(scope, &op, dur_ns, Some((READ_WAIT, waited)));
+        self.inner.telemetry.finish_op(scope, &op, dur_ns, None);
         out
     }
 
@@ -1030,9 +989,7 @@ impl ReadSession {
         self.meta.view(id)
     }
 
-    /// Read an attribute through a view class. Name resolution is
-    /// lock-free against the pinned snapshot; the record read takes the
-    /// shared lock.
+    /// Read an attribute through a view class.
     pub fn get(&self, view: ViewId, oid: Oid, class_local: &str, attr: &str) -> ModelResult<Value> {
         self.read(self.inner.ops.get, view, class_local, |db, class| db.read_attr(oid, class, attr))
     }
@@ -1050,7 +1007,7 @@ impl ReadSession {
     pub fn extent_uncached(&self, view: ViewId, class_local: &str) -> ModelResult<Vec<Oid>> {
         let class = self.meta.resolve(view, class_local)?;
         let _epoch = self.epoch_guard();
-        Ok(read_timed(&self.inner).db().extent_uncached(class)?.into_iter().collect())
+        Ok(self.meta.core.db().extent_uncached(class)?.into_iter().collect())
     }
 
     /// `select from <Class> where <expr>` over a view class.
@@ -1071,33 +1028,29 @@ impl ReadSession {
         self.read(self.inner.ops.invoke, view, class_local, |db, class| db.invoke(oid, class, name))
     }
 
-    /// Cumulative storage access counters of the live system (what the
-    /// benchmark harness reports: record reads/writes, page hits/misses).
+    /// Cumulative storage access counters of the store every core shares
+    /// (what the benchmark harness reports: record reads/writes, page
+    /// hits/misses).
     pub fn stats(&self) -> tse_storage::StoreStats {
-        read_timed(&self.inner).db().store_stats()
+        self.meta.core.db().store_stats()
     }
 
-    /// Total bytes used across all store segments of the live system.
+    /// Total bytes used across all segments of the store every core shares.
     pub fn store_bytes(&self) -> usize {
-        read_timed(&self.inner).db().store().total_bytes()
+        self.meta.core.db().store().total_bytes()
     }
 }
 
 impl Drop for ReadSession {
     fn drop(&mut self) {
         drop(self.pin.take());
-        self.inner
-            .telemetry
-            .set_gauge("mvcc.pinned_epochs", self.clock.pinned_epochs() as u64);
+        let store = self.meta.core.db().store();
+        self.inner.telemetry.set_gauge("mvcc.pinned_epochs", store.clock().pinned_epochs() as u64);
         // Opportunistic GC: if this was the oldest pin and enough
-        // superseded versions have piled up, reclaim them now. `try_read`
-        // keeps Drop non-blocking — if an evolution swap holds the system
-        // lock, the backlog just waits for the next session to drop.
-        if let Some(sys) = self.inner.system.try_read() {
-            if sys.db().store().superseded_versions() > GC_BACKLOG_THRESHOLD {
-                let watermark = sys.db().store().clock().gc_watermark();
-                sys.db().gc(watermark);
-            }
+        // superseded versions have piled up in the shared store, reclaim
+        // them now, through the newest core.
+        if store.superseded_versions() > GC_BACKLOG_THRESHOLD {
+            self.inner.gc();
         }
     }
 }
@@ -1115,14 +1068,15 @@ impl WriteSession {
 
     /// Re-pin to the latest published epoch.
     pub fn refresh(&mut self) {
-        self.meta = self.inner.meta.read().clone();
+        self.meta = self.inner.current();
     }
 
     /// Run one data-plane mutation as the measured operation `name`: swap
-    /// latch shared (so fork–evolve–swap can quiesce writers), system lock
-    /// shared (the store's per-segment stripes provide the fine-grained
-    /// exclusion). No epoch is published — data writes touch records, not
-    /// the metadata readers resolve against.
+    /// latch shared (so fork → apply → swap can quiesce writers), then
+    /// `meta` shared, through the newest core (rule 2; the store's
+    /// per-segment stripes provide the fine-grained exclusion). No epoch is
+    /// published — data writes touch records, not the metadata readers
+    /// resolve against.
     ///
     /// On a durable system the mutation's effect frame (built by `record`
     /// from the operation's result) is appended through the group-commit WAL
@@ -1131,8 +1085,10 @@ impl WriteSession {
     /// (latch exclusive) can therefore never land between apply and append,
     /// so a snapshot either contains the op or the op's frame survives in
     /// the WAL — never neither. Apply-then-log means a crash between the two
-    /// loses the *unacked* op, which is exactly the contract: every acked
-    /// write survives, no acked write is lost.
+    /// loses only the *unacked* op: every acked write's frame is durable.
+    /// That is all that holds today. Replay re-runs the logical op, so a
+    /// state-dependent op (a constraint check) can decide differently at
+    /// recovery and an acked write can be lost (ROADMAP items 0 and 18).
     ///
     /// A failpoint that fired under `op` is counted in `fault.*` here, for
     /// every operation alike; one that fired under the append is counted by
@@ -1157,7 +1113,8 @@ impl WriteSession {
             // made durable).
             check_writable(inner)?;
             let _latch = inner.latch.read();
-            let sys = inner.system.read();
+            let meta = inner.meta.read();
+            let sys = &*meta.core;
             waited = Some((WRITE_WAIT, (started.elapsed().as_nanos() as u64).max(1)));
             // One MVCC write ticket per operation: every version the op
             // installs carries the ticket's stamp, and the stable frontier
@@ -1168,7 +1125,7 @@ impl WriteSession {
             let ticket = sys.db().store().clock().begin_write();
             let out = {
                 let _stamp = WriteStampGuard::new(ticket.stamp());
-                op(&sys)
+                op(sys)
             }
             .inspect_err(|e| note_fault(&inner.telemetry, e))?;
             if let Some(log) = &inner.log {
@@ -1192,7 +1149,7 @@ impl WriteSession {
         values: &[(&str, Value)],
     ) -> ModelResult<Oid> {
         let class = self.meta.resolve(view, class_local)?;
-        let policy = &self.meta.policy;
+        let policy = self.meta.policy();
         self.with_data_logged(
             self.inner.ops.create,
             |sys| tse_algebra::create(sys.db(), policy, class, values),
@@ -1209,7 +1166,7 @@ impl WriteSession {
         assignments: &[(&str, Value)],
     ) -> ModelResult<()> {
         let class = self.meta.resolve(view, class_local)?;
-        let policy = &self.meta.policy;
+        let policy = self.meta.policy();
         self.with_data_logged(
             self.inner.ops.set,
             |sys| tse_algebra::set(sys.db(), policy, &[oid], class, assignments),
@@ -1237,7 +1194,7 @@ impl WriteSession {
         let class = self.meta.resolve(view, class_local)?;
         let body = crate::change::parse_expr(expr)?;
         let pred = tse_object_model::Predicate::Expr(body);
-        let policy = &self.meta.policy;
+        let policy = self.meta.policy();
         self.with_data_logged(
             self.inner.ops.update_where,
             |sys| -> ModelResult<Vec<Oid>> {
@@ -1258,7 +1215,7 @@ impl WriteSession {
     /// Add existing objects to a view class.
     pub fn add_to(&self, view: ViewId, oids: &[Oid], class_local: &str) -> ModelResult<()> {
         let class = self.meta.resolve(view, class_local)?;
-        let policy = &self.meta.policy;
+        let policy = self.meta.policy();
         self.with_data_logged(
             self.inner.ops.add_to,
             |sys| tse_algebra::add(sys.db(), policy, oids, class),
@@ -1269,7 +1226,7 @@ impl WriteSession {
     /// Remove objects from a view class.
     pub fn remove_from(&self, view: ViewId, oids: &[Oid], class_local: &str) -> ModelResult<()> {
         let class = self.meta.resolve(view, class_local)?;
-        let policy = &self.meta.policy;
+        let policy = self.meta.policy();
         self.with_data_logged(
             self.inner.ops.remove_from,
             |sys| tse_algebra::remove(sys.db(), policy, oids, class),
@@ -1325,7 +1282,7 @@ mod tests {
                 }
             }
         };
-        let before = MetaSnapshot::capture(1, &tse);
+        let before = MetaSnapshot::capture(1, Arc::new(tse.fork_shared()));
         same_as_lookup(&before);
         let versions = before.views().versions("VS").unwrap().to_vec();
         let (v1, v2) = (versions[0], versions[1]);
@@ -1334,7 +1291,7 @@ mod tests {
         assert!(before.resolve(v2, "Student").is_err(), "the rename masks the global name");
 
         tse.db_mut().schema_mut().rename_class(person, "Human").unwrap();
-        let after = MetaSnapshot::capture(2, &tse);
+        let after = MetaSnapshot::capture(2, Arc::new(tse));
         same_as_lookup(&after);
         assert_eq!(after.resolve(v1, "Human"), Ok(person));
         assert!(after.resolve(v1, "Person").is_err());

@@ -13,12 +13,16 @@
 //! payload whose first byte is anything but `0xA3` is refused as corrupt,
 //! as are an unknown kind, a truncated body and trailing bytes.
 //!
-//! Data frames log **effects, not requests**: `Create` carries the oid the
-//! original call assigned (recovery forces the allocator to reissue it),
-//! `UpdateWhere` carries the oids its predicate resolved to (re-evaluating
-//! the predicate against a half-replayed store could match a different
-//! set), and every frame carries resolved *global* [`ClassId`]s rather
-//! than view-local names, so replay does not depend on view state.
+//! Data frames log **logical ops with their resolved targets**: `Create`
+//! carries the oid the original call assigned (recovery forces the
+//! allocator to reissue it), `UpdateWhere` carries the oids its predicate
+//! resolved to (re-evaluating the predicate against a half-replayed store
+//! could match a different set), and every frame carries resolved
+//! *global* [`ClassId`]s rather than view-local names, so replay does not
+//! depend on view state. They are not effects: replay re-runs the op
+//! (`tse_algebra::set` and its kin, constraint checks included), so a
+//! state-dependent op can decide differently at recovery than it did live
+//! (ROADMAP items 0 and 18).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tse_object_model::{

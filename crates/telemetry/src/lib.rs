@@ -81,7 +81,6 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 64 * 1024;
 /// finds its slot without the registry.
 const TRACKED_WAITS: &[&str] = &[
     "lock.stripe_wait_ns",
-    "lock.read_wait_ns",
     "lock.write_wait_ns",
     "lock.control_wait_ns",
     "wal.fsync_ns",
@@ -673,7 +672,7 @@ impl Telemetry {
     /// and group-commit waits). The wait accumulators reset either way.
     ///
     /// `waited` is a tracked wait the caller measured itself during the
-    /// operation (`(histogram name, ns)`, e.g. its `lock.read_wait_ns`): it
+    /// operation (`(histogram name, ns)`, e.g. its `lock.write_wait_ns`): it
     /// is observed and attributed exactly as [`Telemetry::observe_ns`]
     /// would, in the same visit to the thread's context.
     ///
@@ -1207,9 +1206,9 @@ mod tests {
         t.observe_ns("lock.stripe_wait_ns", 11);
         // A wait the caller measured itself rides the same call: observed
         // into its histogram and attributed like any other tracked wait.
-        t.observe_op(&slow, 5000, Some(("lock.read_wait_ns", 9)));
+        t.observe_op(&slow, 5000, Some(("lock.write_wait_ns", 9)));
         assert_eq!(t.counter("slow_op.count"), 1);
-        assert_eq!(t.snapshot().histograms["lock.read_wait_ns"].sum, 9);
+        assert_eq!(t.snapshot().histograms["lock.write_wait_ns"].sum, 9);
         let journal = t.journal();
         let slow = journal.iter().find(|r| r.name() == "slow_op").expect("slow_op event");
         match slow {
@@ -1223,7 +1222,7 @@ mod tests {
                     .any(|(k, v)| k == "lock.stripe_wait_ns" && *v == JsonValue::U64(511)));
                 assert!(fields
                     .iter()
-                    .any(|(k, v)| k == "lock.read_wait_ns" && *v == JsonValue::U64(9)));
+                    .any(|(k, v)| k == "lock.write_wait_ns" && *v == JsonValue::U64(9)));
             }
             other => panic!("expected event, got {other:?}"),
         }
@@ -1273,7 +1272,7 @@ mod tests {
         let get = t.op(&op_name!("get"));
         let work = move |t: Telemetry| {
             for i in 0..OPS {
-                t.observe_op(&get, 100 + i % 7, Some(("lock.read_wait_ns", 1)));
+                t.observe_op(&get, 100 + i % 7, Some(("lock.write_wait_ns", 1)));
             }
         };
         let joined: Vec<_> = (0..3)
@@ -1299,8 +1298,8 @@ mod tests {
         let check = |snap: &MetricsSnapshot| {
             assert_eq!(snap.counter("op.get"), 4 * OPS);
             assert_eq!(snap.histograms["latency.get"].count, 4 * OPS);
-            assert_eq!(snap.histograms["lock.read_wait_ns"].count, 4 * OPS);
-            assert_eq!(snap.histograms["lock.read_wait_ns"].sum, 4 * OPS);
+            assert_eq!(snap.histograms["lock.write_wait_ns"].count, 4 * OPS);
+            assert_eq!(snap.histograms["lock.write_wait_ns"].sum, 4 * OPS);
         };
         check(&t.snapshot());
         assert_eq!(t.counter("op.get"), 4 * OPS);

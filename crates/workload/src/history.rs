@@ -26,8 +26,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tse_core::{
-    parse_change, ReadSession, SchemaChange, SharedSystem, TseClient, TseCode, TseError, TseReader,
-    TseResult, TseWriter, WriteSession,
+    parse_change, HealthStatus, ReadSession, SchemaChange, SharedSystem, TseClient, TseCode,
+    TseError, TseReader, TseResult, TseWriter, WriteSession,
 };
 use tse_object_model::{Oid, Value};
 use tse_view::ViewId;
@@ -290,7 +290,17 @@ impl History {
     ///
     /// Returns the resolved history — landed `Unknown` ops promoted to
     /// `Acked`, the rest dropped — so the harness can keep going.
+    ///
+    /// A resolution holds only for a state no redo can change. While
+    /// `client.health()` reports `Poisoned`, a reopen may still redo the
+    /// frame of an op the live store does not show, or lose the frame of a
+    /// data op it does show (a data op applies before its frame is
+    /// appended). So a poisoned check still compares the store with both
+    /// folds, but leaves every in-flight data op and every evolve that has
+    /// not landed `Unknown`; a published evolve was durable before it was
+    /// published, and is promoted as usual.
     pub fn check<C: TseClient>(&self, client: &C) -> Result<History, String> {
+        let poisoned = matches!(client.health(), Ok(HealthStatus::Poisoned));
         let versions = client.versions().map_err(|e| format!("read version count: {e}"))?;
         let mut resolved = self.clone();
         let mut acked = self.fold(false)?;
@@ -313,12 +323,12 @@ impl History {
             if e.outcome == Outcome::Acked || e.op.tag().is_some() {
                 return true;
             }
-            let keep = landed > 0;
-            if keep {
-                landed -= 1;
-                e.outcome = Outcome::Acked;
+            if landed == 0 {
+                return poisoned;
             }
-            keep
+            landed -= 1;
+            e.outcome = Outcome::Acked;
+            true
         });
         if versions > have {
             acked = resolved.fold(false)?;
@@ -372,6 +382,7 @@ impl History {
             ));
         }
         resolved.entries.retain_mut(|e| match e.op.tag() {
+            Some(_) if poisoned => true,
             Some(tag) if e.outcome == Outcome::Unknown => {
                 e.outcome = Outcome::Acked;
                 landed_tags.contains(&tag)
@@ -607,6 +618,28 @@ mod tests {
                 assert!(resolved.entries().iter().all(|e| e.outcome == Outcome::Acked));
             }
         }
+    }
+
+    /// On a poisoned system a reopen may still redo the frame of an
+    /// evolve that did not publish, so the live check leaves it `Unknown`
+    /// (and keeps it, where a healthy check would drop it).
+    #[test]
+    fn a_poisoned_live_check_leaves_an_in_flight_evolve_unknown() {
+        let dir = std::env::temp_dir().join(format!("tse_history_poison_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sys = SharedSystem::open(&dir).unwrap();
+        seed(&sys);
+        let client = sys.client("V");
+        let mut history = History::new("V", "Item", "tag", seed);
+        history.issue(&client, create(0)).unwrap();
+        sys.failpoints().arm("durable.wal_fsync", 1, tse_storage::FailAction::Error);
+        assert!(history.issue(&client, Op::Evolve { command: RANK.into() }).is_err());
+        assert_eq!(client.health().unwrap(), HealthStatus::Poisoned);
+        let resolved = history.check(&client).unwrap();
+        assert_eq!(resolved.entries(), history.entries());
+        assert_eq!(resolved.entries().last().unwrap().outcome, Outcome::Unknown);
+        drop((client, sys));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1071,3 +1071,202 @@ fn select_and_update_where_passes_race_writers_on_their_own_class() {
         history.lock().unwrap().check(&club).unwrap();
     });
 }
+
+/// A write goes through the newest core. A `WriteSession` opened before an
+/// evolve keeps creating through its pinned view after the swap, beside a
+/// writer opened after it: a fork copies the oid allocator by value, so a
+/// write through the session's pinned core would hand out oids the newer
+/// core already gave. Every object reads back through a fresh session.
+#[test]
+fn a_writer_opened_before_an_evolve_shares_the_newest_oid_allocator() {
+    let (sys, oids, v1) = build();
+    let shared = SharedSystem::from_system(sys);
+    let early = shared.writer();
+    let mut made = vec![(early.create(v1, "Person", &[("age", Value::Int(1000))]).unwrap(), 1000)];
+    shared.evolve_cmd("VS", "add_attribute nick: str to Person").unwrap();
+    let late = shared.writer();
+    assert!(early.epoch() < late.epoch());
+    let v2 = late.meta().current_view("VS").unwrap().id;
+    for i in 0..20 {
+        let age = 2000 + 2 * i;
+        made.push((early.create(v1, "Person", &[("age", Value::Int(age))]).unwrap(), age));
+        made.push((late.create(v2, "Person", &[("age", Value::Int(age + 1))]).unwrap(), age + 1));
+    }
+    let distinct: std::collections::HashSet<_> =
+        oids.iter().copied().chain(made.iter().map(|(oid, _)| *oid)).collect();
+    assert_eq!(distinct.len(), oids.len() + made.len(), "two writers were handed one oid");
+    let session = shared.session();
+    assert_eq!(session.extent(v2, "Person").unwrap().len(), distinct.len());
+    for (oid, age) in made {
+        for view in [v1, v2] {
+            assert_eq!(session.get(view, oid, "Person", "age").unwrap(), Value::Int(age));
+        }
+    }
+}
+
+/// A session pinned before a structural change keeps its core's extent
+/// cache right: creates of a new subclass of `Person`, made through the
+/// epochs after it, never reach its extent of `Person`, cached or not. A
+/// session opened afterwards includes them and answers their gets.
+#[test]
+fn a_session_pinned_before_a_new_subclass_sees_none_of_its_objects() {
+    let (sys, oids, v) = build();
+    let shared = SharedSystem::from_system(sys);
+    let pinned = shared.session();
+    assert_eq!(pinned.extent(v, "Person").unwrap().len(), oids.len(), "warm the pinned cache");
+    let grade = PropertyDef::stored("grade", ValueType::Int, Value::Int(0));
+    shared.define_base_class("Pupil", &["Person"], vec![grade]).unwrap();
+    let vp = shared.create_view("VP", &["Person", "Pupil"]).unwrap();
+    let writer = shared.writer();
+    let pupils: Vec<_> = (0..30)
+        .map(|i| {
+            let values = [("age", Value::Int(500 + i)), ("grade", Value::Int(i))];
+            writer.create(vp, "Pupil", &values).unwrap()
+        })
+        .collect();
+
+    let extent = pinned.extent(v, "Person").unwrap();
+    assert_eq!(extent, pinned.extent_uncached(v, "Person").unwrap());
+    assert_eq!(extent.len(), oids.len());
+    assert!(pupils.iter().all(|p| !extent.contains(p)), "a later create leaked into the pin");
+
+    let fresh = shared.session();
+    let extent = fresh.extent(v, "Person").unwrap();
+    assert_eq!(extent, fresh.extent_uncached(v, "Person").unwrap());
+    assert_eq!(extent.len(), oids.len() + pupils.len());
+    for (i, pupil) in pupils.iter().enumerate() {
+        assert!(extent.contains(pupil));
+        assert_eq!(fresh.get(v, *pupil, "Person", "age").unwrap(), Value::Int(500 + i as i64));
+        assert_eq!(fresh.get(vp, *pupil, "Pupil", "grade").unwrap(), Value::Int(i as i64));
+    }
+}
+
+/// A refused structural change publishes nothing: a class over an unknown
+/// super and a constraint that does not parse leave the epoch, the schema
+/// and the log as they were, live and, on a durable system, after a reopen.
+#[test]
+fn a_refused_structural_change_publishes_nothing() {
+    fn state(shared: &SharedSystem) -> (u64, usize, Option<u64>) {
+        (shared.epoch(), shared.session().meta().schema().class_count(), shared.wal_len())
+    }
+    fn refuse(shared: &SharedSystem) {
+        let v = shared.session().meta().current_view("VS").unwrap().id;
+        let before = state(shared);
+        assert!(shared.define_base_class("Orphan", &["Nobody"], vec![]).is_err());
+        assert!(shared.set_constraint(v, "Person", Some("age >= (")).is_err());
+        assert_eq!(state(shared), before, "a refused change published an epoch");
+        assert!(shared.session().meta().schema().by_name("Orphan").is_err());
+    }
+    refuse(&SharedSystem::from_system(build().0));
+
+    let dir = std::env::temp_dir().join(format!("tse_concurrency_refused_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let before = {
+        let shared = SharedSystem::open(&dir).unwrap();
+        let age = PropertyDef::stored("age", ValueType::Int, Value::Int(0));
+        shared.define_base_class("Person", &[], vec![age]).unwrap();
+        shared.create_view("VS", &["Person"]).unwrap();
+        refuse(&shared);
+        state(&shared)
+    };
+    let reopened = SharedSystem::open(&dir).unwrap();
+    let (_, classes, wal) = state(&reopened);
+    assert_eq!((classes, wal), (before.1, before.2), "the reopen redid a refused change");
+    assert!(reopened.session().meta().schema().by_name("Orphan").is_err());
+    refuse(&reopened);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every kind of structural change under load. Two readers open, refresh and
+/// keep sessions at different epochs; each checks every class of every view
+/// version its epoch knows, `extent` against `extent_uncached`, and answers
+/// every member's `get`. Meanwhile an admin interleaves `define_base_class`,
+/// `create_view`, `set_constraint` and evolves, and a writer creates through
+/// the newest views. The seed varies which sessions the readers keep.
+#[test]
+fn readers_keep_their_cores_while_every_kind_of_structural_change_lands() {
+    const CHANGES: usize = 8;
+    let target =
+        "--test concurrency -- readers_keep_their_cores_while_every_kind_of_structural_change_lands";
+    seeded(target, &[1], |seed| {
+        let (sys, _, _) = build();
+        let shared = SharedSystem::from_system(sys);
+        let done = AtomicBool::new(false);
+        let check = |session: &tse::core::ReadSession| {
+            let meta = session.meta();
+            for family in meta.views().families() {
+                for version in meta.views().versions(family).unwrap() {
+                    let view = meta.view(*version).unwrap();
+                    for class in &view.classes {
+                        let local = view.local_name_in(meta.schema(), *class).unwrap();
+                        let extent = session.extent(*version, &local).unwrap();
+                        assert_eq!(extent, session.extent_uncached(*version, &local).unwrap());
+                        for oid in extent {
+                            let age = session.get(*version, oid, &local, "age").unwrap();
+                            assert!(matches!(age, Value::Int(a) if a >= 0), "{oid}: {age:?}");
+                        }
+                    }
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for r in 0..2u64 {
+                let (shared, done, check) = (&shared, &done, &check);
+                scope.spawn(move || {
+                    let mut noise = seed.wrapping_mul(0x9e37_79b9) ^ (r + 1);
+                    let mut kept = std::collections::VecDeque::new();
+                    let mut session = shared.session();
+                    while !done.load(Ordering::Acquire) {
+                        noise ^= noise << 13;
+                        noise ^= noise >> 7;
+                        noise ^= noise << 17;
+                        match noise % 4 {
+                            0 => kept.push_back(shared.session()),
+                            1 => drop(kept.pop_front()),
+                            _ => session.refresh(),
+                        }
+                        if kept.len() > 3 {
+                            kept.pop_front();
+                        }
+                        for session in kept.iter().chain([&session]) {
+                            check(session);
+                        }
+                    }
+                    check(&shared.session());
+                });
+            }
+            {
+                let (shared, done) = (&shared, &done);
+                scope.spawn(move || {
+                    let mut writer = shared.writer();
+                    let mut age = 0;
+                    while !done.load(Ordering::Acquire) {
+                        writer.refresh();
+                        let views = writer.meta().views();
+                        for family in views.families() {
+                            let view = views.current(family).unwrap();
+                            let newest = view.classes.last().copied().unwrap();
+                            let local = view.local_name_in(writer.meta().schema(), newest).unwrap();
+                            writer.create(view.id, &local, &[("age", Value::Int(age))]).unwrap();
+                            age += 1;
+                        }
+                    }
+                });
+            }
+            for i in 0..CHANGES {
+                let class = format!("K{i}");
+                let field = PropertyDef::stored(&format!("k{i}"), ValueType::Int, Value::Int(0));
+                shared.define_base_class(&class, &["Person"], vec![field]).unwrap();
+                let view = shared.create_view(&format!("F{i}"), &["Person", &class]).unwrap();
+                shared.set_constraint(view, &class, Some("age >= 0")).unwrap();
+                shared.evolve_cmd("VS", &format!("add_attribute a{i}: int to Person")).unwrap();
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Release);
+        });
+        let session = shared.session();
+        check(&session);
+        assert_eq!(session.meta().views().families().count(), CHANGES + 1);
+    });
+}

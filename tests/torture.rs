@@ -432,8 +432,8 @@ fn run_poison(seed: u64) {
             "{at}: poisoned write not fail-stopped: {probe:?}"
         );
         // Live, the refused op has not landed; its frame may still redo at
-        // the restart, so the history keeps it unresolved.
-        check(&shared, &history, &format!("{at}, poisoned"));
+        // the restart, so the poisoned check leaves it unresolved.
+        history = check(&shared, &history, &format!("{at}, poisoned"));
         // The unrecovered transition and the poisoned-log counter are
         // exactly what the journal gate exists to flag.
         let problems = journal_problems(&shared);
