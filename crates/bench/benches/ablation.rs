@@ -39,8 +39,9 @@
 //! * **Evolve flush** — what durability adds to a schema change: the p50 ns
 //!   of an `add_attribute` evolve on an in-memory system and on a durable
 //!   one with the same schema (whose frame is fsynced while its fork
-//!   evolves), beside a bare `fdatasync` p50 in the same directory, land in
-//!   `BENCH_ablation.json`. Ungated: the disk varies.
+//!   evolves), beside a bare append-and-`fdatasync` p50 in the same
+//!   directory, on a growing file and on pre-written blocks (as the log's
+//!   are), land in `BENCH_ablation.json`. Ungated: the disk varies.
 
 use std::hint::black_box;
 use std::sync::Barrier;
@@ -615,24 +616,39 @@ fn evolve_flush_rows() -> Vec<JsonValue> {
         on_disk.push(timed(&mut || drop(durable.evolve_cmd("uni", &command).unwrap())));
     }
     drop(durable);
-    let file = std::fs::File::create(dir.join("fdatasync.probe")).unwrap();
-    let fdatasync: Vec<u64> = (0..EVOLVES)
-        .map(|_| {
-            timed(&mut || {
-                std::io::Write::write_all(&mut &file, &[0u8; 64]).unwrap();
-                file.sync_data().unwrap();
+    // A bare 64-byte append and `fdatasync`, on a file that grows with each
+    // append and on one whose blocks were written with zeros and fsynced
+    // beforehand, as the log's are.
+    let appends = |file: &std::fs::File| -> Vec<u64> {
+        (0..EVOLVES)
+            .map(|_| {
+                timed(&mut || {
+                    std::io::Write::write_all(&mut &*file, &[1u8; 64]).unwrap();
+                    file.sync_data().unwrap();
+                })
             })
-        })
-        .collect();
+            .collect()
+    };
+    let growing = std::fs::File::create(dir.join("fdatasync.probe")).unwrap();
+    let fdatasync = appends(&growing);
+    let prewritten = std::fs::File::create(dir.join("fdatasync_prewritten.probe")).unwrap();
+    for _ in 0..EVOLVES {
+        std::io::Write::write_all(&mut &prewritten, &[0u8; 64]).unwrap();
+    }
+    prewritten.sync_data().unwrap();
+    std::io::Seek::rewind(&mut &prewritten).unwrap();
+    let fdatasync_prewritten = appends(&prewritten);
     let _ = std::fs::remove_dir_all(&dir);
-    let (in_memory, on_disk, fdatasync) = (p50(in_memory), p50(on_disk), p50(fdatasync));
+    let (in_memory, on_disk) = (p50(in_memory), p50(on_disk));
+    let (fdatasync, fdatasync_prewritten) = (p50(fdatasync), p50(fdatasync_prewritten));
     println!(
-        "bench ablation/evolve_flush  in memory {in_memory} ns/evolve, durable {on_disk} ns/evolve, fdatasync p50 {fdatasync} ns"
+        "bench ablation/evolve_flush  in memory {in_memory} ns/evolve, durable {on_disk} ns/evolve, fdatasync p50 {fdatasync} ns growing, {fdatasync_prewritten} ns pre-written"
     );
     vec![JsonValue::obj(vec![
         ("memory_ns_per_evolve", in_memory.into()),
         ("durable_ns_per_evolve", on_disk.into()),
         ("fdatasync_p50_ns", fdatasync.into()),
+        ("fdatasync_prewritten_p50_ns", fdatasync_prewritten.into()),
         ("evolves", (EVOLVES as u64).into()),
     ])]
 }

@@ -90,7 +90,10 @@ fn scripted_wal() -> (Vec<u8>, Vec<u8>) {
     w.create(v2, "Student", &[("name", "late".into()), ("tag", Value::Int(2))]).unwrap();
     w.add_to(view, &oids[..3], "Student").unwrap();
     w.delete_objects(&oids[30..]).unwrap();
-    let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    // The log's frames: the file up to its logical end (pre-written zeros
+    // follow).
+    let mut wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    wal.truncate(shared.wal_len().unwrap() as usize);
     shared.checkpoint().unwrap();
     let generation = shared.generation().unwrap();
     let snapshot = std::fs::read(snapshot_path(&dir, generation)).unwrap();

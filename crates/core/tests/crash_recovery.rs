@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use tse_core::{SchemaChange, SharedSystem, SystemHealth, TseCode, TseError, TseSystem};
 use tse_object_model::{Oid, PropertyDef, Value, ValueType};
-use tse_storage::durable::read_snapshot_file;
+use tse_storage::durable::{read_snapshot_file, WAL_FILE};
 use tse_storage::{FailAction, StoreConfig};
 use tse_view::ViewId;
 
@@ -245,21 +245,65 @@ fn torn_wal_append_is_truncated_on_reopen() {
     for keep in [1usize, 8, 15, 16, 25] {
         let dir = tmpdir(&format!("torn_wal_{keep}"));
         let (sys, v1, oid) = seed(&dir);
+        let start = sys.wal_len().unwrap() as usize;
         sys.failpoints().arm("durable.wal_append", 1, FailAction::TornWrite { keep_bytes: keep });
         let err = sys
             .evolve_cmd("VS", "add_attribute register: bool = false to Student")
             .unwrap_err();
         assert!(err.to_string().contains("simulated crash"), "keep={keep}: {err}");
         drop(sys);
+        // The torn bytes landed in pre-written zeros: zeros among their
+        // last bytes read as that space, not as a tear.
+        let image = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let torn = image[start..start + keep].iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
 
         // The frame never became valid, so the change is gone — exactly
         // what a crash before the WAL fsync returned means.
         let sys = SharedSystem::open(&dir).unwrap();
         assert_eq!(sys.wal_len(), Some(0), "keep={keep}");
         check_consistency(&sys, &dir, v1, oid);
-        assert_eq!(sys.telemetry().counter("recovery.torn_bytes"), keep as u64);
+        assert_eq!(sys.telemetry().counter("recovery.torn_bytes"), torn as u64, "keep={keep}");
         assert_eq!(sys.telemetry().counter("recovery.replayed"), 0, "keep={keep}");
         assert_eq!(versions(&sys).len(), 1, "keep={keep}");
+    }
+}
+
+/// A crash while the log pre-writes its next extent (a checkpoint just
+/// emptied it, so the first append after it pre-writes): the frame never
+/// reached the log, the log is poisoned, and a reopen finds the state
+/// before the change, with no torn bytes.
+#[test]
+fn a_crash_while_pre_writing_the_log_loses_only_the_unlogged_change() {
+    for action in [FailAction::Crash, FailAction::TornWrite { keep_bytes: 7 }] {
+        let dir = tmpdir("prewrite_crash");
+        let (sys, v1, oid) = seed(&dir);
+        sys.failpoints().arm("durable.wal_prewrite", 1, action);
+        let err = sys
+            .evolve_cmd("VS", "add_attribute register: bool = false to Student")
+            .unwrap_err();
+        assert!(err.to_string().contains("simulated crash"), "{action:?}: {err}");
+        assert_eq!(sys.health(), SystemHealth::Poisoned, "{action:?}");
+        let refused = sys.writer().create(v1, "Student", &[("name", "bob".into())]).unwrap_err();
+        assert_eq!(TseError::from(refused).code(), TseCode::Poisoned, "{action:?}");
+        assert_eq!(sys.wal_len(), Some(0), "{action:?}: nothing reached the log");
+        drop(sys);
+
+        let sys = SharedSystem::open(&dir).unwrap();
+        check_consistency(&sys, &dir, v1, oid);
+        assert_eq!(sys.telemetry().counter("recovery.replayed"), 0, "{action:?}");
+        assert_eq!(sys.telemetry().counter("recovery.torn_bytes"), 0, "{action:?}");
+        assert_eq!(versions(&sys).len(), 1, "{action:?}");
+        assert_eq!(sys.session().extent(v1, "Student").unwrap(), vec![oid], "{action:?}");
+
+        // A data write's pre-write, once a checkpoint emptied the log again:
+        // an acked create survives, the crashed one is absent.
+        let carl = sys.writer().create(v1, "Student", &[("name", "carl".into())]).unwrap();
+        sys.checkpoint().unwrap();
+        sys.failpoints().arm("durable.wal_prewrite", 1, action);
+        assert!(sys.writer().create(v1, "Student", &[("name", "dan".into())]).is_err());
+        drop(sys);
+        let sys = SharedSystem::open(&dir).unwrap();
+        assert_eq!(sys.session().extent(v1, "Student").unwrap(), vec![oid, carl], "{action:?}");
     }
 }
 

@@ -147,19 +147,31 @@ fn backoff_schedule_is_deterministic_on_the_virtual_clock() {
 
 #[test]
 fn disk_full_degrades_to_read_only_and_heals() {
-    let dir = tmpdir("disk_full");
+    // A full disk refuses a frame's own write, or the pre-write of the
+    // log's next extent (a checkpoint just emptied the log, so the next
+    // append pre-writes).
+    for site in ["durable.wal_append", "durable.wal_prewrite"] {
+        disk_full_at(site);
+    }
+}
+
+fn disk_full_at(site: &str) {
+    let dir = tmpdir(&format!("disk_full_{}", site.replace('.', "_")));
     let (shared, v1, oid) = seed(&dir);
+    shared.checkpoint().unwrap();
     let fp = shared.failpoints();
 
     // ENOSPC is never retried: the write fails once and the system drops to
     // read-only with the root cause recorded.
-    fp.arm("durable.wal_append", 1, FailAction::DiskFull);
+    fp.arm(site, 1, FailAction::DiskFull);
     let err = shared.writer().create(v1, "Person", &[("name", "eve".into())]).unwrap_err();
-    assert!(err.to_string().contains("disk-full"), "{err}");
+    assert!(err.to_string().contains("disk-full"), "{site}: {err}");
     assert_eq!(
         shared.health(),
-        SystemHealth::Degraded { reason: DegradedReason::DiskFull }
+        SystemHealth::Degraded { reason: DegradedReason::DiskFull },
+        "{site}"
     );
+    assert_eq!(shared.wal_len(), Some(0), "{site}: nothing reached the log");
 
     // Writers now get typed backpressure without touching the WAL…
     match shared.writer().create(v1, "Person", &[("name", "fay".into())]).unwrap_err() {
@@ -183,7 +195,7 @@ fn disk_full_degrades_to_read_only_and_heals() {
 
     // Space reclaimed (failpoint disarmed) → heal: rotate the log, emergency
     // checkpoint, verify a round-trip append, and reopen for writes.
-    fp.disarm("durable.wal_append");
+    fp.disarm(site);
     assert_eq!(shared.try_heal().unwrap(), SystemHealth::Healthy);
     assert_eq!(shared.health(), SystemHealth::Healthy);
     assert!(shared.telemetry().counter("durable.heals") >= 1);

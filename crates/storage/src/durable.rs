@@ -8,7 +8,8 @@
 //! ```text
 //! <dir>/MANIFEST        "TSEMANI1" | u64 generation | u32 crc(generation)
 //! <dir>/snap-<gen>.tse  "TSEDURS2" | u64 wal_lsn | u64 len | u32 crc(wal_lsn‖len‖payload) | payload
-//! <dir>/wal.log         frames: u32 len | u32 crc(lsn‖payload) | u64 lsn | payload
+//! <dir>/wal.log         frames: u32 len | u32 crc(lsn‖payload) | u64 lsn | payload,
+//!                       then pre-written zeros
 //! ```
 //!
 //! Invariants:
@@ -18,10 +19,20 @@
 //! * every WAL frame reaches the file through [`GroupWal::append`] or
 //!   [`GroupWal::append_overlapped`], which return only once the frame's
 //!   group-commit batch is fsync'd;
-//! * a torn final WAL frame (crash mid-append) is detected by its length or
-//!   CRC and truncated on open — everything before it remains valid. One
-//!   parser, [`walk_frames`], reads the frame format, for recovery and the
-//!   scrubber alike;
+//! * no frame grows the log: past its logical end the file keeps one
+//!   extent of zeros, written and fsynced before any frame lands there, so
+//!   a frame's fsync commits its data and no size change or block
+//!   allocation. An append that would cross the pre-written end first
+//!   pre-writes the next extent; a failed pre-write fsync poisons the log.
+//!   Truncation (checkpoint, abort, heal) cuts the file at the new end, and
+//!   the next append pre-writes again;
+//! * a walk ends cleanly where only zeros remain — no frame has an
+//!   all-zero header, because LSNs start at 1. A torn final WAL frame
+//!   (crash mid-append) is detected by its length or CRC, and open cuts the
+//!   file at the walk's valid length whatever follows, pre-written zeros
+//!   and any frame past a hole alike — everything before it remains valid.
+//!   One parser, [`walk_frames`], reads the frame format, for recovery and
+//!   the scrubber alike;
 //! * each artifact has exactly one integrity check, at its file framing: a
 //!   snapshot generation's header CRC covers its LSN, length and whole
 //!   payload (the payload sections nested inside carry no check of their
@@ -31,8 +42,8 @@
 //!
 //! All write paths consult the [`FailpointRegistry`] (sites
 //! `durable.snapshot_write`, `durable.manifest_write`, `durable.wal_append`,
-//! `durable.wal_fsync`) so crash tests can kill the system at any byte
-//! offset of any write.
+//! `durable.wal_prewrite`, `durable.wal_fsync`) so crash tests can kill the
+//! system at any byte offset of any write.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -230,6 +241,14 @@ pub fn read_snapshot_file(dir: &Path, generation: u64) -> StorageResult<(u64, Ve
 /// Bytes before a frame's payload: `u32 len | u32 crc | u64 lsn`.
 const FRAME_HEADER: usize = 16;
 
+/// Zeros the log keeps written and fsynced past its logical end.
+const PREWRITE_EXTENT: u64 = 1 << 20;
+
+/// The block an extent is pre-written from, one write at a time. Small: it
+/// lives in the binary's read-only data, and each of its pages a write
+/// reads stays resident (an extent-sized buffer would cost its size).
+static ZEROS: [u8; 16 * 1024] = [0; 16 * 1024];
+
 /// One recovered WAL frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalFrame {
@@ -242,10 +261,12 @@ pub struct WalFrame {
 /// Where a [`walk_frames`] stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkEnd {
-    /// At the end of the bytes: every byte belongs to a valid frame.
+    /// Where only zeros remain: every other byte belongs to a valid frame.
     Clean,
     /// At a frame too short for its header or for the payload its header
-    /// announces — a crash interrupted an append, or one is in flight.
+    /// announces, at one whose CRC fails and which runs into the trailing
+    /// zeros, or at an all-zero header with bytes past it — a crash
+    /// interrupted an append or a batch, or one is in flight.
     Torn,
     /// At a complete frame whose CRC fails: rot, not a tear.
     Corrupt,
@@ -258,7 +279,8 @@ pub struct FrameWalk {
     pub frames: Vec<WalFrame>,
     /// Length of the valid prefix: where recovery truncates the log.
     pub valid_len: u64,
-    /// Bytes after the valid prefix (0 on a clean log).
+    /// Bytes after the valid prefix, not counting the trailing zeros of
+    /// pre-written space (0 on a clean log).
     pub torn_bytes: u64,
     /// Why the walk stopped.
     pub end: WalkEnd,
@@ -268,27 +290,66 @@ pub struct FrameWalk {
 /// that is incomplete or fails its CRC — everything from there on is
 /// suspect. The one parser of the frame format: recovery ([`Wal::open`])
 /// and the scrubber both read the log through it.
+///
+/// Pre-written space reads as zeros, and no frame has an all-zero header
+/// (LSNs start at 1), so the walk ends cleanly where only zeros remain. A
+/// frame torn inside that space reads as complete, its missing bytes as
+/// zeros: a CRC failure that runs into the trailing zeros is a tear, not
+/// rot. So is an all-zero header with bytes past it — a crash mid-batch can
+/// lose one frame's pages and keep a later one's, never acked.
 pub fn walk_frames(bytes: &[u8]) -> FrameWalk {
+    let data_end = zero_tail_start(bytes);
     let mut frames = Vec::new();
     let mut offset = 0usize;
     let end = loop {
-        let rest = &bytes[offset..];
-        if rest.is_empty() {
+        if offset >= data_end {
             break WalkEnd::Clean;
         }
+        let rest = &bytes[offset..];
         let Some(header) = rest.get(..FRAME_HEADER) else { break WalkEnd::Torn };
+        if header.iter().all(|&b| b == 0) {
+            break WalkEnd::Torn;
+        }
         let payload_len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
         let crc = u32::from_be_bytes(header[4..8].try_into().unwrap());
         // lsn ‖ payload, the bytes the CRC covers.
         let Some(body) = rest.get(8..FRAME_HEADER + payload_len) else { break WalkEnd::Torn };
         if crc32(body) != crc {
-            break WalkEnd::Corrupt;
+            let into_zeros = offset + FRAME_HEADER + payload_len > data_end;
+            break if into_zeros { WalkEnd::Torn } else { WalkEnd::Corrupt };
         }
         let lsn = u64::from_be_bytes(body[..8].try_into().unwrap());
         frames.push(WalFrame { lsn, payload: body[8..].to_vec() });
         offset += FRAME_HEADER + payload_len;
     };
-    FrameWalk { frames, valid_len: offset as u64, torn_bytes: (bytes.len() - offset) as u64, end }
+    let torn_bytes = data_end.saturating_sub(offset) as u64;
+    FrameWalk { frames, valid_len: offset as u64, torn_bytes, end }
+}
+
+/// Where the trailing run of zero bytes begins (`bytes.len()` when the last
+/// byte is not zero): a word at a time, since a pre-written tail is long.
+fn zero_tail_start(bytes: &[u8]) -> usize {
+    let mut end = bytes.len();
+    while end >= 8 && bytes[end - 8..end] == [0; 8] {
+        end -= 8;
+    }
+    while end > 0 && bytes[end - 1] == 0 {
+        end -= 1;
+    }
+    end
+}
+
+/// One frame: `u32 payload_len | u32 crc(lsn ‖ payload) | u64 lsn | payload`.
+fn frame_bytes(lsn: u64, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    let mut h = Crc32::new();
+    h.update(&lsn.to_be_bytes());
+    h.update(payload);
+    frame.extend_from_slice(&h.finalize().to_be_bytes());
+    frame.extend_from_slice(&lsn.to_be_bytes());
+    frame.extend_from_slice(payload);
+    frame
 }
 
 /// The append-only, CRC32-framed write-ahead log file.
@@ -296,22 +357,33 @@ pub fn walk_frames(bytes: &[u8]) -> FrameWalk {
 /// Frame layout: `u32 payload_len | u32 crc(lsn ‖ payload) | u64 lsn |
 /// payload`. Recovery opens it and hands it to [`GroupWal`], the only way
 /// a frame reaches the file.
+///
+/// The file is longer than the log: past the logical end `len` lie zeros,
+/// written and fsynced before any frame lands there, up to `prewritten`.
+/// Each frame is written at `len` (positioned by a seek, under
+/// [`GroupWal`]'s mutex), so its fsync commits data only; an append that
+/// would cross `prewritten` first pre-writes the next extent (1 MiB).
 #[derive(Debug)]
 pub struct Wal {
     /// Shared with the group-commit flush leader, which fsyncs it outside
     /// the lock; every write, truncate and seek goes through `&File` too.
     file: Arc<File>,
     dir: PathBuf,
+    /// The logical end: where the next frame lands.
     len: u64,
+    /// The end of the zeros written and fsynced past `len`.
+    prewritten: u64,
     next_lsn: u64,
     poisoned: bool,
     failpoints: FailpointRegistry,
 }
 
 impl Wal {
-    /// Open (or create) the log at `<dir>/wal.log` and walk its frames. A
-    /// torn or corrupt tail is truncated at the walk's valid length;
-    /// everything before it is returned. Frames are *not* interpreted here.
+    /// Open (or create) the log at `<dir>/wal.log` and walk its frames. The
+    /// file is cut at the walk's valid length, whatever follows — a torn or
+    /// corrupt tail, pre-written zeros, or a frame past a hole that was
+    /// never acked and must not end up behind a later frame; everything
+    /// before it is returned. Frames are *not* interpreted here.
     pub fn open(dir: &Path, failpoints: FailpointRegistry) -> StorageResult<(Wal, FrameWalk)> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -328,11 +400,12 @@ impl Wal {
             file: Arc::new(file),
             dir: dir.to_path_buf(),
             len: bytes.len() as u64,
+            prewritten: bytes.len() as u64,
             next_lsn,
             poisoned: false,
             failpoints,
         };
-        if walk.torn_bytes > 0 {
+        if wal.len > walk.valid_len {
             wal.truncate_to(walk.valid_len)?;
         }
         Ok((wal, walk))
@@ -354,23 +427,18 @@ impl Wal {
     /// frame's LSN.
     ///
     /// Failpoint site `durable.wal_append` supports torn writes: only the
-    /// first `keep_bytes` bytes of the frame reach the file before the
-    /// simulated crash, which `open` must then detect and truncate. Crash
-    /// and torn-write injections also poison the log, so other threads of a
-    /// "dead" process cannot keep appending past the tear.
+    /// first `keep_bytes` bytes of the frame reach the file (into
+    /// pre-written space) before the simulated crash, which `open` must then
+    /// detect and truncate. Crash and torn-write injections also poison the
+    /// log, so other threads of a "dead" process cannot keep appending past
+    /// the tear.
     fn write_frame(&mut self, payload: &[u8]) -> StorageResult<u64> {
         if self.poisoned {
             return Err(poisoned_err());
         }
         let lsn = self.next_lsn;
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        let mut h = Crc32::new();
-        h.update(&lsn.to_be_bytes());
-        h.update(payload);
-        frame.extend_from_slice(&h.finalize().to_be_bytes());
-        frame.extend_from_slice(&lsn.to_be_bytes());
-        frame.extend_from_slice(payload);
+        let frame = frame_bytes(lsn, payload);
+        self.make_room(frame.len() as u64)?;
 
         match self.failpoints.hit("durable.wal_append") {
             Some(FailAction::Error) => {
@@ -384,9 +452,7 @@ impl Wal {
             }
             Some(FailAction::TornWrite { keep_bytes }) => {
                 let keep = keep_bytes.min(frame.len());
-                (&*self.file)
-                    .write_all(&frame[..keep])
-                    .map_err(|e| io_err("torn wal append", e))?;
+                self.write_at_end(&frame[..keep]).map_err(|e| io_err("torn wal append", e))?;
                 self.file.sync_data().ok();
                 self.len += keep as u64;
                 self.poisoned = true;
@@ -400,7 +466,7 @@ impl Wal {
             }
             None => {}
         }
-        if let Err(e) = (&*self.file).write_all(&frame) {
+        if let Err(e) = self.write_at_end(&frame) {
             // A partial write leaves the tail in an unknown state.
             self.poisoned = true;
             return Err(io_err("wal append", e));
@@ -410,11 +476,62 @@ impl Wal {
         Ok(lsn)
     }
 
+    /// Write `bytes` at the logical end.
+    fn write_at_end(&self, bytes: &[u8]) -> std::io::Result<()> {
+        let mut file = &*self.file;
+        file.seek(SeekFrom::Start(self.len))?;
+        file.write_all(bytes)
+    }
+
+    /// Make sure `need` bytes at the logical end land in pre-written space:
+    /// when they would cross its end, write the next extent (at least
+    /// [`PREWRITE_EXTENT`], and enough for `need`) from a fixed zero block
+    /// and fsync it, before any frame lands there.
+    ///
+    /// Failpoint site `durable.wal_prewrite`: an injected error, transient
+    /// fault or full disk refuses the append with nothing written, and the
+    /// log stays usable; a crash (or torn write — the zeros that landed lie
+    /// past the logical end, which `open` cuts) poisons it. So does a
+    /// failed fsync: it can swallow other frames' pages.
+    fn make_room(&mut self, need: u64) -> StorageResult<()> {
+        const SITE: &str = "durable.wal_prewrite";
+        if self.len + need <= self.prewritten {
+            return Ok(());
+        }
+        match self.failpoints.hit(SITE) {
+            Some(FailAction::Crash) | Some(FailAction::TornWrite { .. }) => {
+                self.poisoned = true;
+                return Err(StorageError::SimulatedCrash(SITE.into()));
+            }
+            Some(a) => return Err(a.to_error(SITE)),
+            None => {}
+        }
+        let end = (self.prewritten + PREWRITE_EXTENT).max(self.len + need);
+        let mut file = &*self.file;
+        file.seek(SeekFrom::Start(self.prewritten)).map_err(|e| io_err("seek wal", e))?;
+        let mut at = self.prewritten;
+        while at < end {
+            let n = (end - at).min(ZEROS.len() as u64) as usize;
+            // Zeros that land before an error lie past the logical end: a
+            // later pre-write writes them again.
+            file.write_all(&ZEROS[..n]).map_err(|e| io_err("wal pre-write", e))?;
+            at += n as u64;
+        }
+        if let Err(e) = self.file.sync_data() {
+            self.poisoned = true;
+            return Err(io_err("fsync wal pre-write", e));
+        }
+        self.prewritten = end;
+        Ok(())
+    }
+
+    /// Cut the file at `offset`, pre-written zeros included: the next
+    /// append pre-writes again.
     fn truncate_to(&mut self, offset: u64) -> StorageResult<()> {
         self.file.set_len(offset).map_err(|e| io_err("truncate wal", e))?;
         self.file.sync_all().map_err(|e| io_err("fsync wal", e))?;
-        (&*self.file).seek(SeekFrom::End(0)).map_err(|e| io_err("seek wal", e))?;
         self.len = offset;
+        self.prewritten = offset;
         Ok(())
     }
 }
@@ -459,11 +576,12 @@ struct GroupInner {
 /// and the only way a frame reaches the log, for data and structural
 /// frames alike.
 ///
-/// [`GroupWal::append`] writes the frame under a short mutex hold, then one
-/// appender becomes the *flush leader*: it takes a second reference to the
-/// shared file (no new descriptor), releases the lock, and fsyncs the whole
-/// batch while followers wait on a condvar (and new appenders keep writing
-/// frames for the *next* batch). The fsync happening outside the lock is
+/// [`GroupWal::append`] writes the frame under a short mutex hold (into the
+/// log's pre-written space, see [`Wal`]), then one appender becomes the
+/// *flush leader*: it takes a second reference to the shared file (no new
+/// descriptor), releases the lock, and fsyncs the whole batch while
+/// followers wait on a condvar (and new appenders keep writing frames for
+/// the *next* batch). The fsync happening outside the lock is
 /// what makes batches form: with the lock held, appends and fsyncs would
 /// interleave 1:1.
 ///
@@ -730,8 +848,10 @@ impl GroupWal {
     /// Truncate the log back to `offset`: to [`GroupWal::len`] as read
     /// before an append whose logged change failed cleanly (the frame must
     /// not replay), or to 0 once a checkpoint made every frame redundant.
-    /// LSNs keep counting — they are never reused. Callers quiesce other
-    /// appenders, so nothing acked lies past `offset`.
+    /// The file is cut at `offset` with `set_len`, its pre-written zeros
+    /// too, and the next append pre-writes again. LSNs keep counting — they
+    /// are never reused. Callers quiesce other appenders, so nothing acked
+    /// lies past `offset`.
     pub fn truncate_to(&self, offset: u64) -> StorageResult<()> {
         self.quiesced().wal.truncate_to(offset)
     }
@@ -757,7 +877,8 @@ impl GroupWal {
         Ok(())
     }
 
-    /// Current log size in bytes (offset the next frame lands at).
+    /// The log's logical size in bytes (offset the next frame lands at);
+    /// the file is longer by its pre-written zeros.
     pub fn len(&self) -> u64 {
         self.inner().state.lock().unwrap().wal.len
     }
@@ -829,22 +950,33 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The length of `bytes` without its trailing zeros.
+    fn data_end(bytes: &[u8]) -> usize {
+        bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1)
+    }
+
     #[test]
     fn torn_wal_append_is_truncated_on_open() {
         let dir = tmpdir("wal_torn");
         let fp = FailpointRegistry::new();
         let mut wal = group(&dir, &fp);
         wal.append(b"keep me").unwrap();
-        // Tear the next frame at every offset inside it.
+        // Tear the next frame at every offset inside it. The torn bytes land
+        // in pre-written zeros, so the zeros among their last bytes cannot
+        // be told from the space around them: those are not counted.
         for keep in 0..(16 + 9) {
+            let start = wal.len() as usize;
             fp.arm("durable.wal_append", 1, FailAction::TornWrite { keep_bytes: keep });
             let err = wal.append(b"lost data").unwrap_err();
             assert!(matches!(err, StorageError::SimulatedCrash(_)));
             drop(wal);
+            let image = fs::read(dir.join(WAL_FILE)).unwrap();
+            let torn = data_end(&image[start..start + keep]) as u64;
             let rec = recovered(&dir, &fp);
             assert_eq!(rec.frames.len(), 1, "torn frame (keep={keep}) must vanish");
             assert_eq!(rec.frames[0].payload, b"keep me");
-            assert_eq!(rec.torn_bytes, keep as u64, "exactly the torn bytes discarded");
+            assert_eq!(rec.torn_bytes, torn, "exactly the torn bytes discarded (keep={keep})");
+            assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), start as u64, "cut");
             wal = group(&dir, &fp);
         }
         fs::remove_dir_all(&dir).ok();
@@ -853,10 +985,12 @@ mod tests {
     #[test]
     fn wal_bit_flips_cut_the_log_at_the_corruption() {
         // Every truncation and every single-bit flip of a 4-frame log, read
-        // by both readers of the frame format. Recovery keeps exactly the
-        // frames before the damage; the scrubber counts the same frames and
-        // calls the log corrupt only when the damaged frame is complete; and
-        // once recovery has truncated, a scrub is clean.
+        // by both readers of the frame format, on the bare frames and
+        // followed by pre-written zeros. Recovery keeps exactly the frames
+        // before the damage; the scrubber counts the same frames and calls
+        // the log corrupt only when the damaged frame is complete and ends
+        // before the trailing zeros; and once recovery has truncated, a
+        // scrub is clean.
         let dir = tmpdir("wal_flip");
         let fp = FailpointRegistry::new();
         let payloads: [&[u8]; 4] = [b"first", b"second", b"", b"fourth frame"];
@@ -864,8 +998,12 @@ mod tests {
         for p in payloads {
             wal.append(p).unwrap();
         }
+        let logical = wal.len() as usize;
         drop(wal);
-        let good = fs::read(dir.join(WAL_FILE)).unwrap();
+        let mut good = fs::read(dir.join(WAL_FILE)).unwrap();
+        assert!(good.len() > logical, "the frames lie in pre-written space");
+        assert!(good[logical..].iter().all(|&b| b == 0), "past the log: zeros");
+        good.truncate(logical);
         // Frame k spans `starts[k]..starts[k + 1]`.
         let mut starts = vec![0usize];
         for p in payloads {
@@ -881,6 +1019,8 @@ mod tests {
             assert_eq!(rec.frames.len(), frames, "{what}: frames recovered");
             assert_eq!(rec.end, end, "{what}: where the walk stopped");
             assert_eq!(rec.valid_len, starts[frames] as u64, "{what}: cut");
+            let torn = data_end(bad).saturating_sub(starts[frames]) as u64;
+            assert_eq!(rec.torn_bytes, torn, "{what}: torn bytes");
             assert_eq!(report.wal_frames, frames as u64, "{what}: frames scrubbed");
             assert_eq!(report.wal_corrupt, end == WalkEnd::Corrupt, "{what}: corrupt");
             let after = scrub();
@@ -888,25 +1028,182 @@ mod tests {
             assert_eq!(after.wal_frames, frames as u64, "{what}: frames after recovery");
         };
 
-        for len in 0..=good.len() {
-            let frames = starts[1..].iter().filter(|&&e| e <= len).count();
-            let end = if starts.contains(&len) { WalkEnd::Clean } else { WalkEnd::Torn };
-            check(&good[..len], frames, end, &format!("truncated to {len}"));
-        }
-        for byte in 0..good.len() {
-            let k = starts.iter().rposition(|&s| s <= byte).unwrap();
-            for bit in 0..8 {
-                let mut bad = good.clone();
-                bad[byte] ^= 1 << bit;
-                // The damaged frame is complete when the length its (possibly
-                // flipped) header announces fits in the bytes that remain.
-                let announced =
-                    u32::from_be_bytes(bad[starts[k]..starts[k] + 4].try_into().unwrap()) as usize;
-                let complete = starts[k] + FRAME_HEADER + announced <= bad.len();
-                let end = if complete { WalkEnd::Corrupt } else { WalkEnd::Torn };
-                check(&bad, k, end, &format!("bit {bit} of byte {byte} flipped"));
+        for tail in [0usize, 32] {
+            let zeros = vec![0u8; tail];
+            for len in 0..=good.len() {
+                let frames = starts[1..].iter().filter(|&&e| e <= len).count();
+                let bad = [&good[..len], &zeros].concat();
+                // Torn bytes that are all zeros read as pre-written space.
+                let end =
+                    if data_end(&bad) <= starts[frames] { WalkEnd::Clean } else { WalkEnd::Torn };
+                check(&bad, frames, end, &format!("truncated to {len}, {tail} zeros"));
+            }
+            for byte in 0..good.len() {
+                let k = starts.iter().rposition(|&s| s <= byte).unwrap();
+                for bit in 0..8 {
+                    let mut bad = [&good[..], &zeros].concat();
+                    bad[byte] ^= 1 << bit;
+                    // The damaged frame is complete when the length its
+                    // (possibly flipped) header announces ends before the
+                    // trailing zeros.
+                    let announced = u32::from_be_bytes(
+                        bad[starts[k]..starts[k] + 4].try_into().unwrap(),
+                    ) as usize;
+                    let complete = starts[k] + FRAME_HEADER + announced <= data_end(&bad);
+                    let end = if complete { WalkEnd::Corrupt } else { WalkEnd::Torn };
+                    check(&bad, k, end, &format!("bit {bit} of byte {byte} flipped, {tail} zeros"));
+                }
             }
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_all_zero_log_opens_empty() {
+        let dir = tmpdir("wal_zeros");
+        let fp = FailpointRegistry::new();
+        fs::write(dir.join(WAL_FILE), vec![0u8; 4096]).unwrap();
+        let walk = walk_frames(&fs::read(dir.join(WAL_FILE)).unwrap());
+        assert_eq!((walk.frames.len(), walk.end, walk.torn_bytes), (0, WalkEnd::Clean, 0));
+        let group = group(&dir, &fp);
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0, "open cut the zeros");
+        assert_eq!(group.append(b"first").unwrap(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frames_before_a_zero_tail_end_clean() {
+        let dir = tmpdir("wal_zero_tail");
+        let fp = FailpointRegistry::new();
+        let wal = group(&dir, &fp);
+        wal.append(b"one").unwrap();
+        wal.append(b"two").unwrap();
+        let logical = wal.len();
+        drop(wal);
+        let image = fs::read(dir.join(WAL_FILE)).unwrap();
+        assert_eq!(image.len() as u64, PREWRITE_EXTENT, "one extent pre-written");
+        let walk = walk_frames(&image);
+        assert_eq!((walk.frames.len(), walk.end, walk.torn_bytes), (2, WalkEnd::Clean, 0));
+        assert_eq!(walk.valid_len, logical);
+        let report = scrub_dir(&dir, &fp, &RetryPolicy::none(), &Telemetry::new(), None).unwrap();
+        assert!(report.clean() && report.wal_torn_bytes == 0 && report.wal_frames == 2);
+        // Recovery counts no torn bytes, and cuts the zeros.
+        let rec = recovered(&dir, &fp);
+        assert_eq!((rec.frames.len(), rec.torn_bytes), (2, 0));
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), logical);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_frame_before_a_zero_tail_is_cut() {
+        let dir = tmpdir("wal_torn_zero_tail");
+        let fp = FailpointRegistry::new();
+        let kept = frame_bytes(1, b"kept");
+        let torn = &frame_bytes(2, b"torn frame")[..20];
+        fs::write(dir.join(WAL_FILE), [&kept[..], torn, &[0u8; 4096]].concat()).unwrap();
+        let rec = recovered(&dir, &fp);
+        assert_eq!(rec.frames, vec![WalFrame { lsn: 1, payload: b"kept".to_vec() }]);
+        assert_eq!((rec.end, rec.torn_bytes), (WalkEnd::Torn, data_end(torn) as u64));
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), kept.len() as u64);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_valid_frame_past_a_zero_header_is_never_returned() {
+        // A crash mid-batch can lose one frame's pages (they read as the
+        // pre-written zeros) and keep a later one's: neither was acked, and
+        // the later frame must not replay, nor end up behind the next frame
+        // appended after a reopen.
+        let dir = tmpdir("wal_hole");
+        let fp = FailpointRegistry::new();
+        let first = frame_bytes(1, b"first");
+        let hole = [0u8; FRAME_HEADER + 6];
+        let stale = frame_bytes(3, b"stale");
+        fs::write(dir.join(WAL_FILE), [&first[..], &hole, &stale, &[0u8; 64]].concat()).unwrap();
+        let walk = walk_frames(&fs::read(dir.join(WAL_FILE)).unwrap());
+        assert_eq!(walk.frames.len(), 1);
+        assert_eq!((walk.end, walk.torn_bytes), (WalkEnd::Torn, (hole.len() + stale.len()) as u64));
+        let wal = group(&dir, &fp);
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), first.len() as u64, "cut");
+        assert_eq!(wal.append(b"second").unwrap(), 2);
+        drop(wal);
+        let payloads: Vec<Vec<u8>> =
+            recovered(&dir, &fp).frames.into_iter().map(|f| f.payload).collect();
+        assert_eq!(payloads, [b"first".to_vec(), b"second".to_vec()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_append_past_the_pre_written_end_pre_writes_the_next_extent() {
+        let dir = tmpdir("wal_extend");
+        let fp = FailpointRegistry::new();
+        let wal = group(&dir, &fp);
+        let file_len = || fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let big = vec![7u8; 600 << 10];
+        wal.append(&big).unwrap();
+        assert_eq!(file_len(), PREWRITE_EXTENT);
+        wal.append(&big).unwrap();
+        assert_eq!(file_len(), 2 * PREWRITE_EXTENT, "the next extent");
+        // A frame larger than an extent gets the room it needs.
+        let huge = vec![9u8; (5 << 20) / 2];
+        wal.append(&huge).unwrap();
+        assert_eq!(file_len(), wal.len(), "pre-written to the frame's end");
+        wal.append(b"small").unwrap();
+        assert_eq!(file_len(), wal.len() - 21 + PREWRITE_EXTENT);
+        // Truncation cuts the zeros too; the next append pre-writes again.
+        wal.truncate_to(0).unwrap();
+        assert_eq!(file_len(), 0);
+        wal.append(b"again").unwrap();
+        assert_eq!(file_len(), PREWRITE_EXTENT);
+        drop(wal);
+        let rec = recovered(&dir, &fp);
+        assert_eq!((rec.frames.len(), rec.end, rec.torn_bytes), (1, WalkEnd::Clean, 0));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pre_write_faults_refuse_cleanly_or_poison() {
+        let dir = tmpdir("wal_prewrite_faults");
+        let fp = FailpointRegistry::new();
+        fp.set_virtual_clock(true);
+        let telemetry = Telemetry::new();
+        let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
+        let policy = RetryPolicy { max_retries: 2, base_backoff_ns: 1, max_backoff_ns: 8 };
+        let wal = GroupWal::new(wal, telemetry.clone(), policy);
+        let file_len = || fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let site = "durable.wal_prewrite";
+        // Refusals: no frame written, nothing pre-written, the log usable.
+        let refusals = [
+            (FailAction::Error, "injected"),
+            (FailAction::TransientError { succeed_after: 10 }, "transient"),
+            (FailAction::DiskFull, "disk full"),
+        ];
+        for (action, what) in refusals {
+            fp.arm(site, 1, action);
+            let err = wal.append(b"refused").unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+            assert!(!wal.is_poisoned(), "{what}");
+            assert_eq!((wal.len(), file_len()), (0, 0), "{what}: nothing written");
+            fp.disarm(site);
+        }
+        // A transient fault inside the retry budget is ridden out.
+        fp.arm(site, 1, FailAction::TransientError { succeed_after: 2 });
+        assert_eq!(wal.append(b"kept").unwrap(), 1);
+        assert_eq!(telemetry.snapshot().counter("fault.retries"), 2 + 2);
+        // Pre-writing happens only at the pre-written end: the next
+        // extent's first append is the next hit.
+        wal.truncate_to(wal.len()).unwrap();
+        fp.arm(site, 1, FailAction::Crash);
+        let err = wal.append(b"lost").unwrap_err();
+        assert!(matches!(err, StorageError::SimulatedCrash(_)), "{err}");
+        assert!(wal.is_poisoned());
+        assert!(matches!(wal.append(b"after").unwrap_err(), StorageError::Poisoned(_)));
+        wal.reopen().unwrap();
+        assert_eq!(wal.append(b"healed").unwrap(), 2);
+        drop(wal);
+        let payloads: Vec<Vec<u8>> =
+            recovered(&dir, &fp).frames.into_iter().map(|f| f.payload).collect();
+        assert_eq!(payloads, [b"kept".to_vec(), b"healed".to_vec()]);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,10 +17,12 @@
 //! corruption).
 //!
 //! The WAL walk is recovery's own, [`crate::durable::walk_frames`]. It
-//! distinguishes a *torn tail* — trailing bytes too short to frame, normal
+//! distinguishes a *torn tail* — trailing bytes too short to frame, or a
+//! frame that runs into the pre-written zeros past the log's end, normal
 //! when a crash interrupted an append or when a live system is appending
 //! concurrently — from *interior corruption*: a full-length frame whose CRC
-//! fails. The scrubber reports; recovery truncates at the same point.
+//! fails. Pre-written zeros are a clean end, never counted as torn. The
+//! scrubber reports; recovery truncates at the same point.
 //! Callers scanning a live directory should bound the walk
 //! with `wal_valid_len` (the log length under its lock) so in-flight appends
 //! past that point are never misread.
@@ -80,8 +82,8 @@ pub struct ScrubReport {
     pub manifest_ok: bool,
     /// Complete, CRC-valid WAL frames.
     pub wal_frames: u64,
-    /// Trailing bytes too short to frame (in-flight or crash-torn append —
-    /// expected, not corruption).
+    /// Trailing bytes of an in-flight or crash-torn append — expected, not
+    /// corruption. Pre-written zeros are not counted.
     pub wal_torn_bytes: u64,
     /// True when a *full-length* WAL frame failed its CRC: interior rot,
     /// not a torn tail. Recovery would truncate the log here.
@@ -246,7 +248,10 @@ mod tests {
         write_snapshot_file(&dir, 2, 9, b"two", &fp).unwrap();
         write_manifest(&dir, 2, &fp).unwrap();
         let (wal, _) = Wal::open(&dir, fp.clone()).unwrap();
-        GroupWal::new(wal, t.clone(), RetryPolicy::none()).append(b"frame").unwrap();
+        let wal = GroupWal::new(wal, t.clone(), RetryPolicy::none());
+        wal.append(b"frame").unwrap();
+        // The file holds pre-written zeros past the frame: a clean tail.
+        assert!(fs::metadata(dir.join(WAL_FILE)).unwrap().len() > wal.len());
         let report = scrub_dir(&dir, &fp, &RetryPolicy::none(), &t, None).unwrap();
         assert!(report.clean());
         assert_eq!(report.generations.len(), 2);
@@ -321,11 +326,12 @@ mod tests {
         let wal = GroupWal::new(wal, t.clone(), RetryPolicy::none());
         wal.append(b"first").unwrap();
         wal.append(b"second").unwrap();
+        let clean_len = wal.len() as usize;
         drop(wal);
-        // Append a torn tail by hand: half a header.
+        // Append a torn tail by hand to the frames: half a header.
         let wal_path = dir.join(WAL_FILE);
         let mut bytes = fs::read(&wal_path).unwrap();
-        let clean_len = bytes.len();
+        bytes.truncate(clean_len);
         bytes.extend_from_slice(&[0xAA; 7]);
         fs::write(&wal_path, &bytes).unwrap();
         let report = scrub_dir(&dir, &fp, &RetryPolicy::none(), &t, None).unwrap();

@@ -4,7 +4,7 @@
 //! - `kill`: a random workload (creates, sets, single-target
 //!   query-updates, deletes, evolutions, checkpoints) with one failpoint
 //!   site armed to crash, tear a write or inject an error — across WAL
-//!   append and fsync, data apply, snapshot write and the
+//!   append, pre-write and fsync, data apply, snapshot write and the
 //!   fork–evolve–swap pipeline — then a pulled plug and a reopen.
 //! - `chaos`: transient stalls inside the retry budget under a create or
 //!   an evolve must ride out invisibly (counted in `fault.retries`);
@@ -33,8 +33,9 @@ use tse_inspect::Journal;
 const DEFAULT_SEED: u64 = 0x7042_7475_7265_5EED;
 const ITERATIONS: u64 = 48;
 
-const SITES: [&str; 10] = [
+const SITES: [&str; 11] = [
     "durable.wal_append",
+    "durable.wal_prewrite",
     "durable.wal_fsync",
     "storage.insert",
     "durable.snapshot_write",

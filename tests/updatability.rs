@@ -178,6 +178,83 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+
+    /// The classified order is the is-a order: after every change of a
+    /// seeded Sjøberg-mix trace (100 changes, 8 cases, drawn as above), for
+    /// live classes `a ≠ b`, `a` is strictly below `b` — extent by the
+    /// prover and type by intent, not both ways — exactly when
+    /// `is_sub_of(a, b)`. Only a pair the prover relates can be strictly
+    /// ordered, so the pairs it relates are compared, and for the rest no
+    /// is-a pair may exist: each proper ancestor of `a` (by the walk
+    /// `is_sub_of` is held against in
+    /// `write_facts_agree_with_their_references_…`) must be related to it.
+    #[test]
+    fn strict_order_is_the_is_a_order_after_every_change_of_a_trace(seed in 0u64..1_000_000) {
+        let mix = TraceMix::default();
+        let trace = generate_and_apply_trace(&mut university(), "U", 100, &mix, seed).unwrap();
+        let mut tse = university();
+        for (i, change) in trace.changes.iter().enumerate() {
+            tse.evolve("U", change).unwrap();
+            // The prover as the next classification will see it: advanced
+            // over classes created since the last one.
+            let mut prover = tse.prover().clone();
+            let db = tse.db();
+            let schema = db.schema();
+            prover.advance(schema);
+            let live = |c: &ClassId| !schema.is_retired(*c);
+            let types: Vec<_> = schema
+                .class_ids()
+                .map(|c| live(&c).then(|| algebra::intent_type(db, c).unwrap()))
+                .collect();
+            let mut seen = vec![false; schema.class_count()];
+            for a in schema.class_ids().filter(live) {
+                let ta = types[a.0 as usize].as_ref().unwrap();
+                let related = prover.related(a);
+                // Each related pair once, both ways.
+                for &b in related.iter().filter(|b| **b > a && live(b)) {
+                    let tb = types[b.0 as usize].as_ref().unwrap();
+                    let below = prover.subsumes(a, b) && algebra::type_includes(ta, tb);
+                    let above = prover.subsumes(b, a) && algebra::type_includes(tb, ta);
+                    prop_assert_eq!(
+                        below && !above, schema.is_sub_of(a, b),
+                        "seed {} change {} ({:?}): {} below {}", seed, i, change, a, b
+                    );
+                    prop_assert_eq!(
+                        above && !below, schema.is_sub_of(b, a),
+                        "seed {} change {} ({:?}): {} below {}", seed, i, change, b, a
+                    );
+                }
+                for b in proper_ancestors(schema, a, &mut seen).into_iter().filter(live) {
+                    prop_assert!(
+                        related.binary_search(&b).is_ok(),
+                        "seed {} change {} ({:?}): {} is-a {}, unrelated by the prover",
+                        seed, i, change, a, b
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The classes `from` reaches by walking up the direct supers, itself
+/// excluded. `seen` is all false, and is left so.
+fn proper_ancestors(schema: &Schema, from: ClassId, seen: &mut [bool]) -> Vec<ClassId> {
+    let mut reached = Vec::new();
+    let mut stack = schema.class(from).unwrap().direct_supers().to_vec();
+    while let Some(class) = stack.pop() {
+        if !std::mem::replace(&mut seen[class.0 as usize], true) {
+            reached.push(class);
+            stack.extend(schema.class(class).unwrap().direct_supers());
+        }
+    }
+    for class in &reached {
+        seen[class.0 as usize] = false;
+    }
+    reached
+}
+
 /// The classes `from` reaches by walking up the direct supers, itself
 /// included, by class id: the is-a test as `Schema::is_sub_of` answered it
 /// before the fact cache kept ancestor sets.
